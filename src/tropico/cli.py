@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -23,16 +22,6 @@ from .realize import (
     realize_stretched,
     verify_realization,
 )
-
-
-def _worker_cap():
-    """TROPICO_THREADS caps the worker count; evaluation is sequential and
-    deterministic, so the cap is honored by construction."""
-    raw = os.environ.get("TROPICO_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _nseq(text):
@@ -131,9 +120,9 @@ def cmd_realize(args):
     violations = verify_realization(realization, diag, marking, cfg, spec)
     if violations:
         raise RealizeError("; ".join(violations))
-    print(io_mod.dumps(io_mod.realization_to_json(realization)))
+    curve = realization.curve.to_plane_curve(newton=spec.polygon)
+    print(io_mod.dumps(io_mod.realization_to_json(realization, curve)))
     if args.svg:
-        curve = realization.curve.to_plane_curve(newton=spec.polygon)
         style = render.RenderStyle(anticanonical_frame=args.frame)
         e_axis = _transverse_axis(spec.direction)
         n2 = lattice.dot(spec.direction, spec.direction)
@@ -344,7 +333,6 @@ def cmd(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    _worker_cap()
     try:
         return args.fn(args)
     except DOMAIN_ERRORS as exc:

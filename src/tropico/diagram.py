@@ -7,11 +7,27 @@ their unique edge outgoing, vertices in inf_plus ingoing.  The counting
 contract: the number of genus-g curves with Newton polygon Delta equals
 the number of marked diagrams, each weighted by I^beta * prod w(e)^2 over
 finite edges.
+
+The count never lists markings.  For each diagram it counts the
+order-compatible labellings L of floors and edges that respect the alpha
+label blocks, by a dynamic programme over the down-sets of the diagram's
+poset, and divides by |Aut|: the automorphisms of (D, w, theta) act freely
+on markings, so L / |Aut| is the number of marking classes.
+`enumerate_markings` lists one representative per class for display and
+realization.
+
+Generation enumerates finite edges only from floor i to floors j > i:
+every acyclic diagram has such a topological labelling of its floors.
+Each class found is returned in the labelling an exhaustive search over
+all labellings would meet first, so the output does not depend on which
+labellings the search visits.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,6 +49,15 @@ class SideBoundaryCondition(DiagramError):
 
 class InvalidMarking(DiagramError):
     pass
+
+
+class InvariantViolation(DiagramError):
+    """Generation or counting broke one of its own invariants: a bug, not a
+    bad input.  ``violations`` lists what failed."""
+
+    def __init__(self, what, violations):
+        super().__init__(f"{what}: {'; '.join(violations)}")
+        self.violations = list(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -478,25 +503,6 @@ def _edge_weightings(pairs, c):
     yield from rec(0)
 
 
-def _has_cycle(pairs, n):
-    adj = {i: set() for i in range(n)}
-    for s, t in pairs:
-        adj[s].add(t)
-    color = {}
-
-    def dfs(v):
-        color[v] = 1
-        for t in adj[v]:
-            if color.get(t) == 1:
-                return True
-            if color.get(t, 0) == 0 and dfs(t):
-                return True
-        color[v] = 2
-        return False
-
-    return any(color.get(v, 0) == 0 and dfs(v) for v in range(n))
-
-
 def _subset_degrees(pairs, n):
     """Per floor subset (bitmask): number of edges entering and leaving it."""
     masks = []
@@ -554,9 +560,11 @@ def enumerate_diagrams(spec):
 
     The search fixes the theta assignment (left and right slope multisets),
     attaches the tail census demanded by (alpha, beta), then enumerates
-    weighted acyclic connected finite-edge structures matching the floor
-    divergences.  Complete by construction; duplicates removed by canonical
-    form.
+    weighted connected finite-edge structures matching the floor
+    divergences, with every finite edge going from floor i to a floor j > i.
+    Every acyclic diagram has such a labelling, so the search is complete;
+    duplicates are removed by canonical form, and each class is returned in
+    its `_first_labelling`.
     """
     spec.check()
     dd = spec.data
@@ -569,7 +577,7 @@ def enumerate_diagrams(spec):
     thetas_r = dd.thetas_right()
     down_weights = weight_multiset(spec.alpha_minus, spec.beta_minus)
     up_weights = weight_multiset(spec.alpha_plus, spec.beta_plus)
-    all_pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    upward_pairs = list(itertools.combinations(range(n), 2))
 
     downs = list(_tail_distributions(down_weights, n))
     ups = list(_tail_distributions(up_weights, n))
@@ -577,9 +585,7 @@ def enumerate_diagrams(spec):
     for tl in _distinct_permutations(thetas_l):
         for tr in _distinct_permutations(thetas_r):
             div = [tr[i] - tl[i] for i in range(n)]
-            for pair_combo in itertools.combinations_with_replacement(all_pairs, m):
-                if _has_cycle(pair_combo, n):
-                    continue
+            for pair_combo in itertools.combinations_with_replacement(upward_pairs, m):
                 if not _connected_pairs(pair_combo, n):
                     continue
                 cuts = _subset_degrees(pair_combo, n)
@@ -597,11 +603,46 @@ def enumerate_diagrams(spec):
                             key = canonical_key(diag)
                             if key not in found:
                                 found[key] = diag
-    out = [found[k] for k in sorted(found)]
+    out = [_first_labelling(found[k]) for k in sorted(found)]
     for diag in out:
-        assert len(diag.floors) == n
-        assert validate(diag, spec), validate_verbose(diag, spec)
+        ok, violations = validate_verbose(diag, spec)
+        if not ok:
+            raise InvariantViolation("generated diagram is invalid", violations)
     return out
+
+
+def _first_labelling(diagram):
+    """The diagram in the floor labelling that a search over every labelling,
+    iterating in the order of `enumerate_diagrams`, meets first: the one
+    minimising (left thetas, right thetas, finite pairs, down-tail and
+    up-tail targets per weight, finite weights)."""
+    ids = list(diagram.floor_ids)
+    pos = {f: i for i, f in enumerate(ids)}
+    lefts = [th for _, th in diagram.floors]
+    rights = [th + diagram.divergence(f) for f, th in diagram.floors]
+    fins = [(pos[s], pos[t], w) for s, t, w in diagram.finite_edges()]
+    downs = [(pos[t], w) for _, t, w in diagram.down_edges()]
+    ups = [(pos[s], w) for s, _, w in diagram.up_edges()]
+    best = None
+    for order in itertools.permutations(range(len(ids))):
+        label = {old: new for new, old in enumerate(order)}
+        fin = sorted((label[s], label[t], w) for s, t, w in fins)
+        down = sorted((w, label[t]) for t, w in downs)
+        up = sorted((w, label[s]) for s, w in ups)
+        key = (
+            tuple(lefts[i] for i in order),
+            tuple(rights[i] for i in order),
+            tuple((s, t) for s, t, _ in fin),
+            tuple(t for _, t in down),
+            tuple(s for _, s in up),
+            tuple(w for _, _, w in fin),
+        )
+        if best is None or key < best[0]:
+            best = (key, down, up)
+    (thetas, _, pairs, _, _, weights), down, up = best
+    return _build_diagram(
+        thetas, pairs, weights, [(t, w) for w, t in down], [(s, w) for w, s in up]
+    )
 
 
 def _build_diagram(thetas, pairs, weights, down, up):
@@ -660,6 +701,30 @@ def _alpha_block(alpha, offset):
     return out
 
 
+def _edge_classes(diagram):
+    """Class of each edge element: its endpoints (tails at "-inf"/"+inf") and
+    its weight.  Edges of one class are interchanged by automorphisms."""
+    fl = set(diagram.floor_ids)
+    return {
+        ("e", i): (s if s in fl else "-inf", t if t in fl else "+inf", w)
+        for i, (s, t, w) in enumerate(diagram.edges)
+    }
+
+
+def _label_slots(diagram, spec):
+    """Per label of spec.label_range(), the elements that may take it: the
+    tails of the required weight inside an alpha block, None (any) elsewhere."""
+    classes = _edge_classes(diagram)
+    labels = spec.label_range()
+    lo = labels[0]
+    slots = [None] * len(labels)
+    for label, w in _alpha_block(spec.alpha_minus, lo).items():
+        slots[label - lo] = {el for el, c in classes.items() if c[0] == "-inf" and c[2] == w}
+    for label, w in _alpha_block(spec.alpha_plus, spec.s + 1).items():
+        slots[label - lo] = {el for el, c in classes.items() if c[1] == "+inf" and c[2] == w}
+    return slots
+
+
 def enumerate_markings(diagram, spec):
     """Equivalence classes of markings of the given type, one representative each.
 
@@ -670,25 +735,16 @@ def enumerate_markings(diagram, spec):
     """
     if not validate(diagram, spec):
         return []
-    down_idx = {}
-    up_idx = {}
-    fl = set(diagram.floor_ids)
-    for i, (s, t, w) in enumerate(diagram.edges):
-        if s not in fl:
-            down_idx[("e", i)] = w
-        elif t not in fl:
-            up_idx[("e", i)] = w
     # census must match the type or no marking exists
-    if sorted(down_idx.values()) != sorted(weight_multiset(spec.alpha_minus, spec.beta_minus)):
+    down = sorted(w for _, _, w in diagram.down_edges())
+    up = sorted(w for _, _, w in diagram.up_edges())
+    if down != sorted(weight_multiset(spec.alpha_minus, spec.beta_minus)):
         return []
-    if sorted(up_idx.values()) != sorted(weight_multiset(spec.alpha_plus, spec.beta_plus)):
+    if up != sorted(weight_multiset(spec.alpha_plus, spec.beta_plus)):
         return []
 
     labels = spec.label_range()
-    s_top = spec.s
-    lo = labels[0]
-    alpha_minus_need = _alpha_block(spec.alpha_minus, lo)
-    alpha_plus_need = _alpha_block(spec.alpha_plus, s_top + 1)
+    slots = _label_slots(diagram, spec)
     preds = diagram.element_preds()
     elements = diagram.elements()
 
@@ -697,11 +753,7 @@ def enumerate_markings(diagram, spec):
     # sequences are generated: within a class, label order follows edge
     # index order.  This collapses the factorial blowup of linear
     # extensions of large antichains of equal edges.
-    fl = set(diagram.floor_ids)
-    edge_class = {}
-    for i, (s, t, w) in enumerate(diagram.edges):
-        key = (s if s in fl else "-inf", t if t in fl else "+inf", w)
-        edge_class[("e", i)] = key
+    edge_class = _edge_classes(diagram)
 
     sequences = []
     placed = []
@@ -725,14 +777,10 @@ def enumerate_markings(diagram, spec):
         if pos == len(labels):
             sequences.append(tuple(placed))
             return
-        label = labels[pos]
+        slot = slots[pos]
         for el in candidates():
-            if label in alpha_minus_need:
-                if down_idx.get(el) != alpha_minus_need[label]:
-                    continue
-            elif label in alpha_plus_need:
-                if up_idx.get(el) != alpha_plus_need[label]:
-                    continue
+            if slot is not None and el not in slot:
+                continue
             used.add(el)
             placed.append(el)
             rec(pos + 1)
@@ -747,8 +795,44 @@ def enumerate_markings(diagram, spec):
         key = min(_orbit_token(diagram, seq, perm) for perm in perms)
         classes.setdefault(key, seq)
     return [
-        Marking(diagram, lo, classes[k]) for k in sorted(classes)
+        Marking(diagram, labels[0], classes[k]) for k in sorted(classes)
     ]
+
+
+def count_markings(diagram, spec):
+    """len(enumerate_markings(diagram, spec)) for a diagram of
+    `enumerate_diagrams(spec)`, without listing the markings.
+
+    L, the number of order-compatible labellings of floors and edges that
+    respect the alpha blocks, comes from a dynamic programme over the
+    down-sets (bitmasks) of the diagram's poset; the size of a down-set is
+    the position of the next label.  Automorphisms of (D, w, theta) act
+    freely on markings, so there are L / |Aut| classes, where |Aut| is the
+    number of structure-preserving floor permutations times the orderings
+    of each class of identical edges.
+    """
+    elements = diagram.elements()
+    bit = {el: 1 << i for i, el in enumerate(elements)}
+    preds = diagram.element_preds()
+    below = {el: sum(bit[p] for p in preds[el]) for el in elements}
+    ways = {0: 1}
+    for slot in _label_slots(diagram, spec):
+        moves = [(bit[el], below[el]) for el in (elements if slot is None else slot)]
+        nxt = {}
+        for mask, n in ways.items():
+            for b, need in moves:
+                if not mask & b and not need & ~mask:
+                    nxt[mask | b] = nxt.get(mask | b, 0) + n
+        ways = nxt
+    labellings = sum(ways.values())
+    aut = len(_floor_permutations(diagram))
+    for size in Counter(_edge_classes(diagram).values()).values():
+        aut *= math.factorial(size)
+    if labellings % aut:
+        raise InvariantViolation(
+            "marking count", [f"{labellings} labellings are not divisible by |Aut| = {aut}"]
+        )
+    return labellings // aut
 
 
 def _orbit_token(diagram, seq, perm):
@@ -794,12 +878,12 @@ def count(spec, explain=False):
     rows = []
     total = 0
     for diag in enumerate_diagrams(spec):
-        classes = enumerate_markings(diag, spec)
-        if not classes:
+        nclasses = count_markings(diag, spec)
+        if not nclasses:
             continue
         mu = multiplicity(diag, spec)
-        total += mu * len(classes)
-        rows.append((diag, len(classes), mu))
+        total += mu * nclasses
+        rows.append((diag, nclasses, mu))
     if explain:
         return total, rows
     return total

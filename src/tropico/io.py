@@ -148,8 +148,10 @@ def subdivision_to_json(subdivision):
     }
 
 
-def realization_to_json(realization):
-    curve = realization.curve.to_plane_curve(newton=realization.spec.polygon)
+def realization_to_json(realization, curve=None):
+    """``curve`` is the realization's plane curve, when the caller already has it."""
+    if curve is None:
+        curve = realization.curve.to_plane_curve(newton=realization.spec.polygon)
     return {
         "curve": curve_to_json(curve),
         "floors": [

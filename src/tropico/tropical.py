@@ -948,10 +948,6 @@ def _split_piece(segs, rays, tag, vi):
         rays[i] = [vi, u, w]
 
 
-def translate_curve(curve, v):
-    return curve.translate(v)
-
-
 # ---------------------------------------------------------------------------
 # random polynomials for the property suites
 

@@ -67,6 +67,12 @@ def test_sample_quartic_types_match_oracle():
         assert count(spec) == ch_oracle.irreducible(4, g, alpha, beta)
 
 
+def test_quintic_counts_match_oracle():
+    for g in (1, 2):
+        spec = DiagramSpec(triangle(5), (0, 1), g, (), (), (), (5,))
+        assert count(spec) == ch_oracle.irreducible(5, g, (), (5,))
+
+
 def test_classical_counts():
     # frozen values from the enumerative-geometry literature
     from tropico.lattice import LatticePolygon

@@ -1,12 +1,18 @@
+import hashlib
+
 import pytest
 
+from tropico import diagram as diagram_mod
+from tropico import io
 from tropico.diagram import (
     DiagramSpec,
     Disconnected,
     FloorDiagram,
+    InvariantViolation,
     SideBoundaryCondition,
     canonical_key,
     count,
+    count_markings,
     diagram_genus,
     enumerate_diagrams,
     enumerate_markings,
@@ -264,3 +270,66 @@ def test_octic_diagram_shapes():
     mults = sorted(multiplicity(d, OCTIC_G1) for d in diags)
     assert marks == [1, 1, 4]
     assert mults == [1, 4, 4]
+
+
+# N-sequences a with I a = k, for the boundary types of cubics
+SEQ_WITH_I = {0: [()], 1: [(1,)], 2: [(2,), (0, 1)], 3: [(3,), (1, 1), (0, 0, 1)]}
+T3_TYPES = [
+    (alpha, beta)
+    for ia in range(4)
+    for alpha in SEQ_WITH_I[ia]
+    for beta in SEQ_WITH_I[3 - ia]
+]
+T4_TYPES = [((), (4,)), ((), (0, 2)), ((2,), (0, 1)), ((0, 0, 0, 1), ())]
+TZ132_G1 = DiagramSpec(trapezium(1, 3, 2), (0, 1), 1, (), (), (2,), (5,))
+
+
+def test_count_markings_equals_enumeration():
+    specs = [
+        DiagramSpec(triangle(3), (0, 1), g, (), alpha, (), beta)
+        for g in (0, 1)
+        for alpha, beta in T3_TYPES
+    ]
+    specs += [
+        DiagramSpec(triangle(4), (0, 1), g, (), alpha, (), beta)
+        for g in range(4)
+        for alpha, beta in T4_TYPES
+    ]
+    specs += [DIAMOND_G0, DIAMOND_G1, OCTIC_G0, OCTIC_G1, TZ132_G1]
+    for spec in specs:
+        for diag in enumerate_diagrams(spec):
+            assert count_markings(diag, spec) == len(enumerate_markings(diag, spec)), (
+                spec,
+                diag,
+            )
+
+
+def test_count_markings_rejects_a_remainder(monkeypatch):
+    # the chain cubic has 5 labellings and a trivial automorphism group; a
+    # group of order 2 would leave a remainder
+    chain = next(d for d in enumerate_diagrams(T3_B3) if _shape(d) == "chain")
+    monkeypatch.setattr(diagram_mod, "_floor_permutations", lambda d: [(0, 1, 2), (1, 0, 2)])
+    with pytest.raises(InvariantViolation):
+        count_markings(chain, T3_B3)
+
+
+def test_enumerate_diagrams_reports_invalid_output(monkeypatch):
+    monkeypatch.setattr(diagram_mod, "validate_verbose", lambda d, s: (False, ["broken"]))
+    with pytest.raises(InvariantViolation) as err:
+        enumerate_diagrams(T3_B3)
+    assert err.value.violations == ["broken"]
+
+
+def test_enumerate_diagrams_output_pinned():
+    # sha256 of the JSON diagram lists as produced by a search over every
+    # floor labelling, before it was restricted to topological labellings
+    pinned = [
+        (
+            DiagramSpec(triangle(4), (0, 1), 0, (), (), (), (4,)),
+            "6224d774cc52d32dc4c85a66c3e8c8e6839da0a4f4864291f3d5999efb06544a",
+        ),
+        (TZ132_G1, "b0742e63aa7173b7ca4ae17692b0ac6be3a341652ff5116bfdcc2e8824839335"),
+    ]
+    for spec, digest in pinned:
+        text = io.dumps([io.diagram_to_json(d) for d in enumerate_diagrams(spec)])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
