@@ -3,7 +3,10 @@ realization, tropicalization, SVG rendering, and the self-check suite.
 
 All results go to stdout as JSON (a bare integer for `count`), diagnostics
 to stderr.  Exit codes: 0 success, 1 domain error (with the error name in
-JSON on stdout), 2 argument or parse error.
+JSON on stdout), 2 argument or parse error.  Domain errors are the typed
+errors of the library, including io.InputError for files and option
+values that cannot be read or decoded; any other exception is a bug and
+propagates.
 """
 
 from __future__ import annotations
@@ -27,17 +30,35 @@ from .realize import (
 def _nseq(text):
     if not text:
         return ()
-    return diagram_mod.nseq(int(x) for x in text.split(","))
+    try:
+        return diagram_mod.nseq(int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise io_mod.InputError(f"bad multiplicity sequence {text!r}: {exc}") from exc
 
 
 def _direction(text):
-    dx, dy = text.split(",")
-    return (int(dx), int(dy))
+    try:
+        dx, dy = text.split(",")
+        return (int(dx), int(dy))
+    except ValueError as exc:
+        raise io_mod.InputError(f"bad direction {text!r}, expected dx,dy") from exc
 
 
 def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise io_mod.InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _write_text(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise io_mod.InputError(f"cannot write {path}: {exc}") from exc
+    print(f"wrote {path}", file=sys.stderr)
 
 
 def _spec_from_args(args):
@@ -137,10 +158,7 @@ def cmd_realize(args):
             for om in list(cfg.omega_minus) + list(cfg.omega_plus)
         ]
         labels = {i: str(i + 1) for i in range(len(cfg.points))}
-        svg = render.render_curve_svg(curve, style, cfg.points, omega, labels)
-        with open(args.svg, "w") as fh:
-            fh.write(svg)
-        print(f"wrote {args.svg}", file=sys.stderr)
+        _write_text(args.svg, render.render_curve_svg(curve, style, cfg.points, omega, labels))
     return 0
 
 
@@ -153,16 +171,11 @@ def cmd_tropicalize(args):
     print(io_mod.dumps(out))
     if args.svg:
         style = render.RenderStyle(anticanonical_frame=args.frame)
-        svg = render.render_curve_svg(curve, style)
-        with open(args.svg, "w") as fh:
-            fh.write(svg)
-        print(f"wrote {args.svg}", file=sys.stderr)
+        _write_text(args.svg, render.render_curve_svg(curve, style))
     if args.svg and args.subdivision:
         base, dot_, ext = args.svg.rpartition(".")
         path = f"{base}-subdivision.{ext}" if dot_ else f"{args.svg}-subdivision"
-        with open(path, "w") as fh:
-            fh.write(render.render_subdivision_svg(subdivision))
-        print(f"wrote {path}", file=sys.stderr)
+        _write_text(path, render.render_subdivision_svg(subdivision))
     return 0
 
 
@@ -275,9 +288,7 @@ DOMAIN_ERRORS = (
     diagram_mod.DiagramError,
     tropical.TropicalError,
     RealizeError,
-    KeyError,
-    ValueError,
-    OSError,
+    io_mod.InputError,
 )
 
 

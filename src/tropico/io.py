@@ -1,17 +1,39 @@
 """Canonical JSON encodings of the domain objects.
 
 Rationals are emitted as gcd-reduced "p/q" strings with q > 0; keys are
-sorted, so identical inputs yield byte-identical output.
+sorted, so identical inputs yield byte-identical output.  The readers
+report data of the wrong shape as InputError.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 
 from .diagram import FloorDiagram, Marking
 from .lattice import LatticePolygon
 from .tropical import PlaneTropicalCurve, Ray, Segment, TropicalPolynomial
+
+
+class InputError(Exception):
+    """Malformed or unreadable input data, or an output file that cannot
+    be written."""
+
+
+def _reader(fn):
+    """Report the KeyError, IndexError, TypeError, ValueError or
+    ZeroDivisionError (a "p/0" rational) raised while decoding data of the
+    wrong shape as an InputError."""
+
+    @functools.wraps(fn)
+    def read(data, *args):
+        try:
+            return fn(data, *args)
+        except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"{fn.__name__}: {type(exc).__name__}: {exc}") from exc
+
+    return read
 
 
 def frac_str(x):
@@ -36,6 +58,7 @@ def polygon_to_json(poly):
     return {"vertices": [list(v) for v in poly.vertices]}
 
 
+@_reader
 def polygon_from_json(data):
     return LatticePolygon(data["vertices"])
 
@@ -62,6 +85,7 @@ def diagram_to_json(diagram):
     }
 
 
+@_reader
 def diagram_from_json(data):
     return FloorDiagram(
         tuple((f["id"], f["theta"]) for f in data["floors"]),
@@ -89,6 +113,7 @@ def marking_to_json(marking):
     }
 
 
+@_reader
 def marking_from_json(data, diagram):
     items = sorted(((int(k), v) for k, v in data["labels"].items()))
     lo = items[0][0]
@@ -105,6 +130,7 @@ def polynomial_to_json(poly):
     }
 
 
+@_reader
 def polynomial_from_json(data):
     return TropicalPolynomial.make(
         {tuple(t["i"]): parse_frac(t["a"]) for t in data["terms"]}
@@ -127,6 +153,7 @@ def curve_to_json(curve):
     }
 
 
+@_reader
 def curve_from_json(data):
     return PlaneTropicalCurve.build(
         [(parse_frac(x), parse_frac(y)) for x, y in data["vertices"]],

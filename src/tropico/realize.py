@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import diagram as diagram_mod
 from . import lattice
 from .lattice import dot, perp, scale, slope_of, slope_vector, sub
-from .tropical import ParametrizedCurve, PEdge, tropical_multiplicity
+from .tropical import ParametrizedCurve, PEdge, component_roots, tropical_multiplicity
 
 
 class RealizeError(Exception):
@@ -194,7 +194,10 @@ def realize(diagram, marking, cfg, spec):
         slopes = [diagram.theta(f)]
         for _, _, eps, w in inc:
             slopes.append(slopes[-1] + eps * w)
-        assert slopes[-1] == diagram.theta(f) + diagram.divergence(f)
+        if slopes[-1] != diagram.theta(f) + diagram.divergence(f):
+            raise RealizeError(
+                f"floor {f}: slope {slopes[-1]} after its elevators != theta + divergence"
+            )
         # heights at the breakpoints, pinned through (xi_a, h_a)
         xs = [x for x, *_ in inc]
         hs = _path_heights(xs, slopes, xi_a, h_a, slope_h)
@@ -338,19 +341,9 @@ def floor_decompose(pc, d):
             elevator.append(e)
         else:
             floorish.append(e)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in floorish:
-        if e.b >= 0:
-            parent[find(e.a)] = find(e.b)
-    comp_ids = sorted({find(v) for v in range(n)})
-    comp_of = {v: comp_ids.index(find(v)) for v in range(n)}
+    roots = component_roots(range(n), [(e.a, e.b) for e in floorish if e.b >= 0])
+    comp_ids = sorted(set(roots.values()))
+    comp_of = {v: comp_ids.index(roots[v]) for v in range(n)}
 
     thetas = {}
     axis = _transverse_axis(d)

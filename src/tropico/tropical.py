@@ -6,6 +6,12 @@ weighted balanced piecewise-linear curve; the dual picture is the regular
 subdivision of the Newton polygon induced by the coefficient lift.  All
 coordinates are Fractions: tie regions and collinearity are decided
 exactly, never numerically.
+
+The two geometric kernels scale their input to integers and decide every
+case by integer sign tests: the upper hull of the lifted support, found by
+gift wrapping in O(n * cells) for n terms (_upper_cells), and the crossing
+scan that splits the image of a parametrized curve into a plane curve,
+O(P^2) pair tests for P pieces (_parametrized_to_plane).
 """
 
 from __future__ import annotations
@@ -45,6 +51,11 @@ class NotTrivalent(TropicalError):
 
 class NonTransverse(TropicalError):
     pass
+
+
+class InvariantViolation(TropicalError):
+    """A computed curve or subdivision breaks an identity that holds for
+    every valid input."""
 
 
 def _frac_point(p):
@@ -258,35 +269,84 @@ class DualSubdivision:
 
 
 def _upper_cells(poly_terms):
-    """Maximal equality sets of upper supporting planes of the lifted points."""
-    pts = [e for e, _ in poly_terms]
+    """Maximal equality sets of upper supporting planes of the lifted points.
+
+    Returns {frozenset(points on the plane): (gx, gy, c)} with the plane
+    x -> gx * x[0] + gy * x[1] + c, one entry per 2-face of the upper hull
+    of {(I, a_I)}; {} when the support is collinear.
+
+    Gift wrapping over cell edges: start from an upper-hull edge on the
+    boundary of the Newton polygon, and from every directed edge (p, q)
+    with an unexplored side on its left, pivot the plane through the lifted
+    p and q down onto that side (_pivot).  The points on the pivoted plane
+    form the next cell; each edge of its hull is then queued with the cell
+    on the other side.  Lifts are scaled to integers first, so every test
+    is an integer comparison.  A pivot is O(n) and there is one per cell
+    and one per boundary edge, so the hull costs O(n * cells).
+    """
     lift = dict(poly_terms)
+    pts = sorted(lift)
+    if len(pts) < 3 or all(det(sub(pts[1], pts[0]), sub(r, pts[0])) == 0 for r in pts):
+        return {}
+    scale_ = math.lcm(*(Fraction(a).denominator for a in lift.values()))
+    h = {p: int(Fraction(a) * scale_) for p, a in lift.items()}
+    # start edge: from a polygon vertex v0 to the point of the next polygon
+    # edge with the largest lift slope, which lies on the upper hull
+    v0, v1 = convex_hull(pts).vertices[:2]
+    e = sub(v1, v0)
+    q, qt = v1, dot(e, e)
+    for r in pts:
+        t = dot(e, sub(r, v0))
+        if r != v0 and det(e, sub(r, v0)) == 0 and (h[r] - h[v0]) * qt > (h[q] - h[v0]) * t:
+            q, qt = r, t
     cells = {}
-    for tri in itertools.combinations(pts, 3):
-        p0, p1, p2 = tri
-        m00, m01 = p1[0] - p0[0], p1[1] - p0[1]
-        m10, m11 = p2[0] - p0[0], p2[1] - p0[1]
-        dd = m00 * m11 - m01 * m10
-        if dd == 0:
+    done = set()  # directed cell edges with their cell on the left
+    stack = [(v0, q)]
+    while stack:
+        p, q = stack.pop()
+        if (p, q) in done:
             continue
-        r0 = lift[p1] - lift[p0]
-        r1 = lift[p2] - lift[p0]
-        # affine h(x) = gx . x + c through the three lifted points
-        gx = Fraction(r0 * m11 - r1 * m01, dd)
-        gy = Fraction(r1 * m00 - r0 * m10, dd)
-        c = lift[p0] - gx * p0[0] - gy * p0[1]
-        eq = []
-        upper = True
-        for q in pts:
-            val = gx * q[0] + gy * q[1] + c
-            if val < lift[q]:
-                upper = False
-                break
-            if val == lift[q]:
-                eq.append(q)
-        if upper:
-            cells[frozenset(eq)] = (gx, gy, c)
+        found = _pivot(pts, h, p, q)
+        if found is None:
+            continue  # (p, q) lies on the boundary of the Newton polygon
+        eq, (nx, ny, den) = found
+        gx, gy = Fraction(nx, den * scale_), Fraction(ny, den * scale_)
+        cells[frozenset(eq)] = (gx, gy, Fraction(lift[p]) - gx * p[0] - gy * p[1])
+        for a, b in convex_hull(eq).edges():
+            done.add((a, b))
+            if (b, a) not in done:
+                stack.append((b, a))
     return cells
+
+
+def _pivot(pts, h, p, q):
+    """Upper supporting plane through the lifted p and q that is tilted
+    onto the left of p -> q, as (points on it, (nx, ny, den)) with gradient
+    (nx, ny) / den in lift units; None when no point lies on the left.
+
+    The planes through the lifted p, q are A(x) + s * D(x), with A the
+    lift interpolated along pq and D(x) = det(q - p, x - p); the plane must
+    pass over every r with D(r) > 0, so s = max (h(r) - A(r)) / D(r).
+    Scaled by |q - p|^2 the ratio is num(r) / D(r) with integer num(r).
+    """
+    e = sub(q, p)
+    ee = dot(e, e)
+    dh = h[q] - h[p]
+    hp = h[p]
+    best_n, best_d = None, 1
+    rows = []
+    for r in pts:
+        rx, ry = r[0] - p[0], r[1] - p[1]
+        dd = e[0] * ry - e[1] * rx
+        num = (h[r] - hp) * ee - dh * (e[0] * rx + e[1] * ry)
+        rows.append((r, num, dd))
+        if dd > 0 and (best_n is None or num * best_d > best_n * dd):
+            best_n, best_d = num, dd
+    if best_n is None:
+        return None
+    eq = [r for r, num, dd in rows if num * best_d == best_n * dd]
+    den = ee * best_d
+    return eq, (dh * best_d * e[0] - best_n * e[1], dh * best_d * e[1] + best_n * e[0], den)
 
 
 def corner_locus(poly):
@@ -329,15 +389,15 @@ def corner_locus(poly):
             continue
         w = lattice.integral_length(p, q)
         direction = rational_primitive(sub(vertices[j], vertices[i]))
-        assert dot(direction, sub(q, p)) == 0, "curve edge must be orthogonal to its dual"
+        if dot(direction, sub(q, p)) != 0:
+            raise InvariantViolation(f"curve edge {i}-{j} is not orthogonal to its dual {p}-{q}")
         segments.append(Segment(i, j, w, direction))
         segment_dual.append((p, q))
 
     rays, ray_dual = [], []
     for idx, cp in enumerate(cell_polys):
         for p, q in cp.edges():
-            mid = (Fraction(p[0] + q[0], 2), Fraction(p[1] + q[1], 2))
-            host = _boundary_edge_through(newton, mid)
+            host = _boundary_edge_through(newton, p, q)
             if host is None:
                 continue
             # ray direction: primitive outward normal of the polygon edge
@@ -355,19 +415,18 @@ def corner_locus(poly):
         tuple(vertices), tuple(segments), tuple(rays), frozenset(crossings), newton
     )
     subdivision = DualSubdivision(newton, tuple(cell_polys), tuple(segment_dual), tuple(ray_dual))
-    assert subdivision.check_tiling(), "cells must tile the Newton polygon"
+    if not subdivision.check_tiling():
+        raise InvariantViolation("cells do not tile the Newton polygon")
     return curve, subdivision
 
 
-def _boundary_edge_through(poly, point):
-    """The polygon edge whose relative interior or endpoints contain point."""
-    for p, q in poly.edges():
-        s = (q[0] - p[0]) * (point[1] - p[1]) - (q[1] - p[1]) * (point[0] - p[0])
-        if s == 0:
-            lo = min(p[0], q[0]), min(p[1], q[1])
-            hi = max(p[0], q[0]), max(p[1], q[1])
-            if lo[0] <= point[0] <= hi[0] and lo[1] <= point[1] <= hi[1]:
-                return (p, q)
+def _boundary_edge_through(poly, p, q):
+    """The polygon edge containing the segment pq of the polygon, if any:
+    the edge whose line holds both p and q."""
+    for a, b in poly.edges():
+        e = sub(b, a)
+        if det(e, sub(p, a)) == 0 and det(e, sub(q, a)) == 0:
+            return (a, b)
     return None
 
 
@@ -438,12 +497,8 @@ def _lower_hull_vertices(f):
     pts = sorted(f)
     if len(pts) == 1:
         return pts
-    p0 = pts[0]
-    planar = any(
-        det(sub(p1, p0), sub(p2, p0)) != 0 for p1, p2 in itertools.combinations(pts[1:], 2)
-    ) if len(pts) >= 3 else False
-    if planar:
-        cells = _upper_cells(tuple(((x, y), -v) for (x, y), v in f.items()))
+    cells = _upper_cells(tuple(((x, y), -v) for (x, y), v in f.items()))
+    if cells:
         verts = set()
         for eq in cells:
             verts.update(convex_hull(eq).vertices)
@@ -616,6 +671,23 @@ def _check_reduced(curve):
     return True
 
 
+def component_roots(nodes, links):
+    """Union-find: map each node to the root of its connected component
+    after joining the pairs (a, b) of links in order, each join making the
+    root of b's part the root of a's part (path halving)."""
+    parent = {v: v for v in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        parent[find(a)] = find(b)
+    return {v: find(v) for v in parent}
+
+
 def delta_invariant(curve):
     """Tropical delta invariant of a reduced curve whose dual tiles are
     triangles and parallelograms.
@@ -644,9 +716,11 @@ def delta_invariant(curve):
                 (curve.segments[i].weight if kind == "s" else curve.rays[i].weight)
                 for kind, i in chain
             }
-            assert len(weights) == 1, "chain weight must be constant"
+            if len(weights) != 1:
+                raise InvariantViolation(f"chain {chain} changes weight: {sorted(weights)}")
             delta += weights.pop() - 1
-    assert delta.denominator == 1
+    if delta.denominator != 1:
+        raise InvariantViolation(f"delta invariant {delta} is not an integer")
     return int(delta)
 
 
@@ -658,23 +732,14 @@ def abstract_genus(curve):
     real = [v for v in range(len(curve.vertices)) if v not in curve.crossings]
     t = len(real)
     a = 0
-    parent = {v: v for v in real}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    links = []
     for chain, endpoints in chains:
         if all(e is None for e in endpoints):
             raise NonReduced("curve contains a full line through crossings")
         if all(e is not None for e in endpoints):
             a += 1
-        fin = [e for e in endpoints if e is not None]
-        if len(fin) == 2:
-            parent[find(fin[0])] = find(fin[1])
-    if len({find(v) for v in real}) != 1:
+            links.append(endpoints)
+    if len(set(component_roots(real, links).values())) != 1:
         raise NonReduced("separated curve is disconnected; genus undefined")
     return 1 - t + a
 
@@ -724,21 +789,9 @@ class ParametrizedCurve:
 
     def genus(self):
         n = len(self.positions)
-        comp = list(range(n))
-
-        def find(x):
-            while comp[x] != x:
-                comp[x] = comp[comp[x]]
-                x = comp[x]
-            return x
-
-        m = 0
-        for e in self.edges:
-            if e.b >= 0:
-                m += 1
-                comp[find(e.a)] = find(e.b)
-        ncomp = len({find(v) for v in range(n)})
-        return m - n + ncomp
+        links = [(e.a, e.b) for e in self.edges if e.b >= 0]
+        ncomp = len(set(component_roots(range(n), links).values()))
+        return len(links) - n + ncomp
 
     def is_connected(self):
         n = len(self.positions)
@@ -802,16 +855,29 @@ def tropical_multiplicity(pc):
     return mu
 
 
-def _intersect_pieces(p1, q1, u1, p2, q2, u2):
-    """Intersection of two straight pieces (segments or rays).
+def _integral_frame(points):
+    """(m, integer points): every coordinate times m, the lcm of the
+    denominators, so that the pieces on these points meet exactly where
+    the original pieces meet, scaled by m."""
+    m = math.lcm(*(c.denominator for p in points for c in p))
+    return m, [(p[0].numerator * (m // p[0].denominator),
+                p[1].numerator * (m // p[1].denominator)) for p in points]
 
-    Returns None (disjoint), or (point, at_end) for a single common point,
-    at_end marking contact at an endpoint of either piece.  Positive-length
-    overlap raises NonTransverse.
+
+def _intersect_pieces(p1, q1, u1, p2, q2, u2):
+    """Intersection of two straight pieces (segments or rays) with integer
+    end points (see _integral_frame); q is None for a ray.
+
+    Returns None (disjoint), or (point, at_end) for a single common point
+    in the same coordinates, at_end marking contact at an endpoint of
+    either piece.  Positive-length overlap raises NonTransverse.  Crossing
+    and containment are decided by integer sign tests; a Fraction is built
+    only for the common point.
     """
+    rx, ry = p2[0] - p1[0], p2[1] - p1[1]
     d = det(u1, u2)
     if d == 0:
-        if det(u1, (p2[0] - p1[0], p2[1] - p1[1])) != 0:
+        if u1[0] * ry - u1[1] * rx != 0:
             return None
         canon = _canonical_direction(u1)
         i1 = _piece_interval(p1, q1, u1, canon)
@@ -827,26 +893,26 @@ def _intersect_pieces(p1, q1, u1, p2, q2, u2):
         lam = Fraction(t - t0, n2)
         point = (p1[0] + lam * canon[0], p1[1] + lam * canon[1])
         return point, True
-    # solve p1 + s u1 = p2 + t u2
-    rx, ry = p2[0] - p1[0], p2[1] - p1[1]
-    s = Fraction(rx * u2[1] - ry * u2[0], d)
-    t = Fraction(rx * u1[1] - ry * u1[0], d)
-    if s < 0 or t < 0:
+    # p1 + s u1 = p2 + t u2 with s = sn / d and t = tn / d, d > 0
+    sn = rx * u2[1] - ry * u2[0]
+    tn = rx * u1[1] - ry * u1[0]
+    if d < 0:
+        sn, tn, d = -sn, -tn, -d
+    if sn < 0 or tn < 0:
         return None
-    point = (p1[0] + s * u1[0], p1[1] + s * u1[1])
-    at_end = s == 0 or t == 0
+    at_end = sn == 0 or tn == 0
     if q1 is not None:
-        tmax = dot(u1, (q1[0] - p1[0], q1[1] - p1[1]))
-        sval = s * dot(u1, u1)
-        if sval > tmax:
+        # q1 = p1 + (smax / |u1|^2) u1: compare s |u1|^2 with smax
+        sval, smax = sn * dot(u1, u1), d * dot(u1, sub(q1, p1))
+        if sval > smax:
             return None
-        at_end = at_end or sval == tmax
+        at_end = at_end or sval == smax
     if q2 is not None:
-        tmax = dot(u2, (q2[0] - p2[0], q2[1] - p2[1]))
-        tval = t * dot(u2, u2)
+        tval, tmax = tn * dot(u2, u2), d * dot(u2, sub(q2, p2))
         if tval > tmax:
             return None
         at_end = at_end or tval == tmax
+    point = (Fraction(p1[0] * d + sn * u1[0], d), Fraction(p1[1] * d + sn * u1[1], d))
     return point, at_end
 
 
@@ -854,13 +920,22 @@ def stable_intersection(c1, c2):
     """Transverse intersection points of two curves with multiplicities
     w1 * w2 * |det(u1, u2)|.  Degenerate contact (overlap, or a crossing at
     a vertex) raises NonTransverse; see stable_intersection_generic."""
+    m, ints = _integral_frame(c1.vertices + c2.vertices)
+    framed = dict(zip(c1.vertices + c2.vertices, ints))
+
+    def pieces(curve):
+        return [(framed[p], None if q is None else framed[q], u, w)
+                for p, q, u, w, _ in curve.pieces()]
+
     points = {}
-    for p1, q1, u1, w1, _ in c1.pieces():
-        for p2, q2, u2, w2, _ in c2.pieces():
+    pieces2 = pieces(c2)
+    for p1, q1, u1, w1 in pieces(c1):
+        for p2, q2, u2, w2 in pieces2:
             hit = _intersect_pieces(p1, q1, u1, p2, q2, u2)
             if hit is None:
                 continue
-            point, at_end = hit
+            (x, y), at_end = hit
+            point = (x / m, y / m)
             if at_end:
                 raise NonTransverse(f"intersection at a vertex: {point}")
             mult = w1 * w2 * abs(det(u1, u2))
@@ -887,6 +962,20 @@ def stable_intersection_generic(c1, c2, seed=0, tries=32):
 
 
 def _parametrized_to_plane(pc, newton=None):
+    """Split the straight pieces of pc at their interior crossings.
+
+    The pieces are listed segments first, then rays, and the pairs are
+    scanned row by row in list order; the first crossing found is split,
+    and the scan goes on from the row that can next hold the first
+    crossing, so the splits come in the order of a scan restarted from the
+    first pair after each one.  Pairs before the split pair cannot cross,
+    since splitting only shortens pieces; only the new finite pieces,
+    appended to the segments in front of the rays, can, so the scan
+    resumes at row min(a, number of segments before the split), where a
+    is the split pair's first row.  With P pieces the scan is O(P^2)
+    integer tests (see _intersect_pieces) plus, per crossing, a rescan of
+    the rows from the resume row to a: one row unless a is a ray.
+    """
     vertices = list(pc.positions)
     segs = []
     rays = []
@@ -896,35 +985,32 @@ def _parametrized_to_plane(pc, newton=None):
         else:
             rays.append([e.a, e.direction, e.weight])
 
-    # find pairwise crossings of pieces away from endpoints and split there
     def pieces_now():
-        out = []
-        for i, (a, b, w, u) in enumerate(segs):
-            out.append((vertices[a], vertices[b], u, w, ("s", i)))
-        for i, (a, u, w) in enumerate(rays):
-            out.append((vertices[a], None, u, w, ("r", i)))
-        return out
+        m, ints = _integral_frame(vertices)
+        out = [(ints[a], ints[b], u, ("s", i)) for i, (a, b, w, u) in enumerate(segs)]
+        out += [(ints[a], None, u, ("r", i)) for i, (a, u, w) in enumerate(rays)]
+        return m, out
 
     crossings = set()
-    changed = True
-    while changed:
-        changed = False
-        for (p1, q1, u1, w1, t1), (p2, q2, u2, w2, t2) in itertools.combinations(
-            pieces_now(), 2
-        ):
+    m, pieces = pieces_now()
+    row = 0
+    while row < len(pieces):
+        p1, q1, u1, t1 = pieces[row]
+        for p2, q2, u2, t2 in pieces[row + 1:]:
             hit = _intersect_pieces(p1, q1, u1, p2, q2, u2)
-            if hit is None:
-                continue
-            point, at_end = hit
-            if at_end:
-                continue
-            vertices.append(point)
-            vi = len(vertices) - 1
-            crossings.add(vi)
-            _split_piece(segs, rays, t1, vi)
-            _split_piece(segs, rays, t2, vi)
-            changed = True
-            break
+            if hit is not None and not hit[1]:
+                break
+        else:
+            row += 1
+            continue
+        (x, y), _ = hit
+        vertices.append((x / m, y / m))
+        vi = len(vertices) - 1
+        crossings.add(vi)
+        row = min(row, len(segs))
+        _split_piece(segs, rays, t1, vi)
+        _split_piece(segs, rays, t2, vi)
+        m, pieces = pieces_now()
     return PlaneTropicalCurve.build(
         vertices,
         [tuple(s) for s in segs],

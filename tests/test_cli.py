@@ -105,6 +105,33 @@ def test_domain_error_exit_code(files, capsys):
     assert json.loads(captured.out)["error"] == "NotTransverse"
 
 
+def test_malformed_polygon_file_is_an_input_error(files, capsys):
+    (files / "nokey.json").write_text(json.dumps({"verts": [[0, 0], [1, 0], [0, 1]]}))
+    (files / "short.json").write_text(json.dumps({"vertices": [[0, 0, 1], [1, 0], [0, 1]]}))
+    (files / "garbled.json").write_text("{vertices: ")
+    for name in ("nokey.json", "short.json", "garbled.json", "missing.json"):
+        rc = cmd(["polygon", "report", str(files / name)])
+        captured = capsys.readouterr()
+        assert rc == 1, name
+        assert json.loads(captured.out)["error"] == "InputError", name
+
+
+def test_bad_option_values_are_input_errors(files, capsys):
+    base = ["count", "--polygon", str(files / "t3.json"), "--genus", "0"]
+    for extra in (["--dir", "1"], ["--dir", "0,x"], ["--beta-minus", "x"], ["--beta-minus", "-1"]):
+        assert cmd(base + extra) == 1, extra
+        assert json.loads(capsys.readouterr().out)["error"] == "InputError", extra
+
+
+def test_library_key_error_is_not_a_domain_error(files, monkeypatch):
+    def broken(spec, explain=False):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("tropico.diagram.count", broken)
+    with pytest.raises(KeyError):
+        cmd(["count", "--polygon", str(files / "t3.json"), "--genus", "0"])
+
+
 def test_parse_error_exit_code(files, capsys):
     assert cmd(["count", "--polygon", str(files / "t3.json")]) == 2
     capsys.readouterr()

@@ -1,9 +1,13 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from tropico import diagram as diagram_module
+from tropico import io
 from tropico.diagram import (
     DiagramSpec,
+    FloorDiagram,
     canonical_key,
     count,
     enumerate_diagrams,
@@ -15,6 +19,7 @@ from tropico.diagram import (
 from tropico.lattice import det, diamond, octic_quadrilateral, triangle
 from tropico.realize import (
     PointConfig,
+    RealizeError,
     SpacingTooSmall,
     floor_decompose,
     point_on_curve,
@@ -260,3 +265,29 @@ def test_realize_general_direction():
             assert not verify_realization(realization, diag, marking, cfg, spec)
             total += tropical_multiplicity(realization.curve)
     assert total == 12
+
+
+def test_plane_curves_pinned():
+    # sha256 of the JSON plane curves as produced by a crossing scan that
+    # restarted from the first pair after every split; T4 g=0 has curves
+    # whose later crossings lie on the pieces a split creates
+    spec = DiagramSpec(triangle(4), (0, 1), 0, (), (), (), (4,))
+    curves = []
+    for diag in enumerate_diagrams(spec):
+        for marking in enumerate_markings(diag, spec):
+            realization, _ = realize_stretched(diag, marking, spec, seed=0)
+            curve = realization.curve.to_plane_curve(newton=spec.polygon)
+            curves.append(io.curve_to_json(curve))
+    assert len(curves) == 303
+    digest = hashlib.sha256(io.dumps(curves).encode()).hexdigest()
+    assert digest == "d8d1a27b2f2f02379217ed2f286a697c5559777eceac3182d4bcd2d461b863dd"
+
+
+def test_slope_bookkeeping_is_checked(monkeypatch):
+    diag = enumerate_diagrams(T3_G0)[0]
+    marking = enumerate_markings(diag, T3_G0)[0]
+    divergence = FloorDiagram.divergence
+    monkeypatch.setattr(FloorDiagram, "divergence", lambda self, v: divergence(self, v) + 1)
+    monkeypatch.setattr(diagram_module, "validate", lambda diagram, spec: True)
+    with pytest.raises(RealizeError, match="theta \\+ divergence"):
+        realize(diag, marking, stretch_points(T3_G0), T3_G0)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,6 +17,8 @@ from tropico.lattice import (
 )
 from tropico.realize import realize_stretched
 from tropico.tropical import (
+    DualSubdivision,
+    InvariantViolation,
     NonReduced,
     NonTransverse,
     NotTrivalent,
@@ -39,6 +42,7 @@ from tropico.tropical import (
     stable_intersection_generic,
     tropical_multiplicity,
     tropical_product,
+    _upper_cells,
 )
 
 
@@ -122,6 +126,76 @@ def test_corner_locus_generic_conic():
 def test_corner_locus_rejects_segment_support():
     with pytest.raises(SegmentSupport):
         corner_locus(TropicalPolynomial.make({(0, 0): 0, (1, 1): 0, (2, 2): 3}))
+
+
+def upper_cells_brute_force(poly_terms):
+    """Every plane through three non-collinear lifted points that no lifted
+    point lies above, keyed by the points on it: O(n^4), the definition."""
+    pts = [e for e, _ in poly_terms]
+    lift = dict(poly_terms)
+    cells = {}
+    for p0, p1, p2 in itertools.combinations(pts, 3):
+        m00, m01 = p1[0] - p0[0], p1[1] - p0[1]
+        m10, m11 = p2[0] - p0[0], p2[1] - p0[1]
+        dd = m00 * m11 - m01 * m10
+        if dd == 0:
+            continue
+        r0 = lift[p1] - lift[p0]
+        r1 = lift[p2] - lift[p0]
+        gx = Fraction(r0 * m11 - r1 * m01, dd)
+        gy = Fraction(r1 * m00 - r0 * m10, dd)
+        c = lift[p0] - gx * p0[0] - gy * p0[1]
+        values = [gx * q[0] + gy * q[1] + c - lift[q] for q in pts]
+        if min(values) >= 0:
+            cells[frozenset(q for q, v in zip(pts, values) if v == 0)] = (gx, gy, c)
+    return cells
+
+
+def assert_hull_matches(terms):
+    terms = tuple((e, Fraction(a)) for e, a in terms.items())
+    assert _upper_cells(terms) == upper_cells_brute_force(terms)
+    flipped = tuple((e, -a) for e, a in terms)  # the lower hull, as legendre uses it
+    assert _upper_cells(flipped) == upper_cells_brute_force(flipped)
+
+
+def test_upper_cells_match_brute_force_random():
+    rng = random.Random(31)
+    cases = [(d, denom, spread) for d in (2, 3) for denom in (1, 3, 7) for spread in (2, 5, 40)]
+    cases += [(4, 1, 40), (4, 3, 5), (4, 7, 2)]
+    for d, denom, spread in cases:
+        poly = random_polynomial(rng, triangle(d), denom=denom, spread=spread)
+        assert_hull_matches(dict(poly.terms))
+    for _ in range(40):
+        support = {(rng.randint(0, 5), rng.randint(0, 4)) for _ in range(rng.randint(3, 10))}
+        assert_hull_matches({p: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for p in support})
+
+
+def test_upper_cells_degenerate_lifts():
+    zeros = {p: 0 for p in triangle(4).lattice_points()}
+    assert_hull_matches(zeros)
+    assert list(_upper_cells(tuple(zeros.items()))) == [frozenset(zeros)]
+    square = {(0, 0): 0, (1, 0): 0, (0, 1): 0, (1, 1): 0}
+    assert_hull_matches(square)
+    assert len(_upper_cells(tuple(square.items()))) == 1
+    assert_hull_matches({**square, (1, 1): 1})
+    assert_hull_matches({**square, (1, 1): -1})
+    # supports that miss lattice points, with interior and edge points
+    # lifted onto, above and below the plane of the corners
+    for lift in (-1, 0, 1):
+        assert_hull_matches({(0, 0): 0, (4, 0): 0, (0, 4): 0, (1, 1): lift})
+        assert_hull_matches({(0, 0): 0, (6, 0): 0, (0, 3): 0, (3, 0): lift, (2, 1): lift})
+        assert_hull_matches({(0, 0): 0, (2, 0): 0, (2, 2): 0, (0, 2): 0, (1, 1): lift, (2, 1): 0})
+    # a grid under a concave paraboloid: every cell unimodular
+    assert_hull_matches({(i, j): -(i * i + j * j) for i in range(4) for j in range(4)})
+    # collinear supports
+    assert _upper_cells((((0, 0), 0), ((1, 1), 0), ((2, 2), 3))) == {}
+    assert _upper_cells((((0, 0), 0), ((3, 0), 1))) == {}
+
+
+def test_corner_locus_rejects_a_broken_tiling(monkeypatch):
+    monkeypatch.setattr(DualSubdivision, "check_tiling", lambda self: False)
+    with pytest.raises(InvariantViolation):
+        corner_locus(tropical_line())
 
 
 def test_duality_orthogonality_and_weights():
