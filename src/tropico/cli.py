@@ -209,16 +209,7 @@ def cmd_check(args):
         return True
 
     def golden_counts():
-        t3 = lattice.triangle(3)
-        cases = [
-            (diagram_mod.DiagramSpec(t3, (0, 1), 0, (), (), (), (3,)), 12),
-            (diagram_mod.DiagramSpec(t3, (0, 1), 0, (), (), (), (1, 1)), 36),
-            (diagram_mod.DiagramSpec(t3, (0, 1), 0, (), (0, 1), (), (1,)), 10),
-            (diagram_mod.DiagramSpec(t3, (0, 1), 1, (), (), (), (3,)), 1),
-            (diagram_mod.DiagramSpec(lattice.diamond(), (0, 1), 0), 4),
-            (diagram_mod.DiagramSpec(lattice.octic_quadrilateral(), (0, 1), 1), 12),
-            (diagram_mod.DiagramSpec(lattice.octic_quadrilateral(), (0, 1), 0), 16),
-        ]
+        cases = diagram_mod.GOLDEN_CUBIC + diagram_mod.GOLDEN_TORIC
         return all(diagram_mod.count(spec) == want for spec, want in cases)
 
     def balancing_suite():

@@ -12,15 +12,20 @@ The count never lists markings.  For each diagram it counts the
 order-compatible labellings L of floors and edges that respect the alpha
 label blocks, by a dynamic programme over the down-sets of the diagram's
 poset, and divides by |Aut|: the automorphisms of (D, w, theta) act freely
-on markings, so L / |Aut| is the number of marking classes.
-`enumerate_markings` lists one representative per class for display and
-realization.
+on markings, so L / |Aut| is the number of marking classes, and a
+remainder raises InvariantViolation.  `enumerate_markings` lists one
+representative per class for display and realization.
 
 Generation enumerates finite edges only from floor i to floors j > i:
 every acyclic diagram has such a topological labelling of its floors.
 Each class found is returned in the labelling an exhaustive search over
 all labellings would meet first, so the output does not depend on which
 labellings the search visits.
+
+One pass over the n! relabellings of a diagram's floors (`_relabellings`)
+serves the canonical key (the least encoding), the first labelling (the
+least in search order) and the floor part of |Aut| (the relabellings that
+leave the encoding unchanged).
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from functools import cached_property
 
 from . import lattice
 from .lattice import direction_data
+from .tropical import component_count
 
 
 class DiagramError(Exception):
@@ -45,10 +51,6 @@ class Disconnected(DiagramError):
 
 class SideBoundaryCondition(DiagramError):
     """Boundary conditions requested off the top/bottom edges of the polygon."""
-
-
-class InvalidMarking(DiagramError):
-    pass
 
 
 class InvariantViolation(DiagramError):
@@ -176,22 +178,8 @@ class FloorDiagram:
         return [e for e in self.edges if e[1] in inf]
 
     def is_connected(self):
-        verts = set(self.floor_ids) | set(self.inf_minus) | set(self.inf_plus)
-        if not verts:
-            return False
-        adj = {v: set() for v in verts}
-        for s, t, _ in self.edges:
-            adj[s].add(t)
-            adj[t].add(s)
-        seen = set()
-        stack = [next(iter(verts))]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(adj[v] - seen)
-        return seen == verts
+        verts = self.floor_ids + self.inf_minus + self.inf_plus
+        return component_count(verts, [(s, t) for s, t, _ in self.edges]) == 1
 
     def is_acyclic(self):
         order = self._topological_floors()
@@ -371,55 +359,80 @@ def weighted_count_check(diagram, spec):
 # canonical forms and automorphisms
 
 
-def _encode(thetas, fins, downs, ups):
-    return (tuple(thetas), tuple(sorted(fins)), tuple(sorted(downs)), tuple(sorted(ups)))
+def _relabellings(diagram):
+    """Every relabelling of the floors as positions 0..n-1, one per
+    permutation perm (the floor at position i moves to perm[i]), in
+    `itertools.permutations` order, so the identity comes first.
 
-
-def _floor_permutations(diagram):
-    """All relabelings of floors {0..n-1} preserving theta and the weighted structure."""
-    ids = list(diagram.floor_ids)
-    n = len(ids)
+    Yields (perm, lefts, rights, fins, downs, ups): the left and right
+    thetas by new position, the finite edges (s, t, w) sorted, and the down
+    tails (t, w) and up tails (s, w) in edge order.
+    """
+    ids = diagram.floor_ids
     pos = {f: i for i, f in enumerate(ids)}
-    thetas = [diagram.theta(f) for f in ids]
+    lefts = [th for _, th in diagram.floors]
+    rights = [th + diagram.divergence(f) for f, th in diagram.floors]
     fins = [(pos[s], pos[t], w) for s, t, w in diagram.finite_edges()]
     downs = [(pos[t], w) for _, t, w in diagram.down_edges()]
     ups = [(pos[s], w) for s, _, w in diagram.up_edges()]
-    base = _encode(thetas, fins, downs, ups)
-    perms = []
+    n = len(ids)
     for perm in itertools.permutations(range(n)):
-        if any(thetas[i] != thetas[perm[i]] for i in range(n)):
-            continue
-        enc = _encode(
-            [thetas[i] for i in range(n)],
-            [(perm[s], perm[t], w) for s, t, w in fins],
+        new_lefts, new_rights = [0] * n, [0] * n
+        for i, new in enumerate(perm):
+            new_lefts[new] = lefts[i]
+            new_rights[new] = rights[i]
+        yield (
+            perm,
+            tuple(new_lefts),
+            tuple(new_rights),
+            sorted([(perm[s], perm[t], w) for s, t, w in fins]),
             [(perm[t], w) for t, w in downs],
             [(perm[s], w) for s, w in ups],
         )
-        if enc == base:
-            perms.append(perm)
-    return perms
+
+
+def _encode(relabelling):
+    """Encoding of a relabelling: the left thetas by position, then the
+    finite edges, down tails and up tails, each sorted."""
+    _, lefts, _, fins, downs, ups = relabelling
+    return (lefts, tuple(fins), tuple(sorted(downs)), tuple(sorted(ups)))
 
 
 def canonical_key(diagram):
-    """Isomorphism invariant: minimum encoding over theta-preserving relabelings."""
-    ids = list(diagram.floor_ids)
-    n = len(ids)
-    pos = {f: i for i, f in enumerate(ids)}
-    thetas = [diagram.theta(f) for f in ids]
-    fins = [(pos[s], pos[t], w) for s, t, w in diagram.finite_edges()]
-    downs = [(pos[t], w) for _, t, w in diagram.down_edges()]
-    ups = [(pos[s], w) for s, _, w in diagram.up_edges()]
-    best = None
-    for perm in itertools.permutations(range(n)):
-        enc = _encode(
-            [thetas[perm.index(i)] for i in range(n)],
-            [(perm[s], perm[t], w) for s, t, w in fins],
-            [(perm[t], w) for t, w in downs],
-            [(perm[s], w) for s, w in ups],
-        )
-        if best is None or enc < best:
-            best = enc
-    return best
+    """Isomorphism invariant: minimum encoding over the relabellings."""
+    return min(map(_encode, _relabellings(diagram)))
+
+
+def _floor_permutations(diagram):
+    """The relabellings of floors preserving theta and the weighted
+    structure: the automorphisms of (D, w, theta) on floors."""
+    encoded = [(r[0], _encode(r)) for r in _relabellings(diagram)]
+    return [perm for perm, enc in encoded if enc == encoded[0][1]]
+
+
+def _first_labelling(diagram):
+    """The diagram in the floor labelling that a search over every labelling,
+    iterating in the order of `enumerate_diagrams`, meets first: the one
+    minimising (left thetas, right thetas, finite pairs, down-tail and
+    up-tail targets per weight, finite weights)."""
+    lefts, _, pairs, down, up, weights = min(map(_search_order, _relabellings(diagram)))
+    return _build_diagram(
+        lefts, pairs, weights, [(t, w) for w, t in down], [(s, w) for w, s in up]
+    )
+
+
+def _search_order(relabelling):
+    # tails as (w, t): the weights agree position by position between
+    # relabellings, so these lists compare as their targets do
+    _, lefts, rights, fins, downs, ups = relabelling
+    return (
+        lefts,
+        rights,
+        [(s, t) for s, t, _ in fins],
+        sorted([(w, t) for t, w in downs]),
+        sorted([(w, s) for s, w in ups]),
+        [w for _, _, w in fins],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -537,23 +550,6 @@ def _cut_feasible(c, cuts):
     return True
 
 
-def _connected_pairs(pairs, n):
-    if n == 1:
-        return True
-    adj = {i: set() for i in range(n)}
-    for s, t in pairs:
-        adj[s].add(t)
-        adj[t].add(s)
-    seen, stack = set(), [0]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(adj[v] - seen)
-    return len(seen) == n
-
-
 def enumerate_diagrams(spec):
     """All floor diagrams admitting markings of the spec's type, up to
     isomorphism of weighted oriented graphs preserving theta.
@@ -586,7 +582,7 @@ def enumerate_diagrams(spec):
         for tr in _distinct_permutations(thetas_r):
             div = [tr[i] - tl[i] for i in range(n)]
             for pair_combo in itertools.combinations_with_replacement(upward_pairs, m):
-                if not _connected_pairs(pair_combo, n):
+                if component_count(range(n), pair_combo) != 1:
                     continue
                 cuts = _subset_degrees(pair_combo, n)
                 for down in downs:
@@ -609,40 +605,6 @@ def enumerate_diagrams(spec):
         if not ok:
             raise InvariantViolation("generated diagram is invalid", violations)
     return out
-
-
-def _first_labelling(diagram):
-    """The diagram in the floor labelling that a search over every labelling,
-    iterating in the order of `enumerate_diagrams`, meets first: the one
-    minimising (left thetas, right thetas, finite pairs, down-tail and
-    up-tail targets per weight, finite weights)."""
-    ids = list(diagram.floor_ids)
-    pos = {f: i for i, f in enumerate(ids)}
-    lefts = [th for _, th in diagram.floors]
-    rights = [th + diagram.divergence(f) for f, th in diagram.floors]
-    fins = [(pos[s], pos[t], w) for s, t, w in diagram.finite_edges()]
-    downs = [(pos[t], w) for _, t, w in diagram.down_edges()]
-    ups = [(pos[s], w) for s, _, w in diagram.up_edges()]
-    best = None
-    for order in itertools.permutations(range(len(ids))):
-        label = {old: new for new, old in enumerate(order)}
-        fin = sorted((label[s], label[t], w) for s, t, w in fins)
-        down = sorted((w, label[t]) for t, w in downs)
-        up = sorted((w, label[s]) for s, w in ups)
-        key = (
-            tuple(lefts[i] for i in order),
-            tuple(rights[i] for i in order),
-            tuple((s, t) for s, t, _ in fin),
-            tuple(t for _, t in down),
-            tuple(s for _, s in up),
-            tuple(w for _, _, w in fin),
-        )
-        if best is None or key < best[0]:
-            best = (key, down, up)
-    (thetas, _, pairs, _, _, weights), down, up = best
-    return _build_diagram(
-        thetas, pairs, weights, [(t, w) for w, t in down], [(s, w) for w, s in up]
-    )
 
 
 def _build_diagram(thetas, pairs, weights, down, up):
@@ -887,3 +849,18 @@ def count(spec, explain=False):
     if explain:
         return total, rows
     return total
+
+
+# Counts of worked examples, checked by `tropico check` and the acceptance
+# suite: plane cubics of each boundary type, and two toric surfaces.
+GOLDEN_CUBIC = (
+    (DiagramSpec(lattice.triangle(3), (0, 1), 0, (), (), (), (3,)), 12),
+    (DiagramSpec(lattice.triangle(3), (0, 1), 0, (), (), (), (1, 1)), 36),
+    (DiagramSpec(lattice.triangle(3), (0, 1), 0, (), (0, 1), (), (1,)), 10),
+    (DiagramSpec(lattice.triangle(3), (0, 1), 1, (), (), (), (3,)), 1),
+)
+GOLDEN_TORIC = (
+    (DiagramSpec(lattice.diamond(), (0, 1), 0), 4),
+    (DiagramSpec(lattice.octic_quadrilateral(), (0, 1), 1), 12),
+    (DiagramSpec(lattice.octic_quadrilateral(), (0, 1), 0), 16),
+)

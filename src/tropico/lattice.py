@@ -342,13 +342,14 @@ def vertex_singularity(u_prime, u_second):
     # solve b + k*a == 0 (mod order) componentwise; a is primitive so a
     # Bezout pair (l, m) with l*a.x + m*a.y = 1 inverts it
     g, l, m = _xgcd(a[0], a[1])
-    assert g == 1
+    if g != 1:
+        raise LatticeError(f"gcd of {a} is {g}, not 1")
     k = (-(l * b[0] + m * b[1])) % order
     if (b[0] + k * a[0]) % order or (b[1] + k * a[1]) % order:
         raise LatticeError("no normal form; inputs do not span a corner")
     e1 = ((b[0] + k * a[0]) // order, (b[1] + k * a[1]) // order)
-    assert det(e1, a) == 1, "normal-form basis must be unimodular"
-    assert math.gcd(k, order) == 1
+    if det(e1, a) != 1 or math.gcd(k, order) != 1:
+        raise LatticeError(f"normal form ({order}, {k}) with basis {e1}, {a} is not unimodular")
     return (order, k)
 
 
@@ -418,14 +419,16 @@ def slope_reference(d):
     integer slope coordinate m.
     """
     g, l, m = _xgcd(d[0], d[1])
-    assert g == 1
+    if g != 1:
+        raise NotPrimitive(f"direction {d} is not primitive")
     u = (-l, -m)  # <d, u> = -1
     n2 = d[0] * d[0] + d[1] * d[1]
     shift = det(d, u) % n2
     # u + t*perp(d) changes det(d, u) by t*|d|^2
     t = (shift - det(d, u)) // n2
     u = add(u, scale(perp(d), t))
-    assert dot(d, u) == -1 and 0 <= det(d, u) < n2
+    if dot(d, u) != -1 or not 0 <= det(d, u) < n2:
+        raise LatticeError(f"slope reference {u} of {d} is not normalized")
     return u
 
 
@@ -482,7 +485,8 @@ def direction_data(poly, d):
                           (right_boundary_edges(poly, d), d_right)):
         for p, q in edges:
             u = primitive(sub(q, p))
-            assert det(pd, u) == 1
+            if det(pd, u) != 1:
+                raise LatticeError(f"boundary edge {p}-{q} is not transverse to d={d}")
             target.extend([perp(u)] * integral_length(p, q))
     d_plus = d_minus = 0
     heights = [dot(d, v) for v in poly.vertices]
@@ -491,12 +495,16 @@ def direction_data(poly, d):
             h = dot(d, p)
             if h == max(heights):
                 d_plus = integral_length(p, q)
-            else:
-                assert h == min(heights)
+            elif h == min(heights):
                 d_minus = integral_length(p, q)
+            else:
+                raise LatticeError(f"edge {p}-{q} orthogonal to d={d} is neither top nor bottom")
     height = len(d_left)
-    assert height == len(d_right)
-    assert 2 * height + d_plus + d_minus == poly.boundary_points()
+    if height != len(d_right) or 2 * height + d_plus + d_minus != poly.boundary_points():
+        raise LatticeError(
+            f"direction data of {poly!r} for d={d}: heights {height}, {len(d_right)},"
+            f" d+ = {d_plus}, d- = {d_minus} do not partition the boundary"
+        )
     return DirectionData(
         d=d,
         D_left=tuple(sort_by_angle(d_left)),

@@ -16,7 +16,8 @@ from fractions import Fraction
 from . import diagram as diagram_mod
 from . import lattice
 from .lattice import dot, perp, scale, slope_of, slope_vector, sub
-from .tropical import ParametrizedCurve, PEdge, component_roots, tropical_multiplicity
+from .tropical import ParametrizedCurve, PEdge, check_balancing, component_roots
+from .tropical import tropical_multiplicity
 
 
 class RealizeError(Exception):
@@ -388,7 +389,7 @@ def point_on_curve(pc, point):
     for e in pc.edges:
         p = pc.positions[e.a]
         u = e.direction
-        r = sub_f(point, p)
+        r = sub(point, p)
         if u[0] * r[1] - u[1] * r[0] != 0:
             continue
         t = u[0] * r[0] + u[1] * r[1]
@@ -403,15 +404,11 @@ def point_on_curve(pc, point):
     return False
 
 
-def sub_f(p, q):
-    return (p[0] - q[0], p[1] - q[1])
-
-
 def verify_realization(realization, diagram, marking, cfg, spec):
     """All bijection-side checks; returns the list of violations (empty = pass)."""
     violations = []
     pc = realization.curve
-    if not pc.is_balanced():
+    if not check_balancing(pc):
         violations.append("curve is not balanced")
     if pc.genus() != spec.genus:
         violations.append(f"source genus {pc.genus()} != {spec.genus}")

@@ -176,18 +176,13 @@ class PlaneTropicalCurve:
             newton = _circuit_polygon(rays)
         return PlaneTropicalCurve(vertices, segments, rays, frozenset(crossings), newton)
 
-    def incident(self, v):
-        """Outgoing (direction, weight) pairs of all pieces at vertex v."""
-        out = []
-        for s in self.segments:
-            if s.a == v:
-                out.append((s.direction, s.weight))
-            elif s.b == v:
-                out.append((scale(s.direction, -1), s.weight))
-        for r in self.rays:
-            if r.base == v:
-                out.append((r.direction, r.weight))
-        return out
+    def incidence(self):
+        """Vertex -> [(tag, outgoing direction, weight)] of the pieces at it:
+        segments, then rays, by index (see _incidence)."""
+        return _incidence(
+            [(("s", i), s.a, s.b, s.direction, s.weight) for i, s in enumerate(self.segments)]
+            + [(("r", i), r.base, None, r.direction, r.weight) for i, r in enumerate(self.rays)]
+        )
 
     def pieces(self):
         """All straight pieces as (p, q_or_None, direction, weight, tag)."""
@@ -209,11 +204,25 @@ class PlaneTropicalCurve:
         )
 
 
+def _incidence(pieces):
+    """Vertex -> [(tag, outgoing primitive direction, weight)] of the pieces
+    at it, in the order of pieces, given as (tag, a, b, direction, weight)
+    with the direction from a to b and b None for a ray from a.  Vertices
+    without pieces are absent."""
+    out = {}
+    for tag, a, b, u, w in pieces:
+        out.setdefault(a, []).append((tag, u, w))
+        if b is not None:
+            out.setdefault(b, []).append((tag, scale(u, -1), w))
+    return out
+
+
 def check_balancing(curve):
-    """Sum of weight * primitive outgoing direction vanishes at every vertex."""
-    for v in range(len(curve.vertices)):
+    """Sum of weight * primitive outgoing direction vanishes at every vertex
+    of a plane or parametrized curve."""
+    for star in curve.incidence().values():
         total = (0, 0)
-        for u, w in curve.incident(v):
+        for _, u, w in star:
             total = add(total, scale(u, w))
         if total != (0, 0):
             return False
@@ -553,20 +562,13 @@ def _chain_partition(curve):
     vertex or 'inf')."""
     # at a crossing, pair up opposite collinear pieces
     succ = {}  # (piece tag, end vertex) -> next piece tag
+    incidence = curve.incidence()
     for v in curve.crossings:
-        inc = []
-        for i, s in enumerate(curve.segments):
-            if s.a == v:
-                inc.append((("s", i), s.direction))
-            elif s.b == v:
-                inc.append((("s", i), scale(s.direction, -1)))
-        for i, r in enumerate(curve.rays):
-            if r.base == v:
-                inc.append((("r", i), r.direction))
+        inc = incidence.get(v, ())
         if len(inc) != 4:
             raise UnsupportedShape(f"crossing vertex {v} is not 4-valent")
         used = set()
-        for (t1, u1), (t2, u2) in itertools.combinations(inc, 2):
+        for (t1, u1, _), (t2, u2, _) in itertools.combinations(inc, 2):
             if t1 in used or t2 in used:
                 continue
             if u1 == scale(u2, -1):
@@ -608,10 +610,10 @@ def _chain_partition(curve):
     return chains
 
 
-def _vertex_cell(curve, v):
-    """Dual lattice polygon of a finite vertex, built from its edge vectors."""
-    inc = curve.incident(v)
-    dirs = lattice.sort_by_angle([scale(u, w) for u, w in inc])
+def _vertex_cell(star, v):
+    """Dual lattice polygon of the finite vertex v, built from the edge
+    vectors of its star (its entry in the curve's incidence)."""
+    dirs = lattice.sort_by_angle([scale(u, w) for _, u, w in star])
     total = (0, 0)
     pts = [(0, 0)]
     for wu in dirs:
@@ -688,6 +690,12 @@ def component_roots(nodes, links):
     return {v: find(v) for v in parent}
 
 
+def component_count(nodes, links):
+    """Number of connected components of the graph on nodes with the given
+    links (pairs of nodes)."""
+    return len(set(component_roots(nodes, links).values()))
+
+
 def delta_invariant(curve):
     """Tropical delta invariant of a reduced curve whose dual tiles are
     triangles and parallelograms.
@@ -699,14 +707,14 @@ def delta_invariant(curve):
     """
     _check_reduced(curve)
     delta = Fraction(0)
+    incidence = curve.incidence()
     for v in range(len(curve.vertices)):
+        cell = _vertex_cell(incidence.get(v, ()), v)
         if v in curve.crossings:
-            cell = _vertex_cell(curve, v)
             if not _is_parallelogram(cell):
                 raise UnsupportedShape(f"crossing {v} has a non-parallelogram cell")
             delta += Fraction(cell.double_area(), 2)
         else:
-            cell = _vertex_cell(curve, v)
             if len(cell.vertices) != 3:
                 raise UnsupportedShape(f"vertex {v} has a non-triangle cell")
             delta += cell.interior_points()
@@ -739,7 +747,7 @@ def abstract_genus(curve):
         if all(e is not None for e in endpoints):
             a += 1
             links.append(endpoints)
-    if len(set(component_roots(real, links).values())) != 1:
+    if component_count(real, links) != 1:
         raise NonReduced("separated curve is disconnected; genus undefined")
     return 1 - t + a
 
@@ -790,42 +798,19 @@ class ParametrizedCurve:
     def genus(self):
         n = len(self.positions)
         links = [(e.a, e.b) for e in self.edges if e.b >= 0]
-        ncomp = len(set(component_roots(range(n), links).values()))
-        return len(links) - n + ncomp
+        return len(links) - n + component_count(range(n), links)
 
     def is_connected(self):
-        n = len(self.positions)
-        adj = {i: set() for i in range(n)}
-        for e in self.edges:
-            if e.b >= 0:
-                adj[e.a].add(e.b)
-                adj[e.b].add(e.a)
-        seen, stack = set(), [0]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(adj[v] - seen)
-        return len(seen) == n
+        links = [(e.a, e.b) for e in self.edges if e.b >= 0]
+        return component_count(range(len(self.positions)), links) == 1
 
-    def incident(self, v):
-        out = []
-        for e in self.edges:
-            if e.a == v:
-                out.append((e.direction, e.weight))
-            if e.b == v:
-                out.append((scale(e.direction, -1), e.weight))
-        return out
-
-    def is_balanced(self):
-        for v in range(len(self.positions)):
-            total = (0, 0)
-            for u, w in self.incident(v):
-                total = add(total, scale(u, w))
-            if total != (0, 0):
-                return False
-        return True
+    def incidence(self):
+        """Vertex -> [(edge index, outgoing direction, weight)] of the edges
+        at it, by index (see _incidence)."""
+        return _incidence(
+            (i, e.a, e.b if e.b >= 0 else None, e.direction, e.weight)
+            for i, e in enumerate(self.edges)
+        )
 
     def edge_length(self, e):
         """Lattice length of the image segment; None for an edge to infinity."""
@@ -844,13 +829,14 @@ class ParametrizedCurve:
 def tropical_multiplicity(pc):
     """Product over trivalent source vertices of |det(w u, w' u')|."""
     mu = 1
+    incidence = pc.incidence()
     for v in range(len(pc.positions)):
-        inc = pc.incident(v)
+        inc = incidence.get(v, ())
         if len(inc) == 1:
             continue
         if len(inc) != 3:
             raise NotTrivalent(f"source vertex {v} has valence {len(inc)}")
-        (u1, w1), (u2, w2) = inc[0], inc[1]
+        (_, u1, w1), (_, u2, w2) = inc[0], inc[1]
         mu *= abs(det(scale(u1, w1), scale(u2, w2)))
     return mu
 

@@ -13,6 +13,8 @@ import pytest
 
 import ch_oracle
 from tropico.diagram import (
+    GOLDEN_CUBIC,
+    GOLDEN_TORIC as TORIC,
     DiagramSpec,
     SideBoundaryCondition,
     count,
@@ -54,20 +56,6 @@ def report(criterion, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {criterion}: {status} {detail}")
     assert ok, f"criterion {criterion} failed: {detail}"
-
-
-GOLDEN_CUBIC = [
-    (DiagramSpec(triangle(3), (0, 1), 0, (), (), (), (3,)), 12),
-    (DiagramSpec(triangle(3), (0, 1), 0, (), (), (), (1, 1)), 36),
-    (DiagramSpec(triangle(3), (0, 1), 0, (), (0, 1), (), (1,)), 10),
-    (DiagramSpec(triangle(3), (0, 1), 1, (), (), (), (3,)), 1),
-]
-
-TORIC = [
-    (DiagramSpec(diamond(), (0, 1), 0), 4),
-    (DiagramSpec(octic_quadrilateral(), (0, 1), 1), 12),
-    (DiagramSpec(octic_quadrilateral(), (0, 1), 0), 16),
-]
 
 
 def test_criterion_1_golden_counts():

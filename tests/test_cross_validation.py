@@ -14,7 +14,15 @@ from tropico.diagram import (
     enumerate_markings,
     nseq_Ipow,
 )
-from tropico.lattice import random_lattice_polygon, transverse_directions, triangle
+from tropico.lattice import (
+    LatticePolygon,
+    diamond,
+    direction_data,
+    octic_quadrilateral,
+    random_lattice_polygon,
+    transverse_directions,
+    triangle,
+)
 from tropico.realize import realize_stretched, verify_realization
 from tropico.tropical import corner_locus, tropical_multiplicity, TropicalPolynomial
 
@@ -96,6 +104,40 @@ def test_count_invariant_under_polygon_presentation():
         type(triangle(3))([(0, 3), (0, 0), (3, 0)]), (0, 1), 0, (), (), (), (3,)
     )
     assert count(base) == count(moved) == count(rolled) == 12
+
+
+# (polygon, genus, count) with simple tangencies along the top and bottom edges
+METAMORPHIC = [
+    (triangle(3), 0, 12),
+    (triangle(3), 1, 1),
+    (diamond(), 0, 4),
+    (diamond(), 1, 1),
+    (octic_quadrilateral(), 0, 16),
+    (octic_quadrilateral(), 1, 12),
+    (triangle(4), 1, 225),
+]
+# rows of unimodular matrices A: two shears, a quarter turn, a reflection
+UNIMODULAR = [((1, 1), (0, 1)), ((2, 1), (1, 1)), ((0, -1), (1, 0)), ((1, 0), (0, -1))]
+
+
+def _simple_tangency_count(poly, d, g):
+    dd = direction_data(poly, d)
+    return count(DiagramSpec(poly, d, g, (), (), (dd.d_plus,), (dd.d_minus,)))
+
+
+def test_count_invariant_under_direction_and_unimodular_moves():
+    # (poly, d) -> (A poly, A^-T d) keeps every height <d, p>
+    for poly, g, want in METAMORPHIC:
+        directions = transverse_directions(poly, 2)
+        assert len(directions) > 1
+        for d in directions:
+            assert _simple_tangency_count(poly, d, g) == want, (poly, g, d)
+        for (a, b), (c, e) in UNIMODULAR:
+            det = a * e - b * c
+            moved = LatticePolygon([(a * x + b * y, c * x + e * y) for x, y in poly.vertices])
+            for dx, dy in directions:
+                moved_d = ((e * dx - c * dy) * det, (a * dy - b * dx) * det)
+                assert _simple_tangency_count(moved, moved_d, g) == want, (moved, g, moved_d)
 
 
 def test_diagram_relabeling_preserves_canonical_key():

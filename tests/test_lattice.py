@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from tropico import lattice
 from tropico.lattice import (
     DegeneratePolygon,
+    LatticeError,
     LatticePolygon,
     NonPositiveDeterminant,
     NotPrimitive,
@@ -227,6 +229,32 @@ def test_slope_coordinates():
     for dvec in ((1, 1), (2, 1), (1, -2), (1, 0)):
         for theta in range(-3, 4):
             assert slope_of(dvec, slope_vector(dvec, theta)) == theta
+
+
+def test_slope_coordinates_reject_non_primitive_directions():
+    for dvec in ((2, 0), (0, 0), (4, 6)):
+        with pytest.raises(NotPrimitive):
+            slope_reference(dvec)
+        with pytest.raises(NotPrimitive):
+            slope_vector(dvec, 1)
+
+
+def _raises_lattice_invariant(fn, *args):
+    with pytest.raises(LatticeError) as err:
+        fn(*args)
+    assert type(err.value) is LatticeError
+
+
+def test_lattice_invariants_raise_typed_errors(monkeypatch):
+    # a broken Bezout pair breaks the normal form and the slope reference
+    monkeypatch.setattr(lattice, "_xgcd", lambda a, b: (2, 0, 0))
+    _raises_lattice_invariant(vertex_singularity, (0, -1), (3, -1))
+    monkeypatch.setattr(lattice, "_xgcd", lambda a, b: (1, 0, 0))
+    _raises_lattice_invariant(slope_reference, (0, 1))
+    monkeypatch.undo()
+    # a polygon let through as transverse although it is not
+    monkeypatch.setattr(lattice, "is_transverse", lambda poly, d: True)
+    _raises_lattice_invariant(direction_data, cubic_triangle(), (0, 1))
 
 
 def test_convex_hull():
