@@ -10,14 +10,15 @@ it meets; the marked point of each element pins its position.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import diagram as diagram_mod
 from . import lattice
 from .lattice import dot, perp, scale, slope_of, slope_vector, sub
-from .tropical import ParametrizedCurve, PEdge, check_balancing, component_roots
-from .tropical import tropical_multiplicity
+from .tropical import NotClosed, ParametrizedCurve, PEdge, Ray, check_balancing
+from .tropical import _circuit_polygon, _integral_frame, component_roots, tropical_multiplicity
 
 
 class RealizeError(Exception):
@@ -64,12 +65,15 @@ class PointConfig:
             raise RealizeError("transverse coordinates must be pairwise distinct")
 
 
+@functools.lru_cache(maxsize=64)
 def stretch_points(spec, seed=0, spacing=None):
     """Deterministic stretched configuration for a diagram spec.
 
     s = g - 1 + 2 d_height + |b+| + |b-| points with heights i * M and
     low-discrepancy transverse coordinates keyed by the seed; M defaults
     to a slope bound derived from the polygon and escalates externally.
+    The configuration depends on (spec, seed, spacing) only and is
+    immutable, so every marked diagram of a spec shares one.
     """
     spec.check()
     s = spec.s
@@ -386,22 +390,36 @@ def floor_decompose(pc, d):
 
 def point_on_curve(pc, point):
     """Exact membership of a point in the image of a parametrized curve."""
+    return points_on_curve(pc, [point])[0]
+
+
+def points_on_curve(pc, points):
+    """Exact membership of each point in the image of a parametrized curve.
+
+    The curve's positions and the points share one integer frame (see
+    tropical._integral_frame); a point lies on an edge when it is collinear
+    with it (cross product 0) and its parameter along the direction lies
+    between 0 and the far end's (dot products)."""
+    n = len(pc.positions)
+    _, ints = _integral_frame(list(pc.positions) + list(points))
+    pieces = []
     for e in pc.edges:
-        p = pc.positions[e.a]
-        u = e.direction
-        r = sub(point, p)
-        if u[0] * r[1] - u[1] * r[0] != 0:
-            continue
-        t = u[0] * r[0] + u[1] * r[1]
-        if t < 0:
-            continue
-        if e.b < 0:
-            return True
-        q = pc.positions[e.b]
-        tmax = u[0] * (q[0] - p[0]) + u[1] * (q[1] - p[1])
-        if t <= tmax:
-            return True
-    return False
+        (x, y), u = ints[e.a], e.direction
+        tmax = None if e.b < 0 else u[0] * (ints[e.b][0] - x) + u[1] * (ints[e.b][1] - y)
+        pieces.append((x, y, u[0], u[1], tmax))
+    found = []
+    for px, py in ints[n:]:
+        for x, y, ux, uy, tmax in pieces:
+            rx, ry = px - x, py - y
+            if ux * ry != uy * rx:
+                continue
+            t = ux * rx + uy * ry
+            if t >= 0 and (tmax is None or t <= tmax):
+                found.append(True)
+                break
+        else:
+            found.append(False)
+    return found
 
 
 def verify_realization(realization, diagram, marking, cfg, spec):
@@ -410,16 +428,15 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     pc = realization.curve
     if not check_balancing(pc):
         violations.append("curve is not balanced")
-    if pc.genus() != spec.genus:
-        violations.append(f"source genus {pc.genus()} != {spec.genus}")
+    genus = pc.genus()
+    if genus != spec.genus:
+        violations.append(f"source genus {genus} != {spec.genus}")
     if not pc.is_connected():
         violations.append("source curve disconnected")
-    for i, pt in enumerate(cfg.points):
-        if not point_on_curve(pc, pt):
+    for i, on in enumerate(points_on_curve(pc, cfg.points)):
+        if not on:
             violations.append(f"point {i + 1} not on the curve")
     # infinite-edge census against the boundary data, via the ray circuit
-    from .tropical import NotClosed, _circuit_polygon, Ray
-
     rays = [Ray(0, e.direction, e.weight) for e in pc.edges if e.b < 0]
     try:
         circuit = _circuit_polygon(rays)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import det
+from .tropical import _integral_frame
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,7 @@ class RenderStyle:
 
 
 def _fmt(x):
-    return f"{float(x):.3f}"
+    return f"{x:.3f}"
 
 
 def _bounds(points):
@@ -59,80 +60,111 @@ def _frame_polygon(newton, points):
     return [(cx + lam * (v[0] - cx), cy + lam * (v[1] - cy)) for v in newton.vertices]
 
 
-def _clip_ray(base, direction, frame):
-    """First exit point of the ray from a convex frame polygon."""
+def _box(points, m):
+    """The rectangle drawn around points: their bounding box padded on every
+    side by half its larger extent (at least 1) plus 1, in coordinates scaled
+    by m (even, so that the padding is an integer)."""
+    x0, y0, x1, y1 = _bounds(points)
+    pad = max(x1 - x0, y1 - y0, m) // 2 + m
+    return [(x0 - pad, y0 - pad), (x1 + pad, y0 - pad), (x1 + pad, y1 + pad), (x0 - pad, y1 + pad)]
+
+
+def _exit_parameter(base, direction, frame):
+    """First exit of the ray base + t * direction from a convex polygon,
+    all in integers: t = num / den with den > 0, or None when the ray
+    leaves through no side (base outside the polygon)."""
     best = None
-    m = len(frame)
-    for i in range(m):
-        a, b = frame[i], frame[(i + 1) % m]
+    n = len(frame)
+    for i in range(n):
+        a, b = frame[i], frame[(i + 1) % n]
         edge = (b[0] - a[0], b[1] - a[1])
         d = det(direction, edge)
         if d == 0:
             continue
         r = (a[0] - base[0], a[1] - base[1])
-        t = Fraction(r[0] * edge[1] - r[1] * edge[0], d)
-        s = Fraction(r[0] * direction[1] - r[1] * direction[0], d)
-        if t > 0 and 0 <= s <= 1:
-            if best is None or t < best:
-                best = t
-    if best is None:
-        best = Fraction(1)
-    return (base[0] + best * direction[0], base[1] + best * direction[1])
+        t = r[0] * edge[1] - r[1] * edge[0]
+        s = r[0] * direction[1] - r[1] * direction[0]
+        if d < 0:
+            d, t, s = -d, -t, -s
+        if t > 0 and 0 <= s <= d and (best is None or t * best[1] < best[0] * d):
+            best = (t, d)
+    return best
+
+
+def _pixel_map(style, x0, y0, width, height):
+    """Map from exact coordinates to pixels that fits the box of the given
+    width and height at (x0, y0) into the drawing area.
+
+    The returned function takes the point (x / den, y / den) as integers.
+    Its pixel coordinates are int/int true divisions, that is, the
+    correctly rounded floats of the exact rational values.
+    """
+    sw = style.width - 2 * style.margin
+    sh = style.height - 2 * style.margin
+    # scale sn / sd = min(sw / width, sh / height)
+    sn, sd = (sw, width) if sw * height <= sh * width else (sh, height)
+    top = style.height - style.margin
+
+    def to_px(x, y, den=1):
+        return (
+            style.margin + (x - x0 * den) * sn / (sd * den),
+            top - (y - y0 * den) * sn / (sd * den),
+        )
+
+    return to_px
 
 
 def render_curve_svg(curve, style=None, points=(), omega_lines=(), labels=None):
     """SVG document for a plane tropical curve.
 
     points are marked base points; omega_lines are (base point, direction)
-    pairs drawn dotted; labels maps point index -> text.
+    pairs drawn dotted; labels maps point index -> text.  Every coordinate
+    is taken to one integer frame, times a multiple m of the lcm of the
+    denominators, and mapped to pixels from there.
     """
     style = style or RenderStyle()
-    anchor_pts = list(curve.vertices) + [tuple(map(Fraction, p)) for p in points]
-    if not anchor_pts:
-        anchor_pts = [(Fraction(0), Fraction(0))]
+    anchors = list(curve.vertices) + [tuple(map(Fraction, p)) for p in points]
+    if not anchors:
+        anchors = [(Fraction(0), Fraction(0))]
+    bases = [tuple(map(Fraction, base)) for base, _ in omega_lines]
     if style.anticanonical_frame:
-        frame = _frame_polygon(curve.newton, anchor_pts)
+        frame = _frame_polygon(curve.newton, anchors)
+        m, ints = _integral_frame(anchors + bases + frame)
+        frame = ints[len(anchors) + len(bases):]
     else:
-        x0, y0, x1, y1 = _bounds(anchor_pts)
-        pad = max(x1 - x0, y1 - y0, 1) * Fraction(1, 2) + 1
-        frame = [
-            (x0 - pad, y0 - pad),
-            (x1 + pad, y0 - pad),
-            (x1 + pad, y1 + pad),
-            (x0 - pad, y1 + pad),
-        ]
+        m, ints = _integral_frame(anchors + bases)
+        # doubled, so that the padding _box adds is an integer as well
+        m, ints = 2 * m, [(2 * x, 2 * y) for x, y in ints]
+        frame = _box(ints[: len(anchors)], m)
     fx0, fy0, fx1, fy1 = _bounds(frame)
-    sw = Fraction(style.width - 2 * style.margin)
-    sh = Fraction(style.height - 2 * style.margin)
-    scale = min(Fraction(sw, fx1 - fx0), Fraction(sh, fy1 - fy0))
+    to_px = _pixel_map(style, fx0, fy0, fx1 - fx0, fy1 - fy0)
 
-    def to_px(p):
-        x = style.margin + float((p[0] - fx0) * scale)
-        y = style.height - style.margin - float((p[1] - fy0) * scale)
-        return x, y
+    def tip(base, direction):
+        # a ray that leaves through no side ends one unit along its direction
+        t, den = _exit_parameter(base, direction, frame) or (m, 1)
+        return to_px(base[0] * den + t * direction[0], base[1] * den + t * direction[1], den)
 
+    nv = len(curve.vertices)
+    vertex_px = [to_px(x, y) for x, y in ints[:nv]]
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{style.width}"'
         f' height="{style.height}" viewBox="0 0 {style.width} {style.height}">',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
-    frame_path = " ".join(f"{_fmt(to_px(p)[0])},{_fmt(to_px(p)[1])}" for p in frame)
+    frame_path = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (to_px(*p) for p in frame))
     stroke = "#444" if style.anticanonical_frame else "#ccc"
     lines.append(f'<polygon points="{frame_path}" fill="none" stroke="{stroke}"/>')
 
-    for base, direction in omega_lines:
-        a = _clip_ray(tuple(map(Fraction, base)), direction, frame)
-        b = _clip_ray(tuple(map(Fraction, base)), (-direction[0], -direction[1]), frame)
-        ax, ay = to_px(a)
-        bx, by = to_px(b)
+    for base, (_, direction) in zip(ints[len(anchors):], omega_lines):
+        ax, ay = tip(base, direction)
+        bx, by = tip(base, (-direction[0], -direction[1]))
         lines.append(
             f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" x2="{_fmt(bx)}" y2="{_fmt(by)}"'
             ' stroke="#999" stroke-dasharray="4 3"/>'
         )
 
     def edge_line(p, q, weight):
-        px, py = to_px(p)
-        qx, qy = to_px(q)
+        (px, py), (qx, qy) = p, q
         w = 1.2 + 0.9 * (weight - 1)
         lines.append(
             f'<line x1="{_fmt(px)}" y1="{_fmt(py)}" x2="{_fmt(qx)}" y2="{_fmt(qy)}"'
@@ -147,13 +179,12 @@ def render_curve_svg(curve, style=None, points=(), omega_lines=(), labels=None):
             )
 
     for s in curve.segments:
-        edge_line(curve.vertices[s.a], curve.vertices[s.b], s.weight)
+        edge_line(vertex_px[s.a], vertex_px[s.b], s.weight)
     for r in curve.rays:
-        tip = _clip_ray(curve.vertices[r.base], r.direction, frame)
-        edge_line(curve.vertices[r.base], tip, r.weight)
+        edge_line(vertex_px[r.base], tip(ints[r.base], r.direction), r.weight)
 
-    for i, p in enumerate(points):
-        px, py = to_px(tuple(map(Fraction, p)))
+    for i, (x, y) in enumerate(ints[nv : nv + len(points)]):
+        px, py = to_px(x, y)
         lines.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3.2" fill="black"/>')
         if style.show_markings and labels:
             text = labels.get(i)
@@ -170,14 +201,7 @@ def render_subdivision_svg(subdivision, style=None):
     style = style or RenderStyle()
     pts = [v for c in subdivision.cells for v in c.vertices]
     x0, y0, x1, y1 = _bounds(pts)
-    sw = style.width - 2 * style.margin
-    sh = style.height - 2 * style.margin
-    scale = min(Fraction(sw, max(x1 - x0, 1)), Fraction(sh, max(y1 - y0, 1)))
-
-    def to_px(p):
-        x = style.margin + float((p[0] - x0) * scale)
-        y = style.height - style.margin - float((p[1] - y0) * scale)
-        return x, y
+    to_px = _pixel_map(style, x0, y0, max(x1 - x0, 1), max(y1 - y0, 1))
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{style.width}"'
@@ -185,11 +209,11 @@ def render_subdivision_svg(subdivision, style=None):
         '<rect width="100%" height="100%" fill="white"/>',
     ]
     for cell in subdivision.cells:
-        path = " ".join(f"{_fmt(to_px(v)[0])},{_fmt(to_px(v)[1])}" for v in cell.vertices)
+        path = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (to_px(*v) for v in cell.vertices))
         lines.append(f'<polygon points="{path}" fill="none" stroke="black"/>')
     for cell in subdivision.cells:
         for v in cell.lattice_points():
-            px, py = to_px(v)
+            px, py = to_px(*v)
             lines.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="2" fill="#666"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

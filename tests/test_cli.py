@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -203,6 +204,32 @@ def test_realize_cli_roundtrip(files, tmp_path, capsys):
     assert len(data["floors"]) == 3
     assert len(data["elevators"]) == len(diag.edges)
     assert svg.read_text().startswith("<svg")
+
+
+def test_realize_cli_svgs_pinned(files, capsys):
+    # sha256 of the SVGs `tropico realize --frame` writes for every marked
+    # diagram of T3 a-=(0,1) b-=(1): anticanonical frame, Omega lines and
+    # point labels, as drawn by a renderer that mapped every point through
+    # Fractions
+    spec = DiagramSpec(triangle(3), (0, 1), 0, (), (0, 1), (), (1,))
+    dpath, mpath, svg = files / "diag.json", files / "mark.json", files / "curve.svg"
+    digest = hashlib.sha256()
+    n = 0
+    for diag in enumerate_diagrams(spec):
+        for marking in enumerate_markings(diag, spec):
+            dpath.write_text(json.dumps(io_mod.diagram_to_json(diag)))
+            mpath.write_text(json.dumps(io_mod.marking_to_json(marking)))
+            rc = cmd(["realize", "--polygon", str(files / "t3.json"), "--genus", "0",
+                      "--alpha-minus", "0,1", "--beta-minus", "1", "--diagram", str(dpath),
+                      "--marking", str(mpath), "--svg", str(svg), "--frame"])
+            assert rc == 0
+            text = svg.read_text()
+            assert "stroke-dasharray" in text
+            digest.update(text.encode())
+            n += 1
+    capsys.readouterr()
+    assert n == 7
+    assert digest.hexdigest() == "641c08ed9ca0e3489a4485146d97a101b1031f447bbf64d7c5e21a742e280f97"
 
 
 def test_check_subcommand(capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,13 +17,14 @@ from tropico.diagram import (
     nseq_Ipow,
     validate,
 )
-from tropico.lattice import det, diamond, octic_quadrilateral, triangle
+from tropico.lattice import LatticePolygon, det, diamond, octic_quadrilateral, perp, triangle
 from tropico.realize import (
     PointConfig,
     RealizeError,
     SpacingTooSmall,
     floor_decompose,
     point_on_curve,
+    points_on_curve,
     realize,
     realize_stretched,
     stretch_points,
@@ -51,6 +53,16 @@ def test_stretch_points_determinism_and_config_checks():
     assert a != c
     with pytest.raises(Exception):
         PointConfig((0, 1), ((0, 0), (0, 0)), (), ())  # not increasing
+
+
+def test_stretched_configuration_is_shared_per_spec():
+    diag = enumerate_diagrams(T3_G0)[0]
+    first, second = enumerate_markings(diag, T3_G0)[:2]
+    _, cfg1 = realize_stretched(diag, first, T3_G0, seed=2)
+    _, cfg2 = realize_stretched(diag, second, T3_G0, seed=2)
+    assert cfg1 is cfg2
+    assert stretch_points(T3_G0, 2, 50) is stretch_points(T3_G0, 2, 50)
+    assert stretch_points(T3_G0, 2, 50) != stretch_points(T3_G0, 3, 50)
 
 
 def test_realize_line():
@@ -291,3 +303,68 @@ def test_slope_bookkeeping_is_checked(monkeypatch):
     monkeypatch.setattr(diagram_module, "validate", lambda diagram, spec: True)
     with pytest.raises(RealizeError, match="theta \\+ divergence"):
         realize(diag, marking, stretch_points(T3_G0), T3_G0)
+
+
+def point_on_curve_brute_force(pc, point):
+    """Membership of a point in the image of a parametrized curve, edge by
+    edge in Fractions."""
+    for e in pc.edges:
+        p = pc.positions[e.a]
+        u = e.direction
+        r = (point[0] - p[0], point[1] - p[1])
+        if u[0] * r[1] - u[1] * r[0] != 0:
+            continue
+        t = u[0] * r[0] + u[1] * r[1]
+        if t < 0:
+            continue
+        if e.b < 0:
+            return True
+        q = pc.positions[e.b]
+        tmax = u[0] * (q[0] - p[0]) + u[1] * (q[1] - p[1])
+        if t <= tmax:
+            return True
+    return False
+
+
+def test_points_on_curve_match_brute_force():
+    rng = random.Random(12)
+    rotated = DiagramSpec(LatticePolygon([perp(v) for v in triangle(3).vertices]), perp((0, 1)),
+                          0, (), (), (), (3,))
+    specs = [T3_G0, T3_G1, OCTIC_G1, DiagramSpec(diamond(), (0, 1), 1), rotated,
+             DiagramSpec(triangle(3), (0, 1), 0, (), (0, 1), (), (1,))]
+    seen = set()
+    for spec in specs:
+        for diag in enumerate_diagrams(spec):
+            for marking in enumerate_markings(diag, spec)[:2]:
+                realization, cfg = realize_stretched(diag, marking, spec, seed=4)
+                pc = realization.curve
+                # marked points, vertices and segment ends, points on rays,
+                # points collinear with an edge but outside it, and random
+                # rationals off the curve
+                cands = list(cfg.points) + list(pc.positions)
+                for e in pc.edges:
+                    p, u = pc.positions[e.a], e.direction
+                    ts = [-1, Fraction(-1, 3), Fraction(1, 2), 2, 1000]
+                    if e.b >= 0:
+                        q = pc.positions[e.b]
+                        far = u[0] * (q[0] - p[0]) + u[1] * (q[1] - p[1])
+                        n2 = u[0] * u[0] + u[1] * u[1]
+                        ts += [Fraction(far, n2), Fraction(far, n2) + Fraction(1, 5)]
+                    cands += [(p[0] + t * u[0], p[1] + t * u[1]) for t in ts]
+                xs = [c[0] for c in cands]
+                ys = [c[1] for c in cands]
+                cands += [
+                    (Fraction(rng.randint(int(min(xs)) - 2, int(max(xs)) + 2) * 97 + 1, 97),
+                     Fraction(rng.randint(int(min(ys)) - 2, int(max(ys)) + 2) * 89 + 1, 89))
+                    for _ in range(20)
+                ]
+                expected = [point_on_curve_brute_force(pc, c) for c in cands]
+                assert points_on_curve(pc, cands) == expected
+                assert [point_on_curve(pc, c) for c in cands[:20]] == expected[:20]
+                seen.update(expected)
+    assert seen == {True, False}
+    # the far end of a segment that starts no other edge
+    pc = ParametrizedCurve.build([(0, 0), (Fraction(3, 2), 3)], [PEdge(0, 1, 1, (1, 2))])
+    cands = [(Fraction(3, 2), 3), (Fraction(3, 4), Fraction(3, 2)), (2, 4), (-1, -2), (0, 0)]
+    assert points_on_curve(pc, cands) == [True, True, False, False, True]
+    assert [point_on_curve_brute_force(pc, c) for c in cands] == [True, True, False, False, True]
