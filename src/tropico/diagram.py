@@ -17,15 +17,20 @@ remainder raises InvariantViolation.  `enumerate_markings` lists one
 representative per class for display and realization.
 
 Generation enumerates finite edges only from floor i to floors j > i:
-every acyclic diagram has such a topological labelling of its floors.
-Each class found is returned in the labelling an exhaustive search over
-all labellings would meet first, so the output does not depend on which
-labellings the search visits.
+every acyclic diagram has such a topological labelling of its floors.  The
+thetas and tails fix the net finite inflow at each floor, which bounds the
+number of edges crossing each prefix cut {0..k}; a depth-first search over
+pair multiplicities keeps within those bounds.  Duplicates are removed by
+`refined_key`, which permutes floors only within the cells of a colour
+refinement.  Each class found is returned in the labelling an exhaustive
+search over all labellings would meet first, so the output does not depend
+on which labellings the search visits.
 
-One pass over the n! relabellings of a diagram's floors (`_relabellings`)
-serves the canonical key (the least encoding), the first labelling (the
-least in search order) and the floor part of |Aut| (the relabellings that
-leave the encoding unchanged).
+One pass per class over the n! relabellings of its floors (`_relabellings`)
+serves the canonical key (the least encoding), which orders the output, and
+the first labelling (the least in search order).  The floor part of |Aut|
+is the relabellings within the colour cells that leave the encoding
+unchanged.
 """
 
 from __future__ import annotations
@@ -359,24 +364,41 @@ def weighted_count_check(diagram, spec):
 # canonical forms and automorphisms
 
 
-def _relabellings(diagram):
-    """Every relabelling of the floors as positions 0..n-1, one per
-    permutation perm (the floor at position i moves to perm[i]), in
-    `itertools.permutations` order, so the identity comes first.
+def _floor_data(diagram):
+    """The diagram by floor position 0..n-1: (lefts, rights, fins, downs,
+    ups), the left and right thetas, the finite edges (s, t, w), and the
+    down tails (t, w) and up tails (s, w) in edge order."""
+    pos = {f: i for i, f in enumerate(diagram.floor_ids)}
+    return (
+        tuple(th for _, th in diagram.floors),
+        tuple(th + diagram.divergence(f) for f, th in diagram.floors),
+        [(pos[s], pos[t], w) for s, t, w in diagram.finite_edges()],
+        [(pos[t], w) for _, t, w in diagram.down_edges()],
+        [(pos[s], w) for s, _, w in diagram.up_edges()],
+    )
+
+
+def _relabellings(data, blocks=None):
+    """Relabellings of the floors of `_floor_data` ``data``, one per
+    permutation perm (the floor at position i moves to perm[i]).
+
+    ``blocks`` lists (sources, targets) pairs of position lists: the floors
+    at the source positions move onto the target positions in every order,
+    and the first relabelling keeps each block in order.  Without blocks,
+    all n! relabellings come in `itertools.permutations` order, so the
+    identity comes first.
 
     Yields (perm, lefts, rights, fins, downs, ups): the left and right
     thetas by new position, the finite edges (s, t, w) sorted, and the down
     tails (t, w) and up tails (s, w) in edge order.
     """
-    ids = diagram.floor_ids
-    pos = {f: i for i, f in enumerate(ids)}
-    lefts = [th for _, th in diagram.floors]
-    rights = [th + diagram.divergence(f) for f, th in diagram.floors]
-    fins = [(pos[s], pos[t], w) for s, t, w in diagram.finite_edges()]
-    downs = [(pos[t], w) for _, t, w in diagram.down_edges()]
-    ups = [(pos[s], w) for s, _, w in diagram.up_edges()]
-    n = len(ids)
-    for perm in itertools.permutations(range(n)):
+    lefts, rights, fins, downs, ups = data
+    n = len(lefts)
+    if blocks is None:
+        perms = itertools.permutations(range(n))
+    else:
+        perms = _block_permutations(blocks, n)
+    for perm in perms:
         new_lefts, new_rights = [0] * n, [0] * n
         for i, new in enumerate(perm):
             new_lefts[new] = lefts[i]
@@ -391,6 +413,16 @@ def _relabellings(diagram):
         )
 
 
+def _block_permutations(blocks, n):
+    """The permutations that move each block's sources onto its targets."""
+    for choice in itertools.product(*(itertools.permutations(t) for _, t in blocks)):
+        perm = [0] * n
+        for (sources, _), targets in zip(blocks, choice):
+            for i, new in zip(sources, targets):
+                perm[i] = new
+        yield tuple(perm)
+
+
 def _encode(relabelling):
     """Encoding of a relabelling: the left thetas by position, then the
     finite edges, down tails and up tails, each sorted."""
@@ -399,15 +431,102 @@ def _encode(relabelling):
 
 
 def canonical_key(diagram):
-    """Isomorphism invariant: minimum encoding over the relabellings."""
-    return min(map(_encode, _relabellings(diagram)))
+    """Isomorphism invariant: minimum encoding over all n! relabellings.
+    It fixes the order in which `enumerate_diagrams` returns the classes."""
+    return min(map(_encode, _relabellings(_floor_data(diagram))))
+
+
+def _colour_cells(data):
+    """Colour refinement of the floors of `_floor_data` ``data``: the floor
+    positions of each colour, by colour.
+
+    The first colours separate the floors by left theta and by the weights
+    of their down and up tails.  Each round then separates them by the
+    multisets of (neighbour colour, weight) over their incoming and their
+    outgoing finite edges, until no colour splits.  A colour is the rank of
+    its signature among the diagram's sorted signatures, so an isomorphism
+    of (D, w, theta) maps every floor to a floor of the same colour.
+    """
+    lefts, _, fins, downs, ups = data
+    n = len(lefts)
+    down_w = [[] for _ in range(n)]
+    up_w = [[] for _ in range(n)]
+    for t, w in downs:
+        down_w[t].append(w)
+    for s, w in ups:
+        up_w[s].append(w)
+    colours = _ranks([(lefts[i], sorted(down_w[i]), sorted(up_w[i])) for i in range(n)])
+    while True:
+        ins = [[] for _ in range(n)]
+        outs = [[] for _ in range(n)]
+        for s, t, w in fins:
+            ins[t].append((colours[s], w))
+            outs[s].append((colours[t], w))
+        # signatures lead with the old colour, so a partition that does not
+        # split keeps its ranks
+        refined = _ranks([(colours[i], sorted(ins[i]), sorted(outs[i])) for i in range(n)])
+        if refined == colours:
+            break
+        colours = refined
+    cells = [[] for _ in range(max(colours, default=-1) + 1)]
+    for i, colour in enumerate(colours):
+        cells[colour].append(i)
+    return cells
+
+
+def _ranks(signatures):
+    """Per item, the rank of its signature among the distinct signatures."""
+    order = sorted(range(len(signatures)), key=signatures.__getitem__)
+    ranks = [0] * len(signatures)
+    for a, b in zip(order, order[1:]):
+        ranks[b] = ranks[a] + (signatures[b] != signatures[a])
+    return ranks
+
+
+def _refined_key(data):
+    """`refined_key` of `_floor_data` ``data``."""
+    blocks, start = [], 0
+    for cell in _colour_cells(data):
+        blocks.append((cell, range(start, start + len(cell))))
+        start += len(cell)
+    return min(map(_encode, _relabellings(data, blocks)))
+
+
+def refined_key(diagram):
+    """Exact isomorphism key of (D, w, theta): the least encoding over the
+    relabellings that put the floors in colour order, permuting only within
+    the cells of the colour refinement.  Isomorphisms keep colours, so two
+    diagrams have equal keys exactly when they are isomorphic; the key is
+    not `canonical_key`, which minimises over all n! relabellings."""
+    return _refined_key(_floor_data(diagram))
 
 
 def _floor_permutations(diagram):
     """The relabellings of floors preserving theta and the weighted
-    structure: the automorphisms of (D, w, theta) on floors."""
-    encoded = [(r[0], _encode(r)) for r in _relabellings(diagram)]
-    return [perm for perm, enc in encoded if enc == encoded[0][1]]
+    structure: the automorphisms of (D, w, theta) on floors, sorted.  An
+    automorphism keeps every colour, so only permutations within the cells
+    of the colour refinement are tried."""
+    data = _floor_data(diagram)
+    cells = _colour_cells(data)
+    encoded = [(r[0], _encode(r)) for r in _relabellings(data, [(c, c) for c in cells])]
+    return sorted(perm for perm, enc in encoded if enc == encoded[0][1])
+
+
+def _class_forms(diagram):
+    """One pass over the n! relabellings of a class representative: its
+    `canonical_key` (the least encoding) and its first labelling (the least
+    `_search_order`)."""
+    key = first = None
+    for relabelling in _relabellings(_floor_data(diagram)):
+        enc, order = _encode(relabelling), _search_order(relabelling)
+        if key is None or enc < key:
+            key = enc
+        if first is None or order < first:
+            first = order
+    lefts, _, pairs, down, up, weights = first
+    return key, _build_diagram(
+        lefts, pairs, weights, [(t, w) for w, t in down], [(s, w) for w, s in up]
+    )
 
 
 def _first_labelling(diagram):
@@ -415,10 +534,7 @@ def _first_labelling(diagram):
     iterating in the order of `enumerate_diagrams`, meets first: the one
     minimising (left thetas, right thetas, finite pairs, down-tail and
     up-tail targets per weight, finite weights)."""
-    lefts, _, pairs, down, up, weights = min(map(_search_order, _relabellings(diagram)))
-    return _build_diagram(
-        lefts, pairs, weights, [(t, w) for w, t in down], [(s, w) for w, s in up]
-    )
+    return _class_forms(diagram)[1]
 
 
 def _search_order(relabelling):
@@ -463,6 +579,72 @@ def _tail_distributions(weights, n):
         for (w, _), targets in zip(items, combo):
             dist.extend((t, w) for t in targets)
         yield dist
+
+
+def _boundary_choices(spec):
+    """Every assignment of left and right thetas and of tails to the floors
+    0..n-1 that leaves a balanced net finite inflow c at the floors (c[i] =
+    finite in minus finite out): tuples (lefts, rights, downs, ups, c)."""
+    dd = spec.data
+    n = dd.d_height
+    downs = list(_tail_distributions(weight_multiset(spec.alpha_minus, spec.beta_minus), n))
+    ups = list(_tail_distributions(weight_multiset(spec.alpha_plus, spec.beta_plus), n))
+    for tl in _distinct_permutations(dd.thetas_left()):
+        for tr in _distinct_permutations(dd.thetas_right()):
+            for down in downs:
+                for up in ups:
+                    c = [tr[i] - tl[i] for i in range(n)]
+                    for t, w in down:
+                        c[t] -= w
+                    for t, w in up:
+                        c[t] += w
+                    if sum(c) == 0:
+                        yield tl, tr, down, up, c
+
+
+def _pair_multisets(c, m):
+    """The multisets of m pairs i < j, as tuples in pair order, that pass the
+    prefix-cut bounds of the net inflows c.
+
+    Finite edges go up, so the weight leaving the floors {0..k} is
+    F_k = -(c_0 + ... + c_k).  In a connected diagram some edge leaves, and
+    every edge has weight at least 1, so between 1 and F_k edges cross each
+    cut k < n-1.  The multiplicities are chosen by depth-first search in
+    pair order; a branch ends as soon as a cut holds more than F_k edges,
+    or when the edges still to place cannot fit (every edge from floor k
+    crosses cut k), and the lower bound of cut k is checked once the last
+    pair from floor k is placed.
+    """
+    n = len(c)
+    flows = list(itertools.accumulate(-x for x in c))[:-1]
+    if any(f < 1 for f in flows):
+        return
+    pairs = list(itertools.combinations(range(n), 2))
+    crossing = [0] * len(flows)
+    chosen = []
+
+    def rec(idx, left):
+        if idx == len(pairs):
+            if not left:
+                yield tuple(chosen)
+            return
+        s, t = pairs[idx]
+        if left > sum(flows[k] - crossing[k] for k in range(s, n - 1)):
+            return
+        cut = range(s, t)
+        room = min(left, min(flows[k] - crossing[k] for k in cut))
+        for mult in range(room + 1):
+            if mult:
+                chosen.append((s, t))
+                for k in cut:
+                    crossing[k] += 1
+            if t < n - 1 or crossing[s]:
+                yield from rec(idx + 1, left - mult)
+        del chosen[len(chosen) - room:]
+        for k in cut:
+            crossing[k] -= room
+
+    yield from rec(0, m)
 
 
 def _edge_weightings(pairs, c):
@@ -516,90 +698,41 @@ def _edge_weightings(pairs, c):
     yield from rec(0)
 
 
-def _subset_degrees(pairs, n):
-    """Per floor subset (bitmask): number of edges entering and leaving it."""
-    masks = []
-    for mask in range(1, 1 << n):
-        ein = eout = 0
-        for s, t in pairs:
-            sin, tin = bool(mask >> s & 1), bool(mask >> t & 1)
-            if tin and not sin:
-                ein += 1
-            elif sin and not tin:
-                eout += 1
-        masks.append((mask, ein, eout))
-    return masks
-
-
-def _cut_feasible(c, cuts):
-    """Gale-Hoffman style necessity: for every floor subset S, the net inflow
-    sum(c[v], v in S) must be realizable as (in-weight) - (out-weight) with
-    every crossing edge weight in [1, B]."""
-    bound = sum(x for x in c if x > 0)
-    for mask, ein, eout in cuts:
-        net = 0
-        v = 0
-        m = mask
-        while m:
-            if m & 1:
-                net += c[v]
-            m >>= 1
-            v += 1
-        if not (ein - bound * eout <= net <= bound * ein - eout):
-            return False
-    return True
-
-
 def enumerate_diagrams(spec):
     """All floor diagrams admitting markings of the spec's type, up to
     isomorphism of weighted oriented graphs preserving theta.
 
-    The search fixes the theta assignment (left and right slope multisets),
-    attaches the tail census demanded by (alpha, beta), then enumerates
-    weighted connected finite-edge structures matching the floor
-    divergences, with every finite edge going from floor i to a floor j > i.
-    Every acyclic diagram has such a labelling, so the search is complete;
-    duplicates are removed by canonical form, and each class is returned in
-    its `_first_labelling`.
+    The search fixes the theta assignment (left and right slope multisets)
+    and the tail census demanded by (alpha, beta), which leaves a net finite
+    inflow at each floor (`_boundary_choices`).  It then chooses the finite
+    pairs i < j by a search bounded by the prefix cuts (`_pair_multisets`),
+    keeps the connected ones and weights them (`_edge_weightings`).  Every
+    acyclic diagram has such a topological labelling, so the search is
+    complete.  Duplicates are removed by `refined_key`; each class then
+    takes one pass over its n! relabellings for its `canonical_key`, which
+    orders the output, and its `_first_labelling`, in which it is returned.
     """
     spec.check()
-    dd = spec.data
-    n = dd.d_height
+    n = spec.data.d_height
     if n == 0:
         raise DiagramError("polygon has no floors")
-    g = spec.genus
-    m = g + n - 1
-    thetas_l = dd.thetas_left()
-    thetas_r = dd.thetas_right()
-    down_weights = weight_multiset(spec.alpha_minus, spec.beta_minus)
-    up_weights = weight_multiset(spec.alpha_plus, spec.beta_plus)
-    upward_pairs = list(itertools.combinations(range(n), 2))
-
-    downs = list(_tail_distributions(down_weights, n))
-    ups = list(_tail_distributions(up_weights, n))
+    m = spec.genus + n - 1
     found = {}
-    for tl in _distinct_permutations(thetas_l):
-        for tr in _distinct_permutations(thetas_r):
-            div = [tr[i] - tl[i] for i in range(n)]
-            for pair_combo in itertools.combinations_with_replacement(upward_pairs, m):
-                if component_count(range(n), pair_combo) != 1:
-                    continue
-                cuts = _subset_degrees(pair_combo, n)
-                for down in downs:
-                    for up in ups:
-                        c = list(div)
-                        for t, w in down:
-                            c[t] -= w
-                        for t, w in up:
-                            c[t] += w
-                        if sum(c) != 0 or not _cut_feasible(c, cuts):
-                            continue
-                        for weights in _edge_weightings(pair_combo, c):
-                            diag = _build_diagram(tl, pair_combo, weights, down, up)
-                            key = canonical_key(diag)
-                            if key not in found:
-                                found[key] = diag
-    out = [_first_labelling(found[k]) for k in sorted(found)]
+    for tl, tr, down, up, c in _boundary_choices(spec):
+        for pairs in _pair_multisets(c, m):
+            if component_count(range(n), pairs) != 1:
+                continue
+            for weights in _edge_weightings(pairs, c):
+                fins = [(s, t, w) for (s, t), w in zip(pairs, weights)]
+                key = _refined_key((tl, tr, fins, down, up))
+                if key not in found:
+                    found[key] = _build_diagram(tl, pairs, weights, down, up)
+    forms = dict(map(_class_forms, found.values()))
+    if len(forms) != len(found):
+        raise InvariantViolation(
+            "diagram classes", [f"{len(found)} refined keys for {len(forms)} classes"]
+        )
+    out = [forms[key] for key in sorted(forms)]
     for diag in out:
         ok, violations = validate_verbose(diag, spec)
         if not ok:

@@ -468,6 +468,6 @@ def verify_realization(realization, diagram, marking, cfg, spec):
         violations.append(f"multiplicity {mu} != edge product {expected}")
     # round trip
     back = floor_decompose(pc, spec.direction)
-    if diagram_mod.canonical_key(back) != diagram_mod.canonical_key(diagram):
+    if diagram_mod.refined_key(back) != diagram_mod.refined_key(diagram):
         violations.append("floor decomposition does not recover the diagram")
     return violations

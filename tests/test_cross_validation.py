@@ -76,9 +76,15 @@ def test_sample_quartic_types_match_oracle():
 
 
 def test_quintic_counts_match_oracle():
-    for g in (1, 2):
+    for g in range(7):
         spec = DiagramSpec(triangle(5), (0, 1), g, (), (), (), (5,))
         assert count(spec) == ch_oracle.irreducible(5, g, (), (5,))
+
+
+def test_sextic_high_genus_counts_match_oracle():
+    for g in (9, 10):
+        spec = DiagramSpec(triangle(6), (0, 1), g, (), (), (), (6,))
+        assert count(spec) == ch_oracle.irreducible(6, g, (), (6,))
 
 
 def test_classical_counts():

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -19,6 +20,7 @@ from tropico.diagram import (
     enumerate_markings,
     lemma_1_5_check,
     multiplicity,
+    refined_key,
     validate,
     validate_verbose,
     weighted_count_check,
@@ -31,6 +33,7 @@ from tropico.lattice import (
     trapezium,
     triangle,
 )
+from tropico.tropical import component_count
 
 
 def genus1_cubic_diagram():
@@ -283,6 +286,7 @@ T3_TYPES = [
 ]
 T4_TYPES = [((), (4,)), ((), (0, 2)), ((2,), (0, 1)), ((0, 0, 0, 1), ())]
 TZ132_G1 = DiagramSpec(trapezium(1, 3, 2), (0, 1), 1, (), (), (2,), (5,))
+TZ132_G2 = DiagramSpec(trapezium(1, 3, 2), (0, 1), 2, (), (), (2,), (5,))
 
 
 def test_count_markings_equals_enumeration():
@@ -359,7 +363,127 @@ def test_enumerate_diagrams_output_pinned():
             "6224d774cc52d32dc4c85a66c3e8c8e6839da0a4f4864291f3d5999efb06544a",
         ),
         (TZ132_G1, "b0742e63aa7173b7ca4ae17692b0ac6be3a341652ff5116bfdcc2e8824839335"),
+        # pinned from the pair-multiset scan that the prefix-cut search replaced
+        (
+            DiagramSpec(triangle(5), (0, 1), 0, (), (), (), (5,)),
+            "463475ce946117da80fb9a3555787f2aacc9e92e4ff2d987ecbb0c8ae7bb5985",
+        ),
+        (
+            DiagramSpec(triangle(5), (0, 1), 1, (), (), (), (5,)),
+            "bed3d0367da822f0181f2839fbd973b8f856a0f036ef8cecd1cd22445713ef22",
+        ),
     ]
     for spec, digest in pinned:
         text = io.dumps([io.diagram_to_json(d) for d in enumerate_diagrams(spec)])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _subset_degrees(pairs, n):
+    """Per floor subset (bitmask): number of edges entering and leaving it."""
+    masks = []
+    for mask in range(1, 1 << n):
+        ein = eout = 0
+        for s, t in pairs:
+            sin, tin = bool(mask >> s & 1), bool(mask >> t & 1)
+            if tin and not sin:
+                ein += 1
+            elif sin and not tin:
+                eout += 1
+        masks.append((mask, ein, eout))
+    return masks
+
+
+def _cut_feasible(c, cuts):
+    """Gale-Hoffman style necessity: for every floor subset S, the net inflow
+    sum(c[v], v in S) must be realizable as (in-weight) - (out-weight) with
+    every crossing edge weight in [1, B]."""
+    bound = sum(x for x in c if x > 0)
+    for mask, ein, eout in cuts:
+        net = 0
+        v = 0
+        m = mask
+        while m:
+            if m & 1:
+                net += c[v]
+            m >>= 1
+            v += 1
+        if not (ein - bound * eout <= net <= bound * ein - eout):
+            return False
+    return True
+
+
+def _weightable(pairs, c):
+    return next(diagram_mod._edge_weightings(pairs, list(c)), None) is not None
+
+
+def pair_multisets_brute_force(spec):
+    """The pair scan that generation used before the prefix-cut search, kept
+    as its reference: every multiset of m pairs i < j, the connected ones,
+    and per net-inflow vector c those that pass the cut test over all floor
+    subsets and have a positive weighting.  Returns {c: set of multisets}."""
+    n = spec.data.d_height
+    m = spec.genus + n - 1
+    found = {tuple(c): set() for *_, c in diagram_mod._boundary_choices(spec)}
+    pairs = list(itertools.combinations(range(n), 2))
+    for combo in itertools.combinations_with_replacement(pairs, m):
+        if component_count(range(n), combo) != 1:
+            continue
+        cuts = _subset_degrees(combo, n)
+        for c, multisets in found.items():
+            if _cut_feasible(c, cuts) and _weightable(combo, c):
+                multisets.add(combo)
+    return found
+
+
+def test_prefix_cut_search_matches_the_pair_scan():
+    specs = [
+        DiagramSpec(triangle(d), (0, 1), g, (), (), (), (d,)) for d in (3, 4, 5) for g in (0, 1, 2)
+    ]
+    specs = [s for s in specs if s.genus <= s.polygon.interior_points()]
+    specs += [OCTIC_G0, OCTIC_G1, TZ132_G1, TZ132_G2]
+    for spec in specs:
+        n = spec.data.d_height
+        m = spec.genus + n - 1
+        for c, expected in pair_multisets_brute_force(spec).items():
+            searched = list(diagram_mod._pair_multisets(list(c), m))
+            assert len(searched) == len(set(searched))
+            assert all(list(p) == sorted(p) for p in searched)
+            got = {
+                p for p in searched if component_count(range(n), p) == 1 and _weightable(p, c)
+            }
+            assert got == expected, (spec, c)
+
+
+def _shuffled(diag, rng):
+    """The diagram with its floors renamed, and its floors and edges listed,
+    in a random order."""
+    new_ids = rng.sample(range(100, 200), len(diag.floors))
+    rename = dict(zip(diag.floor_ids, new_ids))
+    floors = [(rename[f], th) for f, th in diag.floors]
+    edges = [(rename.get(s, s), rename.get(t, t), w) for s, t, w in diag.edges]
+    rng.shuffle(floors)
+    rng.shuffle(edges)
+    return FloorDiagram(tuple(floors), diag.inf_minus, diag.inf_plus, tuple(edges))
+
+
+def test_refined_key_is_an_exact_isomorphism_test():
+    rng = random.Random(6)
+    specs = [DiagramSpec(triangle(4), (0, 1), g, (), (), (), (4,)) for g in range(4)]
+    specs += [DiagramSpec(triangle(5), (0, 1), g, (), (), (), (5,)) for g in (0, 1)]
+    specs += [TZ132_G1]
+    for spec in specs:
+        diagrams = []
+        for diag in enumerate_diagrams(spec):
+            diagrams += [diag, _shuffled(diag, rng), _shuffled(diag, rng)]
+        keys = {(refined_key(d), canonical_key(d)) for d in diagrams}
+        # equal refined keys exactly when equal canonical keys
+        assert len({r for r, _ in keys}) == len({k for _, k in keys}) == len(keys)
+        assert len(keys) == len(diagrams) // 3
+
+
+def test_enumerate_diagrams_reports_a_split_class(monkeypatch):
+    # a key that depends on the labelling gives one class more than one key
+    monkeypatch.setattr(diagram_mod, "_refined_key", lambda data: repr(data))
+    with pytest.raises(InvariantViolation) as err:
+        enumerate_diagrams(DiagramSpec(triangle(4), (0, 1), 0, (), (), (), (4,)))
+    assert "refined keys" in err.value.violations[0]

@@ -173,6 +173,17 @@ def test_verify_detects_missing_point():
     assert any("not on the curve" in v for v in violations)
 
 
+def test_verify_detects_a_wrong_diagram():
+    # every T3 g=0 diagram has 3 floors, 2 finite edges and 3 tails, so a
+    # marking of one labels the elements of the other
+    diag, other = enumerate_diagrams(T3_G0)[:2]
+    marking = enumerate_markings(diag, T3_G0)[0]
+    realization, cfg = realize_stretched(diag, marking, T3_G0, seed=0)
+    assert not verify_realization(realization, diag, marking, cfg, T3_G0)
+    violations = verify_realization(realization, other, marking, cfg, T3_G0)
+    assert "floor decomposition does not recover the diagram" in violations
+
+
 def test_invalid_marking_rejected():
     from tropico.realize import InvalidMarking
 
