@@ -26,10 +26,14 @@ refinement.  Each class found is returned in the labelling an exhaustive
 search over all labellings would meet first, so the output does not depend
 on which labellings the search visits.
 
-One pass per class over the n! relabellings of its floors (`_relabellings`)
-serves the canonical key (the least encoding), which orders the output, and
-the first labelling (the least in search order).  The floor part of |Aut|
-is the relabellings within the colour cells that leave the encoding
+Two minima over all n! relabellings of a class's floors serve it: the
+canonical key (the least encoding), which orders the output, and the first
+labelling (the least in search order), in which it is returned.  One
+branch-and-bound (`_least_forms`) finds both.  It fills the new floor
+positions in order and drops a partial relabelling as soon as the known
+prefix of its sorted finite edges, with a bound on the next edge, is above
+the best found, in place of listing the n! relabellings.  The floor part of
+|Aut| is the relabellings within the colour cells that leave the encoding
 unchanged.
 """
 
@@ -166,9 +170,15 @@ class FloorDiagram:
 
     def divergence(self, v):
         """Sum of incoming weights minus sum of outgoing weights at v."""
-        return sum(w for s, t, w in self.edges if t == v) - sum(
-            w for s, t, w in self.edges if s == v
-        )
+        return self.divergences()[v]
+
+    def divergences(self):
+        """`divergence` of every vertex, by vertex id, in one pass over the edges."""
+        div = dict.fromkeys(self.floor_ids + self.inf_minus + self.inf_plus, 0)
+        for s, t, w in self.edges:
+            div[s] -= w
+            div[t] += w
+        return div
 
     def finite_edges(self):
         fl = set(self.floor_ids)
@@ -316,8 +326,9 @@ def validate_verbose(diagram, spec):
         return False, violations
     if diagram.genus() != spec.genus:
         violations.append(f"genus {diagram.genus()} != {spec.genus}")
-    div_minus = sum(diagram.divergence(v) for v in diagram.inf_minus)
-    div_plus = sum(diagram.divergence(v) for v in diagram.inf_plus)
+    div = diagram.divergences()
+    div_minus = sum(div[v] for v in diagram.inf_minus)
+    div_plus = sum(div[v] for v in diagram.inf_plus)
     if div_minus != -dd.d_minus:
         violations.append(f"sum div over -inf vertices {div_minus} != {-dd.d_minus}")
     if div_plus != dd.d_plus:
@@ -325,14 +336,14 @@ def validate_verbose(diagram, spec):
     thetas = sorted(th for _, th in diagram.floors)
     if tuple(thetas) != dd.thetas_left():
         violations.append(f"theta list {thetas} != left directions {dd.thetas_left()}")
-    thetas_r = sorted(th + diagram.divergence(f) for f, th in diagram.floors)
+    thetas_r = sorted(th + div[f] for f, th in diagram.floors)
     if tuple(thetas_r) != dd.thetas_right():
         violations.append(
             f"theta+div list {thetas_r} != right directions {dd.thetas_right()}"
         )
     plane = dd.d_plus == 0 and set(dd.thetas_left()) <= {0} and set(dd.thetas_right()) <= {1}
     if plane:
-        bad = [f for f, _ in diagram.floors if diagram.divergence(f) != 1]
+        bad = [f for f, _ in diagram.floors if div[f] != 1]
         if bad:
             violations.append(f"plane case: floors {bad} have divergence != 1")
         total = sum(w for _, _, w in diagram.down_edges())
@@ -369,24 +380,23 @@ def _floor_data(diagram):
     ups), the left and right thetas, the finite edges (s, t, w), and the
     down tails (t, w) and up tails (s, w) in edge order."""
     pos = {f: i for i, f in enumerate(diagram.floor_ids)}
+    div = diagram.divergences()
     return (
         tuple(th for _, th in diagram.floors),
-        tuple(th + diagram.divergence(f) for f, th in diagram.floors),
+        tuple(th + div[f] for f, th in diagram.floors),
         [(pos[s], pos[t], w) for s, t, w in diagram.finite_edges()],
         [(pos[t], w) for _, t, w in diagram.down_edges()],
         [(pos[s], w) for s, _, w in diagram.up_edges()],
     )
 
 
-def _relabellings(data, blocks=None):
+def _relabellings(data, blocks):
     """Relabellings of the floors of `_floor_data` ``data``, one per
     permutation perm (the floor at position i moves to perm[i]).
 
     ``blocks`` lists (sources, targets) pairs of position lists: the floors
     at the source positions move onto the target positions in every order,
-    and the first relabelling keeps each block in order.  Without blocks,
-    all n! relabellings come in `itertools.permutations` order, so the
-    identity comes first.
+    and the first relabelling keeps each block in order.
 
     Yields (perm, lefts, rights, fins, downs, ups): the left and right
     thetas by new position, the finite edges (s, t, w) sorted, and the down
@@ -394,11 +404,7 @@ def _relabellings(data, blocks=None):
     """
     lefts, rights, fins, downs, ups = data
     n = len(lefts)
-    if blocks is None:
-        perms = itertools.permutations(range(n))
-    else:
-        perms = _block_permutations(blocks, n)
-    for perm in perms:
+    for perm in _block_permutations(blocks, n):
         new_lefts, new_rights = [0] * n, [0] * n
         for i, new in enumerate(perm):
             new_lefts[new] = lefts[i]
@@ -431,9 +437,11 @@ def _encode(relabelling):
 
 
 def canonical_key(diagram):
-    """Isomorphism invariant: minimum encoding over all n! relabellings.
-    It fixes the order in which `enumerate_diagrams` returns the classes."""
-    return min(map(_encode, _relabellings(_floor_data(diagram))))
+    """Isomorphism invariant: the least encoding (`_encode`) over all n!
+    relabellings of the floors, found by the branch-and-bound of
+    `_least_forms`.  It fixes the order in which `enumerate_diagrams`
+    returns the classes."""
+    return _least_forms(_floor_data(diagram))[0]
 
 
 def _colour_cells(data):
@@ -513,17 +521,9 @@ def _floor_permutations(diagram):
 
 
 def _class_forms(diagram):
-    """One pass over the n! relabellings of a class representative: its
-    `canonical_key` (the least encoding) and its first labelling (the least
-    `_search_order`)."""
-    key = first = None
-    for relabelling in _relabellings(_floor_data(diagram)):
-        enc, order = _encode(relabelling), _search_order(relabelling)
-        if key is None or enc < key:
-            key = enc
-        if first is None or order < first:
-            first = order
-    lefts, _, pairs, down, up, weights = first
+    """A class representative's `canonical_key` and its first labelling,
+    from one `_least_forms` search."""
+    key, (lefts, _, pairs, down, up, weights) = _least_forms(_floor_data(diagram))
     return key, _build_diagram(
         lefts, pairs, weights, [(t, w) for w, t in down], [(s, w) for w, s in up]
     )
@@ -537,17 +537,135 @@ def _first_labelling(diagram):
     return _class_forms(diagram)[1]
 
 
-def _search_order(relabelling):
-    # tails as (w, t): the weights agree position by position between
-    # relabellings, so these lists compare as their targets do
-    _, lefts, rights, fins, downs, ups = relabelling
+def _least_forms(data):
+    """The least encoding and the least search order over all n!
+    relabellings of the floors of `_floor_data` ``data``, from one
+    branch-and-bound.
+
+    The search order of a relabelling is (left thetas, right thetas, finite
+    pairs (s, t) sorted, down tails (w, t) sorted, up tails (w, s) sorted,
+    finite weights in pair order).  Returns (key, first): the key as
+    `_encode` builds it, and first as those six parts.
+
+    New positions 0, 1, ... are filled in order.  The thetas lead both
+    orders, so a least relabelling puts at position k a floor of least left
+    theta among those not yet placed, and a least in search order one of
+    least (left, right).  With positions 0..k placed, the sorted finite
+    edges start with a known prefix: the edge lists of the placed sources
+    up to the first one, s, with an edge to an unplaced floor, whose list
+    is known up to its edges to placed floors.  Every later entry is at
+    least (s, k+1), or (k+1,) when no placed source has an unplaced target,
+    so the prefix followed by that bound is a lower bound on every leaf of
+    the subtree.  The prefix only grows along a branch.  Children are explored
+    in order of their bounds, each while its bound is not above the best
+    leaf of its order; tails and weights decide between leaves with the
+    same edges.  The last two positions, and all of them for at most three
+    floors, are tried without bounds: at two or six orders, bounding costs
+    more than trying.
+    """
+    lefts, rights, fins, downs, ups = data
+    n, m = len(lefts), len(fins)
+    outs = [[] for _ in range(n)]  # (target, w) per source floor, by weight
+    for s, t, w in sorted(fins, key=lambda e: e[2]):
+        outs[s].append((t, w))
+    slots = sorted(zip(lefts, rights))  # (left, right) by position, least first
+    pos = [-1] * n
+    order = []  # the floor at each placed position
+    # the best leaves: (edges, downs, ups) and (pairs, downs, ups, weights)
+    best_key = best_first = None
+
+    def leaf(key_alive, first_alive):
+        nonlocal best_key, best_first
+        edges = tuple(sorted([(pos[s], pos[t], w) for s, t, w in fins]))
+        if key_alive and (best_key is None or edges <= best_key[0]):
+            key = (
+                edges,
+                tuple(sorted([(pos[t], w) for t, w in downs])),
+                tuple(sorted([(pos[s], w) for s, w in ups])),
+            )
+            if best_key is None or key < best_key:
+                best_key = key
+        if first_alive:
+            pairs = tuple([(s, t) for s, t, _ in edges])
+            if best_first is None or pairs <= best_first[0]:
+                first = (
+                    pairs,
+                    tuple(sorted([(w, pos[t]) for t, w in downs])),
+                    tuple(sorted([(w, pos[s]) for s, w in ups])),
+                    tuple([w for _, _, w in edges]),
+                )
+                if best_first is None or first < best_first:
+                    best_first = first
+
+    def candidates(k, key_alive, first_alive):
+        """(floor, still least in search order) for each floor position k may take."""
+        out = []
+        for f in range(n):
+            if pos[f] < 0 and lefts[f] == slots[k][0]:
+                f_first = first_alive and rights[f] == slots[k][1]
+                if key_alive or f_first:
+                    out.append((f, f_first))
+        return out
+
+    def closed(s):
+        """Whether the floor at position s has no edge to an unplaced floor."""
+        return all(pos[t] >= 0 for t, _ in outs[order[s]])
+
+    def direct(k, key_alive, first_alive):
+        if k == n:
+            leaf(key_alive, first_alive)
+            return
+        for f, f_first in candidates(k, key_alive, first_alive):
+            pos[f] = k
+            direct(k + 1, key_alive, f_first)
+            pos[f] = -1
+
+    def search(k, prefix, pairs, src, key_alive, first_alive):
+        # prefix: the known sorted edges; src: the first placed source whose
+        # edges are not all in it (k when there is none)
+        if n <= 3 or n - k <= 2:
+            direct(k, key_alive, first_alive)
+            return
+        children = []
+        for f, f_first in candidates(k, key_alive, first_alive):
+            pos[f] = k
+            order.append(f)
+            s = src
+            if s < k:
+                ext = [(s, k, w) for t, w in outs[order[s]] if t == f]
+            else:
+                ext = sorted([(k, pos[t], w) for t, w in outs[f] if pos[t] >= 0])
+            while closed(s):
+                s += 1
+                if s > k:
+                    break
+                ext += sorted([(s, pos[t], w) for t, w in outs[order[s]] if pos[t] >= 0])
+            order.pop()
+            pos[f] = -1
+            child = prefix + tuple(ext)
+            child_pairs = pairs + tuple([(a, b) for a, b, _ in ext])
+            if len(child) == m:
+                bound, bound_pairs = child, child_pairs
+            else:
+                nxt = (s, k + 1) if s <= k else (k + 1,)
+                bound, bound_pairs = child + (nxt,), child_pairs + (nxt,)
+            children.append((bound, bound_pairs, f, f_first, child, child_pairs, s))
+        children.sort()
+        for bound, bound_pairs, f, f_first, child, child_pairs, s in children:
+            key_ok = key_alive and (best_key is None or bound <= best_key[0])
+            first_ok = f_first and (best_first is None or bound_pairs <= best_first[0])
+            if key_ok or first_ok:
+                pos[f] = k
+                order.append(f)
+                search(k + 1, child, child_pairs, s, key_ok, first_ok)
+                order.pop()
+                pos[f] = -1
+
+    search(0, (), (), 0, True, True)
+    sorted_lefts = tuple(left for left, _ in slots)
     return (
-        lefts,
-        rights,
-        [(s, t) for s, t, _ in fins],
-        sorted([(w, t) for t, w in downs]),
-        sorted([(w, s) for s, w in ups]),
-        [w for _, _, w in fins],
+        (sorted_lefts, *best_key),
+        (sorted_lefts, tuple(right for _, right in slots), *best_first),
     )
 
 
@@ -708,9 +826,10 @@ def enumerate_diagrams(spec):
     pairs i < j by a search bounded by the prefix cuts (`_pair_multisets`),
     keeps the connected ones and weights them (`_edge_weightings`).  Every
     acyclic diagram has such a topological labelling, so the search is
-    complete.  Duplicates are removed by `refined_key`; each class then
-    takes one pass over its n! relabellings for its `canonical_key`, which
-    orders the output, and its `_first_labelling`, in which it is returned.
+    complete.  Duplicates are removed by `refined_key`.  Each class then
+    takes one `_least_forms` search for its `canonical_key`, which orders
+    the output, and its `_first_labelling`, in which it is returned; both
+    are minima over all n! relabellings of its floors.
     """
     spec.check()
     n = spec.data.d_height

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class LatticeError(Exception):
@@ -469,10 +470,18 @@ class DirectionData:
     d_height: int
 
     def thetas_left(self):
-        return tuple(sorted(slope_of(self.d, v) for v in self.D_left))
+        return self._thetas[0]
 
     def thetas_right(self):
-        return tuple(sorted(slope_of(self.d, v) for v in self.D_right))
+        return self._thetas[1]
+
+    @cached_property
+    def _thetas(self):
+        """The sorted slope coordinates of D_left and D_right, computed once."""
+        return tuple(
+            tuple(sorted(slope_of(self.d, v) for v in vectors))
+            for vectors in (self.D_left, self.D_right)
+        )
 
 
 def direction_data(poly, d):

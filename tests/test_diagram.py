@@ -372,6 +372,11 @@ def test_enumerate_diagrams_output_pinned():
             DiagramSpec(triangle(5), (0, 1), 1, (), (), (), (5,)),
             "bed3d0367da822f0181f2839fbd973b8f856a0f036ef8cecd1cd22445713ef22",
         ),
+        # pinned from the n! relabelling pass that the branch-and-bound replaced
+        (
+            DiagramSpec(triangle(6), (0, 1), 0, (), (), (), (6,)),
+            "7193d08e16f43d18dce406cccc9e630809370b59a5c1aa381f107fea1b0f69e9",
+        ),
     ]
     for spec, digest in pinned:
         text = io.dumps([io.diagram_to_json(d) for d in enumerate_diagrams(spec)])
@@ -487,3 +492,80 @@ def test_enumerate_diagrams_reports_a_split_class(monkeypatch):
     with pytest.raises(InvariantViolation) as err:
         enumerate_diagrams(DiagramSpec(triangle(4), (0, 1), 0, (), (), (), (4,)))
     assert "refined keys" in err.value.violations[0]
+
+
+def _search_order(relabelling):
+    # tails as (w, t): the weights agree position by position between
+    # relabellings, so these lists compare as their targets do
+    _, lefts, rights, fins, downs, ups = relabelling
+    return (
+        lefts,
+        rights,
+        [(s, t) for s, t, _ in fins],
+        sorted([(w, t) for t, w in downs]),
+        sorted([(w, s) for s, w in ups]),
+        [w for _, _, w in fins],
+    )
+
+
+def class_forms_brute_force(diagram):
+    """The pass that the branch-and-bound replaced, kept as its reference:
+    over all n! relabellings of the floors, the least `_encode` (the
+    canonical key) and the diagram in the least `_search_order` (the first
+    labelling)."""
+    data = diagram_mod._floor_data(diagram)
+    everything = [(range(len(diagram.floors)),) * 2]
+    key = first = None
+    for relabelling in diagram_mod._relabellings(data, everything):
+        enc, order = diagram_mod._encode(relabelling), _search_order(relabelling)
+        if key is None or enc < key:
+            key = enc
+        if first is None or order < first:
+            first = order
+    lefts, _, pairs, down, up, weights = first
+    return key, diagram_mod._build_diagram(
+        lefts, pairs, weights, [(t, w) for w, t in down], [(s, w) for w, s in up]
+    )
+
+
+def test_class_forms_match_the_relabelling_pass():
+    rng = random.Random(7)
+    specs = [
+        DiagramSpec(triangle(d), (0, 1), g, (), (), (), (d,))
+        for d in (3, 4, 5)
+        for g in range(triangle(d).interior_points() + 1)
+    ]
+    specs += [DiagramSpec(triangle(6), (0, 1), g, (), (), (), (6,)) for g in (0, 8)]
+    specs += [TZ132_G1, TZ132_G2, DIAMOND_G0, DIAMOND_G1, OCTIC_G0, OCTIC_G1]
+    for spec in specs:
+        for diag in enumerate_diagrams(spec):
+            expected = class_forms_brute_force(diag)
+            assert diagram_mod._class_forms(diag) == expected, (spec, diag)
+            # the forms cannot depend on the labelling they start from
+            shuffled = _shuffled(diag, rng)
+            assert diagram_mod._class_forms(shuffled) == expected, (spec, shuffled)
+
+
+def _random_diagram(rng, n):
+    """A connected acyclic diagram on n floors with random thetas, weights,
+    parallel edges and tails: ties between relabellings with equal finite
+    edges and different tails are common."""
+    edges = [(rng.randrange(t), t, rng.randint(1, 2)) for t in range(1, n)]
+    for _ in range(rng.randint(0, 3)):
+        s, t = sorted(rng.sample(range(n), 2))
+        edges.append((s, t, rng.randint(1, 3)))
+    inf_minus = tuple(range(n, n + rng.randint(0, 3)))
+    inf_plus = tuple(range(n + len(inf_minus), n + len(inf_minus) + rng.randint(0, 2)))
+    edges += [(v, rng.randrange(n), rng.randint(1, 2)) for v in inf_minus]
+    edges += [(rng.randrange(n), v, rng.randint(1, 2)) for v in inf_plus]
+    floors = tuple((i, rng.choice((0, 0, 1))) for i in range(n))
+    return FloorDiagram(floors, inf_minus, inf_plus, tuple(edges))
+
+
+def test_class_forms_match_the_relabelling_pass_on_random_diagrams():
+    rng = random.Random(8)
+    for _ in range(400):
+        diag = _random_diagram(rng, rng.randint(2, 6))
+        expected = class_forms_brute_force(diag)
+        assert diagram_mod._class_forms(diag) == expected, diag
+        assert diagram_mod._class_forms(_shuffled(diag, rng)) == expected, diag
