@@ -18,9 +18,9 @@ representative per class for display and realization.
 
 Generation enumerates finite edges only from floor i to floors j > i:
 every acyclic diagram has such a topological labelling of its floors.  The
-thetas and tails fix the net finite inflow at each floor, which bounds the
-number of edges crossing each prefix cut {0..k}; a depth-first search over
-pair multiplicities keeps within those bounds.  Duplicates are removed by
+thetas and tails fix the net finite inflow at each floor, which fixes the
+weight crossing each prefix cut {0..k}; one depth-first search over
+weighted edges keeps every cut at that weight.  Duplicates are removed by
 `refined_key`, which permutes floors only within the cells of a colour
 refinement.  Each class found is returned in the labelling an exhaustive
 search over all labellings would meet first, so the output does not depend
@@ -197,27 +197,22 @@ class FloorDiagram:
         return component_count(verts, [(s, t) for s, t, _ in self.edges]) == 1
 
     def is_acyclic(self):
-        order = self._topological_floors()
-        return order is not None
-
-    def _topological_floors(self):
-        fl = list(self.floor_ids)
-        indeg = {v: 0 for v in fl}
-        adj = {v: [] for v in fl}
+        """Whether the finite edges have no oriented cycle: removing floors
+        without incoming edges, one at a time, removes them all."""
+        indeg = dict.fromkeys(self.floor_ids, 0)
+        adj = {v: [] for v in indeg}
         for s, t, _ in self.finite_edges():
             indeg[t] += 1
             adj[s].append(t)
-        queue = sorted(v for v in fl if indeg[v] == 0)
-        order = []
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for t in adj[v]:
+        ready = [v for v, d in indeg.items() if d == 0]
+        removed = 0
+        while ready:
+            removed += 1
+            for t in adj[ready.pop()]:
                 indeg[t] -= 1
                 if indeg[t] == 0:
-                    queue.append(t)
-            queue.sort()
-        return order if len(order) == len(fl) else None
+                    ready.append(t)
+        return removed == len(indeg)
 
     # Elements of the poset D = floors + all edges.  Edges are addressed by
     # their index in self.edges so that parallel edges stay distinct.
@@ -318,14 +313,16 @@ def validate(diagram, spec):
 def validate_verbose(diagram, spec):
     violations = []
     dd = spec.data
-    if not diagram.is_connected():
+    try:
+        genus = diagram.genus()
+    except Disconnected:
         violations.append("disconnected")
     if not diagram.is_acyclic():
         violations.append("oriented cycle")
     if violations:
         return False, violations
-    if diagram.genus() != spec.genus:
-        violations.append(f"genus {diagram.genus()} != {spec.genus}")
+    if genus != spec.genus:
+        violations.append(f"genus {genus} != {spec.genus}")
     div = diagram.divergences()
     div_minus = sum(div[v] for v in diagram.inf_minus)
     div_plus = sum(div[v] for v in diagram.inf_plus)
@@ -522,19 +519,14 @@ def _floor_permutations(diagram):
 
 def _class_forms(diagram):
     """A class representative's `canonical_key` and its first labelling,
-    from one `_least_forms` search."""
+    from one `_least_forms` search.  The first labelling is the diagram in
+    the floor labelling that a search over every labelling, iterating in the
+    order of `enumerate_diagrams`, meets first: the one minimising (left
+    thetas, right thetas, finite pairs, down-tail and up-tail targets per
+    weight, finite weights)."""
     key, (lefts, _, pairs, down, up, weights) = _least_forms(_floor_data(diagram))
-    return key, _build_diagram(
-        lefts, pairs, weights, [(t, w) for w, t in down], [(s, w) for w, s in up]
-    )
-
-
-def _first_labelling(diagram):
-    """The diagram in the floor labelling that a search over every labelling,
-    iterating in the order of `enumerate_diagrams`, meets first: the one
-    minimising (left thetas, right thetas, finite pairs, down-tail and
-    up-tail targets per weight, finite weights)."""
-    return _class_forms(diagram)[1]
+    fins = [(s, t, w) for (s, t), w in zip(pairs, weights)]
+    return key, _build_diagram(lefts, fins, [(t, w) for w, t in down], [(s, w) for w, s in up])
 
 
 def _least_forms(data):
@@ -720,100 +712,55 @@ def _boundary_choices(spec):
                         yield tl, tr, down, up, c
 
 
-def _pair_multisets(c, m):
-    """The multisets of m pairs i < j, as tuples in pair order, that pass the
-    prefix-cut bounds of the net inflows c.
+def _weighted_edges(c, m):
+    """The m finite edges (s, t, w), s < t, of every weighting with net
+    inflow c[i] (finite in minus finite out) at each floor in which some
+    edge crosses every cut, as tuples in pair order, the weights of
+    parallel edges not increasing.
 
-    Finite edges go up, so the weight leaving the floors {0..k} is
-    F_k = -(c_0 + ... + c_k).  In a connected diagram some edge leaves, and
-    every edge has weight at least 1, so between 1 and F_k edges cross each
-    cut k < n-1.  The multiplicities are chosen by depth-first search in
-    pair order; a branch ends as soon as a cut holds more than F_k edges,
-    or when the edges still to place cannot fit (every edge from floor k
-    crosses cut k), and the lower bound of cut k is checked once the last
-    pair from floor k is placed.
+    Finite edges go up, so exactly F_k = -(c_0 + ... + c_k) of weight
+    crosses the cut after floor k; the load of every cut equal to F_k is
+    the same condition as net inflow c at every floor.  A connected diagram
+    has an edge across each cut, so a c with some F_k < 1 yields nothing.
+    The edges are chosen by depth-first search in pair order: a weight is
+    tried only while every cut it crosses stays within F_k, a branch ends
+    once the edges still to place cannot fit (every edge from floor k takes
+    at least 1 of cut k), and the load of cut s must equal F_s once the
+    last pair from floor s is left.
     """
     n = len(c)
     flows = list(itertools.accumulate(-x for x in c))[:-1]
     if any(f < 1 for f in flows):
         return
     pairs = list(itertools.combinations(range(n), 2))
-    crossing = [0] * len(flows)
+    heaviest = max(flows, default=0)  # no edge weighs more
+    load = [0] * len(flows)
     chosen = []
 
-    def rec(idx, left):
+    def rec(idx, left, top):
+        # top: the largest weight another edge on pairs[idx] may take
         if idx == len(pairs):
             if not left:
                 yield tuple(chosen)
             return
         s, t = pairs[idx]
-        if left > sum(flows[k] - crossing[k] for k in range(s, n - 1)):
+        if left > sum(flows[k] - load[k] for k in range(s, n - 1)):
             return
         cut = range(s, t)
-        room = min(left, min(flows[k] - crossing[k] for k in cut))
-        for mult in range(room + 1):
-            if mult:
-                chosen.append((s, t))
+        if left:
+            room = min(top, *(flows[k] - load[k] for k in cut))
+            for w in range(1, room + 1):
+                chosen.append((s, t, w))
                 for k in cut:
-                    crossing[k] += 1
-            if t < n - 1 or crossing[s]:
-                yield from rec(idx + 1, left - mult)
-        del chosen[len(chosen) - room:]
-        for k in cut:
-            crossing[k] -= room
+                    load[k] += w
+                yield from rec(idx, left - 1, w)
+                for k in cut:
+                    load[k] -= w
+                chosen.pop()
+        if t < n - 1 or load[s] == flows[s]:
+            yield from rec(idx + 1, left, heaviest)
 
-    yield from rec(0, m)
-
-
-def _edge_weightings(pairs, c):
-    """Positive integer weights on the directed pairs with prescribed per-floor
-    net inflow c[i] (finite in minus finite out)."""
-    m = len(pairs)
-    n = len(c)
-    bound = sum(x for x in c if x > 0)
-    if m == 0:
-        if all(x == 0 for x in c):
-            yield ()
-        return
-    if bound == 0:
-        return
-    in_rem = [0] * n
-    out_rem = [0] * n
-    for s, t in pairs:
-        out_rem[s] += 1
-        in_rem[t] += 1
-    acc_in = [0] * n
-    acc_out = [0] * n
-    result = [0] * m
-
-    def feasible():
-        for i in range(n):
-            lo_in, hi_in = acc_in[i] + in_rem[i], acc_in[i] + in_rem[i] * bound
-            lo_out, hi_out = acc_out[i] + out_rem[i], acc_out[i] + out_rem[i] * bound
-            if lo_in > hi_out + c[i] or hi_in < lo_out + c[i]:
-                return False
-        return True
-
-    def rec(idx):
-        if idx == m:
-            if all(acc_in[i] - acc_out[i] == c[i] for i in range(n)):
-                yield tuple(result)
-            return
-        s, t = pairs[idx]
-        out_rem[s] -= 1
-        in_rem[t] -= 1
-        for w in range(1, bound + 1):
-            acc_out[s] += w
-            acc_in[t] += w
-            result[idx] = w
-            if feasible():
-                yield from rec(idx + 1)
-            acc_out[s] -= w
-            acc_in[t] -= w
-        out_rem[s] += 1
-        in_rem[t] += 1
-
-    yield from rec(0)
+    yield from rec(0, m, heaviest)
 
 
 def enumerate_diagrams(spec):
@@ -822,14 +769,15 @@ def enumerate_diagrams(spec):
 
     The search fixes the theta assignment (left and right slope multisets)
     and the tail census demanded by (alpha, beta), which leaves a net finite
-    inflow at each floor (`_boundary_choices`).  It then chooses the finite
-    pairs i < j by a search bounded by the prefix cuts (`_pair_multisets`),
-    keeps the connected ones and weights them (`_edge_weightings`).  Every
-    acyclic diagram has such a topological labelling, so the search is
-    complete.  Duplicates are removed by `refined_key`.  Each class then
-    takes one `_least_forms` search for its `canonical_key`, which orders
-    the output, and its `_first_labelling`, in which it is returned; both
-    are minima over all n! relabellings of its floors.
+    inflow at each floor (`_boundary_choices`).  It then chooses the
+    weighted finite edges i < j by one search that keeps the weight crossing
+    every prefix cut exact (`_weighted_edges`), and keeps the connected
+    ones.  Every acyclic diagram has such a topological labelling, so the
+    search is complete.  Duplicates are removed by `refined_key`.  Each
+    class then takes one `_least_forms` search (`_class_forms`) for its
+    `canonical_key`, which orders the output, and its first labelling, in
+    which it is returned; both are minima over all n! relabellings of its
+    floors.
     """
     spec.check()
     n = spec.data.d_height
@@ -838,14 +786,12 @@ def enumerate_diagrams(spec):
     m = spec.genus + n - 1
     found = {}
     for tl, tr, down, up, c in _boundary_choices(spec):
-        for pairs in _pair_multisets(c, m):
-            if component_count(range(n), pairs) != 1:
+        for fins in _weighted_edges(c, m):
+            if component_count(range(n), [(s, t) for s, t, _ in fins]) != 1:
                 continue
-            for weights in _edge_weightings(pairs, c):
-                fins = [(s, t, w) for (s, t), w in zip(pairs, weights)]
-                key = _refined_key((tl, tr, fins, down, up))
-                if key not in found:
-                    found[key] = _build_diagram(tl, pairs, weights, down, up)
+            key = _refined_key((tl, tr, fins, down, up))
+            if key not in found:
+                found[key] = _build_diagram(tl, fins, down, up)
     forms = dict(map(_class_forms, found.values()))
     if len(forms) != len(found):
         raise InvariantViolation(
@@ -859,7 +805,7 @@ def enumerate_diagrams(spec):
     return out
 
 
-def _build_diagram(thetas, pairs, weights, down, up):
+def _build_diagram(thetas, fins, down, up):
     n = len(thetas)
     floors = tuple((i, thetas[i]) for i in range(n))
     edges = []
@@ -869,8 +815,7 @@ def _build_diagram(thetas, pairs, weights, down, up):
         edges.append((nid, t, w))
         inf_minus.append(nid)
         nid += 1
-    for (s, t), w in zip(pairs, weights):
-        edges.append((s, t, w))
+    edges += fins
     for s, w in up:
         edges.append((s, nid, w))
         inf_plus.append(nid)

@@ -41,12 +41,6 @@ def frac_str(x):
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_frac(s):
-    if isinstance(s, (int, float)):
-        return Fraction(s)
-    return Fraction(s)
-
-
 def dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
 
@@ -133,7 +127,7 @@ def polynomial_to_json(poly):
 @_reader
 def polynomial_from_json(data):
     return TropicalPolynomial.make(
-        {tuple(t["i"]): parse_frac(t["a"]) for t in data["terms"]}
+        {tuple(t["i"]): Fraction(t["a"]) for t in data["terms"]}
     )
 
 
@@ -156,7 +150,7 @@ def curve_to_json(curve):
 @_reader
 def curve_from_json(data):
     return PlaneTropicalCurve.build(
-        [(parse_frac(x), parse_frac(y)) for x, y in data["vertices"]],
+        [(Fraction(x), Fraction(y)) for x, y in data["vertices"]],
         [
             Segment(s["from"], s["to"], s["w"], tuple(s["dir"]))
             for s in data["segments"]

@@ -126,6 +126,33 @@ def test_validate_examples():
     assert validate(max_genus_trapezium_diagram(), DiagramSpec(trapezium(2, 3, 2), (0, 1), 8, (), (), (2,), (8,)))
 
 
+def test_validate_verbose_messages(monkeypatch):
+    # one connectivity check per call, whatever the violations
+    calls = []
+
+    def counted(nodes, links):
+        calls.append(1)
+        return component_count(nodes, links)
+
+    monkeypatch.setattr(diagram_mod, "component_count", counted)
+    tails = ((3, 0, 1), (4, 0, 1), (5, 2, 1))
+    disconnected = FloorDiagram(((0, 0), (1, 0), (2, 0)), (3, 4, 5), (), tails + ((0, 1, 1),))
+    cyclic = FloorDiagram(
+        ((0, 0), (1, 0), (2, 0)), (3, 4, 5), (), tails + ((0, 1, 1), (1, 2, 1), (2, 1, 1))
+    )
+    both = FloorDiagram(((0, 0), (1, 0), (2, 0)), (3, 4, 5), (), tails + ((0, 1, 1), (1, 0, 1)))
+    cases = [
+        (disconnected, ["disconnected"]),
+        (cyclic, ["oriented cycle"]),
+        (both, ["disconnected", "oriented cycle"]),
+        (genus1_cubic_diagram(), ["genus 1 != 0"]),
+    ]
+    for diag, expected in cases:
+        calls.clear()
+        assert validate_verbose(diag, T3_B3) == (False, expected)
+        assert len(calls) == 1
+
+
 def test_enumerate_diagrams_counts():
     assert len(enumerate_diagrams(T3_B3_G1)) == 1
     assert len(enumerate_diagrams(T3_B3)) == 3
@@ -333,9 +360,9 @@ def test_relabelling_identities():
             assert key == min(encodings)
             # orbit-stabiliser: the relabellings onto the key are a coset of Aut
             assert len(diagram_mod._floor_permutations(diag)) == encodings.count(key)
-            first = diagram_mod._first_labelling(diag)
+            first = diagram_mod._class_forms(diag)[1]
             assert canonical_key(first) == key
-            assert diagram_mod._first_labelling(first) == first
+            assert diagram_mod._class_forms(first)[1] == first
 
 
 def test_count_markings_rejects_a_remainder(monkeypatch):
@@ -417,8 +444,59 @@ def _cut_feasible(c, cuts):
     return True
 
 
+def _edge_weightings(pairs, c):
+    """Positive integer weights on the directed pairs with prescribed per-floor
+    net inflow c[i] (finite in minus finite out)."""
+    m = len(pairs)
+    n = len(c)
+    bound = sum(x for x in c if x > 0)
+    if m == 0:
+        if all(x == 0 for x in c):
+            yield ()
+        return
+    if bound == 0:
+        return
+    in_rem = [0] * n
+    out_rem = [0] * n
+    for s, t in pairs:
+        out_rem[s] += 1
+        in_rem[t] += 1
+    acc_in = [0] * n
+    acc_out = [0] * n
+    result = [0] * m
+
+    def feasible():
+        for i in range(n):
+            lo_in, hi_in = acc_in[i] + in_rem[i], acc_in[i] + in_rem[i] * bound
+            lo_out, hi_out = acc_out[i] + out_rem[i], acc_out[i] + out_rem[i] * bound
+            if lo_in > hi_out + c[i] or hi_in < lo_out + c[i]:
+                return False
+        return True
+
+    def rec(idx):
+        if idx == m:
+            if all(acc_in[i] - acc_out[i] == c[i] for i in range(n)):
+                yield tuple(result)
+            return
+        s, t = pairs[idx]
+        out_rem[s] -= 1
+        in_rem[t] -= 1
+        for w in range(1, bound + 1):
+            acc_out[s] += w
+            acc_in[t] += w
+            result[idx] = w
+            if feasible():
+                yield from rec(idx + 1)
+            acc_out[s] -= w
+            acc_in[t] -= w
+        out_rem[s] += 1
+        in_rem[t] += 1
+
+    yield from rec(0)
+
+
 def _weightable(pairs, c):
-    return next(diagram_mod._edge_weightings(pairs, list(c)), None) is not None
+    return next(_edge_weightings(pairs, list(c)), None) is not None
 
 
 def pair_multisets_brute_force(spec):
@@ -441,6 +519,8 @@ def pair_multisets_brute_force(spec):
 
 
 def test_prefix_cut_search_matches_the_pair_scan():
+    # the weighted-edge search against the pair scan followed by the
+    # weighting search it replaced: the same connected weighted multisets
     specs = [
         DiagramSpec(triangle(d), (0, 1), g, (), (), (), (d,)) for d in (3, 4, 5) for g in (0, 1, 2)
     ]
@@ -449,13 +529,25 @@ def test_prefix_cut_search_matches_the_pair_scan():
     for spec in specs:
         n = spec.data.d_height
         m = spec.genus + n - 1
-        for c, expected in pair_multisets_brute_force(spec).items():
-            searched = list(diagram_mod._pair_multisets(list(c), m))
-            assert len(searched) == len(set(searched))
-            assert all(list(p) == sorted(p) for p in searched)
-            got = {
-                p for p in searched if component_count(range(n), p) == 1 and _weightable(p, c)
+        for c, multisets in pair_multisets_brute_force(spec).items():
+            expected = {
+                tuple(sorted(zip(pairs, weights)))
+                for pairs in multisets
+                for weights in _edge_weightings(pairs, list(c))
             }
+            searched = list(diagram_mod._weighted_edges(list(c), m))
+            assert len(searched) == len(set(searched))
+            got = set()
+            for fins in searched:
+                # pair order, the weights of parallel edges not increasing
+                assert list(fins) == sorted(fins, key=lambda e: (e[0], e[1], -e[2]))
+                inflow = [0] * n
+                for s, t, w in fins:
+                    inflow[s] -= w
+                    inflow[t] += w
+                assert tuple(inflow) == c
+                if component_count(range(n), [(s, t) for s, t, _ in fins]) == 1:
+                    got.add(tuple(sorted(((s, t), w) for s, t, w in fins)))
             assert got == expected, (spec, c)
 
 
@@ -523,8 +615,9 @@ def class_forms_brute_force(diagram):
         if first is None or order < first:
             first = order
     lefts, _, pairs, down, up, weights = first
+    fins = [(s, t, w) for (s, t), w in zip(pairs, weights)]
     return key, diagram_mod._build_diagram(
-        lefts, pairs, weights, [(t, w) for w, t in down], [(s, w) for w, s in up]
+        lefts, fins, [(t, w) for w, t in down], [(s, w) for w, s in up]
     )
 
 
