@@ -155,6 +155,12 @@ class FloorDiagram:
 
     # -- basic structure ----------------------------------------------------
 
+    @cached_property
+    def refined_key(self):
+        """See the module function `refined_key`; computed once, since a
+        diagram is immutable."""
+        return _refined_key(_floor_data(self))
+
     @property
     def floor_ids(self):
         return tuple(f for f, _ in self.floors)
@@ -503,7 +509,7 @@ def refined_key(diagram):
     the cells of the colour refinement.  Isomorphisms keep colours, so two
     diagrams have equal keys exactly when they are isomorphic; the key is
     not `canonical_key`, which minimises over all n! relabellings."""
-    return _refined_key(_floor_data(diagram))
+    return diagram.refined_key
 
 
 def _floor_permutations(diagram):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .diagram import FloorDiagram, Marking
 from .lattice import LatticePolygon
@@ -42,7 +43,36 @@ def frac_str(x):
 
 
 def dumps(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
+    """The bytes of json.dumps(obj, sort_keys=True, separators=(",", ": "),
+    indent=1), written without json's pure-Python indent encoder: one item
+    per line, one more space of indent per level, "{}" and "[]" for empty
+    containers, keys sorted, strings ASCII-escaped.  Keys must be strings."""
+    return _encode(obj, "\n")
+
+
+def _encode(obj, nl):
+    # nl is the newline plus the indent of obj's own line; str and int
+    # first, as they are most of the calls
+    t = type(obj)
+    if t is str:
+        return encode_basestring_ascii(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + " "
+        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in obj]) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + " "
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())]
+        ) + nl + "}"
+    # None, booleans, floats and subclasses of str and int as json writes
+    # them, or json's TypeError for anything else
+    return json.dumps(obj)
 
 
 # -- polygons ---------------------------------------------------------------

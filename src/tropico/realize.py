@@ -11,8 +11,10 @@ it meets; the marked point of each element pins its position.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import diagram as diagram_mod
 from . import lattice
@@ -35,6 +37,17 @@ class InvalidMarking(RealizeError):
 
 def _transverse_axis(d):
     return scale(perp(d), -1)
+
+
+class IntegerFrame(NamedTuple):
+    """A configuration's abscissae and heights as integers: each value
+    times scale, the lcm of all their denominators."""
+
+    scale: int
+    xs: tuple  # <e, p> of the points
+    hs: tuple  # <d, p> of the points
+    omega_minus: tuple
+    omega_plus: tuple
 
 
 @dataclass(frozen=True)
@@ -63,6 +76,19 @@ class PointConfig:
         )
         if len(set(taus)) != len(taus):
             raise RealizeError("transverse coordinates must be pairwise distinct")
+
+    @functools.cached_property
+    def frame(self):
+        """The IntegerFrame that `realize` computes on."""
+        d, e = self.direction, _transverse_axis(self.direction)
+        groups = (
+            [dot(e, p) for p in self.points],
+            [dot(d, p) for p in self.points],
+            self.omega_minus,
+            self.omega_plus,
+        )
+        m = math.lcm(*(v.denominator for g in groups for v in g))
+        return IntegerFrame(m, *(tuple(v.numerator * (m // v.denominator) for v in g) for g in groups))
 
 
 @functools.lru_cache(maxsize=64)
@@ -140,22 +166,22 @@ def realize(diagram, marking, cfg, spec):
     by epsilon * weight at every elevator, and is translated along the
     direction to contain its own marked point.  Raises SpacingTooSmall
     when the prescribed incidences collide.
+
+    Abscissae and heights are the integers of cfg.frame (the values times
+    its scale L): slopes are integers, so every breakpoint height is an
+    integer too, and every comparison is an integer one.  Fractions are
+    built only for the result.
     """
     if not diagram_mod.validate(diagram, spec):
         raise InvalidMarking("diagram does not validate against the spec")
     d = spec.direction
     e = _transverse_axis(d)
     n2 = dot(d, d)
+    frame = cfg.frame
     labels = marking.as_dict()
     element_label = {el: lab for lab, el in labels.items()}
     s = spec.s
     lo = -diagram_mod.nseq_abs(spec.alpha_minus) + 1
-
-    def xi_of_point(p):
-        return dot(e, p)
-
-    def h_of_point(p):
-        return dot(d, p)
 
     # supporting abscissa of every edge
     edge_xi = {}
@@ -164,11 +190,11 @@ def realize(diagram, marking, cfg, spec):
         if lab is None:
             raise InvalidMarking(f"edge {idx} is unmarked")
         if lab < 1:
-            edge_xi[idx] = cfg.omega_minus[lab - lo]
+            edge_xi[idx] = frame.omega_minus[lab - lo]
         elif lab > s:
-            edge_xi[idx] = cfg.omega_plus[lab - s - 1]
+            edge_xi[idx] = frame.omega_plus[lab - s - 1]
         else:
-            edge_xi[idx] = xi_of_point(cfg.points[lab - 1])
+            edge_xi[idx] = frame.xs[lab - 1]
 
     floors = set(diagram.floor_ids)
     sigma0 = dot(d, perp(lattice.slope_reference(d)))
@@ -192,8 +218,7 @@ def realize(diagram, marking, cfg, spec):
         lab = element_label.get(("f", f))
         if lab is None or not 1 <= lab <= s:
             raise InvalidMarking(f"floor {f} must carry a point label")
-        anchor = cfg.points[lab - 1]
-        xi_a, h_a = xi_of_point(anchor), h_of_point(anchor)
+        xi_a, h_a = frame.xs[lab - 1], frame.hs[lab - 1]
         if any(x == xi_a for x, *_ in inc):
             raise SpacingTooSmall(f"marked point of floor {f} sits on an elevator")
         slopes = [diagram.theta(f)]
@@ -211,6 +236,7 @@ def realize(diagram, marking, cfg, spec):
         floor_edges[f] = inc
 
     # source graph: breakpoints per floor, then elevators and rays
+    den = n2 * frame.scale
     positions = []
     pedges = []
     bp_index = {}
@@ -219,7 +245,9 @@ def realize(diagram, marking, cfg, spec):
         slopes = floor_slope_seq[f]
         for k, (x, h) in enumerate(zip(xs, hs)):
             bp_index[(f, k)] = len(positions)
-            positions.append(_plane_point(x, h, d, e, n2))
+            positions.append(
+                (Fraction(h * d[0] + x * e[0], den), Fraction(h * d[1] + x * e[1], den))
+            )
         for k in range(len(xs) - 1):
             pedges.append(
                 PEdge(bp_index[(f, k)], bp_index[(f, k + 1)], 1, slope_vector(d, slopes[k + 1]))
@@ -230,8 +258,8 @@ def realize(diagram, marking, cfg, spec):
         pedges.append(PEdge(bp_index[(f, len(xs) - 1)], -1, 1, right))
 
     for idx, (a, b, w) in enumerate(diagram.edges):
-        xi = edge_xi[idx]
         lab = element_label[("e", idx)]
+        hp = frame.hs[lab - 1] if 1 <= lab <= s else None
         if a in floors and b in floors:
             ka = _breakpoint_at(floor_edges[a], idx)
             kb = _breakpoint_at(floor_edges[b], idx)
@@ -242,46 +270,36 @@ def realize(diagram, marking, cfg, spec):
                 raise SpacingTooSmall(
                     f"elevator {idx}: floors {a} and {b} are not in height order"
                 )
-            if 1 <= lab <= s:
-                hp = h_of_point(cfg.points[lab - 1])
-                if not ha < hp < hb:
-                    raise SpacingTooSmall(f"elevator {idx} misses its marked point")
+            if hp is not None and not ha < hp < hb:
+                raise SpacingTooSmall(f"elevator {idx} misses its marked point")
             pedges.append(PEdge(ia, ib, w, d))
         elif b in floors:  # down tail into floor b
             kb = _breakpoint_at(floor_edges[b], idx)
             hb = floor_paths[b][1][kb]
-            if 1 <= lab <= s:
-                hp = h_of_point(cfg.points[lab - 1])
-                if not hp < hb:
-                    raise SpacingTooSmall(f"down tail {idx} misses its marked point")
+            if hp is not None and not hp < hb:
+                raise SpacingTooSmall(f"down tail {idx} misses its marked point")
             pedges.append(PEdge(bp_index[(b, kb)], -1, w, scale(d, -1)))
         else:  # up tail out of floor a
             ka = _breakpoint_at(floor_edges[a], idx)
             ha = floor_paths[a][1][ka]
-            if 1 <= lab <= s:
-                hp = h_of_point(cfg.points[lab - 1])
-                if not hp > ha:
-                    raise SpacingTooSmall(f"up tail {idx} misses its marked point")
+            if hp is not None and not hp > ha:
+                raise SpacingTooSmall(f"up tail {idx} misses its marked point")
             pedges.append(PEdge(bp_index[(a, ka)], -1, w, d))
 
-    curve = ParametrizedCurve.build(positions, pedges)
+    curve = ParametrizedCurve(tuple(positions), tuple(pedges))
+    unit = frame.scale
     floor_paths_out = tuple(
         (
             f,
-            tuple(zip(*floor_paths[f])) if floor_paths[f][0] else (),
+            tuple((Fraction(x, unit), Fraction(h, unit)) for x, h in zip(*floor_paths[f])),
             tuple(floor_slope_seq[f]),
         )
         for f in diagram.floor_ids
     )
-    elevator_lines = tuple((idx, edge_xi[idx]) for idx in range(len(diagram.edges)))
-    return Realization(curve, floor_paths_out, elevator_lines, spec, diagram, marking)
-
-
-def _plane_point(xi, h, d, e, n2):
-    return (
-        Fraction(h * d[0] + xi * e[0], n2),
-        Fraction(h * d[1] + xi * e[1], n2),
+    elevator_lines = tuple(
+        (idx, Fraction(edge_xi[idx], unit)) for idx in range(len(diagram.edges))
     )
+    return Realization(curve, floor_paths_out, elevator_lines, spec, diagram, marking)
 
 
 def _path_heights(xs, slopes, xi_a, h_a, slope_h):
@@ -289,7 +307,7 @@ def _path_heights(xs, slopes, xi_a, h_a, slope_h):
     abscissae and slope sequence, passing through (xi_a, h_a)."""
     if not xs:
         return []
-    hs = [Fraction(0)] * len(xs)
+    hs = [0] * len(xs)
     for k in range(1, len(xs)):
         hs[k] = hs[k - 1] + slope_h(slopes[k]) * (xs[k] - xs[k - 1])
     # evaluate the unanchored path at xi_a

@@ -59,7 +59,8 @@ class InvariantViolation(TropicalError):
 
 
 def _frac_point(p):
-    return (Fraction(p[0]), Fraction(p[1]))
+    x, y = p
+    return (x if type(x) is Fraction else Fraction(x), y if type(y) is Fraction else Fraction(y))
 
 
 def rational_primitive(v):
@@ -854,11 +855,11 @@ def _intersect_pieces(p1, q1, u1, p2, q2, u2):
     """Intersection of two straight pieces (segments or rays) with integer
     end points (see _integral_frame); q is None for a ray.
 
-    Returns None (disjoint), or (point, at_end) for a single common point
-    in the same coordinates, at_end marking contact at an endpoint of
-    either piece.  Positive-length overlap raises NonTransverse.  Crossing
-    and containment are decided by integer sign tests; a Fraction is built
-    only for the common point.
+    Returns None (disjoint), or ((x, y, den), at_end) for a single common
+    point (x / den, y / den) in the same coordinates, den > 0, at_end
+    marking contact at an endpoint of either piece.  Positive-length
+    overlap raises NonTransverse.  Everything is integer arithmetic: the
+    caller builds Fractions for the points it keeps.
     """
     rx, ry = p2[0] - p1[0], p2[1] - p1[1]
     d = det(u1, u2)
@@ -876,9 +877,7 @@ def _intersect_pieces(p1, q1, u1, p2, q2, u2):
         t = max(x for x in (i1[0], i2[0]) if x is not None)
         n2 = canon[0] ** 2 + canon[1] ** 2
         t0 = canon[0] * p1[0] + canon[1] * p1[1]
-        lam = Fraction(t - t0, n2)
-        point = (p1[0] + lam * canon[0], p1[1] + lam * canon[1])
-        return point, True
+        return (p1[0] * n2 + (t - t0) * canon[0], p1[1] * n2 + (t - t0) * canon[1], n2), True
     # p1 + s u1 = p2 + t u2 with s = sn / d and t = tn / d, d > 0
     sn = rx * u2[1] - ry * u2[0]
     tn = rx * u1[1] - ry * u1[0]
@@ -898,8 +897,7 @@ def _intersect_pieces(p1, q1, u1, p2, q2, u2):
         if tval > tmax:
             return None
         at_end = at_end or tval == tmax
-    point = (Fraction(p1[0] * d + sn * u1[0], d), Fraction(p1[1] * d + sn * u1[1], d))
-    return point, at_end
+    return (p1[0] * d + sn * u1[0], p1[1] * d + sn * u1[1], d), at_end
 
 
 def stable_intersection(c1, c2):
@@ -920,8 +918,8 @@ def stable_intersection(c1, c2):
             hit = _intersect_pieces(p1, q1, u1, p2, q2, u2)
             if hit is None:
                 continue
-            (x, y), at_end = hit
-            point = (x / m, y / m)
+            (x, y, den), at_end = hit
+            point = (Fraction(x, den * m), Fraction(y, den * m))
             if at_end:
                 raise NonTransverse(f"intersection at a vertex: {point}")
             mult = w1 * w2 * abs(det(u1, u2))
@@ -960,7 +958,10 @@ def _parametrized_to_plane(pc, newton=None):
     resumes at row min(a, number of segments before the split), where a
     is the split pair's first row.  With P pieces the scan is O(P^2)
     integer tests (see _intersect_pieces) plus, per crossing, a rescan of
-    the rows from the resume row to a: one row unless a is a ray.
+    the rows from the resume row to a: one row unless a is a ray.  Each
+    piece carries its integer bounding box, unbounded along a ray's
+    direction; two pieces with disjoint boxes share no point, so the pair
+    is skipped without a test and the splits are the same.
     """
     vertices = list(pc.positions)
     segs = []
@@ -972,25 +973,37 @@ def _parametrized_to_plane(pc, newton=None):
             rays.append([e.a, e.direction, e.weight])
 
     def pieces_now():
+        # (p, q, u, tag, x0, x1, y0, y1) with [x0, x1] x [y0, y1] the box
         m, ints = _integral_frame(vertices)
-        out = [(ints[a], ints[b], u, ("s", i)) for i, (a, b, w, u) in enumerate(segs)]
-        out += [(ints[a], None, u, ("r", i)) for i, (a, u, w) in enumerate(rays)]
+        out = []
+        for i, (a, b, w, u) in enumerate(segs):
+            (px, py), (qx, qy) = p, q = ints[a], ints[b]
+            out.append((p, q, u, ("s", i), min(px, qx), max(px, qx), min(py, qy), max(py, qy)))
+        for i, (a, u, w) in enumerate(rays):
+            px, py = p = ints[a]
+            out.append((
+                p, None, u, ("r", i),
+                -math.inf if u[0] < 0 else px, math.inf if u[0] > 0 else px,
+                -math.inf if u[1] < 0 else py, math.inf if u[1] > 0 else py,
+            ))
         return m, out
 
     crossings = set()
     m, pieces = pieces_now()
     row = 0
     while row < len(pieces):
-        p1, q1, u1, t1 = pieces[row]
-        for p2, q2, u2, t2 in pieces[row + 1:]:
+        p1, q1, u1, t1, x0, x1, y0, y1 = pieces[row]
+        for p2, q2, u2, t2, a0, a1, b0, b1 in pieces[row + 1:]:
+            if a1 < x0 or a0 > x1 or b1 < y0 or b0 > y1:
+                continue
             hit = _intersect_pieces(p1, q1, u1, p2, q2, u2)
             if hit is not None and not hit[1]:
                 break
         else:
             row += 1
             continue
-        (x, y), _ = hit
-        vertices.append((x / m, y / m))
+        (x, y, den), _ = hit
+        vertices.append((Fraction(x, den * m), Fraction(y, den * m)))
         vi = len(vertices) - 1
         crossings.add(vi)
         row = min(row, len(segs))

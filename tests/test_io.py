@@ -1,0 +1,100 @@
+import json
+from fractions import Fraction
+
+import pytest
+
+from tropico import io
+from tropico.cli import cmd
+
+
+def reference(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        (),
+        {"a": {}, "b": [], "c": [[], {}], "d": [{}]},
+        [[[]], [{}], {"x": [[]]}],
+        {"z": 1, "a": {"y": [1, 2], "b": {"c": {}}}},
+        'quote " and backslash \\ and slash /',
+        {'k"ey': 'v\\al', "back\\slash": "x"},
+        "control \x00 \x01 \x1f \t \n \r \b \f \x7f",
+        "non-ASCII: é ü ñ ☃ 𝄞 中文",
+        {"é": ["ü", "☃"], "𝄞": {"中": "文"}},
+        [-1, 0, -(10**40), 10**40, 2**63, -(2**63)],
+        [True, False, None, {"t": True, "f": False, "n": None}],
+        (1, (2, [3, (4,)]), {"t": (5, 6)}),
+        [1.5, -0.0, 1e300, 0.1, float("inf"), float("-inf")],
+        ["a", 1, ["b", 2, [None]], {"k": [{"deep": [1, [2, [3]]]}]}],
+        "",
+        0,
+        None,
+    ],
+)
+def test_dumps_equals_the_json_reference(obj):
+    assert io.dumps(obj) == reference(obj)
+
+
+def test_dumps_rejects_what_json_rejects():
+    for bad in (Fraction(1, 2), [1, {2}], {"a": object()}):
+        with pytest.raises(TypeError) as ours:
+            io.dumps(bad)
+        with pytest.raises(TypeError) as theirs:
+            reference(bad)
+        assert str(ours.value) == str(theirs.value)
+    with pytest.raises(TypeError):
+        io.dumps({1: "keys must be strings"})
+
+
+@pytest.fixture
+def files(tmp_path):
+    (tmp_path / "t3.json").write_text(json.dumps({"vertices": [[0, 0], [3, 0], [0, 3]]}))
+    (tmp_path / "octic.json").write_text(
+        json.dumps({"vertices": [[0, 1], [1, 0], [2, 0], [3, 1], [3, 2], [2, 3], [1, 3], [0, 2]]})
+    )
+    (tmp_path / "conic.json").write_text(json.dumps({"terms": [
+        {"i": [0, 0], "a": "0/1"}, {"i": [1, 0], "a": "1/2"}, {"i": [0, 1], "a": "-1/3"},
+        {"i": [2, 0], "a": "-2/1"}, {"i": [1, 1], "a": "1/1"}, {"i": [0, 2], "a": "-5/2"},
+    ]}))
+    return tmp_path
+
+
+def _printed_objects(monkeypatch, capsys, argv):
+    """Run a CLI command; return what it printed and the objects it passed
+    to io.dumps."""
+    seen = []
+    dumps = io.dumps
+    monkeypatch.setattr(io, "dumps", lambda obj: seen.append(obj) or dumps(obj))
+    assert cmd(argv) == 0
+    monkeypatch.undo()
+    return capsys.readouterr().out, seen
+
+
+def test_dumps_equals_the_json_reference_on_cli_output(files, monkeypatch, capsys):
+    t3, octic = str(files / "t3.json"), str(files / "octic.json")
+    diagram = files / "diagram.json"
+    marking = files / "marking.json"
+    out, seen = _printed_objects(monkeypatch, capsys, [
+        "diagrams", "--polygon", t3, "--genus", "0", "--beta-minus", "3", "--markings"])
+    entry = seen[0][0]
+    diagram.write_text(reference({k: entry[k] for k in ("floors", "inf_minus", "inf_plus", "edges")}))
+    marking.write_text(reference(entry["markings"][0]))
+    commands = [
+        ["polygon", "report", octic, "--probe-dirs", "2"],
+        ["tropicalize", "--poly", str(files / "conic.json"), "--subdivision"],
+        ["realize", "--polygon", t3, "--genus", "0", "--beta-minus", "3",
+         "--diagram", str(diagram), "--marking", str(marking)],
+    ]
+    printed = [(out, seen)] + [_printed_objects(monkeypatch, capsys, argv) for argv in commands]
+    for out, seen in printed:
+        assert len(seen) == 1
+        assert out == reference(seen[0]) + "\n"
+    kinds = [set(seen[0]) if isinstance(seen[0], dict) else set(seen[0][0]) for _, seen in printed]
+    assert "markings" in kinds[0]
+    assert "double_area" in kinds[1]
+    assert "subdivision" in kinds[2]
+    assert {"curve", "floors", "elevators"} <= kinds[3]

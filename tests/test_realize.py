@@ -17,11 +17,26 @@ from tropico.diagram import (
     nseq_Ipow,
     validate,
 )
-from tropico.lattice import LatticePolygon, det, diamond, octic_quadrilateral, perp, triangle
+from tropico.lattice import (
+    LatticePolygon,
+    det,
+    diamond,
+    direction_data,
+    dot,
+    octic_quadrilateral,
+    perp,
+    scale,
+    slope_reference,
+    slope_vector,
+    triangle,
+)
 from tropico.realize import (
+    InvalidMarking,
     PointConfig,
     RealizeError,
+    Realization,
     SpacingTooSmall,
+    default_spacing,
     floor_decompose,
     point_on_curve,
     points_on_curve,
@@ -29,6 +44,8 @@ from tropico.realize import (
     realize_stretched,
     stretch_points,
     verify_realization,
+    _breakpoint_at,
+    _transverse_axis,
 )
 from tropico.tropical import ParametrizedCurve, PEdge, check_balancing, tropical_multiplicity
 
@@ -379,3 +396,257 @@ def test_points_on_curve_match_brute_force():
     cands = [(Fraction(3, 2), 3), (Fraction(3, 4), Fraction(3, 2)), (2, 4), (-1, -2), (0, 0)]
     assert points_on_curve(pc, cands) == [True, True, False, False, True]
     assert [point_on_curve_brute_force(pc, c) for c in cands] == [True, True, False, False, True]
+
+
+def realize_fraction_reference(diagram, marking, cfg, spec):
+    """`realize` in Fractions throughout, every abscissa and height read
+    from the points of cfg: the oracle for its integer frame."""
+    if not diagram_module.validate(diagram, spec):
+        raise InvalidMarking("diagram does not validate against the spec")
+    d = spec.direction
+    e = _transverse_axis(d)
+    n2 = dot(d, d)
+    labels = marking.as_dict()
+    element_label = {el: lab for lab, el in labels.items()}
+    s = spec.s
+    lo = -diagram_module.nseq_abs(spec.alpha_minus) + 1
+
+    def xi_of_point(p):
+        return dot(e, p)
+
+    def h_of_point(p):
+        return dot(d, p)
+
+    edge_xi = {}
+    for idx in range(len(diagram.edges)):
+        lab = element_label.get(("e", idx))
+        if lab is None:
+            raise InvalidMarking(f"edge {idx} is unmarked")
+        if lab < 1:
+            edge_xi[idx] = cfg.omega_minus[lab - lo]
+        elif lab > s:
+            edge_xi[idx] = cfg.omega_plus[lab - s - 1]
+        else:
+            edge_xi[idx] = xi_of_point(cfg.points[lab - 1])
+
+    floors = set(diagram.floor_ids)
+    sigma0 = dot(d, perp(slope_reference(d)))
+
+    def slope_h(m):
+        return sigma0 + m * n2
+
+    floor_paths = {}
+    floor_slope_seq = {}
+    floor_edges = {}
+    for f in diagram.floor_ids:
+        inc = []
+        for idx, (a, b, w) in enumerate(diagram.edges):
+            if a == f or b == f:
+                eps = 1 if b == f else -1
+                inc.append((edge_xi[idx], idx, eps, w))
+        inc.sort()
+        if len({x for x, *_ in inc}) != len(inc):
+            raise SpacingTooSmall(f"two elevators of floor {f} share an abscissa")
+        lab = element_label.get(("f", f))
+        if lab is None or not 1 <= lab <= s:
+            raise InvalidMarking(f"floor {f} must carry a point label")
+        anchor = cfg.points[lab - 1]
+        xi_a, h_a = xi_of_point(anchor), h_of_point(anchor)
+        if any(x == xi_a for x, *_ in inc):
+            raise SpacingTooSmall(f"marked point of floor {f} sits on an elevator")
+        slopes = [diagram.theta(f)]
+        for _, _, eps, w in inc:
+            slopes.append(slopes[-1] + eps * w)
+        if slopes[-1] != diagram.theta(f) + diagram.divergence(f):
+            raise RealizeError(
+                f"floor {f}: slope {slopes[-1]} after its elevators != theta + divergence"
+            )
+        xs = [x for x, *_ in inc]
+        hs = _path_heights_reference(xs, slopes, xi_a, h_a, slope_h)
+        floor_paths[f] = (xs, hs)
+        floor_slope_seq[f] = slopes
+        floor_edges[f] = inc
+
+    positions = []
+    pedges = []
+    bp_index = {}
+    for f in diagram.floor_ids:
+        xs, hs = floor_paths[f]
+        slopes = floor_slope_seq[f]
+        for k, (x, h) in enumerate(zip(xs, hs)):
+            bp_index[(f, k)] = len(positions)
+            positions.append(
+                (Fraction(h * d[0] + x * e[0], n2), Fraction(h * d[1] + x * e[1], n2))
+            )
+        for k in range(len(xs) - 1):
+            pedges.append(
+                PEdge(bp_index[(f, k)], bp_index[(f, k + 1)], 1, slope_vector(d, slopes[k + 1]))
+            )
+        left = slope_vector(d, slopes[0])
+        right = slope_vector(d, slopes[-1])
+        pedges.append(PEdge(bp_index[(f, 0)], -1, 1, scale(left, -1)))
+        pedges.append(PEdge(bp_index[(f, len(xs) - 1)], -1, 1, right))
+
+    for idx, (a, b, w) in enumerate(diagram.edges):
+        lab = element_label[("e", idx)]
+        if a in floors and b in floors:
+            ka = _breakpoint_at(floor_edges[a], idx)
+            kb = _breakpoint_at(floor_edges[b], idx)
+            ia, ib = bp_index[(a, ka)], bp_index[(b, kb)]
+            ha = floor_paths[a][1][ka]
+            hb = floor_paths[b][1][kb]
+            if ha >= hb:
+                raise SpacingTooSmall(
+                    f"elevator {idx}: floors {a} and {b} are not in height order"
+                )
+            if 1 <= lab <= s:
+                hp = h_of_point(cfg.points[lab - 1])
+                if not ha < hp < hb:
+                    raise SpacingTooSmall(f"elevator {idx} misses its marked point")
+            pedges.append(PEdge(ia, ib, w, d))
+        elif b in floors:
+            kb = _breakpoint_at(floor_edges[b], idx)
+            hb = floor_paths[b][1][kb]
+            if 1 <= lab <= s:
+                hp = h_of_point(cfg.points[lab - 1])
+                if not hp < hb:
+                    raise SpacingTooSmall(f"down tail {idx} misses its marked point")
+            pedges.append(PEdge(bp_index[(b, kb)], -1, w, scale(d, -1)))
+        else:
+            ka = _breakpoint_at(floor_edges[a], idx)
+            ha = floor_paths[a][1][ka]
+            if 1 <= lab <= s:
+                hp = h_of_point(cfg.points[lab - 1])
+                if not hp > ha:
+                    raise SpacingTooSmall(f"up tail {idx} misses its marked point")
+            pedges.append(PEdge(bp_index[(a, ka)], -1, w, d))
+
+    curve = ParametrizedCurve.build(positions, pedges)
+    floor_paths_out = tuple(
+        (
+            f,
+            tuple(zip(*floor_paths[f])) if floor_paths[f][0] else (),
+            tuple(floor_slope_seq[f]),
+        )
+        for f in diagram.floor_ids
+    )
+    elevator_lines = tuple((idx, edge_xi[idx]) for idx in range(len(diagram.edges)))
+    return Realization(curve, floor_paths_out, elevator_lines, spec, diagram, marking)
+
+
+def _path_heights_reference(xs, slopes, xi_a, h_a, slope_h):
+    if not xs:
+        return []
+    hs = [Fraction(0)] * len(xs)
+    for k in range(1, len(xs)):
+        hs[k] = hs[k - 1] + slope_h(slopes[k]) * (xs[k] - xs[k - 1])
+    k = 0
+    while k < len(xs) and xs[k] < xi_a:
+        k += 1
+    if k == 0:
+        base = hs[0] + slope_h(slopes[0]) * (xi_a - xs[0])
+    else:
+        base = hs[k - 1] + slope_h(slopes[k]) * (xi_a - xs[k - 1])
+    off = h_a - base
+    return [h + off for h in hs]
+
+
+def _toric(polygon, g):
+    dd = direction_data(polygon, (0, 1))
+    return DiagramSpec(polygon, (0, 1), g, (), (),
+                       (dd.d_plus,) if dd.d_plus else (), (dd.d_minus,) if dd.d_minus else ())
+
+
+# T4 g=0, then the specs of acceptance criterion 8: 340 marked diagrams
+REALIZE_CORPUS = [
+    DiagramSpec(triangle(4), (0, 1), 0, (), (), (), (4,)),
+    T3_G0,
+    DiagramSpec(triangle(3), (0, 1), 0, (), (), (), (1, 1)),
+    DiagramSpec(triangle(3), (0, 1), 0, (), (0, 1), (), (1,)),
+    T3_G1,
+    _toric(diamond(), 0),
+    _toric(octic_quadrilateral(), 1),
+    _toric(octic_quadrilateral(), 0),
+]
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the RealizeError it raises."""
+    try:
+        return fn(*args)
+    except RealizeError as exc:
+        return type(exc), str(exc)
+
+
+def _marked(spec):
+    return [(diag, marking) for diag in enumerate_diagrams(spec)
+            for marking in enumerate_markings(diag, spec)]
+
+
+def test_integer_frame_matches_fraction_reference_on_the_corpus():
+    items = [(spec, diag, marking) for spec in REALIZE_CORPUS for diag, marking in _marked(spec)]
+    assert len(items) == 340
+    for seed in range(3):
+        for spec, diag, marking in items:
+            cfg = stretch_points(spec, seed)
+            got = realize(diag, marking, cfg, spec)
+            assert got == realize_fraction_reference(diag, marking, cfg, spec)
+            assert all(isinstance(c, Fraction) for p in got.curve.positions for c in p)
+
+
+def test_integer_frame_matches_fraction_reference_on_hand_made_points():
+    # rational points and Omega lines with denominators unlike those of
+    # stretch_points, along (0, 1) and along a general direction
+    rng = random.Random(31)
+    rotated = DiagramSpec(LatticePolygon([perp(v) for v in triangle(3).vertices]), perp((0, 1)),
+                          0, (), (), (), (3,))
+    specs = [T3_G0, T3_G1, OCTIC_G1, rotated,
+             DiagramSpec(triangle(3), (0, 1), 0, (), (0, 1), (), (1,))]
+    outcomes = set()
+    for spec in specs:
+        d = spec.direction
+        e = _transverse_axis(d)
+        n2 = dot(d, d)
+        for trial in range(3):
+            gap = default_spacing(spec) * (1 if trial == 0 else 8)
+            points = []
+            for i in range(spec.s):
+                h = gap * (i + 1) + Fraction(rng.randint(1, 50), rng.choice((3, 7, 11)))
+                tau = Fraction(rng.randint(1, 996), rng.choice((997, 12, 35, 1)))
+                points.append(((h * d[0] + tau * e[0]) / n2, (h * d[1] + tau * e[1]) / n2))
+            omegas = [Fraction(rng.randint(-40, 40), rng.choice((5, 9, 13)))
+                      for _ in range(diagram_module.nseq_abs(spec.alpha_minus))]
+            configs = [(points, omegas)]
+            if d == (0, 1):
+                # plain int coordinates
+                configs.append(([(rng.randint(-50, 50) + i * 1000, int(gap) * (i + 1))
+                                 for i in range(spec.s)],
+                                [rng.randint(-60, 60) for _ in omegas]))
+            for pts, oms in configs:
+                try:
+                    cfg = PointConfig(d, tuple(pts), tuple(oms), ())
+                except RealizeError:
+                    continue
+                for diag, marking in _marked(spec):
+                    got = _outcome(realize, diag, marking, cfg, spec)
+                    assert got == _outcome(realize_fraction_reference, diag, marking, cfg, spec)
+                    outcomes.add(type(got))
+    assert outcomes == {tuple, Realization}
+
+
+def test_integer_frame_raises_like_the_fraction_reference_when_too_tight():
+    raised = 0
+    for spec in (T3_G0, T3_G1, OCTIC_G1):
+        for spacing in (Fraction(1, 1000), 1, 3):
+            cfg = stretch_points(spec, 1, spacing=spacing)
+            for diag, marking in _marked(spec):
+                got = _outcome(realize, diag, marking, cfg, spec)
+                assert got == _outcome(realize_fraction_reference, diag, marking, cfg, spec)
+                raised += isinstance(got, tuple)
+    assert raised
+
+
+def test_round_trip_key_is_computed_once_per_diagram():
+    diag = enumerate_diagrams(T3_G0)[0]
+    assert diagram_module.refined_key(diag) is diagram_module.refined_key(diag)
+    assert diag.refined_key == diagram_module._refined_key(diagram_module._floor_data(diag))

@@ -22,6 +22,7 @@ from tropico.tropical import (
     NonReduced,
     NonTransverse,
     NotTrivalent,
+    PEdge,
     ParametrizedCurve,
     PlaneTropicalCurve,
     Ray,
@@ -38,10 +39,14 @@ from tropico.tropical import (
     lower_hull_value,
     newton_polygon_of,
     random_polynomial,
+    rational_primitive,
     stable_intersection,
     stable_intersection_generic,
     tropical_multiplicity,
     tropical_product,
+    _integral_frame,
+    _intersect_pieces,
+    _split_piece,
     _upper_cells,
 )
 
@@ -450,3 +455,135 @@ def test_tropical_product_newton_minkowski():
         ]
     )
     assert pr.newton_polygon() == minkowski
+
+
+def to_plane_curve_brute_force(pc, newton=None):
+    """The crossing scan without bounding boxes: every pair of pieces from
+    the resume row on goes through _intersect_pieces."""
+    vertices = list(pc.positions)
+    segs = []
+    rays = []
+    for e in pc.edges:
+        if e.b >= 0:
+            segs.append([e.a, e.b, e.weight, e.direction])
+        else:
+            rays.append([e.a, e.direction, e.weight])
+
+    def pieces_now():
+        m, ints = _integral_frame(vertices)
+        out = [(ints[a], ints[b], u, ("s", i)) for i, (a, b, w, u) in enumerate(segs)]
+        out += [(ints[a], None, u, ("r", i)) for i, (a, u, w) in enumerate(rays)]
+        return m, out
+
+    crossings = set()
+    m, pieces = pieces_now()
+    row = 0
+    while row < len(pieces):
+        p1, q1, u1, t1 = pieces[row]
+        for p2, q2, u2, t2 in pieces[row + 1:]:
+            hit = _intersect_pieces(p1, q1, u1, p2, q2, u2)
+            if hit is not None and not hit[1]:
+                break
+        else:
+            row += 1
+            continue
+        (x, y, den), _ = hit
+        vertices.append((Fraction(x, den * m), Fraction(y, den * m)))
+        vi = len(vertices) - 1
+        crossings.add(vi)
+        row = min(row, len(segs))
+        _split_piece(segs, rays, t1, vi)
+        _split_piece(segs, rays, t2, vi)
+        m, pieces = pieces_now()
+    return PlaneTropicalCurve.build(
+        vertices, [tuple(s) for s in segs], [tuple(r) for r in rays], crossings, newton
+    )
+
+
+def _plane_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NonTransverse as exc:
+        return str(exc)
+
+
+def test_box_filtered_scan_matches_brute_force_on_realized_curves():
+    specs = [DiagramSpec(triangle(4), (0, 1), 0, (), (), (), (4,)),
+             DiagramSpec(trapezium(1, 3, 1), (0, 1), 0, (), (), (1,), (4,)),
+             DiagramSpec(diamond(), (0, 1), 1)]
+    crossings = 0
+    for spec in specs:
+        for diag in enumerate_diagrams(spec):
+            for marking in enumerate_markings(diag, spec)[:12]:
+                realization, _ = realize_stretched(diag, marking, spec, seed=3)
+                pc = realization.curve
+                curve = pc.to_plane_curve(newton=spec.polygon)
+                assert curve == to_plane_curve_brute_force(pc, spec.polygon)
+                crossings += len(curve.crossings)
+    assert crossings > 100
+
+
+def _random_parametrized_curve(rng, grid, denom):
+    """Random pieces between random rational points: segments between
+    vertex pairs, rays from vertices in random primitive directions."""
+    n = rng.randint(3, 9)
+    pos = []
+    while len(pos) < n:
+        p = (Fraction(rng.randint(-grid, grid), rng.randint(1, denom)),
+             Fraction(rng.randint(-grid, grid), rng.randint(1, denom)))
+        if p not in pos:
+            pos.append(p)
+    edges = []
+    for _ in range(rng.randint(2, 10)):
+        a, b = rng.sample(range(n), 2)
+        edges.append(PEdge(a, b, rng.randint(1, 3), rational_primitive(sub(pos[b], pos[a]))))
+    for _ in range(rng.randint(0, 5)):
+        u = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if u != (0, 0):
+            edges.append(PEdge(rng.randrange(n), -1, 1, rational_primitive(u)))
+    return ParametrizedCurve.build(pos, edges)
+
+
+def test_box_filtered_scan_matches_brute_force_on_random_curves():
+    rng = random.Random(44)
+    seen = set()
+    for trial in range(400):
+        grid, denom = ((3, 1), (6, 2), (40, 9))[trial % 3]
+        pc = _random_parametrized_curve(rng, grid, denom)
+        got = _plane_outcome(pc.to_plane_curve, triangle(1))
+        assert got == _plane_outcome(to_plane_curve_brute_force, pc, triangle(1))
+        seen.add("raised" if isinstance(got, str) else "crossed" if got.crossings else "plain")
+    assert seen == {"raised", "crossed", "plain"}
+
+
+def test_collinear_overlap_still_raises_in_the_scan():
+    half = Fraction(1, 2)
+    overlapping = [
+        # two segments on one line
+        ([(0, 0), (2, 0), (1, 0), (3, 0)], [PEdge(0, 1, 1, (1, 0)), PEdge(2, 3, 1, (1, 0))]),
+        # a ray along a segment, from beyond its end
+        ([(0, 0), (half, half)], [PEdge(0, 1, 1, (1, 1)), PEdge(1, -1, 1, (-1, -1))]),
+        # two opposite rays
+        ([(0, 0), (0, 5)], [PEdge(0, -1, 1, (0, 1)), PEdge(1, -1, 1, (0, -1))]),
+    ]
+    for pos, edges in overlapping:
+        pc = ParametrizedCurve.build(pos, edges)
+        for scan in (pc.to_plane_curve, lambda newton: to_plane_curve_brute_force(pc, newton)):
+            with pytest.raises(NonTransverse, match="overlap on a common supporting line"):
+                scan(triangle(1))
+
+
+def test_stable_intersection_vertex_contact_message():
+    l1, _ = corner_locus(tropical_line(0, 0, 0))
+    l2, _ = corner_locus(tropical_line(0, Fraction(-1, 3), Fraction(-1, 3)))
+    with pytest.raises(NonTransverse) as err:
+        stable_intersection(l1, l2)
+    assert str(err.value) == "intersection at a vertex: (Fraction(1, 3), Fraction(1, 3))"
+    # a contact of two collinear pieces end to end, off the origin
+    a, b, c = (Fraction(1, 5), 1), (Fraction(8, 15), Fraction(5, 3)), (Fraction(13, 15), Fraction(7, 3))
+    c1 = PlaneTropicalCurve.build([a, b], [(0, 1, 1, (1, 2))], [], newton=triangle(1))
+    c2 = PlaneTropicalCurve.build([b, c], [(0, 1, 1, (1, 2))], [], newton=triangle(1))
+    for first, second in ((c1, c2), (c2, c1)):
+        with pytest.raises(NonTransverse) as err:
+            stable_intersection(first, second)
+        assert str(err.value) == "intersection at a vertex: (Fraction(8, 15), Fraction(5, 3))"
