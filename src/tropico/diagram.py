@@ -8,13 +8,19 @@ contract: the number of genus-g curves with Newton polygon Delta equals
 the number of marked diagrams, each weighted by I^beta * prod w(e)^2 over
 finite edges.
 
-The count never lists markings.  For each diagram it counts the
-order-compatible labellings L of floors and edges that respect the alpha
-label blocks, by a dynamic programme over the down-sets of the diagram's
-poset, and divides by |Aut|: the automorphisms of (D, w, theta) act freely
-on markings, so L / |Aut| is the number of marking classes, and a
-remainder raises InvariantViolation.  `enumerate_markings` lists one
-representative per class for display and realization.
+The count never lists markings.  For each diagram it counts the labellings
+L of floors and edges that follow the diagram's order, respect the alpha
+label blocks and give identical edges (same endpoints and weight) their
+labels in index order, by a dynamic programme over the down-sets of the
+diagram's poset.  Automorphisms of (D, w, theta) act freely on markings,
+and |Aut| is |Aut_floor|, the number of floor automorphisms, times the
+orderings of each class of identical edges, which L already leaves out; so
+L / |Aut_floor| is the number of marking classes, and a remainder raises
+InvariantViolation.  `enumerate_markings` lists the same labellings by
+depth-first search, under the same placement rule (`_label_moves`), and
+keeps one representative per class.  Two of them are one class exactly
+when they have the same form, read off the marking itself with the floors
+renamed by their rank in label order, so listing needs no automorphism.
 
 Generation enumerates finite edges only from floor i to floors j > i:
 every acyclic diagram has such a topological labelling of its floors.  The
@@ -32,16 +38,15 @@ labelling (the least in search order), in which it is returned.  One
 branch-and-bound (`_least_forms`) finds both.  It fills the new floor
 positions in order and drops a partial relabelling as soon as the known
 prefix of its sorted finite edges, with a bound on the next edge, is above
-the best found, in place of listing the n! relabellings.  The floor part of
-|Aut| is the relabellings within the colour cells that leave the encoding
-unchanged.
+the best found, in place of listing the n! relabellings.  |Aut_floor| comes
+from the pass that finds the refined key: the relabellings within the
+colour cells that reach its least encoding are one coset of the floor
+automorphisms.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -156,10 +161,10 @@ class FloorDiagram:
     # -- basic structure ----------------------------------------------------
 
     @cached_property
-    def refined_key(self):
-        """See the module function `refined_key`; computed once, since a
-        diagram is immutable."""
-        return _refined_key(_floor_data(self))
+    def refined_form(self):
+        """(`refined_key`, |Aut_floor|) from `_refined_form`; computed once,
+        since a diagram is immutable."""
+        return _refined_form(_floor_data(self))
 
     @property
     def floor_ids(self):
@@ -494,13 +499,21 @@ def _ranks(signatures):
     return ranks
 
 
-def _refined_key(data):
-    """`refined_key` of `_floor_data` ``data``."""
+def _refined_form(data):
+    """`refined_key` of `_floor_data` ``data`` and |Aut_floor|, the number of
+    floor automorphisms of (D, w, theta).
+
+    Automorphisms keep every colour, so the relabellings into colour order
+    that reach the least encoding are one coset of the floor automorphisms:
+    there are exactly |Aut_floor| of them.
+    """
     blocks, start = [], 0
     for cell in _colour_cells(data):
         blocks.append((cell, range(start, start + len(cell))))
         start += len(cell)
-    return min(map(_encode, _relabellings(data, blocks)))
+    encodings = list(map(_encode, _relabellings(data, blocks)))
+    key = min(encodings)
+    return key, encodings.count(key)
 
 
 def refined_key(diagram):
@@ -509,28 +522,17 @@ def refined_key(diagram):
     the cells of the colour refinement.  Isomorphisms keep colours, so two
     diagrams have equal keys exactly when they are isomorphic; the key is
     not `canonical_key`, which minimises over all n! relabellings."""
-    return diagram.refined_key
+    return diagram.refined_form[0]
 
 
-def _floor_permutations(diagram):
-    """The relabellings of floors preserving theta and the weighted
-    structure: the automorphisms of (D, w, theta) on floors, sorted.  An
-    automorphism keeps every colour, so only permutations within the cells
-    of the colour refinement are tried."""
-    data = _floor_data(diagram)
-    cells = _colour_cells(data)
-    encoded = [(r[0], _encode(r)) for r in _relabellings(data, [(c, c) for c in cells])]
-    return sorted(perm for perm, enc in encoded if enc == encoded[0][1])
-
-
-def _class_forms(diagram):
-    """A class representative's `canonical_key` and its first labelling,
-    from one `_least_forms` search.  The first labelling is the diagram in
-    the floor labelling that a search over every labelling, iterating in the
-    order of `enumerate_diagrams`, meets first: the one minimising (left
-    thetas, right thetas, finite pairs, down-tail and up-tail targets per
-    weight, finite weights)."""
-    key, (lefts, _, pairs, down, up, weights) = _least_forms(_floor_data(diagram))
+def _least_diagram(data):
+    """The `canonical_key` of the class of `_floor_data` ``data`` and the
+    class in its first labelling, from one `_least_forms` search.  The first
+    labelling is the floor labelling that a search over every labelling,
+    iterating in the order of `enumerate_diagrams`, meets first: the one
+    minimising (left thetas, right thetas, finite pairs, down-tail and
+    up-tail targets per weight, finite weights)."""
+    key, (lefts, _, pairs, down, up, weights) = _least_forms(data)
     fins = [(s, t, w) for (s, t), w in zip(pairs, weights)]
     return key, _build_diagram(lefts, fins, [(t, w) for w, t in down], [(s, w) for w, s in up])
 
@@ -780,10 +782,10 @@ def enumerate_diagrams(spec):
     every prefix cut exact (`_weighted_edges`), and keeps the connected
     ones.  Every acyclic diagram has such a topological labelling, so the
     search is complete.  Duplicates are removed by `refined_key`.  Each
-    class then takes one `_least_forms` search (`_class_forms`) for its
-    `canonical_key`, which orders the output, and its first labelling, in
-    which it is returned; both are minima over all n! relabellings of its
-    floors.
+    class then takes one `_least_forms` search (`_least_diagram`) on the
+    floor data of its first candidate, for its `canonical_key`, which orders
+    the output, and its first labelling, in which it is returned; both are
+    minima over all n! relabellings of its floors.
     """
     spec.check()
     n = spec.data.d_height
@@ -795,10 +797,9 @@ def enumerate_diagrams(spec):
         for fins in _weighted_edges(c, m):
             if component_count(range(n), [(s, t) for s, t, _ in fins]) != 1:
                 continue
-            key = _refined_key((tl, tr, fins, down, up))
-            if key not in found:
-                found[key] = _build_diagram(tl, fins, down, up)
-    forms = dict(map(_class_forms, found.values()))
+            data = (tl, tr, fins, down, up)
+            found.setdefault(_refined_form(data)[0], data)
+    forms = dict(map(_least_diagram, found.values()))
     if len(forms) != len(found):
         raise InvariantViolation(
             "diagram classes", [f"{len(found)} refined keys for {len(forms)} classes"]
@@ -845,12 +846,6 @@ class Marking:
     label_start: int
     labels: tuple
 
-    def label_of(self, element):
-        return self.label_start + self.labels.index(element)
-
-    def element(self, label):
-        return self.labels[label - self.label_start]
-
     def as_dict(self):
         return {self.label_start + i: el for i, el in enumerate(self.labels)}
 
@@ -876,18 +871,43 @@ def _edge_classes(diagram):
     }
 
 
-def _label_slots(diagram, spec):
-    """Per label of spec.label_range(), the elements that may take it: the
-    tails of the required weight inside an alpha block, None (any) elsewhere."""
+def _label_moves(diagram, spec):
+    """The placement rule of `enumerate_markings` and `count_markings`: per
+    label of spec.label_range(), the moves (element, bit, need) that may
+    place it, in element order.
+
+    bit is the element's bit in a down-set mask and need the mask of what
+    must be placed before it: its immediate predecessors in the diagram
+    order and, for an edge, the edge before it in its class of identical
+    edges, so that identical edges take their labels in index order.
+    Inside an alpha block only the tails of the block's weight may move.
+    """
+    elements = diagram.elements()
+    bit = {el: 1 << i for i, el in enumerate(elements)}
+    preds = diagram.element_preds()
     classes = _edge_classes(diagram)
+    last = {}  # class -> bit of its latest edge
+    moves = []
+    for el in elements:
+        need = sum(bit[p] for p in preds[el])
+        if el in classes:
+            need |= last.get(classes[el], 0)
+            last[classes[el]] = bit[el]
+        moves.append((el, bit[el], need))
     labels = spec.label_range()
     lo = labels[0]
-    slots = [None] * len(labels)
-    for label, w in _alpha_block(spec.alpha_minus, lo).items():
-        slots[label - lo] = {el for el, c in classes.items() if c[0] == "-inf" and c[2] == w}
-    for label, w in _alpha_block(spec.alpha_plus, spec.s + 1).items():
-        slots[label - lo] = {el for el, c in classes.items() if c[1] == "+inf" and c[2] == w}
-    return slots
+    out = [moves] * len(labels)
+    for block, end, inf in (
+        (_alpha_block(spec.alpha_minus, lo), 0, "-inf"),
+        (_alpha_block(spec.alpha_plus, spec.s + 1), 1, "+inf"),
+    ):
+        for label, w in block.items():
+            out[label - lo] = [
+                mv
+                for mv in moves
+                if mv[0] in classes and classes[mv[0]][end] == inf and classes[mv[0]][2] == w
+            ]
+    return out
 
 
 def enumerate_markings(diagram, spec):
@@ -897,6 +917,15 @@ def enumerate_markings(diagram, spec):
     by weight), {s+1..s+|a+|} to fixed top tails, and {1..s} to everything
     else, compatibly with the diagram's partial order.  Classes are orbits
     under automorphisms of (D, w, theta).
+
+    A depth-first search lists the markings in which identical edges take
+    their labels in index order (`_label_moves`).  Two of them are one class
+    exactly when they have the same form, which renames each floor by its
+    rank in label order, with its theta, and writes each edge as (renamed
+    source or -1, renamed target or -2, weight).  A class is represented by
+    the first marking the search meets, and the classes are sorted by their
+    least token, which writes each floor as its position and each edge as
+    (source position or -1, target position or -2, weight).
     """
     if not validate(diagram, spec):
         return []
@@ -908,122 +937,75 @@ def enumerate_markings(diagram, spec):
     if up != sorted(weight_multiset(spec.alpha_plus, spec.beta_plus)):
         return []
 
-    labels = spec.label_range()
-    slots = _label_slots(diagram, spec)
-    preds = diagram.element_preds()
-    elements = diagram.elements()
-
-    # Identical parallel edges (same endpoints and weight, tails included)
-    # are interchangeable by an automorphism, so only class-canonical
-    # sequences are generated: within a class, label order follows edge
-    # index order.  This collapses the factorial blowup of linear
-    # extensions of large antichains of equal edges.
-    edge_class = _edge_classes(diagram)
-
-    sequences = []
+    moves = _label_moves(diagram, spec)
+    pos = {f: i for i, f in enumerate(diagram.floor_ids)}
+    theta = dict(diagram.floors)
+    classes = {}  # form -> [least token, first marking]
     placed = []
-    used = set()
 
-    def candidates():
-        out = []
-        seen_classes = set()
-        for el in elements:
-            if el in used or any(p not in used for p in preds[el]):
-                continue
-            if el[0] == "e":
-                cls = edge_class[el]
-                if cls in seen_classes:
-                    continue
-                seen_classes.add(cls)
-            out.append(el)
-        return out
+    def leaf():
+        rank = {}
+        for kind, x in placed:
+            if kind == "f":
+                rank[x] = len(rank)
+        form, token = [], []
+        for kind, x in placed:
+            if kind == "f":
+                form.append(theta[x])
+                token.append(("f", pos[x]))
+            else:
+                s, t, w = diagram.edges[x]
+                form.append((rank.get(s, -1), rank.get(t, -2), w))
+                token.append(("e", (pos.get(s, -1), pos.get(t, -2), w)))
+        form, token = tuple(form), tuple(token)
+        if form in classes:
+            classes[form][0] = min(classes[form][0], token)
+        else:
+            classes[form] = [token, tuple(placed)]
 
-    def rec(pos):
-        if pos == len(labels):
-            sequences.append(tuple(placed))
+    def rec(k, mask):
+        if k == len(moves):
+            leaf()
             return
-        slot = slots[pos]
-        for el in candidates():
-            if slot is not None and el not in slot:
-                continue
-            used.add(el)
-            placed.append(el)
-            rec(pos + 1)
-            placed.pop()
-            used.remove(el)
+        for el, b, need in moves[k]:
+            if not mask & b and not need & ~mask:
+                placed.append(el)
+                rec(k + 1, mask | b)
+                placed.pop()
 
-    rec(0)
-
-    perms = _floor_permutations(diagram)
-    classes = {}
-    for seq in sequences:
-        key = min(_orbit_token(diagram, seq, perm) for perm in perms)
-        classes.setdefault(key, seq)
-    return [
-        Marking(diagram, labels[0], classes[k]) for k in sorted(classes)
-    ]
+    rec(0, 0)
+    start = spec.label_range()[0]
+    return [Marking(diagram, start, seq) for _, seq in sorted(classes.values())]
 
 
 def count_markings(diagram, spec):
     """len(enumerate_markings(diagram, spec)) for a diagram of
     `enumerate_diagrams(spec)`, without listing the markings.
 
-    L, the number of order-compatible labellings of floors and edges that
-    respect the alpha blocks, comes from a dynamic programme over the
-    down-sets (bitmasks) of the diagram's poset; the size of a down-set is
-    the position of the next label.  Automorphisms of (D, w, theta) act
-    freely on markings, so there are L / |Aut| classes, where |Aut| is the
-    number of structure-preserving floor permutations times the orderings
-    of each class of identical edges.
+    L, the number of markings that `enumerate_markings` searches (identical
+    edges in index order), comes from a dynamic programme over the down-sets
+    (bitmasks) of the diagram's poset, under the same placement rule
+    (`_label_moves`); the size of a down-set is the position of the next
+    label.  Automorphisms of (D, w, theta) act freely on markings, and the
+    orderings of identical edges are already left out of L, so there are
+    L / |Aut_floor| classes, |Aut_floor| from `FloorDiagram.refined_form`.
     """
-    elements = diagram.elements()
-    bit = {el: 1 << i for i, el in enumerate(elements)}
-    preds = diagram.element_preds()
-    below = {el: sum(bit[p] for p in preds[el]) for el in elements}
     ways = {0: 1}
-    for slot in _label_slots(diagram, spec):
-        moves = [(bit[el], below[el]) for el in (elements if slot is None else slot)]
+    for moves in _label_moves(diagram, spec):
         nxt = {}
         for mask, n in ways.items():
-            for b, need in moves:
+            for _, b, need in moves:
                 if not mask & b and not need & ~mask:
                     nxt[mask | b] = nxt.get(mask | b, 0) + n
         ways = nxt
     labellings = sum(ways.values())
-    aut = len(_floor_permutations(diagram))
-    for size in Counter(_edge_classes(diagram).values()).values():
-        aut *= math.factorial(size)
+    aut = diagram.refined_form[1]
     if labellings % aut:
         raise InvariantViolation(
-            "marking count", [f"{labellings} labellings are not divisible by |Aut| = {aut}"]
+            "marking count",
+            [f"{labellings} labellings are not divisible by |Aut_floor| = {aut}"],
         )
     return labellings // aut
-
-
-def _orbit_token(diagram, seq, perm):
-    """Canonical token stream of a marking under a floor permutation.
-
-    Edges map to their class (endpoints after the permutation, plus weight);
-    parallel edges and identical tails are interchangeable, so within a
-    class edges are numbered by first appearance in label order.
-    """
-    ids = list(diagram.floor_ids)
-    pos = {f: i for i, f in enumerate(ids)}
-    fl = set(ids)
-    counters = {}
-    out = []
-    for el in seq:
-        if el[0] == "f":
-            out.append(("f", perm[pos[el[1]]], 0, 0))
-        else:
-            s, t, w = diagram.edges[el[1]]
-            sk = perm[pos[s]] if s in fl else -1
-            tk = perm[pos[t]] if t in fl else -2
-            cls = (sk, tk, w)
-            k = counters.get(cls, 0)
-            counters[cls] = k + 1
-            out.append(("e", cls, k, 0))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 
 class LatticeError(Exception):
@@ -413,11 +413,13 @@ def is_transverse(poly, d):
     return True
 
 
+@cache
 def slope_reference(d):
     """Canonical u_ref with <d, u_ref> = -1 and det(d, u_ref) in [0, |d|^2).
 
     For d = (0, 1) this is (0, -1), so that left directions (1, m) get the
-    integer slope coordinate m.
+    integer slope coordinate m.  Memoised, since it depends only on the
+    direction d, a tuple.
     """
     g, l, m = _xgcd(d[0], d[1])
     if g != 1:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -219,11 +220,9 @@ def test_marking_order_compatibility():
 def test_orbit_count_equals_raw_count_when_aut_trivial():
     # the 5-marking cubic chain has trivial floor symmetry: the class count
     # equals the count of class-canonical order-compatible sequences
-    from tropico.diagram import _floor_permutations
-
     for diag in enumerate_diagrams(T3_B3):
         if _shape(diag) == "chain":
-            assert len(_floor_permutations(diag)) == 1
+            assert len(_floor_permutations(diag)) == 1 == diag.refined_form[1]
             assert len(enumerate_markings(diag, T3_B3)) == 5
 
 
@@ -359,17 +358,19 @@ def test_relabelling_identities():
             ]
             assert key == min(encodings)
             # orbit-stabiliser: the relabellings onto the key are a coset of Aut
-            assert len(diagram_mod._floor_permutations(diag)) == encodings.count(key)
-            first = diagram_mod._class_forms(diag)[1]
+            assert len(_floor_permutations(diag)) == encodings.count(key)
+            assert diag.refined_form[1] == encodings.count(key)
+            first = class_forms(diag)[1]
             assert canonical_key(first) == key
-            assert diagram_mod._class_forms(first)[1] == first
+            assert class_forms(first)[1] == first
 
 
 def test_count_markings_rejects_a_remainder(monkeypatch):
     # the chain cubic has 5 labellings and a trivial automorphism group; a
     # group of order 2 would leave a remainder
     chain = next(d for d in enumerate_diagrams(T3_B3) if _shape(d) == "chain")
-    monkeypatch.setattr(diagram_mod, "_floor_permutations", lambda d: [(0, 1, 2), (1, 0, 2)])
+    refined_form = diagram_mod._refined_form
+    monkeypatch.setattr(diagram_mod, "_refined_form", lambda data: (refined_form(data)[0], 2))
     with pytest.raises(InvariantViolation):
         count_markings(chain, T3_B3)
 
@@ -580,7 +581,7 @@ def test_refined_key_is_an_exact_isomorphism_test():
 
 def test_enumerate_diagrams_reports_a_split_class(monkeypatch):
     # a key that depends on the labelling gives one class more than one key
-    monkeypatch.setattr(diagram_mod, "_refined_key", lambda data: repr(data))
+    monkeypatch.setattr(diagram_mod, "_refined_form", lambda data: (repr(data), 1))
     with pytest.raises(InvariantViolation) as err:
         enumerate_diagrams(DiagramSpec(triangle(4), (0, 1), 0, (), (), (), (4,)))
     assert "refined keys" in err.value.violations[0]
@@ -598,6 +599,11 @@ def _search_order(relabelling):
         sorted([(w, s) for s, w in ups]),
         [w for _, _, w in fins],
     )
+
+
+def class_forms(diagram):
+    """The canonical key and the first labelling of a diagram's class."""
+    return diagram_mod._least_diagram(diagram_mod._floor_data(diagram))
 
 
 def class_forms_brute_force(diagram):
@@ -633,10 +639,10 @@ def test_class_forms_match_the_relabelling_pass():
     for spec in specs:
         for diag in enumerate_diagrams(spec):
             expected = class_forms_brute_force(diag)
-            assert diagram_mod._class_forms(diag) == expected, (spec, diag)
+            assert class_forms(diag) == expected, (spec, diag)
             # the forms cannot depend on the labelling they start from
             shuffled = _shuffled(diag, rng)
-            assert diagram_mod._class_forms(shuffled) == expected, (spec, shuffled)
+            assert class_forms(shuffled) == expected, (spec, shuffled)
 
 
 def _random_diagram(rng, n):
@@ -660,5 +666,187 @@ def test_class_forms_match_the_relabelling_pass_on_random_diagrams():
     for _ in range(400):
         diag = _random_diagram(rng, rng.randint(2, 6))
         expected = class_forms_brute_force(diag)
-        assert diagram_mod._class_forms(diag) == expected, diag
-        assert diagram_mod._class_forms(_shuffled(diag, rng)) == expected, diag
+        assert class_forms(diag) == expected, diag
+        assert class_forms(_shuffled(diag, rng)) == expected, diag
+
+
+def _floor_permutations(diagram):
+    """The relabellings of floors preserving theta and the weighted
+    structure: the automorphisms of (D, w, theta) on floors, sorted.  An
+    automorphism keeps every colour, so only permutations within the cells
+    of the colour refinement are tried."""
+    data = diagram_mod._floor_data(diagram)
+    cells = diagram_mod._colour_cells(data)
+    encoded = [
+        (r[0], diagram_mod._encode(r))
+        for r in diagram_mod._relabellings(data, [(c, c) for c in cells])
+    ]
+    return sorted(perm for perm, enc in encoded if enc == encoded[0][1])
+
+
+def _orbit_token(diagram, seq, perm):
+    """Canonical token stream of a marking under a floor permutation.
+
+    Edges map to their class (endpoints after the permutation, plus weight);
+    parallel edges and identical tails are interchangeable, so within a
+    class edges are numbered by first appearance in label order.
+    """
+    ids = list(diagram.floor_ids)
+    pos = {f: i for i, f in enumerate(ids)}
+    fl = set(ids)
+    counters = {}
+    out = []
+    for el in seq:
+        if el[0] == "f":
+            out.append(("f", perm[pos[el[1]]], 0, 0))
+        else:
+            s, t, w = diagram.edges[el[1]]
+            sk = perm[pos[s]] if s in fl else -1
+            tk = perm[pos[t]] if t in fl else -2
+            cls = (sk, tk, w)
+            k = counters.get(cls, 0)
+            counters[cls] = k + 1
+            out.append(("e", cls, k, 0))
+    return tuple(out)
+
+
+def markings_by_orbit_tokens(diagram, spec):
+    """The marking listing that the marking forms replaced, kept as its
+    reference: the class-canonical order-compatible sequences (within a
+    class of identical edges, label order follows edge index order), each
+    keyed by its least `_orbit_token` over the floor automorphisms; the
+    first sequence of each key, sorted by key."""
+    labels = spec.label_range()
+    lo = labels[0]
+    classes = diagram_mod._edge_classes(diagram)
+    slots = [None] * len(labels)
+    for label, w in diagram_mod._alpha_block(spec.alpha_minus, lo).items():
+        slots[label - lo] = {el for el, c in classes.items() if c[0] == "-inf" and c[2] == w}
+    for label, w in diagram_mod._alpha_block(spec.alpha_plus, spec.s + 1).items():
+        slots[label - lo] = {el for el, c in classes.items() if c[1] == "+inf" and c[2] == w}
+    preds = diagram.element_preds()
+    elements = diagram.elements()
+    sequences, placed, used = [], [], set()
+
+    def candidates():
+        out = []
+        seen_classes = set()
+        for el in elements:
+            if el in used or any(p not in used for p in preds[el]):
+                continue
+            if el[0] == "e":
+                if classes[el] in seen_classes:
+                    continue
+                seen_classes.add(classes[el])
+            out.append(el)
+        return out
+
+    def rec(pos):
+        if pos == len(labels):
+            sequences.append(tuple(placed))
+            return
+        for el in candidates():
+            if slots[pos] is not None and el not in slots[pos]:
+                continue
+            used.add(el)
+            placed.append(el)
+            rec(pos + 1)
+            placed.pop()
+            used.remove(el)
+
+    rec(0)
+    perms = _floor_permutations(diagram)
+    keyed = {}
+    for seq in sequences:
+        keyed.setdefault(min(_orbit_token(diagram, seq, perm) for perm in perms), seq)
+    return [diagram_mod.Marking(diagram, lo, keyed[k]) for k in sorted(keyed)]
+
+
+# the marking listing corpus: cubics of every boundary type at g = 0, 1,
+# quartics of the T4_TYPES at g = 0..2 (some with |Aut_floor| = 2 and 6),
+# and the trapezium at g = 1, 2
+MARKING_CORPUS = {
+    "T3": [
+        DiagramSpec(triangle(3), (0, 1), g, (), alpha, (), beta)
+        for g in (0, 1)
+        for alpha, beta in T3_TYPES
+    ],
+    "T4": [
+        DiagramSpec(triangle(4), (0, 1), g, (), alpha, (), beta)
+        for g in range(3)
+        for alpha, beta in T4_TYPES
+    ],
+    "Tz": [TZ132_G1, TZ132_G2],
+}
+
+
+def test_enumerate_markings_output_pinned():
+    # sha256 of the JSON marking lists as produced by the orbit-token listing
+    pinned = {
+        "T3": "624a481e9a0a3e78846c4e6e9ed66d4dc1746f1ee8d03867bc018878a2eb0c44",
+        "T4": "c3241020fddce6d5e9379db5b4c5b6215cdcdfa5357dc77470b457ee5202857b",
+        "Tz": "6e172e77d98e2ca4501dc61969adfe14a8a68e964448f6fef5ade8a558106d17",
+    }
+    for name, specs in MARKING_CORPUS.items():
+        text = io.dumps(
+            [
+                io.marking_to_json(m)
+                for spec in specs
+                for d in enumerate_diagrams(spec)
+                for m in enumerate_markings(d, spec)
+            ]
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned[name], name
+
+
+def test_enumerate_markings_matches_the_orbit_tokens():
+    auts = set()
+    for specs in MARKING_CORPUS.values():
+        for spec in specs:
+            for diag in enumerate_diagrams(spec):
+                auts.add(diag.refined_form[1])
+                assert enumerate_markings(diag, spec) == markings_by_orbit_tokens(diag, spec)
+    assert {2, 6} <= auts
+
+
+def _random_type(rng, diag):
+    """The parts of a DiagramSpec that listing markings reads, for a diagram
+    that belongs to no polygon: a random part of each side's tails is
+    fixed (alpha), the rest moves (beta)."""
+
+    def split(weights):
+        alpha, beta = [0] * 3, [0] * 3
+        for w in weights:
+            (alpha if rng.random() < 0.5 else beta)[w - 1] += 1
+        return diagram_mod.nseq(alpha), diagram_mod.nseq(beta)
+
+    alpha_minus, beta_minus = split(w for _, _, w in diag.down_edges())
+    alpha_plus, beta_plus = split(w for _, _, w in diag.up_edges())
+    lo = 1 - sum(alpha_minus)
+    s = len(diag.elements()) - sum(alpha_minus) - sum(alpha_plus)
+    return SimpleNamespace(
+        alpha_minus=alpha_minus,
+        beta_minus=beta_minus,
+        alpha_plus=alpha_plus,
+        beta_plus=beta_plus,
+        s=s,
+        label_range=lambda: list(range(lo, lo + len(diag.elements()))),
+    )
+
+
+def test_enumerate_markings_matches_the_orbit_tokens_on_random_diagrams(monkeypatch):
+    # random diagrams belong to no polygon, so validation is skipped
+    monkeypatch.setattr(diagram_mod, "validate", lambda diag, spec: True)
+    rng = random.Random(10)
+    tried = 0
+    while tried < 150:
+        diag = _random_diagram(rng, rng.randint(2, 5))
+        spec = _random_type(rng, diag)
+        assert diag.refined_form[1] == len(_floor_permutations(diag)), diag
+        nclasses = count_markings(diag, spec)
+        if nclasses * diag.refined_form[1] > 2000:
+            continue  # too many sequences for the reference to list
+        tried += 1
+        markings = enumerate_markings(diag, spec)
+        assert markings == markings_by_orbit_tokens(diag, spec), diag
+        assert nclasses == len(markings), diag

@@ -649,4 +649,4 @@ def test_integer_frame_raises_like_the_fraction_reference_when_too_tight():
 def test_round_trip_key_is_computed_once_per_diagram():
     diag = enumerate_diagrams(T3_G0)[0]
     assert diagram_module.refined_key(diag) is diagram_module.refined_key(diag)
-    assert diag.refined_key == diagram_module._refined_key(diagram_module._floor_data(diag))
+    assert diag.refined_form == diagram_module._refined_form(diagram_module._floor_data(diag))
