@@ -106,16 +106,15 @@ def cmd_polygon(args):
 
 def cmd_count(args):
     spec = _spec_from_args(args)
+    if not args.explain:
+        print(diagram_mod.count(spec))
+        return 0
     total, rows = diagram_mod.count(spec, explain=True)
     print(total)
-    if args.explain:
-        print(f"{'diagram':>8} {'classes':>8} {'mult':>6} {'subtotal':>9}", file=sys.stderr)
-        for i, (diag, nclasses, mu) in enumerate(rows):
-            print(
-                f"{i:>8} {nclasses:>8} {mu:>6} {nclasses * mu:>9}",
-                file=sys.stderr,
-            )
-        print(f"{'total':>8} {'':>8} {'':>6} {total:>9}", file=sys.stderr)
+    print(f"{'diagram':>8} {'classes':>8} {'mult':>6} {'subtotal':>9}", file=sys.stderr)
+    for i, (diag, nclasses, mu) in enumerate(rows):
+        print(f"{i:>8} {nclasses:>8} {mu:>6} {nclasses * mu:>9}", file=sys.stderr)
+    print(f"{'total':>8} {'':>8} {'':>6} {total:>9}", file=sys.stderr)
     return 0
 
 

@@ -59,6 +59,16 @@ def test_count_diamond_default_type(files, capsys):
     assert capsys.readouterr().out.strip() == "4"
 
 
+def test_count_lists_no_diagram_without_explain(files, capsys, monkeypatch):
+    def listing(spec):
+        raise RuntimeError("count listed diagrams")
+
+    monkeypatch.setattr("tropico.diagram.enumerate_diagrams", listing)
+    rc = cmd(["count", "--polygon", str(files / "t3.json"), "--genus", "0", "--beta-minus", "3"])
+    assert rc == 0
+    assert capsys.readouterr().out == "12\n"
+
+
 def test_count_explain_table_on_stderr(files, capsys):
     rc = cmd(
         [

@@ -60,16 +60,24 @@ def _sequences_with_I(total):
     return out
 
 
+def _boundary_types(d):
+    """Every boundary type (alpha, beta) of one edge: I alpha + I beta = d."""
+    return [
+        (alpha, beta)
+        for ia in range(d + 1)
+        for alpha in _sequences_with_I(ia)
+        for beta in _sequences_with_I(d - ia)
+    ]
+
+
 def test_all_cubic_types_match_oracle():
     d = 3
     for g in (0, 1):
-        for ia in range(d + 1):
-            for alpha in _sequences_with_I(ia):
-                for beta in _sequences_with_I(d - ia):
-                    spec = DiagramSpec(triangle(d), (0, 1), g, (), alpha, (), beta)
-                    got = count(spec)
-                    want = ch_oracle.irreducible(d, g, alpha, beta)
-                    assert got == want, (g, alpha, beta, got, want)
+        for alpha, beta in _boundary_types(d):
+            spec = DiagramSpec(triangle(d), (0, 1), g, (), alpha, (), beta)
+            got = count(spec)
+            want = ch_oracle.irreducible(d, g, alpha, beta)
+            assert got == want, (g, alpha, beta, got, want)
 
 
 def test_sample_quartic_types_match_oracle():
@@ -112,6 +120,75 @@ def test_classical_counts():
     assert count(DiagramSpec(r22, (0, 1), 1, (), (), (2,), (2,))) == 1
     r21 = LatticePolygon([(0, 0), (2, 0), (2, 1), (0, 1)])
     assert count(DiagramSpec(r21, (0, 1), 0, (), (), (2,), (2,))) == 1
+
+
+def _moved(spec, a):
+    """The spec (A Delta, A^-T d) for a unimodular A: the same count."""
+    (p, q), (r, e) = a
+    det = p * e - q * r
+    poly = LatticePolygon([(p * x + q * y, r * x + e * y) for x, y in spec.polygon.vertices])
+    dx, dy = spec.direction
+    direction = ((e * dx - r * dy) * det, (p * dy - q * dx) * det)
+    return DiagramSpec(
+        poly, direction, spec.genus, spec.alpha_plus, spec.alpha_minus,
+        spec.beta_plus, spec.beta_minus,
+    )
+
+
+def test_floor_peeling_matches_the_enumerator():
+    # count(spec, explain=True) raises unless the listed diagrams sum to the
+    # peeled total; each spec also runs under a shear and a quarter turn,
+    # both of which move the direction (0, 1)
+    specs = [
+        DiagramSpec(triangle(d), (0, 1), g, (), (), (), (d,))
+        for d in (3, 4, 5)
+        for g in range(triangle(d).interior_points() + 1)
+    ]
+    specs += [
+        DiagramSpec(triangle(d), (0, 1), g, (), alpha, (), beta)
+        for d in (3, 4)
+        for g in range(triangle(d).interior_points() + 1)
+        for alpha, beta in _boundary_types(d)
+    ]
+    specs += [DiagramSpec(diamond(), (0, 1), g) for g in (0, 1)]
+    specs += [DiagramSpec(octic_quadrilateral(), (0, 1), g) for g in (0, 1, 2)]
+    specs += [DiagramSpec(trapezium(1, 3, 2), (0, 1), g, (), (), (2,), (5,)) for g in range(6)]
+    specs += [DiagramSpec(trapezium(2, 3, 2), (0, 1), g, (), (), (2,), (8,)) for g in range(9)]
+    for a, b, g in ((1, 1, 0), (2, 2, 0), (2, 2, 1), (2, 1, 0)):
+        rect = LatticePolygon([(0, 0), (a, 0), (a, b), (0, b)])
+        specs.append(DiagramSpec(rect, (0, 1), g, (), (), (a,), (a,)))
+    for spec in dict.fromkeys(specs):
+        total, _ = count(spec, explain=True)
+        for a in (((2, 1), (1, 1)), ((0, -1), (1, 0))):
+            moved = _moved(spec, a)
+            assert moved.direction != spec.direction
+            assert count(moved, explain=True)[0] == total, (spec, a)
+    # fixed and mobile tangencies on both edges at once: every boundary type
+    # of the bottom and the top edge of Tz^1_{2,2}, at every genus
+    tz = trapezium(1, 2, 2)
+    for g in range(tz.interior_points() + 1):
+        for alpha_minus, beta_minus in _boundary_types(4):
+            for alpha_plus, beta_plus in _boundary_types(2):
+                count(DiagramSpec(tz, (0, 1), g, alpha_plus, alpha_minus, beta_plus, beta_minus),
+                      explain=True)
+
+
+def test_floor_peeling_matches_oracle():
+    for d in (7, 8, 9, 10):
+        spec = DiagramSpec(triangle(d), (0, 1), 0, (), (), (), (d,))
+        assert count(spec) == ch_oracle.irreducible(d, 0, (), (d,)), d
+    for g in range(triangle(7).interior_points() + 1):
+        spec = DiagramSpec(triangle(7), (0, 1), g, (), (), (), (7,))
+        assert count(spec) == ch_oracle.irreducible(7, g, (), (7,)), g
+    # every boundary type of T4 and T5 on the bottom edge, and on the top
+    # edge of the reflected triangle
+    for d in (4, 5):
+        flipped = LatticePolygon([(0, 0), (d, 0), (0, -d)])
+        for g in range(triangle(d).interior_points() + 1):
+            for alpha, beta in _boundary_types(d):
+                want = ch_oracle.irreducible(d, g, alpha, beta)
+                assert count(DiagramSpec(triangle(d), (0, 1), g, (), alpha, (), beta)) == want
+                assert count(DiagramSpec(flipped, (0, 1), g, alpha, (), beta, ())) == want
 
 
 def test_count_invariant_under_polygon_presentation():
@@ -326,9 +403,7 @@ def test_count_matches_a_sum_over_labelled_candidates():
     specs += [
         DiagramSpec(triangle(3), (0, 1), g, (), alpha, (), beta)
         for g in (0, 1)
-        for ia in range(4)
-        for alpha in _sequences_with_I(ia)
-        for beta in _sequences_with_I(3 - ia)
+        for alpha, beta in _boundary_types(3)
     ]
     specs += [
         DiagramSpec(triangle(4), (0, 1), g, (), alpha, (), beta)

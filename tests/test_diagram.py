@@ -8,6 +8,7 @@ import pytest
 from tropico import diagram as diagram_mod
 from tropico import io
 from tropico.diagram import (
+    DiagramError,
     DiagramSpec,
     Disconnected,
     FloorDiagram,
@@ -251,6 +252,49 @@ def test_count_golden():
 def test_count_matches_breakdown():
     total, rows = count(T3_B11, explain=True)
     assert total == sum(n * mu for _, n, mu in rows) == 36
+
+
+def test_count_explain_rejects_rows_that_miss_the_total(monkeypatch):
+    listed = diagram_mod.count_markings
+    monkeypatch.setattr(diagram_mod, "count_markings", lambda d, s: listed(d, s) + 1)
+    assert count(T3_B3) == 12
+    with pytest.raises(InvariantViolation) as err:
+        count(T3_B3, explain=True)
+    assert "floor peeling gives 12" in str(err.value)
+
+
+def test_count_errors():
+    with pytest.raises(NotTransverse):
+        count(DiagramSpec(cubic_triangle(), (0, 1), 0, (), (), (), (1,)))
+    with pytest.raises(SideBoundaryCondition):
+        count(DiagramSpec(diamond(), (0, 1), 0, (), (1,), (), ()))
+    with pytest.raises(SideBoundaryCondition):
+        count(DiagramSpec(triangle(3), (0, 1), 0, (), (), (), (1,)))
+    for genus in (-1, 2):
+        with pytest.raises(DiagramError, match="out of range"):
+            count(DiagramSpec(triangle(3), (0, 1), genus, (), (), (), (3,)))
+    floorless = SimpleNamespace(check=lambda: None, data=SimpleNamespace(d_height=0))
+    with pytest.raises(DiagramError, match="no floors"):
+        count(floorless)
+
+
+def _distinct_permutations(values):
+    """The reference order of theta assignments: every permutation of
+    ``values`` through a set, each distinct one at its first occurrence."""
+    seen = set()
+    for p in itertools.permutations(values):
+        if p not in seen:
+            seen.add(p)
+            yield p
+
+
+def test_lexicographic_permutations_match_the_reference():
+    rng = random.Random(5)
+    lists = [(), (0,), (0, 0, 0), (-1, 1, 1), (-3, -2, -1, 0, 0, 1, 2, 2, 5)]
+    lists += [tuple(sorted(rng.randint(-4, 4) for _ in range(n))) for n in range(2, 10)]
+    for values in lists:
+        got = list(diagram_mod._lexicographic_permutations(values))
+        assert got == list(_distinct_permutations(values)), values
 
 
 def test_count_determinism():
