@@ -5,8 +5,8 @@ All results go to stdout as JSON (a bare integer for `count`), diagnostics
 to stderr.  Exit codes: 0 success, 1 domain error (with the error name in
 JSON on stdout), 2 argument or parse error.  Domain errors are the typed
 errors of the library, including io.InputError for files and option
-values that cannot be read or decoded; any other exception is a bug and
-propagates.
+values that cannot be read or decoded; an InvariantViolation, or any
+other exception, is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -281,6 +281,9 @@ DOMAIN_ERRORS = (
     io_mod.InputError,
 )
 
+# identities that hold for every valid input: breaking one is a bug
+BUGS = (diagram_mod.InvariantViolation, tropical.InvariantViolation)
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -336,6 +339,8 @@ def cmd(argv):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except BUGS:
+        raise
     except DOMAIN_ERRORS as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
         print(f"error: {exc}", file=sys.stderr)

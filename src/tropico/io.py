@@ -141,6 +141,9 @@ def marking_to_json(marking):
 def marking_from_json(data, diagram):
     items = sorted(((int(k), v) for k, v in data["labels"].items()))
     lo = items[0][0]
+    keys = [k for k, _ in items]
+    if keys != list(range(lo, lo + len(keys))):
+        raise InputError(f"marking labels {keys} are not consecutive integers")
     labels = tuple(_element_from_id(v) for _, v in items)
     return Marking(diagram, lo, labels)
 

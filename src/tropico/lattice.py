@@ -238,12 +238,10 @@ class LatticePolygon:
         return self.double_area() == 2 * self.interior_points() + self.boundary_points() - 2
 
     def corner_directions(self):
-        """Per vertex, the primitive edge directions (u', u'') leaving it.
-
-        The pair points away from the vertex with the angle opening into
-        the polygon, in the order (previous edge reversed? no: outgoing
-        along each of the two incident edges).
-        """
+        """Per vertex v, (v, u', u''): the primitive directions from v along
+        its two edges, u' toward the next vertex and u'' toward the
+        previous one, so that the angle from u' counterclockwise to u''
+        opens into the polygon."""
         n = len(self.vertices)
         out = []
         for i in range(n):

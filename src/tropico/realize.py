@@ -165,7 +165,8 @@ def realize(diagram, marking, cfg, spec):
     its Omega line); each floor starts at slope theta on the left, bends
     by epsilon * weight at every elevator, and is translated along the
     direction to contain its own marked point.  Raises SpacingTooSmall
-    when the prescribed incidences collide.
+    when the prescribed incidences collide, and InvalidMarking when the
+    labels are not the spec's label range or break the diagram order.
 
     Abscissae and heights are the integers of cfg.frame (the values times
     its scale L): slopes are integers, so every breakpoint height is an
@@ -180,6 +181,16 @@ def realize(diagram, marking, cfg, spec):
     frame = cfg.frame
     labels = marking.as_dict()
     element_label = {el: lab for lab, el in labels.items()}
+    if list(labels) != spec.label_range():
+        raise InvalidMarking(f"labels {list(labels)} are not the label range {spec.label_range()}")
+    # the diagram order (FloorDiagram.element_preds): each edge follows its
+    # source floor and precedes its target floor
+    for i, (a, b, _) in enumerate(diagram.edges):
+        lab = element_label.get(("e", i))
+        if lab is not None and not (
+            element_label.get(("f", a), -math.inf) < lab < element_label.get(("f", b), math.inf)
+        ):
+            raise InvalidMarking(f"label of edge {i} is not between the labels of its floors")
     s = spec.s
     lo = -diagram_mod.nseq_abs(spec.alpha_minus) + 1
 
@@ -329,20 +340,24 @@ def _breakpoint_at(inc, edge_idx):
     raise KeyError(edge_idx)
 
 
-def realize_stretched(diagram, marking, spec, seed=0, max_doublings=10):
+MAX_DOUBLINGS = 10
+
+
+def realize_stretched(diagram, marking, spec, seed=0):
     """Realize on an automatically stretched configuration, doubling the
-    spacing on collision; the sufficient spacing is only known
-    asymptotically, so verification is the ground truth."""
+    spacing on collision, at most MAX_DOUBLINGS times; the sufficient
+    spacing is only known asymptotically, so verification is the ground
+    truth."""
     spacing = default_spacing(spec)
     last = None
-    for _ in range(max_doublings + 1):
+    for _ in range(MAX_DOUBLINGS + 1):
         cfg = stretch_points(spec, seed, spacing)
         try:
             return realize(diagram, marking, cfg, spec), cfg
         except SpacingTooSmall as exc:
             last = exc
             spacing *= 2
-    raise SpacingTooSmall(f"no spacing found after {max_doublings} doublings: {last}")
+    raise SpacingTooSmall(f"no spacing found after {MAX_DOUBLINGS} doublings: {last}")
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,6 @@ class RenderStyle:
     width: int = 480
     height: int = 480
     margin: int = 24
-    show_weights: bool = True
-    show_markings: bool = True
     anticanonical_frame: bool = False
 
     def __post_init__(self):
@@ -170,7 +168,7 @@ def render_curve_svg(curve, style=None, points=(), omega_lines=(), labels=None):
             f'<line x1="{_fmt(px)}" y1="{_fmt(py)}" x2="{_fmt(qx)}" y2="{_fmt(qy)}"'
             f' stroke="black" stroke-width="{w:.1f}"/>'
         )
-        if style.show_weights and weight > 1:
+        if weight > 1:
             mx, my = (px + qx) / 2, (py + qy) / 2
             lines.append(f'<circle cx="{_fmt(mx)}" cy="{_fmt(my)}" r="7" fill="white" stroke="black"/>')
             lines.append(
@@ -186,7 +184,7 @@ def render_curve_svg(curve, style=None, points=(), omega_lines=(), labels=None):
     for i, (x, y) in enumerate(ints[nv : nv + len(points)]):
         px, py = to_px(x, y)
         lines.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3.2" fill="black"/>')
-        if style.show_markings and labels:
+        if labels:
             text = labels.get(i)
             if text is not None:
                 lines.append(

@@ -363,10 +363,12 @@ def corner_locus(poly):
     """Corner locus of a tropical polynomial with its dual subdivision.
 
     The subdivision is the projection of the upper convex hull of the
-    lifted support {(I, a_I)}; the curve is its dual graph: one vertex per
-    2-cell at the point where that cell's terms are simultaneously maximal,
-    one bounded edge per interior edge, one ray per boundary edge, with
-    weights the integral lengths of the dual edges.
+    lifted support {(I, a_I)}, and the curve is read off its cells: one
+    vertex per 2-cell, at minus the gradient of the cell's plane, where
+    that cell's terms are simultaneously maximal; one bounded edge per
+    cell edge shared by two cells; one ray per cell edge of no other cell,
+    along the edge's primitive outward normal.  Weights are the integral
+    lengths of the dual edges.
     """
     if not poly.spans_plane():
         raise SegmentSupport("support of the polynomial is collinear")
@@ -374,70 +376,35 @@ def corner_locus(poly):
     cells = _upper_cells(poly.terms)
     eqsets = sorted(cells, key=lambda s: sorted(s))
     cell_polys = [convex_hull(s) for s in eqsets]
-    lift = dict(poly.terms)
+    vertices = [(-cells[eq][0], -cells[eq][1]) for eq in eqsets]
 
-    vertices = []
-    for eq, cp in zip(eqsets, cell_polys):
-        p0 = cp.vertices[0]
-        p1 = cp.vertices[1]
-        p2 = cp.vertices[-1]
-        m = ((p1[0] - p0[0], p1[1] - p0[1]), (p2[0] - p0[0], p2[1] - p0[1]))
-        rhs = (lift[p0] - lift[p1], lift[p0] - lift[p2])
-        dd = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        x = Fraction(rhs[0] * m[1][1] - rhs[1] * m[0][1], dd)
-        y = Fraction(rhs[1] * m[0][0] - rhs[0] * m[1][0], dd)
-        vertices.append((x, y))
+    owners = {}  # cell edge, as its sorted end points -> cells that have it
+    for idx, cp in enumerate(cell_polys):
+        for p, q in cp.edges():
+            owners.setdefault((min(p, q), max(p, q)), []).append(idx)
 
     segments, segment_dual = [], []
-    for i, j in itertools.combinations(range(len(eqsets)), 2):
-        common = eqsets[i] & eqsets[j]
-        if len(common) < 2:
-            continue
-        ends = sorted(common)
-        p, q = ends[0], ends[-1]
-        if sub(q, p) == (0, 0):
-            continue
-        w = lattice.integral_length(p, q)
+    for (i, j), (p, q) in sorted((cs, edge) for edge, cs in owners.items() if len(cs) == 2):
         direction = rational_primitive(sub(vertices[j], vertices[i]))
         if dot(direction, sub(q, p)) != 0:
             raise InvariantViolation(f"curve edge {i}-{j} is not orthogonal to its dual {p}-{q}")
-        segments.append(Segment(i, j, w, direction))
+        segments.append(Segment(i, j, lattice.integral_length(p, q), direction))
         segment_dual.append((p, q))
 
     rays, ray_dual = [], []
     for idx, cp in enumerate(cell_polys):
         for p, q in cp.edges():
-            host = _boundary_edge_through(newton, p, q)
-            if host is None:
-                continue
-            # ray direction: primitive outward normal of the polygon edge
-            hp, hq = host
-            direction = rational_primitive(scale(perp(sub(hq, hp)), -1))
-            rays.append(Ray(idx, direction, lattice.integral_length(p, q)))
-            ray_dual.append((p, q))
+            if len(owners[(min(p, q), max(p, q))]) == 1:
+                direction = rational_primitive(scale(perp(sub(q, p)), -1))
+                rays.append(Ray(idx, direction, lattice.integral_length(p, q)))
+                ray_dual.append((p, q))
 
-    crossings = set()
-    for idx, cp in enumerate(cell_polys):
-        if _is_parallelogram(cp):
-            crossings.add(idx)
-
-    curve = PlaneTropicalCurve(
-        tuple(vertices), tuple(segments), tuple(rays), frozenset(crossings), newton
-    )
+    crossings = frozenset(idx for idx, cp in enumerate(cell_polys) if _is_parallelogram(cp))
+    curve = PlaneTropicalCurve(tuple(vertices), tuple(segments), tuple(rays), crossings, newton)
     subdivision = DualSubdivision(newton, tuple(cell_polys), tuple(segment_dual), tuple(ray_dual))
     if not subdivision.check_tiling():
         raise InvariantViolation("cells do not tile the Newton polygon")
     return curve, subdivision
-
-
-def _boundary_edge_through(poly, p, q):
-    """The polygon edge containing the segment pq of the polygon, if any:
-    the edge whose line holds both p and q."""
-    for a, b in poly.edges():
-        e = sub(b, a)
-        if det(e, sub(p, a)) == 0 and det(e, sub(q, a)) == 0:
-            return (a, b)
-    return None
 
 
 def _is_parallelogram(cp):
@@ -532,13 +499,12 @@ def legendre_bitransform_value(f, x):
     """(f_vee)_vee at x, evaluated via the vertices of the linearity complex
     of f_vee; equals the lower convex hull of f on conv(dom f)."""
     f = {(int(a), int(b)): Fraction(v) for (a, b), v in dict(f).items()}
-    poly = TropicalPolynomial.make({p: -v for p, v in f.items()})
-    if not poly.spans_plane():
+    cells = _upper_cells(tuple((p, -v) for p, v in f.items()))
+    if not cells:
         raise SegmentSupport("bitransform evaluation needs a planar domain")
-    curve, _ = corner_locus(poly)
     lt = legendre_transform(f)
-    candidates = list(curve.vertices)
-    return max(x[0] * p[0] + x[1] * p[1] - lt(p) for p in candidates)
+    # minus the cell gradients: the vertices of the corner locus of f_vee
+    return max(-x[0] * gx - x[1] * gy - lt((-gx, -gy)) for gx, gy, _ in cells.values())
 
 
 def lower_hull_value(f, x):

@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
-from tropico.cli import cmd
+from tropico import diagram as diagram_mod
 from tropico import io as io_mod
+from tropico import tropical
+from tropico.cli import cmd
 from tropico.diagram import DiagramSpec, enumerate_diagrams, enumerate_markings
 from tropico.lattice import diamond, triangle
 from tropico.render import RenderStyle, render_curve_svg
@@ -143,6 +145,19 @@ def test_library_key_error_is_not_a_domain_error(files, monkeypatch):
         cmd(["count", "--polygon", str(files / "t3.json"), "--genus", "0"])
 
 
+def test_invariant_violation_is_not_a_domain_error(files, monkeypatch):
+    # a broken identity is a bug: it propagates instead of exiting 1
+    def broken_peel(spec):
+        return 0
+
+    monkeypatch.setattr("tropico.diagram._peel_count", broken_peel)
+    with pytest.raises(diagram_mod.InvariantViolation):
+        cmd(["count", "--polygon", str(files / "t3.json"), "--genus", "0", "--explain"])
+    monkeypatch.setattr(tropical.DualSubdivision, "check_tiling", lambda self: False)
+    with pytest.raises(tropical.InvariantViolation):
+        cmd(["tropicalize", "--poly", str(files / "line.json")])
+
+
 def test_parse_error_exit_code(files, capsys):
     assert cmd(["count", "--polygon", str(files / "t3.json")]) == 2
     capsys.readouterr()
@@ -214,6 +229,28 @@ def test_realize_cli_roundtrip(files, tmp_path, capsys):
     assert len(data["floors"]) == 3
     assert len(data["elevators"]) == len(diag.edges)
     assert svg.read_text().startswith("<svg")
+
+
+def test_realize_cli_rejects_marking_labels_off_the_range(files, tmp_path, capsys):
+    spec = DiagramSpec(triangle(3), (0, 1), 1, (), (), (), (3,))
+    diag = enumerate_diagrams(spec)[0]
+    marking = io_mod.marking_to_json(enumerate_markings(diag, spec)[0])
+    dpath = tmp_path / "diag.json"
+    dpath.write_text(json.dumps(io_mod.diagram_to_json(diag)))
+    argv = ["realize", "--polygon", str(files / "t3.json"), "--genus", "1",
+            "--beta-minus", "3", "--diagram", str(dpath), "--marking", str(tmp_path / "mark.json")]
+    labels = {int(k): el for k, el in marking["labels"].items()}
+    # labels 1-3 and 6-11 would be renumbered 1-9 without a word
+    gapped = {str(k if k <= 3 else k + 2): el for k, el in labels.items()}
+    shifted = {str(k - 3): el for k, el in labels.items()}
+    cases = [(marking["labels"], None), (gapped, "InputError"),
+             ({**marking["labels"], "x": "f0"}, "InputError"), (shifted, "InvalidMarking")]
+    for data, error in cases:
+        (tmp_path / "mark.json").write_text(json.dumps({"labels": data}))
+        assert cmd(argv) == (1 if error else 0), data
+        out = capsys.readouterr().out
+        if error:
+            assert json.loads(out)["error"] == error
 
 
 def test_realize_cli_svgs_pinned(files, capsys):

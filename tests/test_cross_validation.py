@@ -173,6 +173,14 @@ def test_floor_peeling_matches_the_enumerator():
                       explain=True)
 
 
+def test_floor_peeling_matches_the_enumerator_on_sextics():
+    # T6 at the genera where listing is quick (g=1..5 take seconds each)
+    for g in (0, 6, 7, 8, 9, 10):
+        spec = DiagramSpec(triangle(6), (0, 1), g, (), (), (), (6,))
+        total, _ = count(spec, explain=True)
+        assert total == ch_oracle.irreducible(6, g, (), (6,)), g
+
+
 def test_floor_peeling_matches_oracle():
     for d in (7, 8, 9, 10):
         spec = DiagramSpec(triangle(d), (0, 1), 0, (), (), (), (d,))

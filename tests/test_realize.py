@@ -9,6 +9,7 @@ from tropico import io
 from tropico.diagram import (
     DiagramSpec,
     FloorDiagram,
+    Marking,
     canonical_key,
     count,
     enumerate_diagrams,
@@ -209,6 +210,20 @@ def test_invalid_marking_rejected():
     cfg = stretch_points(T3_G0, seed=0)
     with pytest.raises(InvalidMarking):
         realize(diag, marking, cfg, T3_G0)  # diagram does not fit the spec
+    # a floor and its out-edge with their labels swapped: the edge is
+    # labelled below its source floor
+    diag = enumerate_diagrams(T3_G1)[0]
+    marking = enumerate_markings(diag, T3_G1)[0]
+    labels = list(marking.labels)
+    i, j = labels.index(("f", 0)), labels.index(("e", 3))
+    labels[i], labels[j] = labels[j], labels[i]
+    swapped = Marking(diag, marking.label_start, tuple(labels))
+    with pytest.raises(InvalidMarking, match="label of edge 3 is not between"):
+        realize_stretched(diag, swapped, T3_G1)
+    # labels shifted below the spec's range 1..9
+    shifted = Marking(diag, marking.label_start - 3, marking.labels)
+    with pytest.raises(InvalidMarking, match="not the label range"):
+        realize_stretched(diag, shifted, T3_G1)
 
 
 def test_spacing_too_small_escalates():

@@ -4,10 +4,17 @@ import math
 import random
 from fractions import Fraction
 
+from tropico import io
 from tropico.diagram import DiagramSpec, enumerate_diagrams, enumerate_markings
 from tropico.lattice import det, diamond, octic_quadrilateral, triangle
 from tropico.realize import realize_stretched
-from tropico.render import RenderStyle, _exit_parameter, _frame_polygon, render_curve_svg
+from tropico.render import (
+    RenderStyle,
+    _exit_parameter,
+    _frame_polygon,
+    render_curve_svg,
+    render_subdivision_svg,
+)
 from tropico.tropical import TropicalPolynomial, _integral_frame, corner_locus
 
 
@@ -114,3 +121,47 @@ def test_omega_lines_outside_the_frame_pinned():
         svg = render_curve_svg(curve, style, [(Fraction(1, 3), 2)], omega, {0: "1"})
         digest.update(svg.encode())
     assert digest.hexdigest() == "e5e71c07291787c05f5ff1854495e4f5d82ea3a1ef930e0f0ef00c001d96fa86"
+
+
+def tropicalize_corpus(seed):
+    """Coarse, fine and sparse polynomials on T1..T6: integer lifts on every
+    lattice point, near-concave lifts -(i^2 + j^2) + eps with rational eps,
+    and random subsets of the lattice points with rational lifts."""
+    rng = random.Random(seed)
+    polys = []
+    for d in range(1, 7):
+        points = triangle(d).lattice_points()
+        polys.append(TropicalPolynomial.make({p: rng.randint(-9, 9) for p in points}))
+        polys.append(TropicalPolynomial.make(
+            {(i, j): -(i * i + j * j) + Fraction(rng.randint(-99, 99), 800) for i, j in points}
+        ))
+        while True:
+            sparse = {p: Fraction(rng.randint(-20, 20), rng.randint(1, 5))
+                      for p in rng.sample(points, rng.randint(3, len(points)))}
+            poly = TropicalPolynomial.make(sparse)
+            if poly.spans_plane():
+                polys.append(poly)
+                break
+    return polys
+
+
+def test_tropicalize_outputs_pinned():
+    # sha256 of the curve and subdivision JSON and SVGs, as written when the
+    # curve was derived by solving for each vertex and intersecting every
+    # pair of cells
+    digest = hashlib.sha256()
+    n = 0
+    for seed in (0, 1, 2):
+        for poly in tropicalize_corpus(seed):
+            curve, subdivision = corner_locus(poly)
+            for text in (
+                io.dumps(io.curve_to_json(curve)),
+                io.dumps(io.subdivision_to_json(subdivision)),
+                render_curve_svg(curve),
+                render_curve_svg(curve, RenderStyle(anticanonical_frame=True)),
+                render_subdivision_svg(subdivision),
+            ):
+                digest.update(text.encode())
+            n += 1
+    assert n == 54
+    assert digest.hexdigest() == "1130ede45e35235acdf7b494e810d28da0c13ebb7ae35e2e77cd568179bcf1ab"

@@ -5,12 +5,16 @@ from fractions import Fraction
 import pytest
 
 from tropico.diagram import DiagramSpec, enumerate_diagrams, enumerate_markings
+from tropico import lattice, tropical
 from tropico.lattice import (
     convex_hull,
     cubic_triangle,
+    det,
     diamond,
     dot,
     integral_length,
+    perp,
+    scale,
     sub,
     trapezium,
     triangle,
@@ -26,6 +30,7 @@ from tropico.tropical import (
     ParametrizedCurve,
     PlaneTropicalCurve,
     Ray,
+    Segment,
     SegmentSupport,
     TropicalPolynomial,
     UnsupportedShape,
@@ -46,6 +51,7 @@ from tropico.tropical import (
     tropical_product,
     _integral_frame,
     _intersect_pieces,
+    _is_parallelogram,
     _split_piece,
     _upper_cells,
 )
@@ -201,6 +207,147 @@ def test_corner_locus_rejects_a_broken_tiling(monkeypatch):
     monkeypatch.setattr(DualSubdivision, "check_tiling", lambda self: False)
     with pytest.raises(InvariantViolation):
         corner_locus(tropical_line())
+
+
+def test_corner_locus_rejects_an_edge_off_its_dual(monkeypatch):
+    # tilt one cell's plane: its vertex moves off the normal line of the
+    # shared edge
+    poly = TropicalPolynomial.make({(0, 0): 0, (1, 0): 0, (0, 1): 0, (1, 1): 1})
+    cells = _upper_cells(poly.terms)
+    eq = min(cells, key=sorted)
+    gx, gy, c = cells[eq]
+    monkeypatch.setattr(tropical, "_upper_cells", lambda terms: {**cells, eq: (gx + 1, gy, c)})
+    with pytest.raises(InvariantViolation, match="is not orthogonal to its dual"):
+        corner_locus(poly)
+
+
+def corner_locus_reference(poly):
+    """Corner locus of a tropical polynomial with its dual subdivision.
+
+    The subdivision is the projection of the upper convex hull of the
+    lifted support {(I, a_I)}; the curve is its dual graph: one vertex per
+    2-cell at the point where that cell's terms are simultaneously maximal,
+    one bounded edge per interior edge, one ray per boundary edge, with
+    weights the integral lengths of the dual edges.
+    """
+    if not poly.spans_plane():
+        raise SegmentSupport("support of the polynomial is collinear")
+    newton = poly.newton_polygon()
+    cells = _upper_cells(poly.terms)
+    eqsets = sorted(cells, key=lambda s: sorted(s))
+    cell_polys = [convex_hull(s) for s in eqsets]
+    lift = dict(poly.terms)
+
+    vertices = []
+    for eq, cp in zip(eqsets, cell_polys):
+        p0 = cp.vertices[0]
+        p1 = cp.vertices[1]
+        p2 = cp.vertices[-1]
+        m = ((p1[0] - p0[0], p1[1] - p0[1]), (p2[0] - p0[0], p2[1] - p0[1]))
+        rhs = (lift[p0] - lift[p1], lift[p0] - lift[p2])
+        dd = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        x = Fraction(rhs[0] * m[1][1] - rhs[1] * m[0][1], dd)
+        y = Fraction(rhs[1] * m[0][0] - rhs[0] * m[1][0], dd)
+        vertices.append((x, y))
+
+    segments, segment_dual = [], []
+    for i, j in itertools.combinations(range(len(eqsets)), 2):
+        common = eqsets[i] & eqsets[j]
+        if len(common) < 2:
+            continue
+        ends = sorted(common)
+        p, q = ends[0], ends[-1]
+        if sub(q, p) == (0, 0):
+            continue
+        w = lattice.integral_length(p, q)
+        direction = rational_primitive(sub(vertices[j], vertices[i]))
+        if dot(direction, sub(q, p)) != 0:
+            raise InvariantViolation(f"curve edge {i}-{j} is not orthogonal to its dual {p}-{q}")
+        segments.append(Segment(i, j, w, direction))
+        segment_dual.append((p, q))
+
+    rays, ray_dual = [], []
+    for idx, cp in enumerate(cell_polys):
+        for p, q in cp.edges():
+            host = _boundary_edge_through(newton, p, q)
+            if host is None:
+                continue
+            # ray direction: primitive outward normal of the polygon edge
+            hp, hq = host
+            direction = rational_primitive(scale(perp(sub(hq, hp)), -1))
+            rays.append(Ray(idx, direction, lattice.integral_length(p, q)))
+            ray_dual.append((p, q))
+
+    crossings = set()
+    for idx, cp in enumerate(cell_polys):
+        if _is_parallelogram(cp):
+            crossings.add(idx)
+
+    curve = PlaneTropicalCurve(
+        tuple(vertices), tuple(segments), tuple(rays), frozenset(crossings), newton
+    )
+    subdivision = DualSubdivision(newton, tuple(cell_polys), tuple(segment_dual), tuple(ray_dual))
+    if not subdivision.check_tiling():
+        raise InvariantViolation("cells do not tile the Newton polygon")
+    return curve, subdivision
+
+
+def _boundary_edge_through(poly, p, q):
+    """The polygon edge containing the segment pq of the polygon, if any:
+    the edge whose line holds both p and q."""
+    for a, b in poly.edges():
+        e = sub(b, a)
+        if det(e, sub(p, a)) == 0 and det(e, sub(q, a)) == 0:
+            return (a, b)
+    return None
+
+
+def _locus_outcome(fn, poly):
+    try:
+        return fn(poly)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+
+
+def reference_corpus(rng):
+    """Seeded polynomials on T1..T8 and three other polygons: flat lifts,
+    lifts -(i^2 + 2 j^2) that cut unit squares (crossings), random lifts
+    with denominators 1, 3 and 7, lifts in {-1, 0, 1} (many ties), sparse
+    supports (some collinear) and Fraction lifts on random point sets."""
+    shapes = [triangle(d) for d in range(1, 9)] + [diamond(), trapezium(2, 3, 1), cubic_triangle()]
+    for shape in shapes:
+        points = shape.lattice_points()
+        yield TropicalPolynomial.make({p: 0 for p in points})
+        yield TropicalPolynomial.make({(i, j): -(i * i + 2 * j * j) for i, j in points})
+        for denom, spread in ((1, 40), (3, 5), (7, 40), (1, 2)):
+            for _ in range(4):
+                yield random_polynomial(rng, shape, denom=denom, spread=spread)
+        for _ in range(16):
+            yield TropicalPolynomial.make({p: rng.randint(-1, 1) for p in points})
+        for _ in range(16):
+            support = rng.sample(points, rng.randint(1, len(points)))
+            yield TropicalPolynomial.make({p: rng.randint(-3, 3) for p in support})
+        for _ in range(8):
+            support = {(rng.randint(0, 6), rng.randint(0, 5)) for _ in range(rng.randint(2, 12))}
+            yield TropicalPolynomial.make(
+                {p: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for p in support}
+            )
+    for k in range(1, 6):
+        yield TropicalPolynomial.make({(i, 2 * i): rng.randint(-3, 3) for i in range(k)})
+
+
+def test_corner_locus_matches_the_reference():
+    rng = random.Random(12)
+    outcomes = []
+    for poly in reference_corpus(rng):
+        got = _locus_outcome(corner_locus, poly)
+        assert got == _locus_outcome(corner_locus_reference, poly), poly
+        outcomes.append(got)
+    raised = [o for o in outcomes if isinstance(o[0], type)]
+    assert len(outcomes) >= 600
+    assert {o[0] for o in raised} == {SegmentSupport}
+    assert 20 < len(raised) < len(outcomes) // 4
+    assert sum(len(curve.crossings) for curve, _ in outcomes if not isinstance(curve, type)) > 100
 
 
 def test_duality_orthogonality_and_weights():
