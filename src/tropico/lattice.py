@@ -258,22 +258,27 @@ class LatticePolygon:
         return [(v, *vertex_singularity(u1, u2)) for v, u1, u2 in self.corner_directions()]
 
 
+def monotone_chain(points):
+    """Lower convex chain of points given in increasing (x, y) order: the
+    points it keeps turn strictly left from each one to the next, so a
+    point on or above the chord of its neighbours is dropped.  Given in
+    decreasing order, the points yield the upper chain.  Coordinates may
+    be rational."""
+    chain = []
+    for p in points:
+        while len(chain) >= 2 and det(sub(chain[-1], chain[-2]), sub(p, chain[-2])) <= 0:
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
 def convex_hull(points):
     """Convex hull of integer points, as a LatticePolygon (monotone chain)."""
     pts = sorted(set((int(x), int(y)) for x, y in points))
     if len(pts) < 3:
         raise DegeneratePolygon("hull of fewer than 3 distinct points")
-
-    def half(seq):
-        chain = []
-        for p in seq:
-            while len(chain) >= 2 and det(sub(chain[-1], chain[-2]), sub(p, chain[-2])) <= 0:
-                chain.pop()
-            chain.append(p)
-        return chain
-
-    lower = half(pts)
-    upper = half(reversed(pts))
+    lower = monotone_chain(pts)
+    upper = monotone_chain(reversed(pts))
     return LatticePolygon(lower[:-1] + upper[:-1])
 
 

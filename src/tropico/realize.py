@@ -19,8 +19,8 @@ from typing import NamedTuple
 from . import diagram as diagram_mod
 from . import lattice
 from .lattice import dot, perp, scale, slope_of, slope_vector, sub
-from .tropical import NotClosed, ParametrizedCurve, PEdge, Ray, check_balancing
-from .tropical import _circuit_polygon, _integral_frame, component_roots, tropical_multiplicity
+from .tropical import NotClosed, ParametrizedCurve, PEdge, check_balancing
+from .tropical import _dual_polygon, _integral_frame, component_roots, tropical_multiplicity
 
 
 class RealizeError(Exception):
@@ -461,18 +461,17 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     pc = realization.curve
     if not check_balancing(pc):
         violations.append("curve is not balanced")
-    genus = pc.genus()
+    genus, components = pc.genus_and_components()
     if genus != spec.genus:
         violations.append(f"source genus {genus} != {spec.genus}")
-    if not pc.is_connected():
+    if components != 1:
         violations.append("source curve disconnected")
     for i, on in enumerate(points_on_curve(pc, cfg.points)):
         if not on:
             violations.append(f"point {i + 1} not on the curve")
     # infinite-edge census against the boundary data, via the ray circuit
-    rays = [Ray(0, e.direction, e.weight) for e in pc.edges if e.b < 0]
     try:
-        circuit = _circuit_polygon(rays)
+        circuit = _dual_polygon([(e.direction, e.weight) for e in pc.edges if e.b < 0])
         target = spec.polygon
         anchored = circuit.translate(sub(target.vertices[0], circuit.vertices[0]))
         if anchored != target:

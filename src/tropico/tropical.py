@@ -12,6 +12,13 @@ case by integer sign tests: the upper hull of the lifted support, found by
 gift wrapping in O(n * cells) for n terms (_upper_cells), and the crossing
 scan that splits the image of a parametrized curve into a plane curve,
 O(P^2) pair tests for P pieces (_parametrized_to_plane).
+
+Each hull cell is hulled once, in _upper_cells, and comes with its plane
+and its LatticePolygon; the corner locus, the Legendre transform and the
+lower hull read that polygon.  One monotone chain (lattice.monotone_chain)
+serves convex_hull and the collinear Legendre domain, and one dual-polygon
+builder (_dual_polygon) turns both a vertex star and the ray circuit into
+a polygon.
 """
 
 from __future__ import annotations
@@ -174,7 +181,7 @@ class PlaneTropicalCurve:
         )
         rays = tuple(Ray(r.base, r.direction, r.weight) if isinstance(r, Ray) else Ray(*r) for r in rays)
         if newton is None:
-            newton = _circuit_polygon(rays)
+            newton = _dual_polygon([(r.direction, r.weight) for r in rays])
         return PlaneTropicalCurve(vertices, segments, rays, frozenset(crossings), newton)
 
     def incidence(self):
@@ -230,20 +237,27 @@ def check_balancing(curve):
     return True
 
 
-def _circuit_polygon(rays):
-    groups = {}
-    for r in rays:
-        groups[r.direction] = groups.get(r.direction, 0) + r.weight
-    if not groups:
+def _dual_polygon(star, vertex=None):
+    """Dual lattice polygon of a star of weighted directions (u, w): the
+    pieces at the finite vertex numbered vertex, or, with vertex None, the
+    rays of a curve, whose circuit traces its Newton polygon.
+
+    The vectors w * u are sorted by angle, each is turned by +pi/2, and
+    their partial sums from (0, 0) are the vertices (LatticePolygon merges
+    the collinear ones that parallel pieces leave).  A star whose sum does
+    not vanish raises NotClosed; so does a curve without rays.
+    """
+    if vertex is None and not star:
         raise NotClosed("curve has no rays")
-    dirs = lattice.sort_by_angle(list(groups))
     total = (0, 0)
-    pts = [(0, 0)]
-    for u in dirs:
-        total = add(total, scale(perp(u), groups[u]))
+    pts = [total]
+    for wu in lattice.sort_by_angle([scale(u, w) for u, w in star]):
+        total = add(total, perp(wu))
         pts.append(total)
     if total != (0, 0):
-        raise NotClosed(f"weighted ray circuit does not close: drift {total}")
+        if vertex is None:
+            raise NotClosed(f"weighted ray circuit does not close: drift {total}")
+        raise NotClosed(f"vertex {vertex} is not balanced")
     return LatticePolygon(pts[:-1])
 
 
@@ -254,7 +268,7 @@ def newton_polygon_of(curve):
     order.  The circuit determines the polygon up to translation; the
     result is anchored at the curve's stored polygon when present.
     """
-    poly = _circuit_polygon(curve.rays)
+    poly = _dual_polygon([(r.direction, r.weight) for r in curve.rays])
     anchor = curve.newton.vertices[0] if curve.newton is not None else poly.vertices[0]
     return poly.translate(sub(anchor, poly.vertices[0]))
 
@@ -281,9 +295,10 @@ class DualSubdivision:
 def _upper_cells(poly_terms):
     """Maximal equality sets of upper supporting planes of the lifted points.
 
-    Returns {frozenset(points on the plane): (gx, gy, c)} with the plane
-    x -> gx * x[0] + gy * x[1] + c, one entry per 2-face of the upper hull
-    of {(I, a_I)}; {} when the support is collinear.
+    Returns {frozenset(points on the plane): (gx, gy, c, polygon)} with the
+    plane x -> gx * x[0] + gy * x[1] + c and the cell's LatticePolygon, the
+    convex hull of its points, one entry per 2-face of the upper hull of
+    {(I, a_I)}; {} when the support is collinear.
 
     Gift wrapping over cell edges: start from an upper-hull edge on the
     boundary of the Newton polygon, and from every directed edge (p, q)
@@ -321,8 +336,9 @@ def _upper_cells(poly_terms):
             continue  # (p, q) lies on the boundary of the Newton polygon
         eq, (nx, ny, den) = found
         gx, gy = Fraction(nx, den * scale_), Fraction(ny, den * scale_)
-        cells[frozenset(eq)] = (gx, gy, Fraction(lift[p]) - gx * p[0] - gy * p[1])
-        for a, b in convex_hull(eq).edges():
+        cell = convex_hull(eq)
+        cells[frozenset(eq)] = (gx, gy, Fraction(lift[p]) - gx * p[0] - gy * p[1], cell)
+        for a, b in cell.edges():
             done.add((a, b))
             if (b, a) not in done:
                 stack.append((b, a))
@@ -374,9 +390,9 @@ def corner_locus(poly):
         raise SegmentSupport("support of the polynomial is collinear")
     newton = poly.newton_polygon()
     cells = _upper_cells(poly.terms)
-    eqsets = sorted(cells, key=lambda s: sorted(s))
-    cell_polys = [convex_hull(s) for s in eqsets]
-    vertices = [(-cells[eq][0], -cells[eq][1]) for eq in eqsets]
+    planes = [cells[eq] for eq in sorted(cells, key=sorted)]
+    cell_polys = [cp for _, _, _, cp in planes]
+    vertices = [(-gx, -gy) for gx, gy, _, _ in planes]
 
     owners = {}  # cell edge, as its sorted end points -> cells that have it
     for idx, cp in enumerate(cell_polys):
@@ -476,23 +492,11 @@ def _lower_hull_vertices(f):
         return pts
     cells = _upper_cells(tuple(((x, y), -v) for (x, y), v in f.items()))
     if cells:
-        verts = set()
-        for eq in cells:
-            verts.update(convex_hull(eq).vertices)
-        return sorted(verts)
-    # collinear domain: 1-dimensional convex minorant
+        return sorted({v for *_, cell in cells.values() for v in cell.vertices})
+    # collinear domain: the lower chain of the points (<u, p>, f(p))
     u = rational_primitive(sub(pts[-1], pts[0]))
-    param = sorted((dot(u, p), p) for p in pts)
-    chain = []
-    for t, p in param:
-        while len(chain) >= 2:
-            (t1, p1), (t2, p2) = chain[-2], chain[-1]
-            # keep p2 only if it lies strictly below the chord p1 -> p
-            if (f[p2] - f[p1]) * (t - t1) < (f[p] - f[p1]) * (t2 - t1):
-                break
-            chain.pop()
-        chain.append((t, p))
-    return [p for _, p in chain]
+    at = {dot(u, p): p for p in pts}
+    return [at[t] for t, _ in lattice.monotone_chain(sorted((t, f[p]) for t, p in at.items()))]
 
 
 def legendre_bitransform_value(f, x):
@@ -504,7 +508,7 @@ def legendre_bitransform_value(f, x):
         raise SegmentSupport("bitransform evaluation needs a planar domain")
     lt = legendre_transform(f)
     # minus the cell gradients: the vertices of the corner locus of f_vee
-    return max(-x[0] * gx - x[1] * gy - lt((-gx, -gy)) for gx, gy, _ in cells.values())
+    return max(-x[0] * gx - x[1] * gy - lt((-gx, -gy)) for gx, gy, _, _ in cells.values())
 
 
 def lower_hull_value(f, x):
@@ -512,8 +516,8 @@ def lower_hull_value(f, x):
     f = {(int(a), int(b)): Fraction(v) for (a, b), v in dict(f).items()}
     cells = _upper_cells(tuple((p, -v) for p, v in f.items()))
     x = _frac_point(x)
-    for eq, (gx, gy, c) in cells.items():
-        if convex_hull(eq).contains(x):
+    for gx, gy, c, cell in cells.values():
+        if cell.contains(x):
             return -(gx * x[0] + gy * x[1] + c)
     raise TropicalError("point outside the domain hull")
 
@@ -575,20 +579,6 @@ def _chain_partition(curve):
             endpoints.append(v)
         chains.append((chain, endpoints))
     return chains
-
-
-def _vertex_cell(star, v):
-    """Dual lattice polygon of the finite vertex v, built from the edge
-    vectors of its star (its entry in the curve's incidence)."""
-    dirs = lattice.sort_by_angle([scale(u, w) for _, u, w in star])
-    total = (0, 0)
-    pts = [(0, 0)]
-    for wu in dirs:
-        total = add(total, perp(wu))
-        pts.append(total)
-    if total != (0, 0):
-        raise NotClosed(f"vertex {v} is not balanced")
-    return LatticePolygon(pts[:-1])
 
 
 def _piece_interval(p, q, u, canon):
@@ -676,7 +666,7 @@ def delta_invariant(curve):
     delta = Fraction(0)
     incidence = curve.incidence()
     for v in range(len(curve.vertices)):
-        cell = _vertex_cell(incidence.get(v, ()), v)
+        cell = _dual_polygon([(u, w) for _, u, w in incidence.get(v, ())], v)
         if v in curve.crossings:
             if not _is_parallelogram(cell):
                 raise UnsupportedShape(f"crossing {v} has a non-parallelogram cell")
@@ -762,14 +752,13 @@ class ParametrizedCurve:
             tuple(PEdge(e.a, e.b, e.weight, e.direction) if isinstance(e, PEdge) else PEdge(*e) for e in edges),
         )
 
-    def genus(self):
+    def genus_and_components(self):
+        """(first Betti number, number of connected components) of the
+        source graph, from one union-find pass."""
         n = len(self.positions)
         links = [(e.a, e.b) for e in self.edges if e.b >= 0]
-        return len(links) - n + component_count(range(n), links)
-
-    def is_connected(self):
-        links = [(e.a, e.b) for e in self.edges if e.b >= 0]
-        return component_count(range(len(self.positions)), links) == 1
+        k = component_count(range(n), links)
+        return len(links) - n + k, k
 
     def incidence(self):
         """Vertex -> [(edge index, outgoing direction, weight)] of the edges
@@ -778,14 +767,6 @@ class ParametrizedCurve:
             (i, e.a, e.b if e.b >= 0 else None, e.direction, e.weight)
             for i, e in enumerate(self.edges)
         )
-
-    def edge_length(self, e):
-        """Lattice length of the image segment; None for an edge to infinity."""
-        if e.b < 0:
-            return None
-        d = sub(self.positions[e.b], self.positions[e.a])
-        u = e.direction
-        return d[0] / u[0] if u[0] else d[1] / u[1]
 
     def to_plane_curve(self, newton=None):
         """Image as a plane tropical curve; planar crossings become marked
@@ -893,14 +874,18 @@ def stable_intersection(c1, c2):
     return sorted(points.items())
 
 
-def stable_intersection_generic(c1, c2, seed=0, tries=32):
+INTERSECTION_TRIES = 32
+
+
+def stable_intersection_generic(c1, c2, seed=0):
     """Retry helper: translate c2 by small generic rational vectors until the
-    intersection is transverse.  Returns (points, translation)."""
+    intersection is transverse, at most INTERSECTION_TRIES times.  Returns
+    (points, translation)."""
     import random
 
     rng = random.Random(seed)
     shift = (Fraction(0), Fraction(0))
-    for attempt in range(tries):
+    for attempt in range(INTERSECTION_TRIES):
         try:
             return stable_intersection(c1, c2.translate(shift)), shift
         except NonTransverse:

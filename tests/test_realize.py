@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -200,6 +201,77 @@ def test_verify_detects_a_wrong_diagram():
     assert not verify_realization(realization, diag, marking, cfg, T3_G0)
     violations = verify_realization(realization, other, marking, cfg, T3_G0)
     assert "floor decomposition does not recover the diagram" in violations
+
+
+def verify_tampered_cubic(tamper_edge=None, extra_edges=(), extra_positions=(), spec=T3_G0):
+    """verify_realization on a realized T3 g=0 curve (seed 0) after an edge
+    weight is raised by one, or vertices and edges are added, or the curve
+    is checked against another spec."""
+    diag = enumerate_diagrams(T3_G0)[0]
+    marking = enumerate_markings(diag, T3_G0)[0]
+    realization, cfg = realize_stretched(diag, marking, T3_G0, seed=0)
+    assert not verify_realization(realization, diag, marking, cfg, T3_G0)
+    pc = realization.curve
+    edges = list(pc.edges)
+    if tamper_edge is not None:
+        e = edges[tamper_edge]
+        edges[tamper_edge] = PEdge(e.a, e.b, e.weight + 1, e.direction)
+    edges += [PEdge(len(pc.positions) + a, -1, w, u) for a, w, u in extra_edges]
+    curve = ParametrizedCurve.build(pc.positions + tuple(extra_positions), edges)
+    tampered = dataclasses.replace(realization, curve=curve)
+    return pc, verify_realization(tampered, diag, marking, cfg, spec)
+
+
+def test_verify_detects_an_unbalanced_curve():
+    pc, violations = verify_tampered_cubic(tamper_edge=0)
+    assert pc.edges[0] == PEdge(0, 1, 1, (1, 1))
+    # both ends of the heavier floor piece now have |det| 2
+    assert violations == ["curve is not balanced", "multiplicity 4 != edge product 1"]
+
+
+def test_verify_detects_an_open_ray_circuit():
+    pc, violations = verify_tampered_cubic(tamper_edge=4)
+    assert pc.edges[4] == PEdge(0, -1, 1, (-1, 0))
+    assert violations == [
+        "curve is not balanced",
+        "weighted ray circuit does not close: drift (0, -1)",
+        "multiplicity 2 != edge product 1",
+    ]
+
+
+def test_verify_detects_a_wrong_genus():
+    _, violations = verify_tampered_cubic(spec=T3_G1)
+    assert violations == ["source genus 0 != 1"]
+
+
+def test_verify_detects_a_disconnected_source():
+    # a tropical line far away: the genus stays 0, the rays trace T4
+    far = (Fraction(1000), Fraction(1000))
+    line = [(0, 1, (-1, 0)), (0, 1, (0, -1)), (0, 1, (1, 1))]
+    _, violations = verify_tampered_cubic(extra_positions=[far], extra_edges=line)
+    assert violations == [
+        "source curve disconnected",
+        "ray circuit does not trace the Newton polygon",
+        "floor decomposition does not recover the diagram",
+    ]
+
+
+def test_verify_detects_tails_off_their_omega_lines():
+    bottom = DiagramSpec(triangle(3), (0, 1), 0, (), (0, 1), (), (1,))
+    top = DiagramSpec(triangle(3), (0, -1), 0, (0, 1), (), (1,), ())
+    for spec, message in ((bottom, "fixed bottom tail 1"), (top, "fixed top tail 3")):
+        diag = enumerate_diagrams(spec)[0]
+        marking = enumerate_markings(diag, spec)[0]
+        realization, cfg = realize_stretched(diag, marking, spec, seed=8)
+        assert not verify_realization(realization, diag, marking, cfg, spec)
+        moved = PointConfig(
+            cfg.direction,
+            cfg.points,
+            tuple(w + Fraction(1, 3) for w in cfg.omega_minus),
+            tuple(w + Fraction(1, 3) for w in cfg.omega_plus),
+        )
+        violations = verify_realization(realization, diag, marking, moved, spec)
+        assert violations == [f"{message} off its Omega line"]
 
 
 def test_invalid_marking_rejected():

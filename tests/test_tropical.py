@@ -7,6 +7,7 @@ import pytest
 from tropico.diagram import DiagramSpec, enumerate_diagrams, enumerate_markings
 from tropico import lattice, tropical
 from tropico.lattice import (
+    DegeneratePolygon,
     convex_hull,
     cubic_triangle,
     det,
@@ -25,6 +26,7 @@ from tropico.tropical import (
     InvariantViolation,
     NonReduced,
     NonTransverse,
+    NotClosed,
     NotTrivalent,
     PEdge,
     ParametrizedCurve,
@@ -162,11 +164,19 @@ def upper_cells_brute_force(poly_terms):
     return cells
 
 
+def planes(cells):
+    """The (gx, gy, c) of each cell of _upper_cells, once its polygon is
+    checked to be the convex hull of its points."""
+    for eq, (_, _, _, cell) in cells.items():
+        assert cell == convex_hull(eq)
+    return {eq: plane[:3] for eq, plane in cells.items()}
+
+
 def assert_hull_matches(terms):
     terms = tuple((e, Fraction(a)) for e, a in terms.items())
-    assert _upper_cells(terms) == upper_cells_brute_force(terms)
+    assert planes(_upper_cells(terms)) == upper_cells_brute_force(terms)
     flipped = tuple((e, -a) for e, a in terms)  # the lower hull, as legendre uses it
-    assert _upper_cells(flipped) == upper_cells_brute_force(flipped)
+    assert planes(_upper_cells(flipped)) == upper_cells_brute_force(flipped)
 
 
 def test_upper_cells_match_brute_force_random():
@@ -215,8 +225,8 @@ def test_corner_locus_rejects_an_edge_off_its_dual(monkeypatch):
     poly = TropicalPolynomial.make({(0, 0): 0, (1, 0): 0, (0, 1): 0, (1, 1): 1})
     cells = _upper_cells(poly.terms)
     eq = min(cells, key=sorted)
-    gx, gy, c = cells[eq]
-    monkeypatch.setattr(tropical, "_upper_cells", lambda terms: {**cells, eq: (gx + 1, gy, c)})
+    gx, gy, c, cell = cells[eq]
+    monkeypatch.setattr(tropical, "_upper_cells", lambda terms: {**cells, eq: (gx + 1, gy, c, cell)})
     with pytest.raises(InvariantViolation, match="is not orthogonal to its dual"):
         corner_locus(poly)
 
@@ -513,6 +523,35 @@ def test_delta_non_reduced():
     )
     with pytest.raises(NonReduced):
         delta_invariant(doubled)
+
+
+def test_dual_polygons_that_do_not_close_raise_not_closed():
+    # an unbalanced vertex: its turned edge vectors do not close up
+    corner = PlaneTropicalCurve.build([(0, 0)], (), [Ray(0, (1, 0), 1), Ray(0, (0, 1), 1)], newton=triangle(1))
+    with pytest.raises(NotClosed) as caught:
+        delta_invariant(corner)
+    assert str(caught.value) == "vertex 0 is not balanced"
+    # the same rays as an open circuit at infinity
+    for make in (
+        lambda: PlaneTropicalCurve.build([(0, 0)], (), [Ray(0, (1, 0), 1), Ray(0, (0, 1), 1)]),
+        lambda: newton_polygon_of(corner),
+    ):
+        with pytest.raises(NotClosed) as caught:
+            make()
+        assert str(caught.value) == "weighted ray circuit does not close: drift (-1, 1)"
+    weighted = [Ray(0, (1, 0), 2), Ray(0, (0, 1), 1), Ray(0, (1, 0), 1), Ray(0, (-1, -1), 1)]
+    with pytest.raises(NotClosed) as caught:
+        PlaneTropicalCurve.build([(0, 0)], (), weighted)
+    assert str(caught.value) == "weighted ray circuit does not close: drift (0, 2)"
+    with pytest.raises(NotClosed) as caught:
+        PlaneTropicalCurve.build([(0, 0)], (), ())
+    assert str(caught.value) == "curve has no rays"
+    # a vertex with no pieces has no dual polygon at all
+    line, _ = corner_locus(tropical_line())
+    lonely = PlaneTropicalCurve.build(line.vertices + ((5, 5),), (), line.rays, newton=line.newton)
+    with pytest.raises(DegeneratePolygon) as caught:
+        delta_invariant(lonely)
+    assert str(caught.value) == "need at least 3 non-collinear vertices"
 
 
 def test_tropical_multiplicity_examples():
