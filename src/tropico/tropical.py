@@ -10,8 +10,10 @@ exactly, never numerically.
 The two geometric kernels scale their input to integers and decide every
 case by integer sign tests: the upper hull of the lifted support, found by
 gift wrapping in O(n * cells) for n terms (_upper_cells), and the crossing
-scan that splits the image of a parametrized curve into a plane curve,
-O(P^2) pair tests for P pieces (_parametrized_to_plane).
+scan that splits the image of a parametrized curve into a plane curve
+(_parametrized_to_plane).  The scan frames the positions once, tests each
+pair of the P original pieces at most once, O(P^2) box checks, and then
+replays the split order from the table of crossings it found.
 
 Each hull cell is hulled once, in _upper_cells, and comes with its plane
 and its LatticePolygon; the corner locus, the Legendre transform and the
@@ -315,9 +317,10 @@ def _upper_cells(poly_terms):
         return {}
     scale_ = math.lcm(*(Fraction(a).denominator for a in lift.values()))
     h = {p: int(Fraction(a) * scale_) for p, a in lift.items()}
-    # start edge: from a polygon vertex v0 to the point of the next polygon
-    # edge with the largest lift slope, which lies on the upper hull
-    v0, v1 = convex_hull(pts).vertices[:2]
+    # start edge: from the least point v0, a polygon vertex, along the
+    # polygon edge to the next vertex v1 of the lower chain, to the point of
+    # that edge with the largest lift slope, which lies on the upper hull
+    v0, v1 = lattice.monotone_chain(pts)[:2]
     e = sub(v1, v0)
     q, qt = v1, dot(e, e)
     for r in pts:
@@ -473,10 +476,24 @@ def legendre_transform(f):
     lifted graph {(x, f(x))}; each yields the affine piece p . x - f(x) on
     its (full-dimensional) argmax region.
     """
-    f = {(int(x), int(y)): Fraction(v) for (x, y), v in dict(f).items()}
+    f = _lattice_function(f)
     if not f:
         raise TropicalError("empty domain")
-    active = _lower_hull_vertices(f)
+    return _legendre_from_cells(f, _lower_cells(f))
+
+
+def _lattice_function(f):
+    return {(int(x), int(y)): Fraction(v) for (x, y), v in dict(f).items()}
+
+
+def _lower_cells(f):
+    """The cells of the lower hull of the lifted graph of f, as the upper
+    cells of -f (see _upper_cells); {} when dom f is collinear."""
+    return _upper_cells(tuple((p, -v) for p, v in f.items()))
+
+
+def _legendre_from_cells(f, cells):
+    active = _lower_hull_vertices(f, cells)
     pieces = []
     for x in active:
         facets = tuple(
@@ -486,11 +503,10 @@ def legendre_transform(f):
     return LegendreTransform(tuple(pieces))
 
 
-def _lower_hull_vertices(f):
+def _lower_hull_vertices(f, cells):
     pts = sorted(f)
     if len(pts) == 1:
         return pts
-    cells = _upper_cells(tuple(((x, y), -v) for (x, y), v in f.items()))
     if cells:
         return sorted({v for *_, cell in cells.values() for v in cell.vertices})
     # collinear domain: the lower chain of the points (<u, p>, f(p))
@@ -502,19 +518,18 @@ def _lower_hull_vertices(f):
 def legendre_bitransform_value(f, x):
     """(f_vee)_vee at x, evaluated via the vertices of the linearity complex
     of f_vee; equals the lower convex hull of f on conv(dom f)."""
-    f = {(int(a), int(b)): Fraction(v) for (a, b), v in dict(f).items()}
-    cells = _upper_cells(tuple((p, -v) for p, v in f.items()))
+    f = _lattice_function(f)
+    cells = _lower_cells(f)
     if not cells:
         raise SegmentSupport("bitransform evaluation needs a planar domain")
-    lt = legendre_transform(f)
+    lt = _legendre_from_cells(f, cells)
     # minus the cell gradients: the vertices of the corner locus of f_vee
     return max(-x[0] * gx - x[1] * gy - lt((-gx, -gy)) for gx, gy, _, _ in cells.values())
 
 
 def lower_hull_value(f, x):
     """Value at x of the lower convex hull of the lifted points of f."""
-    f = {(int(a), int(b)): Fraction(v) for (a, b), v in dict(f).items()}
-    cells = _upper_cells(tuple((p, -v) for p, v in f.items()))
+    cells = _lower_cells(_lattice_function(f))
     x = _frac_point(x)
     for gx, gy, c, cell in cells.values():
         if cell.contains(x):
@@ -899,22 +914,29 @@ def stable_intersection_generic(c1, c2, seed=0):
 def _parametrized_to_plane(pc, newton=None):
     """Split the straight pieces of pc at their interior crossings.
 
-    The pieces are listed segments first, then rays, and the pairs are
-    scanned row by row in list order; the first crossing found is split,
-    and the scan goes on from the row that can next hold the first
-    crossing, so the splits come in the order of a scan restarted from the
-    first pair after each one.  Pairs before the split pair cannot cross,
-    since splitting only shortens pieces; only the new finite pieces,
-    appended to the segments in front of the rays, can, so the scan
-    resumes at row min(a, number of segments before the split), where a
-    is the split pair's first row.  With P pieces the scan is O(P^2)
-    integer tests (see _intersect_pieces) plus, per crossing, a rescan of
-    the rows from the resume row to a: one row unless a is a ray.  Each
-    piece carries its integer bounding box, unbounded along a ray's
-    direction; two pieces with disjoint boxes share no point, so the pair
-    is skipped without a test and the splits are the same.
+    The splits come in the order of a row scan over the current pieces,
+    segments first, then rays, restarted from the first pair after each
+    split: the first pair with an interior crossing is split, and the new
+    finite pieces are appended to the segments, in front of the rays.
+
+    The positions are framed once (see _integral_frame), and each pair of
+    original pieces goes through _intersect_pieces once; the interior
+    crossings are recorded with their rank along both pieces.  A pair is
+    skipped when the pieces' integer boxes (unbounded along a ray's
+    direction) are disjoint, or when the pieces are not parallel and share
+    an end vertex, where alone they can meet.  Parallel pairs are tested,
+    so an overlap raises NonTransverse.  The scan is then replayed on the
+    table: a current piece is a stretch of its original between two ranks,
+    and two current pieces cross exactly when their originals' crossing
+    lies strictly inside both.  Pairs before the split pair cannot cross,
+    since splitting only shortens pieces, so the replay resumes at row
+    min(a, number of segments before the split), where a is the split
+    pair's first row.  With P pieces that is O(P^2) box checks, integer
+    tests for the pairs that pass, and per row of the replay one look at
+    the crossings of its original.
     """
     vertices = list(pc.positions)
+    m, ints = _integral_frame(vertices)
     segs = []
     rays = []
     for e in pc.edges:
@@ -923,44 +945,84 @@ def _parametrized_to_plane(pc, newton=None):
         else:
             rays.append([e.a, e.direction, e.weight])
 
-    def pieces_now():
-        # (p, q, u, tag, x0, x1, y0, y1) with [x0, x1] x [y0, y1] the box
-        m, ints = _integral_frame(vertices)
-        out = []
-        for i, (a, b, w, u) in enumerate(segs):
-            (px, py), (qx, qy) = p, q = ints[a], ints[b]
-            out.append((p, q, u, ("s", i), min(px, qx), max(px, qx), min(py, qy), max(py, qy)))
-        for i, (a, u, w) in enumerate(rays):
-            px, py = p = ints[a]
-            out.append((
-                p, None, u, ("r", i),
-                -math.inf if u[0] < 0 else px, math.inf if u[0] > 0 else px,
-                -math.inf if u[1] < 0 else py, math.inf if u[1] > 0 else py,
-            ))
-        return m, out
-
-    crossings = set()
-    m, pieces = pieces_now()
-    row = 0
-    while row < len(pieces):
-        p1, q1, u1, t1, x0, x1, y0, y1 = pieces[row]
-        for p2, q2, u2, t2, a0, a1, b0, b1 in pieces[row + 1:]:
+    # original piece k: (p, q, u, end vertices, x0, x1, y0, y1), with
+    # [x0, x1] x [y0, y1] its box
+    originals = []
+    for a, b, w, u in segs:
+        (px, py), (qx, qy) = p, q = ints[a], ints[b]
+        originals.append((p, q, u, (a, b), min(px, qx), max(px, qx), min(py, qy), max(py, qy)))
+    for a, u, w in rays:
+        px, py = p = ints[a]
+        originals.append((
+            p, None, u, (a, a),
+            -math.inf if u[0] < 0 else px, math.inf if u[0] > 0 else px,
+            -math.inf if u[1] < 0 else py, math.inf if u[1] > 0 else py,
+        ))
+    hits = [[] for _ in originals]  # k -> [(t, den, k2, c)]: crossing c with k2, at t / den along k
+    points = []  # crossing c -> (x, y, den): the point (x / den, y / den) of the frame
+    for k, (p1, q1, u1, ends, x0, x1, y0, y1) in enumerate(originals):
+        for k2, (p2, q2, u2, (a, b), a0, a1, b0, b1) in enumerate(originals[k + 1:], k + 1):
             if a1 < x0 or a0 > x1 or b1 < y0 or b0 > y1:
                 continue
+            if (a in ends or b in ends) and det(u1, u2) != 0:
+                continue
             hit = _intersect_pieces(p1, q1, u1, p2, q2, u2)
-            if hit is not None and not hit[1]:
-                break
+            if hit is None or hit[1]:
+                continue
+            (x, y, den), _ = hit
+            hits[k].append((u1[0] * x + u1[1] * y, den, k2, len(points)))
+            hits[k2].append((u2[0] * x + u2[1] * y, den, k, len(points)))
+            points.append((x, y, den))
+    # rank[k, c]: the number of crossings on k before crossing c, so that the
+    # crossings at one point share a rank; every rank on k is below len(hits[k])
+    rank = {}
+    for k, row in enumerate(hits):
+        for t, den, _, c in row:
+            rank[k, c] = sum(s * den < t * d for s, d, _, _ in row)
+
+    # current piece tag -> (original, lo, hi): the stretch of the original
+    # strictly between its ranks lo and hi
+    tags = [("s", i) for i in range(len(segs))] + [("r", i) for i in range(len(rays))]
+    span = {tag: (k, -1, len(hits[k])) for k, tag in enumerate(tags)}
+    subs = [[tag] for tag in tags]  # original -> tags of its current pieces
+
+    def split(tag, c, vi):
+        k, lo, hi = span[tag]
+        _split_piece(segs, rays, tag, vi)
+        new = ("s", len(segs) - 1)
+        subs[k].append(new)
+        if tag[0] == "s":
+            span[tag], span[new] = (k, lo, rank[k, c]), (k, rank[k, c], hi)
         else:
+            span[new], span[tag] = (k, lo, rank[k, c]), (k, rank[k, c], hi)
+
+    crossings = set()
+    row = 0
+    while row < len(segs) + len(rays):
+        t1 = ("s", row) if row < len(segs) else ("r", row - len(segs))
+        k, lo, hi = span[t1]
+        first = None
+        for _, _, k2, c in hits[k]:
+            if not lo < rank[k, c] < hi:
+                continue
+            for t2 in subs[k2]:
+                _, lo2, hi2 = span[t2]
+                if lo2 < rank[k2, c] < hi2:
+                    j = t2[1] if t2[0] == "s" else len(segs) + t2[1]
+                    if j > row and (first is None or j < first[0]):
+                        first = (j, t2, c)
+                    break
+        if first is None:
             row += 1
             continue
-        (x, y, den), _ = hit
+        _, t2, c = first
+        x, y, den = points[c]
         vertices.append((Fraction(x, den * m), Fraction(y, den * m)))
         vi = len(vertices) - 1
         crossings.add(vi)
         row = min(row, len(segs))
-        _split_piece(segs, rays, t1, vi)
-        _split_piece(segs, rays, t2, vi)
-        m, pieces = pieces_now()
+        split(t1, c, vi)
+        split(t2, c, vi)
     return PlaneTropicalCurve.build(
         vertices,
         [tuple(s) for s in segs],

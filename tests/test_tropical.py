@@ -700,13 +700,14 @@ def test_box_filtered_scan_matches_brute_force_on_realized_curves():
     crossings = 0
     for spec in specs:
         for diag in enumerate_diagrams(spec):
-            for marking in enumerate_markings(diag, spec)[:12]:
-                realization, _ = realize_stretched(diag, marking, spec, seed=3)
-                pc = realization.curve
-                curve = pc.to_plane_curve(newton=spec.polygon)
-                assert curve == to_plane_curve_brute_force(pc, spec.polygon)
-                crossings += len(curve.crossings)
-    assert crossings > 100
+            for marking in enumerate_markings(diag, spec):
+                for seed in (0, 3):
+                    realization, _ = realize_stretched(diag, marking, spec, seed=seed)
+                    pc = realization.curve
+                    curve = pc.to_plane_curve(newton=spec.polygon)
+                    assert curve == to_plane_curve_brute_force(pc, spec.polygon)
+                    crossings += len(curve.crossings)
+    assert crossings > 3000
 
 
 def _random_parametrized_curve(rng, grid, denom):
@@ -730,6 +731,43 @@ def _random_parametrized_curve(rng, grid, denom):
     return ParametrizedCurve.build(pos, edges)
 
 
+def _dense_parametrized_curve(rng):
+    """12 to 30 long pieces on the grid [-4, 4]^2, none overlapping another:
+    segments between vertices at least 4 apart in one coordinate, and rays
+    from the vertices."""
+    pos = rng.sample([(x, y) for x in range(-4, 5) for y in range(-4, 5)], rng.randint(6, 12))
+    pieces = []  # (p, q, u) as _intersect_pieces takes them
+    edges = []
+    n = rng.randint(12, 30)
+    while len(edges) < n:
+        a, b = rng.sample(range(len(pos)), 2)
+        if rng.random() < 0.7:
+            if max(abs(pos[a][0] - pos[b][0]), abs(pos[a][1] - pos[b][1])) < 4:
+                continue
+            edge = PEdge(a, b, 1, rational_primitive(sub(pos[b], pos[a])))
+            piece = (pos[a], pos[b], edge.direction)
+        else:
+            u = (rng.randint(-2, 2), rng.randint(-2, 2))
+            if u == (0, 0):
+                continue
+            edge = PEdge(a, -1, 1, rational_primitive(u))
+            piece = (pos[a], None, edge.direction)
+        try:
+            for other in pieces:
+                _intersect_pieces(*piece, *other)
+        except NonTransverse:
+            continue
+        pieces.append(piece)
+        edges.append(edge)
+    return ParametrizedCurve.build(pos, edges)
+
+
+def _splits_per_piece(curve):
+    """How often each piece of the parametrized curve was split: the pieces
+    of its maximal straight chain through crossings, less one."""
+    return [len(chain) - 1 for chain, _ in tropical._chain_partition(curve)]
+
+
 def test_box_filtered_scan_matches_brute_force_on_random_curves():
     rng = random.Random(44)
     seen = set()
@@ -740,6 +778,30 @@ def test_box_filtered_scan_matches_brute_force_on_random_curves():
         assert got == _plane_outcome(to_plane_curve_brute_force, pc, triangle(1))
         seen.add("raised" if isinstance(got, str) else "crossed" if got.crossings else "plain")
     assert seen == {"raised", "crossed", "plain"}
+    # dense curves: pieces split again and again, later splits falling on
+    # pieces that earlier splits made
+    resplits = thrice = 0
+    for _ in range(60):
+        pc = _dense_parametrized_curve(rng)
+        got = pc.to_plane_curve(triangle(1))
+        assert got == to_plane_curve_brute_force(pc, triangle(1))
+        splits = _splits_per_piece(got)
+        resplits += sum(n - 1 for n in splits if n >= 2)
+        thrice += sum(n >= 3 for n in splits)
+    assert resplits >= 2500 and thrice >= 600
+    # a triple point and a piece through a vertex of the image: the first
+    # pair splits at the triple point, the third piece passes it unsplit,
+    # and the piece through the vertex stays whole
+    pos = [(-2, 0), (2, 0), (0, -2), (0, 2), (-2, -2), (2, 2), (1, -1), (3, -1), (1, -3)]
+    edges = [PEdge(0, 1, 1, (1, 0)), PEdge(2, 3, 1, (0, 1)), PEdge(4, 5, 1, (1, 1)),
+             PEdge(6, 7, 1, (1, 0)), PEdge(6, 8, 1, (0, -1)), PEdge(1, -1, 1, (-1, -1))]
+    pc = ParametrizedCurve.build(pos, edges)
+    for scan in (pc.to_plane_curve, lambda newton: to_plane_curve_brute_force(pc, newton)):
+        curve = scan(triangle(1))
+        assert curve.vertices[9:] == ((0, 0),)
+        assert curve.crossings == {9}
+        assert [(s.a, s.b) for s in curve.segments] == [(0, 9), (2, 9), (4, 5), (6, 7), (6, 8), (9, 1), (9, 3)]
+        assert [(r.base, r.direction) for r in curve.rays] == [(1, (-1, -1))]
 
 
 def test_collinear_overlap_still_raises_in_the_scan():
