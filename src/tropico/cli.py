@@ -6,32 +6,26 @@ to stderr.  Exit codes: 0 success, 1 domain error (with the error name in
 JSON on stdout), 2 argument or parse error.  Domain errors are the typed
 errors of the library, including io.InputError for files and option
 values that cannot be read or decoded; an InvariantViolation, or any
-other exception, is a bug and propagates.
+other exception, is a bug and propagates.  A command imports only the
+modules it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
-from . import diagram as diagram_mod
 from . import io as io_mod
-from . import lattice, render, tropical
-from .realize import (
-    RealizeError,
-    _transverse_axis,
-    realize_stretched,
-    verify_realization,
-)
+from . import lattice
 
 
 def _nseq(text):
+    from .diagram import nseq
     if not text:
         return ()
     try:
-        return diagram_mod.nseq(int(x) for x in text.split(","))
+        return nseq(int(x) for x in text.split(","))
     except ValueError as exc:
         raise io_mod.InputError(f"bad multiplicity sequence {text!r}: {exc}") from exc
 
@@ -62,6 +56,7 @@ def _write_text(path, text):
 
 
 def _spec_from_args(args):
+    from .diagram import DiagramSpec
     poly = io_mod.polygon_from_json(_load_json(args.polygon))
     d = _direction(args.dir)
     data = lattice.direction_data(poly, d)
@@ -71,7 +66,7 @@ def _spec_from_args(args):
     beta_minus = _nseq(args.beta_minus) if args.beta_minus is not None else (
         (data.d_minus,) if data.d_minus else ()
     )
-    spec = diagram_mod.DiagramSpec(
+    spec = DiagramSpec(
         poly,
         d,
         args.genus,
@@ -105,11 +100,12 @@ def cmd_polygon(args):
 
 
 def cmd_count(args):
+    from .diagram import count
     spec = _spec_from_args(args)
     if not args.explain:
-        print(diagram_mod.count(spec))
+        print(count(spec))
         return 0
-    total, rows = diagram_mod.count(spec, explain=True)
+    total, rows = count(spec, explain=True)
     print(total)
     print(f"{'diagram':>8} {'classes':>8} {'mult':>6} {'subtotal':>9}", file=sys.stderr)
     for i, (diag, nclasses, mu) in enumerate(rows):
@@ -119,6 +115,7 @@ def cmd_count(args):
 
 
 def cmd_diagrams(args):
+    from . import diagram as diagram_mod
     spec = _spec_from_args(args)
     out = []
     for diag in diagram_mod.enumerate_diagrams(spec):
@@ -133,6 +130,8 @@ def cmd_diagrams(args):
 
 
 def cmd_realize(args):
+    from . import render
+    from .realize import RealizeError, _transverse_axis, realize_stretched, verify_realization
     spec = _spec_from_args(args)
     diag = io_mod.diagram_from_json(_load_json(args.diagram))
     marking = io_mod.marking_from_json(_load_json(args.marking), diag)
@@ -162,8 +161,10 @@ def cmd_realize(args):
 
 
 def cmd_tropicalize(args):
+    from . import render
+    from .tropical import corner_locus
     poly = io_mod.polynomial_from_json(_load_json(args.poly))
-    curve, subdivision = tropical.corner_locus(poly)
+    curve, subdivision = corner_locus(poly)
     out = io_mod.curve_to_json(curve)
     if args.subdivision:
         out["subdivision"] = io_mod.subdivision_to_json(subdivision)
@@ -179,6 +180,9 @@ def cmd_tropicalize(args):
 
 
 def cmd_check(args):
+    import random
+    from . import diagram as diagram_mod, tropical
+    from .realize import realize_stretched, verify_realization
     results = {}
 
     def record(name, fn):
@@ -273,16 +277,17 @@ def cmd_check(args):
     return 0 if all(v == "ok" for v in results.values()) else 1
 
 
-DOMAIN_ERRORS = (
-    lattice.LatticeError,
-    diagram_mod.DiagramError,
-    tropical.TropicalError,
-    RealizeError,
-    io_mod.InputError,
-)
+def _bugs():
+    # identities that hold for every valid input: breaking one is a bug
+    from . import diagram, tropical
+    return (diagram.InvariantViolation, tropical.InvariantViolation)
 
-# identities that hold for every valid input: breaking one is a bug
-BUGS = (diagram_mod.InvariantViolation, tropical.InvariantViolation)
+
+def _domain_errors():
+    from . import diagram, tropical
+    from .realize import RealizeError
+    return (lattice.LatticeError, diagram.DiagramError, tropical.TropicalError, RealizeError,
+            io_mod.InputError)
 
 
 def build_parser():
@@ -337,11 +342,13 @@ def cmd(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # an except clause's tuple is built only when an exception reaches it,
+    # so a command that succeeds loads only the modules it runs
     try:
         return args.fn(args)
-    except BUGS:
+    except _bugs():
         raise
-    except DOMAIN_ERRORS as exc:
+    except _domain_errors() as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -66,8 +66,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import lattice
-from .lattice import direction_data
-from .tropical import component_count
+from .lattice import component_count, direction_data
 
 
 class DiagramError(Exception):

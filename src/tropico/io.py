@@ -2,7 +2,8 @@
 
 Rationals are emitted as gcd-reduced "p/q" strings with q > 0; keys are
 sorted, so identical inputs yield byte-identical output.  The readers
-report data of the wrong shape as InputError.
+report data of the wrong shape as InputError.  A reader imports the
+diagram or tropical module only when called.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .diagram import FloorDiagram, Marking
 from .lattice import LatticePolygon
-from .tropical import PlaneTropicalCurve, Ray, Segment, TropicalPolynomial
 
 
 class InputError(Exception):
@@ -38,7 +37,9 @@ def _reader(fn):
 
 
 def frac_str(x):
-    x = Fraction(x)
+    # Fraction(x) is slow: it checks for numbers.Rational first
+    if type(x) is not Fraction and type(x) is not int:
+        x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -111,6 +112,7 @@ def diagram_to_json(diagram):
 
 @_reader
 def diagram_from_json(data):
+    from .diagram import FloorDiagram
     return FloorDiagram(
         tuple((f["id"], f["theta"]) for f in data["floors"]),
         tuple(data["inf_minus"]),
@@ -139,6 +141,7 @@ def marking_to_json(marking):
 
 @_reader
 def marking_from_json(data, diagram):
+    from .diagram import Marking
     items = sorted(((int(k), v) for k, v in data["labels"].items()))
     lo = items[0][0]
     keys = [k for k, _ in items]
@@ -159,6 +162,7 @@ def polynomial_to_json(poly):
 
 @_reader
 def polynomial_from_json(data):
+    from .tropical import TropicalPolynomial
     return TropicalPolynomial.make(
         {tuple(t["i"]): Fraction(t["a"]) for t in data["terms"]}
     )
@@ -182,6 +186,7 @@ def curve_to_json(curve):
 
 @_reader
 def curve_from_json(data):
+    from .tropical import PlaneTropicalCurve, Ray, Segment
     return PlaneTropicalCurve.build(
         [(Fraction(x), Fraction(y)) for x, y in data["vertices"]],
         [

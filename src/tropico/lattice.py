@@ -3,6 +3,7 @@
 Everything here is integer or rational arithmetic; there is no floating
 point anywhere in the package.  A lattice vector is a plain ``(x, y)``
 tuple of ints, a polygon is an immutable cyclic list of lattice points.
+The package's one union-find (component_roots) lives here too.
 """
 
 from __future__ import annotations
@@ -109,6 +110,33 @@ def sort_by_angle(vectors):
         return 0  # parallel, same direction
 
     return sorted(vectors, key=functools.cmp_to_key(cmp))
+
+
+# ---------------------------------------------------------------------------
+# connected components
+
+
+def component_roots(nodes, links):
+    """Union-find: map each node to the root of its connected component
+    after joining the pairs (a, b) of links in order, each join making the
+    root of b's part the root of a's part (path halving)."""
+    parent = {v: v for v in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        parent[find(a)] = find(b)
+    return {v: find(v) for v in parent}
+
+
+def component_count(nodes, links):
+    """Number of connected components of the graph on nodes with the given
+    links (pairs of nodes)."""
+    return len(set(component_roots(nodes, links).values()))
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ from typing import NamedTuple
 
 from . import diagram as diagram_mod
 from . import lattice
-from .lattice import dot, perp, scale, slope_of, slope_vector, sub
+from .lattice import component_roots, dot, perp, scale, slope_of, slope_vector, sub
 from .tropical import NotClosed, ParametrizedCurve, PEdge, check_balancing
-from .tropical import _dual_polygon, _integral_frame, component_roots, tropical_multiplicity
+from .tropical import _dual_polygon, _integral_frame, tropical_multiplicity
 
 
 class RealizeError(Exception):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lattice
-from .lattice import LatticePolygon, convex_hull, det, dot, perp, sub, add, scale
+from .lattice import LatticePolygon, component_count, convex_hull, det, dot, perp, sub, add, scale
 
 
 class TropicalError(Exception):
@@ -177,11 +177,8 @@ class PlaneTropicalCurve:
     @staticmethod
     def build(vertices, segments, rays, crossings=(), newton=None):
         vertices = tuple(_frac_point(v) for v in vertices)
-        segments = tuple(
-            Segment(s.a, s.b, s.weight, s.direction) if isinstance(s, Segment) else Segment(*s)
-            for s in segments
-        )
-        rays = tuple(Ray(r.base, r.direction, r.weight) if isinstance(r, Ray) else Ray(*r) for r in rays)
+        segments = tuple(s if isinstance(s, Segment) else Segment(*s) for s in segments)
+        rays = tuple(r if isinstance(r, Ray) else Ray(*r) for r in rays)
         if newton is None:
             newton = _dual_polygon([(r.direction, r.weight) for r in rays])
         return PlaneTropicalCurve(vertices, segments, rays, frozenset(crossings), newton)
@@ -645,29 +642,6 @@ def _check_reduced(curve):
     return True
 
 
-def component_roots(nodes, links):
-    """Union-find: map each node to the root of its connected component
-    after joining the pairs (a, b) of links in order, each join making the
-    root of b's part the root of a's part (path halving)."""
-    parent = {v: v for v in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in links:
-        parent[find(a)] = find(b)
-    return {v: find(v) for v in parent}
-
-
-def component_count(nodes, links):
-    """Number of connected components of the graph on nodes with the given
-    links (pairs of nodes)."""
-    return len(set(component_roots(nodes, links).values()))
-
-
 def delta_invariant(curve):
     """Tropical delta invariant of a reduced curve whose dual tiles are
     triangles and parallelograms.
@@ -933,9 +907,10 @@ def _parametrized_to_plane(pc, newton=None):
     min(a, number of segments before the split), where a is the split
     pair's first row.  With P pieces that is O(P^2) box checks, integer
     tests for the pairs that pass, and per row of the replay one look at
-    the crossings of its original.
+    the crossings of its original.  Each Segment and Ray, and the curve,
+    is made once at the end, not through PlaneTropicalCurve.build.
     """
-    vertices = list(pc.positions)
+    vertices = [_frac_point(p) for p in pc.positions]
     m, ints = _integral_frame(vertices)
     segs = []
     rays = []
@@ -1023,13 +998,11 @@ def _parametrized_to_plane(pc, newton=None):
         row = min(row, len(segs))
         split(t1, c, vi)
         split(t2, c, vi)
-    return PlaneTropicalCurve.build(
-        vertices,
-        [tuple(s) for s in segs],
-        [tuple(r) for r in rays],
-        crossings,
-        newton,
-    )
+    rays = tuple(Ray(*r) for r in rays)
+    if newton is None:
+        newton = _dual_polygon([(r.direction, r.weight) for r in rays])
+    segs = tuple(Segment(*s) for s in segs)
+    return PlaneTropicalCurve(tuple(vertices), segs, rays, frozenset(crossings), newton)
 
 
 def _split_piece(segs, rays, tag, vi):

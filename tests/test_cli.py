@@ -1,16 +1,21 @@
 import hashlib
 import json
+import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tropico
 from tropico import diagram as diagram_mod
 from tropico import io as io_mod
 from tropico import tropical
 from tropico.cli import cmd
 from tropico.diagram import DiagramSpec, enumerate_diagrams, enumerate_markings
-from tropico.lattice import diamond, triangle
+from tropico.lattice import LatticeError, NotTransverse, diamond, triangle
+from tropico.realize import InvalidMarking, RealizeError
 from tropico.render import RenderStyle, render_curve_svg
 from tropico.tropical import TropicalPolynomial, corner_locus
 
@@ -330,3 +335,81 @@ def test_curve_json_roundtrip():
     assert curve2.segments == curve.segments
     assert curve2.rays == curve.rays
     assert curve2.newton == curve.newton
+
+
+def python_m_tropico(argv):
+    """``python -m tropico argv`` in a fresh process that imports tropico
+    from this checkout."""
+    src = str(Path(tropico.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-m", "tropico", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+
+
+def marked_cubic_files(files):
+    """Diagram and marking JSON files of a marked genus-1 cubic diagram,
+    and the spec arguments they belong to."""
+    spec = DiagramSpec(triangle(3), (0, 1), 1, (), (), (), (3,))
+    diag = enumerate_diagrams(spec)[0]
+    (files / "diag.json").write_text(json.dumps(io_mod.diagram_to_json(diag)))
+    (files / "mark.json").write_text(
+        json.dumps(io_mod.marking_to_json(enumerate_markings(diag, spec)[0]))
+    )
+    return ["--polygon", str(files / "t3.json"), "--genus", "1", "--beta-minus", "3",
+            "--diagram", str(files / "diag.json"), "--marking", str(files / "mark.json")]
+
+
+@pytest.mark.parametrize("command", ["polygon", "count", "diagrams", "realize", "tropicalize"])
+def test_python_m_tropico_equals_the_in_process_command(files, capsys, command):
+    conic = files / "conic.json"
+    conic.write_text(io_mod.dumps(io_mod.polynomial_to_json(
+        tropical.random_polynomial(random.Random(3), triangle(2)))))
+    t3 = str(files / "t3.json")
+    argv, written = {
+        "polygon": (["polygon", "report", t3, "--probe-dirs", "2"], []),
+        "count": (["count", "--polygon", t3, "--genus", "0", "--beta-minus", "3"], []),
+        "diagrams": (["diagrams", "--polygon", t3, "--genus", "1", "--beta-minus", "3",
+                      "--markings"], []),
+        "realize": (["realize", *marked_cubic_files(files), "--seed", "7", "--frame",
+                     "--svg", "{out}/curve.svg"], ["curve.svg"]),
+        "tropicalize": (["tropicalize", "--poly", str(conic), "--subdivision",
+                         "--svg", "{out}/curve.svg"], ["curve.svg", "curve-subdivision.svg"]),
+    }[command]
+    outputs = []
+    for side in ("process", "in-process"):
+        out = files / side
+        out.mkdir()
+        args = [a.format(out=out) for a in argv]
+        if side == "process":
+            proc = python_m_tropico(args)
+            assert proc.returncode == 0, proc.stderr
+            stdout = proc.stdout
+        else:
+            capsys.readouterr()
+            assert cmd(args) == 0
+            stdout = capsys.readouterr().out
+        outputs.append([stdout] + [(out / name).read_text() for name in written])
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0]
+
+
+def test_python_m_tropico_reports_a_domain_error_of_each_layer(files):
+    (files / "seg.json").write_text(json.dumps({"terms": [
+        {"i": [0, 0], "a": "0/1"}, {"i": [1, 0], "a": "0/1"}, {"i": [2, 0], "a": "1/1"}]}))
+    realize_argv = ["realize", *marked_cubic_files(files)]
+    labels = json.loads((files / "mark.json").read_text())["labels"]
+    (files / "mark.json").write_text(json.dumps(
+        {"labels": {str(int(k) - 3): el for k, el in labels.items()}}))
+    cases = [
+        (["count", "--polygon", str(files / "bad.json"), "--genus", "0"],
+         NotTransverse, LatticeError),
+        (["polygon", "report", str(files / "missing.json")], io_mod.InputError, io_mod.InputError),
+        (["tropicalize", "--poly", str(files / "seg.json")],
+         tropical.SegmentSupport, tropical.TropicalError),
+        (realize_argv, InvalidMarking, RealizeError),
+    ]
+    for argv, error, layer in cases:
+        assert issubclass(error, layer)
+        proc = python_m_tropico(argv)
+        assert proc.returncode == 1, (argv, proc.stderr)
+        assert proc.stdout.count("\n") == 1, proc.stdout
+        assert json.loads(proc.stdout)["error"] == error.__name__

@@ -21,6 +21,7 @@ from tropico.diagram import (
 )
 from tropico.lattice import (
     LatticePolygon,
+    component_count,
     diamond,
     direction_data,
     octic_quadrilateral,
@@ -32,7 +33,6 @@ from tropico.lattice import (
 from tropico.realize import realize_stretched, verify_realization
 from tropico.tropical import (
     TropicalPolynomial,
-    component_count,
     corner_locus,
     tropical_multiplicity,
 )

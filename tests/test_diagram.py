@@ -29,13 +29,13 @@ from tropico.diagram import (
 )
 from tropico.lattice import (
     NotTransverse,
+    component_count,
     cubic_triangle,
     diamond,
     octic_quadrilateral,
     trapezium,
     triangle,
 )
-from tropico.tropical import component_count
 
 
 def genus1_cubic_diagram():
