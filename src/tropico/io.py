@@ -9,6 +9,7 @@ diagram or tropical module only when called.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -113,12 +114,13 @@ def diagram_to_json(diagram):
 @_reader
 def diagram_from_json(data):
     from .diagram import FloorDiagram
-    return FloorDiagram(
-        tuple((f["id"], f["theta"]) for f in data["floors"]),
-        tuple(data["inf_minus"]),
-        tuple(data["inf_plus"]),
-        tuple((e["from"], e["to"], e["w"]) for e in data["edges"]),
-    )
+    floors = tuple((f["id"], f["theta"]) for f in data["floors"])
+    inf_minus, inf_plus = tuple(data["inf_minus"]), tuple(data["inf_plus"])
+    edges = tuple((e["from"], e["to"], e["w"]) for e in data["edges"])
+    for v in (*itertools.chain(*floors, *edges), *inf_minus, *inf_plus):
+        if type(v) is not int:  # a JSON integer, not a float or a boolean
+            raise InputError(f"diagram ids, thetas and weights must be integers, not {v!r}")
+    return FloorDiagram(floors, inf_minus, inf_plus, edges)
 
 
 def _element_id(el):
@@ -163,9 +165,13 @@ def polynomial_to_json(poly):
 @_reader
 def polynomial_from_json(data):
     from .tropical import TropicalPolynomial
-    return TropicalPolynomial.make(
-        {tuple(t["i"]): Fraction(t["a"]) for t in data["terms"]}
-    )
+    terms = {}
+    for t in data["terms"]:
+        exponent = tuple(t["i"])
+        if exponent in terms:
+            raise InputError(f"exponent {list(exponent)} appears in two terms")
+        terms[exponent] = Fraction(t["a"])
+    return TropicalPolynomial.make(terms)
 
 
 def curve_to_json(curve):

@@ -5,12 +5,15 @@ direction d: heights are measured by <d, p>, transverse abscissae by
 <e, p> with e = -perp(d), so that every floor direction advances the
 abscissa by exactly one.  A floor is a piecewise-linear path whose slope
 starts at theta on the far left and jumps by (+-weight) at each elevator
-it meets; the marked point of each element pins its position.
+it meets; the marked point of each element pins its position.  `realize`
+takes every floor's bends from one pass over the diagram's edges.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -168,6 +171,13 @@ def realize(diagram, marking, cfg, spec):
     when the prescribed incidences collide, and InvalidMarking when the
     labels are not the spec's label range or break the diagram order.
 
+    The diagram is read once: one pass over its edges gives each edge its
+    abscissa and each floor its bends (abscissa, edge index, +-weight).  A
+    floor's heights follow outward from its marked point, with theta from
+    diagram.floors and the divergence from one divergences() call, and a
+    (floor, edge) -> (source vertex, height) table joins the elevators and
+    tails to their bends.
+
     Abscissae and heights are the integers of cfg.frame (the values times
     its scale L): slopes are integers, so every breakpoint height is an
     integer too, and every comparison is an integer one.  Fractions are
@@ -194,89 +204,78 @@ def realize(diagram, marking, cfg, spec):
     s = spec.s
     lo = -diagram_mod.nseq_abs(spec.alpha_minus) + 1
 
-    # supporting abscissa of every edge
-    edge_xi = {}
-    for idx in range(len(diagram.edges)):
+    # supporting abscissa of every edge, and the bend it puts on each floor
+    edge_xi = []
+    bends = {f: [] for f in diagram.floor_ids}
+    for idx, (a, b, w) in enumerate(diagram.edges):
         lab = element_label.get(("e", idx))
         if lab is None:
             raise InvalidMarking(f"edge {idx} is unmarked")
         if lab < 1:
-            edge_xi[idx] = frame.omega_minus[lab - lo]
+            x = frame.omega_minus[lab - lo]
         elif lab > s:
-            edge_xi[idx] = frame.omega_plus[lab - s - 1]
+            x = frame.omega_plus[lab - s - 1]
         else:
-            edge_xi[idx] = frame.xs[lab - 1]
+            x = frame.xs[lab - 1]
+        edge_xi.append(x)
+        if a in bends:
+            bends[a].append((x, idx, -w))  # leaves floor a upward
+        if b in bends:
+            bends[b].append((x, idx, w))  # arrives at floor b from below
 
-    floors = set(diagram.floor_ids)
     sigma0 = dot(d, perp(lattice.slope_reference(d)))
-
-    def slope_h(m):
-        # dh/dxi along the floor direction with slope coordinate m
-        return sigma0 + m * n2
-
-    floor_paths = {}
-    floor_slope_seq = {}
-    floor_edges = {}
-    for f in diagram.floor_ids:
-        inc = []
-        for idx, (a, b, w) in enumerate(diagram.edges):
-            if a == f or b == f:
-                eps = 1 if b == f else -1  # arrives from below / leaves upward
-                inc.append((edge_xi[idx], idx, eps, w))
-        inc.sort()
-        if len({x for x, *_ in inc}) != len(inc):
+    div = diagram.divergences()
+    unit = frame.scale
+    den = n2 * unit
+    positions, pedges, floor_paths = [], [], []
+    at = {}  # (floor, edge index) -> (source vertex, height) of the bend
+    for f, theta in diagram.floors:
+        inc = sorted(bends[f])
+        xs = [x for x, _, _ in inc]
+        if len(set(xs)) != len(xs):
             raise SpacingTooSmall(f"two elevators of floor {f} share an abscissa")
         lab = element_label.get(("f", f))
         if lab is None or not 1 <= lab <= s:
             raise InvalidMarking(f"floor {f} must carry a point label")
         xi_a, h_a = frame.xs[lab - 1], frame.hs[lab - 1]
-        if any(x == xi_a for x, *_ in inc):
+        if xi_a in xs:
             raise SpacingTooSmall(f"marked point of floor {f} sits on an elevator")
-        slopes = [diagram.theta(f)]
-        for _, _, eps, w in inc:
-            slopes.append(slopes[-1] + eps * w)
-        if slopes[-1] != diagram.theta(f) + diagram.divergence(f):
+        slopes = list(itertools.accumulate((jump for _, _, jump in inc), initial=theta))
+        if slopes[-1] != theta + div[f]:
             raise RealizeError(
                 f"floor {f}: slope {slopes[-1]} after its elevators != theta + divergence"
             )
-        # heights at the breakpoints, pinned through (xi_a, h_a)
-        xs = [x for x, *_ in inc]
-        hs = _path_heights(xs, slopes, xi_a, h_a, slope_h)
-        floor_paths[f] = (xs, hs)
-        floor_slope_seq[f] = slopes
-        floor_edges[f] = inc
-
-    # source graph: breakpoints per floor, then elevators and rays
-    den = n2 * frame.scale
-    positions = []
-    pedges = []
-    bp_index = {}
-    for f in diagram.floor_ids:
-        xs, hs = floor_paths[f]
-        slopes = floor_slope_seq[f]
-        for k, (x, h) in enumerate(zip(xs, hs)):
-            bp_index[(f, k)] = len(positions)
+        # heights outward from the marked point, which lies on piece k (of
+        # slope slopes[k], between bends k - 1 and k); dh/dxi on a piece of
+        # slope m is sigma0 + m * n2
+        k = bisect.bisect(xs, xi_a)
+        hs = [0] * len(xs)
+        for run in (range(k, len(xs)), range(k - 1, -1, -1)):
+            x, h = xi_a, h_a
+            for j in run:  # bend j joins piece j to piece j + 1
+                h += (sigma0 + slopes[j + (j < k)] * n2) * (xs[j] - x)
+                x, hs[j] = xs[j], h
+        # source graph: the floor's breakpoints, its pieces and its two rays
+        first = len(positions)
+        for (x, idx, _), h in zip(inc, hs):
+            at[f, idx] = (len(positions), h)
             positions.append(
                 (Fraction(h * d[0] + x * e[0], den), Fraction(h * d[1] + x * e[1], den))
             )
-        for k in range(len(xs) - 1):
-            pedges.append(
-                PEdge(bp_index[(f, k)], bp_index[(f, k + 1)], 1, slope_vector(d, slopes[k + 1]))
-            )
-        left = slope_vector(d, slopes[0])
-        right = slope_vector(d, slopes[-1])
-        pedges.append(PEdge(bp_index[(f, 0)], -1, 1, scale(left, -1)))
-        pedges.append(PEdge(bp_index[(f, len(xs) - 1)], -1, 1, right))
+        for j in range(1, len(xs)):
+            pedges.append(PEdge(first + j - 1, first + j, 1, slope_vector(d, slopes[j])))
+        pedges.append(PEdge(first, -1, 1, scale(slope_vector(d, slopes[0]), -1)))
+        pedges.append(PEdge(len(positions) - 1, -1, 1, slope_vector(d, slopes[-1])))
+        floor_paths.append(
+            (f, tuple((Fraction(x, unit), Fraction(h, unit)) for x, h in zip(xs, hs)), tuple(slopes))
+        )
 
+    # elevators and tails, from the bends they join
     for idx, (a, b, w) in enumerate(diagram.edges):
         lab = element_label[("e", idx)]
         hp = frame.hs[lab - 1] if 1 <= lab <= s else None
-        if a in floors and b in floors:
-            ka = _breakpoint_at(floor_edges[a], idx)
-            kb = _breakpoint_at(floor_edges[b], idx)
-            ia, ib = bp_index[(a, ka)], bp_index[(b, kb)]
-            ha = floor_paths[a][1][ka]
-            hb = floor_paths[b][1][kb]
+        if a in bends and b in bends:
+            (ia, ha), (ib, hb) = at[a, idx], at[b, idx]
             if ha >= hb:
                 raise SpacingTooSmall(
                     f"elevator {idx}: floors {a} and {b} are not in height order"
@@ -284,60 +283,20 @@ def realize(diagram, marking, cfg, spec):
             if hp is not None and not ha < hp < hb:
                 raise SpacingTooSmall(f"elevator {idx} misses its marked point")
             pedges.append(PEdge(ia, ib, w, d))
-        elif b in floors:  # down tail into floor b
-            kb = _breakpoint_at(floor_edges[b], idx)
-            hb = floor_paths[b][1][kb]
+        elif b in bends:  # down tail into floor b
+            ib, hb = at[b, idx]
             if hp is not None and not hp < hb:
                 raise SpacingTooSmall(f"down tail {idx} misses its marked point")
-            pedges.append(PEdge(bp_index[(b, kb)], -1, w, scale(d, -1)))
+            pedges.append(PEdge(ib, -1, w, scale(d, -1)))
         else:  # up tail out of floor a
-            ka = _breakpoint_at(floor_edges[a], idx)
-            ha = floor_paths[a][1][ka]
+            ia, ha = at[a, idx]
             if hp is not None and not hp > ha:
                 raise SpacingTooSmall(f"up tail {idx} misses its marked point")
-            pedges.append(PEdge(bp_index[(a, ka)], -1, w, d))
+            pedges.append(PEdge(ia, -1, w, d))
 
     curve = ParametrizedCurve(tuple(positions), tuple(pedges))
-    unit = frame.scale
-    floor_paths_out = tuple(
-        (
-            f,
-            tuple((Fraction(x, unit), Fraction(h, unit)) for x, h in zip(*floor_paths[f])),
-            tuple(floor_slope_seq[f]),
-        )
-        for f in diagram.floor_ids
-    )
-    elevator_lines = tuple(
-        (idx, Fraction(edge_xi[idx], unit)) for idx in range(len(diagram.edges))
-    )
-    return Realization(curve, floor_paths_out, elevator_lines, spec, diagram, marking)
-
-
-def _path_heights(xs, slopes, xi_a, h_a, slope_h):
-    """Heights of the breakpoints of a floor path with the given bend
-    abscissae and slope sequence, passing through (xi_a, h_a)."""
-    if not xs:
-        return []
-    hs = [0] * len(xs)
-    for k in range(1, len(xs)):
-        hs[k] = hs[k - 1] + slope_h(slopes[k]) * (xs[k] - xs[k - 1])
-    # evaluate the unanchored path at xi_a
-    k = 0
-    while k < len(xs) and xs[k] < xi_a:
-        k += 1
-    if k == 0:
-        base = hs[0] + slope_h(slopes[0]) * (xi_a - xs[0])
-    else:
-        base = hs[k - 1] + slope_h(slopes[k]) * (xi_a - xs[k - 1])
-    off = h_a - base
-    return [h + off for h in hs]
-
-
-def _breakpoint_at(inc, edge_idx):
-    for k, (_, idx, _, _) in enumerate(inc):
-        if idx == edge_idx:
-            return k
-    raise KeyError(edge_idx)
+    elevator_lines = tuple((idx, Fraction(x, unit)) for idx, x in enumerate(edge_xi))
+    return Realization(curve, tuple(floor_paths), elevator_lines, spec, diagram, marking)
 
 
 MAX_DOUBLINGS = 10

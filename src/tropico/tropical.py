@@ -29,6 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import lattice
 from .lattice import LatticePolygon, component_count, convex_hull, det, dot, perp, sub, add, scale
@@ -72,6 +73,15 @@ def _frac_point(p):
     return (x if type(x) is Fraction else Fraction(x), y if type(y) is Fraction else Fraction(y))
 
 
+def _lattice_point(p):
+    """p as a pair of ints.  As for a LatticePolygon vertex, each coordinate
+    must equal its int(): 1.0 is read as 1, while 1.9 and "1" are rejected."""
+    x, y = p
+    if x != int(x) or y != int(y):
+        raise TropicalError(f"exponent {p!r} is not a lattice point")
+    return (int(x), int(y))
+
+
 def rational_primitive(v):
     """Primitive integer vector parallel to a nonzero rational vector."""
     x, y = Fraction(v[0]), Fraction(v[1])
@@ -95,9 +105,7 @@ class TropicalPolynomial:
 
     @staticmethod
     def make(mapping):
-        items = tuple(
-            sorted(((int(i), int(j)), Fraction(a)) for (i, j), a in dict(mapping).items())
-        )
+        items = tuple(sorted((_lattice_point(e), Fraction(a)) for e, a in dict(mapping).items()))
         if not items:
             raise TropicalError("empty support")
         return TropicalPolynomial(items)
@@ -146,16 +154,14 @@ def tropical_product(p, q):
 # plane tropical curves
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     a: int
     b: int
     weight: int
     direction: tuple  # primitive, oriented from a to b
 
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(NamedTuple):
     base: int
     direction: tuple  # primitive, toward infinity
     weight: int
@@ -480,7 +486,7 @@ def legendre_transform(f):
 
 
 def _lattice_function(f):
-    return {(int(x), int(y)): Fraction(v) for (x, y), v in dict(f).items()}
+    return {_lattice_point(p): Fraction(v) for p, v in dict(f).items()}
 
 
 def _lower_cells(f):
@@ -713,8 +719,7 @@ def geometric_genus(curve):
 # parametrized curves
 
 
-@dataclass(frozen=True)
-class PEdge:
+class PEdge(NamedTuple):
     a: int
     b: int  # -1 for an end at infinity
     weight: int
@@ -738,7 +743,7 @@ class ParametrizedCurve:
     def build(positions, edges):
         return ParametrizedCurve(
             tuple(_frac_point(p) for p in positions),
-            tuple(PEdge(e.a, e.b, e.weight, e.direction) if isinstance(e, PEdge) else PEdge(*e) for e in edges),
+            tuple(PEdge(*e) for e in edges),
         )
 
     def genus_and_components(self):

@@ -258,6 +258,26 @@ def test_realize_cli_rejects_marking_labels_off_the_range(files, tmp_path, capsy
             assert json.loads(out)["error"] == error
 
 
+def test_realize_cli_rejects_diagram_values_that_are_not_integers(files, tmp_path, capsys):
+    spec = DiagramSpec(triangle(3), (0, 1), 1, (), (), (), (3,))
+    diag = enumerate_diagrams(spec)[0]
+    (tmp_path / "mark.json").write_text(json.dumps(io_mod.marking_to_json(enumerate_markings(diag, spec)[0])))
+    argv = ["realize", "--polygon", str(files / "t3.json"), "--genus", "1", "--beta-minus", "3",
+            "--diagram", str(tmp_path / "diag.json"), "--marking", str(tmp_path / "mark.json")]
+    good = io_mod.diagram_to_json(diag)
+    string_theta = {**good, "floors": [{**good["floors"][0], "theta": "0"}, *good["floors"][1:]]}
+    float_weight = {**good, "edges": [{**good["edges"][0], "w": 1.0}, *good["edges"][1:]]}
+    bool_weight = {**good, "edges": [{**good["edges"][0], "w": True}, *good["edges"][1:]]}
+    for data, error in ((good, None), (string_theta, "InputError"), (float_weight, "InputError"),
+                        (bool_weight, "InputError")):
+        (tmp_path / "diag.json").write_text(json.dumps(data))
+        assert cmd(argv) == (1 if error else 0), data
+        out = capsys.readouterr().out
+        if error:
+            assert json.loads(out)["error"] == error
+            assert "must be integers" in json.loads(out)["detail"]
+
+
 def test_realize_cli_svgs_pinned(files, capsys):
     # sha256 of the SVGs `tropico realize --frame` writes for every marked
     # diagram of T3 a-=(0,1) b-=(1): anticanonical frame, Omega lines and

@@ -63,6 +63,19 @@ def files(tmp_path):
     return tmp_path
 
 
+def test_polynomial_reader_rejects_a_repeated_exponent():
+    # a dict would keep the last coefficient, 0, where the max-plus sum is 5
+    data = {"terms": [{"i": [0, 0], "a": "0"}, {"i": [1, 0], "a": "0"},
+                      {"i": [0, 1], "a": "5"}, {"i": [0, 1], "a": "0"}]}
+    with pytest.raises(io.InputError, match="exponent \\[0, 1\\] appears in two terms"):
+        io.polynomial_from_json(data)
+    data["terms"][3]["i"] = [1.0, 0]
+    with pytest.raises(io.InputError, match="exponent \\[1.0, 0\\] appears in two terms"):
+        io.polynomial_from_json(data)
+    del data["terms"][3]
+    assert io.polynomial_from_json(data).coeff((0, 1)) == 5
+
+
 def _printed_objects(monkeypatch, capsys, argv):
     """Run a CLI command; return what it printed and the objects it passed
     to io.dumps."""

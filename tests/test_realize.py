@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -46,7 +47,6 @@ from tropico.realize import (
     realize_stretched,
     stretch_points,
     verify_realization,
-    _breakpoint_at,
     _transverse_axis,
 )
 from tropico.tropical import ParametrizedCurve, PEdge, check_balancing, tropical_multiplicity
@@ -413,8 +413,9 @@ def test_plane_curves_pinned():
 def test_slope_bookkeeping_is_checked(monkeypatch):
     diag = enumerate_diagrams(T3_G0)[0]
     marking = enumerate_markings(diag, T3_G0)[0]
-    divergence = FloorDiagram.divergence
-    monkeypatch.setattr(FloorDiagram, "divergence", lambda self, v: divergence(self, v) + 1)
+    divergences = FloorDiagram.divergences
+    monkeypatch.setattr(FloorDiagram, "divergences",
+                        lambda self: {v: div + 1 for v, div in divergences(self).items()})
     monkeypatch.setattr(diagram_module, "validate", lambda diagram, spec: True)
     with pytest.raises(RealizeError, match="theta \\+ divergence"):
         realize(diag, marking, stretch_points(T3_G0), T3_G0)
@@ -621,6 +622,13 @@ def realize_fraction_reference(diagram, marking, cfg, spec):
     return Realization(curve, floor_paths_out, elevator_lines, spec, diagram, marking)
 
 
+def _breakpoint_at(inc, edge_idx):
+    for k, (_, idx, _, _) in enumerate(inc):
+        if idx == edge_idx:
+            return k
+    raise KeyError(edge_idx)
+
+
 def _path_heights_reference(xs, slopes, xi_a, h_a, slope_h):
     if not xs:
         return []
@@ -731,6 +739,25 @@ def test_integer_frame_raises_like_the_fraction_reference_when_too_tight():
                 assert got == _outcome(realize_fraction_reference, diag, marking, cfg, spec)
                 raised += isinstance(got, tuple)
     assert raised
+
+
+def test_integer_frame_matches_fraction_reference_on_more_floors():
+    # the corpus has at most 4 floors: all of T6 g=9 (6 floors) and the
+    # first marked diagrams of T8 g=19 (8 floors)
+    t6 = DiagramSpec(triangle(6), (0, 1), 9, (), (), (), (6,))
+    t8 = DiagramSpec(triangle(8), (0, 1), 19, (), (), (), (8,))
+    t8_marked = itertools.islice(
+        ((diag, marking) for diag in enumerate_diagrams(t8) for marking in enumerate_markings(diag, t8)),
+        60,
+    )
+    corpus = [(t6, _marked(t6)), (t8, list(t8_marked))]
+    assert [len(items) for _, items in corpus] == [45, 60]
+    for seed in range(3):
+        for spec, items in corpus:
+            cfg = stretch_points(spec, seed)
+            for diag, marking in items:
+                got = _outcome(realize, diag, marking, cfg, spec)
+                assert got == _outcome(realize_fraction_reference, diag, marking, cfg, spec)
 
 
 def test_round_trip_key_is_computed_once_per_diagram():

@@ -34,6 +34,7 @@ from tropico.tropical import (
     Ray,
     Segment,
     SegmentSupport,
+    TropicalError,
     TropicalPolynomial,
     UnsupportedShape,
     check_balancing,
@@ -417,6 +418,19 @@ def test_newton_polygon_scaled_line_circuit():
     got = newton_polygon_of(free)
     anchor = sub(triangle(3).vertices[0], got.vertices[0])
     assert got.translate(anchor) == triangle(3)
+
+
+def test_exponents_must_be_lattice_points():
+    # the rule LatticePolygon applies to its vertices: 1.0 is 1, while 1.9
+    # and "1" are rejected instead of being read as 1
+    assert TropicalPolynomial.make({(1.0, 0): 0, (0, 1): 0}).support == ((0, 1), (1, 0))
+    for exponent in ((1.9, 0), ("1", 0), (0, Fraction(1, 2))):
+        with pytest.raises(TropicalError, match="not a lattice point"):
+            TropicalPolynomial.make({exponent: 0, (0, 0): 0})
+        with pytest.raises(TropicalError, match="not a lattice point"):
+            legendre_transform({exponent: 0, (0, 0): 0, (0, 1): 0})
+        with pytest.raises(TropicalError, match="not a lattice point"):
+            lower_hull_value({exponent: 0, (0, 0): 0, (0, 1): 0}, (0, 0))
 
 
 def test_legendre_single_point():
