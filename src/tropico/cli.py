@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import io as io_mod
@@ -173,9 +174,8 @@ def cmd_tropicalize(args):
         style = render.RenderStyle(anticanonical_frame=args.frame)
         _write_text(args.svg, render.render_curve_svg(curve, style))
     if args.svg and args.subdivision:
-        base, dot_, ext = args.svg.rpartition(".")
-        path = f"{base}-subdivision.{ext}" if dot_ else f"{args.svg}-subdivision"
-        _write_text(path, render.render_subdivision_svg(subdivision))
+        root, ext = os.path.splitext(args.svg)
+        _write_text(f"{root}-subdivision{ext}", render.render_subdivision_svg(subdivision))
     return 0
 
 

@@ -3,7 +3,10 @@
 Everything here is integer or rational arithmetic; there is no floating
 point anywhere in the package.  A lattice vector is a plain ``(x, y)``
 tuple of ints, a polygon is an immutable cyclic list of lattice points.
-The package's one union-find (component_roots) lives here too.
+The direction data of a polygon transverse to a direction d (its left
+and right boundary directions and its top and bottom lengths) come from
+one pass over its edges.  The package's one union-find (component_roots)
+lives here too.
 """
 
 from __future__ import annotations
@@ -403,45 +406,16 @@ def _xgcd(a, b):
 # transversality and direction data for a stretching direction d
 
 
-def _edge_side(poly, d):
-    """Classify counterclockwise edges: -1 left, +1 right, 0 parallel to perp(d)."""
-    sides = []
-    for w in poly.edge_vectors():
-        s = dot(d, w)
-        sides.append(0 if s == 0 else (1 if s > 0 else -1))
-    return sides
-
-
-def left_boundary_edges(poly, d):
-    """Edges of the left boundary, each as (tail, head) going down along d."""
-    out = []
-    for (p, q), side in zip(poly.edges(), _edge_side(poly, d)):
-        if side < 0:
-            out.append((p, q))
-    return out
-
-
-def right_boundary_edges(poly, d):
-    """Edges of the right boundary, reoriented to go down along d."""
-    out = []
-    for (p, q), side in zip(poly.edges(), _edge_side(poly, d)):
-        if side > 0:
-            out.append((q, p))
-    return out
-
-
 def is_transverse(poly, d):
-    """True iff every left/right boundary edge direction u has det(u, perp(d)) = +-1.
+    """True iff every edge direction u not orthogonal to d (the left and
+    right boundary) has det(u, perp(d)) = +-1.
 
     det(u, perp(d)) equals -<d, u>, so the condition says each such edge
     advances by exactly one lattice step along d.
     """
     if not is_primitive(d):
         raise NotPrimitive(f"direction {d} is not primitive")
-    for p, q in left_boundary_edges(poly, d) + right_boundary_edges(poly, d):
-        if abs(dot(d, primitive(sub(q, p)))) != 1:
-            return False
-    return True
+    return all(abs(dot(d, primitive(w))) == 1 for w in poly.edge_vectors() if dot(d, w))
 
 
 @cache
@@ -518,21 +492,21 @@ class DirectionData:
 
 
 def direction_data(poly, d):
-    """Direction lists, top/bottom lengths and d-height of a transverse polygon."""
+    """Direction lists, top/bottom lengths and d-height of a transverse polygon.
+
+    One pass over the counterclockwise edges sorts each edge (p, q) by
+    <d, q - p>: negative puts it on the left boundary, positive on the
+    right boundary (reoriented to go down along d), zero makes it the top
+    or bottom edge.
+    """
     if not is_transverse(poly, d):
         raise NotTransverse(f"{poly!r} is not transverse to d={d}")
     pd = perp(d)
     d_left, d_right = [], []
-    for edges, target in ((left_boundary_edges(poly, d), d_left),
-                          (right_boundary_edges(poly, d), d_right)):
-        for p, q in edges:
-            u = primitive(sub(q, p))
-            if det(pd, u) != 1:
-                raise LatticeError(f"boundary edge {p}-{q} is not transverse to d={d}")
-            target.extend([perp(u)] * integral_length(p, q))
     d_plus = d_minus = 0
     heights = [dot(d, v) for v in poly.vertices]
-    for (p, q), side in zip(poly.edges(), _edge_side(poly, d)):
+    for p, q in poly.edges():
+        side = dot(d, sub(q, p))
         if side == 0:
             h = dot(d, p)
             if h == max(heights):
@@ -541,6 +515,13 @@ def direction_data(poly, d):
                 d_minus = integral_length(p, q)
             else:
                 raise LatticeError(f"edge {p}-{q} orthogonal to d={d} is neither top nor bottom")
+            continue
+        if side > 0:
+            p, q = q, p
+        u = primitive(sub(q, p))
+        if det(pd, u) != 1:
+            raise LatticeError(f"boundary edge {p}-{q} is not transverse to d={d}")
+        (d_left if side < 0 else d_right).extend([perp(u)] * integral_length(p, q))
     height = len(d_left)
     if height != len(d_right) or 2 * height + d_plus + d_minus != poly.boundary_points():
         raise LatticeError(

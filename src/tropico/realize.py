@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from . import diagram as diagram_mod
 from . import lattice
-from .lattice import component_roots, dot, perp, scale, slope_of, slope_vector, sub
+from .lattice import component_roots, dot, perp, scale, slope_of, slope_vector
 from .tropical import NotClosed, ParametrizedCurve, PEdge, check_balancing
 from .tropical import _dual_polygon, _integral_frame, tropical_multiplicity
 
@@ -339,8 +339,8 @@ def floor_decompose(pc, d):
         else:
             floorish.append(e)
     roots = component_roots(range(n), [(e.a, e.b) for e in floorish if e.b >= 0])
-    comp_ids = sorted(set(roots.values()))
-    comp_of = {v: comp_ids.index(roots[v]) for v in range(n)}
+    comp_index = {r: c for c, r in enumerate(sorted(set(roots.values())))}
+    comp_of = {v: comp_index[roots[v]] for v in range(n)}
 
     thetas = {}
     axis = _transverse_axis(d)
@@ -353,7 +353,7 @@ def floor_decompose(pc, d):
             thetas[c] = m  # the leftward infinite piece carries theta
         thetas.setdefault(("any", c), m)
     floors = []
-    for c in range(len(comp_ids)):
+    for c in range(len(comp_index)):
         th = thetas.get(c, thetas.get(("any", c)))
         if th is None:
             raise RealizeError(f"floor component {c} has no transverse piece")
@@ -361,7 +361,7 @@ def floor_decompose(pc, d):
 
     edges = []
     inf_minus, inf_plus = [], []
-    nid = len(comp_ids)
+    nid = len(comp_index)
     for e in elevator:
         up = e.direction == d
         if e.b >= 0:
@@ -415,7 +415,13 @@ def points_on_curve(pc, points):
 
 
 def verify_realization(realization, diagram, marking, cfg, spec):
-    """All bijection-side checks; returns the list of violations (empty = pass)."""
+    """All bijection-side checks; returns the list of violations (empty = pass).
+
+    The ray circuit traces the Newton polygon when its edge vectors equal
+    those of spec.polygon (both polygons start at their least vertex).  The
+    balancing and multiplicity checks read the curve's cached incidence, so
+    a curve's star map is built once.
+    """
     violations = []
     pc = realization.curve
     if not check_balancing(pc):
@@ -431,9 +437,7 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     # infinite-edge census against the boundary data, via the ray circuit
     try:
         circuit = _dual_polygon([(e.direction, e.weight) for e in pc.edges if e.b < 0])
-        target = spec.polygon
-        anchored = circuit.translate(sub(target.vertices[0], circuit.vertices[0]))
-        if anchored != target:
+        if circuit.edge_vectors() != spec.polygon.edge_vectors():
             violations.append("ray circuit does not trace the Newton polygon")
     except NotClosed as exc:
         violations.append(str(exc))

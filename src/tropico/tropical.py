@@ -29,6 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from . import lattice
@@ -189,9 +190,11 @@ class PlaneTropicalCurve:
             newton = _dual_polygon([(r.direction, r.weight) for r in rays])
         return PlaneTropicalCurve(vertices, segments, rays, frozenset(crossings), newton)
 
+    @cached_property
     def incidence(self):
         """Vertex -> [(tag, outgoing direction, weight)] of the pieces at it:
-        segments, then rays, by index (see _incidence)."""
+        segments, then rays, by index (see _incidence); computed once, since
+        a curve is immutable."""
         return _incidence(
             [(("s", i), s.a, s.b, s.direction, s.weight) for i, s in enumerate(self.segments)]
             + [(("r", i), r.base, None, r.direction, r.weight) for i, r in enumerate(self.rays)]
@@ -233,7 +236,7 @@ def _incidence(pieces):
 def check_balancing(curve):
     """Sum of weight * primitive outgoing direction vanishes at every vertex
     of a plane or parametrized curve."""
-    for star in curve.incidence().values():
+    for star in curve.incidence.values():
         total = (0, 0)
         for _, u, w in star:
             total = add(total, scale(u, w))
@@ -551,7 +554,7 @@ def _chain_partition(curve):
     vertex or 'inf')."""
     # at a crossing, pair up opposite collinear pieces
     succ = {}  # (piece tag, end vertex) -> next piece tag
-    incidence = curve.incidence()
+    incidence = curve.incidence
     for v in curve.crossings:
         inc = incidence.get(v, ())
         if len(inc) != 4:
@@ -659,7 +662,7 @@ def delta_invariant(curve):
     """
     _check_reduced(curve)
     delta = Fraction(0)
-    incidence = curve.incidence()
+    incidence = curve.incidence
     for v in range(len(curve.vertices)):
         cell = _dual_polygon([(u, w) for _, u, w in incidence.get(v, ())], v)
         if v in curve.crossings:
@@ -754,9 +757,11 @@ class ParametrizedCurve:
         k = component_count(range(n), links)
         return len(links) - n + k, k
 
+    @cached_property
     def incidence(self):
         """Vertex -> [(edge index, outgoing direction, weight)] of the edges
-        at it, by index (see _incidence)."""
+        at it, by index (see _incidence); computed once, since a curve is
+        immutable."""
         return _incidence(
             (i, e.a, e.b if e.b >= 0 else None, e.direction, e.weight)
             for i, e in enumerate(self.edges)
@@ -771,7 +776,7 @@ class ParametrizedCurve:
 def tropical_multiplicity(pc):
     """Product over trivalent source vertices of |det(w u, w' u')|."""
     mu = 1
-    incidence = pc.incidence()
+    incidence = pc.incidence
     for v in range(len(pc.positions)):
         inc = incidence.get(v, ())
         if len(inc) == 1:

@@ -189,6 +189,21 @@ def test_tropicalize_json_and_svg(files, tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("name, subdivision", [
+    ("curve.svg", "curve-subdivision.svg"),
+    ("curve", "curve-subdivision"),
+])
+def test_tropicalize_subdivision_svg_in_a_dotted_directory(files, tmp_path, capsys, name, subdivision):
+    out = tmp_path / "out.d"
+    out.mkdir()
+    rc = cmd(["tropicalize", "--poly", str(files / "line.json"), "--subdivision",
+              "--svg", str(out / name)])
+    capsys.readouterr()
+    assert rc == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted([name, subdivision])
+    assert (out / subdivision).read_text().startswith("<svg")
+
+
 def test_json_deterministic(files, capsys):
     args = ["diagrams", "--polygon", str(files / "t3.json"), "--genus", "1",
             "--beta-minus", "3", "--markings"]

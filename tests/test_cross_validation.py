@@ -122,6 +122,25 @@ def test_classical_counts():
     assert count(DiagramSpec(r21, (0, 1), 0, (), (), (2,), (2,))) == 1
 
 
+def _kleiman_piene(d, delta):
+    """N^{d,delta}: the number of delta-nodal plane curves of degree d through
+    d(d+3)/2 - delta general points, for d >= delta + 2 (Kleiman-Piene)."""
+    return {
+        1: 3 * (d - 1) ** 2,
+        2: Fraction(3, 2) * (d - 1) * (d - 2) * (3 * d * d - 3 * d - 11),
+        3: Fraction(9 * d**6 - 54 * d**5 + 9 * d**4 + 423 * d**3 - 458 * d**2 - 829 * d + 1050, 2),
+    }[delta]
+
+
+def test_low_cogenus_counts_are_the_kleiman_piene_polynomials():
+    # at cogenus delta <= d - 2 every delta-nodal curve is irreducible, so
+    # the count of T_d at genus (d-1)(d-2)/2 - delta is N^{d,delta}
+    for d in range(3, 13):
+        for delta in range(1, min(3, d - 2) + 1):
+            spec = DiagramSpec(triangle(d), (0, 1), (d - 1) * (d - 2) // 2 - delta, (), (), (), (d,))
+            assert count(spec) == _kleiman_piene(d, delta), (d, delta)
+
+
 def _moved(spec, a):
     """The spec (A Delta, A^-T d) for a unimodular A: the same count."""
     (p, q), (r, e) = a

@@ -215,6 +215,112 @@ def test_direction_data_rotation_equivariance():
             )
 
 
+# The direction data as five helpers computed them, each classifying every
+# edge again: the reference for the one-pass direction_data.
+
+
+def _edge_side(poly, d):
+    """Classify counterclockwise edges: -1 left, +1 right, 0 parallel to perp(d)."""
+    sides = []
+    for w in poly.edge_vectors():
+        s = lattice.dot(d, w)
+        sides.append(0 if s == 0 else (1 if s > 0 else -1))
+    return sides
+
+
+def left_boundary_edges(poly, d):
+    """Edges of the left boundary, each as (tail, head) going down along d."""
+    out = []
+    for (p, q), side in zip(poly.edges(), _edge_side(poly, d)):
+        if side < 0:
+            out.append((p, q))
+    return out
+
+
+def right_boundary_edges(poly, d):
+    """Edges of the right boundary, reoriented to go down along d."""
+    out = []
+    for (p, q), side in zip(poly.edges(), _edge_side(poly, d)):
+        if side > 0:
+            out.append((q, p))
+    return out
+
+
+def is_transverse_reference(poly, d):
+    if not lattice.is_primitive(d):
+        raise NotPrimitive(f"direction {d} is not primitive")
+    for p, q in left_boundary_edges(poly, d) + right_boundary_edges(poly, d):
+        if abs(lattice.dot(d, lattice.primitive(lattice.sub(q, p)))) != 1:
+            return False
+    return True
+
+
+def direction_data_reference(poly, d):
+    if not is_transverse_reference(poly, d):
+        raise NotTransverse(f"{poly!r} is not transverse to d={d}")
+    pd = perp(d)
+    d_left, d_right = [], []
+    for edges, target in ((left_boundary_edges(poly, d), d_left),
+                          (right_boundary_edges(poly, d), d_right)):
+        for p, q in edges:
+            u = lattice.primitive(lattice.sub(q, p))
+            if lattice.det(pd, u) != 1:
+                raise LatticeError(f"boundary edge {p}-{q} is not transverse to d={d}")
+            target.extend([perp(u)] * integral_length(p, q))
+    d_plus = d_minus = 0
+    heights = [lattice.dot(d, v) for v in poly.vertices]
+    for (p, q), side in zip(poly.edges(), _edge_side(poly, d)):
+        if side == 0:
+            h = lattice.dot(d, p)
+            if h == max(heights):
+                d_plus = integral_length(p, q)
+            elif h == min(heights):
+                d_minus = integral_length(p, q)
+            else:
+                raise LatticeError(f"edge {p}-{q} orthogonal to d={d} is neither top nor bottom")
+    height = len(d_left)
+    if height != len(d_right) or 2 * height + d_plus + d_minus != poly.boundary_points():
+        raise LatticeError(
+            f"direction data of {poly!r} for d={d}: heights {height}, {len(d_right)},"
+            f" d+ = {d_plus}, d- = {d_minus} do not partition the boundary"
+        )
+    return lattice.DirectionData(
+        d=d,
+        D_left=tuple(lattice.sort_by_angle(d_left)),
+        D_right=tuple(lattice.sort_by_angle(d_right)),
+        d_plus=d_plus,
+        d_minus=d_minus,
+        d_height=height,
+    )
+
+
+def _data_outcome(fn, poly, d):
+    """fn's value (with the thetas of direction data), or the type and
+    message of the LatticeError it raises."""
+    try:
+        out = fn(poly, d)
+    except LatticeError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, lattice.DirectionData):
+        return out, out.thetas_left(), out.thetas_right()
+    return out
+
+
+def test_direction_data_matches_the_reference():
+    rng = random.Random(11)
+    directions = [(dx, dy) for dx in range(-3, 4) for dy in range(-3, 4)]
+    transverse = 0
+    for _ in range(600):
+        poly = random_lattice_polygon(rng, max_coord=rng.choice((2, 3, 4, 6)))
+        for d in directions:
+            assert _data_outcome(is_transverse, poly, d) == _data_outcome(
+                is_transverse_reference, poly, d)
+            got = _data_outcome(direction_data, poly, d)
+            assert got == _data_outcome(direction_data_reference, poly, d)
+            transverse += isinstance(got[0], lattice.DirectionData)
+    assert transverse > 1000
+
+
 def test_direction_data_translation_invariance():
     dd = direction_data(triangle(3), (0, 1))
     dd2 = direction_data(triangle(3).translate((7, -4)), (0, 1))

@@ -8,6 +8,7 @@ import pytest
 
 from tropico import diagram as diagram_module
 from tropico import io
+from tropico import tropical
 from tropico.diagram import (
     DiagramSpec,
     FloorDiagram,
@@ -764,3 +765,33 @@ def test_round_trip_key_is_computed_once_per_diagram():
     diag = enumerate_diagrams(T3_G0)[0]
     assert diagram_module.refined_key(diag) is diagram_module.refined_key(diag)
     assert diag.refined_form == diagram_module._refined_form(diagram_module._floor_data(diag))
+
+
+def test_verification_builds_each_star_map_and_circuit_polygon_once(monkeypatch):
+    """verify_realization followed by tropical_multiplicity on one curve
+    builds its star map (tropical._incidence) once and one LatticePolygon,
+    the ray circuit, on every marked diagram of T3 g=0."""
+    built = {"stars": 0, "polygons": 0}
+    incidence, polygon_init = tropical._incidence, LatticePolygon.__init__
+
+    def counted_incidence(pieces):
+        built["stars"] += 1
+        return incidence(pieces)
+
+    def counted_init(self, vertices):
+        built["polygons"] += 1
+        polygon_init(self, vertices)
+
+    cases = 0
+    for diag in enumerate_diagrams(T3_G0):
+        for marking in enumerate_markings(diag, T3_G0):
+            realization, cfg = realize_stretched(diag, marking, T3_G0, seed=0)
+            built.update(stars=0, polygons=0)
+            with monkeypatch.context() as m:
+                m.setattr(tropical, "_incidence", counted_incidence)
+                m.setattr(LatticePolygon, "__init__", counted_init)
+                assert not verify_realization(realization, diag, marking, cfg, T3_G0)
+                tropical_multiplicity(realization.curve)
+            assert built == {"stars": 1, "polygons": 1}
+            cases += 1
+    assert cases > 0
