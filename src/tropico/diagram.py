@@ -30,11 +30,12 @@ markings, and |Aut| is |Aut_floor|, the number of floor automorphisms,
 times the orderings of each class of identical edges, which L already
 leaves out; so L / |Aut_floor| is the number of marking classes, and a
 remainder raises InvariantViolation.  `enumerate_markings` lists the same
-labellings by depth-first search, under the same placement rule
-(`_label_moves`), and keeps one representative per class.  Two of them are
-one class exactly when they have the same form, read off the marking itself
-with the floors renamed by their rank in label order, so listing needs no
-automorphism.
+labellings by depth-first search and keeps one representative per class.
+Both take the placement rule from `_label_moves`, one pass over the edges
+that gives each floor and edge its bit, the mask of what must precede it
+and its part of the class token.  Two labellings are one class exactly
+when they have the same form, read off the placed moves with the floors
+renamed by their rank in label order, so listing needs no automorphism.
 
 Generation enumerates finite edges only from floor i to floors j > i:
 every acyclic diagram has such a topological labelling of its floors.  The
@@ -166,9 +167,9 @@ class FloorDiagram:
     def __post_init__(self):
         ids = [f for f, _ in self.floors]
         allids = ids + list(self.inf_minus) + list(self.inf_plus)
-        if len(set(allids)) != len(allids):
+        vertices = set(allids)
+        if len(vertices) != len(allids):
             raise DiagramError("vertex ids must be distinct")
-        floorset = set(ids)
         infset = set(self.inf_minus) | set(self.inf_plus)
         seen = {v: 0 for v in infset}
         for s, t, w in self.edges:
@@ -176,7 +177,7 @@ class FloorDiagram:
                 raise DiagramError("edge weights must be positive")
             if s in infset and t in infset:
                 raise DiagramError("no edge may join two vertices at infinity")
-            if s not in floorset | infset or t not in floorset | infset:
+            if s not in vertices or t not in vertices:
                 raise DiagramError("edge endpoint is not a vertex")
             if s in infset:
                 if s not in self.inf_minus:
@@ -255,22 +256,6 @@ class FloorDiagram:
                 if indeg[t] == 0:
                     ready.append(t)
         return removed == len(indeg)
-
-    # Elements of the poset D = floors + all edges.  Edges are addressed by
-    # their index in self.edges so that parallel edges stay distinct.
-    def elements(self):
-        return [("f", f) for f in self.floor_ids] + [("e", i) for i in range(len(self.edges))]
-
-    def element_preds(self):
-        """Immediate predecessors of each element under the diagram order."""
-        fl = set(self.floor_ids)
-        preds = {el: set() for el in self.elements()}
-        for i, (s, t, _) in enumerate(self.edges):
-            if s in fl:
-                preds[("e", i)].add(("f", s))
-            if t in fl:
-                preds[("f", t)].add(("e", i))
-        return preds
 
     def genus(self):
         """First Betti number of the underlying graph; requires connectivity."""
@@ -892,63 +877,50 @@ class Marking:
         return {self.label_start + i: el for i, el in enumerate(self.labels)}
 
 
-def _alpha_block(alpha, offset):
-    """Map label -> required tail weight for one alpha block starting at offset."""
-    out = {}
-    pos = offset
-    for i, count in enumerate(alpha):
-        for _ in range(count):
-            out[pos] = i + 1
-            pos += 1
-    return out
-
-
-def _edge_classes(diagram):
-    """Class of each edge element: its endpoints (tails at "-inf"/"+inf") and
-    its weight.  Edges of one class are interchanged by automorphisms."""
-    fl = set(diagram.floor_ids)
-    return {
-        ("e", i): (s if s in fl else "-inf", t if t in fl else "+inf", w)
-        for i, (s, t, w) in enumerate(diagram.edges)
-    }
-
-
 def _label_moves(diagram, spec):
     """The placement rule of `enumerate_markings` and `count_markings`: per
-    label of spec.label_range(), the moves (element, bit, need) that may
-    place it, in element order.
+    label of spec.label_range(), the moves (element, bit, need, part) that
+    may place it, floors in floor order, then edges by index.
 
-    bit is the element's bit in a down-set mask and need the mask of what
-    must be placed before it: its immediate predecessors in the diagram
-    order and, for an edge, the edge before it in its class of identical
-    edges, so that identical edges take their labels in index order.
-    Inside an alpha block only the tails of the block's weight may move.
+    Floor i has bit i and edge i bit n + i in a down-set mask; need is the
+    mask of what must be placed before the element: a floor's in-edges, an
+    edge's source floor and the edge before it with the same endpoints and
+    weight, so that identical edges take their labels in index order.  part
+    is the element's token: a floor's position, an edge's (source position
+    or -1, target position or -2, weight).  Inside an alpha block only the
+    tails of the block's weight may move, in index order.
     """
-    elements = diagram.elements()
-    bit = {el: 1 << i for i, el in enumerate(elements)}
-    preds = diagram.element_preds()
-    classes = _edge_classes(diagram)
-    last = {}  # class -> bit of its latest edge
-    moves = []
-    for el in elements:
-        need = sum(bit[p] for p in preds[el])
-        if el in classes:
-            need |= last.get(classes[el], 0)
-            last[classes[el]] = bit[el]
-        moves.append((el, bit[el], need))
+    pos = {f: i for i, (f, _) in enumerate(diagram.floors)}
+    n = len(pos)
+    floor_need = [0] * n
+    edge_moves = []
+    last = {}  # part -> bit of its latest edge
+    tails = ({}, {})  # weight -> moves of the down tails, of the up tails
+    for i, (s, t, w) in enumerate(diagram.edges):
+        part = (pos.get(s, -1), pos.get(t, -2), w)
+        bit = 1 << (n + i)
+        need = last.get(part, 0)
+        last[part] = bit
+        if part[0] >= 0:
+            need |= 1 << part[0]
+        if part[1] >= 0:
+            floor_need[part[1]] |= bit
+        move = (("e", i), bit, need, part)
+        edge_moves.append(move)
+        if part[0] < 0:
+            tails[0].setdefault(w, []).append(move)
+        elif part[1] < 0:
+            tails[1].setdefault(w, []).append(move)
+    moves = [(("f", f), 1 << i, floor_need[i], i) for f, i in pos.items()] + edge_moves
     labels = spec.label_range()
-    lo = labels[0]
     out = [moves] * len(labels)
-    for block, end, inf in (
-        (_alpha_block(spec.alpha_minus, lo), 0, "-inf"),
-        (_alpha_block(spec.alpha_plus, spec.s + 1), 1, "+inf"),
+    for start, alpha, by_weight in (
+        (0, spec.alpha_minus, tails[0]),
+        (spec.s + 1 - labels[0], spec.alpha_plus, tails[1]),
     ):
-        for label, w in block.items():
-            out[label - lo] = [
-                mv
-                for mv in moves
-                if mv[0] in classes and classes[mv[0]][end] == inf and classes[mv[0]][2] == w
-            ]
+        weights = [w for w, count in enumerate(alpha, 1) for _ in range(count)]
+        for k, w in enumerate(weights, start):
+            out[k] = by_weight.get(w, [])
     return out
 
 
@@ -980,39 +952,33 @@ def enumerate_markings(diagram, spec):
         return []
 
     moves = _label_moves(diagram, spec)
-    pos = {f: i for i, f in enumerate(diagram.floor_ids)}
-    theta = dict(diagram.floors)
+    theta = [th for _, th in diagram.floors]
     classes = {}  # form -> [least token, first marking]
-    placed = []
+    placed = []  # the moves taken, in label order
 
     def leaf():
+        token = tuple((move[0][0], move[3]) for move in placed)
         rank = {}
-        for kind, x in placed:
+        for kind, part in token:
             if kind == "f":
-                rank[x] = len(rank)
-        form, token = [], []
-        for kind, x in placed:
-            if kind == "f":
-                form.append(theta[x])
-                token.append(("f", pos[x]))
-            else:
-                s, t, w = diagram.edges[x]
-                form.append((rank.get(s, -1), rank.get(t, -2), w))
-                token.append(("e", (pos.get(s, -1), pos.get(t, -2), w)))
-        form, token = tuple(form), tuple(token)
+                rank[part] = len(rank)
+        form = tuple(
+            theta[part] if kind == "f" else (rank.get(part[0], -1), rank.get(part[1], -2), part[2])
+            for kind, part in token
+        )
         if form in classes:
             classes[form][0] = min(classes[form][0], token)
         else:
-            classes[form] = [token, tuple(placed)]
+            classes[form] = [token, tuple(move[0] for move in placed)]
 
     def rec(k, mask):
         if k == len(moves):
             leaf()
             return
-        for el, b, need in moves[k]:
-            if not mask & b and not need & ~mask:
-                placed.append(el)
-                rec(k + 1, mask | b)
+        for move in moves[k]:
+            if not mask & move[1] and not move[2] & ~mask:
+                placed.append(move)
+                rec(k + 1, mask | move[1])
                 placed.pop()
 
     rec(0, 0)
@@ -1036,7 +1002,7 @@ def count_markings(diagram, spec):
     for moves in _label_moves(diagram, spec):
         nxt = {}
         for mask, n in ways.items():
-            for _, b, need in moves:
+            for _, b, need, _ in moves:
                 if not mask & b and not need & ~mask:
                     nxt[mask | b] = nxt.get(mask | b, 0) + n
         ways = nxt

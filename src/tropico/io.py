@@ -23,15 +23,16 @@ class InputError(Exception):
 
 
 def _reader(fn):
-    """Report the KeyError, IndexError, TypeError, ValueError or
-    ZeroDivisionError (a "p/0" rational) raised while decoding data of the
-    wrong shape as an InputError."""
+    """Report the KeyError, IndexError, TypeError, ValueError,
+    ZeroDivisionError (a "p/0" rational) or OverflowError (an Infinity,
+    which json accepts) raised while decoding data of the wrong shape as an
+    InputError."""
 
     @functools.wraps(fn)
     def read(data, *args):
         try:
             return fn(data, *args)
-        except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, IndexError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"{fn.__name__}: {type(exc).__name__}: {exc}") from exc
 
     return read

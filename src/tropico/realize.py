@@ -193,8 +193,8 @@ def realize(diagram, marking, cfg, spec):
     element_label = {el: lab for lab, el in labels.items()}
     if list(labels) != spec.label_range():
         raise InvalidMarking(f"labels {list(labels)} are not the label range {spec.label_range()}")
-    # the diagram order (FloorDiagram.element_preds): each edge follows its
-    # source floor and precedes its target floor
+    # the diagram order: each edge follows its source floor and precedes its
+    # target floor
     for i, (a, b, _) in enumerate(diagram.edges):
         lab = element_label.get(("e", i))
         if lab is not None and not (

@@ -134,6 +134,29 @@ def test_malformed_polygon_file_is_an_input_error(files, capsys):
         assert json.loads(captured.out)["error"] == "InputError", name
 
 
+def test_infinity_in_an_input_file_is_an_input_error(files, capsys):
+    # json.load reads Infinity as a float, and int() or Fraction() of it
+    # raises OverflowError
+    (files / "inf.json").write_text('{"vertices": [[0, 0], [Infinity, 0], [0, 3]]}')
+    (files / "inf_exp.json").write_text(
+        '{"terms": [{"i": [0, 0], "a": "0"}, {"i": [Infinity, 0], "a": "0"}, {"i": [0, 1], "a": "0"}]}'
+    )
+    (files / "inf_coeff.json").write_text(
+        '{"terms": [{"i": [0, 0], "a": -Infinity}, {"i": [1, 0], "a": "0"}, {"i": [0, 1], "a": "0"}]}'
+    )
+    spec = ["--polygon", str(files / "inf.json"), "--genus", "0", "--beta-minus", "3"]
+    for argv in (
+        ["polygon", "report", str(files / "inf.json")],
+        ["count"] + spec,
+        ["diagrams"] + spec,
+        ["realize"] + spec + ["--diagram", str(files / "t3.json"), "--marking", str(files / "t3.json")],
+        ["tropicalize", "--poly", str(files / "inf_exp.json")],
+        ["tropicalize", "--poly", str(files / "inf_coeff.json")],
+    ):
+        assert cmd(argv) == 1, argv
+        assert json.loads(capsys.readouterr().out)["error"] == "InputError", argv
+
+
 def test_bad_option_values_are_input_errors(files, capsys):
     base = ["count", "--polygon", str(files / "t3.json"), "--genus", "0"]
     for extra in (["--dir", "1"], ["--dir", "0,x"], ["--beta-minus", "x"], ["--beta-minus", "-1"]):

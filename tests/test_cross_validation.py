@@ -37,6 +37,8 @@ from tropico.tropical import (
     tropical_multiplicity,
 )
 
+from test_diagram import poset
+
 
 def _sequences_with_I(total):
     if total == 0:
@@ -371,10 +373,10 @@ def _extensions(n, need, slots):
 def _labellings(diag, spec):
     """L: the markings of a diagram in which no two are identified, with the
     fixed tails of the alpha blocks taking the labels of their weight."""
-    elements = diag.elements()
+    elements, order = poset(diag)
     index = {el: i for i, el in enumerate(elements)}
     need = [0] * len(elements)
-    for el, preds in diag.element_preds().items():
+    for el, preds in order.items():
         for p in preds:
             need[index[el]] |= 1 << index[p]
 

@@ -201,7 +201,7 @@ def test_marking_census_type_fixed_tangency():
 def test_markings_are_bijections():
     for spec in (T3_B3, T3_A01_B1, OCTIC_G1):
         for diag in enumerate_diagrams(spec):
-            universe = set(diag.elements())
+            universe = set(poset(diag)[0])
             for marking in enumerate_markings(diag, spec):
                 assert set(marking.labels) == universe
                 assert len(marking.labels) == len(universe)
@@ -210,7 +210,7 @@ def test_markings_are_bijections():
 
 def test_marking_order_compatibility():
     for diag in enumerate_diagrams(T3_B3):
-        preds = diag.element_preds()
+        _, preds = poset(diag)
         for marking in enumerate_markings(diag, T3_B3):
             pos = {el: i for i, el in enumerate(marking.labels)}
             for el, ps in preds.items():
@@ -714,6 +714,74 @@ def test_class_forms_match_the_relabelling_pass_on_random_diagrams():
         assert class_forms(_shuffled(diag, rng)) == expected, diag
 
 
+def poset(diagram):
+    """The diagram order on floors and edges: the elements, ("f", floor id)
+    in floor order and then ("e", edge index), and the set of immediate
+    predecessors of each (an edge's source floor, a floor's in-edges)."""
+    fl = set(diagram.floor_ids)
+    elements = [("f", f) for f in diagram.floor_ids] + [("e", i) for i in range(len(diagram.edges))]
+    preds = {el: set() for el in elements}
+    for i, (s, t, _) in enumerate(diagram.edges):
+        if s in fl:
+            preds[("e", i)].add(("f", s))
+        if t in fl:
+            preds[("f", t)].add(("e", i))
+    return elements, preds
+
+
+def _alpha_block(alpha, offset):
+    """Map label -> required tail weight for one alpha block starting at offset."""
+    out = {}
+    pos = offset
+    for i, count in enumerate(alpha):
+        for _ in range(count):
+            out[pos] = i + 1
+            pos += 1
+    return out
+
+
+def _edge_classes(diagram):
+    """Class of each edge element: its endpoints (tails at "-inf"/"+inf") and
+    its weight.  Edges of one class are interchanged by automorphisms."""
+    fl = set(diagram.floor_ids)
+    return {
+        ("e", i): (s if s in fl else "-inf", t if t in fl else "+inf", w)
+        for i, (s, t, w) in enumerate(diagram.edges)
+    }
+
+
+def label_moves_reference(diagram, spec):
+    """The placement rule built from the poset, kept as the reference of
+    `_label_moves`: per label, the moves (element, bit, need) in element
+    order, need holding the immediate predecessors and the previous edge
+    of the element's class; an alpha label admits the tails of its weight."""
+    elements, preds = poset(diagram)
+    bit = {el: 1 << i for i, el in enumerate(elements)}
+    classes = _edge_classes(diagram)
+    last = {}  # class -> bit of its latest edge
+    moves = []
+    for el in elements:
+        need = sum(bit[p] for p in preds[el])
+        if el in classes:
+            need |= last.get(classes[el], 0)
+            last[classes[el]] = bit[el]
+        moves.append((el, bit[el], need))
+    labels = spec.label_range()
+    lo = labels[0]
+    out = [moves] * len(labels)
+    for block, end, inf in (
+        (_alpha_block(spec.alpha_minus, lo), 0, "-inf"),
+        (_alpha_block(spec.alpha_plus, spec.s + 1), 1, "+inf"),
+    ):
+        for label, w in block.items():
+            out[label - lo] = [
+                mv
+                for mv in moves
+                if mv[0] in classes and classes[mv[0]][end] == inf and classes[mv[0]][2] == w
+            ]
+    return out
+
+
 def _floor_permutations(diagram):
     """The relabellings of floors preserving theta and the weighted
     structure: the automorphisms of (D, w, theta) on floors, sorted.  An
@@ -762,14 +830,13 @@ def markings_by_orbit_tokens(diagram, spec):
     first sequence of each key, sorted by key."""
     labels = spec.label_range()
     lo = labels[0]
-    classes = diagram_mod._edge_classes(diagram)
+    classes = _edge_classes(diagram)
     slots = [None] * len(labels)
-    for label, w in diagram_mod._alpha_block(spec.alpha_minus, lo).items():
+    for label, w in _alpha_block(spec.alpha_minus, lo).items():
         slots[label - lo] = {el for el, c in classes.items() if c[0] == "-inf" and c[2] == w}
-    for label, w in diagram_mod._alpha_block(spec.alpha_plus, spec.s + 1).items():
+    for label, w in _alpha_block(spec.alpha_plus, spec.s + 1).items():
         slots[label - lo] = {el for el, c in classes.items() if c[1] == "+inf" and c[2] == w}
-    preds = diagram.element_preds()
-    elements = diagram.elements()
+    elements, preds = poset(diagram)
     sequences, placed, used = [], [], set()
 
     def candidates():
@@ -867,14 +934,15 @@ def _random_type(rng, diag):
     alpha_minus, beta_minus = split(w for _, _, w in diag.down_edges())
     alpha_plus, beta_plus = split(w for _, _, w in diag.up_edges())
     lo = 1 - sum(alpha_minus)
-    s = len(diag.elements()) - sum(alpha_minus) - sum(alpha_plus)
+    size = len(poset(diag)[0])
+    s = size - sum(alpha_minus) - sum(alpha_plus)
     return SimpleNamespace(
         alpha_minus=alpha_minus,
         beta_minus=beta_minus,
         alpha_plus=alpha_plus,
         beta_plus=beta_plus,
         s=s,
-        label_range=lambda: list(range(lo, lo + len(diag.elements()))),
+        label_range=lambda: list(range(lo, lo + size)),
     )
 
 
@@ -894,3 +962,29 @@ def test_enumerate_markings_matches_the_orbit_tokens_on_random_diagrams(monkeypa
         markings = enumerate_markings(diag, spec)
         assert markings == markings_by_orbit_tokens(diag, spec), diag
         assert nclasses == len(markings), diag
+
+
+def _check_label_moves(diag, spec):
+    pos = {f: i for i, f in enumerate(diag.floor_ids)}
+    moves = diagram_mod._label_moves(diag, spec)
+    assert [[mv[:3] for mv in per_label] for per_label in moves] == label_moves_reference(
+        diag, spec
+    ), diag
+    for per_label in moves:
+        for (kind, x), _, _, part in per_label:
+            if kind == "f":
+                assert part == pos[x], diag
+            else:
+                s, t, w = diag.edges[x]
+                assert part == (pos.get(s, -1), pos.get(t, -2), w), diag
+
+
+def test_label_moves_match_the_poset_reference():
+    for specs in MARKING_CORPUS.values():
+        for spec in specs:
+            for diag in enumerate_diagrams(spec):
+                _check_label_moves(diag, spec)
+    rng = random.Random(18)
+    for _ in range(150):
+        diag = _random_diagram(rng, rng.randint(2, 5))
+        _check_label_moves(diag, _random_type(rng, diag))

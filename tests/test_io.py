@@ -76,6 +76,17 @@ def test_polynomial_reader_rejects_a_repeated_exponent():
     assert io.polynomial_from_json(data).coeff((0, 1)) == 5
 
 
+def test_readers_reject_infinity():
+    # json.load accepts Infinity; int() and Fraction() of it raise OverflowError
+    inf = float("inf")
+    with pytest.raises(io.InputError, match="OverflowError"):
+        io.polygon_from_json({"vertices": [[0, 0], [inf, 0], [0, 3]]})
+    terms = [{"i": [0, 0], "a": "0"}, {"i": [1, 0], "a": "0"}, {"i": [0, 1], "a": "0"}]
+    for bad in ({"i": [inf, 0], "a": "0"}, {"i": [1, 0], "a": -inf}):
+        with pytest.raises(io.InputError, match="OverflowError"):
+            io.polynomial_from_json({"terms": terms[:1] + [bad] + terms[2:]})
+
+
 def _printed_objects(monkeypatch, capsys, argv):
     """Run a CLI command; return what it printed and the objects it passed
     to io.dumps."""
