@@ -18,7 +18,8 @@ mobile down tails of a state with one floor fewer.  The connected count
 subtracts the configurations whose component through that label is
 proper.  This is the Caporaso-Harris recursion read off marked floor
 diagrams (Gathmann-Markwig; Fomin-Mikhalkin), with the thetas in place of
-the degree.
+the degree.  A state is one integer key, and what depends only on its
+thetas or its type comes from tables built once per call.
 
 `count(spec, explain=True)` lists the diagrams too, and checks that they
 sum to the same total.  For each diagram `count_markings` counts the
@@ -63,6 +64,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -112,32 +114,44 @@ def nseq_abs(a):
 
 def nseq_I(a):
     """Ia = sum over k of k * a_k (entry a[i] has order k = i + 1)."""
-    return sum((i + 1) * x for i, x in enumerate(a))
+    return sum(map(operator.mul, itertools.count(1), a))
 
 
 def nseq_Ipow(a):
     """I^a = prod over k of k^(a_k)."""
-    out = 1
-    for i, x in enumerate(a):
-        out *= (i + 1) ** x
+    return math.prod(map(pow, itertools.count(1), a))
+
+
+def _trim(a):
+    """The tuple a without its trailing zeros."""
+    n = len(a)
+    while n and not a[n - 1]:
+        n -= 1
+    return a[:n]
+
+
+def _radices(thetas):
+    """(theta, radix, multiplicity) per distinct theta: sub-multiset
+    number i holds i // radix % (multiplicity + 1) copies of theta."""
+    out, radix = [], 1
+    for v in sorted(set(thetas)):
+        out.append((v, radix, thetas.count(v)))
+        radix *= thetas.count(v) + 1
     return out
 
 
 def _nseq_add(a, b):
-    return nseq(x + y for x, y in itertools.zip_longest(a, b, fillvalue=0))
+    return _trim(tuple(itertools.starmap(operator.add, itertools.zip_longest(a, b, fillvalue=0))))
 
 
 def _nseq_sub(a, b):
     """a - b, for b <= a."""
-    return nseq(x - y for x, y in itertools.zip_longest(a, b, fillvalue=0))
+    return _trim(tuple(itertools.starmap(operator.sub, itertools.zip_longest(a, b, fillvalue=0))))
 
 
 def _nseq_binom(a, b):
     """prod over k of C(a_k, b_k), for b <= a."""
-    out = 1
-    for x, y in zip(a, b):
-        out *= math.comb(x, y)
-    return out
+    return math.prod(map(math.comb, a, b))
 
 
 def weight_multiset(alpha, beta):
@@ -285,10 +299,13 @@ class DiagramSpec:
     beta_minus: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha_plus", nseq(self.alpha_plus))
-        object.__setattr__(self, "alpha_minus", nseq(self.alpha_minus))
-        object.__setattr__(self, "beta_plus", nseq(self.beta_plus))
-        object.__setattr__(self, "beta_minus", nseq(self.beta_minus))
+        if type(self.genus) is not int:
+            raise DiagramError(f"genus must be an int, not {self.genus!r}")
+        for name in ("alpha_plus", "alpha_minus", "beta_plus", "beta_minus"):
+            value = tuple(getattr(self, name))
+            if any(type(x) is not int for x in value):
+                raise DiagramError(f"{name} entries must be ints, not {value!r}")
+            object.__setattr__(self, name, nseq(value))
 
     @cached_property
     def data(self):
@@ -1034,10 +1051,80 @@ def _peel_count(spec):
     gamma into mobile down tails of a state with one floor fewer.
     ``connected`` subtracts from ``total`` the configurations whose
     component through the least mobile label is proper.  A state with
-    g < 1 - n, or above the genus its cuts allow (``ceiling``), has no
-    diagram.  The memos live for one call.
+    g < 1 - n, or above the genus its cuts allow, has no diagram.
+
+    A state is one integer key: L and R by their numbers in mixed radix,
+    the type by its number in order of appearance, and g + floors, which
+    stays in [1, genus + 2 floors].  The memos and these tables live for one
+    call: per (L, R) the (tl, tr) pairs by tr - tl, the cut flows and the
+    genus ceiling per down weight; per type the b- tail moves and the
+    components by balance; per (a-, a+, b+) the floor-tail rows; per
+    (b-, out) the out-edges; per (type, tr - tl) the floor moves, each row
+    joined with its out-edges.  The factors k, I^b+' and I^gamma
+    C(b- + gamma, gamma) have columns of their own.  The floor loop looks
+    each child up in the memo itself; the memo starts with the state of no
+    floor, and moves that leave g < 1 - n are skipped.
     """
-    totals, connecteds, subs_memo, grown_memo, splits_memo = {}, {}, {}, {}, {}
+    dd = spec.data
+    lay_l, lay_r = _radices(dd.thetas_left()), _radices(dd.thetas_right())
+    floors = len(dd.thetas_left())
+    nr = math.prod(c + 1 for _, _, c in lay_r)
+    G = spec.genus + 2 * floors + 1
+    S = math.prod(c + 1 for _, _, c in lay_l) * nr * G  # key: t S + (L nr + R) G + g + floors
+    tables = [[]] + [{} for _ in range(11)]
+    (types, tids, totals, connecteds, pair_memo, type_memo, subs_memo, grown_memo,
+     rows_memo, moves_memo, balance_memo, splits_memo) = tables
+
+    def intern(*t):
+        got = tids.get(t)
+        if got is None:
+            got = tids[t] = len(types)
+            types.append(t)
+        return got
+
+    def counts(i, lay):
+        return [(v, r, i // r % (c + 1)) for v, r, c in lay]
+
+    def pairs_of(lr):
+        """(n, [(tr - tl, [key offsets of the (tl, tr)])], cut flows, the
+        genus ceiling by down weight)."""
+        got = pair_memo.get(lr)
+        if got is None:
+            lc, rc = counts(lr // nr, lay_l), counts(lr % nr, lay_r)
+            pairs = {}
+            for tl, rl, kl in lc:
+                for tr, rr, kr in rc:
+                    if kl and kr:
+                        pairs.setdefault(tr - tl, []).append((rl * nr + rr) * G)
+            ls = [v for v, _, k in lc for _ in range(k)]
+            rs = [v for v, _, k in rc for _ in range(k)]
+            # the cut after k + 1 floors carries at most the down weight +
+            # (the k + 1 largest lefts) - (the k + 1 smallest rights)
+            flows = list(itertools.accumulate(a - b for a, b in zip(ls[:0:-1], rs)))
+            got = pair_memo[lr] = (len(ls), list(pairs.items()), flows, {})
+        return got
+
+    def ceiling(lr, down):
+        """The largest genus the cuts of (L, R) allow below down weight
+        ``down``: each of the g + n - 1 finite edges crosses a cut."""
+        n, _, flows, tops = pairs_of(lr)
+        top = tops.get(down)
+        if top is None:
+            top = tops[down] = 1 - n + sum(max(0, down + f) for f in flows)
+        return top
+
+    def type_of(t):
+        """(I(a-) + I(b-), |b-| + |b+|, |b+|, [(k, key offset)] per b- tail)."""
+        got = type_memo.get(t)
+        if got is None:
+            am, bm, ap, bp = types[t]
+            tails = []
+            for i, b in enumerate(bm):
+                if b:
+                    e = (0,) * i + (1,)
+                    tails.append((i + 1, (intern(_nseq_add(am, e), _nseq_sub(bm, e), ap, bp) - t) * S))
+            got = type_memo[t] = (nseq_I(am) + nseq_I(bm), sum(bm) + sum(bp), sum(bp), tails)
+        return got
 
     def subs(a):
         """(b, a - b, Ib, |b|, I^b, prod C(a_k, b_k), |b|! / prod b_k!) for
@@ -1048,7 +1135,7 @@ def _peel_count(spec):
             for b in itertools.product(*(range(x + 1) for x in a)):
                 size = sum(b)
                 out.append((
-                    nseq(b), _nseq_sub(a, b), nseq_I(b), size, nseq_Ipow(b), _nseq_binom(a, b),
+                    _trim(b), _nseq_sub(a, b), nseq_I(b), size, nseq_Ipow(b), _nseq_binom(a, b),
                     math.factorial(size) // math.prod(map(math.factorial, b)),
                 ))
             subs_memo[a] = out
@@ -1064,7 +1151,7 @@ def _peel_count(spec):
 
             def rec(k, left, acc):
                 if not left:
-                    gamma = nseq(acc)
+                    gamma = _trim(tuple(acc))
                     bm2 = _nseq_add(bm, gamma)
                     got.append((bm2, sum(gamma), nseq_Ipow(gamma) * _nseq_binom(bm2, gamma)))
                 elif k <= left:
@@ -1075,134 +1162,139 @@ def _peel_count(spec):
             grown_memo[key] = got
         return got
 
-    def splits(thetas):
-        """Per size, (part, rest, sum(part)) for every sub-multiset."""
-        out = splits_memo.get(thetas)
-        if out is None:
-            values = sorted(set(thetas))
-            out = [[] for _ in range(len(thetas) + 1)]
-            for take in itertools.product(*(range(thetas.count(v) + 1) for v in values)):
-                part = tuple(v for v, c in zip(values, take) for _ in range(c))
-                rest = tuple(
-                    v for v, c in zip(values, take) for _ in range(thetas.count(v) - c)
-                )
-                out[len(part)].append((part, rest, sum(part)))
-            splits_memo[thetas] = out
-        return out
+    def moves(t, d):
+        """(key offset, genus change, coefficient, |b+'|) per peeled floor
+        of tr - tl = d with tails a-' <= a-, a+' <= a+, b+' <= b+ and
+        out-edges gamma; the coefficient is C(a-, a-') C(a+, a+') (|b+'|! /
+        prod b+'_k!) I^b+' I^gamma C(b- + gamma, gamma)."""
+        got = moves_memo.get((t, d))
+        if got is None:
+            am, bm, ap, bp = types[t]
+            rows = rows_memo.get((am, ap, bp))
+            if rows is None:  # (a-, a+, b+ left, inflow, C C |b+'|!/prod, I^b+', |b+'|)
+                rows = rows_memo[am, ap, bp] = [
+                    (am2, ap2, bp2, i_am - i_ap - i_bp, c_am * c_ap * orders, pow_bp, n_bp)
+                    for _, am2, i_am, _, _, c_am, _ in subs(am)
+                    for _, ap2, i_ap, _, _, c_ap, _ in subs(ap)
+                    for _, bp2, i_bp, n_bp, pow_bp, _, orders in subs(bp)
+                ]
+            got = moves_memo[t, d] = []
+            for am2, ap2, bp2, inflow, head, pow_bp, n_bp in rows:
+                if inflow >= d:
+                    for bm2, n_gamma, weight in grown(bm, inflow - d):
+                        child = intern(am2, bm2, ap2, bp2)
+                        got.append(((child - t) * S + 1 - n_gamma, 1 - n_gamma,
+                                    head * pow_bp * weight, n_bp))
+        return got
 
-    def ceiling(lefts, rights, down):
-        """The largest genus the cuts allow: each of the g + n - 1 finite
-        edges crosses a cut, and the cut after k + 1 floors carries at most
-        down + (the k + 1 largest lefts) - (the k + 1 smallest rights)."""
-        n = len(lefts)
-        top, flow = 1 - n, down
-        for k in range(n - 1):
-            flow += lefts[n - 1 - k] - rights[k]
-            top += max(0, flow)
-        return top
+    def balance(t):
+        """(part, rest, I(a-_C + b-_C), C(a-, a-_C) C(a+, a+_C), |b-_C| +
+        |b+_C|) per component type, by its balance I(a-_C + b-_C) -
+        I(a+_C + b+_C), which equals its rights' sum minus its lefts'."""
+        got = balance_memo.get(t)
+        if got is None:
+            am, bm, ap, bp = types[t]
+            got = balance_memo[t] = {}
+            s_ap, s_bm, s_bp = subs(ap), subs(bm), subs(bp)
+            for amc, amr, i_amc, _, _, c_am, _ in subs(am):
+                for apc, apr, i_apc, _, _, c_ap, _ in s_ap:
+                    for bmc, bmr, i_bmc, n_bmc, _, _, _ in s_bm:
+                        for bpc, bpr, i_bpc, n_bpc, _, _, _ in s_bp:
+                            got.setdefault(i_amc + i_bmc - i_apc - i_bpc, []).append((
+                                intern(amc, bmc, apc, bpc), intern(amr, bmr, apr, bpr),
+                                i_amc + i_bmc, c_am * c_ap, n_bmc + n_bpc,
+                            ))
+        return got
 
-    def total(lefts, rights, g, am, bm, ap, bp):
-        """The weighted diagrams of a state, connected or not.  A peeled
-        floor takes fixed down tails a-' <= a-, fixed up tails a+' <= a+
-        and mobile up tails b+' <= b+; its term has the coefficient
-        C(a-, a-') C(a+, a+') C(s - 1, |b+'|) (|b+'|! / prod b+'_k!) I^b+'
-        I^gamma C(b- + gamma, gamma), s = g - 1 + 2n + |b-| + |b+| being
-        the number of mobile labels."""
-        n = len(lefts)
-        if not n:
-            return int(g == 1 and not (am or bm or ap or bp))
-        if g < 1 - n:
-            return 0
-        key = (lefts, rights, g, am, bm, ap, bp)
-        value = totals.get(key)
-        if value is not None:
-            return value
+    def splits(i, lay):
+        """Per size, (part, rest, sum(part)) for every sub-multiset of i."""
+        got = splits_memo.get((i, id(lay)))
+        if got is None:
+            ks = counts(i, lay)
+            got = splits_memo[i, id(lay)] = [[] for _ in range(sum(k for *_, k in ks) + 1)]
+            for take in itertools.product(*(range(k + 1) for *_, k in ks)):
+                part = sum(r * x for (_, r, _), x in zip(ks, take))
+                got[sum(take)].append((part, i - part, sum(v * x for (v, *_), x in zip(ks, take))))
+        return got
+
+    get = totals.get
+
+    def total(key):
+        """The weighted diagrams of a state with g >= 1 - n, connected or
+        not; a floor move's term takes C(s - 1, |b+'|), s =
+        g - 1 + 2n + |b-| + |b+| being the number of mobile labels."""
+        t, lr = divmod(key, S)
+        lr, g = divmod(lr, G)
+        g -= floors
+        n, pairs = pairs_of(lr)[:2]
+        down, mobile, n_bp, tails = type_of(t)
         value = 0
-        if g <= ceiling(lefts, rights, nseq_I(am) + nseq_I(bm)):
-            for i, b in enumerate(bm):
-                if b:
-                    unit = (0,) * i + (1,)
-                    am2, bm2 = _nseq_add(am, unit), _nseq_sub(bm, unit)
-                    value += (i + 1) * total(lefts, rights, g, am2, bm2, ap, bp)
-            s = g - 1 + 2 * n + sum(bm) + sum(bp)
-            # per choice of the floor's tails: the residual a-, a+, b+, the
-            # floor's tail inflow and the coefficient of the tails
-            peels = [
-                (am2, ap2, bp2, i_am - i_ap - i_bp,
-                 c_am * c_ap * math.comb(s - 1, n_bp) * pow_bp * orders)
-                for _, am2, i_am, _, _, c_am, _ in subs(am)
-                for _, ap2, i_ap, _, _, c_ap, _ in subs(ap)
-                for _, bp2, i_bp, n_bp, pow_bp, _, orders in subs(bp)
-            ]
-            for tl in set(lefts):
-                i = lefts.index(tl)
-                lefts2 = lefts[:i] + lefts[i + 1:]
-                for tr in set(rights):
-                    i = rights.index(tr)
-                    rights2 = rights[:i] + rights[i + 1:]
-                    for am2, ap2, bp2, inflow, head in peels:
-                        out = inflow - (tr - tl)
-                        if out < 0:
-                            continue
-                        for bm2, n_gamma, weight in grown(bm, out):
-                            rest = total(lefts2, rights2, g - n_gamma + 1, am2, bm2, ap2, bp2)
-                            if rest:
-                                value += head * weight * rest
+        if g <= ceiling(lr, down):
+            for k, off in tails:
+                child = get(key + off)
+                value += k * (total(key + off) if child is None else child)
+            binoms = [math.comb(g - 2 + 2 * n + mobile, j) for j in range(n_bp + 1)] if n else ()
+            low = 2 - n - g  # a smaller genus change leaves g < 1 - (n - 1)
+            for d, offs in pairs:
+                rows = moves(t, d)
+                for off in offs:
+                    base = key - off
+                    for step, dg, c, j in rows:
+                        if dg >= low:
+                            child = get(base + step)
+                            if child is None:
+                                child = total(base + step)
+                            if child:
+                                value += c * binoms[j] * child
         totals[key] = value
         return value
 
-    def connected(lefts, rights, g, am, bm, ap, bp):
-        """The weighted connected diagrams of a state: ``total`` minus, over
-        the proper components C through the least mobile label, N(C)
-        C(a-, a-_C) C(a+, a+_C) C(s - 1, s_C - 1) total(rest, g - g_C + 1)."""
-        if g < 0:
-            return 0
-        key = (lefts, rights, g, am, bm, ap, bp)
+    def connected(key):
+        """``total`` minus, over the proper components C through the least
+        mobile label, N(C) C(a-, a-_C) C(a+, a+_C) C(s - 1, s_C - 1)
+        total(rest, g - g_C + 1)."""
         value = connecteds.get(key)
         if value is not None:
             return value
-        value = total(*key)
-        if not value:
-            connecteds[key] = value
-            return value
-        n = len(lefts)
-        s = g - 1 + 2 * n + sum(bm) + sum(bp)
-        # the component's boundary type by its balance I(a- + b-) - I(a+ + b+),
-        # which must equal the sum of its rights minus the sum of its lefts
-        by_balance = {}
-        for amc, amr, i_amc, _, _, c_am, _ in subs(am):
-            for apc, apr, i_apc, _, _, c_ap, _ in subs(ap):
-                for bmc, bmr, i_bmc, n_bmc, _, _, _ in subs(bm):
-                    for bpc, bpr, i_bpc, n_bpc, _, _, _ in subs(bp):
-                        by_balance.setdefault(i_amc + i_bmc - i_apc - i_bpc, []).append((
-                            (amc, bmc, apc, bpc), (amr, bmr, apr, bpr),
-                            i_amc + i_bmc, c_am * c_ap, n_bmc + n_bpc,
-                        ))
-        left_splits, right_splits = splits(lefts), splits(rights)
-        for size in range(1, n):
-            for lc, lr, sum_lc in left_splits[size]:
-                for rc, rr, sum_rc in right_splits[size]:
-                    for part, rest_type, down, coefficient, mobile in by_balance.get(
-                        sum_rc - sum_lc, ()
-                    ):
-                        # the genus of the rest is at least 1 - (n - size)
-                        top = min(ceiling(lc, rc, down), g + n - size)
-                        for gc in range(top + 1):
-                            rest = total(lr, rr, g - gc + 1, *rest_type)
-                            if not rest:
-                                continue
-                            piece = connected(lc, rc, gc, *part)
-                            if piece:
-                                s_c = gc - 1 + 2 * size + mobile
-                                value -= piece * coefficient * math.comb(s - 1, s_c - 1) * rest
+        value = get(key)
+        if value is None:
+            value = total(key)
+        if value:
+            t, lr = divmod(key, S)
+            lr, g = divmod(lr, G)
+            g -= floors
+            n = pairs_of(lr)[0]
+            s = g - 1 + 2 * n + type_of(t)[1]
+            by_balance = balance(t)
+            left_splits, right_splits = splits(lr // nr, lay_l), splits(lr % nr, lay_r)
+            for size in range(1, n):
+                for lc, lrest, sum_lc in left_splits[size]:
+                    for rc, rrest, sum_rc in right_splits[size]:
+                        piece0 = (lc * nr + rc) * G + floors
+                        rest0 = (lrest * nr + rrest) * G + g + 1 + floors
+                        for part, rest_t, down, coef, mobile in by_balance.get(sum_rc - sum_lc, ()):
+                            # the genus of the rest is at least 1 - (n - size)
+                            top = min(ceiling(lc * nr + rc, down), g + n - size)
+                            for gc in range(top + 1):
+                                rest = get(rest_t * S + rest0 - gc)
+                                if rest is None:
+                                    rest = total(rest_t * S + rest0 - gc)
+                                piece = rest and connected(part * S + piece0 + gc)
+                                if piece:
+                                    s_c = gc - 1 + 2 * size + mobile
+                                    value -= piece * coef * math.comb(s - 1, s_c - 1) * rest
         connecteds[key] = value
         return value
 
-    dd = spec.data
-    return connected(
-        dd.thetas_left(), dd.thetas_right(), spec.genus,
-        spec.alpha_minus, spec.beta_minus, spec.alpha_plus, spec.beta_plus,
-    )
+    intern((), (), (), ())
+    totals[floors + 1] = 1  # no floor, no tail (type 0) and genus 1
+    t = intern(spec.alpha_minus, spec.beta_minus, spec.alpha_plus, spec.beta_plus)
+    value = connected(t * S + (S // G - 1) * G + spec.genus + floors)
+    # the nested functions refer to each other, so only the cycle collector
+    # would free what they hold: empty the tables now
+    for table in tables:
+        table.clear()
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -236,18 +236,22 @@ class LatticePolygon:
         return True
 
     def interior_points(self):
-        """Interior lattice points, counted by direct enumeration.
+        """Interior lattice points, counted row by row: a height strictly
+        between the lowest and highest vertex meets a falling edge at
+        x = a and a rising one at x = b, and the integers strictly between
+        a and b are inside.
 
         Deliberately independent of Pick's formula so that pick_identity
         stays an honest cross-check.
         """
-        xs = [p[0] for p in self.vertices]
         ys = [p[1] for p in self.vertices]
+        slanted = [(p, q) for p, q in self.edges() if p[1] != q[1]]
         count = 0
-        for x in range(min(xs) + 1, max(xs)):
-            for y in range(min(ys) + 1, max(ys)):
-                if self.contains((x, y), strict=True):
-                    count += 1
+        for y in range(min(ys) + 1, max(ys)):
+            for (px, py), (qx, qy) in slanted:
+                if min(py, qy) <= y < max(py, qy):  # one edge per side
+                    num, den = px * (qy - py) + (y - py) * (qx - px), qy - py  # x = num / den
+                    count += -(-num // den) - 1 if den > 0 else -(num // den)
         return count
 
     def lattice_points(self):

@@ -37,6 +37,7 @@ from tropico.tropical import (
     tropical_multiplicity,
 )
 
+from peel_reference import peel_count_reference
 from test_diagram import poset
 
 
@@ -219,6 +220,43 @@ def test_floor_peeling_matches_oracle():
                 assert count(DiagramSpec(triangle(d), (0, 1), g, (), alpha, (), beta)) == want
                 assert count(DiagramSpec(flipped, (0, 1), g, alpha, (), beta, ())) == want
 
+
+
+TWELVE_GON = LatticePolygon([
+    (0, 0), (3, 0), (5, 1), (6, 2), (6, 3), (5, 4), (3, 5), (1, 5), (-1, 4), (-2, 3), (-2, 2),
+    (-1, 1),
+])
+# where neither ch_oracle nor the enumerator reaches: T8-T10 from genus 0
+# to the top, the 12-gon with five floors of distinct thetas, and Tz^1_{6,6}
+# with its long top edge; the reference takes 1-2.5 s on each spec of the
+# last two, so tier 1 runs the 12-gon at genus 0 and the rest is a CI step
+# (`python tests/peel_reference.py`)
+REFERENCE_CASES = [
+    (triangle(d), g) for d, gs in ((8, (0, 9, 21)), (9, (3, 17, 28)), (10, (0, 12, 36))) for g in gs
+] + [(TWELVE_GON, 0)]
+SLOW_REFERENCE_CASES = [(TWELVE_GON, 1), (TWELVE_GON, 2)] + [(trapezium(1, 6, 6), g) for g in range(4)]
+
+def mismatches_with_the_peeling_reference(cases):
+    """The cases whose count, with simple tangencies on both edges, differs
+    from `peel_count_reference`, alone or under a unimodular move."""
+    out = []
+    for poly, g in cases:
+        dd = direction_data(poly, (0, 1))
+        spec = DiagramSpec(poly, (0, 1), g, (), (), (dd.d_plus,) if dd.d_plus else (), (dd.d_minus,))
+        want = peel_count_reference(spec)
+        got = (count(spec), count(_moved(spec, ((1, 1), (-1, 0)))))
+        if got != (want, want):
+            out.append((poly, g, got, want))
+    return out
+
+
+def test_count_matches_the_peeling_reference():
+    assert mismatches_with_the_peeling_reference(REFERENCE_CASES) == []
+    # fixed and mobile tangencies of several orders on both edges
+    tz = trapezium(1, 3, 3)
+    for g in (0, 2, 4):
+        spec = DiagramSpec(tz, (0, 1), g, (2,), (0, 1), (1,), (1, 0, 1))
+        assert count(spec) == peel_count_reference(spec), g
 
 def test_count_invariant_under_polygon_presentation():
     base = DiagramSpec(triangle(3), (0, 1), 0, (), (), (), (3,))

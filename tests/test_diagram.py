@@ -278,6 +278,26 @@ def test_count_errors():
         count(floorless)
 
 
+
+def test_spec_rejects_entries_that_are_not_ints():
+    # 1.5 + 2 * 0.75 = 3 passes check() by its I; genus True would count as 1
+    t3 = triangle(3)
+    cases = [
+        ({"beta_minus": (1.5, 0.75)}, "beta_minus"),
+        ({"genus": 0.5, "beta_minus": (3,)}, "genus"),
+        ({"beta_minus": (3.0,)}, "beta_minus"),
+        ({"genus": True, "beta_minus": (3,)}, "genus"),
+        ({"alpha_minus": (0, 0, 1.0), "beta_minus": ()}, "alpha_minus"),
+        ({"beta_plus": (False,), "beta_minus": (3,)}, "beta_plus"),
+    ]
+    for fields, name in cases:
+        with pytest.raises(DiagramError, match=name):
+            DiagramSpec(t3, (0, 1), **{"genus": 0, **fields})
+    # negative entries keep their ValueError
+    with pytest.raises(ValueError, match="nonnegative"):
+        DiagramSpec(t3, (0, 1), 0, (), (), (), (-1, 2))
+    assert count(DiagramSpec(t3, (0, 1), 1, (), (), (), [3])) == 1
+
 def _distinct_permutations(values):
     """The reference order of theta assignments: every permutation of
     ``values`` through a set, each distinct one at its first occurrence."""

@@ -65,6 +65,30 @@ def test_point_counts():
     assert octic_quadrilateral().boundary_points() == 6
 
 
+
+def interior_points_reference(poly):
+    """Interior lattice points by testing every point of the bounding box
+    against every edge."""
+    xs = [p[0] for p in poly.vertices]
+    ys = [p[1] for p in poly.vertices]
+    count = 0
+    for x in range(min(xs) + 1, max(xs)):
+        for y in range(min(ys) + 1, max(ys)):
+            if poly.contains((x, y), strict=True):
+                count += 1
+    return count
+
+
+def test_interior_points_match_the_reference():
+    rng = random.Random(11)
+    polys = [triangle(d) for d in range(1, 8)] + [diamond(), octic_quadrilateral()]
+    polys += [trapezium(r, a, b) for r in range(3) for a in range(1, 4) for b in range(1, 4)]
+    while len(polys) < 1200:
+        poly = random_lattice_polygon(rng, rng.choice((2, 5, 9, 20)), rng.randint(3, 12))
+        polys.append(poly.translate((rng.randint(-30, 30), rng.randint(-30, 30))))
+    for poly in polys:
+        assert poly.interior_points() == interior_points_reference(poly), poly
+
 def test_pick_identity():
     for d in range(1, 7):
         assert triangle(d).pick_identity()
