@@ -65,11 +65,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import lattice
-from .lattice import component_count, direction_data
+from .lattice import Record, component_count, direction_data
 
 
 class DiagramError(Exception):
@@ -169,8 +168,7 @@ def weight_multiset(alpha, beta):
 # the diagram itself
 
 
-@dataclass(frozen=True)
-class FloorDiagram:
+class FloorDiagram(Record):
     """floors: (id, theta) pairs; inf_minus/inf_plus: vertex ids; edges: (src, dst, w)."""
 
     floors: tuple
@@ -286,8 +284,7 @@ def diagram_genus(diagram):
 # the enumerative problem a diagram is measured against
 
 
-@dataclass(frozen=True)
-class DiagramSpec:
+class DiagramSpec(Record):
     """Polygon, stretching direction, genus, and boundary type (a+, a-, b+, b-)."""
 
     polygon: lattice.LatticePolygon
@@ -599,8 +596,14 @@ def _least_forms(data):
     lefts, rights, fins, downs, ups = data
     n, m = len(lefts), len(fins)
     outs = [[] for _ in range(n)]  # (target, w) per source floor, by weight
+    ins = [[] for _ in range(n)]  # the source of each such entry, per target
     for s, t, w in sorted(fins, key=lambda e: e[2]):
         outs[s].append((t, w))
+        ins[t].append(s)
+    # per floor, its entries in outs whose target is unplaced, kept by place
+    # and unplace: a placed floor is closed (has no edge to an unplaced
+    # floor) when its count is 0
+    unplaced = [len(out) for out in outs]
     slots = sorted(zip(lefts, rights))  # (left, right) by position, least first
     pos = [-1] * n
     order = []  # the floor at each placed position
@@ -640,18 +643,24 @@ def _least_forms(data):
                     out.append((f, f_first))
         return out
 
-    def closed(s):
-        """Whether the floor at position s has no edge to an unplaced floor."""
-        return all(pos[t] >= 0 for t, _ in outs[order[s]])
+    def place(f, k):
+        pos[f] = k
+        for a in ins[f]:
+            unplaced[a] -= 1
+
+    def unplace(f):
+        pos[f] = -1
+        for a in ins[f]:
+            unplaced[a] += 1
 
     def direct(k, key_alive, first_alive):
         if k == n:
             leaf(key_alive, first_alive)
             return
         for f, f_first in candidates(k, key_alive, first_alive):
-            pos[f] = k
+            place(f, k)
             direct(k + 1, key_alive, f_first)
-            pos[f] = -1
+            unplace(f)
 
     def search(k, prefix, pairs, src, key_alive, first_alive):
         # prefix: the known sorted edges; src: the first placed source whose
@@ -661,20 +670,20 @@ def _least_forms(data):
             return
         children = []
         for f, f_first in candidates(k, key_alive, first_alive):
-            pos[f] = k
+            place(f, k)
             order.append(f)
             s = src
             if s < k:
                 ext = [(s, k, w) for t, w in outs[order[s]] if t == f]
             else:
                 ext = sorted([(k, pos[t], w) for t, w in outs[f] if pos[t] >= 0])
-            while closed(s):
+            while not unplaced[order[s]]:  # the floor at position s is closed
                 s += 1
                 if s > k:
                     break
                 ext += sorted([(s, pos[t], w) for t, w in outs[order[s]] if pos[t] >= 0])
             order.pop()
-            pos[f] = -1
+            unplace(f)
             child = prefix + tuple(ext)
             child_pairs = pairs + tuple([(a, b) for a, b, _ in ext])
             if len(child) == m:
@@ -688,11 +697,11 @@ def _least_forms(data):
             key_ok = key_alive and (best_key is None or bound <= best_key[0])
             first_ok = f_first and (best_first is None or bound_pairs <= best_first[0])
             if key_ok or first_ok:
-                pos[f] = k
+                place(f, k)
                 order.append(f)
                 search(k + 1, child, child_pairs, s, key_ok, first_ok)
                 order.pop()
-                pos[f] = -1
+                unplace(f)
 
     search(0, (), (), 0, True, True)
     sorted_lefts = tuple(left for left, _ in slots)
@@ -878,8 +887,7 @@ def _build_diagram(thetas, fins, down, up):
 # markings
 
 
-@dataclass(frozen=True)
-class Marking:
+class Marking(Record):
     """Order-compatible bijection from the label interval to floors and edges.
 
     labels[i] is the element receiving label label_start + i; elements are

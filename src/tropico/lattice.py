@@ -12,8 +12,89 @@ lives here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property
+from operator import attrgetter
+
+
+class Record:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields as class annotations, in order, and gives a
+    default as a class attribute.  It is constructed by position or by
+    keyword, after which its ``__post_init__`` (if any) checks or
+    normalises the fields, through ``object.__setattr__``.  Equality holds
+    only within one class and compares the fields alone; the hash is
+    ``hash`` of the tuple of fields, and the repr is ``Name(field=value,
+    ...)``.  Assigning or deleting an attribute raises AttributeError; a
+    ``functools.cached_property`` still fills the instance ``__dict__``
+    once, and neither equality nor the hash reads it.  No code is
+    generated: a subclass is set up by `__init_subclass__` alone.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = fields
+        cls._defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+        if len(fields) == 1:
+            get = attrgetter(fields[0])
+            cls._values = staticmethod(lambda record: (get(record),))
+        else:
+            cls._values = staticmethod(attrgetter(*fields))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """The field values of a call with keywords, defaults or a wrong
+        number of arguments, or the TypeError a function would raise."""
+        name, fields = cls.__name__, cls._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{name}() takes {len(fields)} positional arguments but {len(args)} were given"
+            )
+        for key in kwargs:
+            if key in fields[:len(args)]:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+        values = list(args)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                values.append(kwargs[field])
+            elif field in cls._defaults:
+                values.append(cls._defaults[field])
+            else:
+                raise TypeError(f"{name}() missing required argument: {field!r}")
+        return values
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class LatticeError(Exception):
@@ -462,8 +543,7 @@ def slope_of(d, vec):
     return theta
 
 
-@dataclass(frozen=True)
-class DirectionData:
+class DirectionData(Record):
     """Boundary data of a transverse polygon with respect to direction d.
 
     D_left / D_right are the unordered direction lists: for every left

@@ -15,14 +15,13 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import diagram as diagram_mod
 from . import lattice
-from .lattice import component_roots, dot, perp, scale, slope_of, slope_vector
-from .tropical import NotClosed, ParametrizedCurve, PEdge, check_balancing
+from .lattice import Record, component_roots, dot, perp, scale, slope_of, slope_vector
+from .tropical import NotClosed, NotTrivalent, ParametrizedCurve, PEdge, check_balancing
 from .tropical import _dual_polygon, _integral_frame, tropical_multiplicity
 
 
@@ -53,8 +52,7 @@ class IntegerFrame(NamedTuple):
     omega_plus: tuple
 
 
-@dataclass(frozen=True)
-class PointConfig:
+class PointConfig(Record):
     """Stretched base points plus fixed boundary lines.
 
     points are ordered by increasing height along the direction;
@@ -148,8 +146,7 @@ def default_spacing(spec):
     return 2 + 2 * (sigma0 + mmax * n2)
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(Record):
     """A parametrized tropical curve realizing a marked diagram, plus the
     geometry of its floors and elevators."""
 
@@ -420,7 +417,9 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     The ray circuit traces the Newton polygon when its edge vectors equal
     those of spec.polygon (both polygons start at their least vertex).  The
     balancing and multiplicity checks read the curve's cached incidence, so
-    a curve's star map is built once.
+    a curve's star map is built once.  A curve on which a check cannot be
+    made (rays that span no polygon, a vertex that is not trivalent, no
+    floor decomposition) gets a violation for it, not an exception.
     """
     violations = []
     pc = realization.curve
@@ -441,6 +440,9 @@ def verify_realization(realization, diagram, marking, cfg, spec):
             violations.append("ray circuit does not trace the Newton polygon")
     except NotClosed as exc:
         violations.append(str(exc))
+    except lattice.DegeneratePolygon:
+        # the rays close up but span no polygon, e.g. two opposite rays
+        violations.append("ray circuit does not trace the Newton polygon")
     # alpha rays supported on their Omega lines
     e_axis = _transverse_axis(spec.direction)
     lo = -diagram_mod.nseq_abs(spec.alpha_minus) + 1
@@ -454,15 +456,25 @@ def verify_realization(realization, diagram, marking, cfg, spec):
         if lab > s and exi[idx] != cfg.omega_plus[lab - s - 1]:
             violations.append(f"fixed top tail {idx} off its Omega line")
     # multiplicity factorization
-    mu = tropical_multiplicity(pc)
-    expected = 1
-    fl = set(diagram.floor_ids)
-    for a, b, w in diagram.edges:
-        expected *= w * w if (a in fl and b in fl) else w
-    if mu != expected:
-        violations.append(f"multiplicity {mu} != edge product {expected}")
+    try:
+        mu = tropical_multiplicity(pc)
+    except NotTrivalent as exc:
+        violations.append(str(exc))
+    else:
+        expected = 1
+        fl = set(diagram.floor_ids)
+        for a, b, w in diagram.edges:
+            expected *= w * w if (a in fl and b in fl) else w
+        if mu != expected:
+            violations.append(f"multiplicity {mu} != edge product {expected}")
     # round trip
-    back = floor_decompose(pc, spec.direction)
-    if diagram_mod.refined_key(back) != diagram_mod.refined_key(diagram):
-        violations.append("floor decomposition does not recover the diagram")
+    try:
+        back = floor_decompose(pc, spec.direction)
+    except (RealizeError, lattice.LatticeError) as exc:
+        # a floor with no transverse piece, or a piece that is neither an
+        # elevator nor a floor direction
+        violations.append(f"curve has no floor decomposition: {exc}")
+    else:
+        if diagram_mod.refined_key(back) != diagram_mod.refined_key(diagram):
+            violations.append("floor decomposition does not recover the diagram")
     return violations

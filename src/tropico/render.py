@@ -8,15 +8,16 @@ inside.  Without it, rays are clipped at a plain rectangle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import det
+from .lattice import Record, det
 from .tropical import _integral_frame
 
 
-@dataclass(frozen=True)
-class RenderStyle:
+class RenderStyle(Record):
+    """Canvas width and height and margin in pixels, and whether the
+    anticanonical frame is drawn."""
+
     width: int = 480
     height: int = 480
     margin: int = 24

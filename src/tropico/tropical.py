@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
 from . import lattice
-from .lattice import LatticePolygon, component_count, convex_hull, det, dot, perp, sub, add, scale
+from .lattice import LatticePolygon, Record, component_count, convex_hull, det, dot, perp
+from .lattice import add, scale, sub
 
 
 class TropicalError(Exception):
@@ -98,8 +98,7 @@ def rational_primitive(v):
 # polynomials
 
 
-@dataclass(frozen=True)
-class TropicalPolynomial:
+class TropicalPolynomial(Record):
     """terms: mapping lattice exponent -> rational coefficient (max-plus)."""
 
     terms: tuple  # sorted tuple of ((i, j), Fraction)
@@ -168,8 +167,7 @@ class Ray(NamedTuple):
     weight: int
 
 
-@dataclass(frozen=True)
-class PlaneTropicalCurve:
+class PlaneTropicalCurve(Record):
     """Weighted balanced PL curve: vertices at rational points, bounded
     segments between them, rays to infinity.  crossings marks the vertices
     that are planar crossings of two straight pieces (dual cell a
@@ -285,8 +283,7 @@ def newton_polygon_of(curve):
 # regular subdivision and the corner locus
 
 
-@dataclass(frozen=True)
-class DualSubdivision:
+class DualSubdivision(Record):
     """Cells of the regular subdivision of the Newton polygon, with the
     incidences: curve vertex i <-> cells[i]; segment j <-> segment_dual[j]
     (an interior edge); ray k <-> ray_dual[k] (a boundary edge)."""
@@ -443,8 +440,7 @@ def _is_parallelogram(cp):
 # Legendre-Fenchel transform
 
 
-@dataclass(frozen=True)
-class AffinePiece:
+class AffinePiece(Record):
     """One linearity domain of a piecewise-affine convex function: the map
     p -> gradient . p + offset on the region {p : n . p >= rhs for all facets}."""
 
@@ -459,8 +455,7 @@ class AffinePiece:
         return self.gradient[0] * p[0] + self.gradient[1] * p[1] + self.offset
 
 
-@dataclass(frozen=True)
-class LegendreTransform:
+class LegendreTransform(Record):
     """f_vee(p) = max_x {p . x - f(x)} as a cell complex of affine pieces."""
 
     pieces: tuple
@@ -729,8 +724,7 @@ class PEdge(NamedTuple):
     direction: tuple  # primitive, from a toward b / toward infinity
 
 
-@dataclass(frozen=True)
-class ParametrizedCurve:
+class ParametrizedCurve(Record):
     """Abstract tropical curve with an affine-integral map to the plane.
 
     positions[i] is the image of source vertex i; edges carry stretching

@@ -45,6 +45,9 @@ def run_fresh(code):
 
 # the tropico submodules a fresh interpreter has loaded, by short name
 LOADED = "sorted(m[8:] for m in sys.modules if m.startswith('tropico.'))"
+# the heavy standard modules that no tropico command may load: dataclasses
+# pulls in inspect, and inspect ast, dis and tokenize
+HEAVY = "sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)"
 
 
 def test_import_tropico_loads_no_submodule():
@@ -59,24 +62,38 @@ def test_import_tropico_loads_no_submodule():
          ["cli", "diagram", "io", "lattice"]),
         (["diagrams", "--polygon", "{t3}", "--genus", "1", "--beta-minus", "3", "--markings"],
          ["cli", "diagram", "io", "lattice"]),
+        (["realize", "--polygon", "{t1}", "--genus", "0", "--beta-minus", "1", "--diagram",
+          "{diagram}", "--marking", "{marking}", "--svg", "{svg}"],
+         ["cli", "diagram", "io", "lattice", "realize", "render", "tropical"]),
         (["tropicalize", "--poly", "{line}", "--subdivision", "--svg", "{svg}"],
          ["cli", "io", "lattice", "render", "tropical"]),
     ],
-    ids=["polygon", "count", "diagrams", "tropicalize"],
+    ids=["polygon", "count", "diagrams", "realize", "tropicalize"],
 )
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
     # counting never loads the geometry layer (tropical, realize, render),
-    # and tropicalize never loads realize
-    t3, line = tmp_path / "t3.json", tmp_path / "line.json"
-    t3.write_text(json.dumps({"vertices": [[0, 0], [3, 0], [0, 3]]}))
-    line.write_text(json.dumps({"terms": [{"i": i, "a": "0/1"} for i in ([0, 0], [1, 0], [0, 1])]}))
-    argv = [a.format(t3=t3, line=line, svg=tmp_path / "line.svg") for a in argv]
-    rc, modules = run_fresh(
+    # tropicalize never loads realize, and no command loads dataclasses or
+    # inspect
+    files = {
+        "t1": {"vertices": [[0, 0], [1, 0], [0, 1]]},
+        "t3": {"vertices": [[0, 0], [3, 0], [0, 3]]},
+        "line": {"terms": [{"i": i, "a": "0/1"} for i in ([0, 0], [1, 0], [0, 1])]},
+        # the one marked floor diagram of a tropical line
+        "diagram": {"floors": [{"id": 0, "theta": 0}], "inf_minus": [1], "inf_plus": [],
+                    "edges": [{"from": 1, "to": 0, "w": 1}]},
+        "marking": {"labels": {"1": "e0", "2": "f0"}},
+    }
+    paths = {name: tmp_path / f"{name}.json" for name in files}
+    for name, value in files.items():
+        paths[name].write_text(json.dumps(value))
+    argv = [a.format(svg=tmp_path / "out.svg", **paths) for a in argv]
+    rc, modules, heavy = run_fresh(
         "import json, sys\nfrom tropico import cli\n"
-        f"rc = cli.cmd({argv!r})\nprint(json.dumps([rc, {LOADED}]))"
+        f"rc = cli.cmd({argv!r})\nprint(json.dumps([rc, {LOADED}, {HEAVY}]))"
     )
     assert rc == 0
     assert modules == loaded
+    assert heavy == []
 
 
 def test_public_names_resolve_to_their_home_objects_whichever_comes_first():

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -204,10 +203,12 @@ def test_verify_detects_a_wrong_diagram():
     assert "floor decomposition does not recover the diagram" in violations
 
 
-def verify_tampered_cubic(tamper_edge=None, extra_edges=(), extra_positions=(), spec=T3_G0):
+def verify_tampered_cubic(
+    tamper_edge=None, extra_edges=(), extra_positions=(), spec=T3_G0, curve=None
+):
     """verify_realization on a realized T3 g=0 curve (seed 0) after an edge
     weight is raised by one, or vertices and edges are added, or the curve
-    is checked against another spec."""
+    is replaced by ``curve``, or it is checked against another spec."""
     diag = enumerate_diagrams(T3_G0)[0]
     marking = enumerate_markings(diag, T3_G0)[0]
     realization, cfg = realize_stretched(diag, marking, T3_G0, seed=0)
@@ -218,8 +219,10 @@ def verify_tampered_cubic(tamper_edge=None, extra_edges=(), extra_positions=(), 
         e = edges[tamper_edge]
         edges[tamper_edge] = PEdge(e.a, e.b, e.weight + 1, e.direction)
     edges += [PEdge(len(pc.positions) + a, -1, w, u) for a, w, u in extra_edges]
-    curve = ParametrizedCurve.build(pc.positions + tuple(extra_positions), edges)
-    tampered = dataclasses.replace(realization, curve=curve)
+    if curve is None:
+        curve = ParametrizedCurve.build(pc.positions + tuple(extra_positions), edges)
+    r = realization
+    tampered = Realization(curve, r.floor_paths, r.elevator_lines, r.spec, r.diagram, r.marking)
     return pc, verify_realization(tampered, diag, marking, cfg, spec)
 
 
@@ -237,6 +240,30 @@ def test_verify_detects_an_open_ray_circuit():
         "curve is not balanced",
         "weighted ray circuit does not close: drift (0, -1)",
         "multiplicity 2 != edge product 1",
+    ]
+
+
+@pytest.mark.parametrize(
+    "rays, last",
+    [
+        ([(1, 0), (-1, 0)], "floor decomposition does not recover the diagram"),
+        ([(0, 1), (0, -1)],
+         "curve has no floor decomposition: floor component 0 has no transverse piece"),
+        ([(2, 1), (-2, -1)],
+         "curve has no floor decomposition: (2, 1) is not a floor direction for d=(0, 1)"),
+    ],
+    ids=["horizontal", "vertical", "steep"],
+)
+def test_verify_reports_rays_that_close_but_span_no_polygon(rays, last):
+    # one vertex with two opposite rays: balanced and of genus 0, but its
+    # ray circuit is a segment, the vertex is not trivalent, and its floor
+    # decomposition may not exist, so no check may raise
+    line = ParametrizedCurve.build([(0, 0)], [(0, -1, 1, u) for u in rays])
+    _, violations = verify_tampered_cubic(curve=line)
+    assert violations == [f"point {i} not on the curve" for i in range(1, 9)] + [
+        "ray circuit does not trace the Newton polygon",
+        "source vertex 0 has valence 2",
+        last,
     ]
 
 
