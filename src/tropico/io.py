@@ -3,7 +3,8 @@
 Rationals are emitted as gcd-reduced "p/q" strings with q > 0; keys are
 sorted, so identical inputs yield byte-identical output.  The readers
 report data of the wrong shape as InputError.  A reader imports the
-diagram or tropical module only when called.
+diagram or tropical module, and fractions, only when called, so that a
+command that reads only polygons does not load them.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .lattice import LatticePolygon
@@ -39,8 +39,12 @@ def _reader(fn):
 
 
 def frac_str(x):
-    # Fraction(x) is slow: it checks for numbers.Rational first
-    if type(x) is not Fraction and type(x) is not int:
+    # an int or a Fraction is in lowest terms already; only anything else
+    # goes through Fraction(x), which is slow (it checks for
+    # numbers.Rational first)
+    if not hasattr(x, "denominator"):
+        from fractions import Fraction
+
         x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
@@ -165,6 +169,8 @@ def polynomial_to_json(poly):
 
 @_reader
 def polynomial_from_json(data):
+    from fractions import Fraction
+
     from .tropical import TropicalPolynomial
     terms = {}
     for t in data["terms"]:
@@ -193,6 +199,8 @@ def curve_to_json(curve):
 
 @_reader
 def curve_from_json(data):
+    from fractions import Fraction
+
     from .tropical import PlaneTropicalCurve, Ray, Segment
     return PlaneTropicalCurve.build(
         [(Fraction(x), Fraction(y)) for x, y in data["vertices"]],

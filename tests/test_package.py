@@ -48,6 +48,7 @@ LOADED = "sorted(m[8:] for m in sys.modules if m.startswith('tropico.'))"
 # the heavy standard modules that no tropico command may load: dataclasses
 # pulls in inspect, and inspect ast, dis and tokenize
 HEAVY = "sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)"
+FRACTIONS = "'fractions' in sys.modules"
 
 
 def test_import_tropico_loads_no_submodule():
@@ -72,8 +73,8 @@ def test_import_tropico_loads_no_submodule():
 )
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
     # counting never loads the geometry layer (tropical, realize, render),
-    # tropicalize never loads realize, and no command loads dataclasses or
-    # inspect
+    # tropicalize never loads realize, fractions comes only with the
+    # geometry layer, and no command loads dataclasses or inspect
     files = {
         "t1": {"vertices": [[0, 0], [1, 0], [0, 1]]},
         "t3": {"vertices": [[0, 0], [3, 0], [0, 3]]},
@@ -87,13 +88,14 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
     for name, value in files.items():
         paths[name].write_text(json.dumps(value))
     argv = [a.format(svg=tmp_path / "out.svg", **paths) for a in argv]
-    rc, modules, heavy = run_fresh(
+    rc, modules, heavy, fractions = run_fresh(
         "import json, sys\nfrom tropico import cli\n"
-        f"rc = cli.cmd({argv!r})\nprint(json.dumps([rc, {LOADED}, {HEAVY}]))"
+        f"rc = cli.cmd({argv!r})\nprint(json.dumps([rc, {LOADED}, {HEAVY}, {FRACTIONS}]))"
     )
     assert rc == 0
     assert modules == loaded
     assert heavy == []
+    assert fractions == ("tropical" in loaded)
 
 
 def test_public_names_resolve_to_their_home_objects_whichever_comes_first():
