@@ -42,11 +42,13 @@ def frac_str(x):
     # an int or a Fraction is in lowest terms already; only anything else
     # goes through Fraction(x), which is slow (it checks for
     # numbers.Rational first)
-    if not hasattr(x, "denominator"):
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except AttributeError:
         from fractions import Fraction
 
         x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+        return f"{x.numerator}/{x.denominator}"
 
 
 def dumps(obj):

@@ -16,6 +16,9 @@ from functools import cache, cached_property
 from operator import attrgetter
 
 
+_set_field = object.__setattr__
+
+
 class Record:
     """Base of the package's immutable value classes.
 
@@ -48,7 +51,11 @@ class Record:
         fields = self._fields
         if kwargs or len(args) != len(fields):
             args = self._bind(args, kwargs)
-        self.__dict__.update(zip(fields, args))
+        # one object.__setattr__ per field, as a frozen dataclass does:
+        # touching self.__dict__ here would turn off CPython's inline
+        # attribute storage and make every later field read slower
+        for field, value in zip(fields, args):
+            _set_field(self, field, value)
         self.__post_init__()
 
     @classmethod
