@@ -3,11 +3,12 @@ realization, tropicalization, SVG rendering, and the self-check suite.
 
 All results go to stdout as JSON (a bare integer for `count`), diagnostics
 to stderr.  Exit codes: 0 success, 1 domain error (with the error name in
-JSON on stdout), 2 argument or parse error.  Domain errors are the typed
-errors of the library, including io.InputError for files and option
-values that cannot be read or decoded; an InvariantViolation, or any
-other exception, is a bug and propagates.  A command imports only the
-modules it runs.
+JSON on stdout), 2 argument or parse error.  A domain error is a
+lattice.TropicoError, the base of the library's typed errors, io.InputError
+for files and option values that cannot be read or decoded among them; a
+lattice.InvariantViolation, or any other exception, is a bug and
+propagates.  A command imports only the modules it runs, on success and on
+error alike.
 """
 
 from __future__ import annotations
@@ -277,19 +278,6 @@ def cmd_check(args):
     return 0 if all(v == "ok" for v in results.values()) else 1
 
 
-def _bugs():
-    # identities that hold for every valid input: breaking one is a bug
-    from . import diagram, tropical
-    return (diagram.InvariantViolation, tropical.InvariantViolation)
-
-
-def _domain_errors():
-    from . import diagram, tropical
-    from .realize import RealizeError
-    return (lattice.LatticeError, diagram.DiagramError, tropical.TropicalError, RealizeError,
-            io_mod.InputError)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tropico",
@@ -342,13 +330,9 @@ def cmd(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    # an except clause's tuple is built only when an exception reaches it,
-    # so a command that succeeds loads only the modules it runs
     try:
         return args.fn(args)
-    except _bugs():
-        raise
-    except _domain_errors() as exc:
+    except lattice.TropicoError as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -68,10 +68,10 @@ import operator
 from functools import cached_property
 
 from . import lattice
-from .lattice import Record, component_count, direction_data
+from .lattice import InvariantViolation, Record, component_count, direction_data
 
 
-class DiagramError(Exception):
+class DiagramError(lattice.TropicoError):
     pass
 
 
@@ -81,15 +81,6 @@ class Disconnected(DiagramError):
 
 class SideBoundaryCondition(DiagramError):
     """Boundary conditions requested off the top/bottom edges of the polygon."""
-
-
-class InvariantViolation(DiagramError):
-    """Generation or counting broke one of its own invariants: a bug, not a
-    bad input.  ``violations`` lists what failed."""
-
-    def __init__(self, what, violations):
-        super().__init__(f"{what}: {'; '.join(violations)}")
-        self.violations = list(violations)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ import itertools
 import json
 from json.encoder import encode_basestring_ascii
 
-from .lattice import LatticePolygon
+from .lattice import LatticePolygon, TropicoError
 
 
-class InputError(Exception):
+class InputError(TropicoError):
     """Malformed or unreadable input data, or an output file that cannot
     be written."""
 
@@ -97,11 +97,14 @@ def polygon_from_json(data):
 
 
 def polygon_report(poly):
+    # p_a, the arithmetic genus of the hyperplane class, is the number of
+    # interior points, counted once
+    interior = poly.interior_points()
     return {
         "double_area": poly.double_area(),
-        "interior": poly.interior_points(),
+        "interior": interior,
         "boundary": poly.boundary_points(),
-        "p_a": poly.p_a(),
+        "p_a": interior,
         "singularities": [[order, k] for _, order, k in poly.vertex_singularities()],
     }
 

@@ -104,7 +104,23 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class LatticeError(Exception):
+class TropicoError(Exception):
+    """Base of the package's domain errors: an input that the library
+    refuses.  The CLI reports one as JSON and exits with code 1."""
+
+
+class InvariantViolation(Exception):
+    """A result broke an identity that holds for every valid input: a bug,
+    not a bad input, so it derives from no domain error.  ``violations``
+    lists what failed, if more than ``what`` says."""
+
+    def __init__(self, what, violations=()):
+        violations = list(violations)
+        super().__init__(f"{what}: {'; '.join(violations)}" if violations else what)
+        self.violations = violations
+
+
+class LatticeError(TropicoError):
     pass
 
 
@@ -352,10 +368,6 @@ class LatticePolygon:
                     pts.append((x, y))
         return pts
 
-    def p_a(self):
-        """Arithmetic genus of the hyperplane class: interior point count."""
-        return self.interior_points()
-
     def pick_identity(self):
         """2A == 2*interior + boundary - 2; must hold for every instance."""
         return self.double_area() == 2 * self.interior_points() + self.boundary_points() - 2
@@ -470,13 +482,13 @@ def vertex_singularity(u_prime, u_second):
     # Bezout pair (l, m) with l*a.x + m*a.y = 1 inverts it
     g, l, m = _xgcd(a[0], a[1])
     if g != 1:
-        raise LatticeError(f"gcd of {a} is {g}, not 1")
+        raise InvariantViolation(f"gcd of {a} is {g}, not 1")
     k = (-(l * b[0] + m * b[1])) % order
     if (b[0] + k * a[0]) % order or (b[1] + k * a[1]) % order:
-        raise LatticeError("no normal form; inputs do not span a corner")
+        raise InvariantViolation("no normal form; inputs do not span a corner")
     e1 = ((b[0] + k * a[0]) // order, (b[1] + k * a[1]) // order)
     if det(e1, a) != 1 or math.gcd(k, order) != 1:
-        raise LatticeError(f"normal form ({order}, {k}) with basis {e1}, {a} is not unimodular")
+        raise InvariantViolation(f"normal form ({order}, {k}) with basis {e1}, {a} is not unimodular")
     return (order, k)
 
 
@@ -528,7 +540,7 @@ def slope_reference(d):
     t = (shift - det(d, u)) // n2
     u = add(u, scale(perp(d), t))
     if dot(d, u) != -1 or not 0 <= det(d, u) < n2:
-        raise LatticeError(f"slope reference {u} of {d} is not normalized")
+        raise InvariantViolation(f"slope reference {u} of {d} is not normalized")
     return u
 
 
@@ -605,17 +617,17 @@ def direction_data(poly, d):
             elif h == min(heights):
                 d_minus = integral_length(p, q)
             else:
-                raise LatticeError(f"edge {p}-{q} orthogonal to d={d} is neither top nor bottom")
+                raise InvariantViolation(f"edge {p}-{q} orthogonal to d={d} is neither top nor bottom")
             continue
         if side > 0:
             p, q = q, p
         u = primitive(sub(q, p))
         if det(pd, u) != 1:
-            raise LatticeError(f"boundary edge {p}-{q} is not transverse to d={d}")
+            raise InvariantViolation(f"boundary edge {p}-{q} is not transverse to d={d}")
         (d_left if side < 0 else d_right).extend([perp(u)] * integral_length(p, q))
     height = len(d_left)
     if height != len(d_right) or 2 * height + d_plus + d_minus != poly.boundary_points():
-        raise LatticeError(
+        raise InvariantViolation(
             f"direction data of {poly!r} for d={d}: heights {height}, {len(d_right)},"
             f" d+ = {d_plus}, d- = {d_minus} do not partition the boundary"
         )

@@ -25,7 +25,7 @@ from .tropical import NotClosed, NotTrivalent, ParametrizedCurve, PEdge, check_b
 from .tropical import _dual_polygon, _integral_frame, tropical_multiplicity
 
 
-class RealizeError(Exception):
+class RealizeError(lattice.TropicoError):
     pass
 
 
@@ -239,7 +239,7 @@ def realize(diagram, marking, cfg, spec):
             raise SpacingTooSmall(f"marked point of floor {f} sits on an elevator")
         slopes = list(itertools.accumulate((jump for _, _, jump in inc), initial=theta))
         if slopes[-1] != theta + div[f]:
-            raise RealizeError(
+            raise lattice.InvariantViolation(
                 f"floor {f}: slope {slopes[-1]} after its elevators != theta + divergence"
             )
         # heights outward from the marked point, which lies on piece k (of
@@ -419,10 +419,19 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     balancing and multiplicity checks read the curve's cached incidence, so
     a curve's star map is built once.  A curve on which a check cannot be
     made (rays that span no polygon, a vertex that is not trivalent, no
-    floor decomposition) gets a violation for it, not an exception.
+    floor decomposition) gets a violation for it, not an exception; an edge
+    that joins a vertex the curve does not have is the only violation
+    reported, since no other check can read such a curve.
     """
-    violations = []
     pc = realization.curve
+    n = len(pc.positions)
+    violations = [
+        f"edge {i} joins a vertex that does not exist"
+        for i, e in enumerate(pc.edges)
+        if not 0 <= e.a < n or e.b >= n
+    ]
+    if violations:
+        return violations
     if not check_balancing(pc):
         violations.append("curve is not balanced")
     genus, components = pc.genus_and_components()
@@ -470,9 +479,9 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     # round trip
     try:
         back = floor_decompose(pc, spec.direction)
-    except (RealizeError, lattice.LatticeError) as exc:
-        # a floor with no transverse piece, or a piece that is neither an
-        # elevator nor a floor direction
+    except lattice.TropicoError as exc:
+        # a floor with no transverse piece, a piece that is neither an
+        # elevator nor a floor direction, or a nonpositive weight
         violations.append(f"curve has no floor decomposition: {exc}")
     else:
         if diagram_mod.refined_key(back) != diagram_mod.refined_key(diagram):

@@ -32,11 +32,11 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import lattice
-from .lattice import LatticePolygon, Record, component_count, convex_hull, det, dot, perp
-from .lattice import add, scale, sub
+from .lattice import InvariantViolation, LatticePolygon, Record, component_count, convex_hull
+from .lattice import add, det, dot, perp, scale, sub
 
 
-class TropicalError(Exception):
+class TropicalError(lattice.TropicoError):
     pass
 
 
@@ -62,11 +62,6 @@ class NotTrivalent(TropicalError):
 
 class NonTransverse(TropicalError):
     pass
-
-
-class InvariantViolation(TropicalError):
-    """A computed curve or subdivision breaks an identity that holds for
-    every valid input."""
 
 
 def _frac_point(p):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -12,9 +13,11 @@ from tropico.lattice import (
     NotTransverse,
     convex_hull,
     cubic_triangle,
+    det,
     diamond,
     direction_data,
     integral_length,
+    is_primitive,
     is_transverse,
     octic_quadrilateral,
     perp,
@@ -131,8 +134,6 @@ def test_vertex_singularity_invariants():
             order, k = vertex_singularity(u, v)
         except (NonPositiveDeterminant, NotPrimitive):
             continue
-        from tropico.lattice import det
-
         assert order == det(u, v)
         if order == 1:
             assert k == 0
@@ -149,6 +150,22 @@ def test_vertex_singularity_errors():
         vertex_singularity((0, 1), (1, 1))  # det = -1
     with pytest.raises(NotPrimitive):
         vertex_singularity((2, 0), (0, 1))
+
+
+def test_vertex_singularity_never_raises_on_a_corner():
+    # with u' and u'' primitive and det > 0 the normal form always exists:
+    # its checks after the input checks are invariants
+    rng = random.Random(22)
+    corners = 0
+    while corners < 2000:
+        u = (rng.randint(-40, 40), rng.randint(-40, 40))
+        v = (rng.randint(-40, 40), rng.randint(-40, 40))
+        if not (is_primitive(u) and is_primitive(v)) or det(u, v) <= 0:
+            continue
+        order, k = vertex_singularity(u, v)
+        assert order == det(u, v)
+        assert 0 <= k < order and math.gcd(k, order) == 1
+        corners += 1
 
 
 def test_polygon_singularity_report():
@@ -370,9 +387,11 @@ def test_slope_coordinates_reject_non_primitive_directions():
 
 
 def _raises_lattice_invariant(fn, *args):
-    with pytest.raises(LatticeError) as err:
+    # no input reaches these checks, so a failing one is a bug, not a
+    # domain error
+    with pytest.raises(lattice.InvariantViolation) as err:
         fn(*args)
-    assert type(err.value) is LatticeError
+    assert not isinstance(err.value, lattice.TropicoError)
 
 
 def test_lattice_invariants_raise_typed_errors(monkeypatch):

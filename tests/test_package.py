@@ -56,28 +56,34 @@ def test_import_tropico_loads_no_submodule():
 
 
 @pytest.mark.parametrize(
-    "argv, loaded",
+    "argv, error, loaded",
     [
-        (["polygon", "report", "{t3}"], ["cli", "io", "lattice"]),
-        (["count", "--polygon", "{t3}", "--genus", "0", "--beta-minus", "3"],
+        (["polygon", "report", "{t3}"], None, ["cli", "io", "lattice"]),
+        (["polygon", "report", "{segment}"], "DegeneratePolygon", ["cli", "io", "lattice"]),
+        (["count", "--polygon", "{t3}", "--genus", "0", "--beta-minus", "3"], None,
          ["cli", "diagram", "io", "lattice"]),
-        (["diagrams", "--polygon", "{t3}", "--genus", "1", "--beta-minus", "3", "--markings"],
+        (["count", "--polygon", "{t3}", "--genus", "0", "--alpha-plus", "1"], "SideBoundaryCondition",
+         ["cli", "diagram", "io", "lattice"]),
+        (["diagrams", "--polygon", "{t3}", "--genus", "1", "--beta-minus", "3", "--markings"], None,
          ["cli", "diagram", "io", "lattice"]),
         (["realize", "--polygon", "{t1}", "--genus", "0", "--beta-minus", "1", "--diagram",
-          "{diagram}", "--marking", "{marking}", "--svg", "{svg}"],
+          "{diagram}", "--marking", "{marking}", "--svg", "{svg}"], None,
          ["cli", "diagram", "io", "lattice", "realize", "render", "tropical"]),
-        (["tropicalize", "--poly", "{line}", "--subdivision", "--svg", "{svg}"],
+        (["tropicalize", "--poly", "{line}", "--subdivision", "--svg", "{svg}"], None,
          ["cli", "io", "lattice", "render", "tropical"]),
     ],
-    ids=["polygon", "count", "diagrams", "realize", "tropicalize"],
+    ids=["polygon", "polygon-degenerate", "count", "count-side-boundary-condition", "diagrams",
+         "realize", "tropicalize"],
 )
-def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, error, loaded):
     # counting never loads the geometry layer (tropical, realize, render),
-    # tropicalize never loads realize, fractions comes only with the
-    # geometry layer, and no command loads dataclasses or inspect
+    # nor does reporting a domain error, tropicalize never loads realize,
+    # fractions comes only with the geometry layer, and no command loads
+    # dataclasses or inspect
     files = {
         "t1": {"vertices": [[0, 0], [1, 0], [0, 1]]},
         "t3": {"vertices": [[0, 0], [3, 0], [0, 3]]},
+        "segment": {"vertices": [[0, 0], [1, 1], [2, 2]]},
         "line": {"terms": [{"i": i, "a": "0/1"} for i in ([0, 0], [1, 0], [0, 1])]},
         # the one marked floor diagram of a tropical line
         "diagram": {"floors": [{"id": 0, "theta": 0}], "inf_minus": [1], "inf_plus": [],
@@ -88,11 +94,15 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
     for name, value in files.items():
         paths[name].write_text(json.dumps(value))
     argv = [a.format(svg=tmp_path / "out.svg", **paths) for a in argv]
-    rc, modules, heavy, fractions = run_fresh(
-        "import json, sys\nfrom tropico import cli\n"
-        f"rc = cli.cmd({argv!r})\nprint(json.dumps([rc, {LOADED}, {HEAVY}, {FRACTIONS}]))"
+    rc, out, modules, heavy, fractions = run_fresh(
+        "import io, json, sys\nfrom tropico import cli\n"
+        f"sys.stdout = io.StringIO()\nrc = cli.cmd({argv!r})\nout = sys.stdout.getvalue()\n"
+        f"sys.stdout = sys.__stdout__\nprint(json.dumps([rc, out, {LOADED}, {HEAVY}, {FRACTIONS}]))"
     )
-    assert rc == 0
+    if error is None:
+        assert rc == 0
+    else:
+        assert (rc, json.loads(out)["error"]) == (1, error)
     assert modules == loaded
     assert heavy == []
     assert fractions == ("tropical" in loaded)

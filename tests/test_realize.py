@@ -21,6 +21,7 @@ from tropico.diagram import (
     validate,
 )
 from tropico.lattice import (
+    InvariantViolation,
     LatticePolygon,
     det,
     diamond,
@@ -284,6 +285,49 @@ def test_verify_detects_a_disconnected_source():
     ]
 
 
+def verify_edited_curve(spec, edit):
+    """verify_realization on the first marked diagram of spec, realized at
+    seed 0, after ``edit`` maps the list of its curve's edges to another."""
+    diag = enumerate_diagrams(spec)[0]
+    marking = enumerate_markings(diag, spec)[0]
+    r, cfg = realize_stretched(diag, marking, spec, seed=0)
+    curve = ParametrizedCurve.build(r.curve.positions, edit(list(r.curve.edges)))
+    edited = Realization(curve, r.floor_paths, r.elevator_lines, r.spec, r.diagram, r.marking)
+    return verify_realization(edited, diag, marking, cfg, spec)
+
+
+@pytest.mark.parametrize(
+    "tail, weight, circuit",
+    [
+        (False, 0, []),
+        (False, -1, []),
+        (True, 0, ["weighted ray circuit does not close: drift (-1, 0)"]),
+        (True, -1, ["weighted ray circuit does not close: drift (-2, 0)"]),
+    ],
+    ids=["elevator-0", "elevator-minus-1", "down-tail-0", "down-tail-minus-1"],
+)
+def test_verify_detects_a_nonpositive_weight(tail, weight, circuit):
+    # the round trip cannot build a floor diagram with such a weight, and
+    # says so instead of raising
+    def edit(edges):
+        i = next(i for i, e in enumerate(edges) if e.direction[0] == 0 and (e.b < 0) == tail)
+        edges[i] = edges[i]._replace(weight=weight)
+        return edges
+
+    assert verify_edited_curve(T3_G1, edit) == [
+        "curve is not balanced",
+        *circuit,
+        "curve has no floor decomposition: edge weights must be positive",
+    ]
+
+
+@pytest.mark.parametrize("a, b", [(0, 99), (99, -1), (-1, 0)], ids=["target", "ray", "source"])
+def test_verify_detects_an_edge_to_a_missing_vertex(a, b):
+    # no other check can read the source graph, so this is the only violation
+    violations = verify_edited_curve(T3_G1, lambda edges: edges + [PEdge(a, b, 1, (0, 1))])
+    assert violations == ["edge 18 joins a vertex that does not exist"]
+
+
 def test_verify_detects_tails_off_their_omega_lines():
     bottom = DiagramSpec(triangle(3), (0, 1), 0, (), (0, 1), (), (1,))
     top = DiagramSpec(triangle(3), (0, -1), 0, (0, 1), (), (1,), ())
@@ -445,7 +489,7 @@ def test_slope_bookkeeping_is_checked(monkeypatch):
     monkeypatch.setattr(FloorDiagram, "divergences",
                         lambda self: {v: div + 1 for v, div in divergences(self).items()})
     monkeypatch.setattr(diagram_module, "validate", lambda diagram, spec: True)
-    with pytest.raises(RealizeError, match="theta \\+ divergence"):
+    with pytest.raises(InvariantViolation, match="theta \\+ divergence"):
         realize(diag, marking, stretch_points(T3_G0), T3_G0)
 
 

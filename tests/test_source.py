@@ -1,9 +1,11 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import tropico
+from tropico.lattice import InvariantViolation, TropicoError
 
 SOURCES = sorted(Path(tropico.__file__).parent.glob("*.py"))
 
@@ -34,3 +36,22 @@ def test_every_private_definition_is_named_in_the_package():
                 named.add(node.attr)
     unused = [f"{where} {name}" for name, where in defined if name not in named]
     assert not unused, unused
+
+
+def test_every_exception_but_invariant_violation_is_a_domain_error():
+    # the CLI reports a TropicoError, and only that, as a domain error; an
+    # InvariantViolation is a bug and must propagate
+    exceptions = []
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                cls = getattr(importlib.import_module(f"tropico.{path.stem}"), node.name)
+                if issubclass(cls, BaseException):
+                    exceptions.append(cls)
+    assert InvariantViolation in exceptions and len(exceptions) > 15
+    wrong = [
+        f"{cls.__module__}.{cls.__name__}"
+        for cls in exceptions
+        if issubclass(cls, TropicoError) == (cls is InvariantViolation)
+    ]
+    assert not wrong, wrong

@@ -504,6 +504,15 @@ def test_genus_equivalence_lemma():
         assert pa - delta_invariant(curve) == abstract_genus(curve)
 
 
+def test_genus_mismatch_is_a_domain_error():
+    # a curve built with a Newton polygon that is not the dual of its rays
+    # reaches the genus cross-check: bad input, not a broken identity
+    line = [(0, (-1, 0), 1), (0, (0, -1), 1), (0, (1, 1), 1)]
+    curve = PlaneTropicalCurve.build([(0, 0)], [], line, newton=triangle(3))
+    with pytest.raises(TropicalError, match="genus mismatch"):
+        geometric_genus(curve)
+
+
 def test_delta_smooth_curve():
     # unimodular triangulation, no weights > 1: delta 0, genus p_a
     terms = {}
