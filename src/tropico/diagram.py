@@ -42,22 +42,18 @@ Generation enumerates finite edges only from floor i to floors j > i:
 every acyclic diagram has such a topological labelling of its floors.  The
 thetas and tails fix the net finite inflow at each floor, which fixes the
 weight crossing each prefix cut {0..k}; one depth-first search over
-weighted edges keeps every cut at that weight.  Duplicates are removed by
-`refined_key`, which permutes floors only within the cells of a colour
-refinement.  Each class found is returned in the labelling an exhaustive
-search over all labellings would meet first, so the output does not depend
-on which labellings the search visits.
-
-Two minima over all n! relabellings of a class's floors serve it: the
-canonical key (the least encoding), which orders the output, and the first
-labelling (the least in search order), in which it is returned.  One
-branch-and-bound (`_least_forms`) finds both.  It fills the new floor
-positions in order and drops a partial relabelling as soon as the known
-prefix of its sorted finite edges, with a bound on the next edge, is above
-the best found, in place of listing the n! relabellings.  |Aut_floor| comes
-from the pass that finds the refined key: the relabellings within the
-colour cells that reach its least encoding are one coset of the floor
-automorphisms.
+weighted edges keeps every cut at that weight.  One branch-and-bound
+(`_least_forms`) per connected candidate then minimises two orders over
+all n! relabellings of its floors: the least encoding is the canonical
+key, which removes duplicates and orders the output, and the least in
+search order is the first labelling, in which the class is returned, so
+the output does not depend on which labellings the search visits.  It
+fills the new floor positions in order and drops a partial relabelling as
+soon as the known prefix of its sorted finite edges, with a bound on the
+next edge, is above the best found, in place of listing the n!
+relabellings.  No bound is strict, so it reaches every relabelling onto
+the canonical key: these are one coset of the floor automorphisms, and
+their number is |Aut_floor|.
 """
 
 from __future__ import annotations
@@ -196,10 +192,11 @@ class FloorDiagram(Record):
     # -- basic structure ----------------------------------------------------
 
     @cached_property
-    def refined_form(self):
-        """(`refined_key`, |Aut_floor|) from `_refined_form`; computed once,
-        since a diagram is immutable."""
-        return _refined_form(_floor_data(self))
+    def canonical_form(self):
+        """(`canonical_key`, |Aut_floor|) from one `_least_forms` search;
+        computed once, since a diagram is immutable."""
+        key, _, aut = _least_forms(_floor_data(self))
+        return key, aut
 
     @property
     def floor_ids(self):
@@ -337,7 +334,8 @@ class DiagramSpec(Record):
 
 
 def validate(diagram, spec):
-    """Check the defining diagram conditions against the spec; list the violations."""
+    """Whether the diagram meets the defining conditions of the spec;
+    `validate_verbose` also lists the violations."""
     ok, _ = validate_verbose(diagram, spec)
     return ok
 
@@ -419,154 +417,26 @@ def _floor_data(diagram):
     )
 
 
-def _relabellings(data, blocks):
-    """Relabellings of the floors of `_floor_data` ``data``, one per
-    permutation perm (the floor at position i moves to perm[i]).
-
-    ``blocks`` lists (sources, targets) pairs of position lists: the floors
-    at the source positions move onto the target positions in every order,
-    and the first relabelling keeps each block in order.
-
-    Yields (perm, lefts, rights, fins, downs, ups): the left and right
-    thetas by new position, the finite edges (s, t, w) sorted, and the down
-    tails (t, w) and up tails (s, w) in edge order.
-    """
-    lefts, rights, fins, downs, ups = data
-    n = len(lefts)
-    for perm in _block_permutations(blocks, n):
-        new_lefts, new_rights = [0] * n, [0] * n
-        for i, new in enumerate(perm):
-            new_lefts[new] = lefts[i]
-            new_rights[new] = rights[i]
-        yield (
-            perm,
-            tuple(new_lefts),
-            tuple(new_rights),
-            sorted([(perm[s], perm[t], w) for s, t, w in fins]),
-            [(perm[t], w) for t, w in downs],
-            [(perm[s], w) for s, w in ups],
-        )
-
-
-def _block_permutations(blocks, n):
-    """The permutations that move each block's sources onto its targets."""
-    for choice in itertools.product(*(itertools.permutations(t) for _, t in blocks)):
-        perm = [0] * n
-        for (sources, _), targets in zip(blocks, choice):
-            for i, new in zip(sources, targets):
-                perm[i] = new
-        yield tuple(perm)
-
-
-def _encode(relabelling):
-    """Encoding of a relabelling: the left thetas by position, then the
-    finite edges, down tails and up tails, each sorted."""
-    _, lefts, _, fins, downs, ups = relabelling
-    return (lefts, tuple(fins), tuple(sorted(downs)), tuple(sorted(ups)))
-
-
 def canonical_key(diagram):
-    """Isomorphism invariant: the least encoding (`_encode`) over all n!
-    relabellings of the floors, found by the branch-and-bound of
-    `_least_forms`.  It fixes the order in which `enumerate_diagrams`
-    returns the classes."""
-    return _least_forms(_floor_data(diagram))[0]
-
-
-def _colour_cells(data):
-    """Colour refinement of the floors of `_floor_data` ``data``: the floor
-    positions of each colour, by colour.
-
-    The first colours separate the floors by left theta and by the weights
-    of their down and up tails.  Each round then separates them by the
-    multisets of (neighbour colour, weight) over their incoming and their
-    outgoing finite edges, until no colour splits.  A colour is the rank of
-    its signature among the diagram's sorted signatures, so an isomorphism
-    of (D, w, theta) maps every floor to a floor of the same colour.
-    """
-    lefts, _, fins, downs, ups = data
-    n = len(lefts)
-    down_w = [[] for _ in range(n)]
-    up_w = [[] for _ in range(n)]
-    for t, w in downs:
-        down_w[t].append(w)
-    for s, w in ups:
-        up_w[s].append(w)
-    colours = _ranks([(lefts[i], sorted(down_w[i]), sorted(up_w[i])) for i in range(n)])
-    while True:
-        ins = [[] for _ in range(n)]
-        outs = [[] for _ in range(n)]
-        for s, t, w in fins:
-            ins[t].append((colours[s], w))
-            outs[s].append((colours[t], w))
-        # signatures lead with the old colour, so a partition that does not
-        # split keeps its ranks
-        refined = _ranks([(colours[i], sorted(ins[i]), sorted(outs[i])) for i in range(n)])
-        if refined == colours:
-            break
-        colours = refined
-    cells = [[] for _ in range(max(colours, default=-1) + 1)]
-    for i, colour in enumerate(colours):
-        cells[colour].append(i)
-    return cells
-
-
-def _ranks(signatures):
-    """Per item, the rank of its signature among the distinct signatures."""
-    order = sorted(range(len(signatures)), key=signatures.__getitem__)
-    ranks = [0] * len(signatures)
-    for a, b in zip(order, order[1:]):
-        ranks[b] = ranks[a] + (signatures[b] != signatures[a])
-    return ranks
-
-
-def _refined_form(data):
-    """`refined_key` of `_floor_data` ``data`` and |Aut_floor|, the number of
-    floor automorphisms of (D, w, theta).
-
-    Automorphisms keep every colour, so the relabellings into colour order
-    that reach the least encoding are one coset of the floor automorphisms:
-    there are exactly |Aut_floor| of them.
-    """
-    blocks, start = [], 0
-    for cell in _colour_cells(data):
-        blocks.append((cell, range(start, start + len(cell))))
-        start += len(cell)
-    encodings = list(map(_encode, _relabellings(data, blocks)))
-    key = min(encodings)
-    return key, encodings.count(key)
-
-
-def refined_key(diagram):
-    """Exact isomorphism key of (D, w, theta): the least encoding over the
-    relabellings that put the floors in colour order, permuting only within
-    the cells of the colour refinement.  Isomorphisms keep colours, so two
-    diagrams have equal keys exactly when they are isomorphic; the key is
-    not `canonical_key`, which minimises over all n! relabellings."""
-    return diagram.refined_form[0]
-
-
-def _least_diagram(data):
-    """The `canonical_key` of the class of `_floor_data` ``data`` and the
-    class in its first labelling, from one `_least_forms` search.  The first
-    labelling is the floor labelling that a search over every labelling,
-    iterating in the order of `enumerate_diagrams`, meets first: the one
-    minimising (left thetas, right thetas, finite pairs, down-tail and
-    up-tail targets per weight, finite weights)."""
-    key, (lefts, _, pairs, down, up, weights) = _least_forms(data)
-    fins = [(s, t, w) for (s, t), w in zip(pairs, weights)]
-    return key, _build_diagram(lefts, fins, [(t, w) for w, t in down], [(s, w) for w, s in up])
+    """Exact isomorphism key of (D, w, theta): the least encoding over all
+    n! relabellings of the floors (`_least_forms`), so two diagrams have
+    equal keys exactly when they are isomorphic.  It removes duplicates in
+    `enumerate_diagrams` and fixes the order in which it returns them."""
+    return diagram.canonical_form[0]
 
 
 def _least_forms(data):
     """The least encoding and the least search order over all n!
-    relabellings of the floors of `_floor_data` ``data``, from one
-    branch-and-bound.
+    relabellings of the floors of `_floor_data` ``data``, and the number of
+    relabellings onto the least encoding, from one branch-and-bound.
 
-    The search order of a relabelling is (left thetas, right thetas, finite
-    pairs (s, t) sorted, down tails (w, t) sorted, up tails (w, s) sorted,
-    finite weights in pair order).  Returns (key, first): the key as
-    `_encode` builds it, and first as those six parts.
+    The encoding of a relabelling is (left thetas by new position, finite
+    edges (s, t, w) sorted, down tails (t, w) sorted, up tails (s, w)
+    sorted); its search order is (left thetas, right thetas, finite pairs
+    (s, t) sorted, down tails (w, t) sorted, up tails (w, s) sorted, finite
+    weights in pair order).  Returns (key, first, aut): the least encoding,
+    the least search order as those six parts, and |Aut_floor|, since the
+    relabellings onto the key are one coset of the floor automorphisms.
 
     New positions 0, 1, ... are filled in order.  The thetas lead both
     orders, so a least relabelling puts at position k a floor of least left
@@ -580,7 +450,8 @@ def _least_forms(data):
     the subtree.  The prefix only grows along a branch.  Children are explored
     in order of their bounds, each while its bound is not above the best
     leaf of its order; tails and weights decide between leaves with the
-    same edges.  The last two positions, and all of them for at most three
+    same edges.  No bound is strict, so every leaf onto the key is reached
+    and counted.  The last two positions, and all of them for at most three
     floors, are tried without bounds: at two or six orders, bounding costs
     more than trying.
     """
@@ -600,9 +471,10 @@ def _least_forms(data):
     order = []  # the floor at each placed position
     # the best leaves: (edges, downs, ups) and (pairs, downs, ups, weights)
     best_key = best_first = None
+    aut = 0  # the leaves onto best_key
 
     def leaf(key_alive, first_alive):
-        nonlocal best_key, best_first
+        nonlocal best_key, best_first, aut
         edges = tuple(sorted([(pos[s], pos[t], w) for s, t, w in fins]))
         if key_alive and (best_key is None or edges <= best_key[0]):
             key = (
@@ -611,7 +483,9 @@ def _least_forms(data):
                 tuple(sorted([(pos[s], w) for s, w in ups])),
             )
             if best_key is None or key < best_key:
-                best_key = key
+                best_key, aut = key, 1
+            elif key == best_key:
+                aut += 1
         if first_alive:
             pairs = tuple([(s, t) for s, t, _ in edges])
             if best_first is None or pairs <= best_first[0]:
@@ -699,6 +573,7 @@ def _least_forms(data):
     return (
         (sorted_lefts, *best_key),
         (sorted_lefts, tuple(right for _, right in slots), *best_first),
+        aut,
     )
 
 
@@ -825,11 +700,13 @@ def enumerate_diagrams(spec):
     weighted finite edges i < j by one search that keeps the weight crossing
     every prefix cut exact (`_weighted_edges`), and keeps the connected
     ones.  Every acyclic diagram has such a topological labelling, so the
-    search is complete.  Duplicates are removed by `refined_key`.  Each
-    class then takes one `_least_forms` search (`_least_diagram`) on the
-    floor data of its first candidate, for its `canonical_key`, which orders
-    the output, and its first labelling, in which it is returned; both are
-    minima over all n! relabellings of its floors.
+    search is complete.  One `_least_forms` search per candidate gives its
+    `canonical_key`, which removes duplicates and orders the output, its
+    first labelling, in which its class is returned, and |Aut_floor|, which
+    fills the diagram's `canonical_form`.  The first labelling is the one
+    that a search over every labelling, iterating in this function's order,
+    meets first: the one minimising (left thetas, right thetas, finite
+    pairs, down-tail and up-tail targets per weight, finite weights).
     """
     spec.check()
     n = spec.data.d_height
@@ -841,18 +718,18 @@ def enumerate_diagrams(spec):
         for fins in _weighted_edges(c, m):
             if component_count(range(n), [(s, t) for s, t, _ in fins]) != 1:
                 continue
-            data = (tl, tr, fins, down, up)
-            found.setdefault(_refined_form(data)[0], data)
-    forms = dict(map(_least_diagram, found.values()))
-    if len(forms) != len(found):
-        raise InvariantViolation(
-            "diagram classes", [f"{len(found)} refined keys for {len(forms)} classes"]
-        )
-    out = [forms[key] for key in sorted(forms)]
-    for diag in out:
+            key, first, aut = _least_forms((tl, tr, fins, down, up))
+            found.setdefault(key, (first, aut))
+    out = []
+    for key in sorted(found):
+        (lefts, _, pairs, down, up, weights), aut = found[key]
+        fins = [(s, t, w) for (s, t), w in zip(pairs, weights)]
+        diag = _build_diagram(lefts, fins, [(t, w) for w, t in down], [(s, w) for w, s in up])
+        diag.__dict__["canonical_form"] = key, aut  # the cached property, filled
         ok, violations = validate_verbose(diag, spec)
         if not ok:
             raise InvariantViolation("generated diagram is invalid", violations)
+        out.append(diag)
     return out
 
 
@@ -1012,7 +889,7 @@ def count_markings(diagram, spec):
     (`_label_moves`); the size of a down-set is the position of the next
     label.  Automorphisms of (D, w, theta) act freely on markings, and the
     orderings of identical edges are already left out of L, so there are
-    L / |Aut_floor| classes, |Aut_floor| from `FloorDiagram.refined_form`.
+    L / |Aut_floor| classes, |Aut_floor| from `FloorDiagram.canonical_form`.
     """
     ways = {0: 1}
     for moves in _label_moves(diagram, spec):
@@ -1023,7 +900,7 @@ def count_markings(diagram, spec):
                     nxt[mask | b] = nxt.get(mask | b, 0) + n
         ways = nxt
     labellings = sum(ways.values())
-    aut = diagram.refined_form[1]
+    aut = diagram.canonical_form[1]
     if labellings % aut:
         raise InvariantViolation(
             "marking count",

@@ -273,7 +273,8 @@ class LatticePolygon:
     """Strictly convex polygon with integral vertices, stored counterclockwise.
 
     Clockwise input is silently reversed; consecutive collinear or repeated
-    vertices are merged.  Segments and points are rejected.
+    vertices are merged.  Segments and points are rejected.  Immutable, as a
+    `Record` is: assigning or deleting an attribute raises AttributeError.
     """
 
     __slots__ = ("vertices",)
@@ -301,7 +302,17 @@ class LatticePolygon:
         if turns != 1:
             raise DegeneratePolygon("edge directions wind more than once")
         start = min(range(n), key=lambda i: pts[i])
-        self.vertices = tuple(pts[start:] + pts[:start])
+        object.__setattr__(self, "vertices", tuple(pts[start:] + pts[:start]))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle would set the slot through __setattr__
+        return LatticePolygon, (self.vertices,)
 
     def __eq__(self, other):
         return isinstance(other, LatticePolygon) and self.vertices == other.vertices

@@ -484,6 +484,6 @@ def verify_realization(realization, diagram, marking, cfg, spec):
         # elevator nor a floor direction, or a nonpositive weight
         violations.append(f"curve has no floor decomposition: {exc}")
     else:
-        if diagram_mod.refined_key(back) != diagram_mod.refined_key(diagram):
+        if diagram_mod.canonical_key(back) != diagram_mod.canonical_key(diagram):
             violations.append("floor decomposition does not recover the diagram")
     return violations

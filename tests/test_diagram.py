@@ -22,7 +22,6 @@ from tropico.diagram import (
     enumerate_markings,
     lemma_1_5_check,
     multiplicity,
-    refined_key,
     validate,
     validate_verbose,
     weighted_count_check,
@@ -223,7 +222,7 @@ def test_orbit_count_equals_raw_count_when_aut_trivial():
     # equals the count of class-canonical order-compatible sequences
     for diag in enumerate_diagrams(T3_B3):
         if _shape(diag) == "chain":
-            assert len(_floor_permutations(diag)) == 1 == diag.refined_form[1]
+            assert len(_floor_permutations(diag)) == 1 == diag.canonical_form[1]
             assert len(enumerate_markings(diag, T3_B3)) == 5
 
 
@@ -423,7 +422,7 @@ def test_relabelling_identities():
             assert key == min(encodings)
             # orbit-stabiliser: the relabellings onto the key are a coset of Aut
             assert len(_floor_permutations(diag)) == encodings.count(key)
-            assert diag.refined_form[1] == encodings.count(key)
+            assert diag.canonical_form[1] == encodings.count(key)
             first = class_forms(diag)[1]
             assert canonical_key(first) == key
             assert class_forms(first)[1] == first
@@ -432,9 +431,9 @@ def test_relabelling_identities():
 def test_count_markings_rejects_a_remainder(monkeypatch):
     # the chain cubic has 5 labellings and a trivial automorphism group; a
     # group of order 2 would leave a remainder
+    least_forms = diagram_mod._least_forms
+    monkeypatch.setattr(diagram_mod, "_least_forms", lambda data: (*least_forms(data)[:2], 2))
     chain = next(d for d in enumerate_diagrams(T3_B3) if _shape(d) == "chain")
-    refined_form = diagram_mod._refined_form
-    monkeypatch.setattr(diagram_mod, "_refined_form", lambda data: (refined_form(data)[0], 2))
     with pytest.raises(InvariantViolation):
         count_markings(chain, T3_B3)
 
@@ -628,27 +627,76 @@ def _shuffled(diag, rng):
     return FloorDiagram(tuple(floors), diag.inf_minus, diag.inf_plus, tuple(edges))
 
 
-def test_refined_key_is_an_exact_isomorphism_test():
+def test_canonical_key_is_an_exact_isomorphism_test():
     rng = random.Random(6)
     specs = [DiagramSpec(triangle(4), (0, 1), g, (), (), (), (4,)) for g in range(4)]
     specs += [DiagramSpec(triangle(5), (0, 1), g, (), (), (), (5,)) for g in (0, 1)]
     specs += [TZ132_G1]
     for spec in specs:
-        diagrams = []
-        for diag in enumerate_diagrams(spec):
-            diagrams += [diag, _shuffled(diag, rng), _shuffled(diag, rng)]
-        keys = {(refined_key(d), canonical_key(d)) for d in diagrams}
-        # equal refined keys exactly when equal canonical keys
-        assert len({r for r, _ in keys}) == len({k for _, k in keys}) == len(keys)
-        assert len(keys) == len(diagrams) // 3
+        diagrams = enumerate_diagrams(spec)
+        keys = [canonical_key(d) for d in diagrams]
+        # distinct classes have distinct keys, and a class keeps its key
+        # under any labelling of its floors, edges and vertices
+        assert len(set(keys)) == len(diagrams)
+        for diag, key in zip(diagrams, keys):
+            assert canonical_key(_shuffled(diag, rng)) == key == canonical_key(_shuffled(diag, rng))
 
 
-def test_enumerate_diagrams_reports_a_split_class(monkeypatch):
-    # a key that depends on the labelling gives one class more than one key
-    monkeypatch.setattr(diagram_mod, "_refined_form", lambda data: (repr(data), 1))
+def test_count_explain_reports_a_split_class(monkeypatch):
+    # a key that depends on the labelling lists one class more than once:
+    # T4 g=0 has 16 candidates for 12 classes, so the rows overcount
+    least_forms = diagram_mod._least_forms
+    monkeypatch.setattr(diagram_mod, "_least_forms", lambda data: (repr(data), *least_forms(data)[1:]))
+    spec = DiagramSpec(triangle(4), (0, 1), 0, (), (), (), (4,))
+    assert len(enumerate_diagrams(spec)) == 16
     with pytest.raises(InvariantViolation) as err:
-        enumerate_diagrams(DiagramSpec(triangle(4), (0, 1), 0, (), (), (), (4,)))
-    assert "refined keys" in err.value.violations[0]
+        count(spec, explain=True)
+    assert "the listed diagrams sum to" in err.value.violations[0]
+
+
+def test_the_listing_searches_each_candidate_once(monkeypatch):
+    # the listing fills each diagram's canonical form, so counting the
+    # markings of the listed diagrams searches no class again
+    calls = []
+    least_forms = diagram_mod._least_forms
+    monkeypatch.setattr(diagram_mod, "_least_forms", lambda data: calls.append(data) or least_forms(data))
+    spec = DiagramSpec(triangle(4), (0, 1), 0, (), (), (), (4,))
+    rows = count(spec, explain=True)[1]
+    assert len(calls) == 16 and len(rows) == 12
+
+
+def _relabellings(data):
+    """Every relabelling of the floors of `_floor_data` ``data``, one per
+    permutation perm of the positions (the floor at position i moves to
+    perm[i]), the identity first.
+
+    Yields (perm, lefts, rights, fins, downs, ups): the left and right
+    thetas by new position, the finite edges (s, t, w) sorted, and the down
+    tails (t, w) and up tails (s, w) in edge order.
+    """
+    lefts, rights, fins, downs, ups = data
+    n = len(lefts)
+    for perm in itertools.permutations(range(n)):
+        new_lefts, new_rights = [0] * n, [0] * n
+        for i, new in enumerate(perm):
+            new_lefts[new] = lefts[i]
+            new_rights[new] = rights[i]
+        yield (
+            perm,
+            tuple(new_lefts),
+            tuple(new_rights),
+            sorted([(perm[s], perm[t], w) for s, t, w in fins]),
+            [(perm[t], w) for t, w in downs],
+            [(perm[s], w) for s, w in ups],
+        )
+
+
+def _encode(relabelling):
+    """Encoding of a relabelling, as `_least_forms` minimises it: the left
+    thetas by position, then the finite edges, down tails and up tails,
+    each sorted."""
+    _, lefts, _, fins, downs, ups = relabelling
+    return (lefts, tuple(fins), tuple(sorted(downs)), tuple(sorted(ups)))
 
 
 def _search_order(relabelling):
@@ -665,30 +713,32 @@ def _search_order(relabelling):
     )
 
 
+def _in_search_order(first):
+    """The diagram of a least search order, as `enumerate_diagrams` builds it."""
+    lefts, _, pairs, down, up, weights = first
+    fins = [(s, t, w) for (s, t), w in zip(pairs, weights)]
+    return diagram_mod._build_diagram(
+        lefts, fins, [(t, w) for w, t in down], [(s, w) for w, s in up]
+    )
+
+
 def class_forms(diagram):
-    """The canonical key and the first labelling of a diagram's class."""
-    return diagram_mod._least_diagram(diagram_mod._floor_data(diagram))
+    """The canonical key, the first labelling and |Aut_floor| of a
+    diagram's class, from `_least_forms`."""
+    key, first, aut = diagram_mod._least_forms(diagram_mod._floor_data(diagram))
+    return key, _in_search_order(first), aut
 
 
 def class_forms_brute_force(diagram):
     """The pass that the branch-and-bound replaced, kept as its reference:
     over all n! relabellings of the floors, the least `_encode` (the
-    canonical key) and the diagram in the least `_search_order` (the first
-    labelling)."""
-    data = diagram_mod._floor_data(diagram)
-    everything = [(range(len(diagram.floors)),) * 2]
-    key = first = None
-    for relabelling in diagram_mod._relabellings(data, everything):
-        enc, order = diagram_mod._encode(relabelling), _search_order(relabelling)
-        if key is None or enc < key:
-            key = enc
-        if first is None or order < first:
-            first = order
-    lefts, _, pairs, down, up, weights = first
-    fins = [(s, t, w) for (s, t), w in zip(pairs, weights)]
-    return key, diagram_mod._build_diagram(
-        lefts, fins, [(t, w) for w, t in down], [(s, w) for w, s in up]
-    )
+    canonical key), the diagram in the least `_search_order` (the first
+    labelling) and the number of relabellings onto the key (|Aut_floor|)."""
+    relabellings = list(_relabellings(diagram_mod._floor_data(diagram)))
+    encodings = [_encode(r) for r in relabellings]
+    key = min(encodings)
+    first = min(map(_search_order, relabellings))
+    return key, _in_search_order(first), encodings.count(key)
 
 
 def test_class_forms_match_the_relabelling_pass():
@@ -804,15 +854,9 @@ def label_moves_reference(diagram, spec):
 
 def _floor_permutations(diagram):
     """The relabellings of floors preserving theta and the weighted
-    structure: the automorphisms of (D, w, theta) on floors, sorted.  An
-    automorphism keeps every colour, so only permutations within the cells
-    of the colour refinement are tried."""
-    data = diagram_mod._floor_data(diagram)
-    cells = diagram_mod._colour_cells(data)
-    encoded = [
-        (r[0], diagram_mod._encode(r))
-        for r in diagram_mod._relabellings(data, [(c, c) for c in cells])
-    ]
+    structure: the automorphisms of (D, w, theta) on floors, sorted, found
+    among all n! relabellings."""
+    encoded = [(r[0], _encode(r)) for r in _relabellings(diagram_mod._floor_data(diagram))]
     return sorted(perm for perm, enc in encoded if enc == encoded[0][1])
 
 
@@ -935,7 +979,7 @@ def test_enumerate_markings_matches_the_orbit_tokens():
     for specs in MARKING_CORPUS.values():
         for spec in specs:
             for diag in enumerate_diagrams(spec):
-                auts.add(diag.refined_form[1])
+                auts.add(diag.canonical_form[1])
                 assert enumerate_markings(diag, spec) == markings_by_orbit_tokens(diag, spec)
     assert {2, 6} <= auts
 
@@ -974,9 +1018,9 @@ def test_enumerate_markings_matches_the_orbit_tokens_on_random_diagrams(monkeypa
     while tried < 150:
         diag = _random_diagram(rng, rng.randint(2, 5))
         spec = _random_type(rng, diag)
-        assert diag.refined_form[1] == len(_floor_permutations(diag)), diag
+        assert diag.canonical_form[1] == len(_floor_permutations(diag)), diag
         nclasses = count_markings(diag, spec)
-        if nclasses * diag.refined_form[1] > 2000:
+        if nclasses * diag.canonical_form[1] > 2000:
             continue  # too many sequences for the reference to list
         tried += 1
         markings = enumerate_markings(diag, spec)

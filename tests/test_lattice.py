@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -110,6 +112,23 @@ def test_clockwise_input_reversed_and_degenerate_rejected():
         LatticePolygon([(0, 0), (1, 0), (2, 0)])  # segment
     with pytest.raises(DegeneratePolygon):
         LatticePolygon([(0, 0), (2, 0), (1, 1), (2, 2), (0, 2)])  # reflex corner
+
+
+def test_a_polygon_is_immutable_and_copies_as_its_vertices():
+    # a polygon is a dict key and a DiagramSpec field, whose direction data
+    # is cached: changing it in place would change its hash under them
+    poly = triangle(3)
+    vertices, h = poly.vertices, hash(poly)
+    with pytest.raises(AttributeError):
+        poly.vertices = ((0, 0), (5, 0), (0, 1))
+    with pytest.raises(AttributeError):
+        poly.other = 1
+    with pytest.raises(AttributeError):
+        del poly.vertices
+    assert poly.vertices == vertices and hash(poly) == h
+    for copied in (copy.copy(poly), copy.deepcopy(poly), pickle.loads(pickle.dumps(poly))):
+        assert type(copied) is LatticePolygon
+        assert copied == poly and copied.vertices == vertices and hash(copied) == h
 
 
 def test_vertex_singularity_examples():

@@ -834,8 +834,9 @@ def test_integer_frame_matches_fraction_reference_on_more_floors():
 
 def test_round_trip_key_is_computed_once_per_diagram():
     diag = enumerate_diagrams(T3_G0)[0]
-    assert diagram_module.refined_key(diag) is diagram_module.refined_key(diag)
-    assert diag.refined_form == diagram_module._refined_form(diagram_module._floor_data(diag))
+    assert diagram_module.canonical_key(diag) is diagram_module.canonical_key(diag)
+    key, _, aut = diagram_module._least_forms(diagram_module._floor_data(diag))
+    assert diag.canonical_form == (key, aut)
 
 
 def test_verification_builds_each_star_map_and_circuit_polygon_once(monkeypatch):

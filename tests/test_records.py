@@ -46,7 +46,7 @@ RECORDS = {
     FloorDiagram: (
         line_diagram,
         ("floors", "inf_minus", "inf_plus", "edges"),
-        ("refined_form",),
+        ("canonical_form",),
         "FloorDiagram(floors=((0, 0),), inf_minus=(1,), inf_plus=(), edges=((1, 0, 1),))",
     ),
     DiagramSpec: (
