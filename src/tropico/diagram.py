@@ -198,6 +198,16 @@ class FloorDiagram(Record):
         key, _, aut = _least_forms(_floor_data(self))
         return key, aut
 
+    def valid_for(self, spec):
+        """`validate` of the diagram against spec, remembered on the
+        instance for the last spec asked about (by identity).  Each diagram
+        that `enumerate_diagrams` returns remembers its own spec, against
+        which the listing has validated it."""
+        known = self.__dict__.get("valid_for_spec")
+        if known is None or known[0] is not spec:
+            known = self.__dict__["valid_for_spec"] = spec, validate(self, spec)
+        return known[1]
+
     @property
     def floor_ids(self):
         return tuple(f for f, _ in self.floors)
@@ -703,10 +713,12 @@ def enumerate_diagrams(spec):
     search is complete.  One `_least_forms` search per candidate gives its
     `canonical_key`, which removes duplicates and orders the output, its
     first labelling, in which its class is returned, and |Aut_floor|, which
-    fills the diagram's `canonical_form`.  The first labelling is the one
-    that a search over every labelling, iterating in this function's order,
-    meets first: the one minimising (left thetas, right thetas, finite
-    pairs, down-tail and up-tail targets per weight, finite weights).
+    fills the diagram's `canonical_form`; the validation of each returned
+    diagram fills its `valid_for` answer for spec.  The first labelling is
+    the one that a search over every labelling, iterating in this
+    function's order, meets first: the one minimising (left thetas, right
+    thetas, finite pairs, down-tail and up-tail targets per weight, finite
+    weights).
     """
     spec.check()
     n = spec.data.d_height
@@ -729,6 +741,7 @@ def enumerate_diagrams(spec):
         ok, violations = validate_verbose(diag, spec)
         if not ok:
             raise InvariantViolation("generated diagram is invalid", violations)
+        diag.__dict__["valid_for_spec"] = spec, True
         out.append(diag)
     return out
 
@@ -834,7 +847,7 @@ def enumerate_markings(diagram, spec):
     least token, which writes each floor as its position and each edge as
     (source position or -1, target position or -2, weight).
     """
-    if not validate(diagram, spec):
+    if not diagram.valid_for(spec):
         return []
     # census must match the type or no marking exists
     down = sorted(w for _, _, w in diagram.down_edges())

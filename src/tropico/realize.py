@@ -22,7 +22,7 @@ from . import diagram as diagram_mod
 from . import lattice
 from .lattice import Record, component_roots, dot, perp, scale, slope_of, slope_vector
 from .tropical import NotClosed, NotTrivalent, ParametrizedCurve, PEdge, check_balancing
-from .tropical import _dual_polygon, _integral_frame, tropical_multiplicity
+from .tropical import _dual_polygon, _integral_frame, _traces, tropical_multiplicity
 
 
 class RealizeError(lattice.TropicoError):
@@ -180,7 +180,7 @@ def realize(diagram, marking, cfg, spec):
     integer too, and every comparison is an integer one.  Fractions are
     built only for the result.
     """
-    if not diagram_mod.validate(diagram, spec):
+    if not diagram.valid_for(spec):
         raise InvalidMarking("diagram does not validate against the spec")
     d = spec.direction
     e = _transverse_axis(d)
@@ -324,14 +324,22 @@ def floor_decompose(pc, d):
     """Floor diagram of a parametrized curve with respect to direction d.
 
     Elevators are the edges with image direction +-d; floors are the
-    connected components of the rest; theta is the slope of each floor's
-    leftmost piece.
+    connected components of the rest, numbered in the order of their
+    union-find roots; theta is the slope of each floor's leftmost piece.
+    The decomposition reads the curve alone, so `verify_realization` can
+    test it against the diagram that was realized.
     """
+    return _decompose(pc, d)[0]
+
+
+def _decompose(pc, d):
+    """`floor_decompose`'s diagram, and the floor of each position."""
     n = len(pc.positions)
+    down = scale(d, -1)
     elevator = []
     floorish = []
     for e in pc.edges:
-        if e.direction == d or e.direction == scale(d, -1):
+        if e.direction == d or e.direction == down:
             elevator.append(e)
         else:
             floorish.append(e)
@@ -339,19 +347,25 @@ def floor_decompose(pc, d):
     comp_index = {r: c for c, r in enumerate(sorted(set(roots.values())))}
     comp_of = {v: comp_index[roots[v]] for v in range(n)}
 
-    thetas = {}
+    # the slope of each piece direction, oriented toward increasing
+    # abscissa, and whether the direction points left
+    slopes = {}
     axis = _transverse_axis(d)
+    left, first = {}, {}  # floor -> slope of its leftward ray / first piece
     for e in floorish:
-        # orient the piece toward increasing abscissa
-        u = e.direction if dot(axis, e.direction) > 0 else scale(e.direction, -1)
-        m = slope_of(d, u)
+        u = e.direction
+        known = slopes.get(u)
+        if known is None:
+            t = dot(axis, u)
+            known = slopes[u] = slope_of(d, u if t > 0 else scale(u, -1)), t < 0
+        m, leftward = known
         c = comp_of[e.a]
-        if e.b < 0 and dot(axis, e.direction) < 0:
-            thetas[c] = m  # the leftward infinite piece carries theta
-        thetas.setdefault(("any", c), m)
+        if e.b < 0 and leftward:
+            left[c] = m  # the leftward infinite piece carries theta
+        first.setdefault(c, m)
     floors = []
     for c in range(len(comp_index)):
-        th = thetas.get(c, thetas.get(("any", c)))
+        th = left.get(c, first.get(c))
         if th is None:
             raise RealizeError(f"floor component {c} has no transverse piece")
         floors.append((c, th))
@@ -372,9 +386,52 @@ def floor_decompose(pc, d):
             edges.append((nid, comp_of[e.a], e.weight))
             inf_minus.append(nid)
             nid += 1
-    return diagram_mod.FloorDiagram(
-        tuple(floors), tuple(inf_minus), tuple(inf_plus), tuple(edges)
-    )
+    back = diagram_mod.FloorDiagram(tuple(floors), tuple(inf_minus), tuple(inf_plus), tuple(edges))
+    return back, comp_of
+
+
+def _floor_census(diagram, pos):
+    """The diagram with each floor f renamed pos[f]: its thetas by new
+    name, and its finite edges (s, t, w), down tails (t, w) and up tails
+    (s, w), each sorted."""
+    thetas = [None] * len(pos)
+    for f, th in diagram.floors:
+        thetas[pos[f]] = th
+    fins, downs, ups = [], [], []
+    for s, t, w in diagram.edges:
+        if s not in pos:
+            downs.append((pos[t], w))
+        elif t not in pos:
+            ups.append((pos[s], w))
+        else:
+            fins.append((pos[s], pos[t], w))
+    fins.sort()
+    downs.sort()
+    ups.sort()
+    return thetas, fins, downs, ups
+
+
+def _recovers(back, floor_of, diagram, sizes):
+    """Whether the decomposition back, whose position v lies on floor
+    floor_of[v], equals diagram under the floor map of realize's layout:
+    positions come floor by floor, sizes[i] of them for the floor at
+    position i of diagram.floors, so the floor of each block's first
+    position goes to that floor.  When that map is a bijection under which
+    the thetas, finite edges and tails agree, the two are isomorphic; a
+    False decides nothing."""
+    n = len(diagram.floors)
+    if len(back.floors) != n or len(sizes) != n:
+        return False
+    to, start = {}, 0
+    for i, size in enumerate(sizes):
+        if start >= len(floor_of):
+            return False
+        to.setdefault(floor_of[start], i)
+        start += size
+    if len(to) != n:
+        return False
+    pos = {f: i for i, f in enumerate(diagram.floor_ids)}
+    return _floor_census(back, to) == _floor_census(diagram, pos)
 
 
 def point_on_curve(pc, point):
@@ -414,14 +471,22 @@ def points_on_curve(pc, points):
 def verify_realization(realization, diagram, marking, cfg, spec):
     """All bijection-side checks; returns the list of violations (empty = pass).
 
-    The ray circuit traces the Newton polygon when its edge vectors equal
-    those of spec.polygon (both polygons start at their least vertex).  The
-    balancing and multiplicity checks read the curve's cached incidence, so
-    a curve's star map is built once.  A curve on which a check cannot be
-    made (rays that span no polygon, a vertex that is not trivalent, no
-    floor decomposition) gets a violation for it, not an exception; an edge
-    that joins a vertex the curve does not have is the only violation
-    reported, since no other check can read such a curve.
+    The balancing and multiplicity checks read the curve's cached
+    incidence, so a curve's star map is built once.  A curve on which a
+    check cannot be made (rays that span no polygon, a vertex that is not
+    trivalent, no floor decomposition) gets a violation for it, not an
+    exception; an edge that joins a vertex the curve does not have is the
+    only violation reported, since no other check can read such a curve.
+
+    A curve that passes costs time linear in its edges.  Its rays trace
+    spec.polygon when their summed weight per direction is the polygon's
+    table of outward normals to lattice lengths (tropical._traces); only
+    when the tables differ is the ray circuit built (_dual_polygon), to
+    name the failure: a drift, or a circuit that does not trace the
+    polygon.  The floor decomposition recovers the diagram when it equals
+    it under the floor map of the realization's own layout (_recovers);
+    only when it does not are the canonical keys compared, so the verdict
+    is isomorphism, on every curve.
     """
     pc = realization.curve
     n = len(pc.positions)
@@ -442,18 +507,19 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     for i, on in enumerate(points_on_curve(pc, cfg.points)):
         if not on:
             violations.append(f"point {i + 1} not on the curve")
-    # infinite-edge census against the boundary data, via the ray circuit
-    try:
-        circuit = _dual_polygon([(e.direction, e.weight) for e in pc.edges if e.b < 0])
-        if circuit.edge_vectors() != spec.polygon.edge_vectors():
+    # infinite-edge census against the boundary data
+    rays = [(e.direction, e.weight) for e in pc.edges if e.b < 0]
+    if not _traces(rays, spec.polygon):
+        try:
+            circuit = _dual_polygon(rays)
+            if circuit.edge_vectors() != spec.polygon.edge_vectors():
+                violations.append("ray circuit does not trace the Newton polygon")
+        except NotClosed as exc:
+            violations.append(str(exc))
+        except lattice.DegeneratePolygon:
+            # the rays close up but span no polygon, e.g. two opposite rays
             violations.append("ray circuit does not trace the Newton polygon")
-    except NotClosed as exc:
-        violations.append(str(exc))
-    except lattice.DegeneratePolygon:
-        # the rays close up but span no polygon, e.g. two opposite rays
-        violations.append("ray circuit does not trace the Newton polygon")
     # alpha rays supported on their Omega lines
-    e_axis = _transverse_axis(spec.direction)
     lo = -diagram_mod.nseq_abs(spec.alpha_minus) + 1
     s = spec.s
     elab = {el: lab for lab, el in marking.as_dict().items()}
@@ -478,12 +544,15 @@ def verify_realization(realization, diagram, marking, cfg, spec):
             violations.append(f"multiplicity {mu} != edge product {expected}")
     # round trip
     try:
-        back = floor_decompose(pc, spec.direction)
+        back, floor_of = _decompose(pc, spec.direction)
     except lattice.TropicoError as exc:
         # a floor with no transverse piece, a piece that is neither an
         # elevator nor a floor direction, or a nonpositive weight
         violations.append(f"curve has no floor decomposition: {exc}")
     else:
-        if diagram_mod.canonical_key(back) != diagram_mod.canonical_key(diagram):
+        sizes = [len(breaks) for _, breaks, _ in realization.floor_paths]
+        if not _recovers(back, floor_of, diagram, sizes) and (
+            diagram_mod.canonical_key(back) != diagram_mod.canonical_key(diagram)
+        ):
             violations.append("floor decomposition does not recover the diagram")
     return violations

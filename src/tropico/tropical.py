@@ -176,11 +176,17 @@ class PlaneTropicalCurve(Record):
 
     @staticmethod
     def build(vertices, segments, rays, crossings=(), newton=None):
+        """The curve of these pieces, with newton the polygon its ray
+        circuit traces: when given, a polygon the rays do not trace (see
+        _traces) raises TropicalError."""
         vertices = tuple(_frac_point(v) for v in vertices)
         segments = tuple(s if isinstance(s, Segment) else Segment(*s) for s in segments)
         rays = tuple(r if isinstance(r, Ray) else Ray(*r) for r in rays)
+        star = [(r.direction, r.weight) for r in rays]
         if newton is None:
-            newton = _dual_polygon([(r.direction, r.weight) for r in rays])
+            newton = _dual_polygon(star)
+        elif not _traces(star, newton):
+            raise TropicalError("ray circuit does not trace the Newton polygon")
         return PlaneTropicalCurve(vertices, segments, rays, frozenset(crossings), newton)
 
     @cached_property
@@ -260,6 +266,32 @@ def _dual_polygon(star, vertex=None):
             raise NotClosed(f"weighted ray circuit does not close: drift {total}")
         raise NotClosed(f"vertex {vertex} is not balanced")
     return LatticePolygon(pts[:-1])
+
+
+def _traces(star, polygon):
+    """Whether the rays (u, w) of star trace polygon as their circuit,
+    decided without building the circuit (see _dual_polygon).
+
+    Each edge (x, y) of the counterclockwise polygon gives its outward
+    primitive normal (y/g, -x/g) its lattice length g = gcd(x, y); the rays
+    must have these directions, positive weights, and per direction these
+    summed weights.  Equal tables close the circuit and give it the edge
+    vectors of polygon.  A star that fails may still close onto polygon,
+    with a weight 0 or -1 or a direction that is not primitive, so a
+    caller that names the failure asks _dual_polygon.
+    """
+    census = {}
+    for u, w in star:
+        if w < 1:
+            return False
+        census[u] = census.get(u, 0) + w
+    if len(census) != len(polygon.vertices):
+        return False
+    for x, y in polygon.edge_vectors():
+        g = math.gcd(x, y)
+        if census.get((y // g, -x // g)) != g:
+            return False
+    return True
 
 
 def newton_polygon_of(curve):

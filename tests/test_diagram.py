@@ -398,27 +398,12 @@ def test_count_markings_equals_enumeration():
             )
 
 
-def _relabelled_encoding(diag, perm):
-    """canonical_key's encoding of diag with the floor at position i renamed perm[i]."""
-    new = {f: perm[i] for i, f in enumerate(diag.floor_ids)}
-    fl = set(new)
-    return (
-        tuple(th for _, th in sorted((new[f], th) for f, th in diag.floors)),
-        tuple(sorted((new[s], new[t], w) for s, t, w in diag.edges if s in fl and t in fl)),
-        tuple(sorted((new[t], w) for s, t, w in diag.edges if s not in fl)),
-        tuple(sorted((new[s], w) for s, t, w in diag.edges if t not in fl)),
-    )
-
-
 def test_relabelling_identities():
     specs = [DiagramSpec(triangle(4), (0, 1), g, (), (), (), (4,)) for g in range(4)]
     for spec in specs + [TZ132_G1]:
         for diag in enumerate_diagrams(spec):
             key = canonical_key(diag)
-            encodings = [
-                _relabelled_encoding(diag, perm)
-                for perm in itertools.permutations(range(len(diag.floors)))
-            ]
+            encodings = [_encode(r) for r in _relabellings(diagram_mod._floor_data(diag))]
             assert key == min(encodings)
             # orbit-stabiliser: the relabellings onto the key are a coset of Aut
             assert len(_floor_permutations(diag)) == encodings.count(key)

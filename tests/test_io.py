@@ -122,3 +122,19 @@ def test_dumps_equals_the_json_reference_on_cli_output(files, monkeypatch, capsy
     assert "double_area" in kinds[1]
     assert "subdivision" in kinds[2]
     assert {"curve", "floors", "elevators"} <= kinds[3]
+
+
+def test_curve_reader_refuses_a_polygon_the_rays_do_not_trace():
+    # a tropical line stored with the cubic triangle: a domain error, not an
+    # input error, and no curve whose genus reads the wrong polygon
+    from tropico.lattice import TropicoError, triangle
+    from tropico.tropical import TropicalError
+
+    rays = [{"base": 0, "dir": u, "w": 1} for u in ([-1, 0], [0, -1], [1, 1])]
+    data = {"vertices": [["1/2", "-3"]], "segments": [], "rays": rays, "crossings": [],
+            "newton": io.polygon_to_json(triangle(1))}
+    assert io.curve_from_json(data).newton == triangle(1)
+    data["newton"] = io.polygon_to_json(triangle(3))
+    with pytest.raises(TropicalError, match="ray circuit does not trace the Newton polygon") as err:
+        io.curve_from_json(data)
+    assert isinstance(err.value, TropicoError) and not isinstance(err.value, io.InputError)

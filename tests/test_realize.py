@@ -21,8 +21,11 @@ from tropico.diagram import (
     validate,
 )
 from tropico.lattice import (
+    DegeneratePolygon,
     InvariantViolation,
     LatticePolygon,
+    TropicoError,
+    component_roots,
     det,
     diamond,
     direction_data,
@@ -30,6 +33,7 @@ from tropico.lattice import (
     octic_quadrilateral,
     perp,
     scale,
+    slope_of,
     slope_reference,
     slope_vector,
     triangle,
@@ -48,9 +52,12 @@ from tropico.realize import (
     realize_stretched,
     stretch_points,
     verify_realization,
+    _decompose,
+    _recovers,
     _transverse_axis,
 )
-from tropico.tropical import ParametrizedCurve, PEdge, check_balancing, tropical_multiplicity
+from tropico.tropical import NotClosed, NotTrivalent, ParametrizedCurve, PEdge, _dual_polygon
+from tropico.tropical import check_balancing, tropical_multiplicity
 
 
 T1 = DiagramSpec(triangle(1), (0, 1), 0, (), (), (), (1,))
@@ -189,7 +196,7 @@ def test_verify_detects_missing_point():
         cfg.omega_minus,
         cfg.omega_plus,
     )
-    violations = verify_realization(realization, diag, marking, moved, T1)
+    violations = verify_checked(realization, diag, marking, moved, T1)
     assert any("not on the curve" in v for v in violations)
 
 
@@ -200,7 +207,7 @@ def test_verify_detects_a_wrong_diagram():
     marking = enumerate_markings(diag, T3_G0)[0]
     realization, cfg = realize_stretched(diag, marking, T3_G0, seed=0)
     assert not verify_realization(realization, diag, marking, cfg, T3_G0)
-    violations = verify_realization(realization, other, marking, cfg, T3_G0)
+    violations = verify_checked(realization, other, marking, cfg, T3_G0)
     assert "floor decomposition does not recover the diagram" in violations
 
 
@@ -224,7 +231,7 @@ def verify_tampered_cubic(
         curve = ParametrizedCurve.build(pc.positions + tuple(extra_positions), edges)
     r = realization
     tampered = Realization(curve, r.floor_paths, r.elevator_lines, r.spec, r.diagram, r.marking)
-    return pc, verify_realization(tampered, diag, marking, cfg, spec)
+    return pc, verify_checked(tampered, diag, marking, cfg, spec)
 
 
 def test_verify_detects_an_unbalanced_curve():
@@ -293,7 +300,7 @@ def verify_edited_curve(spec, edit):
     r, cfg = realize_stretched(diag, marking, spec, seed=0)
     curve = ParametrizedCurve.build(r.curve.positions, edit(list(r.curve.edges)))
     edited = Realization(curve, r.floor_paths, r.elevator_lines, r.spec, r.diagram, r.marking)
-    return verify_realization(edited, diag, marking, cfg, spec)
+    return verify_checked(edited, diag, marking, cfg, spec)
 
 
 @pytest.mark.parametrize(
@@ -342,7 +349,7 @@ def test_verify_detects_tails_off_their_omega_lines():
             tuple(w + Fraction(1, 3) for w in cfg.omega_minus),
             tuple(w + Fraction(1, 3) for w in cfg.omega_plus),
         )
-        violations = verify_realization(realization, diag, marking, moved, spec)
+        violations = verify_checked(realization, diag, marking, moved, spec)
         assert violations == [f"{message} off its Omega line"]
 
 
@@ -839,12 +846,14 @@ def test_round_trip_key_is_computed_once_per_diagram():
     assert diag.canonical_form == (key, aut)
 
 
-def test_verification_builds_each_star_map_and_circuit_polygon_once(monkeypatch):
+def test_verification_builds_one_star_map_and_no_circuit_polygon_or_key(monkeypatch):
     """verify_realization followed by tropical_multiplicity on one curve
-    builds its star map (tropical._incidence) once and one LatticePolygon,
-    the ray circuit, on every marked diagram of T3 g=0."""
-    built = {"stars": 0, "polygons": 0}
+    builds its star map (tropical._incidence) once, and neither the ray
+    circuit's LatticePolygon nor a canonical key (diagram._least_forms),
+    on every marked diagram of T3 g=0."""
+    built = {"stars": 0, "polygons": 0, "keys": 0}
     incidence, polygon_init = tropical._incidence, LatticePolygon.__init__
+    least_forms = diagram_module._least_forms
 
     def counted_incidence(pieces):
         built["stars"] += 1
@@ -854,16 +863,197 @@ def test_verification_builds_each_star_map_and_circuit_polygon_once(monkeypatch)
         built["polygons"] += 1
         polygon_init(self, vertices)
 
+    def counted_least_forms(data):
+        built["keys"] += 1
+        return least_forms(data)
+
     cases = 0
     for diag in enumerate_diagrams(T3_G0):
         for marking in enumerate_markings(diag, T3_G0):
             realization, cfg = realize_stretched(diag, marking, T3_G0, seed=0)
-            built.update(stars=0, polygons=0)
+            built.update(stars=0, polygons=0, keys=0)
             with monkeypatch.context() as m:
                 m.setattr(tropical, "_incidence", counted_incidence)
                 m.setattr(LatticePolygon, "__init__", counted_init)
+                m.setattr(diagram_module, "_least_forms", counted_least_forms)
                 assert not verify_realization(realization, diag, marking, cfg, T3_G0)
                 tropical_multiplicity(realization.curve)
-            assert built == {"stars": 1, "polygons": 1}
+            assert built == {"stars": 1, "polygons": 0, "keys": 0}
             cases += 1
     assert cases > 0
+
+
+def floor_decompose_reference(pc, d):
+    """`floor_decompose` as it was before it took each direction's slope
+    once and gave the floor of each position."""
+    n = len(pc.positions)
+    elevator = []
+    floorish = []
+    for e in pc.edges:
+        if e.direction == d or e.direction == scale(d, -1):
+            elevator.append(e)
+        else:
+            floorish.append(e)
+    roots = component_roots(range(n), [(e.a, e.b) for e in floorish if e.b >= 0])
+    comp_index = {r: c for c, r in enumerate(sorted(set(roots.values())))}
+    comp_of = {v: comp_index[roots[v]] for v in range(n)}
+    thetas = {}
+    axis = _transverse_axis(d)
+    for e in floorish:
+        u = e.direction if dot(axis, e.direction) > 0 else scale(e.direction, -1)
+        m = slope_of(d, u)
+        c = comp_of[e.a]
+        if e.b < 0 and dot(axis, e.direction) < 0:
+            thetas[c] = m
+        thetas.setdefault(("any", c), m)
+    floors = []
+    for c in range(len(comp_index)):
+        th = thetas.get(c, thetas.get(("any", c)))
+        if th is None:
+            raise RealizeError(f"floor component {c} has no transverse piece")
+        floors.append((c, th))
+    edges = []
+    inf_minus, inf_plus = [], []
+    nid = len(comp_index)
+    for e in elevator:
+        up = e.direction == d
+        if e.b >= 0:
+            a, b = (comp_of[e.a], comp_of[e.b]) if up else (comp_of[e.b], comp_of[e.a])
+            edges.append((a, b, e.weight))
+        elif up:
+            edges.append((comp_of[e.a], nid, e.weight))
+            inf_plus.append(nid)
+            nid += 1
+        else:
+            edges.append((nid, comp_of[e.a], e.weight))
+            inf_minus.append(nid)
+            nid += 1
+    return FloorDiagram(tuple(floors), tuple(inf_minus), tuple(inf_plus), tuple(edges))
+
+
+def verify_realization_reference(realization, diagram, marking, cfg, spec):
+    """`verify_realization` as it was before its fast paths: it builds the
+    ray circuit's polygon and compares the canonical keys of the floor
+    decomposition and of the diagram on every curve."""
+    pc = realization.curve
+    n = len(pc.positions)
+    violations = [
+        f"edge {i} joins a vertex that does not exist"
+        for i, e in enumerate(pc.edges)
+        if not 0 <= e.a < n or e.b >= n
+    ]
+    if violations:
+        return violations
+    if not check_balancing(pc):
+        violations.append("curve is not balanced")
+    genus, components = pc.genus_and_components()
+    if genus != spec.genus:
+        violations.append(f"source genus {genus} != {spec.genus}")
+    if components != 1:
+        violations.append("source curve disconnected")
+    for i, on in enumerate(points_on_curve(pc, cfg.points)):
+        if not on:
+            violations.append(f"point {i + 1} not on the curve")
+    try:
+        circuit = _dual_polygon([(e.direction, e.weight) for e in pc.edges if e.b < 0])
+        if circuit.edge_vectors() != spec.polygon.edge_vectors():
+            violations.append("ray circuit does not trace the Newton polygon")
+    except NotClosed as exc:
+        violations.append(str(exc))
+    except DegeneratePolygon:
+        violations.append("ray circuit does not trace the Newton polygon")
+    lo = -diagram_module.nseq_abs(spec.alpha_minus) + 1
+    s = spec.s
+    elab = {el: lab for lab, el in marking.as_dict().items()}
+    exi = dict(realization.elevator_lines)
+    for idx in range(len(diagram.edges)):
+        lab = elab[("e", idx)]
+        if lab < 1 and exi[idx] != cfg.omega_minus[lab - lo]:
+            violations.append(f"fixed bottom tail {idx} off its Omega line")
+        if lab > s and exi[idx] != cfg.omega_plus[lab - s - 1]:
+            violations.append(f"fixed top tail {idx} off its Omega line")
+    try:
+        mu = tropical_multiplicity(pc)
+    except NotTrivalent as exc:
+        violations.append(str(exc))
+    else:
+        expected = 1
+        fl = set(diagram.floor_ids)
+        for a, b, w in diagram.edges:
+            expected *= w * w if (a in fl and b in fl) else w
+        if mu != expected:
+            violations.append(f"multiplicity {mu} != edge product {expected}")
+    try:
+        back = floor_decompose_reference(pc, spec.direction)
+    except TropicoError as exc:
+        violations.append(f"curve has no floor decomposition: {exc}")
+    else:
+        if canonical_key(back) != canonical_key(diagram):
+            violations.append("floor decomposition does not recover the diagram")
+    return violations
+
+
+def verify_checked(realization, diagram, marking, cfg, spec):
+    """verify_realization's violations, after checking that the reference
+    gives the same list; every tampered, edited or moved input of this file
+    goes through here."""
+    violations = verify_realization(realization, diagram, marking, cfg, spec)
+    assert violations == verify_realization_reference(realization, diagram, marking, cfg, spec)
+    return violations
+
+
+def _renamed(diag, marking, perm):
+    """An isomorphic copy of diag with floor f renamed perm[f] and the
+    floors listed by new name, and marking renamed to match."""
+    copy = FloorDiagram(
+        tuple(sorted((perm[f], th) for f, th in diag.floors)),
+        diag.inf_minus,
+        diag.inf_plus,
+        tuple((perm.get(a, a), perm.get(b, b), w) for a, b, w in diag.edges),
+    )
+    labels = tuple(("f", perm[x]) if kind == "f" else (kind, x) for kind, x in marking.labels)
+    return copy, Marking(copy, marking.label_start, labels)
+
+
+ROTATED_T3 = DiagramSpec(LatticePolygon([perp(v) for v in triangle(3).vertices]), perp((0, 1)),
+                         0, (), (), (), (3,))
+
+
+def test_verification_matches_the_reference():
+    # every marked diagram of the realize corpus (T3 g=0 and g=1, T4 g=0, the
+    # diamond, the octics) and of the rotated cubic passes both ways
+    curves = 0
+    for spec in REALIZE_CORPUS + [ROTATED_T3]:
+        for diag, marking in _marked(spec):
+            realization, cfg = realize_stretched(diag, marking, spec, seed=0)
+            assert verify_checked(realization, diag, marking, cfg, spec) == []
+            pc = realization.curve
+            assert floor_decompose(pc, spec.direction) == floor_decompose_reference(pc, spec.direction)
+            curves += 1
+    assert curves == 340 + 9
+    # a realization checked against every T3 g=0 diagram: the swapped ones
+    # fail the round trip
+    diags = enumerate_diagrams(T3_G0)
+    for diag in diags:
+        marking = enumerate_markings(diag, T3_G0)[0]
+        realization, cfg = realize_stretched(diag, marking, T3_G0, seed=0)
+        for other in diags:
+            violations = verify_checked(realization, other, marking, cfg, T3_G0)
+            assert ("floor decomposition does not recover the diagram" in violations) == (
+                other is not diag
+            )
+    # against an isomorphic copy with its floors renamed and reordered, the
+    # layout's floor map may not be an isomorphism, and the canonical keys
+    # decide
+    fallbacks = 0
+    for spec in (T3_G0, T3_G1):
+        for diag, marking in _marked(spec):
+            realization, cfg = realize_stretched(diag, marking, spec, seed=0)
+            back, floor_of = _decompose(realization.curve, spec.direction)
+            sizes = [len(breaks) for _, breaks, _ in realization.floor_paths]
+            assert _recovers(back, floor_of, diag, sizes)
+            for perm in itertools.permutations(diag.floor_ids):
+                copy, renamed = _renamed(diag, marking, dict(zip(diag.floor_ids, perm)))
+                assert verify_checked(realization, copy, renamed, cfg, spec) == []
+                fallbacks += not _recovers(back, floor_of, copy, sizes)
+    assert fallbacks

@@ -382,11 +382,13 @@ def test_balancing_random_and_broken():
         curve, _ = corner_locus(random_polynomial(rng, triangle(d)))
         assert check_balancing(curve)
     line, _ = corner_locus(tropical_line())
-    broken = PlaneTropicalCurve.build(
+    # the record itself: build refuses rays that do not trace the polygon
+    broken = PlaneTropicalCurve(
         line.vertices,
         line.segments,
-        [Ray(0, (-1, 0), 2), Ray(0, (0, -1), 1), Ray(0, (1, 1), 1)],
-        newton=line.newton,
+        (Ray(0, (-1, 0), 2), Ray(0, (0, -1), 1), Ray(0, (1, 1), 1)),
+        line.crossings,
+        line.newton,
     )
     assert not check_balancing(broken)
 
@@ -506,11 +508,40 @@ def test_genus_equivalence_lemma():
 
 def test_genus_mismatch_is_a_domain_error():
     # a curve built with a Newton polygon that is not the dual of its rays
-    # reaches the genus cross-check: bad input, not a broken identity
-    line = [(0, (-1, 0), 1), (0, (0, -1), 1), (0, (1, 1), 1)]
-    curve = PlaneTropicalCurve.build([(0, 0)], [], line, newton=triangle(3))
+    # reaches the genus cross-check: bad input, not a broken identity (the
+    # record itself, since build refuses such a polygon)
+    line = (Ray(0, (-1, 0), 1), Ray(0, (0, -1), 1), Ray(0, (1, 1), 1))
+    curve = PlaneTropicalCurve(((Fraction(0), Fraction(0)),), (), line, frozenset(), triangle(3))
     with pytest.raises(TropicalError, match="genus mismatch"):
         geometric_genus(curve)
+
+
+def test_build_refuses_a_polygon_its_rays_do_not_trace():
+    line = [Ray(0, (-1, 0), 1), Ray(0, (0, -1), 1), Ray(0, (1, 1), 1)]
+    # the circuit's polygon, at any translation, and a circuit of parallel rays
+    for rays, newton in (
+        (line, triangle(1)),
+        (line, triangle(1).translate((4, -7))),
+        ([Ray(0, u, 3) for _, u, _ in line], triangle(3)),
+        (line + line + line, triangle(3)),
+    ):
+        assert PlaneTropicalCurve.build([(0, 0)], (), rays, newton=newton).newton == newton
+    weighted = [Ray(0, (-1, 0), 2), Ray(0, (0, -1), 1), Ray(0, (1, 1), 1)]
+    for rays, newton in (
+        (line, triangle(3)),
+        (line, diamond()),
+        (weighted, triangle(1)),
+        (line + [Ray(0, (2, 1), 1), Ray(0, (-2, -1), 1)], triangle(1)),
+        # a weight 0 or -1, or a direction that is not primitive, is refused
+        # even where the summed weights per direction match
+        (line + [Ray(0, (1, 0), 0)], triangle(1)),
+        (line + [Ray(0, (1, 0), 1), Ray(0, (1, 0), -1)], triangle(1)),
+        (line + [Ray(0, (-1, 0), 1), Ray(0, (-1, 0), -1)], triangle(1)),
+        ([Ray(0, (-2, 0), 1), Ray(0, (0, -2), 1), Ray(0, (2, 2), 1)], triangle(2)),
+        ([], triangle(1)),
+    ):
+        with pytest.raises(TropicalError, match="ray circuit does not trace the Newton polygon"):
+            PlaneTropicalCurve.build([(0, 0)], (), rays, newton=newton)
 
 
 def test_delta_smooth_curve():
@@ -550,7 +581,10 @@ def test_delta_non_reduced():
 
 def test_dual_polygons_that_do_not_close_raise_not_closed():
     # an unbalanced vertex: its turned edge vectors do not close up
-    corner = PlaneTropicalCurve.build([(0, 0)], (), [Ray(0, (1, 0), 1), Ray(0, (0, 1), 1)], newton=triangle(1))
+    corner = PlaneTropicalCurve(
+        ((Fraction(0), Fraction(0)),), (), (Ray(0, (1, 0), 1), Ray(0, (0, 1), 1)), frozenset(),
+        triangle(1),
+    )
     with pytest.raises(NotClosed) as caught:
         delta_invariant(corner)
     assert str(caught.value) == "vertex 0 is not balanced"
@@ -704,8 +738,13 @@ def to_plane_curve_brute_force(pc, newton=None):
         _split_piece(segs, rays, t1, vi)
         _split_piece(segs, rays, t2, vi)
         m, pieces = pieces_now()
-    return PlaneTropicalCurve.build(
-        vertices, [tuple(s) for s in segs], [tuple(r) for r in rays], crossings, newton
+    segs = [tuple(s) for s in segs]
+    rays = tuple(Ray(*r) for r in rays)
+    if newton is None:
+        return PlaneTropicalCurve.build(vertices, segs, rays, crossings)
+    # a given polygon is taken as it is, as the scan takes it
+    return PlaneTropicalCurve(
+        tuple(vertices), tuple(Segment(*t) for t in segs), rays, frozenset(crossings), newton
     )
 
 
@@ -851,9 +890,12 @@ def test_stable_intersection_vertex_contact_message():
         stable_intersection(l1, l2)
     assert str(err.value) == "intersection at a vertex: (Fraction(1, 3), Fraction(1, 3))"
     # a contact of two collinear pieces end to end, off the origin
-    a, b, c = (Fraction(1, 5), 1), (Fraction(8, 15), Fraction(5, 3)), (Fraction(13, 15), Fraction(7, 3))
-    c1 = PlaneTropicalCurve.build([a, b], [(0, 1, 1, (1, 2))], [], newton=triangle(1))
-    c2 = PlaneTropicalCurve.build([b, c], [(0, 1, 1, (1, 2))], [], newton=triangle(1))
+    a, b, c = (Fraction(1, 5), Fraction(1)), (Fraction(8, 15), Fraction(5, 3)), (Fraction(13, 15), Fraction(7, 3))
+    # two rayless records, which build refuses
+    c1, c2 = (
+        PlaneTropicalCurve((p, q), (Segment(0, 1, 1, (1, 2)),), (), frozenset(), triangle(1))
+        for p, q in ((a, b), (b, c))
+    )
     for first, second in ((c1, c2), (c2, c1)):
         with pytest.raises(NonTransverse) as err:
             stable_intersection(first, second)
