@@ -15,9 +15,9 @@ _HOME = {
         ("lattice", "DirectionData LatticePolygon convex_hull cubic_triangle diamond "
          "direction_data integral_length is_primitive is_transverse octic_quadrilateral "
          "perp transverse_directions trapezium triangle vertex_singularity"),
-        ("diagram", "DiagramSpec FloorDiagram Marking count diagram_genus enumerate_diagrams "
-         "enumerate_markings lemma_1_5_check multiplicity validate validate_verbose "
-         "weighted_count_check"),
+        ("peel", "DiagramSpec count multiplicity"),
+        ("diagram", "FloorDiagram Marking diagram_genus enumerate_diagrams enumerate_markings "
+         "lemma_1_5_check validate validate_verbose weighted_count_check"),
         ("tropical", "DualSubdivision ParametrizedCurve PlaneTropicalCurve TropicalPolynomial "
          "check_balancing corner_locus delta_invariant geometric_genus legendre_transform "
          "newton_polygon_of stable_intersection stable_intersection_generic "

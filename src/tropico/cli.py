@@ -23,7 +23,7 @@ from . import lattice
 
 
 def _nseq(text):
-    from .diagram import nseq
+    from .peel import nseq
     if not text:
         return ()
     try:
@@ -58,7 +58,7 @@ def _write_text(path, text):
 
 
 def _spec_from_args(args):
-    from .diagram import DiagramSpec
+    from .peel import DiagramSpec
     poly = io_mod.polygon_from_json(_load_json(args.polygon))
     d = _direction(args.dir)
     data = lattice.direction_data(poly, d)
@@ -102,7 +102,7 @@ def cmd_polygon(args):
 
 
 def cmd_count(args):
-    from .diagram import count
+    from .peel import count
     spec = _spec_from_args(args)
     if not args.explain:
         print(count(spec))

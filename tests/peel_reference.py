@@ -1,13 +1,13 @@
 """The floor-peeling count as it stood before its states became integer
 keys with per-call tables: `peel_count_reference` is that `_peel_count`,
 kept verbatim, with the N-sequence helpers it called.  Tests compare
-`tropico.diagram.count` with it where neither `ch_oracle` nor the
+`tropico.peel.count` with it where neither `ch_oracle` nor the
 enumerator reaches."""
 
 import itertools
 import math
 
-from tropico.diagram import nseq, nseq_I, nseq_Ipow
+from tropico.peel import nseq, nseq_I, nseq_Ipow
 
 
 def _nseq_add(a, b):

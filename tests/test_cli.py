@@ -168,7 +168,7 @@ def test_library_key_error_is_not_a_domain_error(files, monkeypatch):
     def broken(spec, explain=False):
         raise KeyError("internal")
 
-    monkeypatch.setattr("tropico.diagram.count", broken)
+    monkeypatch.setattr("tropico.peel.count", broken)
     with pytest.raises(KeyError):
         cmd(["count", "--polygon", str(files / "t3.json"), "--genus", "0"])
 
@@ -178,7 +178,7 @@ def test_invariant_violation_is_not_a_domain_error(files, monkeypatch):
     def broken_peel(spec):
         return 0
 
-    monkeypatch.setattr("tropico.diagram._peel_count", broken_peel)
+    monkeypatch.setattr("tropico.peel._peel_count", broken_peel)
     with pytest.raises(diagram_mod.InvariantViolation):
         cmd(["count", "--polygon", str(files / "t3.json"), "--genus", "0", "--explain"])
     monkeypatch.setattr(tropical.DualSubdivision, "check_tiling", lambda self: False)

@@ -296,6 +296,15 @@ def test_spec_rejects_entries_that_are_not_ints():
     with pytest.raises(ValueError, match="nonnegative"):
         DiagramSpec(t3, (0, 1), 0, (), (), (), (-1, 2))
     assert count(DiagramSpec(t3, (0, 1), 1, (), (), (), [3])) == 1
+    # the direction is two ints; a list counts like the tuple
+    t4 = triangle(4)
+    spec = DiagramSpec(t4, [0, 1], 0, (), (), (), (4,))
+    assert spec.direction == (0, 1)
+    assert count(spec) == count(DiagramSpec(t4, (0, 1), 0, (), (), (), (4,)))
+    for direction in ((0.0, 1.0), (0, 1.0), (False, True), (0, 1, 0), (1,)):
+        with pytest.raises(DiagramError, match="direction"):
+            DiagramSpec(t3, direction, 0, (), (), (), (3,))
+
 
 def _distinct_permutations(values):
     """The reference order of theta assignments: every permutation of

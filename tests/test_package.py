@@ -61,23 +61,26 @@ def test_import_tropico_loads_no_submodule():
         (["polygon", "report", "{t3}"], None, ["cli", "io", "lattice"]),
         (["polygon", "report", "{segment}"], "DegeneratePolygon", ["cli", "io", "lattice"]),
         (["count", "--polygon", "{t3}", "--genus", "0", "--beta-minus", "3"], None,
-         ["cli", "diagram", "io", "lattice"]),
+         ["cli", "io", "lattice", "peel"]),
         (["count", "--polygon", "{t3}", "--genus", "0", "--alpha-plus", "1"], "SideBoundaryCondition",
-         ["cli", "diagram", "io", "lattice"]),
+         ["cli", "io", "lattice", "peel"]),
+        (["count", "--polygon", "{t3}", "--genus", "0", "--beta-minus", "3", "--explain"], None,
+         ["cli", "diagram", "io", "lattice", "peel"]),
         (["diagrams", "--polygon", "{t3}", "--genus", "1", "--beta-minus", "3", "--markings"], None,
-         ["cli", "diagram", "io", "lattice"]),
+         ["cli", "diagram", "io", "lattice", "peel"]),
         (["realize", "--polygon", "{t1}", "--genus", "0", "--beta-minus", "1", "--diagram",
           "{diagram}", "--marking", "{marking}", "--svg", "{svg}"], None,
-         ["cli", "diagram", "io", "lattice", "realize", "render", "tropical"]),
+         ["cli", "diagram", "io", "lattice", "peel", "realize", "render", "tropical"]),
         (["tropicalize", "--poly", "{line}", "--subdivision", "--svg", "{svg}"], None,
          ["cli", "io", "lattice", "render", "tropical"]),
     ],
-    ids=["polygon", "polygon-degenerate", "count", "count-side-boundary-condition", "diagrams",
-         "realize", "tropicalize"],
+    ids=["polygon", "polygon-degenerate", "count", "count-side-boundary-condition",
+         "count-explain", "diagrams", "realize", "tropicalize"],
 )
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, error, loaded):
     # counting never loads the geometry layer (tropical, realize, render),
-    # nor does reporting a domain error, tropicalize never loads realize,
+    # nor does reporting a domain error, and a count without --explain
+    # never loads diagram; tropicalize never loads realize,
     # fractions comes only with the geometry layer, and no command loads
     # dataclasses or inspect
     files = {
@@ -147,3 +150,26 @@ def test_star_import_binds_every_public_name():
     )
     assert names == PUBLIC
     assert kinds == ["function", True]
+
+
+# every name that peel defines; diagram binds each of them too
+PEEL = [
+    "DiagramError", "DiagramSpec", "Disconnected", "SideBoundaryCondition", "_nseq_add",
+    "_nseq_binom", "_nseq_sub", "_peel_count", "_radices", "_trim", "count", "multiplicity",
+    "nseq", "nseq_I", "nseq_Ipow", "nseq_abs", "weight_multiset",
+]
+
+
+def test_the_count_path_has_one_object_per_name_in_peel_diagram_and_the_package():
+    from tropico import diagram, peel
+
+    defined = sorted(
+        name for name, obj in vars(peel).items()
+        if getattr(obj, "__module__", None) == "tropico.peel"
+    )
+    assert defined == PEEL
+    for name in PEEL:
+        assert getattr(diagram, name) is getattr(peel, name), name
+        if name in tropico.__all__:
+            assert getattr(tropico, name) is getattr(peel, name), name
+    assert [n for n in PEEL if n in tropico.__all__] == ["DiagramSpec", "count", "multiplicity"]
