@@ -11,8 +11,8 @@ finite edges.
 
 The count itself, by floor peeling, lives in `peel`, with the spec, the
 N-sequences, the diagram errors and `multiplicity`, so that `tropico
-count` compiles none of this module.  Every name of `peel` is bound here
-too: ``tropico.diagram.count`` is ``tropico.peel.count``.
+count` compiles none of this module; this module takes from `peel` only
+what it uses.
 
 For each diagram `count_markings` counts the labellings L of floors and
 edges that follow the diagram's order, respect the alpha label blocks and
@@ -54,31 +54,13 @@ import itertools
 from functools import cached_property
 
 from . import lattice
+from .lattice import InvariantViolation, Record, component_count
+from .peel import DiagramError, DiagramSpec, Disconnected, weight_multiset
 
-# direction_data stays bound here for code that wraps or patches
-# diagram.direction_data; DiagramSpec.data calls lattice.direction_data
-from .lattice import InvariantViolation, Record, component_count, direction_data
-
-# the count path, every name of it, private ones included
-from .peel import (
-    DiagramError,
-    DiagramSpec,
-    Disconnected,
-    SideBoundaryCondition,
-    _nseq_add,
-    _nseq_binom,
-    _nseq_sub,
-    _peel_count,
-    _radices,
-    _trim,
-    count,
-    multiplicity,
-    nseq,
-    nseq_abs,
-    nseq_I,
-    nseq_Ipow,
-    weight_multiset,
-)
+# bound here only for perfbench, which calls diagram.count and
+# diagram.nseq_Ipow and wraps diagram.direction_data
+from .lattice import direction_data
+from .peel import count, nseq_Ipow
 
 
 # ---------------------------------------------------------------------------
@@ -142,21 +124,12 @@ class FloorDiagram(Record):
     def floor_ids(self):
         return tuple(f for f, _ in self.floors)
 
-    def theta(self, floor_id):
-        for f, th in self.floors:
-            if f == floor_id:
-                return th
-        raise KeyError(floor_id)
-
     def vertex_count(self):
         return len(self.floors) + len(self.inf_minus) + len(self.inf_plus)
 
-    def divergence(self, v):
-        """Sum of incoming weights minus sum of outgoing weights at v."""
-        return self.divergences()[v]
-
     def divergences(self):
-        """`divergence` of every vertex, by vertex id, in one pass over the edges."""
+        """Sum of incoming weights minus sum of outgoing weights at every
+        vertex, by vertex id, in one pass over the edges."""
         div = dict.fromkeys(self.floor_ids + self.inf_minus + self.inf_plus, 0)
         for s, t, w in self.edges:
             div[s] -= w
@@ -486,8 +459,8 @@ def _tail_distributions(weights, n):
         groups[w] = groups.get(w, 0) + 1
     items = sorted(groups.items())
     pools = [
-        list(itertools.combinations_with_replacement(range(n), count))
-        for _, count in items
+        list(itertools.combinations_with_replacement(range(n), k))
+        for _, k in items
     ]
     for combo in itertools.product(*pools):
         dist = []
@@ -693,7 +666,7 @@ def _label_moves(diagram, spec):
         (0, spec.alpha_minus, tails[0]),
         (spec.s + 1 - labels[0], spec.alpha_plus, tails[1]),
     ):
-        weights = [w for w, count in enumerate(alpha, 1) for _ in range(count)]
+        weights = [w for w, times in enumerate(alpha, 1) for _ in range(times)]
         for k, w in enumerate(weights, start):
             out[k] = by_weight.get(w, [])
     return out

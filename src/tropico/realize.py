@@ -21,6 +21,7 @@ from typing import NamedTuple
 from . import diagram as diagram_mod
 from . import lattice
 from .lattice import Record, component_roots, dot, perp, scale, slope_of, slope_vector
+from .peel import nseq_abs
 from .tropical import NotClosed, NotTrivalent, ParametrizedCurve, PEdge, check_balancing
 from .tropical import _dual_polygon, _integral_frame, _traces, tropical_multiplicity
 
@@ -115,11 +116,11 @@ def stretch_points(spec, seed=0, spacing=None):
         r = (7919 * (i + 1) + 104729 * (seed + 1)) % p1
         taus.append(Fraction(r if r else 1, p1))
     omis = []
-    for j in range(diagram_mod.nseq_abs(spec.alpha_minus)):
+    for j in range(nseq_abs(spec.alpha_minus)):
         r = (6007 * (j + 1) + 31337 * (seed + 1)) % p2
         omis.append(Fraction(r if r else 1, p2))
     opls = []
-    for j in range(diagram_mod.nseq_abs(spec.alpha_plus)):
+    for j in range(nseq_abs(spec.alpha_plus)):
         r = (6007 * (j + 17) + 31337 * (seed + 2)) % p2
         opls.append(Fraction(r if r else 2, p2))
     points = []
@@ -199,7 +200,7 @@ def realize(diagram, marking, cfg, spec):
         ):
             raise InvalidMarking(f"label of edge {i} is not between the labels of its floors")
     s = spec.s
-    lo = -diagram_mod.nseq_abs(spec.alpha_minus) + 1
+    lo = -nseq_abs(spec.alpha_minus) + 1
 
     # supporting abscissa of every edge, and the bend it puts on each floor
     edge_xi = []
@@ -434,11 +435,6 @@ def _recovers(back, floor_of, diagram, sizes):
     return _floor_census(back, to) == _floor_census(diagram, pos)
 
 
-def point_on_curve(pc, point):
-    """Exact membership of a point in the image of a parametrized curve."""
-    return points_on_curve(pc, [point])[0]
-
-
 def points_on_curve(pc, points):
     """Exact membership of each point in the image of a parametrized curve.
 
@@ -520,7 +516,7 @@ def verify_realization(realization, diagram, marking, cfg, spec):
             # the rays close up but span no polygon, e.g. two opposite rays
             violations.append("ray circuit does not trace the Newton polygon")
     # alpha rays supported on their Omega lines
-    lo = -diagram_mod.nseq_abs(spec.alpha_minus) + 1
+    lo = -nseq_abs(spec.alpha_minus) + 1
     s = spec.s
     elab = {el: lab for lab, el in marking.as_dict().items()}
     exi = dict(realization.elevator_lines)

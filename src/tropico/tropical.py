@@ -16,11 +16,11 @@ pair of the P original pieces at most once, O(P^2) box checks, and then
 replays the split order from the table of crossings it found.
 
 Each hull cell is hulled once, in _upper_cells, and comes with its plane
-and its LatticePolygon; the corner locus, the Legendre transform and the
-lower hull read that polygon.  One monotone chain (lattice.monotone_chain)
-serves convex_hull and the collinear Legendre domain, and one dual-polygon
-builder (_dual_polygon) turns both a vertex star and the ray circuit into
-a polygon.
+and its LatticePolygon; the corner locus reads that polygon, and the
+Legendre transform the vertices of the cells.  One monotone chain
+(lattice.monotone_chain) serves convex_hull and the collinear Legendre
+domain, and one dual-polygon builder (_dual_polygon) turns both a vertex
+star and the ray circuit into a polygon.
 """
 
 from __future__ import annotations
@@ -105,12 +105,6 @@ class TropicalPolynomial(Record):
             raise TropicalError("empty support")
         return TropicalPolynomial(items)
 
-    def coeff(self, exponent):
-        for e, a in self.terms:
-            if e == exponent:
-                return a
-        raise KeyError(exponent)
-
     @property
     def support(self):
         return tuple(e for e, _ in self.terms)
@@ -130,19 +124,6 @@ class TropicalPolynomial(Record):
             det(sub(p1, p0), sub(p2, p0)) != 0
             for p1, p2 in itertools.combinations(pts[1:], 2)
         )
-
-
-def tropical_product(p, q):
-    """Tropical multiplication: supports add, coefficients add on collisions
-    taking max over decompositions."""
-    out = {}
-    for e1, a1 in p.terms:
-        for e2, a2 in q.terms:
-            e = add(e1, e2)
-            a = a1 + a2
-            if e not in out or out[e] < a:
-                out[e] = a
-    return TropicalPolynomial.make(out)
 
 
 # ---------------------------------------------------------------------------
@@ -469,32 +450,24 @@ def _is_parallelogram(cp):
 
 class AffinePiece(Record):
     """One linearity domain of a piecewise-affine convex function: the map
-    p -> gradient . p + offset on the region {p : n . p >= rhs for all facets}."""
+    p -> gradient . p + offset, which the function equals where this piece
+    is the largest."""
 
     gradient: tuple
     offset: Fraction
-    facets: tuple  # ((nx, ny), rhs) inequalities, not necessarily irredundant
-
-    def contains(self, p):
-        return all(n[0] * p[0] + n[1] * p[1] >= r for n, r in self.facets)
 
     def value(self, p):
         return self.gradient[0] * p[0] + self.gradient[1] * p[1] + self.offset
 
 
 class LegendreTransform(Record):
-    """f_vee(p) = max_x {p . x - f(x)} as a cell complex of affine pieces."""
+    """f_vee(p) = max_x {p . x - f(x)} as the maximum of its affine pieces,
+    one per active gradient."""
 
     pieces: tuple
 
     def __call__(self, p):
         return max(piece.value(p) for piece in self.pieces)
-
-    def piece_at(self, p):
-        for piece in self.pieces:
-            if piece.contains(p):
-                return piece
-        raise TropicalError("no piece contains the point")
 
 
 def legendre_transform(f):
@@ -504,31 +477,13 @@ def legendre_transform(f):
     lifted graph {(x, f(x))}; each yields the affine piece p . x - f(x) on
     its (full-dimensional) argmax region.
     """
-    f = _lattice_function(f)
+    f = {_lattice_point(p): Fraction(v) for p, v in dict(f).items()}
     if not f:
         raise TropicalError("empty domain")
-    return _legendre_from_cells(f, _lower_cells(f))
-
-
-def _lattice_function(f):
-    return {_lattice_point(p): Fraction(v) for p, v in dict(f).items()}
-
-
-def _lower_cells(f):
-    """The cells of the lower hull of the lifted graph of f, as the upper
-    cells of -f (see _upper_cells); {} when dom f is collinear."""
-    return _upper_cells(tuple((p, -v) for p, v in f.items()))
-
-
-def _legendre_from_cells(f, cells):
-    active = _lower_hull_vertices(f, cells)
-    pieces = []
-    for x in active:
-        facets = tuple(
-            ((x[0] - y[0], x[1] - y[1]), f[x] - f[y]) for y in active if y != x
-        )
-        pieces.append(AffinePiece(x, -f[x], facets))
-    return LegendreTransform(tuple(pieces))
+    # the cells of the lower hull of the lifted graph of f are the upper
+    # cells of -f; {} when dom f is collinear
+    cells = _upper_cells(tuple((p, -v) for p, v in f.items()))
+    return LegendreTransform(tuple(AffinePiece(x, -f[x]) for x in _lower_hull_vertices(f, cells)))
 
 
 def _lower_hull_vertices(f, cells):
@@ -541,28 +496,6 @@ def _lower_hull_vertices(f, cells):
     u = rational_primitive(sub(pts[-1], pts[0]))
     at = {dot(u, p): p for p in pts}
     return [at[t] for t, _ in lattice.monotone_chain(sorted((t, f[p]) for t, p in at.items()))]
-
-
-def legendre_bitransform_value(f, x):
-    """(f_vee)_vee at x, evaluated via the vertices of the linearity complex
-    of f_vee; equals the lower convex hull of f on conv(dom f)."""
-    f = _lattice_function(f)
-    cells = _lower_cells(f)
-    if not cells:
-        raise SegmentSupport("bitransform evaluation needs a planar domain")
-    lt = _legendre_from_cells(f, cells)
-    # minus the cell gradients: the vertices of the corner locus of f_vee
-    return max(-x[0] * gx - x[1] * gy - lt((-gx, -gy)) for gx, gy, _, _ in cells.values())
-
-
-def lower_hull_value(f, x):
-    """Value at x of the lower convex hull of the lifted points of f."""
-    cells = _lower_cells(_lattice_function(f))
-    x = _frac_point(x)
-    for gx, gy, c, cell in cells.values():
-        if cell.contains(x):
-            return -(gx * x[0] + gy * x[1] + c)
-    raise TropicalError("point outside the domain hull")
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,8 @@ import ch_oracle
 from tropico.diagram import (
     GOLDEN_CUBIC,
     GOLDEN_TORIC as TORIC,
-    DiagramSpec,
-    SideBoundaryCondition,
-    count,
     enumerate_diagrams,
     enumerate_markings,
-    multiplicity,
-    nseq_Ipow,
 )
 from tropico.lattice import (
     cubic_triangle,
@@ -37,6 +32,7 @@ from tropico.lattice import (
     triangle,
     vertex_singularity,
 )
+from tropico.peel import DiagramSpec, SideBoundaryCondition, count, multiplicity, nseq_Ipow
 from tropico.realize import realize_stretched, verify_realization
 from tropico.tropical import (
     abstract_genus,

@@ -13,8 +13,9 @@ from tropico import diagram as diagram_mod
 from tropico import io as io_mod
 from tropico import tropical
 from tropico.cli import cmd
-from tropico.diagram import DiagramSpec, enumerate_diagrams, enumerate_markings
-from tropico.lattice import LatticeError, NotTransverse, diamond, triangle
+from tropico.diagram import enumerate_diagrams, enumerate_markings
+from tropico.lattice import InvariantViolation, LatticeError, NotTransverse, diamond, triangle
+from tropico.peel import DiagramError, DiagramSpec
 from tropico.realize import InvalidMarking, RealizeError
 from tropico.render import RenderStyle, render_curve_svg
 from tropico.tropical import TropicalPolynomial, corner_locus
@@ -179,7 +180,7 @@ def test_invariant_violation_is_not_a_domain_error(files, monkeypatch):
         return 0
 
     monkeypatch.setattr("tropico.peel._peel_count", broken_peel)
-    with pytest.raises(diagram_mod.InvariantViolation):
+    with pytest.raises(InvariantViolation):
         cmd(["count", "--polygon", str(files / "t3.json"), "--genus", "0", "--explain"])
     monkeypatch.setattr(tropical.DualSubdivision, "check_tiling", lambda self: False)
     with pytest.raises(tropical.InvariantViolation):
@@ -347,6 +348,28 @@ def test_check_subcommand(capsys):
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert all(v == "ok" for v in out.values())
+
+
+def test_check_reports_a_domain_error_in_a_suite(monkeypatch, capsys):
+    # the golden_counts suite, and it alone, runs peel.count
+    def domain_error(spec):
+        raise DiagramError("no such count")
+
+    monkeypatch.setattr("tropico.peel.count", domain_error)
+    assert cmd(["check"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out.pop("golden_counts") == "error: DiagramError: no such count"
+    assert set(out.values()) == {"ok"}
+
+
+def test_check_lets_an_invariant_violation_in_a_suite_propagate(monkeypatch):
+    # a bug is not reported as an error of the suite
+    def bug(spec):
+        raise InvariantViolation("broken identity")
+
+    monkeypatch.setattr("tropico.peel.count", bug)
+    with pytest.raises(InvariantViolation, match="broken identity"):
+        cmd(["check"])
 
 
 def test_entry_point_subprocess(files):

@@ -10,15 +10,7 @@ from fractions import Fraction
 
 import ch_oracle
 from tropico import diagram as diagram_mod
-from tropico.diagram import (
-    DiagramSpec,
-    canonical_key,
-    count,
-    enumerate_diagrams,
-    enumerate_markings,
-    multiplicity,
-    nseq_Ipow,
-)
+from tropico.diagram import canonical_key, enumerate_diagrams, enumerate_markings
 from tropico.lattice import (
     LatticePolygon,
     component_count,
@@ -30,6 +22,7 @@ from tropico.lattice import (
     trapezium,
     triangle,
 )
+from tropico.peel import DiagramSpec, count, multiplicity, nseq_Ipow
 from tropico.realize import realize_stretched, verify_realization
 from tropico.tropical import (
     TropicalPolynomial,

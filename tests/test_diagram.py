@@ -8,25 +8,19 @@ import pytest
 from tropico import diagram as diagram_mod
 from tropico import io
 from tropico.diagram import (
-    DiagramError,
-    DiagramSpec,
-    Disconnected,
     FloorDiagram,
-    InvariantViolation,
-    SideBoundaryCondition,
     canonical_key,
-    count,
     count_markings,
     diagram_genus,
     enumerate_diagrams,
     enumerate_markings,
     lemma_1_5_check,
-    multiplicity,
     validate,
     validate_verbose,
     weighted_count_check,
 )
 from tropico.lattice import (
+    InvariantViolation,
     NotTransverse,
     component_count,
     cubic_triangle,
@@ -34,6 +28,15 @@ from tropico.lattice import (
     octic_quadrilateral,
     trapezium,
     triangle,
+)
+from tropico.peel import (
+    DiagramError,
+    DiagramSpec,
+    Disconnected,
+    SideBoundaryCondition,
+    count,
+    multiplicity,
+    nseq,
 )
 
 
@@ -987,7 +990,7 @@ def _random_type(rng, diag):
         alpha, beta = [0] * 3, [0] * 3
         for w in weights:
             (alpha if rng.random() < 0.5 else beta)[w - 1] += 1
-        return diagram_mod.nseq(alpha), diagram_mod.nseq(beta)
+        return nseq(alpha), nseq(beta)
 
     alpha_minus, beta_minus = split(w for _, _, w in diag.down_edges())
     alpha_plus, beta_plus = split(w for _, _, w in diag.up_edges())

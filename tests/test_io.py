@@ -73,7 +73,7 @@ def test_polynomial_reader_rejects_a_repeated_exponent():
     with pytest.raises(io.InputError, match="exponent \\[1.0, 0\\] appears in two terms"):
         io.polynomial_from_json(data)
     del data["terms"][3]
-    assert io.polynomial_from_json(data).coeff((0, 1)) == 5
+    assert dict(io.polynomial_from_json(data).terms)[(0, 1)] == 5
 
 
 def test_readers_reject_infinity():

@@ -3,6 +3,7 @@ in fresh interpreters."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -152,24 +153,10 @@ def test_star_import_binds_every_public_name():
     assert kinds == ["function", True]
 
 
-# every name that peel defines; diagram binds each of them too
-PEEL = [
-    "DiagramError", "DiagramSpec", "Disconnected", "SideBoundaryCondition", "_nseq_add",
-    "_nseq_binom", "_nseq_sub", "_peel_count", "_radices", "_trim", "count", "multiplicity",
-    "nseq", "nseq_I", "nseq_Ipow", "nseq_abs", "weight_multiset",
-]
-
-
-def test_the_count_path_has_one_object_per_name_in_peel_diagram_and_the_package():
-    from tropico import diagram, peel
-
-    defined = sorted(
-        name for name, obj in vars(peel).items()
-        if getattr(obj, "__module__", None) == "tropico.peel"
-    )
-    assert defined == PEEL
-    for name in PEEL:
-        assert getattr(diagram, name) is getattr(peel, name), name
-        if name in tropico.__all__:
-            assert getattr(tropico, name) is getattr(peel, name), name
-    assert [n for n in PEEL if n in tropico.__all__] == ["DiagramSpec", "count", "multiplicity"]
+def test_the_readme_quick_tour_runs():
+    # the README's library example, run as written, so that it cannot
+    # drift from the names it imports
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    assert run_fresh(blocks[0] + "import json\nprint(json.dumps(total))") == 12

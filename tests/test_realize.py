@@ -9,15 +9,11 @@ from tropico import diagram as diagram_module
 from tropico import io
 from tropico import tropical
 from tropico.diagram import (
-    DiagramSpec,
     FloorDiagram,
     Marking,
     canonical_key,
-    count,
     enumerate_diagrams,
     enumerate_markings,
-    multiplicity,
-    nseq_Ipow,
     validate,
 )
 from tropico.lattice import (
@@ -38,6 +34,7 @@ from tropico.lattice import (
     slope_vector,
     triangle,
 )
+from tropico.peel import DiagramSpec, count, multiplicity, nseq_abs, nseq_Ipow
 from tropico.realize import (
     InvalidMarking,
     PointConfig,
@@ -46,7 +43,6 @@ from tropico.realize import (
     SpacingTooSmall,
     default_spacing,
     floor_decompose,
-    point_on_curve,
     points_on_curve,
     realize,
     realize_stretched,
@@ -99,7 +95,7 @@ def test_realize_line():
     realization = realize(diag, marking, cfg, T1)
     assert not verify_realization(realization, diag, marking, cfg, T1)
     for pt in cfg.points:
-        assert point_on_curve(realization.curve, pt)
+        assert points_on_curve(realization.curve, [pt])[0]
     assert tropical_multiplicity(realization.curve) == 1
 
 
@@ -555,7 +551,7 @@ def test_points_on_curve_match_brute_force():
                 ]
                 expected = [point_on_curve_brute_force(pc, c) for c in cands]
                 assert points_on_curve(pc, cands) == expected
-                assert [point_on_curve(pc, c) for c in cands[:20]] == expected[:20]
+                assert [points_on_curve(pc, [c])[0] for c in cands[:20]] == expected[:20]
                 seen.update(expected)
     assert seen == {True, False}
     # the far end of a segment that starts no other edge
@@ -576,7 +572,7 @@ def realize_fraction_reference(diagram, marking, cfg, spec):
     labels = marking.as_dict()
     element_label = {el: lab for lab, el in labels.items()}
     s = spec.s
-    lo = -diagram_module.nseq_abs(spec.alpha_minus) + 1
+    lo = -nseq_abs(spec.alpha_minus) + 1
 
     def xi_of_point(p):
         return dot(e, p)
@@ -605,6 +601,7 @@ def realize_fraction_reference(diagram, marking, cfg, spec):
     floor_paths = {}
     floor_slope_seq = {}
     floor_edges = {}
+    theta, div = dict(diagram.floors), diagram.divergences()
     for f in diagram.floor_ids:
         inc = []
         for idx, (a, b, w) in enumerate(diagram.edges):
@@ -621,10 +618,10 @@ def realize_fraction_reference(diagram, marking, cfg, spec):
         xi_a, h_a = xi_of_point(anchor), h_of_point(anchor)
         if any(x == xi_a for x, *_ in inc):
             raise SpacingTooSmall(f"marked point of floor {f} sits on an elevator")
-        slopes = [diagram.theta(f)]
+        slopes = [theta[f]]
         for _, _, eps, w in inc:
             slopes.append(slopes[-1] + eps * w)
-        if slopes[-1] != diagram.theta(f) + diagram.divergence(f):
+        if slopes[-1] != theta[f] + div[f]:
             raise RealizeError(
                 f"floor {f}: slope {slopes[-1]} after its elevators != theta + divergence"
             )
@@ -789,7 +786,7 @@ def test_integer_frame_matches_fraction_reference_on_hand_made_points():
                 tau = Fraction(rng.randint(1, 996), rng.choice((997, 12, 35, 1)))
                 points.append(((h * d[0] + tau * e[0]) / n2, (h * d[1] + tau * e[1]) / n2))
             omegas = [Fraction(rng.randint(-40, 40), rng.choice((5, 9, 13)))
-                      for _ in range(diagram_module.nseq_abs(spec.alpha_minus))]
+                      for _ in range(nseq_abs(spec.alpha_minus))]
             configs = [(points, omegas)]
             if d == (0, 1):
                 # plain int coordinates
@@ -962,7 +959,7 @@ def verify_realization_reference(realization, diagram, marking, cfg, spec):
         violations.append(str(exc))
     except DegeneratePolygon:
         violations.append("ray circuit does not trace the Newton polygon")
-    lo = -diagram_module.nseq_abs(spec.alpha_minus) + 1
+    lo = -nseq_abs(spec.alpha_minus) + 1
     s = spec.s
     elab = {el: lab for lab, el in marking.as_dict().items()}
     exi = dict(realization.elevator_lines)

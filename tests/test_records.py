@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from tropico.diagram import DiagramError, DiagramSpec, FloorDiagram, Marking
+from tropico.diagram import FloorDiagram, Marking
 from tropico.lattice import DirectionData, Record, direction_data, triangle
+from tropico.peel import DiagramError, DiagramSpec
 from tropico.realize import PointConfig, Realization, RealizeError
 from tropico.render import RenderStyle
 from tropico.tropical import (
@@ -113,17 +114,15 @@ RECORDS = {
     ),
     AffinePiece: (
         lambda: legendre_transform(LINE).pieces[0],
-        ("gradient", "offset", "facets"),
+        ("gradient", "offset"),
         (),
-        "AffinePiece(gradient=(0, 0), offset=Fraction(0, 1), facets=(((0, -1),"
-        " Fraction(0, 1)), ((-1, 0), Fraction(0, 1))))",
+        "AffinePiece(gradient=(0, 0), offset=Fraction(0, 1))",
     ),
     LegendreTransform: (
         lambda: LegendreTransform(legendre_transform(LINE).pieces[:1]),
         ("pieces",),
         (),
-        "LegendreTransform(pieces=(AffinePiece(gradient=(0, 0), offset=Fraction(0, 1),"
-        " facets=(((0, -1), Fraction(0, 1)), ((-1, 0), Fraction(0, 1)))),))",
+        "LegendreTransform(pieces=(AffinePiece(gradient=(0, 0), offset=Fraction(0, 1)),))",
     ),
     ParametrizedCurve: (
         line_curve,

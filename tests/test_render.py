@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 
 from tropico import io
-from tropico.diagram import DiagramSpec, enumerate_diagrams, enumerate_markings
+from tropico.diagram import enumerate_diagrams, enumerate_markings
 from tropico.lattice import det, diamond, octic_quadrilateral, triangle
+from tropico.peel import DiagramSpec
 from tropico.realize import realize_stretched
 from tropico.render import (
     RenderStyle,

@@ -55,3 +55,36 @@ def test_every_exception_but_invariant_violation_is_a_domain_error():
         if issubclass(cls, TropicoError) == (cls is InvariantViolation)
     ]
     assert not wrong, wrong
+
+
+# every name that peel, the count path's home, defines
+PEEL = [
+    "DiagramError", "DiagramSpec", "Disconnected", "SideBoundaryCondition", "_nseq_add",
+    "_nseq_binom", "_nseq_sub", "_peel_count", "_radices", "_trim", "count", "multiplicity",
+    "nseq", "nseq_I", "nseq_Ipow", "nseq_abs", "weight_multiset",
+]
+# the sibling names a module binds without using them: perfbench reads
+# diagram.count and diagram.nseq_Ipow, and wraps diagram.direction_data
+UNUSED_IMPORTS = ["diagram.count", "diagram.direction_data", "diagram.nseq_Ipow"]
+
+
+def test_each_name_has_one_home():
+    # a module imports a sibling's name only to use it, so no module
+    # re-exports another's names
+    from tropico import peel
+
+    defined = sorted(
+        name for name, obj in vars(peel).items()
+        if getattr(obj, "__module__", None) == "tropico.peel"
+    )
+    assert defined == PEEL
+    unused = []
+    for path in SOURCES:
+        imported, used = [], set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported += [alias.asname or alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        unused += [f"{path.stem}.{name}" for name in imported if name not in used]
+    assert sorted(unused) == UNUSED_IMPORTS

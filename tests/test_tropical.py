@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropico.diagram import DiagramSpec, enumerate_diagrams, enumerate_markings
+from tropico.diagram import enumerate_diagrams, enumerate_markings
 from tropico import lattice, tropical
 from tropico.lattice import (
     DegeneratePolygon,
@@ -20,6 +20,7 @@ from tropico.lattice import (
     trapezium,
     triangle,
 )
+from tropico.peel import DiagramSpec
 from tropico.realize import realize_stretched
 from tropico.tropical import (
     DualSubdivision,
@@ -42,16 +43,13 @@ from tropico.tropical import (
     delta_invariant,
     abstract_genus,
     geometric_genus,
-    legendre_bitransform_value,
     legendre_transform,
-    lower_hull_value,
     newton_polygon_of,
     random_polynomial,
     rational_primitive,
     stable_intersection,
     stable_intersection_generic,
     tropical_multiplicity,
-    tropical_product,
     _integral_frame,
     _intersect_pieces,
     _is_parallelogram,
@@ -431,8 +429,6 @@ def test_exponents_must_be_lattice_points():
             TropicalPolynomial.make({exponent: 0, (0, 0): 0})
         with pytest.raises(TropicalError, match="not a lattice point"):
             legendre_transform({exponent: 0, (0, 0): 0, (0, 1): 0})
-        with pytest.raises(TropicalError, match="not a lattice point"):
-            lower_hull_value({exponent: 0, (0, 0): 0, (0, 1): 0}, (0, 0))
 
 
 def test_legendre_single_point():
@@ -447,8 +443,8 @@ def test_legendre_two_points():
     assert lt((2, 3)) == 2
     assert lt((-1, 3)) == 0
     # split along p_x = 0
-    assert lt.piece_at((1, 0)).gradient == (1, 0)
-    assert lt.piece_at((-1, 0)).gradient == (0, 0)
+    assert max(lt.pieces, key=lambda piece: piece.value((1, 0))).gradient == (1, 0)
+    assert max(lt.pieces, key=lambda piece: piece.value((-1, 0))).gradient == (0, 0)
 
 
 def test_legendre_square_coefficients():
@@ -460,19 +456,6 @@ def test_legendre_square_coefficients():
     for p in [(0, 0), (2, 1), (-3, 5), (Fraction(1, 2), Fraction(-7, 3))]:
         direct = max(p[0] * x[0] + p[1] * x[1] - v for x, v in f.items())
         assert lt(p) == direct
-
-
-def test_legendre_bitransform_idempotent():
-    f = {
-        (0, 0): Fraction(2),
-        (2, 0): Fraction(3),
-        (0, 2): Fraction(1),
-        (1, 1): Fraction(5),
-        (1, 0): Fraction(9, 2),
-    }
-    hull_pts = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]
-    for x in hull_pts:
-        assert legendre_bitransform_value(f, x) == lower_hull_value(f, x)
 
 
 def test_delta_weight_two_bar():
@@ -684,20 +667,6 @@ def test_ray_census_matches_boundary():
         for p, q in shape.edges():
             out_normal = primitive(scale(perp(sub(q, p)), -1))
             assert census[out_normal] == integral_length(p, q)
-
-
-def test_tropical_product_newton_minkowski():
-    p = tropical_line()
-    q = weight_two_bar_polynomial()
-    pr = tropical_product(p, q)
-    minkowski = convex_hull(
-        [
-            (a[0] + b[0], a[1] + b[1])
-            for a in p.newton_polygon().vertices
-            for b in q.newton_polygon().vertices
-        ]
-    )
-    assert pr.newton_polygon() == minkowski
 
 
 def to_plane_curve_brute_force(pc, newton=None):
