@@ -92,6 +92,12 @@ class PointConfig(Record):
         m = math.lcm(*(v.denominator for g in groups for v in g))
         return IntegerFrame(m, *(tuple(v.numerator * (m // v.denominator) for v in g) for g in groups))
 
+    @functools.cached_property
+    def point_frame(self):
+        """(m, integer points): tropical._integral_frame of the points in
+        plane coordinates, which verify_realization's point test reads."""
+        return _integral_frame(self.points)
+
 
 @functools.lru_cache(maxsize=64)
 def stretch_points(spec, seed=0, spacing=None):
@@ -179,7 +185,8 @@ def realize(diagram, marking, cfg, spec):
     Abscissae and heights are the integers of cfg.frame (the values times
     its scale L): slopes are integers, so every breakpoint height is an
     integer too, and every comparison is an integer one.  Fractions are
-    built only for the result.
+    built only for the result, and the curve is handed its frame
+    (ParametrizedCurve.frame) from the same integers.
     """
     if not diagram.valid_for(spec):
         raise InvalidMarking("diagram does not validate against the spec")
@@ -225,7 +232,7 @@ def realize(diagram, marking, cfg, spec):
     div = diagram.divergences()
     unit = frame.scale
     den = n2 * unit
-    positions, pedges, floor_paths = [], [], []
+    nums, pedges, floor_paths = [], [], []  # nums: the positions times den
     at = {}  # (floor, edge index) -> (source vertex, height) of the bend
     for f, theta in diagram.floors:
         inc = sorted(bends[f])
@@ -254,16 +261,14 @@ def realize(diagram, marking, cfg, spec):
                 h += (sigma0 + slopes[j + (j < k)] * n2) * (xs[j] - x)
                 x, hs[j] = xs[j], h
         # source graph: the floor's breakpoints, its pieces and its two rays
-        first = len(positions)
+        first = len(nums)
         for (x, idx, _), h in zip(inc, hs):
-            at[f, idx] = (len(positions), h)
-            positions.append(
-                (Fraction(h * d[0] + x * e[0], den), Fraction(h * d[1] + x * e[1], den))
-            )
+            at[f, idx] = (len(nums), h)
+            nums.append((h * d[0] + x * e[0], h * d[1] + x * e[1]))
         for j in range(1, len(xs)):
             pedges.append(PEdge(first + j - 1, first + j, 1, slope_vector(d, slopes[j])))
         pedges.append(PEdge(first, -1, 1, scale(slope_vector(d, slopes[0]), -1)))
-        pedges.append(PEdge(len(positions) - 1, -1, 1, slope_vector(d, slopes[-1])))
+        pedges.append(PEdge(len(nums) - 1, -1, 1, slope_vector(d, slopes[-1])))
         floor_paths.append(
             (f, tuple((Fraction(x, unit), Fraction(h, unit)) for x, h in zip(xs, hs)), tuple(slopes))
         )
@@ -292,7 +297,12 @@ def realize(diagram, marking, cfg, spec):
                 raise SpacingTooSmall(f"up tail {idx} misses its marked point")
             pedges.append(PEdge(ia, -1, w, d))
 
-    curve = ParametrizedCurve(tuple(positions), tuple(pedges))
+    positions = tuple((Fraction(x, den), Fraction(y, den)) for x, y in nums)
+    curve = ParametrizedCurve(positions, tuple(pedges))
+    # the curve's frame (tropical._integral_frame of the positions): den and
+    # the numerators over it, divided by their gcd
+    g = math.gcd(den, *(c for p in nums for c in p))
+    object.__setattr__(curve, "frame", (den // g, [(x // g, y // g) for x, y in nums]))
     elevator_lines = tuple((idx, Fraction(x, unit)) for idx, x in enumerate(edge_xi))
     return Realization(curve, tuple(floor_paths), elevator_lines, spec, diagram, marking)
 
@@ -435,28 +445,35 @@ def _recovers(back, floor_of, diagram, sizes):
     return _floor_census(back, to) == _floor_census(diagram, pos)
 
 
-def points_on_curve(pc, points):
+def points_on_curve(pc, framed, hints=()):
     """Exact membership of each point in the image of a parametrized curve.
 
-    The curve's positions and the points share one integer frame (see
-    tropical._integral_frame); a point lies on an edge when it is collinear
-    with it (cross product 0) and its parameter along the direction lies
-    between 0 and the far end's (dot products)."""
-    n = len(pc.positions)
-    _, ints = _integral_frame(list(pc.positions) + list(points))
-    pieces = []
-    for e in pc.edges:
-        (x, y), u = ints[e.a], e.direction
-        tmax = None if e.b < 0 else u[0] * (ints[e.b][0] - x) + u[1] * (ints[e.b][1] - y)
-        pieces.append((x, y, u[0], u[1], tmax))
+    framed is the (m, integer points) frame of the points (for a
+    configuration, PointConfig.point_frame); the positions are read in
+    pc.frame, and the two are compared in the product of their scales.  A
+    point lies on an edge when it is collinear with it (cross product 0)
+    and its parameter along the direction lies between 0 and the far end's
+    (dot products).  Point i is tested first on the edges hints[i] lists
+    (an index the curve does not have is skipped), and on every edge only
+    when it misses them: the hints decide the cost, never the answer.
+    """
+    m, ints = pc.frame
+    k, points = framed
+    edges = pc.edges
+    ne = len(edges)
     found = []
-    for px, py in ints[n:]:
-        for x, y, ux, uy, tmax in pieces:
-            rx, ry = px - x, py - y
+    for i, (px, py) in enumerate(points):
+        px, py = px * m, py * m
+        named = [edges[j] for j in hints[i] if j < ne] if i < len(hints) else ()
+        for e in itertools.chain(named, edges):
+            (ax, ay), (ux, uy) = ints[e.a], e.direction
+            rx, ry = px - ax * k, py - ay * k
             if ux * ry != uy * rx:
                 continue
             t = ux * rx + uy * ry
-            if t >= 0 and (tmax is None or t <= tmax):
+            if t < 0:
+                continue
+            if e.b < 0 or t <= (ux * (ints[e.b][0] - ax) + uy * (ints[e.b][1] - ay)) * k:
                 found.append(True)
                 break
         else:
@@ -474,15 +491,17 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     exception; an edge that joins a vertex the curve does not have is the
     only violation reported, since no other check can read such a curve.
 
-    A curve that passes costs time linear in its edges.  Its rays trace
-    spec.polygon when their summed weight per direction is the polygon's
-    table of outward normals to lattice lengths (tropical._traces); only
-    when the tables differ is the ray circuit built (_dual_polygon), to
-    name the failure: a drift, or a circuit that does not trace the
-    polygon.  The floor decomposition recovers the diagram when it equals
-    it under the floor map of the realization's own layout (_recovers);
-    only when it does not are the canonical keys compared, so the verdict
-    is isomorphism, on every curve.
+    A curve that passes costs time linear in its edges.  Each marked point
+    is tested first on the edges its label names in the realization's own
+    layout (points_on_curve's hints), and against every edge only when it
+    misses them.  Its rays trace spec.polygon when their summed weight per
+    direction is the polygon's table of outward normals to lattice lengths
+    (tropical._traces); only when the tables differ is the ray circuit
+    built (_dual_polygon), to name the failure: a drift, or a circuit that
+    does not trace the polygon.  The floor decomposition recovers the
+    diagram when it equals it under the floor map of the realization's own
+    layout (_recovers); only when it does not are the canonical keys
+    compared, so the verdict is isomorphism, on every curve.
     """
     pc = realization.curve
     n = len(pc.positions)
@@ -500,7 +519,16 @@ def verify_realization(realization, diagram, marking, cfg, spec):
         violations.append(f"source genus {genus} != {spec.genus}")
     if components != 1:
         violations.append("source curve disconnected")
-    for i, on in enumerate(points_on_curve(pc, cfg.points)):
+    # the edges of realize's layout that each point's label names: its
+    # floor's block (pieces and two rays), or its elevator or tail
+    labels = marking.as_dict()
+    sizes = [len(breaks) for _, breaks, _ in realization.floor_paths]
+    starts = list(itertools.accumulate((size + 1 for size in sizes), initial=0))
+    named = {("f", f): range(a, b) for (f, _), a, b in zip(diagram.floors, starts, starts[1:])}
+    tails = starts[-1]
+    named.update((("e", i), (tails + i,)) for i in range(len(diagram.edges)))
+    hints = [named.get(labels.get(i + 1), ()) for i in range(len(cfg.points))]
+    for i, on in enumerate(points_on_curve(pc, cfg.point_frame, hints)):
         if not on:
             violations.append(f"point {i + 1} not on the curve")
     # infinite-edge census against the boundary data
@@ -518,7 +546,7 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     # alpha rays supported on their Omega lines
     lo = -nseq_abs(spec.alpha_minus) + 1
     s = spec.s
-    elab = {el: lab for lab, el in marking.as_dict().items()}
+    elab = {el: lab for lab, el in labels.items()}
     exi = dict(realization.elevator_lines)
     for idx in range(len(diagram.edges)):
         lab = elab[("e", idx)]
@@ -546,7 +574,6 @@ def verify_realization(realization, diagram, marking, cfg, spec):
         # elevator nor a floor direction, or a nonpositive weight
         violations.append(f"curve has no floor decomposition: {exc}")
     else:
-        sizes = [len(breaks) for _, breaks, _ in realization.floor_paths]
         if not _recovers(back, floor_of, diagram, sizes) and (
             diagram_mod.canonical_key(back) != diagram_mod.canonical_key(diagram)
         ):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .lattice import Record, det
-from .tropical import _integral_frame
+from .tropical import _integral_frame, _joint_frame
 
 
 class RenderStyle(Record):
@@ -44,8 +44,9 @@ def _frame_polygon(newton, points):
     cx = Fraction(sum(v[0] for v in newton.vertices), n)
     cy = Fraction(sum(v[1] for v in newton.vertices), n)
     lam = Fraction(1)
+    edges = newton.edges()
     for p in points:
-        for a, b in newton.edges():
+        for a, b in edges:
             nx, ny = -(b[1] - a[1]), (b[0] - a[0])  # inward normal
             num = nx * (p[0] - cx) + ny * (p[1] - cy)
             den = nx * (a[0] - cx) + ny * (a[1] - cy)
@@ -117,24 +118,30 @@ def render_curve_svg(curve, style=None, points=(), omega_lines=(), labels=None):
     """SVG document for a plane tropical curve.
 
     points are marked base points; omega_lines are (base point, direction)
-    pairs drawn dotted; labels maps point index -> text.  Every coordinate
-    is taken to one integer frame, times a multiple m of the lcm of the
-    denominators, and mapped to pixels from there.
+    pairs drawn dotted; labels maps point index -> text.  Coordinates are
+    Fractions or ints.  Every coordinate is taken to one integer frame,
+    times a multiple m of the lcm of the denominators, and mapped to
+    pixels from there: the curve's cached frame (curve.frame, which
+    to_plane_curve hands down) joined with the frame of the points, the
+    Omega-line bases and the drawn polygon, so the vertices are not framed
+    again.
     """
     style = style or RenderStyle()
-    anchors = list(curve.vertices) + [tuple(map(Fraction, p)) for p in points]
-    if not anchors:
-        anchors = [(Fraction(0), Fraction(0))]
-    bases = [tuple(map(Fraction, base)) for base, _ in omega_lines]
+    nv = len(curve.vertices)
+    # the box or the polygon encloses the vertices and the marked points, the
+    # na anchors; a curve without either is drawn around the origin
+    marks = list(points) if points or nv else [(0, 0)]
+    na = nv + len(marks)
+    extra = marks + [base for base, _ in omega_lines]
     if style.anticanonical_frame:
-        frame = _frame_polygon(curve.newton, anchors)
-        m, ints = _integral_frame(anchors + bases + frame)
-        frame = ints[len(anchors) + len(bases):]
+        frame = _frame_polygon(curve.newton, list(curve.vertices) + marks)
+        m, ints = _joint_frame(curve.frame, _integral_frame(extra + frame))
+        frame = ints[nv + len(extra):]
     else:
-        m, ints = _integral_frame(anchors + bases)
+        m, ints = _joint_frame(curve.frame, _integral_frame(extra))
         # doubled, so that the padding _box adds is an integer as well
         m, ints = 2 * m, [(2 * x, 2 * y) for x, y in ints]
-        frame = _box(ints[: len(anchors)], m)
+        frame = _box(ints[:na], m)
     fx0, fy0, fx1, fy1 = _bounds(frame)
     to_px = _pixel_map(style, fx0, fy0, fx1 - fx0, fy1 - fy0)
 
@@ -143,7 +150,6 @@ def render_curve_svg(curve, style=None, points=(), omega_lines=(), labels=None):
         t, den = _exit_parameter(base, direction, frame) or (m, 1)
         return to_px(base[0] * den + t * direction[0], base[1] * den + t * direction[1], den)
 
-    nv = len(curve.vertices)
     vertex_px = [to_px(x, y) for x, y in ints[:nv]]
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{style.width}"'
@@ -154,7 +160,7 @@ def render_curve_svg(curve, style=None, points=(), omega_lines=(), labels=None):
     stroke = "#444" if style.anticanonical_frame else "#ccc"
     lines.append(f'<polygon points="{frame_path}" fill="none" stroke="{stroke}"/>')
 
-    for base, (_, direction) in zip(ints[len(anchors):], omega_lines):
+    for base, (_, direction) in zip(ints[na:], omega_lines):
         ax, ay = tip(base, direction)
         bx, by = tip(base, (-direction[0], -direction[1]))
         lines.append(

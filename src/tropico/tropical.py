@@ -11,9 +11,9 @@ The two geometric kernels scale their input to integers and decide every
 case by integer sign tests: the upper hull of the lifted support, found by
 gift wrapping in O(n * cells) for n terms (_upper_cells), and the crossing
 scan that splits the image of a parametrized curve into a plane curve
-(_parametrized_to_plane).  The scan frames the positions once, tests each
-pair of the P original pieces at most once, O(P^2) box checks, and then
-replays the split order from the table of crossings it found.
+(_parametrized_to_plane).  The scan reads the curve's cached frame, tests
+each pair of the P original pieces at most once, O(P^2) box checks, and
+then replays the split order from the table of crossings it found.
 
 Each hull cell is hulled once, in _upper_cells, and comes with its plane
 and its LatticePolygon; the corner locus reads that polygon, and the
@@ -171,6 +171,12 @@ class PlaneTropicalCurve(Record):
         return PlaneTropicalCurve(vertices, segments, rays, frozenset(crossings), newton)
 
     @cached_property
+    def frame(self):
+        """(m, integer vertices): _integral_frame of the vertices, computed
+        once; to_plane_curve hands down the frame it found the crossings in."""
+        return _integral_frame(self.vertices)
+
+    @cached_property
     def incidence(self):
         """Vertex -> [(tag, outgoing direction, weight)] of the pieces at it:
         segments, then rays, by index (see _incidence); computed once, since
@@ -180,13 +186,15 @@ class PlaneTropicalCurve(Record):
             + [(("r", i), r.base, None, r.direction, r.weight) for i, r in enumerate(self.rays)]
         )
 
-    def pieces(self):
-        """All straight pieces as (p, q_or_None, direction, weight, tag)."""
+    def pieces(self, points=None):
+        """All straight pieces as (p, q_or_None, direction, weight, tag), with
+        p and q read in points, by default the vertices."""
+        points = self.vertices if points is None else points
         out = []
         for i, s in enumerate(self.segments):
-            out.append((self.vertices[s.a], self.vertices[s.b], s.direction, s.weight, ("s", i)))
+            out.append((points[s.a], points[s.b], s.direction, s.weight, ("s", i)))
         for i, r in enumerate(self.rays):
-            out.append((self.vertices[r.base], None, r.direction, r.weight, ("r", i)))
+            out.append((points[r.base], None, r.direction, r.weight, ("r", i)))
         return out
 
     def translate(self, v):
@@ -712,6 +720,12 @@ class ParametrizedCurve(Record):
         return len(links) - n + k, k
 
     @cached_property
+    def frame(self):
+        """(m, integer positions): _integral_frame of the positions, computed
+        once; the verifier's point test and to_plane_curve read it."""
+        return _integral_frame(self.positions)
+
+    @cached_property
     def incidence(self):
         """Vertex -> [(edge index, outgoing direction, weight)] of the edges
         at it, by index (see _incidence); computed once, since a curve is
@@ -745,10 +759,23 @@ def tropical_multiplicity(pc):
 def _integral_frame(points):
     """(m, integer points): every coordinate times m, the lcm of the
     denominators, so that the pieces on these points meet exactly where
-    the original pieces meet, scaled by m."""
+    the original pieces meet, scaled by m.  A curve's frame is cached
+    (ParametrizedCurve.frame, PlaneTropicalCurve.frame), as are a point
+    configuration's (PointConfig.point_frame); lists needed in one frame
+    join their frames (_joint_frame) rather than being framed again."""
     m = math.lcm(*(c.denominator for p in points for c in p))
     return m, [(p[0].numerator * (m // p[0].denominator),
                 p[1].numerator * (m // p[1].denominator)) for p in points]
+
+
+def _joint_frame(*frames):
+    """_integral_frame of the concatenated point lists, from their frames:
+    m is the lcm of theirs, and each list's integers are scaled to it."""
+    m = math.lcm(*(k for k, _ in frames))
+    ints = []
+    for k, part in frames:
+        ints += part if k == m else [(x * (m // k), y * (m // k)) for x, y in part]
+    return m, ints
 
 
 def _intersect_pieces(p1, q1, u1, p2, q2, u2):
@@ -804,17 +831,11 @@ def stable_intersection(c1, c2):
     """Transverse intersection points of two curves with multiplicities
     w1 * w2 * |det(u1, u2)|.  Degenerate contact (overlap, or a crossing at
     a vertex) raises NonTransverse; see stable_intersection_generic."""
-    m, ints = _integral_frame(c1.vertices + c2.vertices)
-    framed = dict(zip(c1.vertices + c2.vertices, ints))
-
-    def pieces(curve):
-        return [(framed[p], None if q is None else framed[q], u, w)
-                for p, q, u, w, _ in curve.pieces()]
-
+    m, ints = _joint_frame(c1.frame, c2.frame)
     points = {}
-    pieces2 = pieces(c2)
-    for p1, q1, u1, w1 in pieces(c1):
-        for p2, q2, u2, w2 in pieces2:
+    pieces2 = c2.pieces(ints[len(c1.vertices):])
+    for p1, q1, u1, w1, _ in c1.pieces(ints):
+        for p2, q2, u2, w2, _ in pieces2:
             hit = _intersect_pieces(p1, q1, u1, p2, q2, u2)
             if hit is None:
                 continue
@@ -857,12 +878,13 @@ def _parametrized_to_plane(pc, newton=None):
     split: the first pair with an interior crossing is split, and the new
     finite pieces are appended to the segments, in front of the rays.
 
-    The positions are framed once (see _integral_frame), and each pair of
-    original pieces goes through _intersect_pieces once; the interior
-    crossings are recorded with their rank along both pieces.  A pair is
-    skipped when the pieces' integer boxes (unbounded along a ray's
-    direction) are disjoint, or when the pieces are not parallel and share
-    an end vertex, where alone they can meet.  Parallel pairs are tested,
+    The scan reads the frame of the positions, pc.frame (see
+    _integral_frame), and each pair of original pieces goes through
+    _intersect_pieces once; the interior crossings are recorded with their
+    rank along both pieces.  A pair is skipped when the pieces' integer
+    boxes (unbounded along a ray's direction) are disjoint, or when the
+    pieces are not parallel and share an end vertex, where alone they can
+    meet.  Parallel pairs are tested,
     so an overlap raises NonTransverse.  The scan is then replayed on the
     table: a current piece is a stretch of its original between two ranks,
     and two current pieces cross exactly when their originals' crossing
@@ -872,10 +894,11 @@ def _parametrized_to_plane(pc, newton=None):
     pair's first row.  With P pieces that is O(P^2) box checks, integer
     tests for the pairs that pass, and per row of the replay one look at
     the crossings of its original.  Each Segment and Ray, and the curve,
-    is made once at the end, not through PlaneTropicalCurve.build.
+    is made once at the end, not through PlaneTropicalCurve.build, and the
+    curve is handed its frame: pc.frame joined with that of the crossings.
     """
     vertices = [_frac_point(p) for p in pc.positions]
-    m, ints = _integral_frame(vertices)
+    m, ints = pc.frame
     segs = []
     rays = []
     for e in pc.edges:
@@ -966,7 +989,12 @@ def _parametrized_to_plane(pc, newton=None):
     if newton is None:
         newton = _dual_polygon([(r.direction, r.weight) for r in rays])
     segs = tuple(Segment(*s) for s in segs)
-    return PlaneTropicalCurve(tuple(vertices), segs, rays, frozenset(crossings), newton)
+    curve = PlaneTropicalCurve(tuple(vertices), segs, rays, frozenset(crossings), newton)
+    # the frame the crossings were found in, joined with that of the
+    # crossings: _integral_frame(curve.vertices), without framing it again
+    n = len(pc.positions)
+    object.__setattr__(curve, "frame", _joint_frame((m, ints), _integral_frame(vertices[n:])))
+    return curve
 
 
 def _split_piece(segs, rays, tag, vi):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -53,6 +54,7 @@ from tropico.realize import (
     _transverse_axis,
 )
 from tropico.tropical import NotClosed, NotTrivalent, ParametrizedCurve, PEdge, _dual_polygon
+from tropico.tropical import _integral_frame
 from tropico.tropical import check_balancing, tropical_multiplicity
 
 
@@ -95,7 +97,7 @@ def test_realize_line():
     realization = realize(diag, marking, cfg, T1)
     assert not verify_realization(realization, diag, marking, cfg, T1)
     for pt in cfg.points:
-        assert points_on_curve(realization.curve, [pt])[0]
+        assert points_on_curve(realization.curve, _integral_frame([pt]))[0]
     assert tropical_multiplicity(realization.curve) == 1
 
 
@@ -517,6 +519,32 @@ def point_on_curve_brute_force(pc, point):
     return False
 
 
+def points_on_curve_reference(pc, points):
+    """`points_on_curve` as it was before it read the cached frames and its
+    hints: it frames the positions and the points through one lcm and scans
+    every edge for every point."""
+    n = len(pc.positions)
+    _, ints = _integral_frame(list(pc.positions) + list(points))
+    pieces = []
+    for e in pc.edges:
+        (x, y), u = ints[e.a], e.direction
+        tmax = None if e.b < 0 else u[0] * (ints[e.b][0] - x) + u[1] * (ints[e.b][1] - y)
+        pieces.append((x, y, u[0], u[1], tmax))
+    found = []
+    for px, py in ints[n:]:
+        for x, y, ux, uy, tmax in pieces:
+            rx, ry = px - x, py - y
+            if ux * ry != uy * rx:
+                continue
+            t = ux * rx + uy * ry
+            if t >= 0 and (tmax is None or t <= tmax):
+                found.append(True)
+                break
+        else:
+            found.append(False)
+    return found
+
+
 def test_points_on_curve_match_brute_force():
     rng = random.Random(12)
     rotated = DiagramSpec(LatticePolygon([perp(v) for v in triangle(3).vertices]), perp((0, 1)),
@@ -550,14 +578,26 @@ def test_points_on_curve_match_brute_force():
                     for _ in range(20)
                 ]
                 expected = [point_on_curve_brute_force(pc, c) for c in cands]
-                assert points_on_curve(pc, cands) == expected
-                assert [points_on_curve(pc, [c])[0] for c in cands[:20]] == expected[:20]
+                framed = _integral_frame(cands)
+                assert points_on_curve(pc, framed) == expected
+                assert points_on_curve_reference(pc, cands) == expected
+                assert [points_on_curve(pc, _integral_frame([c]))[0] for c in cands[:20]] == (
+                    expected[:20]
+                )
+                # hints, right, wrong or naming edges the curve does not
+                # have, change no answer
+                ne = len(pc.edges)
+                hints = [rng.sample(range(ne + 3), rng.randint(0, 3)) for _ in cands]
+                assert points_on_curve(pc, framed, hints) == expected
+                assert points_on_curve(pc, framed, hints[: len(cands) // 2]) == expected
                 seen.update(expected)
     assert seen == {True, False}
     # the far end of a segment that starts no other edge
     pc = ParametrizedCurve.build([(0, 0), (Fraction(3, 2), 3)], [PEdge(0, 1, 1, (1, 2))])
     cands = [(Fraction(3, 2), 3), (Fraction(3, 4), Fraction(3, 2)), (2, 4), (-1, -2), (0, 0)]
-    assert points_on_curve(pc, cands) == [True, True, False, False, True]
+    for hints in ((), [[0]] * 5):
+        assert points_on_curve(pc, _integral_frame(cands), hints) == [True, True, False, False,
+                                                                      True]
     assert [point_on_curve_brute_force(pc, c) for c in cands] == [True, True, False, False, True]
 
 
@@ -929,8 +969,9 @@ def floor_decompose_reference(pc, d):
 
 
 def verify_realization_reference(realization, diagram, marking, cfg, spec):
-    """`verify_realization` as it was before its fast paths: it builds the
-    ray circuit's polygon and compares the canonical keys of the floor
+    """`verify_realization` as it was before its fast paths: it scans every
+    edge for every point (points_on_curve_reference), builds the ray
+    circuit's polygon and compares the canonical keys of the floor
     decomposition and of the diagram on every curve."""
     pc = realization.curve
     n = len(pc.positions)
@@ -948,7 +989,7 @@ def verify_realization_reference(realization, diagram, marking, cfg, spec):
         violations.append(f"source genus {genus} != {spec.genus}")
     if components != 1:
         violations.append("source curve disconnected")
-    for i, on in enumerate(points_on_curve(pc, cfg.points)):
+    for i, on in enumerate(points_on_curve_reference(pc, cfg.points)):
         if not on:
             violations.append(f"point {i + 1} not on the curve")
     try:
@@ -1054,3 +1095,162 @@ def test_verification_matches_the_reference():
                 assert verify_checked(realization, copy, renamed, cfg, spec) == []
                 fallbacks += not _recovers(back, floor_of, copy, sizes)
     assert fallbacks
+
+
+def _layout_edges(realization, diag, element):
+    """The edges of realize's layout for a floor ("f", f), its pieces and its
+    two rays, or for an elevator or tail ("e", i): the edges that the label
+    of element names to verify_realization's point test."""
+    sizes = [len(breaks) for _, breaks, _ in realization.floor_paths]
+    starts = list(itertools.accumulate((size + 1 for size in sizes), initial=0))
+    kind, x = element
+    if kind == "e":
+        return [starts[-1] + x]
+    i = list(diag.floor_ids).index(x)
+    return list(range(starts[i], starts[i + 1]))
+
+
+def _on_edges(pc, indices, point):
+    """Whether point lies on one of the edges of pc with these indices."""
+    edges = tuple(pc.edges[j] for j in indices)
+    return point_on_curve_brute_force(ParametrizedCurve(pc.positions, edges), point)
+
+
+def test_verify_finds_a_point_moved_onto_a_piece_its_label_does_not_name():
+    # each point in turn moved onto the middle of a segment, or onto a ray,
+    # that its label does not name, where the configuration stays valid:
+    # the point test misses its named pieces and the full scan finds it
+    moved_points = 0
+    for spec in (T3_G0, T3_G1):
+        for diag, marking in _marked(spec)[:4]:
+            realization, cfg = realize_stretched(diag, marking, spec, seed=0)
+            pc = realization.curve
+            labels = marking.as_dict()
+            for i in range(len(cfg.points)):
+                named = _layout_edges(realization, diag, labels[i + 1])
+                for j, e in enumerate(pc.edges):
+                    p, u = pc.positions[e.a], e.direction
+                    if e.b >= 0:
+                        q = pc.positions[e.b]
+                        cands = [((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)]
+                    else:
+                        ts = (Fraction(1, 3), 1, 3, 30)
+                        cands = [(p[0] + t * u[0], p[1] + t * u[1]) for t in ts]
+                    for cand in cands:
+                        points = cfg.points[:i] + (cand,) + cfg.points[i + 1:]
+                        try:
+                            moved = PointConfig(
+                                cfg.direction, points, cfg.omega_minus, cfg.omega_plus
+                            )
+                        except RealizeError:
+                            continue
+                        if j in named or _on_edges(pc, named, cand):
+                            continue
+                        assert verify_checked(realization, diag, marking, moved, spec) == []
+                        moved_points += 1
+    assert moved_points >= 20
+
+
+def test_verify_names_a_point_moved_off_the_curve():
+    for spec in (T3_G0, OCTIC_G1):
+        diag, marking = _marked(spec)[0]
+        realization, cfg = realize_stretched(diag, marking, spec, seed=0)
+        for i, (x, y) in enumerate(cfg.points):
+            points = cfg.points[:i] + ((x + Fraction(1, 7), y),) + cfg.points[i + 1:]
+            moved = PointConfig(cfg.direction, points, cfg.omega_minus, cfg.omega_plus)
+            violations = verify_checked(realization, diag, marking, moved, spec)
+            assert violations == [f"point {i + 1} not on the curve"]
+
+
+def _blocks_permuted(realization, blocks, tails_first):
+    """realization with its curve's floor blocks, positions and edges, in
+    the order blocks, and its elevators and tails reversed and, with
+    tails_first, put in front of the blocks: the same image, laid out
+    otherwise than by realize."""
+    pc = realization.curve
+    sizes = [len(breaks) for _, breaks, _ in realization.floor_paths]
+    pstarts = list(itertools.accumulate(sizes, initial=0))
+    estarts = list(itertools.accumulate((size + 1 for size in sizes), initial=0))
+    old_positions = [v for i in blocks for v in range(pstarts[i], pstarts[i + 1])]
+    new = {v: k for k, v in enumerate(old_positions)}
+    new[-1] = -1
+    tails = list(range(estarts[-1], len(pc.edges)))[::-1]
+    floors = [j for i in blocks for j in range(estarts[i], estarts[i + 1])]
+    old_edges = tails + floors if tails_first else floors + tails
+    edges = tuple(
+        pc.edges[j]._replace(a=new[pc.edges[j].a], b=new[pc.edges[j].b]) for j in old_edges
+    )
+    curve = ParametrizedCurve(tuple(pc.positions[v] for v in old_positions), edges)
+    r = realization
+    return Realization(curve, r.floor_paths, r.elevator_lines, r.spec, r.diagram, r.marking)
+
+
+def _hints_all_wrong(realization, diag, marking, cfg):
+    """Whether no point of cfg lies on an edge that its label names in
+    realize's layout of realization."""
+    labels = marking.as_dict()
+    return not any(
+        _on_edges(realization.curve, _layout_edges(realization, diag, labels[i + 1]), point)
+        for i, point in enumerate(cfg.points)
+    )
+
+
+def test_verify_passes_a_realization_whose_floor_blocks_are_permuted():
+    # the first layout of permuted blocks in which no label names an edge
+    # that carries its point: every point is found by the full scan, and
+    # the verdict is the reference's
+    cases = 0
+    for spec in REALIZE_CORPUS + [ROTATED_T3]:
+        for diag, marking in _marked(spec):
+            realization, cfg = realize_stretched(diag, marking, spec, seed=0)
+            orders = itertools.permutations(range(len(diag.floors)))
+            layouts = itertools.product(orders, (True, False))
+            candidates = (_blocks_permuted(realization, *layout) for layout in layouts)
+            tampered = next((t for t in candidates if _hints_all_wrong(t, diag, marking, cfg)), None)
+            assert tampered is not None, f"every layout of {diag} keeps a right hint"
+            assert verify_checked(tampered, diag, marking, cfg, spec) == []
+            cases += 1
+    assert cases == 340 + 9
+
+
+def test_a_realize_item_frames_its_positions_once_and_a_configuration_its_points_once(
+    monkeypatch,
+):
+    """Realizing, verifying, converting and drawing every marked diagram of
+    T3 g=0 on one fresh configuration: realize frames each curve's positions
+    from its own integers, and no call of _integral_frame frames a position
+    again; the configuration's points are framed once for all the
+    verifications, and each drawing frames the points alone."""
+    from tropico import render
+
+    # the package attribute tropico.realize is the function, not the module
+    realize_module = importlib.import_module("tropico.realize")
+    calls_from = {"realize": realize_module, "tropical": tropical, "render": render}
+    calls = {name: [] for name in calls_from}
+    frame = tropical._integral_frame
+
+    def counted(module):
+        def counted_frame(points):
+            calls[module].append(list(points))
+            return frame(points)
+        return counted_frame
+
+    shared = stretch_points(T3_G0, 0)
+    cfg = PointConfig(shared.direction, shared.points, shared.omega_minus, shared.omega_plus)
+    items = 0
+    for diag, marking in _marked(T3_G0):
+        calls["tropical"] = []
+        with monkeypatch.context() as m:
+            for name, module in calls_from.items():
+                m.setattr(module, "_integral_frame", counted(name))
+            realization = realize(diag, marking, cfg, T3_G0)
+            assert verify_realization(realization, diag, marking, cfg, T3_G0) == []
+            curve = realization.curve.to_plane_curve(newton=T3_G0.polygon)
+            render.render_curve_svg(curve, points=cfg.points)
+        # to_plane_curve frames the crossings it adds, and nothing else
+        assert calls["tropical"] == [list(curve.vertices[len(realization.curve.positions):])]
+        assert vars(realization.curve)["frame"] == frame(realization.curve.positions)
+        items += 1
+        assert calls["realize"] == [list(cfg.points)]
+        assert calls["render"] == [list(cfg.points)] * items
+    assert items == 9

@@ -869,3 +869,46 @@ def test_stable_intersection_vertex_contact_message():
         with pytest.raises(NonTransverse) as err:
             stable_intersection(first, second)
         assert str(err.value) == "intersection at a vertex: (Fraction(8, 15), Fraction(5, 3))"
+
+
+def _plane_with_handed_frame(pc, newton):
+    """pc.to_plane_curve(newton), after checking that the frame it hands the
+    plane curve is _integral_frame of the curve's vertices."""
+    curve = pc.to_plane_curve(newton)
+    assert vars(curve)["frame"] == _integral_frame(curve.vertices)
+    return curve
+
+
+def test_curves_are_handed_their_integral_frame():
+    # realize hands its curve the frame of its positions, and to_plane_curve
+    # the frame it found the crossings in, joined with theirs
+    from test_realize import REALIZE_CORPUS, ROTATED_T3, _marked
+    from test_render import tropicalize_corpus
+
+    crossings = 0
+    for spec in REALIZE_CORPUS + [ROTATED_T3]:
+        for diag, marking in _marked(spec):
+            pc = realize_stretched(diag, marking, spec, seed=0)[0].curve
+            assert vars(pc)["frame"] == _integral_frame(pc.positions)
+            crossings += len(_plane_with_handed_frame(pc, spec.polygon).crossings)
+    assert crossings > 300
+    # the corner loci of the tropicalize corpus as parametrized curves
+    cases = 0
+    for seed in (0, 1, 2):
+        for poly in tropicalize_corpus(seed):
+            curve, _ = corner_locus(poly)
+            edges = [PEdge(s.a, s.b, s.weight, s.direction) for s in curve.segments]
+            edges += [PEdge(r.base, -1, r.weight, r.direction) for r in curve.rays]
+            pc = ParametrizedCurve(curve.vertices, tuple(edges))
+            _plane_with_handed_frame(pc, curve.newton)
+            cases += 1
+    assert cases == 54
+    # random curves, whose pieces cross again and again
+    rng = random.Random(45)
+    for trial in range(90):
+        grid, denom = ((3, 1), (6, 2), (40, 9))[trial % 3]
+        pc = _random_parametrized_curve(rng, grid, denom)
+        _plane_outcome(_plane_with_handed_frame, pc, triangle(1))
+    for _ in range(10):
+        crossings = _plane_with_handed_frame(_dense_parametrized_curve(rng), triangle(1)).crossings
+        assert len(crossings) > 10
