@@ -107,7 +107,8 @@ def cmd_count(args):
     if not args.explain:
         print(count(spec))
         return 0
-    total, rows = count(spec, explain=True)
+    from .diagram import explain
+    total, rows = explain(spec)
     print(total)
     print(f"{'diagram':>8} {'classes':>8} {'mult':>6} {'subtotal':>9}", file=sys.stderr)
     for i, (diag, nclasses, mu) in enumerate(rows):
@@ -118,12 +119,11 @@ def cmd_count(args):
 
 def cmd_diagrams(args):
     from . import diagram as diagram_mod
-    from .peel import multiplicity
     spec = _spec_from_args(args)
     out = []
     for diag in diagram_mod.enumerate_diagrams(spec):
         entry = io_mod.diagram_to_json(diag)
-        entry["multiplicity"] = multiplicity(diag, spec)
+        entry["multiplicity"] = diagram_mod.multiplicity(diag, spec)
         if args.markings:
             classes = diagram_mod.enumerate_markings(diag, spec)
             entry["markings"] = [io_mod.marking_to_json(m) for m in classes]
@@ -134,7 +134,7 @@ def cmd_diagrams(args):
 
 def cmd_realize(args):
     from . import render
-    from .realize import RealizeError, _transverse_axis, realize_stretched, verify_realization
+    from .realize import RealizeError, realize_stretched, verify_realization
     spec = _spec_from_args(args)
     diag = io_mod.diagram_from_json(_load_json(args.diagram))
     marking = io_mod.marking_from_json(_load_json(args.marking), diag)
@@ -146,20 +146,9 @@ def cmd_realize(args):
     print(io_mod.dumps(io_mod.realization_to_json(realization, curve)))
     if args.svg:
         style = render.RenderStyle(anticanonical_frame=args.frame)
-        e_axis = _transverse_axis(spec.direction)
-        n2 = lattice.dot(spec.direction, spec.direction)
-        omega = [
-            (
-                (
-                    om * e_axis[0] / n2,
-                    om * e_axis[1] / n2,
-                ),
-                spec.direction,
-            )
-            for om in list(cfg.omega_minus) + list(cfg.omega_plus)
-        ]
         labels = {i: str(i + 1) for i in range(len(cfg.points))}
-        _write_text(args.svg, render.render_curve_svg(curve, style, cfg.points, omega, labels))
+        svg = render.render_curve_svg(curve, style, cfg.points, cfg.omega_lines, labels)
+        _write_text(args.svg, svg)
     return 0
 
 

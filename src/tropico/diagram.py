@@ -10,9 +10,11 @@ the number of marked diagrams, each weighted by I^beta * prod w(e)^2 over
 finite edges.
 
 The count itself, by floor peeling, lives in `peel`, with the spec, the
-N-sequences, the diagram errors and `multiplicity`, so that `tropico
-count` compiles none of this module; this module takes from `peel` only
-what it uses.
+N-sequences and `DiagramError`, so that `tropico count` compiles none of
+this module; this module takes from `peel` only what it uses.  The
+listing that `tropico count --explain` prints is `explain`: the diagrams
+of `enumerate_diagrams` with their marking classes and `multiplicity`,
+checked to sum to `count`.
 
 For each diagram `count_markings` counts the labellings L of floors and
 edges that follow the diagram's order, respect the alpha label blocks and
@@ -55,12 +57,16 @@ from functools import cached_property
 
 from . import lattice
 from .lattice import InvariantViolation, Record, component_count
-from .peel import DiagramError, DiagramSpec, Disconnected, weight_multiset
+from .peel import DiagramError, DiagramSpec, count
 
-# bound here only for perfbench, which calls diagram.count and
-# diagram.nseq_Ipow and wraps diagram.direction_data
+# bound here only for perfbench, which calls diagram.nseq_Ipow and wraps
+# diagram.direction_data
 from .lattice import direction_data
-from .peel import count, nseq_Ipow
+from .peel import nseq_Ipow
+
+
+class Disconnected(DiagramError):
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +457,17 @@ def _lexicographic_permutations(values):
         perm[i + 1:] = reversed(perm[i + 1:])
 
 
+def weight_multiset(alpha, beta):
+    """Tail weights demanded by a type: alpha_k + beta_k copies of weight k."""
+    n = max(len(alpha), len(beta))
+    out = []
+    for i in range(n):
+        a = alpha[i] if i < len(alpha) else 0
+        b = beta[i] if i < len(beta) else 0
+        out.extend([i + 1] * (a + b))
+    return tuple(out)
+
+
 def _tail_distributions(weights, n):
     """Ways to attach a multiset of tail weights to n floors, up to reordering
     identical weights: per weight value, a multiset of target floors."""
@@ -762,6 +779,40 @@ def count_markings(diagram, spec):
             [f"{labellings} labellings are not divisible by |Aut_floor| = {aut}"],
         )
     return labellings // aut
+
+
+# ---------------------------------------------------------------------------
+# the listing behind `tropico count --explain`
+
+
+def multiplicity(diagram, spec):
+    """I^beta times the product of squared finite edge weights; marking-free."""
+    mu = spec.multiplicity_Ibeta()
+    for _, _, w in diagram.finite_edges():
+        mu *= w * w
+    return mu
+
+
+def explain(spec):
+    """`count` with the diagrams behind it: (total, rows) with one row
+    (diagram, classes, multiplicity) per diagram of `enumerate_diagrams`
+    that has markings.  Raises InvariantViolation unless the rows sum to
+    the peeled total."""
+    total = count(spec)
+    rows = []
+    listed = 0
+    for diag in enumerate_diagrams(spec):
+        nclasses = count_markings(diag, spec)
+        if not nclasses:
+            continue
+        mu = multiplicity(diag, spec)
+        listed += mu * nclasses
+        rows.append((diag, nclasses, mu))
+    if listed != total:
+        raise InvariantViolation(
+            "count", [f"the listed diagrams sum to {listed}, floor peeling gives {total}"]
+        )
+    return total, rows
 
 
 # Counts of worked examples, checked by `tropico check` and the acceptance

@@ -1,6 +1,5 @@
 """The count of marked floor diagrams by floor peeling: the enumerative
-problem (`DiagramSpec`), its N-sequences, the multiplicity of a diagram
-and `count`.
+problem (`DiagramSpec`), its N-sequences and `count`.
 
 The number of genus-g curves with Newton polygon Delta through the right
 number of points equals the number of marked floor diagrams, each weighted
@@ -18,15 +17,9 @@ Fomin-Mikhalkin), with the thetas in place of the degree.  A state is one
 integer key, and what depends only on its thetas or its type comes from
 tables built once per call.
 
-`count(spec, explain=True)` lists the diagrams too, and checks that they
-sum to the same total.  For each diagram of `diagram.enumerate_diagrams`,
-`diagram.count_markings` counts its marking classes without listing them;
-both are imported from `diagram` when such a call is made.
-
 This module holds the whole of what `tropico count` runs, so that command
-compiles neither validation, generation, canonical forms nor markings.
-`diagram` imports every name defined here, so ``tropico.diagram.X`` is the
-same object as ``tropico.peel.X``.
+compiles neither validation, generation, canonical forms nor markings.  It
+imports no tropico module but `lattice`.
 """
 
 from __future__ import annotations
@@ -37,14 +30,10 @@ import operator
 from functools import cached_property
 
 from . import lattice
-from .lattice import InvariantViolation, Record
+from .lattice import Record
 
 
 class DiagramError(lattice.TropicoError):
-    pass
-
-
-class Disconnected(DiagramError):
     pass
 
 
@@ -111,17 +100,6 @@ def _nseq_sub(a, b):
 def _nseq_binom(a, b):
     """prod over k of C(a_k, b_k), for b <= a."""
     return math.prod(map(math.comb, a, b))
-
-
-def weight_multiset(alpha, beta):
-    """Tail weights demanded by a type: alpha_k + beta_k copies of weight k."""
-    n = max(len(alpha), len(beta))
-    out = []
-    for i in range(n):
-        a = alpha[i] if i < len(alpha) else 0
-        b = beta[i] if i < len(beta) else 0
-        out.extend([i + 1] * (a + b))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -458,44 +436,13 @@ def _peel_count(spec):
 
 
 # ---------------------------------------------------------------------------
-# multiplicity and the count
+# the count
 
 
-def multiplicity(diagram, spec):
-    """I^beta times the product of squared finite edge weights; marking-free."""
-    mu = spec.multiplicity_Ibeta()
-    for _, _, w in diagram.finite_edges():
-        mu *= w * w
-    return mu
-
-
-def count(spec, explain=False):
+def count(spec):
     """Sum of multiplicities over equivalence classes of marked diagrams,
-    by floor peeling (`_peel_count`), which lists no diagram.
-
-    With ``explain``, returns (total, rows) with one row (diagram, classes,
-    multiplicity) per diagram of `diagram.enumerate_diagrams` that has
-    markings, and raises InvariantViolation unless the rows sum to the
-    peeled total.
-    """
+    by floor peeling (`_peel_count`), which lists no diagram."""
     spec.check()
     if spec.data.d_height == 0:
         raise DiagramError("polygon has no floors")
-    total = _peel_count(spec)
-    if not explain:
-        return total
-    from .diagram import count_markings, enumerate_diagrams
-    rows = []
-    listed = 0
-    for diag in enumerate_diagrams(spec):
-        nclasses = count_markings(diag, spec)
-        if not nclasses:
-            continue
-        mu = multiplicity(diag, spec)
-        listed += mu * nclasses
-        rows.append((diag, nclasses, mu))
-    if listed != total:
-        raise InvariantViolation(
-            "count", [f"the listed diagrams sum to {listed}, floor peeling gives {total}"]
-        )
-    return total, rows
+    return _peel_count(spec)

@@ -92,6 +92,16 @@ class PointConfig(Record):
         m = math.lcm(*(v.denominator for g in groups for v in g))
         return IntegerFrame(m, *(tuple(v.numerator * (m // v.denominator) for v in g) for g in groups))
 
+    @property
+    def omega_lines(self):
+        """(base, direction) per Omega line, omega_minus then omega_plus: the
+        point of abscissa omega on the line through the origin along the
+        transverse axis, and the stretching direction."""
+        d = self.direction
+        e, n2 = _transverse_axis(d), dot(d, d)
+        omegas = (*self.omega_minus, *self.omega_plus)
+        return [((om * e[0] / n2, om * e[1] / n2), d) for om in omegas]
+
     @functools.cached_property
     def point_frame(self):
         """(m, integer points): tropical._integral_frame of the points in
@@ -141,9 +151,12 @@ def stretch_points(spec, seed=0, spacing=None):
     return PointConfig(d, tuple(points), tuple(omis), tuple(opls))
 
 
+@functools.lru_cache(maxsize=64)
 def default_spacing(spec):
     """Height gap dominating any slope the floors can reach over the unit
-    abscissa window occupied by the marked points and Omega lines."""
+    abscissa window occupied by the marked points and Omega lines; it
+    depends on the spec alone, so every marked diagram of a spec shares
+    one computation."""
     dd = spec.data
     n2 = dot(spec.direction, spec.direction)
     total_weight = spec.polygon.boundary_points() + spec.genus

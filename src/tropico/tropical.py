@@ -32,8 +32,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import lattice
-from .lattice import InvariantViolation, LatticePolygon, Record, component_count, convex_hull
-from .lattice import add, det, dot, perp, scale, sub
+from .lattice import InvariantViolation, LatticePolygon, Record, component_count, component_roots
+from .lattice import add, convex_hull, det, dot, perp, scale, sub
 
 
 class TropicalError(lattice.TropicoError):
@@ -512,11 +512,12 @@ def _lower_hull_vertices(f, cells):
 
 def _chain_partition(curve):
     """Partition the straight pieces into maximal collinear chains through
-    crossings.  Returns (chains, per-chain info): each chain is a list of
-    piece tags; info records weight and the two end kinds ('v' finite
-    vertex or 'inf')."""
-    # at a crossing, pair up opposite collinear pieces
-    succ = {}  # (piece tag, end vertex) -> next piece tag
+    crossings: (chain, endpoints) per chain, in the order of its first
+    piece (segments, then rays), chain its piece tags and endpoints its two
+    ends, each a vertex that is not a crossing or None for infinity.  At a
+    crossing the opposite pieces are paired greedily and joined with the
+    union-find."""
+    links = []
     incidence = curve.incidence
     for v in curve.crossings:
         inc = incidence.get(v, ())
@@ -524,45 +525,19 @@ def _chain_partition(curve):
             raise UnsupportedShape(f"crossing vertex {v} is not 4-valent")
         used = set()
         for (t1, u1, _), (t2, u2, _) in itertools.combinations(inc, 2):
-            if t1 in used or t2 in used:
-                continue
-            if u1 == scale(u2, -1):
-                succ[(t1, v)] = t2
-                succ[(t2, v)] = t1
-                used.add(t1)
-                used.add(t2)
+            if t1 not in used and t2 not in used and u1 == scale(u2, -1):
+                links.append((t1, t2))
+                used.update((t1, t2))
         if len(used) != 4:
             raise UnsupportedShape(f"crossing vertex {v} does not pair into two lines")
-
-    def ends_of(tag):
-        if tag[0] == "s":
-            s = curve.segments[tag[1]]
-            return [s.a, s.b]
-        return [curve.rays[tag[1]].base, None]
-
-    seen = set()
-    chains = []
-    for piece in [("s", i) for i in range(len(curve.segments))] + [
-        ("r", i) for i in range(len(curve.rays))
-    ]:
-        if piece in seen:
-            continue
-        chain = [piece]
-        seen.add(piece)
-        endpoints = []
-        for v0 in ends_of(piece):
-            tag, v = piece, v0
-            while v is not None and v in curve.crossings:
-                tag = succ[(tag, v)]
-                if tag in seen and tag in chain:
-                    break
-                chain.append(tag)
-                seen.add(tag)
-                other = [w for w in ends_of(tag) if w != v]
-                v = other[0] if other else None
-            endpoints.append(v)
-        chains.append((chain, endpoints))
-    return chains
+    ends = {("s", i): (s.a, s.b) for i, s in enumerate(curve.segments)}
+    ends.update((("r", i), (r.base, None)) for i, r in enumerate(curve.rays))
+    chains = {}
+    for tag, root in component_roots(ends, links).items():
+        chain, endpoints = chains.setdefault(root, ([], []))
+        chain.append(tag)
+        endpoints += [v for v in ends[tag] if v not in curve.crossings]
+    return list(chains.values())
 
 
 def _piece_interval(p, q, u, canon):
@@ -600,9 +575,10 @@ def _line_key(p, u):
 
 def _check_reduced(curve):
     """Conservative reducedness test: no two pieces supported on one line
-    with a positive-length common stretch."""
+    with a positive-length common stretch, read in the curve's integer
+    frame."""
     by_line = {}
-    for p, q, u, w, tag in curve.pieces():
+    for p, q, u, w, tag in curve.pieces(curve.frame[1]):
         canon = _canonical_direction(u)
         by_line.setdefault(_line_key(p, u), []).append(
             (_piece_interval(p, q, u, canon), tag)

@@ -32,7 +32,7 @@ from tropico.lattice import (
     triangle,
     vertex_singularity,
 )
-from tropico.peel import DiagramSpec, SideBoundaryCondition, count, multiplicity, nseq_Ipow
+from tropico.peel import DiagramSpec, SideBoundaryCondition, count, nseq_Ipow
 from tropico.realize import realize_stretched, verify_realization
 from tropico.tropical import (
     abstract_genus,

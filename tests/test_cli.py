@@ -166,7 +166,7 @@ def test_bad_option_values_are_input_errors(files, capsys):
 
 
 def test_library_key_error_is_not_a_domain_error(files, monkeypatch):
-    def broken(spec, explain=False):
+    def broken(spec):
         raise KeyError("internal")
 
     monkeypatch.setattr("tropico.peel.count", broken)

@@ -8,13 +8,16 @@ import pytest
 from tropico import diagram as diagram_mod
 from tropico import io
 from tropico.diagram import (
+    Disconnected,
     FloorDiagram,
     canonical_key,
     count_markings,
     diagram_genus,
     enumerate_diagrams,
     enumerate_markings,
+    explain,
     lemma_1_5_check,
+    multiplicity,
     validate,
     validate_verbose,
     weighted_count_check,
@@ -32,10 +35,8 @@ from tropico.lattice import (
 from tropico.peel import (
     DiagramError,
     DiagramSpec,
-    Disconnected,
     SideBoundaryCondition,
     count,
-    multiplicity,
     nseq,
 )
 
@@ -252,7 +253,7 @@ def test_count_golden():
 
 
 def test_count_matches_breakdown():
-    total, rows = count(T3_B11, explain=True)
+    total, rows = explain(T3_B11)
     assert total == sum(n * mu for _, n, mu in rows) == 36
 
 
@@ -261,7 +262,7 @@ def test_count_explain_rejects_rows_that_miss_the_total(monkeypatch):
     monkeypatch.setattr(diagram_mod, "count_markings", lambda d, s: listed(d, s) + 1)
     assert count(T3_B3) == 12
     with pytest.raises(InvariantViolation) as err:
-        count(T3_B3, explain=True)
+        explain(T3_B3)
     assert "floor peeling gives 12" in str(err.value)
 
 
@@ -647,7 +648,7 @@ def test_count_explain_reports_a_split_class(monkeypatch):
     spec = DiagramSpec(triangle(4), (0, 1), 0, (), (), (), (4,))
     assert len(enumerate_diagrams(spec)) == 16
     with pytest.raises(InvariantViolation) as err:
-        count(spec, explain=True)
+        explain(spec)
     assert "the listed diagrams sum to" in err.value.violations[0]
 
 
@@ -658,7 +659,7 @@ def test_the_listing_searches_each_candidate_once(monkeypatch):
     least_forms = diagram_mod._least_forms
     monkeypatch.setattr(diagram_mod, "_least_forms", lambda data: calls.append(data) or least_forms(data))
     spec = DiagramSpec(triangle(4), (0, 1), 0, (), (), (), (4,))
-    rows = count(spec, explain=True)[1]
+    rows = explain(spec)[1]
     assert len(calls) == 16 and len(rows) == 12
 
 

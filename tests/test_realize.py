@@ -35,7 +35,7 @@ from tropico.lattice import (
     slope_vector,
     triangle,
 )
-from tropico.peel import DiagramSpec, count, multiplicity, nseq_abs, nseq_Ipow
+from tropico.peel import DiagramSpec, count, nseq_abs, nseq_Ipow
 from tropico.realize import (
     InvalidMarking,
     PointConfig,
@@ -68,6 +68,13 @@ def test_stretch_points_counts():
     assert len(stretch_points(T1, seed=3).points) == 2
     assert len(stretch_points(T3_G0, seed=3).points) == 8
     assert len(stretch_points(OCTIC_G1, seed=3).points) == 6
+
+
+def test_omega_lines_have_their_abscissa_and_height_zero():
+    cfg = PointConfig((1, 2), ((Fraction(0), Fraction(1)),), (Fraction(1, 2),), (Fraction(3),))
+    lines = cfg.omega_lines
+    assert [dot(_transverse_axis(cfg.direction), base) for base, _ in lines] == [Fraction(1, 2), 3]
+    assert [(dot(cfg.direction, base), d) for base, d in lines] == [(0, (1, 2))] * 2
 
 
 def test_stretch_points_determinism_and_config_checks():
@@ -1254,3 +1261,12 @@ def test_a_realize_item_frames_its_positions_once_and_a_configuration_its_points
         assert calls["realize"] == [list(cfg.points)]
         assert calls["render"] == [list(cfg.points)] * items
     assert items == 9
+
+
+def test_the_default_spacing_is_computed_once_per_spec():
+    spec = DiagramSpec(triangle(4), (0, 1), 1, (), (), (), (4,))
+    default_spacing.cache_clear()
+    items = _marked(spec)
+    for diag, marking in items:
+        realize_stretched(diag, marking, spec)
+    assert len(items) == 118 and default_spacing.cache_info().misses == 1

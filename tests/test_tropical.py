@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -793,10 +794,76 @@ def _dense_parametrized_curve(rng):
     return ParametrizedCurve.build(pos, edges)
 
 
+def chain_partition_reference(curve):
+    """tropical._chain_partition by walking successor links: at each
+    crossing the opposite pieces are paired greedily, and each chain is
+    grown from its first piece through the crossings at both of its ends."""
+    succ = {}  # (piece tag, end vertex) -> next piece tag
+    incidence = curve.incidence
+    for v in curve.crossings:
+        inc = incidence.get(v, ())
+        if len(inc) != 4:
+            raise UnsupportedShape(f"crossing vertex {v} is not 4-valent")
+        used = set()
+        for (t1, u1, _), (t2, u2, _) in itertools.combinations(inc, 2):
+            if t1 in used or t2 in used:
+                continue
+            if u1 == scale(u2, -1):
+                succ[(t1, v)] = t2
+                succ[(t2, v)] = t1
+                used.add(t1)
+                used.add(t2)
+        if len(used) != 4:
+            raise UnsupportedShape(f"crossing vertex {v} does not pair into two lines")
+
+    def ends_of(tag):
+        if tag[0] == "s":
+            s = curve.segments[tag[1]]
+            return [s.a, s.b]
+        return [curve.rays[tag[1]].base, None]
+
+    seen = set()
+    chains = []
+    for piece in [("s", i) for i in range(len(curve.segments))] + [
+        ("r", i) for i in range(len(curve.rays))
+    ]:
+        if piece in seen:
+            continue
+        chain = [piece]
+        seen.add(piece)
+        endpoints = []
+        for v0 in ends_of(piece):
+            tag, v = piece, v0
+            while v is not None and v in curve.crossings:
+                tag = succ[(tag, v)]
+                if tag in seen and tag in chain:
+                    break
+                chain.append(tag)
+                seen.add(tag)
+                other = [w for w in ends_of(tag) if w != v]
+                v = other[0] if other else None
+            endpoints.append(v)
+        chains.append((chain, endpoints))
+    return chains
+
+
+def _chains_as_reference(curve):
+    """tropical._chain_partition(curve), after checking that it gives the
+    reference's chains in the reference's order: the same piece tags and
+    the same multiset of endpoints per chain."""
+    got = tropical._chain_partition(curve)
+
+    def unordered(chains):
+        return [(sorted(chain), Counter(endpoints)) for chain, endpoints in chains]
+
+    assert unordered(got) == unordered(chain_partition_reference(curve))
+    return got
+
+
 def _splits_per_piece(curve):
     """How often each piece of the parametrized curve was split: the pieces
     of its maximal straight chain through crossings, less one."""
-    return [len(chain) - 1 for chain, _ in tropical._chain_partition(curve)]
+    return [len(chain) - 1 for chain, _ in _chains_as_reference(curve)]
 
 
 def test_box_filtered_scan_matches_brute_force_on_random_curves():
@@ -912,3 +979,61 @@ def test_curves_are_handed_their_integral_frame():
     for _ in range(10):
         crossings = _plane_with_handed_frame(_dense_parametrized_curve(rng), triangle(1)).crossings
         assert len(crossings) > 10
+
+
+def test_chain_partition_matches_the_reference():
+    # the realize corpus, the corner loci of the tropicalize corpus, and (in
+    # _splits_per_piece) the dense random curves
+    from test_realize import REALIZE_CORPUS, _marked
+    from test_render import tropicalize_corpus
+
+    curves = crossings = 0
+    for spec in REALIZE_CORPUS:
+        for diag, marking in _marked(spec):
+            pc = realize_stretched(diag, marking, spec, seed=0)[0].curve
+            curve = pc.to_plane_curve(spec.polygon)
+            _chains_as_reference(curve)
+            curves += 1
+            crossings += len(curve.crossings)
+    assert curves == 340 and crossings > 300
+    for seed in (0, 1, 2):
+        for poly in tropicalize_corpus(seed):
+            curve, _ = corner_locus(poly)
+            chains = _chains_as_reference(curve)
+            curves += 1
+            assert len(chains) == len(curve.segments) + len(curve.rays) - 2 * len(curve.crossings)
+    assert curves == 340 + 54
+    # a crossing that is not 4-valent, and a 4-valent one whose pieces do
+    # not pair into two lines (one opposite pair only)
+    line, _ = corner_locus(tropical_line())
+    trapezoid, _ = corner_locus(
+        TropicalPolynomial.make({(0, 0): 0, (2, 0): 0, (3, 1): 0, (0, 1): 0})
+    )
+    for curve, message in (
+        (line, "crossing vertex 0 is not 4-valent"),
+        (trapezoid, "crossing vertex 0 does not pair into two lines"),
+    ):
+        marked = PlaneTropicalCurve(
+            curve.vertices, curve.segments, curve.rays, frozenset({0}), curve.newton
+        )
+        for partition in (tropical._chain_partition, chain_partition_reference):
+            with pytest.raises(UnsupportedShape) as caught:
+                partition(marked)
+            assert str(caught.value) == message
+
+
+def test_realized_curves_have_the_genus_of_their_spec():
+    # every marked diagram realized at seed 0: the plane curve's geometric
+    # genus, p_a - delta checked against the separated curve, is the genus
+    # the diagram was counted at
+    from test_realize import REALIZE_CORPUS, _marked
+
+    specs = REALIZE_CORPUS + [DiagramSpec(triangle(4), (0, 1), g, (), (), (), (4,)) for g in (1, 2, 3)]
+    specs += [DiagramSpec(trapezium(1, 3, 1), (0, 1), g, (), (), (1,), (4,)) for g in (0, 1)]
+    curves = 0
+    for spec in specs:
+        for diag, marking in _marked(spec):
+            pc = realize_stretched(diag, marking, spec, seed=0)[0].curve
+            assert geometric_genus(pc.to_plane_curve(spec.polygon)) == spec.genus, (spec, marking)
+            curves += 1
+    assert curves == 340 + 137 + 421
