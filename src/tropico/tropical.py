@@ -19,8 +19,8 @@ Each hull cell is hulled once, in _upper_cells, and comes with its plane
 and its LatticePolygon; the corner locus reads that polygon, and the
 Legendre transform the vertices of the cells.  One monotone chain
 (lattice.monotone_chain) serves convex_hull and the collinear Legendre
-domain, and one dual-polygon builder (_dual_polygon) turns both a vertex
-star and the ray circuit into a polygon.
+domain.  Only the ray circuit becomes a polygon (_dual_polygon); the delta
+invariant reads each vertex's dual cell off its star (_balanced).
 """
 
 from __future__ import annotations
@@ -186,6 +186,35 @@ class PlaneTropicalCurve(Record):
             + [(("r", i), r.base, None, r.direction, r.weight) for i, r in enumerate(self.rays)]
         )
 
+    @cached_property
+    def chains(self):
+        """Maximal collinear chains of pieces through crossings, computed
+        once: (piece tags, endpoints) per chain, in the order of its first
+        piece, endpoints its two ends that are not crossings (None for
+        infinity).  Opposite pieces at a crossing are paired greedily and
+        joined with the union-find."""
+        links = []
+        incidence = self.incidence
+        for v in self.crossings:
+            inc = incidence.get(v, ())
+            if len(inc) != 4:
+                raise UnsupportedShape(f"crossing vertex {v} is not 4-valent")
+            used = set()
+            for (t1, u1, _), (t2, u2, _) in itertools.combinations(inc, 2):
+                if t1 not in used and t2 not in used and u1 == scale(u2, -1):
+                    links.append((t1, t2))
+                    used.update((t1, t2))
+            if len(used) != 4:
+                raise UnsupportedShape(f"crossing vertex {v} does not pair into two lines")
+        ends = {("s", i): (s.a, s.b) for i, s in enumerate(self.segments)}
+        ends.update((("r", i), (r.base, None)) for i, r in enumerate(self.rays))
+        chains = {}
+        for tag, root in component_roots(ends, links).items():
+            chain, endpoints = chains.setdefault(root, ([], []))
+            chain.append(tag)
+            endpoints += [v for v in ends[tag] if v not in self.crossings]
+        return list(chains.values())
+
     def pieces(self, points=None):
         """All straight pieces as (p, q_or_None, direction, weight, tag), with
         p and q read in points, by default the vertices."""
@@ -221,29 +250,32 @@ def _incidence(pieces):
     return out
 
 
+def _balanced(star):
+    """The vectors w * u of a vertex star [(tag, u, w)], in its order, or
+    None when they do not sum to zero: the balance test of check_balancing
+    and delta_invariant."""
+    vectors = []
+    x = y = 0
+    for _, (a, b), w in star:
+        a, b = a * w, b * w
+        x, y = x + a, y + b
+        vectors.append((a, b))
+    return None if x or y else vectors
+
+
 def check_balancing(curve):
     """Sum of weight * primitive outgoing direction vanishes at every vertex
     of a plane or parametrized curve."""
-    for star in curve.incidence.values():
-        total = (0, 0)
-        for _, u, w in star:
-            total = add(total, scale(u, w))
-        if total != (0, 0):
-            return False
-    return True
+    return all(_balanced(star) is not None for star in curve.incidence.values())
 
 
-def _dual_polygon(star, vertex=None):
-    """Dual lattice polygon of a star of weighted directions (u, w): the
-    pieces at the finite vertex numbered vertex, or, with vertex None, the
-    rays of a curve, whose circuit traces its Newton polygon.
-
-    The vectors w * u are sorted by angle, each is turned by +pi/2, and
-    their partial sums from (0, 0) are the vertices (LatticePolygon merges
-    the collinear ones that parallel pieces leave).  A star whose sum does
-    not vanish raises NotClosed; so does a curve without rays.
-    """
-    if vertex is None and not star:
+def _dual_polygon(star):
+    """The Newton polygon traced by the rays (u, w) of a curve: the vectors
+    w * u sorted by angle, each turned by +pi/2, have partial sums from
+    (0, 0) at its vertices (LatticePolygon merges the collinear ones that
+    parallel rays leave).  A circuit that does not close raises NotClosed;
+    so does a curve without rays."""
+    if not star:
         raise NotClosed("curve has no rays")
     total = (0, 0)
     pts = [total]
@@ -251,9 +283,7 @@ def _dual_polygon(star, vertex=None):
         total = add(total, perp(wu))
         pts.append(total)
     if total != (0, 0):
-        if vertex is None:
-            raise NotClosed(f"weighted ray circuit does not close: drift {total}")
-        raise NotClosed(f"vertex {vertex} is not balanced")
+        raise NotClosed(f"weighted ray circuit does not close: drift {total}")
     return LatticePolygon(pts[:-1])
 
 
@@ -510,36 +540,6 @@ def _lower_hull_vertices(f, cells):
 # chains, delta invariant, genus
 
 
-def _chain_partition(curve):
-    """Partition the straight pieces into maximal collinear chains through
-    crossings: (chain, endpoints) per chain, in the order of its first
-    piece (segments, then rays), chain its piece tags and endpoints its two
-    ends, each a vertex that is not a crossing or None for infinity.  At a
-    crossing the opposite pieces are paired greedily and joined with the
-    union-find."""
-    links = []
-    incidence = curve.incidence
-    for v in curve.crossings:
-        inc = incidence.get(v, ())
-        if len(inc) != 4:
-            raise UnsupportedShape(f"crossing vertex {v} is not 4-valent")
-        used = set()
-        for (t1, u1, _), (t2, u2, _) in itertools.combinations(inc, 2):
-            if t1 not in used and t2 not in used and u1 == scale(u2, -1):
-                links.append((t1, t2))
-                used.update((t1, t2))
-        if len(used) != 4:
-            raise UnsupportedShape(f"crossing vertex {v} does not pair into two lines")
-    ends = {("s", i): (s.a, s.b) for i, s in enumerate(curve.segments)}
-    ends.update((("r", i), (r.base, None)) for i, r in enumerate(curve.rays))
-    chains = {}
-    for tag, root in component_roots(ends, links).items():
-        chain, endpoints = chains.setdefault(root, ([], []))
-        chain.append(tag)
-        endpoints += [v for v in ends[tag] if v not in curve.crossings]
-    return list(chains.values())
-
-
 def _piece_interval(p, q, u, canon):
     """Parameter interval of a piece along the canonical line direction.
     Endpoints are (lo, hi) with None for -/+ infinity."""
@@ -587,55 +587,55 @@ def _check_reduced(curve):
         for (i1, tag1), (i2, tag2) in itertools.combinations(pieces, 2):
             if _intervals_overlap(i1, i2) == "pos":
                 raise NonReduced(f"pieces {tag1} and {tag2} overlap on a common line")
-    return True
 
 
 def delta_invariant(curve):
-    """Tropical delta invariant of a reduced curve whose dual tiles are
-    triangles and parallelograms.
-
-    Sums (w - 1) over finite segments (maximal straight chains with both
-    ends at finite vertices), the Euclidean area over crossing
-    parallelograms, and the interior lattice point count over triangle
-    cells of honest trivalent vertices.
+    """Tropical delta invariant, in integers, of a reduced curve whose dual
+    cells are triangles and parallelograms: w - 1 per finite chain, plus
+    each vertex's cell read off the vectors w * u of its star (_balanced),
+    pairwise distinct once _check_reduced passes, as weights are positive
+    and directions primitive.  Each vertex is checked for balance,
+    degeneracy and shape in turn.  A crossing must be two opposite pairs of
+    equal vectors and adds |det| of two non-opposite ones; a trivalent
+    vertex adds its triangle's interior points I, 2I = |det(w1 u1, w2 u2)|
+    - (w1 + w2 + w3) + 2 by Pick.
     """
     _check_reduced(curve)
-    delta = Fraction(0)
-    incidence = curve.incidence
+    delta = 0
     for v in range(len(curve.vertices)):
-        cell = _dual_polygon([(u, w) for _, u, w in incidence.get(v, ())], v)
+        star = curve.incidence.get(v, ())
+        vectors = _balanced(star)
+        if vectors is None:
+            raise NotClosed(f"vertex {v} is not balanced")
+        if len(vectors) < 3:
+            raise lattice.DegeneratePolygon("need at least 3 non-collinear vertices")
         if v in curve.crossings:
-            if not _is_parallelogram(cell):
+            if len(vectors) != 4 or any((-x, -y) not in vectors for x, y in vectors):
                 raise UnsupportedShape(f"crossing {v} has a non-parallelogram cell")
-            delta += Fraction(cell.double_area(), 2)
+            a, b, c, _ = vectors
+            delta += abs(det(a, b if b != (-a[0], -a[1]) else c))
         else:
-            if len(cell.vertices) != 3:
+            if len(vectors) != 3:
                 raise UnsupportedShape(f"vertex {v} has a non-triangle cell")
-            delta += cell.interior_points()
-    for chain, endpoints in _chain_partition(curve):
+            delta += (abs(det(vectors[0], vectors[1])) - sum(w for _, _, w in star) + 2) // 2
+    for chain, endpoints in curve.chains:
         if all(e is not None for e in endpoints):
-            weights = {
-                (curve.segments[i].weight if kind == "s" else curve.rays[i].weight)
-                for kind, i in chain
-            }
+            weights = {curve.segments[i].weight for _, i in chain}  # a ray has an end at infinity
             if len(weights) != 1:
                 raise InvariantViolation(f"chain {chain} changes weight: {sorted(weights)}")
             delta += weights.pop() - 1
-    if delta.denominator != 1:
-        raise InvariantViolation(f"delta invariant {delta} is not an integer")
-    return int(delta)
+    return delta
 
 
 def abstract_genus(curve):
     """Genus 1 - t + a of the separated curve: t trivalent vertices, a
     finite segments.  Requires the separated curve to be connected and to
     contain no line through two ends at infinity."""
-    chains = _chain_partition(curve)
     real = [v for v in range(len(curve.vertices)) if v not in curve.crossings]
     t = len(real)
     a = 0
     links = []
-    for chain, endpoints in chains:
+    for chain, endpoints in curve.chains:
         if all(e is None for e in endpoints):
             raise NonReduced("curve contains a full line through crossings")
         if all(e is not None for e in endpoints):

@@ -795,7 +795,7 @@ def _dense_parametrized_curve(rng):
 
 
 def chain_partition_reference(curve):
-    """tropical._chain_partition by walking successor links: at each
+    """PlaneTropicalCurve.chains by walking successor links: at each
     crossing the opposite pieces are paired greedily, and each chain is
     grown from its first piece through the crossings at both of its ends."""
     succ = {}  # (piece tag, end vertex) -> next piece tag
@@ -848,10 +848,10 @@ def chain_partition_reference(curve):
 
 
 def _chains_as_reference(curve):
-    """tropical._chain_partition(curve), after checking that it gives the
-    reference's chains in the reference's order: the same piece tags and
-    the same multiset of endpoints per chain."""
-    got = tropical._chain_partition(curve)
+    """curve.chains, after checking that it gives the reference's chains in
+    the reference's order: the same piece tags and the same multiset of
+    endpoints per chain."""
+    got = curve.chains
 
     def unordered(chains):
         return [(sorted(chain), Counter(endpoints)) for chain, endpoints in chains]
@@ -1016,24 +1016,271 @@ def test_chain_partition_matches_the_reference():
         marked = PlaneTropicalCurve(
             curve.vertices, curve.segments, curve.rays, frozenset({0}), curve.newton
         )
-        for partition in (tropical._chain_partition, chain_partition_reference):
+        for partition in (lambda curve: curve.chains, chain_partition_reference):
             with pytest.raises(UnsupportedShape) as caught:
                 partition(marked)
             assert str(caught.value) == message
 
 
-def test_realized_curves_have_the_genus_of_their_spec():
-    # every marked diagram realized at seed 0: the plane curve's geometric
-    # genus, p_a - delta checked against the separated curve, is the genus
-    # the diagram was counted at
+def _genus_corpus():
+    """(spec, marking, plane curve) for every marked diagram of the realize
+    corpus, T4 g=1..3 and trapezium(1, 3, 1) g=0, 1 with beta+ = (1),
+    realized at seed 0: 898 curves."""
     from test_realize import REALIZE_CORPUS, _marked
 
     specs = REALIZE_CORPUS + [DiagramSpec(triangle(4), (0, 1), g, (), (), (), (4,)) for g in (1, 2, 3)]
     specs += [DiagramSpec(trapezium(1, 3, 1), (0, 1), g, (), (), (1,), (4,)) for g in (0, 1)]
-    curves = 0
+    corpus = []
     for spec in specs:
         for diag, marking in _marked(spec):
             pc = realize_stretched(diag, marking, spec, seed=0)[0].curve
-            assert geometric_genus(pc.to_plane_curve(spec.polygon)) == spec.genus, (spec, marking)
-            curves += 1
-    assert curves == 340 + 137 + 421
+            corpus.append((spec, marking, pc.to_plane_curve(spec.polygon)))
+    assert len(corpus) == 340 + 137 + 421
+    return corpus
+
+
+def test_realized_curves_have_the_genus_of_their_spec():
+    # the plane curve's geometric genus, p_a - delta checked against the
+    # separated curve, is the genus the diagram was counted at
+    for spec, marking, curve in _genus_corpus():
+        assert geometric_genus(curve) == spec.genus, (spec, marking)
+
+
+def delta_invariant_reference(curve):
+    """delta_invariant through each vertex's dual LatticePolygon: the
+    vectors w * u of its star sorted by angle, turned by +pi/2 and summed
+    from (0, 0), a triangle's interior points counted row by row, a
+    parallelogram's area halved from the shoelace, all summed in Fractions;
+    the chains come from chain_partition_reference."""
+    tropical._check_reduced(curve)
+    delta = Fraction(0)
+    for v in range(len(curve.vertices)):
+        total = (0, 0)
+        pts = [total]
+        for wu in lattice.sort_by_angle([scale(u, w) for _, u, w in curve.incidence.get(v, ())]):
+            total = lattice.add(total, perp(wu))
+            pts.append(total)
+        if total != (0, 0):
+            raise NotClosed(f"vertex {v} is not balanced")
+        cell = lattice.LatticePolygon(pts[:-1])
+        if v in curve.crossings:
+            if not _is_parallelogram(cell):
+                raise UnsupportedShape(f"crossing {v} has a non-parallelogram cell")
+            delta += Fraction(cell.double_area(), 2)
+        else:
+            if len(cell.vertices) != 3:
+                raise UnsupportedShape(f"vertex {v} has a non-triangle cell")
+            delta += cell.interior_points()
+    for chain, endpoints in chain_partition_reference(curve):
+        if all(e is not None for e in endpoints):
+            weights = {
+                (curve.segments[i].weight if kind == "s" else curve.rays[i].weight)
+                for kind, i in chain
+            }
+            if len(weights) != 1:
+                raise InvariantViolation(f"chain {chain} changes weight: {sorted(weights)}")
+            delta += weights.pop() - 1
+    if delta.denominator != 1:
+        raise InvariantViolation(f"delta invariant {delta} is not an integer")
+    return int(delta)
+
+
+def abstract_genus_reference(curve):
+    """abstract_genus on the chains of chain_partition_reference."""
+    real = [v for v in range(len(curve.vertices)) if v not in curve.crossings]
+    a = 0
+    links = []
+    for chain, endpoints in chain_partition_reference(curve):
+        if all(e is None for e in endpoints):
+            raise NonReduced("curve contains a full line through crossings")
+        if all(e is not None for e in endpoints):
+            a += 1
+            links.append(endpoints)
+    if lattice.component_count(real, links) != 1:
+        raise NonReduced("separated curve is disconnected; genus undefined")
+    return 1 - len(real) + a
+
+
+def check_balancing_reference(curve):
+    """check_balancing by summing scaled vectors at each vertex."""
+    for star in curve.incidence.values():
+        total = (0, 0)
+        for _, u, w in star:
+            total = lattice.add(total, scale(u, w))
+        if total != (0, 0):
+            return False
+    return True
+
+
+def _star_record(vertices, rays, segments=(), crossings=()):
+    """A plane curve record with these pieces, which build may refuse; its
+    Newton polygon is a placeholder that delta_invariant does not read."""
+    vertices = tuple((Fraction(x), Fraction(y)) for x, y in vertices)
+    return PlaneTropicalCurve(vertices, tuple(segments), tuple(rays), frozenset(crossings), triangle(1))
+
+
+def _tampered_stars():
+    """Curves with stars that break the rules of delta_invariant, as
+    (curve, what delta_invariant raises or returns)."""
+    line = [Ray(0, (-1, 0), 1), Ray(0, (0, -1), 1), Ray(0, (1, 1), 1)]
+    cross = [Ray(0, (1, 0), 2), Ray(0, (-1, 0), 2), Ray(0, (1, 1), 3), Ray(0, (-1, -1), 3)]
+    x = [Ray(0, (1, 0), 1), Ray(0, (-1, 0), 1), Ray(0, (0, 1), 1), Ray(0, (0, -1), 1)]
+    corner = [Ray(1, (1, 0), 1), Ray(1, (0, 1), 1)]
+    lopsided = [Ray(0, (1, 0), 2), Ray(0, (-1, 0), 1), Ray(0, (0, 1), 1), Ray(0, (-1, -1), 1)]
+    unbalanced_cross = [Ray(0, (1, 0), 2), Ray(0, (-1, 0), 1), Ray(0, (0, 1), 1), Ray(0, (0, -1), 1)]
+    trapezoid, _ = corner_locus(TropicalPolynomial.make({(0, 0): 0, (2, 0): 0, (3, 1): 0, (0, 1): 0}))
+    not_balanced = (NotClosed, "vertex 0 is not balanced")
+    degenerate = (DegeneratePolygon, "need at least 3 non-collinear vertices")
+    four_valent = (UnsupportedShape, "vertex 0 has a non-triangle cell")
+    not_a_parallelogram = (UnsupportedShape, "crossing 0 has a non-parallelogram cell")
+    return [
+        # well-formed stars: a crossing of area 2 * 3, a triangle with an
+        # interior point, a tropical line
+        (_star_record([(0, 0)], cross, crossings={0}), 6),
+        (_star_record([(0, 0)], [Ray(0, u, 3) for _, u, _ in line]), 1),
+        (_star_record([(0, 0)], line), 0),
+        # unbalanced
+        (_star_record([(0, 0)], [Ray(0, (-1, 0), 2)] + line[1:]), not_balanced),
+        # no pieces
+        (_star_record([(0, 0), (5, 5)], line), degenerate),
+        # straight 2-valent: the diagonal ray of a line broken at (1, 1)
+        (_star_record([(0, 0), (1, 1)], line[:2] + [Ray(1, (1, 1), 1)], [Segment(0, 1, 1, (1, 1))]), degenerate),
+        # two opposite rays, and a crossing with two
+        (_star_record([(0, 0)], x[:2]), degenerate),
+        (_star_record([(0, 0)], x[:2], crossings={0}), degenerate),
+        # 3-valent crossing
+        (_star_record([(0, 0)], line, crossings={0}), not_a_parallelogram),
+        # crossings with unequal opposite weights, balanced or not
+        (_star_record([(0, 0)], lopsided, crossings={0}), not_a_parallelogram),
+        (_star_record([(0, 0)], unbalanced_cross, crossings={0}), not_balanced),
+        # 4-valent non-crossing: a trapezoid, a lopsided star and an X
+        (trapezoid, four_valent),
+        (_star_record([(0, 0)], lopsided), four_valent),
+        (_star_record([(0, 0)], x), four_valent),
+        # faults at two vertices: the first vertex's fault is raised
+        (_star_record([(0, 0), (5, 5)], x + corner), four_valent),
+        (_star_record([(5, 5), (0, 0)], [Ray(1, u, w) for _, u, w in x] + [Ray(0, u, w) for _, u, w in corner]),
+         not_balanced),
+        (_star_record([(0, 0), (5, 5)], x[:2] + corner), degenerate),
+        (_star_record([(0, 0), (5, 5)], line + [Ray(1, u, w) for _, u, w in x[:2]], crossings={0, 1}),
+         not_a_parallelogram),
+    ]
+
+
+def _outcome_of(fn, curve):
+    """(type, value) of fn(curve), or the type and message of the error it
+    raises."""
+    try:
+        value = fn(curve)
+    except (lattice.TropicoError, InvariantViolation) as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+def test_delta_genus_and_balancing_match_the_polygon_reference():
+    # delta_invariant, abstract_genus and check_balancing give the value, or
+    # the exception type and message, of the route through dual polygons
+    from test_render import tropicalize_corpus
+
+    curves = [curve for _, _, curve in _genus_corpus()]
+    curves += [corner_locus(poly)[0] for seed in (0, 1, 2) for poly in tropicalize_corpus(seed)]
+    # the dense random curves of _splits_per_piece, drawn after the 400
+    # random curves of the same generator
+    rng = random.Random(44)
+    for trial in range(400):
+        _random_parametrized_curve(rng, *((3, 1), (6, 2), (40, 9))[trial % 3])
+    curves += [_dense_parametrized_curve(rng).to_plane_curve(triangle(1)) for _ in range(60)]
+    tampered = _tampered_stars()
+    raised = Counter()
+    for curve in curves + [curve for curve, _ in tampered]:
+        for fn, reference in (
+            (delta_invariant, delta_invariant_reference),
+            (abstract_genus, abstract_genus_reference),
+            (check_balancing, check_balancing_reference),
+        ):
+            got = _outcome_of(fn, curve)
+            assert got == _outcome_of(reference, curve), (fn.__name__, curve)
+            if issubclass(got[0], Exception):
+                raised[fn.__name__, got[0].__name__] += 1
+    for curve, want in tampered:
+        got = _outcome_of(delta_invariant, curve)
+        assert got == (want if isinstance(want, tuple) else (int, want)), curve
+    assert len(curves) == 898 + 54 + 60
+    assert raised["delta_invariant", "NotClosed"] >= 60 and raised["delta_invariant", "DegeneratePolygon"] >= 6
+    assert raised["delta_invariant", "UnsupportedShape"] >= 8 and raised["abstract_genus", "UnsupportedShape"] >= 4
+    assert sum(not check_balancing(curve) for curve in curves) >= 55
+
+
+def test_delta_is_the_interior_points_and_areas_of_the_cells():
+    # on every corner locus whose cells are triangles and parallelograms,
+    # delta is the triangles' interior points, the parallelograms' areas
+    # and w - 1 per finite chain: the star formulas against the polygons
+    # of the hull walk
+    from test_render import tropicalize_corpus
+
+    def product(f, g):
+        terms = {}
+        for (e1, a1), (e2, a2) in itertools.product(f.terms, g.terms):
+            e = (e1[0] + e2[0], e1[1] + e2[1])
+            terms[e] = max(terms.get(e, a1 + a2), a1 + a2)
+        return TropicalPolynomial.make(terms)
+
+    rng = random.Random(5)
+    polys = [poly for seed in (0, 1, 2) for poly in tropicalize_corpus(seed)]
+    polys += [random_polynomial(rng, shape, denom=1, spread=3)
+              for shape in (triangle(2), triangle(3), diamond(), trapezium(2, 2, 1)) for _ in range(30)]
+    # unions of two random curves, whose crossings are parallelograms
+    polys += [product(*(random_polynomial(rng, triangle(rng.randint(1, 2))) for _ in "fg")) for _ in range(40)]
+    loci = Counter()
+    for poly in polys:
+        curve, subdivision = corner_locus(poly)
+        if not all(len(c.vertices) == 3 or _is_parallelogram(c) for c in subdivision.cells):
+            continue
+        want = 0
+        for cell in subdivision.cells:
+            if len(cell.vertices) == 3:
+                want += cell.interior_points()
+                loci["interior points"] += cell.interior_points() > 0
+            else:
+                want += cell.double_area() // 2
+                loci["parallelograms"] += 1
+        for chain, endpoints in chain_partition_reference(curve):
+            if None not in endpoints:
+                w = curve.segments[chain[0][1]].weight
+                want += w - 1
+                loci["heavy chains"] += w > 1
+        assert delta_invariant(curve) == want, poly
+        loci["loci"] += 1
+    assert loci["loci"] >= 190
+    assert loci["interior points"] >= 50 and loci["parallelograms"] >= 60 and loci["heavy chains"] >= 50
+
+
+def test_genus_builds_no_polygon_and_partitions_the_chains_once(monkeypatch):
+    """geometric_genus of a realized curve with crossings constructs no
+    LatticePolygon and runs the union-find of the chain partition once."""
+    from test_realize import _marked
+
+    spec = DiagramSpec(triangle(4), (0, 1), 2, (), (), (), (4,))
+    built = {"polygons": 0, "partitions": 0}
+    polygon_init, roots = lattice.LatticePolygon.__init__, tropical.component_roots
+
+    def counted_init(self, vertices):
+        built["polygons"] += 1
+        polygon_init(self, vertices)
+
+    def counted_roots(nodes, links):
+        built["partitions"] += 1
+        return roots(nodes, links)
+
+    crossings = 0
+    for diag, marking in _marked(spec):
+        pc = realize_stretched(diag, marking, spec, seed=0)[0].curve
+        curve = pc.to_plane_curve(spec.polygon)
+        built.update(polygons=0, partitions=0)
+        with monkeypatch.context() as m:
+            m.setattr(lattice.LatticePolygon, "__init__", counted_init)
+            m.setattr(tropical, "component_roots", counted_roots)
+            assert geometric_genus(curve) == 2
+        assert built == {"polygons": 0, "partitions": 1}
+        crossings += len(curve.crossings)
+    assert crossings > 0
