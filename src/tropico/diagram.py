@@ -263,16 +263,24 @@ def weighted_count_check(diagram, spec):
 def _floor_data(diagram):
     """The diagram by floor position 0..n-1: (lefts, rights, fins, downs,
     ups), the left and right thetas, the finite edges (s, t, w), and the
-    down tails (t, w) and up tails (s, w) in edge order."""
-    pos = {f: i for i, f in enumerate(diagram.floor_ids)}
-    div = diagram.divergences()
-    return (
-        tuple(th for _, th in diagram.floors),
-        tuple(th + div[f] for f, th in diagram.floors),
-        [(pos[s], pos[t], w) for s, t, w in diagram.finite_edges()],
-        [(pos[t], w) for _, t, w in diagram.down_edges()],
-        [(pos[s], w) for s, _, w in diagram.up_edges()],
-    )
+    down tails (t, w) and up tails (s, w) in edge order, from one pass over
+    the edges, in which every vertex at infinity has position n."""
+    pos = {f: i for i, (f, _) in enumerate(diagram.floors)}
+    lefts = tuple(th for _, th in diagram.floors)
+    n = len(lefts)
+    div = [0] * (n + 1)
+    fins, downs, ups = [], [], []
+    for s, t, w in diagram.edges:
+        i, j = pos.get(s, n), pos.get(t, n)
+        div[i] -= w
+        div[j] += w
+        if i == n:
+            downs.append((j, w))
+        elif j == n:
+            ups.append((i, w))
+        else:
+            fins.append((i, j, w))
+    return lefts, tuple(th + dv for th, dv in zip(lefts, div)), fins, downs, ups
 
 
 def canonical_key(diagram):

@@ -2,11 +2,11 @@
 
 Everything here is integer or rational arithmetic; there is no floating
 point anywhere in the package.  A lattice vector is a plain ``(x, y)``
-tuple of ints, a polygon is an immutable cyclic list of lattice points.
-The direction data of a polygon transverse to a direction d (its left
-and right boundary directions and its top and bottom lengths) come from
-one pass over its edges.  The package's one union-find (component_roots)
-lives here too.
+tuple of ints, and a polygon is a `Record` whose one field is the cyclic
+tuple of its vertices.  The direction data of a polygon transverse to a
+direction d (its left and right boundary directions and its top and
+bottom lengths) come from one pass over its edges.  The package's one
+union-find (component_roots) lives here too.
 """
 
 from __future__ import annotations
@@ -269,19 +269,18 @@ def _strip_collinear(vertices):
     return pts
 
 
-class LatticePolygon:
+class LatticePolygon(Record):
     """Strictly convex polygon with integral vertices, stored counterclockwise.
 
     Clockwise input is silently reversed; consecutive collinear or repeated
-    vertices are merged.  Segments and points are rejected.  Immutable, as a
-    `Record` is: assigning or deleting an attribute raises AttributeError.
+    vertices are merged.  Segments and points are rejected.
     """
 
-    __slots__ = ("vertices",)
+    vertices: tuple
 
-    def __init__(self, vertices):
+    def __post_init__(self):
         pts = []
-        for x, y in vertices:
+        for x, y in self.vertices:
             if x != int(x) or y != int(y):
                 raise DegeneratePolygon("vertices must be integral")
             pts.append((int(x), int(y)))
@@ -302,23 +301,7 @@ class LatticePolygon:
         if turns != 1:
             raise DegeneratePolygon("edge directions wind more than once")
         start = min(range(n), key=lambda i: pts[i])
-        object.__setattr__(self, "vertices", tuple(pts[start:] + pts[:start]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle would set the slot through __setattr__
-        return LatticePolygon, (self.vertices,)
-
-    def __eq__(self, other):
-        return isinstance(other, LatticePolygon) and self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash(self.vertices)
+        _set_field(self, "vertices", tuple(pts[start:] + pts[:start]))
 
     def __repr__(self):
         return f"LatticePolygon({list(self.vertices)!r})"
@@ -419,8 +402,9 @@ def monotone_chain(points):
 
 
 def convex_hull(points):
-    """Convex hull of integer points, as a LatticePolygon (monotone chain)."""
-    pts = sorted(set((int(x), int(y)) for x, y in points))
+    """Convex hull of integer points, as a LatticePolygon (monotone chain),
+    which refuses a hull vertex that is not a lattice point."""
+    pts = sorted({(x, y) for x, y in points})
     if len(pts) < 3:
         raise DegeneratePolygon("hull of fewer than 3 distinct points")
     lower = monotone_chain(pts)

@@ -55,11 +55,6 @@ def nseq(seq=()):
     return tuple(out)
 
 
-def nseq_abs(a):
-    """|a| = sum of the entries."""
-    return sum(a)
-
-
 def nseq_I(a):
     """Ia = sum over k of k * a_k (entry a[i] has order k = i + 1)."""
     return sum(map(operator.mul, itertools.count(1), a))
@@ -157,14 +152,14 @@ class DiagramSpec(Record):
             self.genus
             - 1
             + 2 * self.data.d_height
-            + nseq_abs(self.beta_plus)
-            + nseq_abs(self.beta_minus)
+            + sum(self.beta_plus)
+            + sum(self.beta_minus)
         )
 
     def label_range(self):
         """The marking label interval {-|a-|+1, ..., s+|a+|} as a list."""
-        lo = -nseq_abs(self.alpha_minus) + 1
-        hi = self.s + nseq_abs(self.alpha_plus)
+        lo = -sum(self.alpha_minus) + 1
+        hi = self.s + sum(self.alpha_plus)
         return list(range(lo, hi + 1))
 
     def multiplicity_Ibeta(self):

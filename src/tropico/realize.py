@@ -21,7 +21,6 @@ from typing import NamedTuple
 from . import diagram as diagram_mod
 from . import lattice
 from .lattice import Record, component_roots, dot, perp, scale, slope_of, slope_vector
-from .peel import nseq_abs
 from .tropical import NotClosed, NotTrivalent, ParametrizedCurve, PEdge, check_balancing
 from .tropical import _dual_polygon, _integral_frame, _traces, tropical_multiplicity
 
@@ -132,11 +131,11 @@ def stretch_points(spec, seed=0, spacing=None):
         r = (7919 * (i + 1) + 104729 * (seed + 1)) % p1
         taus.append(Fraction(r if r else 1, p1))
     omis = []
-    for j in range(nseq_abs(spec.alpha_minus)):
+    for j in range(sum(spec.alpha_minus)):
         r = (6007 * (j + 1) + 31337 * (seed + 1)) % p2
         omis.append(Fraction(r if r else 1, p2))
     opls = []
-    for j in range(nseq_abs(spec.alpha_plus)):
+    for j in range(sum(spec.alpha_plus)):
         r = (6007 * (j + 17) + 31337 * (seed + 2)) % p2
         opls.append(Fraction(r if r else 2, p2))
     points = []
@@ -220,7 +219,7 @@ def realize(diagram, marking, cfg, spec):
         ):
             raise InvalidMarking(f"label of edge {i} is not between the labels of its floors")
     s = spec.s
-    lo = -nseq_abs(spec.alpha_minus) + 1
+    lo = -sum(spec.alpha_minus) + 1
 
     # supporting abscissa of every edge, and the bend it puts on each floor
     edge_xi = []
@@ -414,27 +413,6 @@ def _decompose(pc, d):
     return back, comp_of
 
 
-def _floor_census(diagram, pos):
-    """The diagram with each floor f renamed pos[f]: its thetas by new
-    name, and its finite edges (s, t, w), down tails (t, w) and up tails
-    (s, w), each sorted."""
-    thetas = [None] * len(pos)
-    for f, th in diagram.floors:
-        thetas[pos[f]] = th
-    fins, downs, ups = [], [], []
-    for s, t, w in diagram.edges:
-        if s not in pos:
-            downs.append((pos[t], w))
-        elif t not in pos:
-            ups.append((pos[s], w))
-        else:
-            fins.append((pos[s], pos[t], w))
-    fins.sort()
-    downs.sort()
-    ups.sort()
-    return thetas, fins, downs, ups
-
-
 def _recovers(back, floor_of, diagram, sizes):
     """Whether the decomposition back, whose position v lies on floor
     floor_of[v], equals diagram under the floor map of realize's layout:
@@ -454,8 +432,15 @@ def _recovers(back, floor_of, diagram, sizes):
         start += size
     if len(to) != n:
         return False
-    pos = {f: i for i, f in enumerate(diagram.floor_ids)}
-    return _floor_census(back, to) == _floor_census(diagram, pos)
+    # back's floors are 0..n-1 in order, so its floor positions are its ids
+    lefts, _, fins, downs, ups = diagram_mod._floor_data(back)
+    want = diagram_mod._floor_data(diagram)
+    return (
+        sorted([(to[c], th) for c, th in enumerate(lefts)]) == list(enumerate(want[0]))
+        and sorted([(to[s], to[t], w) for s, t, w in fins]) == sorted(want[2])
+        and sorted([(to[t], w) for t, w in downs]) == sorted(want[3])
+        and sorted([(to[s], w) for s, w in ups]) == sorted(want[4])
+    )
 
 
 def points_on_curve(pc, framed, hints=()):
@@ -557,7 +542,7 @@ def verify_realization(realization, diagram, marking, cfg, spec):
             # the rays close up but span no polygon, e.g. two opposite rays
             violations.append("ray circuit does not trace the Newton polygon")
     # alpha rays supported on their Omega lines
-    lo = -nseq_abs(spec.alpha_minus) + 1
+    lo = -sum(spec.alpha_minus) + 1
     s = spec.s
     elab = {el: lab for lab, el in labels.items()}
     exi = dict(realization.elevator_lines)

@@ -116,14 +116,16 @@ class TropicalPolynomial(Record):
         return convex_hull(self.support)
 
     def spans_plane(self):
-        pts = self.support
-        if len(pts) < 3:
-            return False
-        p0 = pts[0]
-        return any(
-            det(sub(p1, p0), sub(p2, p0)) != 0
-            for p1, p2 in itertools.combinations(pts[1:], 2)
-        )
+        return not _collinear(sorted(set(self.support)))
+
+
+def _collinear(pts):
+    """Whether the sorted, distinct points pts lie on one line, in O(n):
+    every point is on the line through the first two."""
+    if len(pts) < 3:
+        return True
+    e = sub(pts[1], pts[0])
+    return all(det(e, sub(r, pts[0])) == 0 for r in pts[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +161,14 @@ class PlaneTropicalCurve(Record):
     def build(vertices, segments, rays, crossings=(), newton=None):
         """The curve of these pieces, with newton the polygon its ray
         circuit traces: when given, a polygon the rays do not trace (see
-        _traces) raises TropicalError."""
+        _traces) raises TropicalError, and so does a segment or ray of
+        weight below 1 or with a direction that is not primitive."""
         vertices = tuple(_frac_point(v) for v in vertices)
         segments = tuple(s if isinstance(s, Segment) else Segment(*s) for s in segments)
         rays = tuple(r if isinstance(r, Ray) else Ray(*r) for r in rays)
+        for piece in segments + rays:
+            if piece.weight < 1 or not lattice.is_primitive(piece.direction):
+                raise TropicalError(f"{piece} needs a positive weight and a primitive direction")
         star = [(r.direction, r.weight) for r in rays]
         if newton is None:
             newton = _dual_polygon(star)
@@ -362,7 +368,7 @@ def _upper_cells(poly_terms):
     """
     lift = dict(poly_terms)
     pts = sorted(lift)
-    if len(pts) < 3 or all(det(sub(pts[1], pts[0]), sub(r, pts[0])) == 0 for r in pts):
+    if _collinear(pts):
         return {}
     scale_ = math.lcm(*(Fraction(a).denominator for a in lift.values()))
     h = {p: int(Fraction(a) * scale_) for p, a in lift.items()}

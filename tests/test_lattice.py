@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from tropico.lattice import (
     NonPositiveDeterminant,
     NotPrimitive,
     NotTransverse,
+    Record,
     convex_hull,
     cubic_triangle,
     det,
@@ -118,6 +120,10 @@ def test_a_polygon_is_immutable_and_copies_as_its_vertices():
     # a polygon is a dict key and a DiagramSpec field, whose direction data
     # is cached: changing it in place would change its hash under them
     poly = triangle(3)
+    assert isinstance(poly, Record) and LatticePolygon._fields == ("vertices",)
+    assert repr(poly) == "LatticePolygon([(0, 0), (3, 0), (0, 3)])"
+    assert poly == LatticePolygon(vertices=[(0, 3), (0, 0), (3, 0)]) and poly != triangle(2)
+    assert poly != poly.vertices and len({poly, triangle(3), triangle(2)}) == 2
     vertices, h = poly.vertices, hash(poly)
     with pytest.raises(AttributeError):
         poly.vertices = ((0, 0), (5, 0), (0, 1))
@@ -127,8 +133,10 @@ def test_a_polygon_is_immutable_and_copies_as_its_vertices():
         del poly.vertices
     assert poly.vertices == vertices and hash(poly) == h
     for copied in (copy.copy(poly), copy.deepcopy(poly), pickle.loads(pickle.dumps(poly))):
-        assert type(copied) is LatticePolygon
+        assert type(copied) is LatticePolygon and repr(copied) == repr(poly)
         assert copied == poly and copied.vertices == vertices and hash(copied) == h
+        with pytest.raises(AttributeError):
+            copied.vertices = vertices
 
 
 def test_vertex_singularity_examples():
@@ -428,3 +436,8 @@ def test_lattice_invariants_raise_typed_errors(monkeypatch):
 
 def test_convex_hull():
     assert convex_hull([(0, 0), (3, 0), (0, 3), (1, 1), (2, 0)]) == triangle(3)
+    assert convex_hull([(0, 0), (3.0, 0), (0, Fraction(3))]) == triangle(3)
+    # a hull vertex that is not a lattice point is refused, not truncated
+    for x in (Fraction(1, 2), 0.9):
+        with pytest.raises(DegeneratePolygon, match="vertices must be integral"):
+            convex_hull([(x, 0), (3, 0), (0, 3)])

@@ -35,7 +35,7 @@ from tropico.lattice import (
     slope_vector,
     triangle,
 )
-from tropico.peel import DiagramSpec, count, nseq_abs, nseq_Ipow
+from tropico.peel import DiagramSpec, count, nseq_Ipow
 from tropico.realize import (
     InvalidMarking,
     PointConfig,
@@ -619,7 +619,7 @@ def realize_fraction_reference(diagram, marking, cfg, spec):
     labels = marking.as_dict()
     element_label = {el: lab for lab, el in labels.items()}
     s = spec.s
-    lo = -nseq_abs(spec.alpha_minus) + 1
+    lo = -sum(spec.alpha_minus) + 1
 
     def xi_of_point(p):
         return dot(e, p)
@@ -833,7 +833,7 @@ def test_integer_frame_matches_fraction_reference_on_hand_made_points():
                 tau = Fraction(rng.randint(1, 996), rng.choice((997, 12, 35, 1)))
                 points.append(((h * d[0] + tau * e[0]) / n2, (h * d[1] + tau * e[1]) / n2))
             omegas = [Fraction(rng.randint(-40, 40), rng.choice((5, 9, 13)))
-                      for _ in range(nseq_abs(spec.alpha_minus))]
+                      for _ in range(sum(spec.alpha_minus))]
             configs = [(points, omegas)]
             if d == (0, 1):
                 # plain int coordinates
@@ -1007,7 +1007,7 @@ def verify_realization_reference(realization, diagram, marking, cfg, spec):
         violations.append(str(exc))
     except DegeneratePolygon:
         violations.append("ray circuit does not trace the Newton polygon")
-    lo = -nseq_abs(spec.alpha_minus) + 1
+    lo = -sum(spec.alpha_minus) + 1
     s = spec.s
     elab = {el: lab for lab, el in marking.as_dict().items()}
     exi = dict(realization.elevator_lines)

@@ -57,11 +57,25 @@ def test_every_exception_but_invariant_violation_is_a_domain_error():
     assert not wrong, wrong
 
 
+def test_only_record_guards_its_attributes():
+    # an immutable value class derives from lattice.Record, which alone
+    # refuses assignment and deletion and lets copy and pickle through
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name in (
+                        "__setattr__", "__delattr__", "__reduce__"
+                    ):
+                        found.append(f"{path.stem}.{node.name}.{item.name}")
+    assert found == ["lattice.Record.__setattr__", "lattice.Record.__delattr__"]
+
+
 # every name that peel, the count path's home, defines
 PEEL = [
     "DiagramError", "DiagramSpec", "SideBoundaryCondition", "_nseq_add", "_nseq_binom",
     "_nseq_sub", "_peel_count", "_radices", "_trim", "count", "nseq", "nseq_I", "nseq_Ipow",
-    "nseq_abs",
 ]
 # the sibling names a module binds without using them: perfbench reads
 # diagram.nseq_Ipow and wraps diagram.direction_data

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from tropico.diagram import enumerate_diagrams, enumerate_markings
-from tropico import lattice, tropical
+from tropico import io, lattice, tropical
 from tropico.lattice import (
     DegeneratePolygon,
+    add,
     convex_hull,
     cubic_triangle,
     det,
@@ -177,6 +178,39 @@ def assert_hull_matches(terms):
     assert planes(_upper_cells(terms)) == upper_cells_brute_force(terms)
     flipped = tuple((e, -a) for e, a in terms)  # the lower hull, as legendre uses it
     assert planes(_upper_cells(flipped)) == upper_cells_brute_force(flipped)
+
+
+def spans_plane_reference(poly):
+    """The pairwise test: some two support points span the plane with the
+    first."""
+    pts = poly.support
+    if len(pts) < 3:
+        return False
+    p0 = pts[0]
+    return any(det(sub(p1, p0), sub(p2, p0)) != 0 for p1, p2 in itertools.combinations(pts[1:], 2))
+
+
+def test_spans_plane_matches_the_pairwise_test():
+    rng = random.Random(3)
+    supports = [[(0, 0)], [(0, 0), (1, 1)], [(0, 0), (0, 0), (1, 1)], [(1, 1), (0, 0), (1, 1)]]
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        if rng.random() < 0.5:  # points on a line, a few pushed off it
+            a, u = (rng.randint(-3, 3), rng.randint(-3, 3)), (rng.randint(-2, 2), rng.randint(-2, 2))
+            pts = [add(a, scale(u, rng.randint(-3, 3))) for _ in range(n)]
+            pts = [add(p, (0, 1)) if rng.random() < 0.1 else p for p in pts]
+        else:
+            pts = [(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(n)]
+        supports.append(pts + rng.sample(pts, rng.randint(0, n)))  # duplicate exponents
+    spans = Counter()
+    for pts in supports:
+        # duplicate or unsorted exponents only in a record built directly
+        for poly in (TropicalPolynomial(tuple((p, Fraction(0)) for p in pts)),
+                     TropicalPolynomial.make({p: 0 for p in pts})):
+            got = poly.spans_plane()
+            assert got == spans_plane_reference(poly), pts
+            spans[got] += 1
+    assert spans[True] > 100 and spans[False] > 100
 
 
 def test_upper_cells_match_brute_force_random():
@@ -516,16 +550,38 @@ def test_build_refuses_a_polygon_its_rays_do_not_trace():
         (line, diamond()),
         (weighted, triangle(1)),
         (line + [Ray(0, (2, 1), 1), Ray(0, (-2, -1), 1)], triangle(1)),
-        # a weight 0 or -1, or a direction that is not primitive, is refused
-        # even where the summed weights per direction match
-        (line + [Ray(0, (1, 0), 0)], triangle(1)),
-        (line + [Ray(0, (1, 0), 1), Ray(0, (1, 0), -1)], triangle(1)),
-        (line + [Ray(0, (-1, 0), 1), Ray(0, (-1, 0), -1)], triangle(1)),
-        ([Ray(0, (-2, 0), 1), Ray(0, (0, -2), 1), Ray(0, (2, 2), 1)], triangle(2)),
         ([], triangle(1)),
     ):
         with pytest.raises(TropicalError, match="ray circuit does not trace the Newton polygon"):
             PlaneTropicalCurve.build([(0, 0)], (), rays, newton=newton)
+
+
+def test_build_refuses_a_piece_of_weight_below_one_or_a_direction_not_primitive():
+    line = [Ray(0, (-1, 0), 1), Ray(0, (0, -1), 1), Ray(0, (1, 1), 1)]
+    refused = "needs a positive weight and a primitive direction"
+    built = PlaneTropicalCurve.build([(0, 0)], (), line)
+    assert built.newton.edge_vectors() == triangle(1).edge_vectors()
+    # each is refused with or without a polygon, even where the summed
+    # weights per direction match it, and so is its JSON
+    for segments, rays, newton in (
+        ((), line + [Ray(0, (1, 0), 0)], triangle(1)),
+        ((), line + [Ray(0, (1, 0), 1), Ray(0, (1, 0), -1)], triangle(1)),
+        ((), line + [Ray(0, (-1, 0), 1), Ray(0, (-1, 0), -1)], triangle(1)),
+        ((), [Ray(0, (-2, 0), 1), Ray(0, (0, -2), 1), Ray(0, (2, 2), 1)], triangle(2)),
+        ([Segment(0, 1, 0, (1, 0))], line + [Ray(1, u, 1) for _, u, _ in line], triangle(2)),
+        ([Segment(0, 1, 1, (2, 0))], line + [Ray(1, u, 1) for _, u, _ in line], triangle(2)),
+    ):
+        vertices = [(0, 0), (2, 0)] if segments else [(0, 0)]
+        for given in (None, newton):
+            with pytest.raises(TropicalError, match=refused):
+                PlaneTropicalCurve.build(vertices, segments, rays, newton=given)
+        # the record itself, which io writes as it would a built curve
+        curve = PlaneTropicalCurve(
+            tuple((Fraction(x), Fraction(y)) for x, y in vertices), tuple(segments), tuple(rays),
+            frozenset(), newton,
+        )
+        with pytest.raises(TropicalError, match=refused):
+            io.curve_from_json(io.curve_to_json(curve))
 
 
 def test_delta_smooth_curve():
