@@ -110,10 +110,16 @@ class FloorDiagram(Record):
     # -- basic structure ----------------------------------------------------
 
     @cached_property
+    def floor_data(self):
+        """`_floor_data` of the diagram; computed once, since a diagram is
+        immutable."""
+        return _floor_data(self.floors, self.edges)
+
+    @cached_property
     def canonical_form(self):
         """(`canonical_key`, |Aut_floor|) from one `_least_forms` search;
         computed once, since a diagram is immutable."""
-        key, _, aut = _least_forms(_floor_data(self))
+        key, _, aut = _least_forms(self.floor_data)
         return key, aut
 
     def valid_for(self, spec):
@@ -133,27 +139,6 @@ class FloorDiagram(Record):
     def vertex_count(self):
         return len(self.floors) + len(self.inf_minus) + len(self.inf_plus)
 
-    def divergences(self):
-        """Sum of incoming weights minus sum of outgoing weights at every
-        vertex, by vertex id, in one pass over the edges."""
-        div = dict.fromkeys(self.floor_ids + self.inf_minus + self.inf_plus, 0)
-        for s, t, w in self.edges:
-            div[s] -= w
-            div[t] += w
-        return div
-
-    def finite_edges(self):
-        fl = set(self.floor_ids)
-        return [e for e in self.edges if e[0] in fl and e[1] in fl]
-
-    def down_edges(self):
-        inf = set(self.inf_minus)
-        return [e for e in self.edges if e[0] in inf]
-
-    def up_edges(self):
-        inf = set(self.inf_plus)
-        return [e for e in self.edges if e[1] in inf]
-
     def is_connected(self):
         verts = self.floor_ids + self.inf_minus + self.inf_plus
         return component_count(verts, [(s, t) for s, t, _ in self.edges]) == 1
@@ -161,12 +146,13 @@ class FloorDiagram(Record):
     def is_acyclic(self):
         """Whether the finite edges have no oriented cycle: removing floors
         without incoming edges, one at a time, removes them all."""
-        indeg = dict.fromkeys(self.floor_ids, 0)
-        adj = {v: [] for v in indeg}
-        for s, t, _ in self.finite_edges():
+        n = len(self.floors)
+        indeg = [0] * n
+        adj = [[] for _ in range(n)]
+        for s, t, _ in self.floor_data[2]:
             indeg[t] += 1
             adj[s].append(t)
-        ready = [v for v, d in indeg.items() if d == 0]
+        ready = [v for v in range(n) if indeg[v] == 0]
         removed = 0
         while ready:
             removed += 1
@@ -174,7 +160,7 @@ class FloorDiagram(Record):
                 indeg[t] -= 1
                 if indeg[t] == 0:
                     ready.append(t)
-        return removed == len(indeg)
+        return removed == n
 
     def genus(self):
         """First Betti number of the underlying graph; requires connectivity."""
@@ -211,35 +197,35 @@ def validate_verbose(diagram, spec):
         return False, violations
     if genus != spec.genus:
         violations.append(f"genus {genus} != {spec.genus}")
-    div = diagram.divergences()
-    div_minus = sum(div[v] for v in diagram.inf_minus)
-    div_plus = sum(div[v] for v in diagram.inf_plus)
+    # a vertex at -inf has one edge, out of it, and one at +inf one, into it
+    lefts, rights, _, downs, ups = diagram.floor_data
+    div_minus = -sum(w for _, w in downs)
+    div_plus = sum(w for _, w in ups)
     if div_minus != -dd.d_minus:
         violations.append(f"sum div over -inf vertices {div_minus} != {-dd.d_minus}")
     if div_plus != dd.d_plus:
         violations.append(f"sum div over +inf vertices {div_plus} != {dd.d_plus}")
-    thetas = sorted(th for _, th in diagram.floors)
+    thetas = sorted(lefts)
     if tuple(thetas) != dd.thetas_left():
         violations.append(f"theta list {thetas} != left directions {dd.thetas_left()}")
-    thetas_r = sorted(th + div[f] for f, th in diagram.floors)
+    thetas_r = sorted(rights)
     if tuple(thetas_r) != dd.thetas_right():
         violations.append(
             f"theta+div list {thetas_r} != right directions {dd.thetas_right()}"
         )
     plane = dd.d_plus == 0 and set(dd.thetas_left()) <= {0} and set(dd.thetas_right()) <= {1}
     if plane:
-        bad = [f for f, _ in diagram.floors if div[f] != 1]
+        bad = [f for (f, th), right in zip(diagram.floors, rights) if right - th != 1]
         if bad:
             violations.append(f"plane case: floors {bad} have divergence != 1")
-        total = sum(w for _, _, w in diagram.down_edges())
-        if total != dd.d_minus:
-            violations.append(f"plane case: total infinite weight {total} != {dd.d_minus}")
+        if -div_minus != dd.d_minus:
+            violations.append(f"plane case: total infinite weight {-div_minus} != {dd.d_minus}")
     return not violations, violations
 
 
 def lemma_1_5_check(diagram):
     """Plane-case count identities: #floors = d and Card(D) = 2d+g-1+#Vert^-inf."""
-    d = sum(w for _, _, w in diagram.down_edges())
+    d = sum(w for _, w in diagram.floor_data[3])
     g = diagram.genus()
     card_d = len(diagram.floors) + len(diagram.edges)
     return len(diagram.floors) == d and card_d == 2 * d + g - 1 + len(diagram.inf_minus)
@@ -247,12 +233,8 @@ def lemma_1_5_check(diagram):
 
 def weighted_count_check(diagram, spec):
     """Card_w(D) = Card(boundary lattice points) + g - 1, infinite edges weighted."""
-    card_w = (
-        len(diagram.floors)
-        + len(diagram.finite_edges())
-        + sum(w for _, _, w in diagram.down_edges())
-        + sum(w for _, _, w in diagram.up_edges())
-    )
+    _, _, fins, downs, ups = diagram.floor_data
+    card_w = len(diagram.floors) + len(fins) + sum(w for _, w in downs) + sum(w for _, w in ups)
     return card_w == spec.polygon.boundary_points() + spec.genus - 1
 
 
@@ -260,17 +242,18 @@ def weighted_count_check(diagram, spec):
 # canonical forms and automorphisms
 
 
-def _floor_data(diagram):
-    """The diagram by floor position 0..n-1: (lefts, rights, fins, downs,
-    ups), the left and right thetas, the finite edges (s, t, w), and the
-    down tails (t, w) and up tails (s, w) in edge order, from one pass over
-    the edges, in which every vertex at infinity has position n."""
-    pos = {f: i for i, (f, _) in enumerate(diagram.floors)}
-    lefts = tuple(th for _, th in diagram.floors)
+def _floor_data(floors, edges):
+    """The diagram of these floors and edges by floor position 0..n-1:
+    (lefts, rights, fins, downs, ups), the left and right thetas, the finite
+    edges (s, t, w), and the down tails (t, w) and up tails (s, w) in edge
+    order, from one pass over the edges, in which every vertex at infinity
+    has position n."""
+    pos = {f: i for i, (f, _) in enumerate(floors)}
+    lefts = tuple(th for _, th in floors)
     n = len(lefts)
     div = [0] * (n + 1)
     fins, downs, ups = [], [], []
-    for s, t, w in diagram.edges:
+    for s, t, w in edges:
         i, j = pos.get(s, n), pos.get(t, n)
         div[i] -= w
         div[j] += w
@@ -280,7 +263,8 @@ def _floor_data(diagram):
             ups.append((i, w))
         else:
             fins.append((i, j, w))
-    return lefts, tuple(th + dv for th, dv in zip(lefts, div)), fins, downs, ups
+    rights = tuple(th + dv for th, dv in zip(lefts, div))
+    return lefts, rights, tuple(fins), tuple(downs), tuple(ups)
 
 
 def canonical_key(diagram):
@@ -717,8 +701,8 @@ def enumerate_markings(diagram, spec):
     if not diagram.valid_for(spec):
         return []
     # census must match the type or no marking exists
-    down = sorted(w for _, _, w in diagram.down_edges())
-    up = sorted(w for _, _, w in diagram.up_edges())
+    down = sorted(w for _, w in diagram.floor_data[3])
+    up = sorted(w for _, w in diagram.floor_data[4])
     if down != sorted(weight_multiset(spec.alpha_minus, spec.beta_minus)):
         return []
     if up != sorted(weight_multiset(spec.alpha_plus, spec.beta_plus)):
@@ -796,7 +780,7 @@ def count_markings(diagram, spec):
 def multiplicity(diagram, spec):
     """I^beta times the product of squared finite edge weights; marking-free."""
     mu = spec.multiplicity_Ibeta()
-    for _, _, w in diagram.finite_edges():
+    for _, _, w in diagram.floor_data[2]:
         mu *= w * w
     return mu
 

@@ -539,13 +539,17 @@ def slope_reference(d):
     return u
 
 
+@cache
 def slope_vector(d, theta):
-    """Left direction vector with slope coordinate theta: perp(u_ref) + theta*d."""
+    """Left direction vector with slope coordinate theta: perp(u_ref) + theta*d.
+    Memoised, as slope_reference is: realize asks for one per floor piece."""
     return add(perp(slope_reference(d)), scale(d, theta))
 
 
+@cache
 def slope_of(d, vec):
-    """Inverse of slope_vector; raises if vec is not a valid floor direction."""
+    """Inverse of slope_vector; raises if vec is not a valid floor direction.
+    Memoised: the floor decomposition asks for one per piece direction."""
     base = perp(slope_reference(d))
     diff = sub(vec, base)
     if d[0] != 0:

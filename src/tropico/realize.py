@@ -21,8 +21,7 @@ from typing import NamedTuple
 from . import diagram as diagram_mod
 from . import lattice
 from .lattice import Record, component_roots, dot, perp, scale, slope_of, slope_vector
-from .tropical import NotClosed, NotTrivalent, ParametrizedCurve, PEdge, check_balancing
-from .tropical import _dual_polygon, _integral_frame, _traces, tropical_multiplicity
+from .tropical import NotClosed, ParametrizedCurve, PEdge, _dual_polygon, _integral_frame, _traces
 
 
 class RealizeError(lattice.TropicoError):
@@ -167,14 +166,30 @@ def default_spacing(spec):
 
 class Realization(Record):
     """A parametrized tropical curve realizing a marked diagram, plus the
-    geometry of its floors and elevators."""
+    geometry of its floors and elevators in the integers of the frame
+    realize computed on: each abscissa and height times unit."""
 
     curve: ParametrizedCurve
-    floor_paths: tuple  # (floor_id, ((xi, h) breakpoints...), slopes tuple)
-    elevator_lines: tuple  # (edge_index, xi)
+    floors: tuple  # (floor_id, ((xi, h) breakpoints...), slopes tuple), times unit
+    elevators: tuple  # xi of each edge, by index, times unit
+    unit: int
     spec: object
     diagram: object
     marking: object
+
+    @functools.cached_property
+    def floor_paths(self):
+        """(floor_id, ((xi, h) breakpoints...), slopes tuple) in Fractions."""
+        u = self.unit
+        return tuple(
+            (f, tuple((Fraction(x, u), Fraction(h, u)) for x, h in bps), slopes)
+            for f, bps, slopes in self.floors
+        )
+
+    @functools.cached_property
+    def elevator_lines(self):
+        """(edge_index, xi) in Fractions."""
+        return tuple((idx, Fraction(x, self.unit)) for idx, x in enumerate(self.elevators))
 
 
 def realize(diagram, marking, cfg, spec):
@@ -190,15 +205,16 @@ def realize(diagram, marking, cfg, spec):
     The diagram is read once: one pass over its edges gives each edge its
     abscissa and each floor its bends (abscissa, edge index, +-weight).  A
     floor's heights follow outward from its marked point, with theta from
-    diagram.floors and the divergence from one divergences() call, and a
+    diagram.floors and theta + divergence from diagram.floor_data, and a
     (floor, edge) -> (source vertex, height) table joins the elevators and
     tails to their bends.
 
     Abscissae and heights are the integers of cfg.frame (the values times
     its scale L): slopes are integers, so every breakpoint height is an
     integer too, and every comparison is an integer one.  Fractions are
-    built only for the result, and the curve is handed its frame
-    (ParametrizedCurve.frame) from the same integers.
+    built only for the curve's positions, which is handed its frame
+    (ParametrizedCurve.frame) from the same integers; the floors and
+    elevators stay integers, with L as the realization's unit.
     """
     if not diagram.valid_for(spec):
         raise InvalidMarking("diagram does not validate against the spec")
@@ -241,12 +257,11 @@ def realize(diagram, marking, cfg, spec):
             bends[b].append((x, idx, w))  # arrives at floor b from below
 
     sigma0 = dot(d, perp(lattice.slope_reference(d)))
-    div = diagram.divergences()
     unit = frame.scale
     den = n2 * unit
-    nums, pedges, floor_paths = [], [], []  # nums: the positions times den
+    nums, pedges, floors = [], [], []  # nums: the positions times den
     at = {}  # (floor, edge index) -> (source vertex, height) of the bend
-    for f, theta in diagram.floors:
+    for (f, theta), right in zip(diagram.floors, diagram.floor_data[1]):
         inc = sorted(bends[f])
         xs = [x for x, _, _ in inc]
         if len(set(xs)) != len(xs):
@@ -258,7 +273,7 @@ def realize(diagram, marking, cfg, spec):
         if xi_a in xs:
             raise SpacingTooSmall(f"marked point of floor {f} sits on an elevator")
         slopes = list(itertools.accumulate((jump for _, _, jump in inc), initial=theta))
-        if slopes[-1] != theta + div[f]:
+        if slopes[-1] != right:
             raise lattice.InvariantViolation(
                 f"floor {f}: slope {slopes[-1]} after its elevators != theta + divergence"
             )
@@ -281,9 +296,7 @@ def realize(diagram, marking, cfg, spec):
             pedges.append(PEdge(first + j - 1, first + j, 1, slope_vector(d, slopes[j])))
         pedges.append(PEdge(first, -1, 1, scale(slope_vector(d, slopes[0]), -1)))
         pedges.append(PEdge(len(nums) - 1, -1, 1, slope_vector(d, slopes[-1])))
-        floor_paths.append(
-            (f, tuple((Fraction(x, unit), Fraction(h, unit)) for x, h in zip(xs, hs)), tuple(slopes))
-        )
+        floors.append((f, tuple(zip(xs, hs)), tuple(slopes)))
 
     # elevators and tails, from the bends they join
     for idx, (a, b, w) in enumerate(diagram.edges):
@@ -315,8 +328,7 @@ def realize(diagram, marking, cfg, spec):
     # the numerators over it, divided by their gcd
     g = math.gcd(den, *(c for p in nums for c in p))
     object.__setattr__(curve, "frame", (den // g, [(x // g, y // g) for x, y in nums]))
-    elevator_lines = tuple((idx, Fraction(x, unit)) for idx, x in enumerate(edge_xi))
-    return Realization(curve, tuple(floor_paths), elevator_lines, spec, diagram, marking)
+    return Realization(curve, tuple(floors), tuple(edge_xi), unit, spec, diagram, marking)
 
 
 MAX_DOUBLINGS = 10
@@ -352,11 +364,12 @@ def floor_decompose(pc, d):
     The decomposition reads the curve alone, so `verify_realization` can
     test it against the diagram that was realized.
     """
-    return _decompose(pc, d)[0]
+    return diagram_mod.FloorDiagram(*_decompose(pc, d)[0])
 
 
 def _decompose(pc, d):
-    """`floor_decompose`'s diagram, and the floor of each position."""
+    """`floor_decompose`'s diagram as its fields (floors, inf_minus,
+    inf_plus, edges), unbuilt, and the floor of each position."""
     n = len(pc.positions)
     down = scale(d, -1)
     elevator = []
@@ -409,20 +422,20 @@ def _decompose(pc, d):
             edges.append((nid, comp_of[e.a], e.weight))
             inf_minus.append(nid)
             nid += 1
-    back = diagram_mod.FloorDiagram(tuple(floors), tuple(inf_minus), tuple(inf_plus), tuple(edges))
-    return back, comp_of
+    return (tuple(floors), tuple(inf_minus), tuple(inf_plus), tuple(edges)), comp_of
 
 
-def _recovers(back, floor_of, diagram, sizes):
-    """Whether the decomposition back, whose position v lies on floor
-    floor_of[v], equals diagram under the floor map of realize's layout:
-    positions come floor by floor, sizes[i] of them for the floor at
-    position i of diagram.floors, so the floor of each block's first
-    position goes to that floor.  When that map is a bijection under which
-    the thetas, finite edges and tails agree, the two are isomorphic; a
-    False decides nothing."""
+def _recovers(data, floor_of, diagram, sizes):
+    """Whether the decomposition with `_floor_data` data, whose position v
+    lies on floor floor_of[v], equals diagram under the floor map of
+    realize's layout: positions come floor by floor, sizes[i] of them for
+    the floor at position i of diagram.floors, so the floor of each block's
+    first position goes to that floor.  When that map is a bijection under
+    which the thetas, finite edges and tails agree, the two are isomorphic;
+    a False decides nothing."""
     n = len(diagram.floors)
-    if len(back.floors) != n or len(sizes) != n:
+    lefts, _, fins, downs, ups = data
+    if len(lefts) != n or len(sizes) != n:
         return False
     to, start = {}, 0
     for i, size in enumerate(sizes):
@@ -432,9 +445,9 @@ def _recovers(back, floor_of, diagram, sizes):
         start += size
     if len(to) != n:
         return False
-    # back's floors are 0..n-1 in order, so its floor positions are its ids
-    lefts, _, fins, downs, ups = diagram_mod._floor_data(back)
-    want = diagram_mod._floor_data(diagram)
+    # the decomposition's floors are 0..n-1 in order, so its floor
+    # positions are its ids
+    want = diagram.floor_data
     return (
         sorted([(to[c], th) for c, th in enumerate(lefts)]) == list(enumerate(want[0]))
         and sorted([(to[s], to[t], w) for s, t, w in fins]) == sorted(want[2])
@@ -482,8 +495,9 @@ def points_on_curve(pc, framed, hints=()):
 def verify_realization(realization, diagram, marking, cfg, spec):
     """All bijection-side checks; returns the list of violations (empty = pass).
 
-    The balancing and multiplicity checks read the curve's cached
-    incidence, so a curve's star map is built once.  A curve on which a
+    Balancing, trivalence and the multiplicity come from one cached walk
+    over the curve's star map (ParametrizedCurve.star_census), which a
+    later tropical_multiplicity reads too.  A curve on which a
     check cannot be made (rays that span no polygon, a vertex that is not
     trivalent, no floor decomposition) gets a violation for it, not an
     exception; an edge that joins a vertex the curve does not have is the
@@ -499,7 +513,10 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     does not trace the polygon.  The floor decomposition recovers the
     diagram when it equals it under the floor map of the realization's own
     layout (_recovers); only when it does not are the canonical keys
-    compared, so the verdict is isomorphism, on every curve.
+    compared, so the verdict is isomorphism, on every curve.  Both sides are
+    read as `_floor_data`, the diagram's cached, and a FloorDiagram of the
+    decomposition is built only for that fallback.  The Omega test and the
+    point test are integer ones.
     """
     pc = realization.curve
     n = len(pc.positions)
@@ -510,7 +527,8 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     ]
     if violations:
         return violations
-    if not check_balancing(pc):
+    balanced, mu, not_trivalent = pc.star_census
+    if not balanced:
         violations.append("curve is not balanced")
     genus, components = pc.genus_and_components()
     if genus != spec.genus:
@@ -520,7 +538,7 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     # the edges of realize's layout that each point's label names: its
     # floor's block (pieces and two rays), or its elevator or tail
     labels = marking.as_dict()
-    sizes = [len(breaks) for _, breaks, _ in realization.floor_paths]
+    sizes = [len(breaks) for _, breaks, _ in realization.floors]
     starts = list(itertools.accumulate((size + 1 for size in sizes), initial=0))
     named = {("f", f): range(a, b) for (f, _), a, b in zip(diagram.floors, starts, starts[1:])}
     tails = starts[-1]
@@ -544,36 +562,38 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     # alpha rays supported on their Omega lines
     lo = -sum(spec.alpha_minus) + 1
     s = spec.s
+    # the realization's abscissa times cfg's scale against the line's times
+    # the realization's unit, since cfg may not be the one realized on
     elab = {el: lab for lab, el in labels.items()}
-    exi = dict(realization.elevator_lines)
+    frame, unit = cfg.frame, realization.unit
     for idx in range(len(diagram.edges)):
-        lab = elab[("e", idx)]
-        if lab < 1 and exi[idx] != cfg.omega_minus[lab - lo]:
+        lab, x = elab[("e", idx)], realization.elevators[idx]
+        if lab < 1 and x * frame.scale != frame.omega_minus[lab - lo] * unit:
             violations.append(f"fixed bottom tail {idx} off its Omega line")
-        if lab > s and exi[idx] != cfg.omega_plus[lab - s - 1]:
+        if lab > s and x * frame.scale != frame.omega_plus[lab - s - 1] * unit:
             violations.append(f"fixed top tail {idx} off its Omega line")
     # multiplicity factorization
-    try:
-        mu = tropical_multiplicity(pc)
-    except NotTrivalent as exc:
-        violations.append(str(exc))
+    if not_trivalent:
+        violations.append(not_trivalent)
     else:
-        expected = 1
-        fl = set(diagram.floor_ids)
-        for a, b, w in diagram.edges:
-            expected *= w * w if (a in fl and b in fl) else w
+        _, _, fins, downs, ups = diagram.floor_data
+        expected = math.prod(w * w for _, _, w in fins) * math.prod(w for _, w in downs + ups)
         if mu != expected:
             violations.append(f"multiplicity {mu} != edge product {expected}")
-    # round trip
+    # round trip; a nonpositive weight, which the diagram's floor data never
+    # has, fails _recovers and then the building of the FloorDiagram
     try:
-        back, floor_of = _decompose(pc, spec.direction)
+        parts, floor_of = _decompose(pc, spec.direction)
+        data = diagram_mod._floor_data(parts[0], parts[3])
+        recovered = _recovers(data, floor_of, diagram, sizes) or (
+            diagram_mod.canonical_key(diagram_mod.FloorDiagram(*parts))
+            == diagram_mod.canonical_key(diagram)
+        )
     except lattice.TropicoError as exc:
         # a floor with no transverse piece, a piece that is neither an
         # elevator nor a floor direction, or a nonpositive weight
         violations.append(f"curve has no floor decomposition: {exc}")
     else:
-        if not _recovers(back, floor_of, diagram, sizes) and (
-            diagram_mod.canonical_key(back) != diagram_mod.canonical_key(diagram)
-        ):
+        if not recovered:
             violations.append("floor decomposition does not recover the diagram")
     return violations

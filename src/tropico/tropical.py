@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from . import lattice
@@ -258,8 +258,8 @@ def _incidence(pieces):
 
 def _balanced(star):
     """The vectors w * u of a vertex star [(tag, u, w)], in its order, or
-    None when they do not sum to zero: the balance test of check_balancing
-    and delta_invariant."""
+    None when they do not sum to zero: the balance test of check_balancing,
+    ParametrizedCurve.star_census and delta_invariant."""
     vectors = []
     x = y = 0
     for _, (a, b), w in star:
@@ -310,13 +310,20 @@ def _traces(star, polygon):
         if w < 1:
             return False
         census[u] = census.get(u, 0) + w
-    if len(census) != len(polygon.vertices):
-        return False
+    return frozenset(census.items()) == _normal_lengths(polygon)
+
+
+@lru_cache(maxsize=64)
+def _normal_lengths(polygon):
+    """The pairs (outward primitive normal, lattice length) of the edges of
+    polygon, as a frozenset: the table of _traces, since no two edges of a
+    polygon share a normal.  Memoised, since the rays of every curve of a
+    spec are tested against its one polygon."""
+    pairs = []
     for x, y in polygon.edge_vectors():
         g = math.gcd(x, y)
-        if census.get((y // g, -x // g)) != g:
-            return False
-    return True
+        pairs.append(((y // g, -x // g), g))
+    return frozenset(pairs)
 
 
 def newton_polygon_of(curve):
@@ -717,6 +724,25 @@ class ParametrizedCurve(Record):
             for i, e in enumerate(self.edges)
         )
 
+    @cached_property
+    def star_census(self):
+        """(balanced, mu, not_trivalent) from one walk over the stars of
+        incidence at the source vertices: whether each balances, the
+        product over trivalent ones of |det(w u, w' u')|, and the
+        NotTrivalent message of the first that is neither 1- nor 3-valent,
+        or None; computed once, since a curve is immutable."""
+        balanced, mu, not_trivalent = True, 1, None
+        incidence = self.incidence
+        for v in range(len(self.positions)):
+            star = incidence.get(v, ())
+            balanced = balanced and _balanced(star) is not None
+            if len(star) == 3:
+                (_, u1, w1), (_, u2, w2) = star[0], star[1]
+                mu *= abs(w1 * w2 * det(u1, u2))
+            elif len(star) != 1 and not_trivalent is None:
+                not_trivalent = f"source vertex {v} has valence {len(star)}"
+        return balanced, mu, not_trivalent
+
     def to_plane_curve(self, newton=None):
         """Image as a plane tropical curve; planar crossings become marked
         4-valent vertices, splitting the straight pieces that pass through."""
@@ -724,17 +750,12 @@ class ParametrizedCurve(Record):
 
 
 def tropical_multiplicity(pc):
-    """Product over trivalent source vertices of |det(w u, w' u')|."""
-    mu = 1
-    incidence = pc.incidence
-    for v in range(len(pc.positions)):
-        inc = incidence.get(v, ())
-        if len(inc) == 1:
-            continue
-        if len(inc) != 3:
-            raise NotTrivalent(f"source vertex {v} has valence {len(inc)}")
-        (_, u1, w1), (_, u2, w2) = inc[0], inc[1]
-        mu *= abs(det(scale(u1, w1), scale(u2, w2)))
+    """Product over trivalent source vertices of |det(w u, w' u')|, read
+    off pc.star_census; raises NotTrivalent for a vertex of another valence
+    but 1."""
+    _, mu, not_trivalent = pc.star_census
+    if not_trivalent:
+        raise NotTrivalent(not_trivalent)
     return mu
 
 

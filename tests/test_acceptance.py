@@ -74,7 +74,7 @@ def test_criterion_2_marking_census():
     def census(spec):
         out = {}
         for diag in enumerate_diagrams(spec):
-            fins = diag.finite_edges()
+            fins = diag.floor_data[2]
             if any(w == 2 for _, _, w in fins):
                 shape = "weighted"
             else:

@@ -174,7 +174,7 @@ def test_enumerate_diagrams_errors():
 
 
 def _shape(diag):
-    fins = diag.finite_edges()
+    fins = diag.floor_data[2]
     if any(w == 2 for _, _, w in fins):
         return "weighted"
     out_degrees = {}
@@ -416,7 +416,7 @@ def test_relabelling_identities():
     for spec in specs + [TZ132_G1]:
         for diag in enumerate_diagrams(spec):
             key = canonical_key(diag)
-            encodings = [_encode(r) for r in _relabellings(diagram_mod._floor_data(diag))]
+            encodings = [_encode(r) for r in _relabellings(diag.floor_data)]
             assert key == min(encodings)
             # orbit-stabiliser: the relabellings onto the key are a coset of Aut
             assert len(_floor_permutations(diag)) == encodings.count(key)
@@ -723,7 +723,7 @@ def _in_search_order(first):
 def class_forms(diagram):
     """The canonical key, the first labelling and |Aut_floor| of a
     diagram's class, from `_least_forms`."""
-    key, first, aut = diagram_mod._least_forms(diagram_mod._floor_data(diagram))
+    key, first, aut = diagram_mod._least_forms(diagram.floor_data)
     return key, _in_search_order(first), aut
 
 
@@ -732,7 +732,7 @@ def class_forms_brute_force(diagram):
     over all n! relabellings of the floors, the least `_encode` (the
     canonical key), the diagram in the least `_search_order` (the first
     labelling) and the number of relabellings onto the key (|Aut_floor|)."""
-    relabellings = list(_relabellings(diagram_mod._floor_data(diagram)))
+    relabellings = list(_relabellings(diagram.floor_data))
     encodings = [_encode(r) for r in relabellings]
     key = min(encodings)
     first = min(map(_search_order, relabellings))
@@ -854,7 +854,7 @@ def _floor_permutations(diagram):
     """The relabellings of floors preserving theta and the weighted
     structure: the automorphisms of (D, w, theta) on floors, sorted, found
     among all n! relabellings."""
-    encoded = [(r[0], _encode(r)) for r in _relabellings(diagram_mod._floor_data(diagram))]
+    encoded = [(r[0], _encode(r)) for r in _relabellings(diagram.floor_data)]
     return sorted(perm for perm, enc in encoded if enc == encoded[0][1])
 
 
@@ -993,8 +993,8 @@ def _random_type(rng, diag):
             (alpha if rng.random() < 0.5 else beta)[w - 1] += 1
         return nseq(alpha), nseq(beta)
 
-    alpha_minus, beta_minus = split(w for _, _, w in diag.down_edges())
-    alpha_plus, beta_plus = split(w for _, _, w in diag.up_edges())
+    alpha_minus, beta_minus = split(w for _, w in diag.floor_data[3])
+    alpha_plus, beta_plus = split(w for _, w in diag.floor_data[4])
     lo = 1 - sum(alpha_minus)
     size = len(poset(diag)[0])
     s = size - sum(alpha_minus) - sum(alpha_plus)

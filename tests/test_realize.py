@@ -35,7 +35,7 @@ from tropico.lattice import (
     slope_vector,
     triangle,
 )
-from tropico.peel import DiagramSpec, count, nseq_Ipow
+from tropico.peel import DiagramError, DiagramSpec, count, nseq_Ipow
 from tropico.realize import (
     InvalidMarking,
     PointConfig,
@@ -119,11 +119,11 @@ def test_realize_genus1_cubic_decomposition():
     # forming the cycle, 3 down tails
     back = floor_decompose(realization.curve, (0, 1))
     assert len(back.floors) == 3
-    assert len(back.finite_edges()) == 3
-    assert len(back.down_edges()) == 3
+    assert len(back.floor_data[2]) == 3
+    assert len(back.floor_data[3]) == 3
     assert back.genus() == 1
     pair_counts = {}
-    for s, t, _ in back.finite_edges():
+    for s, t, _ in back.floor_data[2]:
         pair_counts[(s, t)] = pair_counts.get((s, t), 0) + 1
     assert sorted(pair_counts.values()) == [1, 2]
     assert tropical_multiplicity(realization.curve) == 1 == count(T3_G1)
@@ -163,8 +163,8 @@ def test_floor_decompose_tropical_line():
     )
     diag = floor_decompose(pc, (0, 1))
     assert len(diag.floors) == 1
-    assert len(diag.down_edges()) == 1
-    assert len(diag.up_edges()) == 0
+    assert len(diag.floor_data[3]) == 1
+    assert len(diag.floor_data[4]) == 0
     assert diag.floors[0][1] == 0  # theta from the leftmost slope
 
 
@@ -185,7 +185,7 @@ def test_floor_decompose_pathological_elevator_loop():
     assert check_balancing(pc)
     diag = floor_decompose(pc, (0, 1))
     assert len(diag.floors) == 1
-    assert len(diag.finite_edges()) == 1
+    assert len(diag.floor_data[2]) == 1
     spec = DiagramSpec(diamond(), (0, 1), 1)
     assert not validate(diag, spec)
 
@@ -235,7 +235,7 @@ def verify_tampered_cubic(
     if curve is None:
         curve = ParametrizedCurve.build(pc.positions + tuple(extra_positions), edges)
     r = realization
-    tampered = Realization(curve, r.floor_paths, r.elevator_lines, r.spec, r.diagram, r.marking)
+    tampered = Realization(curve, r.floors, r.elevators, r.unit, r.spec, r.diagram, r.marking)
     return pc, verify_checked(tampered, diag, marking, cfg, spec)
 
 
@@ -304,7 +304,7 @@ def verify_edited_curve(spec, edit):
     marking = enumerate_markings(diag, spec)[0]
     r, cfg = realize_stretched(diag, marking, spec, seed=0)
     curve = ParametrizedCurve.build(r.curve.positions, edit(list(r.curve.edges)))
-    edited = Realization(curve, r.floor_paths, r.elevator_lines, r.spec, r.diagram, r.marking)
+    edited = Realization(curve, r.floors, r.elevators, r.unit, r.spec, r.diagram, r.marking)
     return verify_checked(edited, diag, marking, cfg, spec)
 
 
@@ -356,6 +356,40 @@ def test_verify_detects_tails_off_their_omega_lines():
         )
         violations = verify_checked(realization, diag, marking, moved, spec)
         assert violations == [f"{message} off its Omega line"]
+
+
+def test_verify_compares_omega_lines_across_integer_scales():
+    # a realization keeps its abscissae in the integers of the frame it was
+    # realized on, so a configuration of another scale is compared with it
+    # by cross-multiplying: Omega lines moved by 1 keep the scale, by 1/3
+    # or -2/7 they change it, and a realization written five times as fine
+    # is the same realization
+    spec = DiagramSpec(triangle(3), (0, 1), 0, (), (0, 1), (), (1,))
+    cases = 0
+    for diag, marking in _marked(spec):
+        r, cfg = realize_stretched(diag, marking, spec, seed=8)
+        assert r.unit == cfg.frame.scale
+        finer = Realization(
+            r.curve,
+            tuple((f, tuple((5 * x, 5 * h) for x, h in bps), slopes) for f, bps, slopes in r.floors),
+            tuple(5 * x for x in r.elevators),
+            5 * r.unit,
+            r.spec,
+            r.diagram,
+            r.marking,
+        )
+        assert (finer.floor_paths, finer.elevator_lines) == (r.floor_paths, r.elevator_lines)
+        tail = marking.as_dict()[0][1]  # the edge of label 0, the one on an Omega line
+        for realization in (r, finer):
+            assert verify_checked(realization, diag, marking, cfg, spec) == []
+            for shift in (1, Fraction(1, 3), Fraction(-2, 7)):
+                omegas = tuple(w + shift for w in cfg.omega_minus)
+                moved = PointConfig(cfg.direction, cfg.points, omegas, cfg.omega_plus)
+                assert (moved.frame.scale == cfg.frame.scale) == (shift == 1)
+                violations = verify_checked(realization, diag, marking, moved, spec)
+                assert violations == [f"fixed bottom tail {tail} off its Omega line"]
+        cases += 1
+    assert cases == 7
 
 
 def test_invalid_marking_rejected():
@@ -494,12 +528,54 @@ def test_plane_curves_pinned():
     assert digest == "d8d1a27b2f2f02379217ed2f286a697c5559777eceac3182d4bcd2d461b863dd"
 
 
+def _realization_json_reference(realization, curve):
+    """`io.realization_to_json` of a realization whose floor breakpoints and
+    elevator abscissae were Fractions, each written as "p/q"."""
+    unit = realization.unit
+
+    def frac(x):
+        x = Fraction(x, unit)
+        return f"{x.numerator}/{x.denominator}"
+
+    return {
+        "curve": io.curve_to_json(curve),
+        "floors": [
+            {"floor": f, "breakpoints": [[frac(x), frac(h)] for x, h in bps], "slopes": list(slopes)}
+            for f, bps, slopes in realization.floors
+        ],
+        "elevators": [
+            {"edge": idx, "abscissa": frac(x)} for idx, x in enumerate(realization.elevators)
+        ],
+    }
+
+
+def test_realization_json_keeps_its_bytes_on_the_corpus():
+    # sha256 of the realizations' JSON as written when a Realization held
+    # its floors and elevators as Fractions
+    docs = []
+    for spec in REALIZE_CORPUS:
+        for diag, marking in _marked(spec):
+            realization, _ = realize_stretched(diag, marking, spec, seed=0)
+            assert all(type(v) is int for _, bps, _ in realization.floors for p in bps for v in p)
+            assert all(type(x) is int for x in realization.elevators)
+            curve = realization.curve.to_plane_curve(newton=spec.polygon)
+            doc = io.realization_to_json(realization, curve)
+            assert io.dumps(doc) == io.dumps(_realization_json_reference(realization, curve))
+            docs.append(doc)
+    assert len(docs) == 340
+    digest = hashlib.sha256(io.dumps(docs).encode()).hexdigest()
+    assert digest == "40a8cd95981656f42cb0fe782d489ce492f6eb5634f2448511c9a0a308d8532e"
+
+
 def test_slope_bookkeeping_is_checked(monkeypatch):
     diag = enumerate_diagrams(T3_G0)[0]
     marking = enumerate_markings(diag, T3_G0)[0]
-    divergences = FloorDiagram.divergences
-    monkeypatch.setattr(FloorDiagram, "divergences",
-                        lambda self: {v: div + 1 for v, div in divergences(self).items()})
+    # every right theta one more, in place of the diagram's cached floor data
+    def shifted(self):
+        lefts, rights, *rest = diagram_module._floor_data(self.floors, self.edges)
+        return (lefts, tuple(right + 1 for right in rights), *rest)
+
+    monkeypatch.setattr(FloorDiagram, "floor_data", property(shifted))
     monkeypatch.setattr(diagram_module, "validate", lambda diagram, spec: True)
     with pytest.raises(InvariantViolation, match="theta \\+ divergence"):
         realize(diag, marking, stretch_points(T3_G0), T3_G0)
@@ -648,7 +724,10 @@ def realize_fraction_reference(diagram, marking, cfg, spec):
     floor_paths = {}
     floor_slope_seq = {}
     floor_edges = {}
-    theta, div = dict(diagram.floors), diagram.divergences()
+    theta, div = dict(diagram.floors), dict.fromkeys(diagram.floor_ids, 0)
+    for a, b, w in diagram.edges:
+        div[a] = div.get(a, 0) - w
+        div[b] = div.get(b, 0) + w
     for f in diagram.floor_ids:
         inc = []
         for idx, (a, b, w) in enumerate(diagram.edges):
@@ -733,16 +812,15 @@ def realize_fraction_reference(diagram, marking, cfg, spec):
             pedges.append(PEdge(bp_index[(a, ka)], -1, w, d))
 
     curve = ParametrizedCurve.build(positions, pedges)
-    floor_paths_out = tuple(
-        (
-            f,
-            tuple(zip(*floor_paths[f])) if floor_paths[f][0] else (),
-            tuple(floor_slope_seq[f]),
-        )
+    # the floors and elevators times the scale of cfg's frame, which equal
+    # realize's integers only where they are integers
+    unit = cfg.frame.scale
+    floors_out = tuple(
+        (f, tuple((x * unit, h * unit) for x, h in zip(*floor_paths[f])), tuple(floor_slope_seq[f]))
         for f in diagram.floor_ids
     )
-    elevator_lines = tuple((idx, edge_xi[idx]) for idx in range(len(diagram.edges)))
-    return Realization(curve, floor_paths_out, elevator_lines, spec, diagram, marking)
+    elevators = tuple(edge_xi[idx] * unit for idx in range(len(diagram.edges)))
+    return Realization(curve, floors_out, elevators, unit, spec, diagram, marking)
 
 
 def _breakpoint_at(inc, edge_idx):
@@ -886,7 +964,7 @@ def test_integer_frame_matches_fraction_reference_on_more_floors():
 def test_round_trip_key_is_computed_once_per_diagram():
     diag = enumerate_diagrams(T3_G0)[0]
     assert diagram_module.canonical_key(diag) is diagram_module.canonical_key(diag)
-    key, _, aut = diagram_module._least_forms(diagram_module._floor_data(diag))
+    key, _, aut = diagram_module._least_forms(diag.floor_data)
     assert diag.canonical_form == (key, aut)
 
 
@@ -925,6 +1003,33 @@ def test_verification_builds_one_star_map_and_no_circuit_polygon_or_key(monkeypa
             assert built == {"stars": 1, "polygons": 0, "keys": 0}
             cases += 1
     assert cases > 0
+
+
+def test_realize_and_verify_build_no_diagram_and_no_fraction_of_the_layout(monkeypatch):
+    """Realizing and verifying every marked diagram of T3 g=0 builds no
+    FloorDiagram, reads floor data once per curve, for its decomposition,
+    since each diagram's is cached, and leaves the realization's Fraction
+    views of its floors and elevators unbuilt."""
+    built = {"diagrams": 0, "floor data": 0}
+    post_init, floor_data = FloorDiagram.__post_init__, diagram_module._floor_data
+
+    def counted_post_init(self):
+        built["diagrams"] += 1
+        post_init(self)
+
+    def counted_floor_data(floors, edges):
+        built["floor data"] += 1
+        return floor_data(floors, edges)
+
+    marked = _marked(T3_G0)
+    with monkeypatch.context() as m:
+        m.setattr(FloorDiagram, "__post_init__", counted_post_init)
+        m.setattr(diagram_module, "_floor_data", counted_floor_data)
+        for diag, marking in marked:
+            realization, cfg = realize_stretched(diag, marking, T3_G0, seed=0)
+            assert verify_realization(realization, diag, marking, cfg, T3_G0) == []
+            assert not {"floor_paths", "elevator_lines"} & set(vars(realization))
+    assert built == {"diagrams": 0, "floor data": len(marked)}
 
 
 def floor_decompose_reference(pc, d):
@@ -1094,14 +1199,37 @@ def test_verification_matches_the_reference():
     for spec in (T3_G0, T3_G1):
         for diag, marking in _marked(spec):
             realization, cfg = realize_stretched(diag, marking, spec, seed=0)
-            back, floor_of = _decompose(realization.curve, spec.direction)
-            sizes = [len(breaks) for _, breaks, _ in realization.floor_paths]
+            parts, floor_of = _decompose(realization.curve, spec.direction)
+            back = diagram_module._floor_data(parts[0], parts[3])
+            sizes = [len(breaks) for _, breaks, _ in realization.floors]
             assert _recovers(back, floor_of, diag, sizes)
             for perm in itertools.permutations(diag.floor_ids):
                 copy, renamed = _renamed(diag, marking, dict(zip(diag.floor_ids, perm)))
                 assert verify_checked(realization, copy, renamed, cfg, spec) == []
                 fallbacks += not _recovers(back, floor_of, copy, sizes)
     assert fallbacks
+
+
+def test_floor_decompose_builds_the_diagram_it_built_before():
+    # a FloorDiagram that validates against the spec and equals the
+    # reference's, whose floor data is the one the verifier compares; an
+    # elevator of weight below 1 raises the reference's DiagramError
+    for spec in REALIZE_CORPUS + [ROTATED_T3]:
+        for diag, marking in _marked(spec):
+            pc = realize_stretched(diag, marking, spec, seed=1)[0].curve
+            back = floor_decompose(pc, spec.direction)
+            assert type(back) is FloorDiagram and validate(back, spec)
+            assert back == floor_decompose_reference(pc, spec.direction)
+            parts, _ = _decompose(pc, spec.direction)
+            assert diagram_module._floor_data(parts[0], parts[3]) == back.floor_data
+    pc = realize_stretched(*_marked(T3_G1)[0], T3_G1)[0].curve
+    i = next(i for i, e in enumerate(pc.edges) if e.direction == (0, 1) and e.b >= 0)
+    for weight in (0, -1):
+        edges = pc.edges[:i] + (pc.edges[i]._replace(weight=weight),) + pc.edges[i + 1:]
+        bad = ParametrizedCurve(pc.positions, edges)
+        for decompose in (floor_decompose, floor_decompose_reference):
+            with pytest.raises(DiagramError, match="^edge weights must be positive$"):
+                decompose(bad, (0, 1))
 
 
 def _layout_edges(realization, diag, element):
@@ -1189,7 +1317,7 @@ def _blocks_permuted(realization, blocks, tails_first):
     )
     curve = ParametrizedCurve(tuple(pc.positions[v] for v in old_positions), edges)
     r = realization
-    return Realization(curve, r.floor_paths, r.elevator_lines, r.spec, r.diagram, r.marking)
+    return Realization(curve, r.floors, r.elevators, r.unit, r.spec, r.diagram, r.marking)
 
 
 def _hints_all_wrong(realization, diag, marking, cfg):

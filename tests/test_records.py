@@ -47,7 +47,7 @@ RECORDS = {
     FloorDiagram: (
         line_diagram,
         ("floors", "inf_minus", "inf_plus", "edges"),
-        ("canonical_form",),
+        ("floor_data", "canonical_form"),
         "FloorDiagram(floors=((0, 0),), inf_minus=(1,), inf_plus=(), edges=((1, 0, 1),))",
     ),
     DiagramSpec: (
@@ -73,14 +73,14 @@ RECORDS = {
         " omega_minus=(Fraction(1, 2),), omega_plus=())",
     ),
     Realization: (
-        lambda: Realization(line_curve(), ((0, ((0, 0),), (0,)),), ((0, 0),), None, None, None),
-        ("curve", "floor_paths", "elevator_lines", "spec", "diagram", "marking"),
-        (),
+        lambda: Realization(line_curve(), ((0, ((0, 1),), (0,)),), (3,), 2, None, None, None),
+        ("curve", "floors", "elevators", "unit", "spec", "diagram", "marking"),
+        ("floor_paths", "elevator_lines"),
         "Realization(curve=ParametrizedCurve(positions=((Fraction(0, 1), Fraction(0, 1)),),"
         " edges=(PEdge(a=0, b=-1, weight=1, direction=(-1, 0)), PEdge(a=0, b=-1, weight=1,"
         " direction=(0, -1)), PEdge(a=0, b=-1, weight=1, direction=(1, 1)))),"
-        " floor_paths=((0, ((0, 0),), (0,)),), elevator_lines=((0, 0),), spec=None,"
-        " diagram=None, marking=None)",
+        " floors=((0, ((0, 1),), (0,)),), elevators=(3,), unit=2, spec=None, diagram=None,"
+        " marking=None)",
     ),
     RenderStyle: (
         lambda: RenderStyle(margin=8),
@@ -127,7 +127,7 @@ RECORDS = {
     ParametrizedCurve: (
         line_curve,
         ("positions", "edges"),
-        ("incidence",),
+        ("incidence", "star_census"),
         "ParametrizedCurve(positions=((Fraction(0, 1), Fraction(0, 1)),), edges=(PEdge(a=0,"
         " b=-1, weight=1, direction=(-1, 0)), PEdge(a=0, b=-1, weight=1, direction=(0, -1)),"
         " PEdge(a=0, b=-1, weight=1, direction=(1, 1))))",

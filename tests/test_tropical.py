@@ -83,7 +83,7 @@ def crossing_bar_realization():
     tz = trapezium(1, 3, 1)
     spec = DiagramSpec(tz, (0, 1), 0, (), (), (1,), (4,))
     for diag in enumerate_diagrams(spec):
-        if sorted(w for _, _, w in diag.finite_edges()) != [1, 2]:
+        if sorted(w for _, _, w in diag.floor_data[2]) != [1, 2]:
             continue
         for marking in enumerate_markings(diag, spec):
             realization, _ = realize_stretched(diag, marking, spec, seed=2)
@@ -661,7 +661,7 @@ def test_tropical_multiplicity_examples():
     # a nodal rational cubic built from the all-unit chain has multiplicity 1
     spec3 = DiagramSpec(triangle(3), (0, 1), 0, (), (), (), (3,))
     for diag in enumerate_diagrams(spec3):
-        if sorted(w for _, _, w in diag.finite_edges()) == [1, 1]:
+        if sorted(w for _, _, w in diag.floor_data[2]) == [1, 1]:
             marking = enumerate_markings(diag, spec3)[0]
             realization, _ = realize_stretched(diag, marking, spec3)
             plane = realization.curve.to_plane_curve(newton=spec3.polygon)
