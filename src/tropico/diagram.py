@@ -140,8 +140,8 @@ class FloorDiagram(Record):
         return len(self.floors) + len(self.inf_minus) + len(self.inf_plus)
 
     def is_connected(self):
-        verts = self.floor_ids + self.inf_minus + self.inf_plus
-        return component_count(verts, [(s, t) for s, t, _ in self.edges]) == 1
+        """`_floors_connected`: every vertex at infinity is a leaf on a floor."""
+        return _floors_connected(len(self.floors), self.floor_data[2])
 
     def is_acyclic(self):
         """Whether the finite edges have no oriented cycle: removing floors
@@ -163,10 +163,18 @@ class FloorDiagram(Record):
         return removed == n
 
     def genus(self):
-        """First Betti number of the underlying graph; requires connectivity."""
+        """First Betti number, |finite edges| - n + 1, since each leaf at
+        infinity adds an edge and a vertex; requires connectivity."""
         if not self.is_connected():
             raise Disconnected("genus of a disconnected diagram is undefined")
-        return len(self.edges) - self.vertex_count() + 1
+        return len(self.floor_data[2]) - len(self.floors) + 1
+
+
+def _floors_connected(n, fins):
+    """Whether the floors 0..n-1 joined by the finite edges (s, t, w) form
+    one component: the connectivity of a diagram, or of a candidate of
+    `enumerate_diagrams`."""
+    return component_count(range(n), [(s, t) for s, t, _ in fins]) == 1
 
 
 def diagram_genus(diagram):
@@ -185,6 +193,11 @@ def validate(diagram, spec):
 
 
 def validate_verbose(diagram, spec):
+    """(ok, violations), the one rule for a diagram of the spec: connected,
+    acyclic, of its genus, with the polygon's directions as thetas and
+    theta + divergence, its summed weight at each end and tails of the
+    spec's type (`tail_type_violations`).  `realize`, `enumerate_markings`
+    and `count_markings` refuse every other diagram (`FloorDiagram.valid_for`)."""
     violations = []
     dd = spec.data
     try:
@@ -205,6 +218,7 @@ def validate_verbose(diagram, spec):
         violations.append(f"sum div over -inf vertices {div_minus} != {-dd.d_minus}")
     if div_plus != dd.d_plus:
         violations.append(f"sum div over +inf vertices {div_plus} != {dd.d_plus}")
+    violations += tail_type_violations([w for _, w in downs], [w for _, w in ups], spec)
     thetas = sorted(lefts)
     if tuple(thetas) != dd.thetas_left():
         violations.append(f"theta list {thetas} != left directions {dd.thetas_left()}")
@@ -218,9 +232,23 @@ def validate_verbose(diagram, spec):
         bad = [f for (f, th), right in zip(diagram.floors, rights) if right - th != 1]
         if bad:
             violations.append(f"plane case: floors {bad} have divergence != 1")
-        if -div_minus != dd.d_minus:
-            violations.append(f"plane case: total infinite weight {-div_minus} != {dd.d_minus}")
     return not violations, violations
+
+
+def tail_type_violations(downs, ups, spec):
+    """A violation for each side whose tail weights, downs at -inf and ups
+    at +inf, are not that side's weight_multiset(alpha, beta) as multisets:
+    of a diagram's tails in `validate_verbose`, of a curve's rays along -d
+    and +d in `realize.verify_realization`."""
+    violations = []
+    for side, weights, alpha, beta in (
+        ("bottom", downs, spec.alpha_minus, spec.beta_minus),
+        ("top", ups, spec.alpha_plus, spec.beta_plus),
+    ):
+        got, want = sorted(weights), list(weight_multiset(alpha, beta))
+        if got != want:
+            violations.append(f"{side} tail weights {got} != type {want}")
+    return violations
 
 
 def lemma_1_5_check(diagram):
@@ -579,7 +607,7 @@ def enumerate_diagrams(spec):
     found = {}
     for tl, tr, down, up, c in _boundary_choices(spec):
         for fins in _weighted_edges(c, m):
-            if component_count(range(n), [(s, t) for s, t, _ in fins]) != 1:
+            if not _floors_connected(n, fins):
                 continue
             key, first, aut = _least_forms((tl, tr, fins, down, up))
             found.setdefault(key, (first, aut))
@@ -687,7 +715,8 @@ def enumerate_markings(diagram, spec):
     A marking assigns the labels {-|a-|+1..0} to fixed bottom tails (grouped
     by weight), {s+1..s+|a+|} to fixed top tails, and {1..s} to everything
     else, compatibly with the diagram's partial order.  Classes are orbits
-    under automorphisms of (D, w, theta).
+    under automorphisms of (D, w, theta).  A diagram that is not one of the
+    spec (`validate_verbose`) has none.
 
     A depth-first search lists the markings in which identical edges take
     their labels in index order (`_label_moves`).  Two of them are one class
@@ -700,14 +729,6 @@ def enumerate_markings(diagram, spec):
     """
     if not diagram.valid_for(spec):
         return []
-    # census must match the type or no marking exists
-    down = sorted(w for _, w in diagram.floor_data[3])
-    up = sorted(w for _, w in diagram.floor_data[4])
-    if down != sorted(weight_multiset(spec.alpha_minus, spec.beta_minus)):
-        return []
-    if up != sorted(weight_multiset(spec.alpha_plus, spec.beta_plus)):
-        return []
-
     moves = _label_moves(diagram, spec)
     theta = [th for _, th in diagram.floors]
     classes = {}  # form -> [least token, first marking]
@@ -744,8 +765,8 @@ def enumerate_markings(diagram, spec):
 
 
 def count_markings(diagram, spec):
-    """len(enumerate_markings(diagram, spec)) for a diagram of
-    `enumerate_diagrams(spec)`, without listing the markings.
+    """len(enumerate_markings(diagram, spec)), without listing the markings:
+    0 for a diagram that is not one of the spec (`FloorDiagram.valid_for`).
 
     L, the number of markings that `enumerate_markings` searches (identical
     edges in index order), comes from a dynamic programme over the down-sets
@@ -755,6 +776,8 @@ def count_markings(diagram, spec):
     orderings of identical edges are already left out of L, so there are
     L / |Aut_floor| classes, |Aut_floor| from `FloorDiagram.canonical_form`.
     """
+    if not diagram.valid_for(spec):
+        return 0
     ways = {0: 1}
     for moves in _label_moves(diagram, spec):
         nxt = {}

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from . import diagram as diagram_mod
 from . import lattice
-from .lattice import Record, component_roots, dot, perp, scale, slope_of, slope_vector
+from .lattice import Record, component_count, component_roots, dot, perp, scale, slope_of, slope_vector
 from .tropical import NotClosed, ParametrizedCurve, PEdge, _dual_polygon, _integral_frame, _traces
 
 
@@ -217,7 +217,8 @@ def realize(diagram, marking, cfg, spec):
     elevators stay integers, with L as the realization's unit.
     """
     if not diagram.valid_for(spec):
-        raise InvalidMarking("diagram does not validate against the spec")
+        violations = diagram_mod.validate_verbose(diagram, spec)[1]
+        raise InvalidMarking(f"diagram does not validate against the spec: {'; '.join(violations)}")
     d = spec.direction
     e = _transverse_axis(d)
     n2 = dot(d, d)
@@ -364,13 +365,16 @@ def floor_decompose(pc, d):
     The decomposition reads the curve alone, so `verify_realization` can
     test it against the diagram that was realized.
     """
-    return diagram_mod.FloorDiagram(*_decompose(pc, d)[0])
+    return diagram_mod.FloorDiagram(*_decompose(_split(pc, d), d))
 
 
-def _decompose(pc, d):
-    """`floor_decompose`'s diagram as its fields (floors, inf_minus,
-    inf_plus, edges), unbuilt, and the floor of each position."""
-    n = len(pc.positions)
+def _split(pc, d):
+    """(elevators, pieces, comp_of, k): the edges of pc along +-d, the
+    others, the floor of each position, and the number of floors.  The
+    floors are the components of the positions joined by the bounded
+    pieces, numbered in the order of their union-find roots.  Nothing here
+    can fail, so `verify_realization` reads the source graph's components
+    off it before the decomposition is built."""
     down = scale(d, -1)
     elevator = []
     floorish = []
@@ -379,10 +383,16 @@ def _decompose(pc, d):
             elevator.append(e)
         else:
             floorish.append(e)
-    roots = component_roots(range(n), [(e.a, e.b) for e in floorish if e.b >= 0])
+    roots = component_roots(range(len(pc.positions)), [(e.a, e.b) for e in floorish if e.b >= 0])
     comp_index = {r: c for c, r in enumerate(sorted(set(roots.values())))}
-    comp_of = {v: comp_index[roots[v]] for v in range(n)}
+    comp_of = {v: comp_index[r] for v, r in roots.items()}
+    return elevator, floorish, comp_of, len(comp_index)
 
+
+def _decompose(split, d):
+    """`floor_decompose`'s diagram as its fields (floors, inf_minus,
+    inf_plus, edges), unbuilt, from the `_split` of the curve along d."""
+    elevator, floorish, comp_of, k = split
     # the slope of each piece direction, oriented toward increasing
     # abscissa, and whether the direction points left
     slopes = {}
@@ -400,7 +410,7 @@ def _decompose(pc, d):
             left[c] = m  # the leftward infinite piece carries theta
         first.setdefault(c, m)
     floors = []
-    for c in range(len(comp_index)):
+    for c in range(k):
         th = left.get(c, first.get(c))
         if th is None:
             raise RealizeError(f"floor component {c} has no transverse piece")
@@ -408,7 +418,7 @@ def _decompose(pc, d):
 
     edges = []
     inf_minus, inf_plus = [], []
-    nid = len(comp_index)
+    nid = k
     for e in elevator:
         up = e.direction == d
         if e.b >= 0:
@@ -422,7 +432,7 @@ def _decompose(pc, d):
             edges.append((nid, comp_of[e.a], e.weight))
             inf_minus.append(nid)
             nid += 1
-    return (tuple(floors), tuple(inf_minus), tuple(inf_plus), tuple(edges)), comp_of
+    return tuple(floors), tuple(inf_minus), tuple(inf_plus), tuple(edges)
 
 
 def _recovers(data, floor_of, diagram, sizes):
@@ -510,13 +520,18 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     direction is the polygon's table of outward normals to lattice lengths
     (tropical._traces); only when the tables differ is the ray circuit
     built (_dual_polygon), to name the failure: a drift, or a circuit that
-    does not trace the polygon.  The floor decomposition recovers the
-    diagram when it equals it under the floor map of the realization's own
-    layout (_recovers); only when it does not are the canonical keys
-    compared, so the verdict is isomorphism, on every curve.  Both sides are
-    read as `_floor_data`, the diagram's cached, and a FloorDiagram of the
-    decomposition is built only for that fallback.  The Omega test and the
-    point test are integer ones.
+    does not trace the polygon.  Rays that trace it must also meet the top
+    and bottom edges in the spec's pattern: `diagram.tail_type_violations`,
+    the test `validate_verbose` makes on a diagram's tails, on the weights
+    of the rays along -d and +d.  The source graph's components and genus
+    come from the one union-find over the positions, that of the floor
+    decomposition (_split): its floors joined by the bounded elevators.
+    The floor decomposition recovers the diagram when it equals it under
+    the floor map of the realization's own layout (_recovers); only when it
+    does not are the canonical keys compared, so the verdict is
+    isomorphism, on every curve.  Both sides are read as `_floor_data`, the
+    diagram's cached, and a FloorDiagram of the decomposition is built only
+    for that fallback.  The Omega test and the point test are integer ones.
     """
     pc = realization.curve
     n = len(pc.positions)
@@ -530,7 +545,15 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     balanced, mu, not_trivalent = pc.star_census
     if not balanced:
         violations.append("curve is not balanced")
-    genus, components = pc.genus_and_components()
+    # the source graph's components are its floors joined by the bounded
+    # elevators, so its genus is bounded edges - positions + components
+    d = spec.direction
+    split = _split(pc, d)
+    elevators, _, floor_of, floors = split
+    components = component_count(
+        range(floors), [(floor_of[e.a], floor_of[e.b]) for e in elevators if e.b >= 0]
+    )
+    genus = sum(e.b >= 0 for e in pc.edges) - n + components
     if genus != spec.genus:
         violations.append(f"source genus {genus} != {spec.genus}")
     if components != 1:
@@ -547,18 +570,27 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     for i, on in enumerate(points_on_curve(pc, cfg.point_frame, hints)):
         if not on:
             violations.append(f"point {i + 1} not on the curve")
-    # infinite-edge census against the boundary data
+    # the rays trace the polygon: their summed weight per direction is its
+    # table (_traces), or else their circuit is its polygon
     rays = [(e.direction, e.weight) for e in pc.edges if e.b < 0]
-    if not _traces(rays, spec.polygon):
+    traced = _traces(rays, spec.polygon)
+    if not traced:
         try:
-            circuit = _dual_polygon(rays)
-            if circuit.edge_vectors() != spec.polygon.edge_vectors():
+            traced = _dual_polygon(rays).edge_vectors() == spec.polygon.edge_vectors()
+            if not traced:
                 violations.append("ray circuit does not trace the Newton polygon")
         except NotClosed as exc:
             violations.append(str(exc))
         except lattice.DegeneratePolygon:
             # the rays close up but span no polygon, e.g. two opposite rays
             violations.append("ray circuit does not trace the Newton polygon")
+    # and meet the top and bottom edges in the spec's pattern: the weights of
+    # the rays along -d and +d are of its type
+    if traced:
+        down = scale(d, -1)
+        violations += diagram_mod.tail_type_violations(
+            [w for u, w in rays if u == down], [w for u, w in rays if u == d], spec
+        )
     # alpha rays supported on their Omega lines
     lo = -sum(spec.alpha_minus) + 1
     s = spec.s
@@ -583,7 +615,7 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     # round trip; a nonpositive weight, which the diagram's floor data never
     # has, fails _recovers and then the building of the FloorDiagram
     try:
-        parts, floor_of = _decompose(pc, spec.direction)
+        parts = _decompose(split, d)
         data = diagram_mod._floor_data(parts[0], parts[3])
         recovered = _recovers(data, floor_of, diagram, sizes) or (
             diagram_mod.canonical_key(diagram_mod.FloorDiagram(*parts))

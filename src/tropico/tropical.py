@@ -700,14 +700,6 @@ class ParametrizedCurve(Record):
             tuple(PEdge(*e) for e in edges),
         )
 
-    def genus_and_components(self):
-        """(first Betti number, number of connected components) of the
-        source graph, from one union-find pass."""
-        n = len(self.positions)
-        links = [(e.a, e.b) for e in self.edges if e.b >= 0]
-        k = component_count(range(n), links)
-        return len(links) - n + k, k
-
     @cached_property
     def frame(self):
         """(m, integer positions): _integral_frame of the positions, computed

@@ -297,6 +297,27 @@ def test_realize_cli_rejects_marking_labels_off_the_range(files, tmp_path, capsy
             assert json.loads(out)["error"] == error
 
 
+def test_realize_cli_rejects_a_diagram_of_another_boundary_type(tmp_path, capsys):
+    # a T4 diagram with bottom tails of weights 1 and 3 has the summed
+    # weight of the type of two tails of weight 2, but not its pattern
+    spec = DiagramSpec(triangle(4), (0, 1), 0, (), (), (), (1, 0, 1))
+    diag = enumerate_diagrams(spec)[0]
+    (tmp_path / "t4.json").write_text(json.dumps({"vertices": [[0, 0], [4, 0], [0, 4]]}))
+    (tmp_path / "diag.json").write_text(json.dumps(io_mod.diagram_to_json(diag)))
+    (tmp_path / "mark.json").write_text(
+        json.dumps(io_mod.marking_to_json(enumerate_markings(diag, spec)[0]))
+    )
+    argv = ["realize", "--polygon", str(tmp_path / "t4.json"), "--genus", "0",
+            "--diagram", str(tmp_path / "diag.json"), "--marking", str(tmp_path / "mark.json")]
+    assert cmd([*argv, "--beta-minus", "1,0,1"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["elevators"]) == len(diag.edges)
+    assert cmd([*argv, "--beta-minus", "0,2"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "InvalidMarking",
+        "detail": "diagram does not validate against the spec: bottom tail weights [1, 3] != type [2, 2]",
+    }
+
+
 def test_realize_cli_rejects_diagram_values_that_are_not_integers(files, tmp_path, capsys):
     spec = DiagramSpec(triangle(3), (0, 1), 1, (), (), (), (3,))
     diag = enumerate_diagrams(spec)[0]

@@ -391,24 +391,45 @@ TZ132_G1 = DiagramSpec(trapezium(1, 3, 2), (0, 1), 1, (), (), (2,), (5,))
 TZ132_G2 = DiagramSpec(trapezium(1, 3, 2), (0, 1), 2, (), (), (2,), (5,))
 
 
+# T4 g=0 of bottom tail weights 1 and 3, and of two tails of weight 2
+T4_B101 = DiagramSpec(triangle(4), (0, 1), 0, (), (), (), (1, 0, 1))
+T4_B02 = DiagramSpec(triangle(4), (0, 1), 0, (), (), (), (0, 2))
+
+
 def test_count_markings_equals_enumeration():
-    specs = [
-        DiagramSpec(triangle(3), (0, 1), g, (), alpha, (), beta)
-        for g in (0, 1)
-        for alpha, beta in T3_TYPES
+    # every diagram of a polygon's specs against every spec of that polygon:
+    # both are 0 for a diagram of another genus or boundary type
+    groups = [
+        [DiagramSpec(triangle(3), (0, 1), g, (), alpha, (), beta)
+         for g in (0, 1) for alpha, beta in T3_TYPES],
+        [DiagramSpec(triangle(4), (0, 1), g, (), alpha, (), beta)
+         for g in range(4) for alpha, beta in T4_TYPES] + [T4_B101],
+        [DIAMOND_G0, DIAMOND_G1],
+        [OCTIC_G0, OCTIC_G1],
+        [TZ132_G1],
     ]
-    specs += [
-        DiagramSpec(triangle(4), (0, 1), g, (), alpha, (), beta)
-        for g in range(4)
-        for alpha, beta in T4_TYPES
-    ]
-    specs += [DIAMOND_G0, DIAMOND_G1, OCTIC_G0, OCTIC_G1, TZ132_G1]
-    for spec in specs:
-        for diag in enumerate_diagrams(spec):
-            assert count_markings(diag, spec) == len(enumerate_markings(diag, spec)), (
-                spec,
-                diag,
-            )
+    pairs = listed = 0
+    for specs in groups:
+        diags = [diag for spec in specs for diag in enumerate_diagrams(spec)]
+        for spec in specs:
+            for diag in diags:
+                nclasses = count_markings(diag, spec)
+                assert nclasses == len(enumerate_markings(diag, spec)), (spec, diag)
+                pairs += 1
+                listed += nclasses > 0
+    assert 0 < listed < pairs
+
+
+def test_a_diagram_of_another_boundary_type_has_no_markings():
+    # the first T4 diagram with bottom tails of weights 1 and 3 has the
+    # summed tail weight of the type of two tails of weight 2, and none of
+    # its markings
+    diag = enumerate_diagrams(T4_B101)[0]
+    assert sorted(w for _, w in diag.floor_data[3]) == [1, 3]
+    assert count_markings(diag, T4_B101) == len(enumerate_markings(diag, T4_B101)) == 30
+    assert count_markings(diag, T4_B02) == len(enumerate_markings(diag, T4_B02)) == 0
+    assert validate_verbose(diag, T4_B02) == (False, ["bottom tail weights [1, 3] != type [2, 2]"])
+    assert validate_verbose(diag, T4_B101) == (True, [])
 
 
 def test_relabelling_identities():

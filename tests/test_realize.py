@@ -50,6 +50,7 @@ from tropico.realize import (
     stretch_points,
     verify_realization,
     _decompose,
+    _split,
     _recovers,
     _transverse_axis,
 )
@@ -295,6 +296,43 @@ def test_verify_detects_a_disconnected_source():
         "ray circuit does not trace the Newton polygon",
         "floor decomposition does not recover the diagram",
     ]
+
+
+def test_verify_detects_a_cycle_inside_a_floor():
+    # a second copy of a floor piece: the floor is no longer a tree, and
+    # both ends of the piece have four pieces
+    pc, _ = verify_tampered_cubic()
+    piece = pc.edges[0]
+    assert piece == PEdge(0, 1, 1, (1, 1))
+    _, violations = verify_tampered_cubic(curve=ParametrizedCurve(pc.positions, pc.edges + (piece,)))
+    assert violations == ["curve is not balanced", "source genus 1 != 0", "source vertex 0 has valence 4"]
+
+
+def test_verify_detects_an_isolated_position():
+    # a position with no edge is a component and a floor of its own
+    pc, _ = verify_tampered_cubic()
+    far = (Fraction(1000), Fraction(1000))
+    _, violations = verify_tampered_cubic(curve=ParametrizedCurve(pc.positions + (far,), pc.edges))
+    assert violations == [
+        "source curve disconnected",
+        "source vertex 7 has valence 0",
+        "curve has no floor decomposition: floor component 3 has no transverse piece",
+    ]
+
+
+def test_verify_detects_rays_of_another_boundary_type():
+    # T4 curves whose bottom rays weigh 1 and 3 trace the polygon of the
+    # type of two rays of weight 2, and fail only its boundary pattern
+    t4_b101 = DiagramSpec(triangle(4), (0, 1), 0, (), (), (), (1, 0, 1))
+    t4_b02 = DiagramSpec(triangle(4), (0, 1), 0, (), (), (), (0, 2))
+    diags = enumerate_diagrams(t4_b101)
+    for diag in diags:
+        marking = enumerate_markings(diag, t4_b101)[0]
+        realization, cfg = realize_stretched(diag, marking, t4_b101, seed=0)
+        assert verify_checked(realization, diag, marking, cfg, t4_b101) == []
+        violations = verify_checked(realization, diag, marking, cfg, t4_b02)
+        assert violations == ["bottom tail weights [1, 3] != type [2, 2]"]
+    assert len(diags) == 8
 
 
 def verify_edited_curve(spec, edit):
@@ -687,8 +725,9 @@ def test_points_on_curve_match_brute_force():
 def realize_fraction_reference(diagram, marking, cfg, spec):
     """`realize` in Fractions throughout, every abscissa and height read
     from the points of cfg: the oracle for its integer frame."""
-    if not diagram_module.validate(diagram, spec):
-        raise InvalidMarking("diagram does not validate against the spec")
+    ok, violations = diagram_module.validate_verbose(diagram, spec)
+    if not ok:
+        raise InvalidMarking(f"diagram does not validate against the spec: {'; '.join(violations)}")
     d = spec.direction
     e = _transverse_axis(d)
     n2 = dot(d, d)
@@ -1080,11 +1119,49 @@ def floor_decompose_reference(pc, d):
     return FloorDiagram(tuple(floors), tuple(inf_minus), tuple(inf_plus), tuple(edges))
 
 
+def source_genus_and_components_reference(pc):
+    """(first Betti number, number of components) of the source graph of
+    pc, from a union-find over every position and bounded edge."""
+    n = len(pc.positions)
+    parent = list(range(n))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    bounded = [e for e in pc.edges if e.b >= 0]
+    for e in bounded:
+        parent[root(e.a)] = root(e.b)
+    components = sum(parent[v] == v for v in range(n))
+    return len(bounded) - n + components, components
+
+
+def boundary_pattern_reference(pc, spec):
+    """The violations of spec's boundary type by the weights of the rays of
+    pc along -d (bottom: alpha-, beta-) and +d (top: alpha+, beta+): the
+    type asks for alpha_k + beta_k rays of weight k."""
+    d = spec.direction
+    out = []
+    for side, u, alpha, beta in (
+        ("bottom", (-d[0], -d[1]), spec.alpha_minus, spec.beta_minus),
+        ("top", d, spec.alpha_plus, spec.beta_plus),
+    ):
+        got = sorted(e.weight for e in pc.edges if e.b < 0 and e.direction == u)
+        want = []
+        for k in range(1, max(len(alpha), len(beta)) + 1):
+            want += [k] * (sum(alpha[k - 1:k]) + sum(beta[k - 1:k]))
+        if got != want:
+            out.append(f"{side} tail weights {got} != type {want}")
+    return out
+
+
 def verify_realization_reference(realization, diagram, marking, cfg, spec):
-    """`verify_realization` as it was before its fast paths: it scans every
-    edge for every point (points_on_curve_reference), builds the ray
-    circuit's polygon and compares the canonical keys of the floor
-    decomposition and of the diagram on every curve."""
+    """`verify_realization` without its fast paths: it scans every edge for
+    every point (points_on_curve_reference), builds the ray circuit's
+    polygon and compares the canonical keys of the floor decomposition and
+    of the diagram on every curve; the source genus and components and the
+    boundary pattern it computes on its own."""
     pc = realization.curve
     n = len(pc.positions)
     violations = [
@@ -1096,7 +1173,7 @@ def verify_realization_reference(realization, diagram, marking, cfg, spec):
         return violations
     if not check_balancing(pc):
         violations.append("curve is not balanced")
-    genus, components = pc.genus_and_components()
+    genus, components = source_genus_and_components_reference(pc)
     if genus != spec.genus:
         violations.append(f"source genus {genus} != {spec.genus}")
     if components != 1:
@@ -1108,6 +1185,8 @@ def verify_realization_reference(realization, diagram, marking, cfg, spec):
         circuit = _dual_polygon([(e.direction, e.weight) for e in pc.edges if e.b < 0])
         if circuit.edge_vectors() != spec.polygon.edge_vectors():
             violations.append("ray circuit does not trace the Newton polygon")
+        else:
+            violations += boundary_pattern_reference(pc, spec)
     except NotClosed as exc:
         violations.append(str(exc))
     except DegeneratePolygon:
@@ -1199,7 +1278,8 @@ def test_verification_matches_the_reference():
     for spec in (T3_G0, T3_G1):
         for diag, marking in _marked(spec):
             realization, cfg = realize_stretched(diag, marking, spec, seed=0)
-            parts, floor_of = _decompose(realization.curve, spec.direction)
+            split = _split(realization.curve, spec.direction)
+            parts, floor_of = _decompose(split, spec.direction), split[2]
             back = diagram_module._floor_data(parts[0], parts[3])
             sizes = [len(breaks) for _, breaks, _ in realization.floors]
             assert _recovers(back, floor_of, diag, sizes)
@@ -1220,7 +1300,7 @@ def test_floor_decompose_builds_the_diagram_it_built_before():
             back = floor_decompose(pc, spec.direction)
             assert type(back) is FloorDiagram and validate(back, spec)
             assert back == floor_decompose_reference(pc, spec.direction)
-            parts, _ = _decompose(pc, spec.direction)
+            parts = _decompose(_split(pc, spec.direction), spec.direction)
             assert diagram_module._floor_data(parts[0], parts[3]) == back.floor_data
     pc = realize_stretched(*_marked(T3_G1)[0], T3_G1)[0].curve
     i = next(i for i, e in enumerate(pc.edges) if e.direction == (0, 1) and e.b >= 0)
