@@ -353,14 +353,18 @@ class LatticePolygon(Record):
         return count
 
     def lattice_points(self):
+        """The lattice points of the polygon, boundary included, in (x, y)
+        order: the points of the bounding box that contains keeps, with the
+        edge vectors computed once."""
         xs = [p[0] for p in self.vertices]
         ys = [p[1] for p in self.vertices]
-        pts = []
-        for x in range(min(xs), max(xs) + 1):
-            for y in range(min(ys), max(ys) + 1):
-                if self.contains((x, y)):
-                    pts.append((x, y))
-        return pts
+        edges = [(px, py, qx - px, qy - py) for (px, py), (qx, qy) in self.edges()]
+        return [
+            (x, y)
+            for x in range(min(xs), max(xs) + 1)
+            for y in range(min(ys), max(ys) + 1)
+            if all(ex * (y - py) - ey * (x - px) >= 0 for px, py, ex, ey in edges)
+        ]
 
     def pick_identity(self):
         """2A == 2*interior + boundary - 2; must hold for every instance."""

@@ -15,12 +15,15 @@ scan that splits the image of a parametrized curve into a plane curve
 each pair of the P original pieces at most once, O(P^2) box checks, and
 then replays the split order from the table of crossings it found.
 
-Each hull cell is hulled once, in _upper_cells, and comes with its plane
-and its LatticePolygon; the corner locus reads that polygon, and the
-Legendre transform the vertices of the cells.  One monotone chain
-(lattice.monotone_chain) serves convex_hull and the collinear Legendre
-domain.  Only the ray circuit becomes a polygon (_dual_polygon); the delta
-invariant reads each vertex's dual cell off its star (_balanced).
+The hull walk stays in the integers of its scaled lift: each cell comes
+with its integer plane (nx, ny, D) and its vertex ring, hulled once by the
+monotone chain (lattice.monotone_chain), which also serves convex_hull and
+the collinear Legendre domain.  The corner locus builds one LatticePolygon
+per cell from its ring, two Fractions per vertex and the segment
+directions from integer cross terms of the planes; the Legendre transform
+reads the vertices off the rings.  Only the ray circuit becomes a polygon
+(_dual_polygon); the delta invariant reads each vertex's dual cell off its
+star (_balanced).
 """
 
 from __future__ import annotations
@@ -76,17 +79,6 @@ def _lattice_point(p):
     if x != int(x) or y != int(y):
         raise TropicalError(f"exponent {p!r} is not a lattice point")
     return (int(x), int(y))
-
-
-def rational_primitive(v):
-    """Primitive integer vector parallel to a nonzero rational vector."""
-    x, y = Fraction(v[0]), Fraction(v[1])
-    if x == 0 and y == 0:
-        raise TropicalError("zero vector")
-    m = math.lcm(x.denominator, y.denominator)
-    ix, iy = int(x * m), int(y * m)
-    g = math.gcd(ix, iy)
-    return (ix // g, iy // g)
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +351,19 @@ class DualSubdivision(Record):
 def _upper_cells(poly_terms):
     """Maximal equality sets of upper supporting planes of the lifted points.
 
-    Returns {frozenset(points on the plane): (gx, gy, c, polygon)} with the
-    plane x -> gx * x[0] + gy * x[1] + c and the cell's LatticePolygon, the
-    convex hull of its points, one entry per 2-face of the upper hull of
-    {(I, a_I)}; {} when the support is collinear.
+    Returns {frozenset(points on the plane): (nx, ny, D, ring)} with the
+    plane's gradient (nx / D, ny / D), D > 0, and ring the counterclockwise
+    vertices of the cell's convex hull from its least point, one entry per
+    2-face of the upper hull of {(I, a_I)}; {} when the support is
+    collinear.  Everything is an integer: no Fraction and no polygon is
+    built here, and a caller that wants the cell as a LatticePolygon builds
+    it from the ring.
 
     Gift wrapping over cell edges: start from an upper-hull edge on the
     boundary of the Newton polygon, and from every directed edge (p, q)
     with an unexplored side on its left, pivot the plane through the lifted
     p and q down onto that side (_pivot).  The points on the pivoted plane
-    form the next cell; each edge of its hull is then queued with the cell
+    form the next cell; each edge of its ring is then queued with the cell
     on the other side.  Lifts are scaled to integers first, so every test
     is an integer comparison.  A pivot is O(n) and there is one per cell
     and one per boundary edge, so the hull costs O(n * cells).
@@ -377,8 +372,8 @@ def _upper_cells(poly_terms):
     pts = sorted(lift)
     if _collinear(pts):
         return {}
-    scale_ = math.lcm(*(Fraction(a).denominator for a in lift.values()))
-    h = {p: int(Fraction(a) * scale_) for p, a in lift.items()}
+    scale_ = math.lcm(*(a.denominator for a in lift.values()))
+    h = {p: a.numerator * (scale_ // a.denominator) for p, a in lift.items()}
     # start edge: from the least point v0, a polygon vertex, along the
     # polygon edge to the next vertex v1 of the lower chain, to the point of
     # that edge with the largest lift slope, which lies on the upper hull
@@ -399,11 +394,10 @@ def _upper_cells(poly_terms):
         found = _pivot(pts, h, p, q)
         if found is None:
             continue  # (p, q) lies on the boundary of the Newton polygon
-        eq, (nx, ny, den) = found
-        gx, gy = Fraction(nx, den * scale_), Fraction(ny, den * scale_)
-        cell = convex_hull(eq)
-        cells[frozenset(eq)] = (gx, gy, Fraction(lift[p]) - gx * p[0] - gy * p[1], cell)
-        for a, b in cell.edges():
+        eq, (nx, ny, den) = found  # eq is sorted, as pts is
+        ring = lattice.monotone_chain(eq)[:-1] + lattice.monotone_chain(reversed(eq))[:-1]
+        cells[frozenset(eq)] = (nx, ny, den * scale_, ring)
+        for a, b in zip(ring, ring[1:] + ring[:1]):
             done.add((a, b))
             if (b, a) not in done:
                 stack.append((b, a))
@@ -456,8 +450,8 @@ def corner_locus(poly):
     newton = poly.newton_polygon()
     cells = _upper_cells(poly.terms)
     planes = [cells[eq] for eq in sorted(cells, key=sorted)]
-    cell_polys = [cp for _, _, _, cp in planes]
-    vertices = [(-gx, -gy) for gx, gy, _, _ in planes]
+    cell_polys = [LatticePolygon(ring) for *_, ring in planes]
+    vertices = [(Fraction(-nx, d), Fraction(-ny, d)) for nx, ny, d, _ in planes]
 
     owners = {}  # cell edge, as its sorted end points -> cells that have it
     for idx, cp in enumerate(cell_polys):
@@ -466,17 +460,20 @@ def corner_locus(poly):
 
     segments, segment_dual = [], []
     for (i, j), (p, q) in sorted((cs, edge) for edge, cs in owners.items() if len(cs) == 2):
-        direction = rational_primitive(sub(vertices[j], vertices[i]))
-        if dot(direction, sub(q, p)) != 0:
+        # vertex j - vertex i is w / (D_i * D_j), so the segment runs along w
+        nxi, nyi, di, _ = planes[i]
+        nxj, nyj, dj, _ = planes[j]
+        w = (nxi * dj - nxj * di, nyi * dj - nyj * di)
+        if w == (0, 0) or dot(w, sub(q, p)) != 0:
             raise InvariantViolation(f"curve edge {i}-{j} is not orthogonal to its dual {p}-{q}")
-        segments.append(Segment(i, j, lattice.integral_length(p, q), direction))
+        segments.append(Segment(i, j, lattice.integral_length(p, q), lattice.primitive(w)))
         segment_dual.append((p, q))
 
     rays, ray_dual = [], []
     for idx, cp in enumerate(cell_polys):
         for p, q in cp.edges():
             if len(owners[(min(p, q), max(p, q))]) == 1:
-                direction = rational_primitive(scale(perp(sub(q, p)), -1))
+                direction = lattice.primitive(scale(perp(sub(q, p)), -1))
                 rays.append(Ray(idx, direction, lattice.integral_length(p, q)))
                 ray_dual.append((p, q))
 
@@ -542,9 +539,9 @@ def _lower_hull_vertices(f, cells):
     if len(pts) == 1:
         return pts
     if cells:
-        return sorted({v for *_, cell in cells.values() for v in cell.vertices})
+        return sorted({v for *_, ring in cells.values() for v in ring})
     # collinear domain: the lower chain of the points (<u, p>, f(p))
-    u = rational_primitive(sub(pts[-1], pts[0]))
+    u = lattice.primitive(sub(pts[-1], pts[0]))
     at = {dot(u, p): p for p in pts}
     return [at[t] for t, _ in lattice.monotone_chain(sorted((t, f[p]) for t, p in at.items()))]
 
@@ -847,21 +844,23 @@ INTERSECTION_TRIES = 32
 
 
 def stable_intersection_generic(c1, c2, seed=0):
-    """Retry helper: translate c2 by small generic rational vectors until the
-    intersection is transverse, at most INTERSECTION_TRIES times.  Returns
-    (points, translation)."""
+    """Retry helper: intersect c1 with c2 itself, then with c2 translated by
+    small generic rational vectors, until the intersection is transverse,
+    at most INTERSECTION_TRIES tries in all.  Returns (points, translation),
+    the translation (0, 0) when c2 itself was transverse."""
     import random
 
     rng = random.Random(seed)
-    shift = (Fraction(0), Fraction(0))
+    shift, moved = (Fraction(0), Fraction(0)), c2
     for attempt in range(INTERSECTION_TRIES):
         try:
-            return stable_intersection(c1, c2.translate(shift)), shift
+            return stable_intersection(c1, moved), shift
         except NonTransverse:
             shift = (
                 Fraction(rng.randrange(-999_983, 999_983), 1_000_003 * (attempt + 1)),
                 Fraction(rng.randrange(-999_983, 999_983), 1_000_003 * (attempt + 1) + 1),
             )
+            moved = c2.translate(shift)
     raise NonTransverse("no generic translation found")
 
 

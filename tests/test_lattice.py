@@ -96,6 +96,20 @@ def test_interior_points_match_the_reference():
     for poly in polys:
         assert poly.interior_points() == interior_points_reference(poly), poly
 
+
+def test_lattice_points_equal_the_bounding_box_filtered_by_contains():
+    rng = random.Random(17)
+    polys = [triangle(d) for d in range(1, 6)] + [diamond(), octic_quadrilateral()]
+    while len(polys) < 300:
+        poly = random_lattice_polygon(rng, rng.choice((2, 5, 9)), rng.randint(3, 10))
+        polys.append(poly.translate((rng.randint(-20, 20), rng.randint(-20, 20))))
+    for poly in polys:
+        xs = [x for x, _ in poly.vertices]
+        ys = [y for _, y in poly.vertices]
+        box = [(x, y) for x in range(min(xs), max(xs) + 1) for y in range(min(ys), max(ys) + 1)]
+        assert poly.lattice_points() == [p for p in box if poly.contains(p)], poly
+
+
 def test_pick_identity():
     for d in range(1, 7):
         assert triangle(d).pick_identity()

@@ -1,5 +1,8 @@
+import fractions
 import itertools
+import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -48,7 +51,6 @@ from tropico.tropical import (
     legendre_transform,
     newton_polygon_of,
     random_polynomial,
-    rational_primitive,
     stable_intersection,
     stable_intersection_generic,
     tropical_multiplicity,
@@ -58,6 +60,17 @@ from tropico.tropical import (
     _split_piece,
     _upper_cells,
 )
+
+
+def rational_primitive(v):
+    """Primitive integer vector parallel to a nonzero rational vector."""
+    x, y = Fraction(v[0]), Fraction(v[1])
+    if x == 0 and y == 0:
+        raise TropicalError("zero vector")
+    m = math.lcm(x.denominator, y.denominator)
+    ix, iy = int(x * m), int(y * m)
+    g = math.gcd(ix, iy)
+    return (ix // g, iy // g)
 
 
 def tropical_line(a=0, b=0, c=0):
@@ -165,19 +178,27 @@ def upper_cells_brute_force(poly_terms):
     return cells
 
 
-def planes(cells):
-    """The (gx, gy, c) of each cell of _upper_cells, once its polygon is
-    checked to be the convex hull of its points."""
-    for eq, (_, _, _, cell) in cells.items():
-        assert cell == convex_hull(eq)
-    return {eq: plane[:3] for eq, plane in cells.items()}
+def planes(cells, poly_terms):
+    """The (gx, gy, c) of each cell (nx, ny, D, ring) of _upper_cells, with
+    gradient (nx / D, ny / D) and c read at a lifted point of the cell,
+    once D is checked to be positive and the ring to be the vertices of the
+    convex hull of the cell's points."""
+    lift = dict(poly_terms)
+    out = {}
+    for eq, (nx, ny, d, ring) in cells.items():
+        assert d > 0
+        assert ring == list(convex_hull(eq).vertices)
+        gx, gy = Fraction(nx, d), Fraction(ny, d)
+        p = min(eq)
+        out[eq] = (gx, gy, lift[p] - gx * p[0] - gy * p[1])
+    return out
 
 
 def assert_hull_matches(terms):
     terms = tuple((e, Fraction(a)) for e, a in terms.items())
-    assert planes(_upper_cells(terms)) == upper_cells_brute_force(terms)
+    assert planes(_upper_cells(terms), terms) == upper_cells_brute_force(terms)
     flipped = tuple((e, -a) for e, a in terms)  # the lower hull, as legendre uses it
-    assert planes(_upper_cells(flipped)) == upper_cells_brute_force(flipped)
+    assert planes(_upper_cells(flipped), flipped) == upper_cells_brute_force(flipped)
 
 
 def spans_plane_reference(poly):
@@ -259,8 +280,21 @@ def test_corner_locus_rejects_an_edge_off_its_dual(monkeypatch):
     poly = TropicalPolynomial.make({(0, 0): 0, (1, 0): 0, (0, 1): 0, (1, 1): 1})
     cells = _upper_cells(poly.terms)
     eq = min(cells, key=sorted)
-    gx, gy, c, cell = cells[eq]
-    monkeypatch.setattr(tropical, "_upper_cells", lambda terms: {**cells, eq: (gx + 1, gy, c, cell)})
+    nx, ny, d, ring = cells[eq]
+    monkeypatch.setattr(tropical, "_upper_cells", lambda terms: {**cells, eq: (nx + d, ny, d, ring)})
+    with pytest.raises(InvariantViolation, match="is not orthogonal to its dual"):
+        corner_locus(poly)
+
+
+def test_corner_locus_rejects_two_cells_on_one_plane(monkeypatch):
+    # both cells of the square get the first one's plane: their vertices
+    # coincide, and the zero vector between them is a broken invariant,
+    # not a domain error
+    poly = TropicalPolynomial.make({(0, 0): 0, (1, 0): 0, (0, 1): 0, (1, 1): 1})
+    cells = _upper_cells(poly.terms)
+    first, second = sorted(cells, key=sorted)
+    moved = {**cells, second: (*cells[first][:3], cells[second][3])}
+    monkeypatch.setattr(tropical, "_upper_cells", lambda terms: moved)
     with pytest.raises(InvariantViolation, match="is not orthogonal to its dual"):
         corner_locus(poly)
 
@@ -357,7 +391,9 @@ def reference_corpus(rng):
     """Seeded polynomials on T1..T8 and three other polygons: flat lifts,
     lifts -(i^2 + 2 j^2) that cut unit squares (crossings), random lifts
     with denominators 1, 3 and 7, lifts in {-1, 0, 1} (many ties), sparse
-    supports (some collinear) and Fraction lifts on random point sets."""
+    supports (some collinear), Fraction lifts on random point sets, and
+    near-concave lifts -(i^2 + j^2) + eps on T4..T6, eps of denominator
+    8 * 10^4 as in the benchmark's fine polynomials."""
     shapes = [triangle(d) for d in range(1, 9)] + [diamond(), trapezium(2, 3, 1), cubic_triangle()]
     for shape in shapes:
         points = shape.lattice_points()
@@ -378,6 +414,12 @@ def reference_corpus(rng):
             )
     for k in range(1, 6):
         yield TropicalPolynomial.make({(i, 2 * i): rng.randint(-3, 3) for i in range(k)})
+    for d in (4, 5, 6):
+        for _ in range(4):
+            yield TropicalPolynomial.make({
+                (i, j): -(i * i + j * j) + Fraction(rng.randint(-10**4, 10**4), 8 * 10**4)
+                for i, j in triangle(d).lattice_points()
+            })
 
 
 def test_corner_locus_matches_the_reference():
@@ -491,6 +533,71 @@ def test_legendre_square_coefficients():
     for p in [(0, 0), (2, 1), (-3, 5), (Fraction(1, 2), Fraction(-7, 3))]:
         direct = max(p[0] * x[0] + p[1] * x[1] - v for x, v in f.items())
         assert lt(p) == direct
+
+
+def test_legendre_transform_matches_its_definition():
+    # f_vee(p) = max_x (p . x - f(x)) at seeded rational points, with f the
+    # coefficients of each polynomial of the reference corpus
+    rng = random.Random(33)
+    checked = 0
+    for poly in reference_corpus(random.Random(12)):
+        f = dict(poly.terms)
+        lt = legendre_transform(f)
+        for _ in range(3):
+            p = tuple(Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(2))
+            assert lt(p) == max(p[0] * x + p[1] * y - v for (x, y), v in f.items()), (poly, p)
+            checked += 1
+    assert checked >= 1800
+
+
+def fraction_constructions(fn):
+    """fn() and the number of Fractions it constructed: the calls of
+    Fraction.__new__ and of _from_coprime_ints, by which Fraction
+    arithmetic builds its results from Python 3.12 on."""
+    made = 0
+
+    def profile(frame, event, arg):
+        nonlocal made
+        code = frame.f_code
+        if event == "call" and code.co_filename == fractions.__file__ and code.co_name in (
+            "__new__", "_from_coprime_ints"
+        ):
+            made += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, made
+
+
+def test_hull_walk_construction_counts(monkeypatch):
+    # _upper_cells builds no Fraction, legendre_transform no LatticePolygon,
+    # and corner_locus one LatticePolygon per cell plus the Newton polygon
+    # and two Fractions per vertex
+    assert fraction_constructions(lambda: Fraction(1, 3) * 3 + 1)[1] >= 3
+    polygons = 0
+    post_init = lattice.LatticePolygon.__post_init__
+
+    def counting(self):
+        nonlocal polygons
+        polygons += 1
+        post_init(self)
+
+    monkeypatch.setattr(lattice.LatticePolygon, "__post_init__", counting)
+    rng = random.Random(33)
+    for d in (2, 4, 6):
+        for poly in (random_polynomial(rng, triangle(d)), random_polynomial(rng, triangle(d), denom=1)):
+            polygons = 0
+            (curve, subdivision), made = fraction_constructions(lambda: corner_locus(poly))
+            assert polygons == len(subdivision.cells) + 1
+            assert made == 2 * len(curve.vertices)
+            cells, made = fraction_constructions(lambda: _upper_cells(poly.terms))
+            assert len(cells) == len(subdivision.cells) and made == 0
+            polygons = 0
+            legendre_transform(dict(poly.terms))
+            assert polygons == 0
 
 
 def test_delta_weight_two_bar():
@@ -697,16 +804,26 @@ def test_stable_intersection_identical_lines_degenerate():
         stable_intersection(l1, l1)
     points, shift = stable_intersection_generic(l1, l1, seed=1)
     assert sum(m for _, m in points) == 1
+    assert shift != (0, 0) and points == stable_intersection(l1, l1.translate(shift))
 
 
-def test_stable_intersection_bezout_small():
+def test_stable_intersection_bezout_small(monkeypatch):
+    # a transverse pair is intersected as it is, untranslated
+    shifts = []
+    translate = PlaneTropicalCurve.translate
+    monkeypatch.setattr(PlaneTropicalCurve, "translate", lambda c, v: shifts.append(v) or translate(c, v))
     rng = random.Random(21)
     for d in (1, 2, 3):
         for _ in range(5):
             c1, _ = corner_locus(random_polynomial(rng, triangle(d)))
             c2, _ = corner_locus(random_polynomial(rng, triangle(d)))
-            points, _ = stable_intersection_generic(c1, c2, seed=rng.randrange(10**6))
+            del shifts[:]
+            points, shift = stable_intersection_generic(c1, c2, seed=rng.randrange(10**6))
             assert sum(m for _, m in points) == d * d
+            if shift == (0, 0):
+                assert not shifts and points == stable_intersection(c1, c2)
+            else:
+                assert shifts[-1] == shift
 
 
 def test_ray_census_matches_boundary():
