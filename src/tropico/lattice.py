@@ -337,11 +337,15 @@ class LatticePolygon(Record):
         """Interior lattice points, counted row by row: a height strictly
         between the lowest and highest vertex meets a falling edge at
         x = a and a rising one at x = b, and the integers strictly between
-        a and b are inside.
+        a and b are inside.  The rows are scanned once per polygon.
 
         Deliberately independent of Pick's formula so that pick_identity
         stays an honest cross-check.
         """
+        return self._interior_points
+
+    @cached_property
+    def _interior_points(self):
         ys = [p[1] for p in self.vertices]
         slanted = [(p, q) for p, q in self.edges() if p[1] != q[1]]
         count = 0

@@ -14,8 +14,12 @@ state with one floor fewer.  The connected count subtracts the
 configurations whose component through that label is proper.  This is the
 Caporaso-Harris recursion read off marked floor diagrams (Gathmann-Markwig;
 Fomin-Mikhalkin), with the thetas in place of the degree.  A state is one
-integer key, and what depends only on its thetas or its type comes from
-tables built once per call.
+integer key.  What depends on N-sequences alone (the sub-sequences of
+one, the out-edges of a peeled floor, the floor-tail rows) comes from
+tables built once per process and shared by every count, which a count
+clears when it leaves them holding more than `_SHARED_ROWS` rows; what
+depends on a state's thetas or its type comes from tables built once per
+call.
 
 This module holds the whole of what `tropico count` runs, so that command
 compiles neither validation, generation, canonical forms nor markings.  It
@@ -27,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import lattice
 from .lattice import Record
@@ -167,6 +171,85 @@ class DiagramSpec(Record):
 
 
 # ---------------------------------------------------------------------------
+# tables of N-sequences, shared by every count in the process
+
+# These tables depend on N-sequences alone, so they are built once per
+# process and shared by every later count, whatever its polygon or genus.
+# This is not the functools.cache on _peel_count's inner functions that
+# was tried and dropped: those caches were made anew on every call, so a
+# small count paid for building them each time.  A count that leaves the
+# tables holding more than this many rows clears them.  A row takes some
+# 180 bytes, but the rows a large count builds also keep the memory that
+# count freed from going back to the system: the 2,807 rows left by a
+# count of a five-floor 12-gon at genus 5 held 8.7 MiB.  The counts of
+# T_9 at every genus share 1,204 rows; T_16 g=0 builds 31,331.
+_SHARED_ROWS = 2048
+_held = 0  # the rows the shared tables hold
+
+
+def _hold(rows):
+    """``rows`` as a tuple, counted against _SHARED_ROWS."""
+    global _held
+    rows = tuple(rows)
+    _held += len(rows)
+    return rows
+
+
+def _clear_tables():
+    global _held
+    for table in (_subs, _grown, _rows):
+        table.cache_clear()
+    _held = 0
+
+
+@cache
+def _subs(a):
+    """(b, a - b, Ib, |b|, I^b, prod C(a_k, b_k), |b|! / prod b_k!) for
+    every b <= a."""
+    out = []
+    for b in itertools.product(*(range(x + 1) for x in a)):
+        size = sum(b)
+        out.append((
+            _trim(b), _nseq_sub(a, b), nseq_I(b), size, nseq_Ipow(b), _nseq_binom(a, b),
+            math.factorial(size) // math.prod(map(math.factorial, b)),
+        ))
+    return _hold(out)
+
+
+@cache
+def _grown(bm, out):
+    """(b- + gamma, |gamma|, I^gamma * C(b- + gamma, gamma)) for every
+    gamma with I gamma = out: the out-edges of a peeled floor."""
+    got = []
+
+    def rec(k, left, acc):
+        if not left:
+            gamma = _trim(tuple(acc))
+            bm2 = _nseq_add(bm, gamma)
+            got.append((bm2, sum(gamma), nseq_Ipow(gamma) * _nseq_binom(bm2, gamma)))
+        elif k <= left:
+            for c in range(left // k + 1):
+                rec(k + 1, left - c * k, acc + [c])
+
+    rec(1, out, [])
+    return _hold(got)
+
+
+@cache
+def _rows(am, ap, bp):
+    """(a- - a-', a+ - a+', b+ - b+', inflow, C(a-, a-') C(a+, a+')
+    |b+'|! / prod b+'_k!, I^b+', |b+'|) for every a-' <= a-, a+' <= a+
+    and b+' <= b+, the tails a peeled floor takes, of inflow
+    I a-' - I a+' - I b+'."""
+    return _hold(
+        (am2, ap2, bp2, i_am - i_ap - i_bp, c_am * c_ap * orders, pow_bp, n_bp)
+        for _, am2, i_am, _, _, c_am, _ in _subs(am)
+        for _, ap2, i_ap, _, _, c_ap, _ in _subs(ap)
+        for _, bp2, i_bp, n_bp, pow_bp, _, orders in _subs(bp)
+    )
+
+
+# ---------------------------------------------------------------------------
 # the count by floor peeling
 
 
@@ -191,12 +274,14 @@ def _peel_count(spec):
     stays in [1, genus + 2 floors].  The memos and these tables live for one
     call: per (L, R) the (tl, tr) pairs by tr - tl, the cut flows and the
     genus ceiling per down weight; per type the b- tail moves and the
-    components by balance; per (a-, a+, b+) the floor-tail rows; per
-    (b-, out) the out-edges; per (type, tr - tl) the floor moves, each row
-    joined with its out-edges.  The factors k, I^b+' and I^gamma
-    C(b- + gamma, gamma) have columns of their own.  The floor loop looks
-    each child up in the memo itself; the memo starts with the state of no
-    floor, and moves that leave g < 1 - n are skipped.
+    components by balance; per (type, tr - tl) the floor moves, each row
+    joined with its out-edges.  The floor-tail rows per (a-, a+, b+)
+    (`_rows`), the out-edges per (b-, out) (`_grown`) and the sub-sequences
+    (`_subs`) are keyed by N-sequences alone and live for the process, up
+    to `_SHARED_ROWS` rows at the end of a call.  The factors k, I^b+' and
+    I^gamma C(b- + gamma, gamma) have columns of their own.  The floor loop
+    looks each child up in the memo itself; the memo starts with the state
+    of no floor, and moves that leave g < 1 - n are skipped.
     """
     dd = spec.data
     lay_l, lay_r = _radices(dd.thetas_left()), _radices(dd.thetas_right())
@@ -204,9 +289,9 @@ def _peel_count(spec):
     nr = math.prod(c + 1 for _, _, c in lay_r)
     G = spec.genus + 2 * floors + 1
     S = math.prod(c + 1 for _, _, c in lay_l) * nr * G  # key: t S + (L nr + R) G + g + floors
-    tables = [[]] + [{} for _ in range(11)]
-    (types, tids, totals, connecteds, pair_memo, type_memo, subs_memo, grown_memo,
-     rows_memo, moves_memo, balance_memo, splits_memo) = tables
+    tables = [[]] + [{} for _ in range(8)]
+    (types, tids, totals, connecteds, pair_memo, type_memo, moves_memo, balance_memo,
+     splits_memo) = tables
 
     def intern(*t):
         got = tids.get(t)
@@ -259,42 +344,6 @@ def _peel_count(spec):
             got = type_memo[t] = (nseq_I(am) + nseq_I(bm), sum(bm) + sum(bp), sum(bp), tails)
         return got
 
-    def subs(a):
-        """(b, a - b, Ib, |b|, I^b, prod C(a_k, b_k), |b|! / prod b_k!) for
-        every b <= a."""
-        out = subs_memo.get(a)
-        if out is None:
-            out = []
-            for b in itertools.product(*(range(x + 1) for x in a)):
-                size = sum(b)
-                out.append((
-                    _trim(b), _nseq_sub(a, b), nseq_I(b), size, nseq_Ipow(b), _nseq_binom(a, b),
-                    math.factorial(size) // math.prod(map(math.factorial, b)),
-                ))
-            subs_memo[a] = out
-        return out
-
-    def grown(bm, out):
-        """(b- + gamma, |gamma|, I^gamma * C(b- + gamma, gamma)) for every
-        gamma with I gamma = out: the out-edges of a peeled floor."""
-        key = (bm, out)
-        got = grown_memo.get(key)
-        if got is None:
-            got = []
-
-            def rec(k, left, acc):
-                if not left:
-                    gamma = _trim(tuple(acc))
-                    bm2 = _nseq_add(bm, gamma)
-                    got.append((bm2, sum(gamma), nseq_Ipow(gamma) * _nseq_binom(bm2, gamma)))
-                elif k <= left:
-                    for c in range(left // k + 1):
-                        rec(k + 1, left - c * k, acc + [c])
-
-            rec(1, out, [])
-            grown_memo[key] = got
-        return got
-
     def moves(t, d):
         """(key offset, genus change, coefficient, |b+'|) per peeled floor
         of tr - tl = d with tails a-' <= a-, a+' <= a+, b+' <= b+ and
@@ -303,18 +352,10 @@ def _peel_count(spec):
         got = moves_memo.get((t, d))
         if got is None:
             am, bm, ap, bp = types[t]
-            rows = rows_memo.get((am, ap, bp))
-            if rows is None:  # (a-, a+, b+ left, inflow, C C |b+'|!/prod, I^b+', |b+'|)
-                rows = rows_memo[am, ap, bp] = [
-                    (am2, ap2, bp2, i_am - i_ap - i_bp, c_am * c_ap * orders, pow_bp, n_bp)
-                    for _, am2, i_am, _, _, c_am, _ in subs(am)
-                    for _, ap2, i_ap, _, _, c_ap, _ in subs(ap)
-                    for _, bp2, i_bp, n_bp, pow_bp, _, orders in subs(bp)
-                ]
             got = moves_memo[t, d] = []
-            for am2, ap2, bp2, inflow, head, pow_bp, n_bp in rows:
+            for am2, ap2, bp2, inflow, head, pow_bp, n_bp in _rows(am, ap, bp):
                 if inflow >= d:
-                    for bm2, n_gamma, weight in grown(bm, inflow - d):
+                    for bm2, n_gamma, weight in _grown(bm, inflow - d):
                         child = intern(am2, bm2, ap2, bp2)
                         got.append(((child - t) * S + 1 - n_gamma, 1 - n_gamma,
                                     head * pow_bp * weight, n_bp))
@@ -328,8 +369,8 @@ def _peel_count(spec):
         if got is None:
             am, bm, ap, bp = types[t]
             got = balance_memo[t] = {}
-            s_ap, s_bm, s_bp = subs(ap), subs(bm), subs(bp)
-            for amc, amr, i_amc, _, _, c_am, _ in subs(am):
+            s_ap, s_bm, s_bp = _subs(ap), _subs(bm), _subs(bp)
+            for amc, amr, i_amc, _, _, c_am, _ in _subs(am):
                 for apc, apr, i_apc, _, _, c_ap, _ in s_ap:
                     for bmc, bmr, i_bmc, n_bmc, _, _, _ in s_bm:
                         for bpc, bpr, i_bpc, n_bpc, _, _, _ in s_bp:
@@ -422,12 +463,15 @@ def _peel_count(spec):
     intern((), (), (), ())
     totals[floors + 1] = 1  # no floor, no tail (type 0) and genus 1
     t = intern(spec.alpha_minus, spec.beta_minus, spec.alpha_plus, spec.beta_plus)
-    value = connected(t * S + (S // G - 1) * G + spec.genus + floors)
-    # the nested functions refer to each other, so only the cycle collector
-    # would free what they hold: empty the tables now
-    for table in tables:
-        table.clear()
-    return value
+    try:
+        return connected(t * S + (S // G - 1) * G + spec.genus + floors)
+    finally:
+        # the nested functions refer to each other, so only the cycle
+        # collector would free what they hold: empty the tables now
+        for table in tables:
+            table.clear()
+        if _held > _SHARED_ROWS:
+            _clear_tables()
 
 
 # ---------------------------------------------------------------------------

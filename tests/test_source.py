@@ -74,8 +74,9 @@ def test_only_record_guards_its_attributes():
 
 # every name that peel, the count path's home, defines
 PEEL = [
-    "DiagramError", "DiagramSpec", "SideBoundaryCondition", "_nseq_add", "_nseq_binom",
-    "_nseq_sub", "_peel_count", "_radices", "_trim", "count", "nseq", "nseq_I", "nseq_Ipow",
+    "DiagramError", "DiagramSpec", "SideBoundaryCondition", "_clear_tables", "_grown", "_hold",
+    "_nseq_add", "_nseq_binom", "_nseq_sub", "_peel_count", "_radices", "_rows", "_subs",
+    "_trim", "count", "nseq", "nseq_I", "nseq_Ipow",
 ]
 # the sibling names a module binds without using them: perfbench reads
 # diagram.nseq_Ipow and wraps diagram.direction_data
