@@ -16,10 +16,11 @@ listing that `tropico count --explain` prints is `explain`: the diagrams
 of `enumerate_diagrams` with their marking classes and `multiplicity`,
 checked to sum to `count`.
 
-For each diagram `count_markings` counts the labellings L of floors and
-edges that follow the diagram's order, respect the alpha label blocks and
-give identical edges (same endpoints and weight) their labels in index
-order, by a dynamic programme over the down-sets of the diagram's poset.
+A marking labels the floors and edges by the spec's label range, in the
+diagram's order, each alpha label on a tail of its block's weight
+(`marking_violations`, its one rule).  `count_markings` counts the
+markings L that give identical edges (same endpoints and weight) their
+labels in index order, by a dynamic programme over the down-sets.
 Automorphisms of (D, w, theta) act freely on markings, and |Aut| is
 |Aut_floor|, the number of floor automorphisms, times the orderings of
 each class of identical edges, which L already leaves out; so L /
@@ -53,6 +54,7 @@ their number is |Aut_floor|.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property
 
 from . import lattice
@@ -662,6 +664,53 @@ class Marking(Record):
         return {self.label_start + i: el for i, el in enumerate(self.labels)}
 
 
+def _alpha_labels(spec):
+    """{label: weight} of the alpha labels of spec.label_range(), each
+    block in the order of weight_multiset(alpha, ()): alpha- up to 0,
+    alpha+ from s + 1."""
+    a, b = weight_multiset(spec.alpha_minus, ()), weight_multiset(spec.alpha_plus, ())
+    return {**dict(enumerate(a, 1 - len(a))), **dict(enumerate(b, spec.s + 1))}
+
+
+def marking_violations(diagram, marking, spec):
+    """The one rule for a marking of a diagram of the spec, as its
+    violations (none for a marking): the labels are spec.label_range(), one
+    on each floor and edge; floors carry point labels 1..s; each edge's
+    label lies between its floors'; and each alpha block's labels go, in
+    order, to tails on its side of the weights `_alpha_labels` gives them.
+    Identical edges may take their labels in any order.  `realize` raises
+    InvalidMarking with these violations."""
+    labels, start, s = spec.label_range(), marking.label_start, spec.s
+    got = list(range(start, start + len(marking.labels)))
+    if got != labels:
+        return [f"labels {got} are not the label range {labels}"]
+    floors = {f for f, _ in diagram.floors}
+    edges = {("e", i): edge for i, edge in enumerate(diagram.edges)}
+    label_of, violations = {}, []
+    for lab, el in enumerate(marking.labels, start):
+        if el in label_of:
+            violations.append(f"labels {label_of[el]} and {lab} are both on {el!r}")
+        elif el in edges or el[0] == "f" and el[1] in floors:
+            label_of[el] = lab
+        else:
+            violations.append(f"label {lab} is on {el!r}, not a floor or edge of the diagram")
+    for f, _ in diagram.floors:
+        if not 1 <= label_of.get(("f", f), 0) <= s:
+            violations.append(f"floor {f} must carry a point label")
+    for i, (a, b, _) in enumerate(diagram.edges):
+        lab = label_of.get(("e", i))
+        if lab is None:
+            violations.append(f"edge {i} is unmarked")
+        elif not label_of.get(("f", a), -math.inf) < lab < label_of.get(("f", b), math.inf):
+            violations.append(f"label of edge {i} is not between the labels of its floors")
+    for lab, w in _alpha_labels(spec).items():
+        a, b, weight = edges.get(marking.labels[lab - start], (None, None, 0))
+        side, end = ("top", b) if lab > 0 else ("bottom", a)
+        if weight != w or end in floors:
+            violations.append(f"label {lab} is not on a {side} tail of weight {w}")
+    return violations
+
+
 def _label_moves(diagram, spec):
     """The placement rule of `enumerate_markings` and `count_markings`: per
     label of spec.label_range(), the moves (element, bit, need, part) that
@@ -672,8 +721,8 @@ def _label_moves(diagram, spec):
     edge's source floor and the edge before it with the same endpoints and
     weight, so that identical edges take their labels in index order.  part
     is the element's token: a floor's position, an edge's (source position
-    or -1, target position or -2, weight).  Inside an alpha block only the
-    tails of the block's weight may move, in index order.
+    or -1, target position or -2, weight).  An alpha label (`_alpha_labels`)
+    may place only the tails of its weight on its side.
     """
     pos = {f: i for i, (f, _) in enumerate(diagram.floors)}
     n = len(pos)
@@ -699,13 +748,8 @@ def _label_moves(diagram, spec):
     moves = [(("f", f), 1 << i, floor_need[i], i) for f, i in pos.items()] + edge_moves
     labels = spec.label_range()
     out = [moves] * len(labels)
-    for start, alpha, by_weight in (
-        (0, spec.alpha_minus, tails[0]),
-        (spec.s + 1 - labels[0], spec.alpha_plus, tails[1]),
-    ):
-        weights = [w for w, times in enumerate(alpha, 1) for _ in range(times)]
-        for k, w in enumerate(weights, start):
-            out[k] = by_weight.get(w, [])
+    for lab, w in _alpha_labels(spec).items():
+        out[lab - labels[0]] = tails[lab > 0].get(w, [])
     return out
 
 

@@ -41,14 +41,14 @@ def _transverse_axis(d):
 
 
 class IntegerFrame(NamedTuple):
-    """A configuration's abscissae and heights as integers: each value
-    times scale, the lcm of all their denominators."""
+    """A configuration's abscissae and heights as integers (each value times
+    scale, the lcm of their denominators) by marking label from start: xs
+    the Omega- lines, points, Omega+ lines; hs the points' heights, or None."""
 
     scale: int
-    xs: tuple  # <e, p> of the points
-    hs: tuple  # <d, p> of the points
-    omega_minus: tuple
-    omega_plus: tuple
+    start: int
+    xs: tuple
+    hs: tuple
 
 
 class PointConfig(Record):
@@ -57,7 +57,7 @@ class PointConfig(Record):
     points are ordered by increasing height along the direction;
     omega_minus / omega_plus are the abscissae (values of <e, .>) of the
     fixed lines for the bottom / top tangency conditions, listed in
-    marking-block order.
+    marking-block order; frame lists all three by marking label.
     """
 
     direction: tuple
@@ -71,9 +71,7 @@ class PointConfig(Record):
         if any(a >= b for a, b in zip(heights, heights[1:])):
             raise RealizeError("points must strictly increase along the direction")
         e = _transverse_axis(d)
-        taus = [dot(e, p) for p in self.points] + list(self.omega_minus) + list(
-            self.omega_plus
-        )
+        taus = [*self.omega_minus, *(dot(e, p) for p in self.points), *self.omega_plus]
         if len(set(taus)) != len(taus):
             raise RealizeError("transverse coordinates must be pairwise distinct")
 
@@ -81,14 +79,12 @@ class PointConfig(Record):
     def frame(self):
         """The IntegerFrame that `realize` computes on."""
         d, e = self.direction, _transverse_axis(self.direction)
-        groups = (
-            [dot(e, p) for p in self.points],
-            [dot(d, p) for p in self.points],
-            self.omega_minus,
-            self.omega_plus,
-        )
-        m = math.lcm(*(v.denominator for g in groups for v in g))
-        return IntegerFrame(m, *(tuple(v.numerator * (m // v.denominator) for v in g) for g in groups))
+        xs = (*self.omega_minus, *(dot(e, p) for p in self.points), *self.omega_plus)
+        hs = [dot(d, p) for p in self.points]
+        m = math.lcm(*(v.denominator for v in (*xs, *hs)))
+        xs, hs = ([v.numerator * (m // v.denominator) for v in g] for g in (xs, hs))
+        lines = [None] * len(self.omega_minus), [None] * len(self.omega_plus)
+        return IntegerFrame(m, 1 - len(self.omega_minus), tuple(xs), (*lines[0], *hs, *lines[1]))
 
     @property
     def omega_lines(self):
@@ -118,35 +114,19 @@ def stretch_points(spec, seed=0, spacing=None):
     immutable, so every marked diagram of a spec shares one.
     """
     spec.check()
-    s = spec.s
     d = spec.direction
     if spacing is None:
         spacing = default_spacing(spec)
     e = _transverse_axis(d)
     n2 = dot(d, d)
-    p1, p2 = 1_000_003, 999_983
-    taus = []
-    for i in range(s):
-        r = (7919 * (i + 1) + 104729 * (seed + 1)) % p1
-        taus.append(Fraction(r if r else 1, p1))
-    omis = []
-    for j in range(sum(spec.alpha_minus)):
-        r = (6007 * (j + 1) + 31337 * (seed + 1)) % p2
-        omis.append(Fraction(r if r else 1, p2))
-    opls = []
-    for j in range(sum(spec.alpha_plus)):
-        r = (6007 * (j + 17) + 31337 * (seed + 2)) % p2
-        opls.append(Fraction(r if r else 2, p2))
-    points = []
-    for i, tau in enumerate(taus):
-        h = Fraction(spacing) * (i + 1)
-        points.append(
-            (
-                h * d[0] / n2 + tau * e[0] / n2,
-                h * d[1] / n2 + tau * e[1] / n2,
-            )
-        )
-    return PointConfig(d, tuple(points), tuple(omis), tuple(opls))
+    p1, p2, na, nb = 1_000_003, 999_983, sum(spec.alpha_minus), sum(spec.alpha_plus)
+    taus = [Fraction((7919 * (i + 1) + 104729 * (seed + 1)) % p1 or 1, p1) for i in range(spec.s)]
+    omis = [Fraction((6007 * (j + 1) + 31337 * (seed + 1)) % p2 or 1, p2) for j in range(na)]
+    opls = [Fraction((6007 * (j + 17) + 31337 * (seed + 2)) % p2 or 2, p2) for j in range(nb)]
+    hs = [Fraction(spacing) * (i + 1) for i in range(spec.s)]
+    points = tuple((h * d[0] / n2 + t * e[0] / n2, h * d[1] / n2 + t * e[1] / n2)
+                   for h, t in zip(hs, taus))
+    return PointConfig(d, points, tuple(omis), tuple(opls))
 
 
 @functools.lru_cache(maxsize=64)
@@ -198,9 +178,10 @@ def realize(diagram, marking, cfg, spec):
     Each marked elevator's supporting line passes through its point (or
     its Omega line); each floor starts at slope theta on the left, bends
     by epsilon * weight at every elevator, and is translated along the
-    direction to contain its own marked point.  Raises SpacingTooSmall
-    when the prescribed incidences collide, and InvalidMarking when the
-    labels are not the spec's label range or break the diagram order.
+    direction to contain its own marked point.  Raises InvalidMarking with
+    the violations of `diagram.validate_verbose` or of
+    `diagram.marking_violations`, RealizeError when cfg does not fit the
+    spec, and SpacingTooSmall when the prescribed incidences collide.
 
     The diagram is read once: one pass over its edges gives each edge its
     abscissa and each floor its bends (abscissa, edge index, +-weight).  A
@@ -210,47 +191,34 @@ def realize(diagram, marking, cfg, spec):
     tails to their bends.
 
     Abscissae and heights are the integers of cfg.frame (the values times
-    its scale L): slopes are integers, so every breakpoint height is an
-    integer too, and every comparison is an integer one.  Fractions are
-    built only for the curve's positions, which is handed its frame
-    (ParametrizedCurve.frame) from the same integers; the floors and
+    its scale L), read at each element's label: slopes are integers, so
+    every breakpoint height and every comparison is an integer one.
+    Fractions are built only for the curve's positions, which is handed its
+    frame (ParametrizedCurve.frame) from the same integers; the floors and
     elevators stay integers, with L as the realization's unit.
     """
     if not diagram.valid_for(spec):
         violations = diagram_mod.validate_verbose(diagram, spec)[1]
         raise InvalidMarking(f"diagram does not validate against the spec: {'; '.join(violations)}")
+    violations = diagram_mod.marking_violations(diagram, marking, spec)
+    if violations:
+        raise InvalidMarking("; ".join(violations))
     d = spec.direction
     e = _transverse_axis(d)
     n2 = dot(d, d)
     frame = cfg.frame
-    labels = marking.as_dict()
-    element_label = {el: lab for lab, el in labels.items()}
-    if list(labels) != spec.label_range():
-        raise InvalidMarking(f"labels {list(labels)} are not the label range {spec.label_range()}")
-    # the diagram order: each edge follows its source floor and precedes its
-    # target floor
-    for i, (a, b, _) in enumerate(diagram.edges):
-        lab = element_label.get(("e", i))
-        if lab is not None and not (
-            element_label.get(("f", a), -math.inf) < lab < element_label.get(("f", b), math.inf)
-        ):
-            raise InvalidMarking(f"label of edge {i} is not between the labels of its floors")
-    s = spec.s
-    lo = -sum(spec.alpha_minus) + 1
+    got = (cfg.direction, len(cfg.omega_minus), len(cfg.points), len(cfg.omega_plus))
+    want = (d, sum(spec.alpha_minus), spec.s, sum(spec.alpha_plus))
+    if got != want:  # direction, Omega- lines, points, Omega+ lines
+        raise RealizeError(f"configuration {got} does not fit the spec {want}")
+    # each element's slot in the frame: its label's position in the range
+    slot = {el: i for i, el in enumerate(marking.labels)}
 
     # supporting abscissa of every edge, and the bend it puts on each floor
     edge_xi = []
     bends = {f: [] for f in diagram.floor_ids}
     for idx, (a, b, w) in enumerate(diagram.edges):
-        lab = element_label.get(("e", idx))
-        if lab is None:
-            raise InvalidMarking(f"edge {idx} is unmarked")
-        if lab < 1:
-            x = frame.omega_minus[lab - lo]
-        elif lab > s:
-            x = frame.omega_plus[lab - s - 1]
-        else:
-            x = frame.xs[lab - 1]
+        x = frame.xs[slot["e", idx]]
         edge_xi.append(x)
         if a in bends:
             bends[a].append((x, idx, -w))  # leaves floor a upward
@@ -267,10 +235,7 @@ def realize(diagram, marking, cfg, spec):
         xs = [x for x, _, _ in inc]
         if len(set(xs)) != len(xs):
             raise SpacingTooSmall(f"two elevators of floor {f} share an abscissa")
-        lab = element_label.get(("f", f))
-        if lab is None or not 1 <= lab <= s:
-            raise InvalidMarking(f"floor {f} must carry a point label")
-        xi_a, h_a = frame.xs[lab - 1], frame.hs[lab - 1]
+        xi_a, h_a = frame.xs[slot["f", f]], frame.hs[slot["f", f]]
         if xi_a in xs:
             raise SpacingTooSmall(f"marked point of floor {f} sits on an elevator")
         slopes = list(itertools.accumulate((jump for _, _, jump in inc), initial=theta))
@@ -301,8 +266,7 @@ def realize(diagram, marking, cfg, spec):
 
     # elevators and tails, from the bends they join
     for idx, (a, b, w) in enumerate(diagram.edges):
-        lab = element_label[("e", idx)]
-        hp = frame.hs[lab - 1] if 1 <= lab <= s else None
+        hp = frame.hs[slot["e", idx]]  # None on an Omega line
         if a in bends and b in bends:
             (ia, ha), (ib, hb) = at[a, idx], at[b, idx]
             if ha >= hb:
@@ -531,7 +495,8 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     does not are the canonical keys compared, so the verdict is
     isomorphism, on every curve.  Both sides are read as `_floor_data`, the
     diagram's cached, and a FloorDiagram of the decomposition is built only
-    for that fallback.  The Omega test and the point test are integer ones.
+    for that fallback.  The point test and the Omega test are integer ones;
+    the latter also compares each fixed tail's weight with its line's.
     """
     pc = realization.curve
     n = len(pc.positions)
@@ -591,19 +556,19 @@ def verify_realization(realization, diagram, marking, cfg, spec):
         violations += diagram_mod.tail_type_violations(
             [w for u, w in rays if u == down], [w for u, w in rays if u == d], spec
         )
-    # alpha rays supported on their Omega lines
-    lo = -sum(spec.alpha_minus) + 1
-    s = spec.s
+    # alpha rays supported on their Omega lines, of their lines' weights:
     # the realization's abscissa times cfg's scale against the line's times
     # the realization's unit, since cfg may not be the one realized on
     elab = {el: lab for lab, el in labels.items()}
-    frame, unit = cfg.frame, realization.unit
-    for idx in range(len(diagram.edges)):
-        lab, x = elab[("e", idx)], realization.elevators[idx]
-        if lab < 1 and x * frame.scale != frame.omega_minus[lab - lo] * unit:
-            violations.append(f"fixed bottom tail {idx} off its Omega line")
-        if lab > s and x * frame.scale != frame.omega_plus[lab - s - 1] * unit:
-            violations.append(f"fixed top tail {idx} off its Omega line")
+    frame, unit, fixed = cfg.frame, realization.unit, diagram_mod._alpha_labels(spec)
+    for idx, (_, _, w) in enumerate(diagram.edges):
+        lab = elab[("e", idx)]
+        if lab in fixed:
+            tail = f"fixed {'top' if lab > 0 else 'bottom'} tail {idx}"
+            if realization.elevators[idx] * frame.scale != frame.xs[lab - frame.start] * unit:
+                violations.append(f"{tail} off its Omega line")
+            if w != fixed[lab]:
+                violations.append(f"{tail} of weight {w} on an Omega line of weight {fixed[lab]}")
     # multiplicity factorization
     if not_trivalent:
         violations.append(not_trivalent)

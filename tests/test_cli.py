@@ -297,6 +297,30 @@ def test_realize_cli_rejects_marking_labels_off_the_range(files, tmp_path, capsy
             assert json.loads(out)["error"] == error
 
 
+def test_realize_cli_rejects_swapped_alpha_labels(files, tmp_path, capsys):
+    # T3 a-=(1,1): label -1 names the Omega line of weight 1 and label 0 that
+    # of weight 2; with the two swapped, each fixed tail is on the other line
+    spec = DiagramSpec(triangle(3), (0, 1), 0, (), (1, 1), (), ())
+    diag = enumerate_diagrams(spec)[0]
+    labels = io_mod.marking_to_json(enumerate_markings(diag, spec)[0])["labels"]
+    assert (labels["-1"], labels["0"]) == ("e0", "e1") and diag.edges[:2] == ((3, 0, 1), (4, 0, 2))
+    (tmp_path / "diag.json").write_text(json.dumps(io_mod.diagram_to_json(diag)))
+    argv = ["realize", "--polygon", str(files / "t3.json"), "--genus", "0", "--alpha-minus", "1,1",
+            "--beta-minus", "",
+            "--diagram", str(tmp_path / "diag.json"), "--marking", str(tmp_path / "mark.json")]
+    (tmp_path / "mark.json").write_text(json.dumps({"labels": labels}))
+    assert cmd(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)["elevators"]) == len(diag.edges)
+    swapped = {**labels, "-1": "e1", "0": "e0"}
+    (tmp_path / "mark.json").write_text(json.dumps({"labels": swapped}))
+    assert cmd(argv) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "InvalidMarking",
+        "detail": "label -1 is not on a bottom tail of weight 1;"
+        " label 0 is not on a bottom tail of weight 2",
+    }
+
+
 def test_realize_cli_rejects_a_diagram_of_another_boundary_type(tmp_path, capsys):
     # a T4 diagram with bottom tails of weights 1 and 3 has the summed
     # weight of the type of two tails of weight 2, but not its pattern

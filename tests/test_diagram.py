@@ -1,6 +1,8 @@
 import hashlib
 import itertools
+import math
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -10,6 +12,7 @@ from tropico import io
 from tropico.diagram import (
     Disconnected,
     FloorDiagram,
+    Marking,
     canonical_key,
     count_markings,
     diagram_genus,
@@ -17,6 +20,7 @@ from tropico.diagram import (
     enumerate_markings,
     explain,
     lemma_1_5_check,
+    marking_violations,
     multiplicity,
     validate,
     validate_verbose,
@@ -1071,3 +1075,122 @@ def test_label_moves_match_the_poset_reference():
     for _ in range(150):
         diag = _random_diagram(rng, rng.randint(2, 5))
         _check_label_moves(diag, _random_type(rng, diag))
+
+
+# ---------------------------------------------------------------------------
+# the marking rule
+
+
+T3_A1_B01 = DiagramSpec(triangle(3), (0, 1), 0, (), (1,), (), (0, 1))
+T3_A11 = DiagramSpec(triangle(3), (0, 1), 0, (), (1, 1), (), ())
+# the top-side analogue of T3_A1_B01: along (0, -1) the edge y = 0 is the top
+T3_TOP_A1_B01 = DiagramSpec(triangle(3), (0, -1), 0, (1,), (), (0, 1), ())
+RULE_CORPUS = [
+    *(spec for specs in MARKING_CORPUS.values() for spec in specs),
+    T3_TOP_A1_B01,
+    DiagramSpec(triangle(4), (0, -1), 1, (0, 2), (), (), ()),
+    DiagramSpec(triangle(4), (0, -1), 0, (1,), (), (1, 1), ()),
+    DiagramSpec(triangle(5), (0, 1), 4, (), (), (), (5,)),
+    DiagramSpec(triangle(5), (0, 1), 5, (), (0, 1), (), (1, 1)),
+    DiagramSpec(triangle(5), (0, 1), 3, (), (1, 0, 1), (), (1,)),
+    DiagramSpec(triangle(5), (0, -1), 4, (0, 1), (), (3,), ()),
+    DiagramSpec(triangle(5), (0, 1), 6, (), (5,), (), ()),
+]
+
+
+def test_every_listed_marking_passes_the_marking_rule():
+    listed = 0
+    for spec in RULE_CORPUS:
+        for diag in enumerate_diagrams(spec):
+            for marking in enumerate_markings(diag, spec):
+                assert marking_violations(diag, marking, spec) == [], (diag, marking)
+                listed += 1
+    assert listed > 3000
+
+
+def test_the_marking_rule_admits_exactly_the_listed_labellings():
+    # every labelling of a small diagram by its label range, against the
+    # listing: identical edges may take their labels in any order under the
+    # rule, so each listed class stands for |Aut_floor| * prod k! labellings
+    # (k the size of each class of identical edges)
+    specs = [
+        DiagramSpec(triangle(3), (0, 1), 0, (), alpha, (), beta)
+        for alpha, beta in T3_TYPES
+        if len(diagram_mod.weight_multiset(alpha, beta)) == 2
+    ]
+    checked = set()
+    for spec in [*specs, T3_TOP_A1_B01]:
+        start = spec.label_range()[0]
+        for diag in enumerate_diagrams(spec):
+            passed = sum(
+                not marking_violations(diag, Marking(diag, start, labels), spec)
+                for labels in itertools.permutations(poset(diag)[0])
+            )
+            identical = Counter(_edge_classes(diag).values()).values()
+            want = count_markings(diag, spec) * diag.canonical_form[1]
+            assert passed == want * math.prod(map(math.factorial, identical)), (spec, diag)
+            checked.add((spec.alpha_minus, spec.alpha_plus, passed > 0))
+    assert {((1, 1), (), True), ((1,), (), True), ((), (1,), True)} <= checked
+
+
+def _swapped(marking, a, b):
+    """marking with the elements of labels a and b exchanged."""
+    labels = list(marking.labels)
+    i, j = a - marking.label_start, b - marking.label_start
+    labels[i], labels[j] = labels[j], labels[i]
+    return Marking(marking.diagram, marking.label_start, tuple(labels))
+
+
+def test_each_tampered_marking_has_its_own_violation():
+    # the swapped alpha labels of T3 a-=(1,1): the weight-2 tail on the
+    # weight-1 label and back
+    diag = enumerate_diagrams(T3_A11)[0]
+    marking = enumerate_markings(diag, T3_A11)[0]
+    assert diag.edges[:2] == ((3, 0, 1), (4, 0, 2)) and marking.labels[:2] == (("e", 0), ("e", 1))
+    assert marking_violations(diag, _swapped(marking, -1, 0), T3_A11) == [
+        "label -1 is not on a bottom tail of weight 1",
+        "label 0 is not on a bottom tail of weight 2",
+    ]
+    # an alpha label on the mobile tail of weight 2, at the bottom and at the
+    # top; an alpha label on a floor
+    for spec, fixed, side in ((T3_A1_B01, 0, "bottom"), (T3_TOP_A1_B01, 7, "top")):
+        diag = enumerate_diagrams(spec)[0]
+        marking = enumerate_markings(diag, spec)[0]
+        label = {el: lab for lab, el in marking.as_dict().items()}
+        heavy = next(("e", i) for i, (_, _, w) in enumerate(diag.edges) if w == 2)
+        alpha = f"label {fixed} is not on a {side} tail of weight 1"
+        assert marking_violations(diag, _swapped(marking, fixed, label[heavy]), spec) == [alpha]
+        floor = _swapped(marking, fixed, label["f", 0])
+        violations = marking_violations(diag, floor, spec)
+        assert violations[0] == "floor 0 must carry a point label" and violations[-1] == alpha
+    # an edge labelled below its source floor, a shifted range, and a
+    # duplicated element
+    diag = enumerate_diagrams(T3_B3_G1)[0]
+    marking = enumerate_markings(diag, T3_B3_G1)[0]
+    assert marking.labels[3:5] == (("f", 0), ("e", 3)) and diag.edges[3] == (0, 1, 1)
+    assert marking_violations(diag, _swapped(marking, 4, 5), T3_B3_G1) == [
+        "label of edge 3 is not between the labels of its floors"
+    ]
+    shifted = Marking(diag, marking.label_start - 3, marking.labels)
+    assert marking_violations(diag, shifted, T3_B3_G1) == [
+        f"labels {list(range(-2, 7))} are not the label range {list(range(1, 10))}"
+    ]
+    assert marking.labels[7:] == (("e", 5), ("f", 2))
+    twice = Marking(diag, 1, marking.labels[:8] + (("e", 5),))
+    assert marking_violations(diag, twice, T3_B3_G1) == [
+        "labels 8 and 9 are both on ('e', 5)",
+        "floor 2 must carry a point label",
+    ]
+
+
+def test_a_marking_file_naming_no_element_breaks_the_rule():
+    # io reads any "<kind><index>" name; the rule decides what it names
+    diag = enumerate_diagrams(T3_B3_G1)[0]
+    data = io.marking_to_json(enumerate_markings(diag, T3_B3_G1)[0])
+    assert data["labels"]["9"] == "f2" and diag.inf_minus == (3, 4, 5)
+    for name, element in (("e99", ("e", 99)), ("q3", ("q", 3)), ("f3", ("f", 3))):
+        marking = io.marking_from_json({"labels": {**data["labels"], "9": name}}, diag)
+        assert marking_violations(diag, marking, T3_B3_G1) == [
+            f"label 9 is on {element!r}, not a floor or edge of the diagram",
+            "floor 2 must carry a point label",
+        ]

@@ -454,6 +454,54 @@ def test_invalid_marking_rejected():
         realize_stretched(diag, shifted, T3_G1)
 
 
+T3_A11 = DiagramSpec(triangle(3), (0, 1), 0, (), (1, 1), (), ())
+
+
+def test_realize_and_verify_read_the_alpha_weights():
+    # on T3 a-=(1,1) the labels -1 and 0 name the Omega lines of weights 1
+    # and 2; swapping them puts each fixed tail on the line of the other
+    # weight, which realize refuses and the verifier reports on the genuine
+    # curve
+    diag = enumerate_diagrams(T3_A11)[0]
+    marking = enumerate_markings(diag, T3_A11)[0]
+    assert diag.edges[:2] == ((3, 0, 1), (4, 0, 2)) and marking.labels[:2] == (("e", 0), ("e", 1))
+    swapped = Marking(diag, -1, marking.labels[1::-1] + marking.labels[2:])
+    with pytest.raises(InvalidMarking) as info:
+        realize_stretched(diag, swapped, T3_A11)
+    assert str(info.value) == (
+        "label -1 is not on a bottom tail of weight 1; label 0 is not on a bottom tail of weight 2"
+    )
+    realization, cfg = realize_stretched(diag, marking, T3_A11)
+    assert verify_checked(realization, diag, marking, cfg, T3_A11) == []
+    assert verify_checked(realization, diag, swapped, cfg, T3_A11) == [
+        "fixed bottom tail 0 off its Omega line",
+        "fixed bottom tail 0 of weight 1 on an Omega line of weight 2",
+        "fixed bottom tail 1 off its Omega line",
+        "fixed bottom tail 1 of weight 2 on an Omega line of weight 1",
+    ]
+
+
+def test_realize_refuses_a_configuration_that_does_not_fit_the_spec():
+    # refused before any geometry: a configuration of another point count,
+    # of another direction, or of another number of Omega lines
+    diag = enumerate_diagrams(T3_G1)[0]
+    marking = enumerate_markings(diag, T3_G1)[0]
+    along_x = DiagramSpec(triangle(3), (1, 0), 1, (), (), (), (3,))
+    a01_b1 = DiagramSpec(triangle(3), (0, 1), 0, (), (0, 1), (), (1,))
+    fixed = enumerate_diagrams(T3_A11)[0]
+    cases = (
+        (diag, marking, stretch_points(T3_G0), T3_G1, ((0, 1), 0, 8, 0), ((0, 1), 0, 9, 0)),
+        (diag, marking, stretch_points(along_x), T3_G1, ((1, 0), 0, 9, 0), ((0, 1), 0, 9, 0)),
+        (fixed, enumerate_markings(fixed, T3_A11)[0], stretch_points(a01_b1), T3_A11,
+         ((0, 1), 1, 6, 0), ((0, 1), 2, 5, 0)),
+    )
+    for diag, marking, cfg, spec, got, want in cases:
+        with pytest.raises(RealizeError) as info:
+            realize(diag, marking, cfg, spec)
+        assert type(info.value) is RealizeError
+        assert str(info.value) == f"configuration {got} does not fit the spec {want}"
+
+
 def test_spacing_too_small_escalates():
     diag = enumerate_diagrams(T3_G1)[0]
     marking = enumerate_markings(diag, T3_G1)[0]
@@ -1195,12 +1243,27 @@ def verify_realization_reference(realization, diagram, marking, cfg, spec):
     s = spec.s
     elab = {el: lab for lab, el in marking.as_dict().items()}
     exi = dict(realization.elevator_lines)
-    for idx in range(len(diagram.edges)):
+    # the weight of each Omega line: alpha_k lines of weight k per block
+    line_weights = [k + 1 for k, n in enumerate(spec.alpha_minus) for _ in range(n)]
+    top_weights = [k + 1 for k, n in enumerate(spec.alpha_plus) for _ in range(n)]
+    for idx, (_, _, w) in enumerate(diagram.edges):
         lab = elab[("e", idx)]
-        if lab < 1 and exi[idx] != cfg.omega_minus[lab - lo]:
-            violations.append(f"fixed bottom tail {idx} off its Omega line")
-        if lab > s and exi[idx] != cfg.omega_plus[lab - s - 1]:
-            violations.append(f"fixed top tail {idx} off its Omega line")
+        if lab < 1:
+            if exi[idx] != cfg.omega_minus[lab - lo]:
+                violations.append(f"fixed bottom tail {idx} off its Omega line")
+            if w != line_weights[lab - lo]:
+                violations.append(
+                    f"fixed bottom tail {idx} of weight {w} on an Omega line of weight"
+                    f" {line_weights[lab - lo]}"
+                )
+        if lab > s:
+            if exi[idx] != cfg.omega_plus[lab - s - 1]:
+                violations.append(f"fixed top tail {idx} off its Omega line")
+            if w != top_weights[lab - s - 1]:
+                violations.append(
+                    f"fixed top tail {idx} of weight {w} on an Omega line of weight"
+                    f" {top_weights[lab - s - 1]}"
+                )
     try:
         mu = tropical_multiplicity(pc)
     except NotTrivalent as exc:
@@ -1250,10 +1313,12 @@ ROTATED_T3 = DiagramSpec(LatticePolygon([perp(v) for v in triangle(3).vertices])
 
 def test_verification_matches_the_reference():
     # every marked diagram of the realize corpus (T3 g=0 and g=1, T4 g=0, the
-    # diamond, the octics) and of the rotated cubic passes both ways
+    # diamond, the octics) and of the rotated cubic passes both ways, and its
+    # marking passes the marking rule
     curves = 0
     for spec in REALIZE_CORPUS + [ROTATED_T3]:
         for diag, marking in _marked(spec):
+            assert diagram_module.marking_violations(diag, marking, spec) == []
             realization, cfg = realize_stretched(diag, marking, spec, seed=0)
             assert verify_checked(realization, diag, marking, cfg, spec) == []
             pc = realization.curve
