@@ -43,10 +43,11 @@ all n! relabellings of its floors: the least encoding is the canonical
 key, which removes duplicates and orders the output, and the least in
 search order is the first labelling, in which the class is returned, so
 the output does not depend on which labellings the search visits.  It
-fills the new floor positions in order and drops a partial relabelling as
-soon as the known prefix of its sorted finite edges, with a bound on the
-next edge, is above the best found, in place of listing the n!
-relabellings.  No bound is strict, so it reaches every relabelling onto
+fills the new floor positions in order and, at every position, drops a
+partial relabelling from an order as soon as the known prefix of its
+sorted finite edges, with a bound on the next edge, is above that order's
+best (in search order, the pairs of that bound), in place of listing the
+n! relabellings.  No bound is strict, so it reaches every relabelling onto
 the canonical key: these are one coset of the floor automorphisms, and
 their number is |Aut_floor|.
 """
@@ -229,11 +230,6 @@ def validate_verbose(diagram, spec):
         violations.append(
             f"theta+div list {thetas_r} != right directions {dd.thetas_right()}"
         )
-    plane = dd.d_plus == 0 and set(dd.thetas_left()) <= {0} and set(dd.thetas_right()) <= {1}
-    if plane:
-        bad = [f for (f, th), right in zip(diagram.floors, rights) if right - th != 1]
-        if bad:
-            violations.append(f"plane case: floors {bad} have divergence != 1")
     return not violations, violations
 
 
@@ -327,128 +323,84 @@ def _least_forms(data):
     is known up to its edges to placed floors.  Every later entry is at
     least (s, k+1), or (k+1,) when no placed source has an unplaced target,
     so the prefix followed by that bound is a lower bound on every leaf of
-    the subtree.  The prefix only grows along a branch.  Children are explored
-    in order of their bounds, each while its bound is not above the best
-    leaf of its order; tails and weights decide between leaves with the
-    same edges.  No bound is strict, so every leaf onto the key is reached
-    and counted.  The last two positions, and all of them for at most three
-    floors, are tried without bounds: at two or six orders, bounding costs
-    more than trying.
+    the subtree, and its pairs one on the leaf's pairs.  Children are
+    explored in order of their bounds, each while its bound is not above
+    the best leaf of its order; at k = n the prefix is the leaf's sorted
+    edges, and tails and weights decide between leaves with the same
+    edges.  No bound is strict, so every leaf onto the key is reached and
+    counted.
     """
     lefts, rights, fins, downs, ups = data
     n, m = len(lefts), len(fins)
     outs = [[] for _ in range(n)]  # (target, w) per source floor, by weight
-    ins = [[] for _ in range(n)]  # the source of each such entry, per target
     for s, t, w in sorted(fins, key=lambda e: e[2]):
         outs[s].append((t, w))
-        ins[t].append(s)
-    # per floor, its entries in outs whose target is unplaced, kept by place
-    # and unplace: a placed floor is closed (has no edge to an unplaced
-    # floor) when its count is 0
-    unplaced = [len(out) for out in outs]
     slots = sorted(zip(lefts, rights))  # (left, right) by position, least first
-    pos = [-1] * n
-    order = []  # the floor at each placed position
+    pos = [-1] * n  # the new position of each floor, -1 while unplaced
+    order = [-1] * n  # the floor at each placed position
     # the best leaves: (edges, downs, ups) and (pairs, downs, ups, weights)
     best_key = best_first = None
     aut = 0  # the leaves onto best_key
 
-    def leaf(key_alive, first_alive):
+    def search(k, prefix, src, key_alive, first_alive):
+        # prefix: the known sorted edges; src: the first placed source whose
+        # edges are not all in it (k when there is none)
         nonlocal best_key, best_first, aut
-        edges = tuple(sorted([(pos[s], pos[t], w) for s, t, w in fins]))
-        if key_alive and (best_key is None or edges <= best_key[0]):
-            key = (
-                edges,
-                tuple(sorted([(pos[t], w) for t, w in downs])),
-                tuple(sorted([(pos[s], w) for s, w in ups])),
-            )
-            if best_key is None or key < best_key:
-                best_key, aut = key, 1
-            elif key == best_key:
-                aut += 1
-        if first_alive:
-            pairs = tuple([(s, t) for s, t, _ in edges])
-            if best_first is None or pairs <= best_first[0]:
+        if k == n:
+            if key_alive:
+                key = (
+                    prefix,
+                    tuple(sorted([(pos[t], w) for t, w in downs])),
+                    tuple(sorted([(pos[s], w) for s, w in ups])),
+                )
+                if best_key is None or key < best_key:
+                    best_key, aut = key, 1
+                elif key == best_key:
+                    aut += 1
+            if first_alive:
                 first = (
-                    pairs,
+                    tuple([e[:2] for e in prefix]),
                     tuple(sorted([(w, pos[t]) for t, w in downs])),
                     tuple(sorted([(w, pos[s]) for s, w in ups])),
-                    tuple([w for _, _, w in edges]),
+                    tuple([w for _, _, w in prefix]),
                 )
                 if best_first is None or first < best_first:
                     best_first = first
-
-    def candidates(k, key_alive, first_alive):
-        """(floor, still least in search order) for each floor position k may take."""
-        out = []
-        for f in range(n):
-            if pos[f] < 0 and lefts[f] == slots[k][0]:
-                f_first = first_alive and rights[f] == slots[k][1]
-                if key_alive or f_first:
-                    out.append((f, f_first))
-        return out
-
-    def place(f, k):
-        pos[f] = k
-        for a in ins[f]:
-            unplaced[a] -= 1
-
-    def unplace(f):
-        pos[f] = -1
-        for a in ins[f]:
-            unplaced[a] += 1
-
-    def direct(k, key_alive, first_alive):
-        if k == n:
-            leaf(key_alive, first_alive)
-            return
-        for f, f_first in candidates(k, key_alive, first_alive):
-            place(f, k)
-            direct(k + 1, key_alive, f_first)
-            unplace(f)
-
-    def search(k, prefix, pairs, src, key_alive, first_alive):
-        # prefix: the known sorted edges; src: the first placed source whose
-        # edges are not all in it (k when there is none)
-        if n <= 3 or n - k <= 2:
-            direct(k, key_alive, first_alive)
             return
         children = []
-        for f, f_first in candidates(k, key_alive, first_alive):
-            place(f, k)
-            order.append(f)
+        left, right = slots[k]
+        for f in range(n):
+            f_first = first_alive and rights[f] == right
+            if pos[f] >= 0 or lefts[f] != left or not (key_alive or f_first):
+                continue
+            pos[f], order[k] = k, f
             s = src
             if s < k:
                 ext = [(s, k, w) for t, w in outs[order[s]] if t == f]
             else:
                 ext = sorted([(k, pos[t], w) for t, w in outs[f] if pos[t] >= 0])
-            while not unplaced[order[s]]:  # the floor at position s is closed
+            # past every closed source: one with no edge to an unplaced floor
+            while all(pos[t] >= 0 for t, _ in outs[order[s]]):
                 s += 1
                 if s > k:
                     break
                 ext += sorted([(s, pos[t], w) for t, w in outs[order[s]] if pos[t] >= 0])
-            order.pop()
-            unplace(f)
+            pos[f] = -1
             child = prefix + tuple(ext)
-            child_pairs = pairs + tuple([(a, b) for a, b, _ in ext])
-            if len(child) == m:
-                bound, bound_pairs = child, child_pairs
-            else:
-                nxt = (s, k + 1) if s <= k else (k + 1,)
-                bound, bound_pairs = child + (nxt,), child_pairs + (nxt,)
-            children.append((bound, bound_pairs, f, f_first, child, child_pairs, s))
+            bound = child if len(child) == m else child + ((s, k + 1) if s <= k else (k + 1,),)
+            children.append((bound, f, f_first, child, s))
         children.sort()
-        for bound, bound_pairs, f, f_first, child, child_pairs, s in children:
+        for bound, f, f_first, child, s in children:
             key_ok = key_alive and (best_key is None or bound <= best_key[0])
-            first_ok = f_first and (best_first is None or bound_pairs <= best_first[0])
+            first_ok = f_first and (
+                best_first is None or tuple([e[:2] for e in bound]) <= best_first[0]
+            )
             if key_ok or first_ok:
-                place(f, k)
-                order.append(f)
-                search(k + 1, child, child_pairs, s, key_ok, first_ok)
-                order.pop()
-                unplace(f)
+                pos[f], order[k] = k, f
+                search(k + 1, child, s, key_ok, first_ok)
+                pos[f] = -1
 
-    search(0, (), (), 0, True, True)
+    search(0, (), 0, True, True)
     sorted_lefts = tuple(left for left, _ in slots)
     return (
         (sorted_lefts, *best_key),
@@ -672,39 +624,50 @@ def _alpha_labels(spec):
     return {**dict(enumerate(a, 1 - len(a))), **dict(enumerate(b, spec.s + 1))}
 
 
+def _marked_elements(diagram, marking):
+    """(label_of, violations): the first label of each floor and edge that
+    the marking labels, and the violations of the marking rule that need no
+    spec: a label on an element the diagram does not have, an element
+    labelled twice, an edge with no label.  `marking_violations` and
+    `realize.verify_realization` both report these."""
+    floors, edges = {f for f, _ in diagram.floors}, range(len(diagram.edges))
+    label_of, violations = {}, []
+    for lab, el in enumerate(marking.labels, marking.label_start):
+        if el in label_of:
+            violations.append(f"labels {label_of[el]} and {lab} are both on {el!r}")
+        elif el[0] == "e" and el[1] in edges or el[0] == "f" and el[1] in floors:
+            label_of[el] = lab
+        else:
+            violations.append(f"label {lab} is on {el!r}, not a floor or edge of the diagram")
+    violations += [f"edge {i} is unmarked" for i in edges if ("e", i) not in label_of]
+    return label_of, violations
+
+
 def marking_violations(diagram, marking, spec):
     """The one rule for a marking of a diagram of the spec, as its
     violations (none for a marking): the labels are spec.label_range(), one
-    on each floor and edge; floors carry point labels 1..s; each edge's
-    label lies between its floors'; and each alpha block's labels go, in
-    order, to tails on its side of the weights `_alpha_labels` gives them.
-    Identical edges may take their labels in any order.  `realize` raises
-    InvalidMarking with these violations."""
+    on each floor and edge (`_marked_elements`); floors carry point labels
+    1..s; each edge's label lies between its floors'; and each alpha
+    block's labels go, in order, to tails on its side of the weights
+    `_alpha_labels` gives them.  Identical edges may take their labels in
+    any order.  `realize` raises InvalidMarking with these violations."""
     labels, start, s = spec.label_range(), marking.label_start, spec.s
     got = list(range(start, start + len(marking.labels)))
     if got != labels:
         return [f"labels {got} are not the label range {labels}"]
     floors = {f for f, _ in diagram.floors}
-    edges = {("e", i): edge for i, edge in enumerate(diagram.edges)}
-    label_of, violations = {}, []
-    for lab, el in enumerate(marking.labels, start):
-        if el in label_of:
-            violations.append(f"labels {label_of[el]} and {lab} are both on {el!r}")
-        elif el in edges or el[0] == "f" and el[1] in floors:
-            label_of[el] = lab
-        else:
-            violations.append(f"label {lab} is on {el!r}, not a floor or edge of the diagram")
+    label_of, violations = _marked_elements(diagram, marking)
     for f, _ in diagram.floors:
         if not 1 <= label_of.get(("f", f), 0) <= s:
             violations.append(f"floor {f} must carry a point label")
     for i, (a, b, _) in enumerate(diagram.edges):
         lab = label_of.get(("e", i))
-        if lab is None:
-            violations.append(f"edge {i} is unmarked")
-        elif not label_of.get(("f", a), -math.inf) < lab < label_of.get(("f", b), math.inf):
+        low, high = label_of.get(("f", a), -math.inf), label_of.get(("f", b), math.inf)
+        if lab is not None and not low < lab < high:
             violations.append(f"label of edge {i} is not between the labels of its floors")
     for lab, w in _alpha_labels(spec).items():
-        a, b, weight = edges.get(marking.labels[lab - start], (None, None, 0))
+        el = marking.labels[lab - start]
+        a, b, weight = diagram.edges[el[1]] if el[0] == "e" and el in label_of else (None, None, 0)
         side, end = ("top", b) if lab > 0 else ("bottom", a)
         if weight != w or end in floors:
             violations.append(f"label {lab} is not on a {side} tail of weight {w}")

@@ -474,8 +474,11 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     later tropical_multiplicity reads too.  A curve on which a
     check cannot be made (rays that span no polygon, a vertex that is not
     trivalent, no floor decomposition) gets a violation for it, not an
-    exception; an edge that joins a vertex the curve does not have is the
-    only violation reported, since no other check can read such a curve.
+    exception.  An edge that joins a vertex the curve does not have, and a
+    marking that the diagram cannot read (`diagram._marked_elements`: a
+    label on an element it does not have, an element labelled twice, an
+    unmarked edge), are the only violations reported, since no other check
+    can read such a curve or marking.
 
     A curve that passes costs time linear in its edges.  Each marked point
     is tested first on the edges its label names in the realization's own
@@ -505,6 +508,8 @@ def verify_realization(realization, diagram, marking, cfg, spec):
         for i, e in enumerate(pc.edges)
         if not 0 <= e.a < n or e.b >= n
     ]
+    label_of, unread = diagram_mod._marked_elements(diagram, marking)
+    violations += unread
     if violations:
         return violations
     balanced, mu, not_trivalent = pc.star_census
@@ -559,10 +564,9 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     # alpha rays supported on their Omega lines, of their lines' weights:
     # the realization's abscissa times cfg's scale against the line's times
     # the realization's unit, since cfg may not be the one realized on
-    elab = {el: lab for lab, el in labels.items()}
     frame, unit, fixed = cfg.frame, realization.unit, diagram_mod._alpha_labels(spec)
     for idx, (_, _, w) in enumerate(diagram.edges):
-        lab = elab[("e", idx)]
+        lab = label_of["e", idx]
         if lab in fixed:
             tail = f"fixed {'top' if lab > 0 else 'bottom'} tail {idx}"
             if realization.elevators[idx] * frame.scale != frame.xs[lab - frame.start] * unit:

@@ -162,6 +162,26 @@ def test_validate_verbose_messages(monkeypatch):
         assert len(calls) == 1
 
 
+def test_a_plane_floor_moved_off_its_thetas_fails_the_theta_lists():
+    # on a plane spec every left theta is 0 and every right theta 1, so a
+    # floor whose theta or divergence changes breaks a theta list
+    for d in (3, 4, 5):
+        spec = DiagramSpec(triangle(d), (0, 1), 1, (), (), (), (d,))
+        for diag in enumerate_diagrams(spec):
+            for i, (f, theta) in enumerate(diag.floors):
+                floors = diag.floors[:i] + ((f, theta + 1),) + diag.floors[i + 1:]
+                moved = FloorDiagram(floors, diag.inf_minus, diag.inf_plus, diag.edges)
+                ok, violations = validate_verbose(moved, spec)
+                assert not ok and any(v.startswith("theta list") for v in violations)
+            # a down tail one heavier: its floor's divergence is 2
+            for j, (s, t, w) in enumerate(diag.edges):
+                if s in diag.inf_minus:
+                    edges = diag.edges[:j] + ((s, t, w + 1),) + diag.edges[j + 1:]
+                    heavier = FloorDiagram(diag.floors, diag.inf_minus, diag.inf_plus, edges)
+                    ok, violations = validate_verbose(heavier, spec)
+                    assert not ok and any(v.startswith("theta+div list") for v in violations)
+
+
 def test_enumerate_diagrams_counts():
     assert len(enumerate_diagrams(T3_B3_G1)) == 1
     assert len(enumerate_diagrams(T3_B3)) == 3
@@ -773,6 +793,8 @@ def test_class_forms_match_the_relabelling_pass():
     ]
     specs += [DiagramSpec(triangle(6), (0, 1), g, (), (), (), (6,)) for g in (0, 8)]
     specs += [TZ132_G1, TZ132_G2, DIAMOND_G0, DIAMOND_G1, OCTIC_G0, OCTIC_G1]
+    # seven tied floors, searched with bounds at every depth: 11 diagrams
+    specs += [DiagramSpec(triangle(7), (0, 1), 14, (), (), (), (7,))]
     for spec in specs:
         for diag in enumerate_diagrams(spec):
             expected = class_forms_brute_force(diag)
@@ -800,8 +822,8 @@ def _random_diagram(rng, n):
 
 def test_class_forms_match_the_relabelling_pass_on_random_diagrams():
     rng = random.Random(8)
-    for _ in range(400):
-        diag = _random_diagram(rng, rng.randint(2, 6))
+    for i in range(410):  # the last ten of seven floors
+        diag = _random_diagram(rng, rng.randint(2, 6) if i < 400 else 7)
         expected = class_forms_brute_force(diag)
         assert class_forms(diag) == expected, diag
         assert class_forms(_shuffled(diag, rng)) == expected, diag

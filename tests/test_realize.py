@@ -378,6 +378,23 @@ def test_verify_detects_an_edge_to_a_missing_vertex(a, b):
     assert violations == ["edge 18 joins a vertex that does not exist"]
 
 
+def test_verify_reports_a_marking_it_cannot_read():
+    # a label moved off the diagram leaves an edge unmarked, and a label
+    # moved onto a labelled edge labels it twice; no other check is made
+    diag = enumerate_diagrams(T3_G1)[0]
+    marking = enumerate_markings(diag, T3_G1)[0]
+    realization, cfg = realize_stretched(diag, marking, T3_G1, seed=0)
+    assert marking.labels[7:] == (("e", 5), ("f", 2))
+    cases = [
+        (("e", 99), ["label 8 is on ('e', 99), not a floor or edge of the diagram", "edge 5 is unmarked"]),
+        (("e", 4), ["labels 6 and 8 are both on ('e', 4)", "edge 5 is unmarked"]),
+    ]
+    for element, expected in cases:
+        moved = Marking(diag, 1, marking.labels[:7] + (element, ("f", 2)))
+        assert verify_checked(realization, diag, moved, cfg, T3_G1) == expected
+        assert diagram_module.marking_violations(diag, moved, T3_G1) == expected
+
+
 def test_verify_detects_tails_off_their_omega_lines():
     bottom = DiagramSpec(triangle(3), (0, 1), 0, (), (0, 1), (), (1,))
     top = DiagramSpec(triangle(3), (0, -1), 0, (0, 1), (), (1,), ())
@@ -1217,6 +1234,18 @@ def verify_realization_reference(realization, diagram, marking, cfg, spec):
         for i, e in enumerate(pc.edges)
         if not 0 <= e.a < n or e.b >= n
     ]
+    # a marking that cannot be read: a label off the diagram's elements or
+    # on one labelled already, and an edge with no label
+    elements = [("f", f) for f in diagram.floor_ids] + [("e", i) for i in range(len(diagram.edges))]
+    first = {}
+    for lab, el in sorted(marking.as_dict().items()):
+        if el in first:
+            violations.append(f"labels {first[el]} and {lab} are both on {el!r}")
+        elif el in elements:
+            first[el] = lab
+        else:
+            violations.append(f"label {lab} is on {el!r}, not a floor or edge of the diagram")
+    violations += [f"edge {i} is unmarked" for i in range(len(diagram.edges)) if ("e", i) not in first]
     if violations:
         return violations
     if not check_balancing(pc):
