@@ -643,6 +643,14 @@ def _marked_elements(diagram, marking):
     return label_of, violations
 
 
+def _label_range_violation(marking, labels):
+    """The violation of a marking whose labels are not the label range
+    labels, in the words of `marking_violations`, which
+    `realize.verify_realization` reports too."""
+    got = list(range(marking.label_start, marking.label_start + len(marking.labels)))
+    return f"labels {got} are not the label range {labels}"
+
+
 def marking_violations(diagram, marking, spec):
     """The one rule for a marking of a diagram of the spec, as its
     violations (none for a marking): the labels are spec.label_range(), one
@@ -652,9 +660,8 @@ def marking_violations(diagram, marking, spec):
     `_alpha_labels` gives them.  Identical edges may take their labels in
     any order.  `realize` raises InvalidMarking with these violations."""
     labels, start, s = spec.label_range(), marking.label_start, spec.s
-    got = list(range(start, start + len(marking.labels)))
-    if got != labels:
-        return [f"labels {got} are not the label range {labels}"]
+    if list(range(start, start + len(marking.labels))) != labels:
+        return [_label_range_violation(marking, labels)]
     floors = {f for f, _ in diagram.floors}
     label_of, violations = _marked_elements(diagram, marking)
     for f, _ in diagram.floors:

@@ -273,7 +273,9 @@ class LatticePolygon(Record):
     """Strictly convex polygon with integral vertices, stored counterclockwise.
 
     Clockwise input is silently reversed; consecutive collinear or repeated
-    vertices are merged.  Segments and points are rejected.
+    vertices are merged.  Segments and points are rejected.  A ring that is
+    already in the stored form, such as a hull's (hull_ring), is checked and
+    taken as it is by from_ring.
     """
 
     vertices: tuple
@@ -302,6 +304,35 @@ class LatticePolygon(Record):
             raise DegeneratePolygon("edge directions wind more than once")
         start = min(range(n), key=lambda i: pts[i])
         _set_field(self, "vertices", tuple(pts[start:] + pts[:start]))
+
+    @classmethod
+    def from_ring(cls, ring):
+        """The polygon whose stored vertices are ring: lattice points
+        counterclockwise from the least one, turning strictly left at each
+        and winding once, as hull_ring returns them.  One pass checks the
+        three; a ring that fails one is a bug of its maker and raises
+        InvariantViolation.  Nothing is stripped, turned or rotated."""
+        if len(ring) < 3:
+            raise InvariantViolation(f"ring {ring} has fewer than 3 vertices")
+        first = ring[0]
+        (ax, ay), (bx, by) = ring[-2], ring[-1]
+        ux, uy = bx - ax, by - ay
+        winds = 0
+        for p in ring:
+            vx, vy = p[0] - bx, p[1] - by
+            if ux * vy - uy * vx <= 0:
+                raise InvariantViolation(f"ring {ring} does not turn strictly left at {(bx, by)}")
+            # the direction passes (1, 0): from the lower half-plane to the upper
+            if (uy < 0 or (uy == 0 and ux < 0)) and (vy > 0 or (vy == 0 and vx > 0)):
+                winds += 1
+            if p < first:
+                raise InvariantViolation(f"ring {ring} does not start from its least point")
+            ux, uy, bx, by = vx, vy, p[0], p[1]
+        if winds != 1:
+            raise InvariantViolation(f"ring {ring} winds {winds} times")
+        polygon = cls.__new__(cls)
+        _set_field(polygon, "vertices", tuple(ring))
+        return polygon
 
     def __repr__(self):
         return f"LatticePolygon({list(self.vertices)!r})"
@@ -358,17 +389,25 @@ class LatticePolygon(Record):
 
     def lattice_points(self):
         """The lattice points of the polygon, boundary included, in (x, y)
-        order: the points of the bounding box that contains keeps, with the
-        edge vectors computed once."""
+        order, column by column: at each integer x the polygon runs from the
+        ceiling of its lower edges' intercept to the floor of its upper
+        edges'.  Counterclockwise, an edge that runs right is a lower edge
+        and one that runs left an upper edge; a vertical edge adds nothing
+        that its neighbours' ends do not."""
         xs = [p[0] for p in self.vertices]
-        ys = [p[1] for p in self.vertices]
-        edges = [(px, py, qx - px, qy - py) for (px, py), (qx, qy) in self.edges()]
-        return [
-            (x, y)
-            for x in range(min(xs), max(xs) + 1)
-            for y in range(min(ys), max(ys) + 1)
-            if all(ex * (y - py) - ey * (x - px) >= 0 for px, py, ex, ey in edges)
-        ]
+        x0 = min(xs)
+        lo = [0] * (max(xs) - x0 + 1)
+        hi = lo[:]
+        for (px, py), (qx, qy) in self.edges():
+            if px < qx:
+                dx, dy = qx - px, qy - py
+                for x in range(px, qx + 1):
+                    lo[x - x0] = -(-(py * dx + (x - px) * dy) // dx)
+            elif px > qx:
+                dx, dy = px - qx, py - qy
+                for x in range(qx, px + 1):
+                    hi[x - x0] = (qy * dx + (x - qx) * dy) // dx
+        return [(x0 + i, y) for i, (a, b) in enumerate(zip(lo, hi)) for y in range(a, b + 1)]
 
     def pick_identity(self):
         """2A == 2*interior + boundary - 2; must hold for every instance."""
@@ -403,21 +442,38 @@ def monotone_chain(points):
     be rational."""
     chain = []
     for p in points:
-        while len(chain) >= 2 and det(sub(chain[-1], chain[-2]), sub(p, chain[-2])) <= 0:
+        while len(chain) >= 2:
+            (ax, ay), (bx, by) = chain[-2], chain[-1]
+            if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) > 0:
+                break
             chain.pop()
         chain.append(p)
     return chain
 
 
+def hull_ring(points):
+    """The vertices of the convex hull of points, given sorted and
+    distinct: the lower chain and then the upper one, each without its last
+    point, so counterclockwise from the least point and turning strictly
+    left at each (LatticePolygon.from_ring's form); fewer than 3 when the
+    points are collinear."""
+    return monotone_chain(points)[:-1] + monotone_chain(reversed(points))[:-1]
+
+
 def convex_hull(points):
-    """Convex hull of integer points, as a LatticePolygon (monotone chain),
-    which refuses a hull vertex that is not a lattice point."""
+    """Convex hull of integer points, as a LatticePolygon from its
+    hull_ring, refusing a hull vertex that is not a lattice point."""
     pts = sorted({(x, y) for x, y in points})
     if len(pts) < 3:
         raise DegeneratePolygon("hull of fewer than 3 distinct points")
-    lower = monotone_chain(pts)
-    upper = monotone_chain(reversed(pts))
-    return LatticePolygon(lower[:-1] + upper[:-1])
+    ring = []
+    for x, y in hull_ring(pts):
+        if x != int(x) or y != int(y):
+            raise DegeneratePolygon("vertices must be integral")
+        ring.append((int(x), int(y)))
+    if len(ring) < 3:
+        raise DegeneratePolygon("need at least 3 non-collinear vertices")
+    return LatticePolygon.from_ring(ring)
 
 
 def triangle(d):

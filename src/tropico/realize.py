@@ -474,11 +474,13 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     later tropical_multiplicity reads too.  A curve on which a
     check cannot be made (rays that span no polygon, a vertex that is not
     trivalent, no floor decomposition) gets a violation for it, not an
-    exception.  An edge that joins a vertex the curve does not have, and a
+    exception.  An edge that joins a vertex the curve does not have, a
     marking that the diagram cannot read (`diagram._marked_elements`: a
     label on an element it does not have, an element labelled twice, an
-    unmarked edge), are the only violations reported, since no other check
-    can read such a curve or marking.
+    unmarked edge), and labels that do not start at the start of the spec's
+    label range or run past its top (`diagram._label_range_violation`), are
+    the only violations reported, since no other check can read such a
+    curve or marking: the Omega test would read another label's line.
 
     A curve that passes costs time linear in its edges.  Each marked point
     is tested first on the edges its label names in the realization's own
@@ -510,6 +512,9 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     ]
     label_of, unread = diagram_mod._marked_elements(diagram, marking)
     violations += unread
+    labels = spec.label_range()
+    if marking.label_start != labels[0] or marking.label_start + len(marking.labels) > labels[-1] + 1:
+        violations.append(diagram_mod._label_range_violation(marking, labels))
     if violations:
         return violations
     balanced, mu, not_trivalent = pc.star_census

@@ -14,14 +14,19 @@ scan that splits the image of a parametrized curve into a plane curve
 (_parametrized_to_plane).  The scan reads the curve's cached frame, tests
 each pair of the P original pieces at most once, O(P^2) box checks, and
 then replays the split order from the table of crossings it found.
+Stable intersection tests a pair of pieces only when their boxes meet,
+by the same rule (_piece_box, which the scan writes inline).
 
 The hull walk stays in the integers of its scaled lift: each cell comes
-with its integer plane (nx, ny, D) and its vertex ring, hulled once by the
-monotone chain (lattice.monotone_chain), which also serves convex_hull and
-the collinear Legendre domain.  The corner locus builds one LatticePolygon
-per cell from its ring, two Fractions per vertex and the segment
-directions from integer cross terms of the planes; the Legendre transform
-reads the vertices off the rings.  Only the ray circuit becomes a polygon
+with its integer plane (nx, ny, D) and its vertex ring, hulled once
+(lattice.hull_ring, by the monotone chain, which also serves convex_hull
+and the collinear Legendre domain).  The corner locus takes each ring as
+its cell's polygon after one check of its form (LatticePolygon.from_ring),
+lists the ring edges once and reads the owners of each edge, the
+segments, the rays and the crossings off that list; it builds two
+Fractions per vertex and the segment directions from integer cross terms
+of the planes.  The Legendre transform reads the vertices off the rings.
+Only the ray circuit becomes a polygon through the general constructor
 (_dual_polygon); the delta invariant reads each vertex's dual cell off its
 star (_balanced).
 """
@@ -395,7 +400,7 @@ def _upper_cells(poly_terms):
         if found is None:
             continue  # (p, q) lies on the boundary of the Newton polygon
         eq, (nx, ny, den) = found  # eq is sorted, as pts is
-        ring = lattice.monotone_chain(eq)[:-1] + lattice.monotone_chain(reversed(eq))[:-1]
+        ring = lattice.hull_ring(eq)
         cells[frozenset(eq)] = (nx, ny, den * scale_, ring)
         for a, b in zip(ring, ring[1:] + ring[:1]):
             done.add((a, b))
@@ -413,25 +418,28 @@ def _pivot(pts, h, p, q):
     lift interpolated along pq and D(x) = det(q - p, x - p); the plane must
     pass over every r with D(r) > 0, so s = max (h(r) - A(r)) / D(r).
     Scaled by |q - p|^2 the ratio is num(r) / D(r) with integer num(r).
+    The points on the plane are then those with h(r) * den = (nx, ny) . r
+    plus the plane's constant, read at p.
     """
-    e = sub(q, p)
-    ee = dot(e, e)
-    dh = h[q] - h[p]
+    px, py = p
+    ex, ey = q[0] - px, q[1] - py
+    ee = ex * ex + ey * ey
     hp = h[p]
+    dh = h[q] - hp
     best_n, best_d = None, 1
-    rows = []
     for r in pts:
-        rx, ry = r[0] - p[0], r[1] - p[1]
-        dd = e[0] * ry - e[1] * rx
-        num = (h[r] - hp) * ee - dh * (e[0] * rx + e[1] * ry)
-        rows.append((r, num, dd))
-        if dd > 0 and (best_n is None or num * best_d > best_n * dd):
-            best_n, best_d = num, dd
+        rx, ry = r[0] - px, r[1] - py
+        dd = ex * ry - ey * rx
+        if dd > 0:
+            num = (h[r] - hp) * ee - dh * (ex * rx + ey * ry)
+            if best_n is None or num * best_d > best_n * dd:
+                best_n, best_d = num, dd
     if best_n is None:
         return None
-    eq = [r for r, num, dd in rows if num * best_d == best_n * dd]
     den = ee * best_d
-    return eq, (dh * best_d * e[0] - best_n * e[1], dh * best_d * e[1] + best_n * e[0], den)
+    nx, ny = dh * best_d * ex - best_n * ey, dh * best_d * ey + best_n * ex
+    c = hp * den - nx * px - ny * py
+    return [r for r in pts if h[r] * den - nx * r[0] - ny * r[1] == c], (nx, ny, den)
 
 
 def corner_locus(poly):
@@ -443,23 +451,35 @@ def corner_locus(poly):
     that cell's terms are simultaneously maximal; one bounded edge per
     cell edge shared by two cells; one ray per cell edge of no other cell,
     along the edge's primitive outward normal.  Weights are the integral
-    lengths of the dual edges.
+    lengths of the dual edges.  A crossing is a cell of four vertices whose
+    opposite edges are opposite vectors.
+
+    Each cell is taken as it comes from the hull walk, its ring checked
+    once (LatticePolygon.from_ring), and its ring edges are listed once:
+    the owners of each edge, the segments, the rays and the crossings are
+    all read off that one list.
     """
     if not poly.spans_plane():
         raise SegmentSupport("support of the polynomial is collinear")
     newton = poly.newton_polygon()
     cells = _upper_cells(poly.terms)
     planes = [cells[eq] for eq in sorted(cells, key=sorted)]
-    cell_polys = [LatticePolygon(ring) for *_, ring in planes]
+    cell_polys = [LatticePolygon.from_ring(ring) for *_, ring in planes]
     vertices = [(Fraction(-nx, d), Fraction(-ny, d)) for nx, ny, d, _ in planes]
 
-    owners = {}  # cell edge, as its sorted end points -> cells that have it
-    for idx, cp in enumerate(cell_polys):
-        for p, q in cp.edges():
-            owners.setdefault((min(p, q), max(p, q)), []).append(idx)
+    edges = []  # (cell, p, q, edge as its sorted end points) per ring edge
+    owners = {}  # edge as its sorted end points -> cells that have it
+    crossings = set()
+    for idx, (*_, ring) in enumerate(planes):
+        for p, q in zip(ring, ring[1:] + ring[:1]):
+            key = (p, q) if p < q else (q, p)
+            owners.setdefault(key, []).append(idx)
+            edges.append((idx, p, q, key))
+        if len(ring) == 4 and sub(ring[1], ring[0]) == sub(ring[2], ring[3]):
+            crossings.add(idx)
 
     segments, segment_dual = [], []
-    for (i, j), (p, q) in sorted((cs, edge) for edge, cs in owners.items() if len(cs) == 2):
+    for (i, j), (p, q) in sorted((cs, key) for key, cs in owners.items() if len(cs) == 2):
         # vertex j - vertex i is w / (D_i * D_j), so the segment runs along w
         nxi, nyi, di, _ = planes[i]
         nxj, nyj, dj, _ = planes[j]
@@ -470,26 +490,17 @@ def corner_locus(poly):
         segment_dual.append((p, q))
 
     rays, ray_dual = [], []
-    for idx, cp in enumerate(cell_polys):
-        for p, q in cp.edges():
-            if len(owners[(min(p, q), max(p, q))]) == 1:
-                direction = lattice.primitive(scale(perp(sub(q, p)), -1))
-                rays.append(Ray(idx, direction, lattice.integral_length(p, q)))
-                ray_dual.append((p, q))
+    for idx, p, q, key in edges:
+        if len(owners[key]) == 1:
+            direction = lattice.primitive((q[1] - p[1], p[0] - q[0]))
+            rays.append(Ray(idx, direction, lattice.integral_length(p, q)))
+            ray_dual.append((p, q))
 
-    crossings = frozenset(idx for idx, cp in enumerate(cell_polys) if _is_parallelogram(cp))
-    curve = PlaneTropicalCurve(tuple(vertices), tuple(segments), tuple(rays), crossings, newton)
+    curve = PlaneTropicalCurve(tuple(vertices), tuple(segments), tuple(rays), frozenset(crossings), newton)
     subdivision = DualSubdivision(newton, tuple(cell_polys), tuple(segment_dual), tuple(ray_dual))
     if not subdivision.check_tiling():
         raise InvariantViolation("cells do not tile the Newton polygon")
     return curve, subdivision
-
-
-def _is_parallelogram(cp):
-    if len(cp.vertices) != 4:
-        return False
-    e = cp.edge_vectors()
-    return e[0] == scale(e[2], -1) and e[1] == scale(e[3], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -819,15 +830,36 @@ def _intersect_pieces(p1, q1, u1, p2, q2, u2):
     return (p1[0] * d + sn * u1[0], p1[1] * d + sn * u1[1], d), at_end
 
 
+def _piece_box(p, q, u):
+    """The box (x0, x1, y0, y1) of the piece from p to q, or of the ray from
+    p along u when q is None, unbounded where the ray runs; two pieces whose
+    boxes are disjoint, x1 < x0' or x0 > x1' or likewise in y, cannot meet.
+    _parametrized_to_plane writes the same boxes inline, since a call per
+    piece measurably slowed it."""
+    px, py = p
+    if q is None:
+        return (
+            -math.inf if u[0] < 0 else px, math.inf if u[0] > 0 else px,
+            -math.inf if u[1] < 0 else py, math.inf if u[1] > 0 else py,
+        )
+    qx, qy = q
+    return min(px, qx), max(px, qx), min(py, qy), max(py, qy)
+
+
 def stable_intersection(c1, c2):
     """Transverse intersection points of two curves with multiplicities
     w1 * w2 * |det(u1, u2)|.  Degenerate contact (overlap, or a crossing at
-    a vertex) raises NonTransverse; see stable_intersection_generic."""
+    a vertex) raises NonTransverse; see stable_intersection_generic.  A
+    pair of pieces goes to _intersect_pieces only when their boxes
+    (_piece_box) meet."""
     m, ints = _joint_frame(c1.frame, c2.frame)
     points = {}
-    pieces2 = c2.pieces(ints[len(c1.vertices):])
+    pieces2 = [(p, q, u, w, _piece_box(p, q, u)) for p, q, u, w, _ in c2.pieces(ints[len(c1.vertices):])]
     for p1, q1, u1, w1, _ in c1.pieces(ints):
-        for p2, q2, u2, w2, _ in pieces2:
+        x0, x1, y0, y1 = _piece_box(p1, q1, u1)
+        for p2, q2, u2, w2, (a0, a1, b0, b1) in pieces2:
+            if a1 < x0 or a0 > x1 or b1 < y0 or b0 > y1:
+                continue
             hit = _intersect_pieces(p1, q1, u1, p2, q2, u2)
             if hit is None:
                 continue

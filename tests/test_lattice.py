@@ -97,17 +97,42 @@ def test_interior_points_match_the_reference():
         assert poly.interior_points() == interior_points_reference(poly), poly
 
 
+def lattice_points_reference(poly):
+    """The lattice points of poly, boundary included, in (x, y) order: the
+    points of the bounding box that contains keeps, each tested against
+    every edge."""
+    xs = [p[0] for p in poly.vertices]
+    ys = [p[1] for p in poly.vertices]
+    edges = [(px, py, qx - px, qy - py) for (px, py), (qx, qy) in poly.edges()]
+    return [
+        (x, y)
+        for x in range(min(xs), max(xs) + 1)
+        for y in range(min(ys), max(ys) + 1)
+        if all(ex * (y - py) - ey * (x - px) >= 0 for px, py, ex, ey in edges)
+    ]
+
+
 def test_lattice_points_equal_the_bounding_box_filtered_by_contains():
+    # random hulls, some moved to negative coordinates, rectangles and
+    # trapezia (vertical edges), and thin slivers: triangles of area 1/2
+    # to 3/2 with sides up to 60 long, many columns of which hold no point
     rng = random.Random(17)
     polys = [triangle(d) for d in range(1, 6)] + [diamond(), octic_quadrilateral()]
-    while len(polys) < 300:
-        poly = random_lattice_polygon(rng, rng.choice((2, 5, 9)), rng.randint(3, 10))
-        polys.append(poly.translate((rng.randint(-20, 20), rng.randint(-20, 20))))
+    polys += [trapezium(r, a, b).translate((-5, -7)) for r in range(3) for a in range(1, 4) for b in range(1, 4)]
+    polys += [LatticePolygon([(0, 0), (w, 0), (w, h), (0, h)]).translate((-w, -h)) for w in (1, 3) for h in (1, 4)]
+    while len(polys) < 400:
+        poly = random_lattice_polygon(rng, rng.choice((2, 5, 9, 12)), rng.randint(3, 10))
+        polys.append(poly.translate((rng.randint(-40, 20), rng.randint(-40, 20))))
+    while len(polys) < 700:
+        u = (rng.randint(-30, 30), rng.randint(-30, 30))
+        v = (rng.randint(-30, 30), rng.randint(-30, 30))
+        if 1 <= abs(det(u, v)) <= 3:
+            polys.append(LatticePolygon([(0, 0), u, v]).translate((rng.randint(-9, 9), rng.randint(-9, 9))))
+    vertical = 0
     for poly in polys:
-        xs = [x for x, _ in poly.vertices]
-        ys = [y for _, y in poly.vertices]
-        box = [(x, y) for x in range(min(xs), max(xs) + 1) for y in range(min(ys), max(ys) + 1)]
-        assert poly.lattice_points() == [p for p in box if poly.contains(p)], poly
+        assert poly.lattice_points() == lattice_points_reference(poly), poly
+        vertical += any(p[0] == q[0] for p, q in poly.edges())
+    assert vertical > 50
 
 
 def test_pick_identity():
@@ -455,3 +480,30 @@ def test_convex_hull():
     for x in (Fraction(1, 2), 0.9):
         with pytest.raises(DegeneratePolygon, match="vertices must be integral"):
             convex_hull([(x, 0), (3, 0), (0, 3)])
+    # while a point inside it need not be one
+    assert convex_hull([(0, 0), (3, 0), (0, 3), (0.5, 0.5)]) == triangle(3)
+    with pytest.raises(DegeneratePolygon, match="hull of fewer than 3 distinct points"):
+        convex_hull([(0, 0), (1, 1), (0, 0)])
+    with pytest.raises(DegeneratePolygon, match="need at least 3 non-collinear vertices"):
+        convex_hull([(0, 0), (1, 1), (2, 2)])
+
+
+def test_hull_ring_is_the_polygon_the_general_constructor_keeps():
+    # convex_hull takes the ring as it is (from_ring); the general
+    # constructor, handed the same points shuffled into a clockwise or
+    # rotated order with a collinear point, normalises them to it
+    rng = random.Random(41)
+    for _ in range(300):
+        pts = {(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(rng.randint(3, 14))}
+        try:
+            hull = convex_hull(pts)
+        except DegeneratePolygon:
+            continue
+        ring = list(hull.vertices)
+        assert ring == lattice.hull_ring(sorted(pts))
+        k = rng.randrange(len(ring))
+        shuffled = ring[k:] + ring[:k] + [ring[k]]
+        a, b = shuffled[0], shuffled[1]
+        if (b[0] - a[0]) % 2 == 0 and (b[1] - a[1]) % 2 == 0:
+            shuffled.insert(1, ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2))
+        assert LatticePolygon(shuffled[::-1]) == hull == LatticePolygon.from_ring(ring)

@@ -286,6 +286,25 @@ def test_verify_detects_a_wrong_genus():
     assert violations == ["source genus 0 != 1"]
 
 
+def test_verify_reports_labels_shifted_off_the_label_range():
+    # the labels of a marking with alpha labels, moved up or down by one:
+    # no label is then on its Omega line, or another tail is tested on it
+    spec = DiagramSpec(triangle(3), (0, 1), 0, (), (0, 1), (), (1,))
+    assert spec.label_range() == list(range(7))
+    for diag in enumerate_diagrams(spec)[:3]:
+        marking = enumerate_markings(diag, spec)[0]
+        realization, cfg = realize_stretched(diag, marking, spec, seed=0)
+        assert not verify_checked(realization, diag, marking, cfg, spec)
+        for shift, got in ((1, list(range(1, 8))), (-1, list(range(-1, 6)))):
+            moved = Marking(diag, marking.label_start + shift, marking.labels)
+            assert verify_checked(realization, diag, moved, cfg, spec) == [
+                f"labels {got} are not the label range {list(range(7))}"
+            ]
+            assert diagram_module.marking_violations(diag, moved, spec) == [
+                f"labels {got} are not the label range {list(range(7))}"
+            ]
+
+
 def test_verify_detects_a_disconnected_source():
     # a tropical line far away: the genus stays 0, the rays trace T4
     far = (Fraction(1000), Fraction(1000))
@@ -1246,6 +1265,10 @@ def verify_realization_reference(realization, diagram, marking, cfg, spec):
         else:
             violations.append(f"label {lab} is on {el!r}, not a floor or edge of the diagram")
     violations += [f"edge {i} is unmarked" for i in range(len(diagram.edges)) if ("e", i) not in first]
+    # labels that start off the spec's range or run past its top
+    got, want = sorted(marking.as_dict()), spec.label_range()
+    if got[0] != want[0] or got[-1] > want[-1]:
+        violations.append(f"labels {got} are not the label range {want}")
     if violations:
         return violations
     if not check_balancing(pc):

@@ -12,6 +12,7 @@ from tropico.diagram import enumerate_diagrams, enumerate_markings
 from tropico import io, lattice, tropical
 from tropico.lattice import (
     DegeneratePolygon,
+    LatticePolygon,
     add,
     convex_hull,
     cubic_triangle,
@@ -56,7 +57,6 @@ from tropico.tropical import (
     tropical_multiplicity,
     _integral_frame,
     _intersect_pieces,
-    _is_parallelogram,
     _split_piece,
     _upper_cells,
 )
@@ -182,12 +182,16 @@ def planes(cells, poly_terms):
     """The (gx, gy, c) of each cell (nx, ny, D, ring) of _upper_cells, with
     gradient (nx / D, ny / D) and c read at a lifted point of the cell,
     once D is checked to be positive and the ring to be the vertices of the
-    convex hull of the cell's points."""
+    convex hull of the cell's points: points of the cell that the general
+    LatticePolygon constructor keeps as they are (counterclockwise,
+    strictly convex, from the least one), around every point of the cell."""
     lift = dict(poly_terms)
     out = {}
     for eq, (nx, ny, d, ring) in cells.items():
         assert d > 0
-        assert ring == list(convex_hull(eq).vertices)
+        hull = LatticePolygon(ring)
+        assert ring == list(hull.vertices) and set(ring) <= eq
+        assert all(hull.contains(p) for p in eq)
         gx, gy = Fraction(nx, d), Fraction(ny, d)
         p = min(eq)
         out[eq] = (gx, gy, lift[p] - gx * p[0] - gy * p[1])
@@ -299,6 +303,26 @@ def test_corner_locus_rejects_two_cells_on_one_plane(monkeypatch):
         corner_locus(poly)
 
 
+def test_corner_locus_refuses_a_cell_ring_out_of_form(monkeypatch):
+    # the one cell of a flat lift on T3, handed over with a ring that is
+    # clockwise, not from its least point, with a collinear or a reflex
+    # vertex, or winding twice (a pentagram): a broken invariant each time
+    poly = TropicalPolynomial.make({p: 0 for p in triangle(3).lattice_points()})
+    ((eq, (nx, ny, d, ring)),) = _upper_cells(poly.terms).items()
+    assert ring == [(0, 0), (3, 0), (0, 3)]
+    bad = {
+        "does not turn strictly left": [(0, 0), (0, 3), (3, 0)],
+        "does not start from its least point": [(3, 0), (0, 3), (0, 0)],
+        "does not turn strictly left at \\(1, 0\\)": [(0, 0), (1, 0), (3, 0), (0, 3)],
+        "does not turn strictly left at \\(1, 1\\)": [(0, 0), (3, 0), (1, 1), (0, 3)],
+        "winds 2 times": [(0, 1), (4, 1), (1, 3), (2, 0), (3, 3)],
+    }
+    for message, ring in bad.items():
+        monkeypatch.setattr(tropical, "_upper_cells", lambda terms, ring=ring: {eq: (nx, ny, d, ring)})
+        with pytest.raises(InvariantViolation, match=message):
+            corner_locus(poly)
+
+
 def corner_locus_reference(poly):
     """Corner locus of a tropical polynomial with its dual subdivision.
 
@@ -368,6 +392,13 @@ def corner_locus_reference(poly):
     if not subdivision.check_tiling():
         raise InvariantViolation("cells do not tile the Newton polygon")
     return curve, subdivision
+
+
+def _is_parallelogram(cp):
+    if len(cp.vertices) != 4:
+        return False
+    e = cp.edge_vectors()
+    return e[0] == scale(e[2], -1) and e[1] == scale(e[3], -1)
 
 
 def _boundary_edge_through(poly, p, q):
@@ -573,31 +604,46 @@ def fraction_constructions(fn):
 
 
 def test_hull_walk_construction_counts(monkeypatch):
-    # _upper_cells builds no Fraction, legendre_transform no LatticePolygon,
-    # and corner_locus one LatticePolygon per cell plus the Newton polygon
-    # and two Fractions per vertex
+    # _upper_cells builds no Fraction and legendre_transform no
+    # LatticePolygon; corner_locus builds no polygon through the general
+    # constructor: it calls convex_hull once, for the Newton polygon,
+    # checks one ring per cell and the hull's (LatticePolygon.from_ring),
+    # and builds two Fractions per vertex
     assert fraction_constructions(lambda: Fraction(1, 3) * 3 + 1)[1] >= 3
-    polygons = 0
+    hulls = rings = post_inits = 0
     post_init = lattice.LatticePolygon.__post_init__
+    from_ring = lattice.LatticePolygon.from_ring.__func__
 
-    def counting(self):
-        nonlocal polygons
-        polygons += 1
+    def counting_post_init(self):
+        nonlocal post_inits
+        post_inits += 1
         post_init(self)
 
-    monkeypatch.setattr(lattice.LatticePolygon, "__post_init__", counting)
+    def counting_from_ring(cls, ring):
+        nonlocal rings
+        rings += 1
+        return from_ring(cls, ring)
+
+    def counting_hull(points):
+        nonlocal hulls
+        hulls += 1
+        return convex_hull(points)
+
+    monkeypatch.setattr(lattice.LatticePolygon, "__post_init__", counting_post_init)
+    monkeypatch.setattr(lattice.LatticePolygon, "from_ring", classmethod(counting_from_ring))
+    monkeypatch.setattr(tropical, "convex_hull", counting_hull)
     rng = random.Random(33)
     for d in (2, 4, 6):
         for poly in (random_polynomial(rng, triangle(d)), random_polynomial(rng, triangle(d), denom=1)):
-            polygons = 0
+            hulls = rings = post_inits = 0
             (curve, subdivision), made = fraction_constructions(lambda: corner_locus(poly))
-            assert polygons == len(subdivision.cells) + 1
+            assert (hulls, rings, post_inits) == (1, len(subdivision.cells) + 1, 0)
             assert made == 2 * len(curve.vertices)
             cells, made = fraction_constructions(lambda: _upper_cells(poly.terms))
             assert len(cells) == len(subdivision.cells) and made == 0
-            polygons = 0
+            rings = post_inits = 0
             legendre_transform(dict(poly.terms))
-            assert polygons == 0
+            assert rings == post_inits == 0
 
 
 def test_delta_weight_two_bar():
@@ -824,6 +870,78 @@ def test_stable_intersection_bezout_small(monkeypatch):
                 assert not shifts and points == stable_intersection(c1, c2)
             else:
                 assert shifts[-1] == shift
+
+
+def stable_intersection_reference(c1, c2):
+    """stable_intersection without its box filter: every pair of pieces
+    goes to _intersect_pieces."""
+    m, ints = tropical._joint_frame(c1.frame, c2.frame)
+    points = {}
+    pieces2 = c2.pieces(ints[len(c1.vertices):])
+    for p1, q1, u1, w1, _ in c1.pieces(ints):
+        for p2, q2, u2, w2, _ in pieces2:
+            hit = _intersect_pieces(p1, q1, u1, p2, q2, u2)
+            if hit is None:
+                continue
+            (x, y, den), at_end = hit
+            point = (Fraction(x, den * m), Fraction(y, den * m))
+            if at_end:
+                raise NonTransverse(f"intersection at a vertex: {point}")
+            mult = w1 * w2 * abs(det(u1, u2))
+            points[point] = points.get(point, 0) + mult
+    return sorted(points.items())
+
+
+def intersection_pairs(rng, degrees):
+    """Pairs of corner loci on T_d for d in degrees: coarse (integer
+    coefficients), random with denominators, ties in {-1, 0, 1} and fine
+    (near-concave) polynomials, each against each other and itself, so
+    that overlaps and contacts at vertices come up as well as transverse
+    points."""
+    for d in degrees:
+        points = triangle(d).lattice_points()
+        polys = []
+        for _ in range(2):
+            polys += [
+                random_polynomial(rng, triangle(d), denom=1),
+                random_polynomial(rng, triangle(d), denom=7),
+                TropicalPolynomial.make({p: rng.randint(-1, 1) for p in points}),
+                TropicalPolynomial.make({
+                    (i, j): -(i * i + j * j) + Fraction(rng.randint(-10**4, 10**4), 8 * 10**4)
+                    for i, j in points
+                }),
+            ]
+        curves = [corner_locus(poly)[0] for poly in polys]
+        for c1, c2 in itertools.combinations_with_replacement(curves, 2):
+            yield d, c1, c2
+
+
+def check_box_filtered_intersection(pairs, seed):
+    """stable_intersection and stable_intersection_generic against the
+    same with stable_intersection_reference on every pair: the points, the
+    NonTransverse message and the translation chosen; the counts of pairs
+    that raised at first and of those the generic retry had to move."""
+    raised = moved = 0
+    for k, (d, c1, c2) in enumerate(pairs):
+        got = _locus_outcome(lambda c: stable_intersection(c1, c), c2)
+        assert got == _locus_outcome(lambda c: stable_intersection_reference(c1, c), c2), (d, k)
+        raised += isinstance(got[0], type)
+        got = stable_intersection_generic(c1, c2, seed=seed + k)
+        original = tropical.stable_intersection
+        tropical.stable_intersection = stable_intersection_reference
+        try:
+            want = stable_intersection_generic(c1, c2, seed=seed + k)
+        finally:
+            tropical.stable_intersection = original
+        assert got == want, (d, k)
+        assert sum(m for _, m in got[0]) == d * d
+        moved += got[1] != (0, 0)
+    return raised, moved
+
+
+def test_box_filtered_intersection_matches_the_reference():
+    raised, moved = check_box_filtered_intersection(intersection_pairs(random.Random(8), range(1, 9)), 500)
+    assert raised == moved and 50 < raised < 200
 
 
 def test_ray_census_matches_boundary():
