@@ -125,6 +125,16 @@ class FloorDiagram(Record):
         key, _, aut = _least_forms(self.floor_data)
         return key, aut
 
+    @cached_property
+    def elements(self):
+        """(floors, edges, every element) of the marking rule, built once:
+        ("f", id) per floor in floor order, (("e", i), ("f", source),
+        ("f", target)) per edge by index, and the set of the floor and edge
+        elements."""
+        floors = tuple(("f", f) for f, _ in self.floors)
+        edges = tuple((("e", i), ("f", a), ("f", b)) for i, (a, b, _) in enumerate(self.edges))
+        return floors, edges, frozenset((*floors, *(el for el, _, _ in edges)))
+
     def valid_for(self, spec):
         """`validate` of the diagram against spec, remembered on the
         instance for the last spec asked about (by identity).  Each diagram
@@ -619,9 +629,14 @@ class Marking(Record):
 def _alpha_labels(spec):
     """{label: weight} of the alpha labels of spec.label_range(), each
     block in the order of weight_multiset(alpha, ()): alpha- up to 0,
-    alpha+ from s + 1."""
-    a, b = weight_multiset(spec.alpha_minus, ()), weight_multiset(spec.alpha_plus, ())
-    return {**dict(enumerate(a, 1 - len(a))), **dict(enumerate(b, spec.s + 1))}
+    alpha+ from s + 1.  Computed once per spec and kept in its __dict__,
+    as a DiagramSpec's cached properties are: the spec is not hashed, and
+    any object with the spec's attributes will do.  Callers only read it."""
+    known = vars(spec)
+    if "alpha_labels" not in known:
+        a, b = weight_multiset(spec.alpha_minus, ()), weight_multiset(spec.alpha_plus, ())
+        known["alpha_labels"] = {**dict(enumerate(a, 1 - len(a))), **dict(enumerate(b, spec.s + 1))}
+    return known["alpha_labels"]
 
 
 def _marked_elements(diagram, marking):
@@ -630,16 +645,16 @@ def _marked_elements(diagram, marking):
     spec: a label on an element the diagram does not have, an element
     labelled twice, an edge with no label.  `marking_violations` and
     `realize.verify_realization` both report these."""
-    floors, edges = {f for f, _ in diagram.floors}, range(len(diagram.edges))
+    _, edges, elements = diagram.elements
     label_of, violations = {}, []
     for lab, el in enumerate(marking.labels, marking.label_start):
         if el in label_of:
             violations.append(f"labels {label_of[el]} and {lab} are both on {el!r}")
-        elif el[0] == "e" and el[1] in edges or el[0] == "f" and el[1] in floors:
+        elif el in elements:
             label_of[el] = lab
         else:
             violations.append(f"label {lab} is on {el!r}, not a floor or edge of the diagram")
-    violations += [f"edge {i} is unmarked" for i in edges if ("e", i) not in label_of]
+    violations += [f"edge {el[1]} is unmarked" for el, _, _ in edges if el not in label_of]
     return label_of, violations
 
 
@@ -658,25 +673,26 @@ def marking_violations(diagram, marking, spec):
     1..s; each edge's label lies between its floors'; and each alpha
     block's labels go, in order, to tails on its side of the weights
     `_alpha_labels` gives them.  Identical edges may take their labels in
-    any order.  `realize` raises InvalidMarking with these violations."""
+    any order.  `realize` raises InvalidMarking with these violations.
+    The element tables are the diagram's (FloorDiagram.elements), and the
+    alpha labels the spec's, each built once."""
     labels, start, s = spec.label_range(), marking.label_start, spec.s
     if list(range(start, start + len(marking.labels))) != labels:
         return [_label_range_violation(marking, labels)]
-    floors = {f for f, _ in diagram.floors}
+    floors, edges, elements = diagram.elements
     label_of, violations = _marked_elements(diagram, marking)
-    for f, _ in diagram.floors:
-        if not 1 <= label_of.get(("f", f), 0) <= s:
-            violations.append(f"floor {f} must carry a point label")
-    for i, (a, b, _) in enumerate(diagram.edges):
-        lab = label_of.get(("e", i))
-        low, high = label_of.get(("f", a), -math.inf), label_of.get(("f", b), math.inf)
-        if lab is not None and not low < lab < high:
-            violations.append(f"label of edge {i} is not between the labels of its floors")
+    for el in floors:
+        if not 1 <= label_of.get(el, 0) <= s:
+            violations.append(f"floor {el[1]} must carry a point label")
+    for el, source, target in edges:
+        lab = label_of.get(el)
+        if lab is not None and not label_of.get(source, -math.inf) < lab < label_of.get(target, math.inf):
+            violations.append(f"label of edge {el[1]} is not between the labels of its floors")
     for lab, w in _alpha_labels(spec).items():
         el = marking.labels[lab - start]
         a, b, weight = diagram.edges[el[1]] if el[0] == "e" and el in label_of else (None, None, 0)
         side, end = ("top", b) if lab > 0 else ("bottom", a)
-        if weight != w or end in floors:
+        if weight != w or ("f", end) in elements:
             violations.append(f"label {lab} is not on a {side} tail of weight {w}")
     return violations
 

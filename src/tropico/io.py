@@ -60,8 +60,10 @@ def dumps(obj):
 
 
 def _encode(obj, nl):
-    # nl is the newline plus the indent of obj's own line; str and int
-    # first, as they are most of the calls
+    """obj as dumps writes it, nl being the newline plus the indent of obj's
+    own line.  A list or dict writes its items of the exact types str and
+    int in its own loop and calls _encode only for the rest, so a curve
+    takes one call per container, not one per item."""
     t = type(obj)
     if t is str:
         return encode_basestring_ascii(obj)
@@ -71,14 +73,26 @@ def _encode(obj, nl):
         if not obj:
             return "[]"
         inner = nl + " "
-        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in obj]) + nl + "]"
+        items = []
+        for v in obj:
+            t = type(v)
+            items.append(
+                encode_basestring_ascii(v) if t is str else int.__repr__(v) if t is int
+                else _encode(v, inner)
+            )
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = nl + " "
-        return "{" + inner + ("," + inner).join(
-            [encode_basestring_ascii(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())]
-        ) + nl + "}"
+        items = []
+        for k, v in sorted(obj.items()):
+            t = type(v)
+            items.append(encode_basestring_ascii(k) + ": " + (
+                encode_basestring_ascii(v) if t is str else int.__repr__(v) if t is int
+                else _encode(v, inner)
+            ))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
     # None, booleans, floats and subclasses of str and int as json writes
     # them, or json's TypeError for anything else
     return json.dumps(obj)

@@ -303,16 +303,17 @@ def realize_stretched(diagram, marking, spec, seed=0):
     """Realize on an automatically stretched configuration, doubling the
     spacing on collision, at most MAX_DOUBLINGS times; the sufficient
     spacing is only known asymptotically, so verification is the ground
-    truth."""
-    spacing = default_spacing(spec)
-    last = None
+    truth.  The configuration is one cached stretch_points call per curve:
+    the spec is hashed once, and default_spacing is read only when the
+    spacing doubles."""
+    spacing = None  # stretch_points' default, looked up only to double it
     for _ in range(MAX_DOUBLINGS + 1):
         cfg = stretch_points(spec, seed, spacing)
         try:
             return realize(diagram, marking, cfg, spec), cfg
         except SpacingTooSmall as exc:
             last = exc
-            spacing *= 2
+            spacing = 2 * (spacing or default_spacing(spec))
     raise SpacingTooSmall(f"no spacing found after {MAX_DOUBLINGS} doublings: {last}")
 
 

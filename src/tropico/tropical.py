@@ -12,7 +12,8 @@ case by integer sign tests: the upper hull of the lifted support, found by
 gift wrapping in O(n * cells) for n terms (_upper_cells), and the crossing
 scan that splits the image of a parametrized curve into a plane curve
 (_parametrized_to_plane).  The scan reads the curve's cached frame, tests
-each pair of the P original pieces at most once, O(P^2) box checks, and
+each pair of the P original pieces at most once, by a sweep over their
+boxes' left edges that stops a row at the first box right of its own, and
 then replays the split order from the table of crossings it found.
 Stable intersection tests a pair of pieces only when their boxes meet,
 by the same rule (_piece_box, which the scan writes inline).
@@ -906,19 +907,23 @@ def _parametrized_to_plane(pc, newton=None):
 
     The scan reads the frame of the positions, pc.frame (see
     _integral_frame), and each pair of original pieces goes through
-    _intersect_pieces once; the interior crossings are recorded with their
-    rank along both pieces.  A pair is skipped when the pieces' integer
-    boxes (unbounded along a ray's direction) are disjoint, or when the
-    pieces are not parallel and share an end vertex, where alone they can
-    meet.  Parallel pairs are tested,
-    so an overlap raises NonTransverse.  The scan is then replayed on the
+    _intersect_pieces at most once; the interior crossings are recorded
+    with their rank along both pieces.  A pair is skipped when the pieces'
+    integer boxes (unbounded along a ray's direction) are disjoint, or when
+    the pieces are not parallel and share an end vertex, where alone they
+    can meet.  The pairs come from a sweep over the pieces in the order of
+    their boxes' left edges, whose row for a piece stops at the first box
+    that starts right of its own; it finds the pairs of meeting boxes, so
+    the crossings, which _intersect_pieces gives alike in either order,
+    and the replay are those of a test of every pair.  Parallel pairs are
+    tested, so an overlap raises NonTransverse.  The scan is then replayed on the
     table: a current piece is a stretch of its original between two ranks,
     and two current pieces cross exactly when their originals' crossing
     lies strictly inside both.  Pairs before the split pair cannot cross,
     since splitting only shortens pieces, so the replay resumes at row
     min(a, number of segments before the split), where a is the split
-    pair's first row.  With P pieces that is O(P^2) box checks, integer
-    tests for the pairs that pass, and per row of the replay one look at
+    pair's first row.  With P pieces that is at most O(P^2) box checks,
+    integer tests for the pairs that pass, and per row of the replay one look at
     the crossings of its original.  Each Segment and Ray, and the curve,
     is made once at the end, not through PlaneTropicalCurve.build, and the
     curve is handed its frame: pc.frame joined with that of the crossings.
@@ -933,24 +938,29 @@ def _parametrized_to_plane(pc, newton=None):
         else:
             rays.append([e.a, e.direction, e.weight])
 
-    # original piece k: (p, q, u, end vertices, x0, x1, y0, y1), with
-    # [x0, x1] x [y0, y1] its box
-    originals = []
-    for a, b, w, u in segs:
+    # original piece k as (x0, x1, y0, y1, k, p, q, u, end vertices), with
+    # [x0, x1] x [y0, y1] its box, in the order of the boxes' left edges:
+    # every box after k's starts at or right of k's left edge, so k's row
+    # of the sweep ends at the first one that starts right of k's box
+    swept = []
+    for k, (a, b, w, u) in enumerate(segs):
         (px, py), (qx, qy) = p, q = ints[a], ints[b]
-        originals.append((p, q, u, (a, b), min(px, qx), max(px, qx), min(py, qy), max(py, qy)))
-    for a, u, w in rays:
+        swept.append((min(px, qx), max(px, qx), min(py, qy), max(py, qy), k, p, q, u, (a, b)))
+    for k, (a, u, w) in enumerate(rays, len(segs)):
         px, py = p = ints[a]
-        originals.append((
-            p, None, u, (a, a),
+        swept.append((
             -math.inf if u[0] < 0 else px, math.inf if u[0] > 0 else px,
             -math.inf if u[1] < 0 else py, math.inf if u[1] > 0 else py,
+            k, p, None, u, (a, a),
         ))
-    hits = [[] for _ in originals]  # k -> [(t, den, k2, c)]: crossing c with k2, at t / den along k
+    swept.sort()  # the distinct k decides every tie
+    hits = [[] for _ in swept]  # k -> [(t, den, k2, c)]: crossing c with k2, at t / den along k
     points = []  # crossing c -> (x, y, den): the point (x / den, y / den) of the frame
-    for k, (p1, q1, u1, ends, x0, x1, y0, y1) in enumerate(originals):
-        for k2, (p2, q2, u2, (a, b), a0, a1, b0, b1) in enumerate(originals[k + 1:], k + 1):
-            if a1 < x0 or a0 > x1 or b1 < y0 or b0 > y1:
+    for i, (_, x1, y0, y1, k, p1, q1, u1, ends) in enumerate(swept):
+        for a0, _, b0, b1, k2, p2, q2, u2, (a, b) in swept[i + 1:]:
+            if a0 > x1:
+                break
+            if b1 < y0 or b0 > y1:
                 continue
             if (a in ends or b in ends) and det(u1, u2) != 0:
                 continue

@@ -11,6 +11,20 @@ def reference(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
 
 
+class Name(str):
+    """A str subclass, which dumps does not write in a container's loop."""
+
+    def __str__(self):
+        return "not this"
+
+
+class Count(int):
+    """An int subclass, which dumps does not write in a container's loop."""
+
+    def __repr__(self):
+        return "not this"
+
+
 @pytest.mark.parametrize(
     "obj",
     [
@@ -30,6 +44,13 @@ def reference(obj):
         (1, (2, [3, (4,)]), {"t": (5, 6)}),
         [1.5, -0.0, 1e300, 0.1, float("inf"), float("-inf")],
         ["a", 1, ["b", 2, [None]], {"k": [{"deep": [1, [2, [3]]]}]}],
+        # every leaf type inside lists and dicts, subclasses of str and int
+        # among them
+        [True, 1, "s", None, 2.5, Name("n\u00e9"), Count(7),
+         [False, Count(-2), {"k": Name("v"), "b": True, "f": -1.25, "n": None, "i": 3}]],
+        {"list": [Name('a"\n'), Count(0), 0.5, "x"], "deep": {"x": [[True, None], [Count(3), "é"]]},
+         Name("sub"): Count(10**30), "s": Name(""), "f": [float("nan"), 1e-7]},
+        [[Name("x")], [Count(1)], {"a": [Count(2), {"b": Name("y")}]}],
         "",
         0,
         None,

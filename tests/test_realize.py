@@ -1552,7 +1552,7 @@ def test_a_realize_item_frames_its_positions_once_and_a_configuration_its_points
     T3 g=0 on one fresh configuration: realize frames each curve's positions
     from its own integers, and no call of _integral_frame frames a position
     again; the configuration's points are framed once for all the
-    verifications, and each drawing frames the points alone."""
+    verifications, and once for all the drawings."""
     from tropico import render
 
     # the package attribute tropico.realize is the function, not the module
@@ -1568,7 +1568,9 @@ def test_a_realize_item_frames_its_positions_once_and_a_configuration_its_points
         return counted_frame
 
     shared = stretch_points(T3_G0, 0)
-    cfg = PointConfig(shared.direction, shared.points, shared.omega_minus, shared.omega_plus)
+    # a points tuple of its own, which no earlier drawing has framed
+    points = tuple(list(shared.points))
+    cfg = PointConfig(shared.direction, points, shared.omega_minus, shared.omega_plus)
     items = 0
     for diag, marking in _marked(T3_G0):
         calls["tropical"] = []
@@ -1584,13 +1586,14 @@ def test_a_realize_item_frames_its_positions_once_and_a_configuration_its_points
         assert vars(realization.curve)["frame"] == frame(realization.curve.positions)
         items += 1
         assert calls["realize"] == [list(cfg.points)]
-        assert calls["render"] == [list(cfg.points)] * items
+        assert calls["render"] == [list(cfg.points)]
     assert items == 9
 
 
 def test_the_default_spacing_is_computed_once_per_spec():
     spec = DiagramSpec(triangle(4), (0, 1), 1, (), (), (), (4,))
     default_spacing.cache_clear()
+    stretch_points.cache_clear()
     items = _marked(spec)
     for diag, marking in items:
         realize_stretched(diag, marking, spec)

@@ -4,15 +4,17 @@ import math
 import random
 from fractions import Fraction
 
-from tropico import io
+from tropico import io, render
 from tropico.diagram import enumerate_diagrams, enumerate_markings
 from tropico.lattice import det, diamond, octic_quadrilateral, triangle
 from tropico.peel import DiagramSpec
 from tropico.realize import realize_stretched
 from tropico.render import (
     RenderStyle,
+    _box_exit,
     _exit_parameter,
     _frame_polygon,
+    _sides,
     render_curve_svg,
     render_subdivision_svg,
 )
@@ -41,11 +43,42 @@ def clip_ray_brute_force(base, direction, frame):
     return (base[0] + best * direction[0], base[1] + best * direction[1])
 
 
+def exit_parameter_reference(base, direction, frame):
+    """First exit of the ray base + t * direction from the convex polygon
+    frame, in integers, each side's vector and determinant built for the
+    ray: t = num / den with den > 0, or None when the ray leaves through no
+    side.  The reference for _exit_parameter, which reads sides prepared
+    once per drawing, and for _box_exit."""
+    best = None
+    n = len(frame)
+    for i in range(n):
+        a, b = frame[i], frame[(i + 1) % n]
+        edge = (b[0] - a[0], b[1] - a[1])
+        d = det(direction, edge)
+        if d == 0:
+            continue
+        r = (a[0] - base[0], a[1] - base[1])
+        t = r[0] * edge[1] - r[1] * edge[0]
+        s = r[0] * direction[1] - r[1] * direction[0]
+        if d < 0:
+            d, t, s = -d, -t, -s
+        if t > 0 and 0 <= s <= d and (best is None or t * best[1] < best[0] * d):
+            best = (t, d)
+    return best
+
+
+def box_corners(box):
+    x0, y0, x1, y1 = box
+    return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+
+
 def exit_point(base, direction, frame):
     """_exit_parameter on the integer frame of base and frame, as a point in
-    the original coordinates (the parameter scales with the frame)."""
+    the original coordinates (the parameter scales with the frame), after
+    checking it against the reference."""
     m, ints = _integral_frame([base] + list(frame))
-    hit = _exit_parameter(ints[0], direction, ints[1:])
+    hit = _exit_parameter(ints[0], direction, _sides(ints[1:]))
+    assert hit == exit_parameter_reference(ints[0], direction, ints[1:])
     if hit is None:
         t = Fraction(1)
     else:
@@ -76,8 +109,17 @@ def test_exit_parameter_matches_brute_force_on_lattice_frames():
         for v in frame:
             assert_exits_match(v, frame)
     assert clip_ray_brute_force((2, 3), (1, 1), box) == (5, 6)
-    assert Fraction(*_exit_parameter((2, 3), (1, 1), box)) == 3
-    assert _exit_parameter((9, 9), (1, 0), box) is None
+    assert Fraction(*_exit_parameter((2, 3), (1, 1), _sides(box))) == 3
+    assert _exit_parameter((9, 9), (1, 0), _sides(box)) is None
+    # from inside the rectangle, through the nearer side ahead; at a corner
+    # both sides ahead give the same parameter
+    bounds = (-4, -3, 5, 6)
+    assert box_corners(bounds) == box
+    for base in itertools.product(range(-3, 5), range(-2, 6)):
+        for u in DIRECTIONS + [(3, -7), (-5, 2)]:
+            assert Fraction(*_box_exit(base, u, bounds)) == Fraction(
+                *exit_parameter_reference(base, u, box)
+            ), (base, u)
 
 
 def test_exit_parameter_matches_brute_force_on_rational_frames():
@@ -94,6 +136,48 @@ def test_exit_parameter_matches_brute_force_on_rational_frames():
                 assert_exits_match(base, frame)
             for v in frame:
                 assert_exits_match(v, frame)
+
+
+def test_every_drawn_exit_matches_the_reference(monkeypatch):
+    """Every ray and Omega line drawn for the realize corpus, with and
+    without the anticanonical frame, and Omega lines whose base lies
+    outside the rectangle: _box_exit and _exit_parameter give the
+    reference's exit, the latter as the same pair."""
+    from test_realize import REALIZE_CORPUS, _marked
+
+    seen = {"box": 0, "sides": 0, "outside": 0}
+
+    def box_exit(base, direction, box):
+        hit = _box_exit(base, direction, box)
+        want = exit_parameter_reference(base, direction, box_corners(box))
+        assert Fraction(*hit) == Fraction(*want), (base, direction, box)
+        seen["box"] += 1
+        return hit
+
+    def exit_parameter(base, direction, sides):
+        hit = _exit_parameter(base, direction, sides)
+        assert hit == exit_parameter_reference(base, direction, [a for a, _ in sides])
+        seen["sides"] += 1
+        seen["outside"] += hit is None
+        return hit
+
+    monkeypatch.setattr(render, "_box_exit", box_exit)
+    monkeypatch.setattr(render, "_exit_parameter", exit_parameter)
+    styles = (RenderStyle(), RenderStyle(anticanonical_frame=True))
+    for spec in REALIZE_CORPUS:
+        for diag, marking in _marked(spec):
+            realization, cfg = realize_stretched(diag, marking, spec, seed=0)
+            curve = realization.curve.to_plane_curve(newton=spec.polygon)
+            for style in styles:
+                render_curve_svg(curve, style, cfg.points, cfg.omega_lines)
+    curve, _ = corner_locus(TropicalPolynomial.make({(0, 0): 0, (1, 0): 0, (0, 1): 0}))
+    for style in styles:
+        render_curve_svg(curve, style, [(Fraction(1, 3), 2)], OUTSIDE_OMEGA)
+    assert seen["box"] > 3900 and seen["sides"] > 3900 and seen["outside"] >= 4, seen
+
+
+# a line whose base lies outside the frame, and one through it
+OUTSIDE_OMEGA = [((40, Fraction(7, 2)), (0, 1)), ((1, -1), (1, 2))]
 
 
 def test_curve_svgs_pinned():
@@ -116,10 +200,9 @@ def test_omega_lines_outside_the_frame_pinned():
     # a line whose base lies outside the frame meets no side and is drawn
     # one unit along its direction; sha256 from the Fraction renderer
     curve, _ = corner_locus(TropicalPolynomial.make({(0, 0): 0, (1, 0): 0, (0, 1): 0}))
-    omega = [((40, Fraction(7, 2)), (0, 1)), ((1, -1), (1, 2))]
     digest = hashlib.sha256()
     for style in (RenderStyle(), RenderStyle(anticanonical_frame=True)):
-        svg = render_curve_svg(curve, style, [(Fraction(1, 3), 2)], omega, {0: "1"})
+        svg = render_curve_svg(curve, style, [(Fraction(1, 3), 2)], OUTSIDE_OMEGA, {0: "1"})
         digest.update(svg.encode())
     assert digest.hexdigest() == "e5e71c07291787c05f5ff1854495e4f5d82ea3a1ef930e0f0ef00c001d96fa86"
 
