@@ -251,8 +251,13 @@ def component_count(nodes, links):
 
 
 def _shoelace2(vertices):
-    n = len(vertices)
-    return sum(det(vertices[i], vertices[(i + 1) % n]) for i in range(n))
+    """Twice the signed area: det(p, q) summed over the sides (p, q)."""
+    px, py = vertices[-1]
+    total = 0
+    for x, y in vertices:
+        total += px * y - py * x
+        px, py = x, y
+    return total
 
 
 def _strip_collinear(vertices):

@@ -1,4 +1,4 @@
-"""Deterministic SVG rendering of plane tropical curves.
+"""Deterministic SVG rendering of plane tropical curves and subdivisions.
 
 The anticanonical frame option draws the Newton polygon, scaled around the
 curve, as the boundary of the ambient toric surface: every infinite branch
@@ -242,11 +242,20 @@ def render_curve_svg(curve, style=None, points=(), omega_lines=(), labels=None):
 
 
 def render_subdivision_svg(subdivision, style=None):
-    """SVG of a dual subdivision: the Newton polygon with its cells."""
+    """SVG of a dual subdivision: its cells and a circle per lattice point
+    of each cell, each point's pixel pair formatted once per drawing."""
     style = style or RenderStyle()
     pts = [v for c in subdivision.cells for v in c.vertices]
     x0, y0, x1, y1 = _bounds(pts)
     to_px = _pixel_map(style, x0, y0, max(x1 - x0, 1), max(y1 - y0, 1))
+    cell_points = [cell.lattice_points() for cell in subdivision.cells]
+    corner, circle = {}, {}  # lattice point -> its polygon corner, its circle
+    for points in cell_points:
+        for v in points:
+            if v not in corner:
+                x, y = (f"{c:.3f}" for c in to_px(*v))
+                corner[v] = f"{x},{y}"
+                circle[v] = f'<circle cx="{x}" cy="{y}" r="2" fill="#666"/>'
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{style.width}"'
@@ -254,11 +263,8 @@ def render_subdivision_svg(subdivision, style=None):
         '<rect width="100%" height="100%" fill="white"/>',
     ]
     for cell in subdivision.cells:
-        path = " ".join(f"{x:.3f},{y:.3f}" for x, y in (to_px(*v) for v in cell.vertices))
+        path = " ".join([corner[v] for v in cell.vertices])
         lines.append(f'<polygon points="{path}" fill="none" stroke="black"/>')
-    for cell in subdivision.cells:
-        for v in cell.lattice_points():
-            px, py = to_px(*v)
-            lines.append(f'<circle cx="{px:.3f}" cy="{py:.3f}" r="2" fill="#666"/>')
+    lines += [circle[v] for points in cell_points for v in points]
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -16,20 +16,21 @@ each pair of the P original pieces at most once, by a sweep over their
 boxes' left edges that stops a row at the first box right of its own, and
 then replays the split order from the table of crossings it found.
 Stable intersection tests a pair of pieces only when their boxes meet,
-by the same rule (_piece_box, which the scan writes inline).
+by the same rule (_piece_box, which the scan writes inline), and keys
+each point by its reduced integer triple; Fractions are built at the end.
 
 The hull walk stays in the integers of its scaled lift: each cell comes
-with its integer plane (nx, ny, D) and its vertex ring, hulled once
-(lattice.hull_ring, by the monotone chain, which also serves convex_hull
-and the collinear Legendre domain).  The corner locus takes each ring as
-its cell's polygon after one check of its form (LatticePolygon.from_ring),
-lists the ring edges once and reads the owners of each edge, the
-segments, the rays and the crossings off that list; it builds two
-Fractions per vertex and the segment directions from integer cross terms
-of the planes.  The Legendre transform reads the vertices off the rings.
-Only the ray circuit becomes a polygon through the general constructor
-(_dual_polygon); the delta invariant reads each vertex's dual cell off its
-star (_balanced).
+with its integer plane (nx, ny, D) and its vertex ring, a triangle's read
+off the sign of one determinant, any other's hulled once by the monotone
+chain (lattice.hull_ring, as for convex_hull and the collinear Legendre
+domain).  The corner locus takes each ring as its cell's polygon after one
+check (LatticePolygon.from_ring), lists the ring edges once and reads the
+owners of each edge, the segments, the rays and the crossings off that
+list; it builds two Fractions per vertex and the segment directions from
+integer cross terms of the planes.  The Legendre transform, on the integer
+lift of -f, reads the vertices off the rings.  Only the ray circuit
+becomes a polygon through the general constructor (_dual_polygon); the
+delta invariant reads each vertex's dual cell off its star (_balanced).
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ def _lattice_point(p):
     """p as a pair of ints.  As for a LatticePolygon vertex, each coordinate
     must equal its int(): 1.0 is read as 1, while 1.9 and "1" are rejected."""
     x, y = p
+    if type(x) is type(y) is int:
+        return (x, y)
     if x != int(x) or y != int(y):
         raise TropicalError(f"exponent {p!r} is not a lattice point")
     return (int(x), int(y))
@@ -380,6 +383,7 @@ def _upper_cells(poly_terms):
         return {}
     scale_ = math.lcm(*(a.denominator for a in lift.values()))
     h = {p: a.numerator * (scale_ // a.denominator) for p, a in lift.items()}
+    lifted = [(x, y, h[x, y]) for x, y in pts]
     # start edge: from the least point v0, a polygon vertex, along the
     # polygon edge to the next vertex v1 of the lower chain, to the point of
     # that edge with the largest lift slope, which lies on the upper hull
@@ -397,11 +401,14 @@ def _upper_cells(poly_terms):
         p, q = stack.pop()
         if (p, q) in done:
             continue
-        found = _pivot(pts, h, p, q)
+        found = _pivot(lifted, h, p, q)
         if found is None:
             continue  # (p, q) lies on the boundary of the Newton polygon
         eq, (nx, ny, den) = found  # eq is sorted, as pts is
-        ring = lattice.hull_ring(eq)
+        if len(eq) == 3:  # a triangle: its ring is eq, or eq turned
+            ring = eq if det(sub(eq[1], eq[0]), sub(eq[2], eq[0])) > 0 else [eq[0], eq[2], eq[1]]
+        else:
+            ring = lattice.hull_ring(eq)
         cells[frozenset(eq)] = (nx, ny, den * scale_, ring)
         for a, b in zip(ring, ring[1:] + ring[:1]):
             done.add((a, b))
@@ -410,10 +417,11 @@ def _upper_cells(poly_terms):
     return cells
 
 
-def _pivot(pts, h, p, q):
+def _pivot(lifted, h, p, q):
     """Upper supporting plane through the lifted p and q that is tilted
     onto the left of p -> q, as (points on it, (nx, ny, den)) with gradient
     (nx, ny) / den in lift units; None when no point lies on the left.
+    lifted lists the sorted points as triples (x, y, h(x, y)).
 
     The planes through the lifted p, q are A(x) + s * D(x), with A the
     lift interpolated along pq and D(x) = det(q - p, x - p); the plane must
@@ -428,11 +436,11 @@ def _pivot(pts, h, p, q):
     hp = h[p]
     dh = h[q] - hp
     best_n, best_d = None, 1
-    for r in pts:
-        rx, ry = r[0] - px, r[1] - py
+    for x, y, hr in lifted:
+        rx, ry = x - px, y - py
         dd = ex * ry - ey * rx
         if dd > 0:
-            num = (h[r] - hp) * ee - dh * (ex * rx + ey * ry)
+            num = (hr - hp) * ee - dh * (ex * rx + ey * ry)
             if best_n is None or num * best_d > best_n * dd:
                 best_n, best_d = num, dd
     if best_n is None:
@@ -440,7 +448,7 @@ def _pivot(pts, h, p, q):
     den = ee * best_d
     nx, ny = dh * best_d * ex - best_n * ey, dh * best_d * ey + best_n * ex
     c = hp * den - nx * px - ny * py
-    return [r for r in pts if h[r] * den - nx * r[0] - ny * r[1] == c], (nx, ny, den)
+    return [(x, y) for x, y, hr in lifted if hr * den - nx * x - ny * y == c], (nx, ny, den)
 
 
 def corner_locus(poly):
@@ -535,14 +543,15 @@ def legendre_transform(f):
 
     The active gradients are the vertices of the lower convex hull of the
     lifted graph {(x, f(x))}; each yields the affine piece p . x - f(x) on
-    its (full-dimensional) argmax region.
+    its (full-dimensional) argmax region.  A Fraction value is taken as it is.
     """
-    f = {_lattice_point(p): Fraction(v) for p, v in dict(f).items()}
+    f = {_lattice_point(p): v if type(v) is Fraction else Fraction(v) for p, v in dict(f).items()}
     if not f:
         raise TropicalError("empty domain")
     # the cells of the lower hull of the lifted graph of f are the upper
-    # cells of -f; {} when dom f is collinear
-    cells = _upper_cells(tuple((p, -v) for p, v in f.items()))
+    # cells of -f, lifted here to integers; {} when dom f is collinear
+    m = math.lcm(*(v.denominator for v in f.values()))
+    cells = _upper_cells(tuple((p, -v.numerator * (m // v.denominator)) for p, v in f.items()))
     return LegendreTransform(tuple(AffinePiece(x, -f[x]) for x in _lower_hull_vertices(f, cells)))
 
 
@@ -852,7 +861,9 @@ def stable_intersection(c1, c2):
     w1 * w2 * |det(u1, u2)|.  Degenerate contact (overlap, or a crossing at
     a vertex) raises NonTransverse; see stable_intersection_generic.  A
     pair of pieces goes to _intersect_pieces only when their boxes
-    (_piece_box) meet."""
+    (_piece_box) meet.  A point is keyed by its reduced integer triple (x,
+    y, den) and sorted over the common denominator; Fractions are built
+    for the points returned."""
     m, ints = _joint_frame(c1.frame, c2.frame)
     points = {}
     pieces2 = [(p, q, u, w, _piece_box(p, q, u)) for p, q, u, w, _ in c2.pieces(ints[len(c1.vertices):])]
@@ -865,12 +876,15 @@ def stable_intersection(c1, c2):
             if hit is None:
                 continue
             (x, y, den), at_end = hit
-            point = (Fraction(x, den * m), Fraction(y, den * m))
             if at_end:
+                point = (Fraction(x, den * m), Fraction(y, den * m))
                 raise NonTransverse(f"intersection at a vertex: {point}")
-            mult = w1 * w2 * abs(det(u1, u2))
-            points[point] = points.get(point, 0) + mult
-    return sorted(points.items())
+            g = math.gcd(x, y, den)
+            key = (x // g, y // g, den // g)
+            points[key] = points.get(key, 0) + w1 * w2 * abs(det(u1, u2))
+    lcd = math.lcm(*(den for _, _, den in points))
+    order = sorted(points, key=lambda k: (k[0] * (lcd // k[2]), k[1] * (lcd // k[2])))
+    return [((Fraction(x, den * m), Fraction(y, den * m)), points[x, y, den]) for x, y, den in order]
 
 
 INTERSECTION_TRIES = 32

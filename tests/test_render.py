@@ -6,19 +6,23 @@ from fractions import Fraction
 
 from tropico import io, render
 from tropico.diagram import enumerate_diagrams, enumerate_markings
-from tropico.lattice import det, diamond, octic_quadrilateral, triangle
+from tropico.lattice import LatticePolygon, det, diamond, octic_quadrilateral, triangle
 from tropico.peel import DiagramSpec
 from tropico.realize import realize_stretched
 from tropico.render import (
     RenderStyle,
+    _bounds,
     _box_exit,
     _exit_parameter,
     _frame_polygon,
+    _pixel_map,
     _sides,
     render_curve_svg,
     render_subdivision_svg,
 )
-from tropico.tropical import TropicalPolynomial, _integral_frame, corner_locus
+from tropico.tropical import DualSubdivision, TropicalPolynomial, _integral_frame, corner_locus
+
+from test_tropical import bench_pairs
 
 
 def clip_ray_brute_force(base, direction, frame):
@@ -249,3 +253,56 @@ def test_tropicalize_outputs_pinned():
             n += 1
     assert n == 54
     assert digest.hexdigest() == "1130ede45e35235acdf7b494e810d28da0c13ebb7ae35e2e77cd568179bcf1ab"
+
+
+def render_subdivision_svg_reference(subdivision, style=None):
+    """render_subdivision_svg as it drew before it formatted each point's
+    pixel pair once per drawing: every polygon corner and every circle maps
+    and formats its point anew."""
+    style = style or RenderStyle()
+    pts = [v for c in subdivision.cells for v in c.vertices]
+    x0, y0, x1, y1 = _bounds(pts)
+    to_px = _pixel_map(style, x0, y0, max(x1 - x0, 1), max(y1 - y0, 1))
+
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{style.width}"'
+        f' height="{style.height}" viewBox="0 0 {style.width} {style.height}">',
+        '<rect width="100%" height="100%" fill="white"/>',
+    ]
+    for cell in subdivision.cells:
+        path = " ".join(f"{x:.3f},{y:.3f}" for x, y in (to_px(*v) for v in cell.vertices))
+        lines.append(f'<polygon points="{path}" fill="none" stroke="black"/>')
+    for cell in subdivision.cells:
+        for v in cell.lattice_points():
+            px, py = to_px(*v)
+            lines.append(f'<circle cx="{px:.3f}" cy="{py:.3f}" r="2" fill="#666"/>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def test_subdivision_svg_matches_the_reference():
+    # every subdivision of the benchmark's tropicalize corpus at seeds 0-9,
+    # coarse and fine on T4, T6 and T8; hand-built subdivisions around
+    # negative coordinates; and one-cell polygons, in three styles
+    subdivisions = [
+        corner_locus(poly)[1]
+        for seed in range(10)
+        for _, coarse, fine, _ in bench_pairs(seed)
+        for poly in (coarse, fine)
+    ]
+    assert len(subdivisions) == 260
+    square = LatticePolygon([(-3, -2), (1, -2), (1, 2), (-3, 2)])
+    halves = [LatticePolygon([(-3, -2), (1, -2), (1, 2)]), LatticePolygon([(-3, -2), (1, 2), (-3, 2)])]
+    kite = LatticePolygon([(-2, -5), (0, -1), (-1, 0), (-5, -3)])
+    fan = [LatticePolygon([(-1, -1), p, q]) for p, q in zip(kite.vertices, kite.vertices[1:] + kite.vertices[:1])]
+    subdivisions += [
+        DualSubdivision(square, tuple(halves), (((-3, -2), (1, 2)),), ()),
+        DualSubdivision(kite, tuple(fan), (), ()),
+        DualSubdivision(kite, (kite,), (), ()),
+        DualSubdivision(triangle(1), (triangle(1),), (), ()),
+        DualSubdivision(triangle(5), (triangle(5),), (), ()),
+    ]
+    styles = (RenderStyle(), RenderStyle(width=640, height=200, margin=0), RenderStyle(width=90, height=333))
+    for k, subdivision in enumerate(subdivisions):
+        for style in styles:
+            assert render_subdivision_svg(subdivision, style) == render_subdivision_svg_reference(subdivision, style), k

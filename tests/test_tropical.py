@@ -29,8 +29,10 @@ from tropico.lattice import (
 from tropico.peel import DiagramSpec
 from tropico.realize import realize_stretched
 from tropico.tropical import (
+    AffinePiece,
     DualSubdivision,
     InvariantViolation,
+    LegendreTransform,
     NonReduced,
     NonTransverse,
     NotClosed,
@@ -589,6 +591,60 @@ def test_legendre_transform_matches_its_definition():
     assert checked >= 1800
 
 
+def lattice_point_reference(p):
+    """_lattice_point without its shortcut for a pair of ints: every
+    coordinate must equal its int()."""
+    x, y = p
+    if x != int(x) or y != int(y):
+        raise TropicalError(f"exponent {p!r} is not a lattice point")
+    return (int(x), int(y))
+
+
+def legendre_transform_reference(f):
+    """legendre_transform as it read its input before it took ints and
+    Fractions as they are: every exponent through lattice_point_reference,
+    every value through Fraction, and the hull walk on the negated
+    Fractions."""
+    f = {lattice_point_reference(p): Fraction(v) for p, v in dict(f).items()}
+    if not f:
+        raise TropicalError("empty domain")
+    cells = _upper_cells(tuple((p, -v) for p, v in f.items()))
+    return LegendreTransform(tuple(AffinePiece(x, -f[x]) for x in tropical._lower_hull_vertices(f, cells)))
+
+
+def _typed_pieces(lt):
+    """The pieces of a transform with the types of their numbers, which
+    equality alone does not tell apart (1 == 1.0 == Fraction(1))."""
+    return [(piece.gradient, tuple(map(type, piece.gradient)), piece.offset, type(piece.offset))
+            for piece in lt.pieces]
+
+
+def test_legendre_transform_reads_its_input_as_the_reference():
+    # exponents: ints as they are, 1.0 as 1, True as 1; 1.9, "1" and 1/2 refused
+    square = {(0, 0): 0, (1, 0): 0, (0, 1): 0, (1, 1): -1}
+    for exponent in ((1.0, 0), (True, 0), (Fraction(1), 0)):
+        f = {**{e: v for e, v in square.items() if e != (1, 0)}, exponent: 0}
+        got = legendre_transform(f)
+        assert _typed_pieces(got) == _typed_pieces(legendre_transform(square))
+        assert _typed_pieces(got) == _typed_pieces(legendre_transform_reference(f))
+    for exponent in ((1.9, 0), ("1", 0), (0, Fraction(1, 2))):
+        for fn in (legendre_transform, legendre_transform_reference):
+            with pytest.raises(TropicalError, match="not a lattice point"):
+                fn({exponent: 0, (0, 0): 0, (0, 1): 0})
+    # values: ints, strings and Fractions, on a full and on a collinear domain
+    for values in ((0, 3, -2, 5), ("3/2", "-1", "0", "7/3"), (Fraction(3, 2), Fraction(-1, 4), 2, "1/6")):
+        for points in (((0, 0), (1, 0), (0, 1), (1, 1)), ((0, 0), (1, 1), (2, 2), (3, 3))):
+            f = dict(zip(points, values))
+            assert _typed_pieces(legendre_transform(f)) == _typed_pieces(legendre_transform_reference(f))
+    for fn in (legendre_transform, legendre_transform_reference):
+        with pytest.raises(TropicalError, match="empty domain"):
+            fn({})
+    # and every polynomial of the reference corpus, as its terms
+    for poly in reference_corpus(random.Random(12)):
+        f = dict(poly.terms)
+        assert _typed_pieces(legendre_transform(f)) == _typed_pieces(legendre_transform_reference(f)), poly
+
+
 def fraction_constructions(fn):
     """fn() and the number of Fractions it constructed: the calls of
     Fraction.__new__ and of _from_coprime_ints, by which Fraction
@@ -881,8 +937,9 @@ def test_stable_intersection_bezout_small(monkeypatch):
 
 
 def stable_intersection_reference(c1, c2):
-    """stable_intersection without its box filter: every pair of pieces
-    goes to _intersect_pieces."""
+    """stable_intersection without its box filter and without integer
+    keys: every pair of pieces goes to _intersect_pieces, and each point is
+    keyed, summed and sorted as its pair of Fractions."""
     m, ints = tropical._joint_frame(c1.frame, c2.frame)
     points = {}
     pieces2 = c2.pieces(ints[len(c1.vertices):])
@@ -950,6 +1007,73 @@ def check_box_filtered_intersection(pairs, seed):
 def test_box_filtered_intersection_matches_the_reference():
     raised, moved = check_box_filtered_intersection(intersection_pairs(random.Random(8), range(1, 9)), 500)
     assert raised == moved and 50 < raised < 200
+
+
+def bench_pairs(seed):
+    """The coarse/fine polynomial pairs of the benchmark's tropicalize
+    corpus at seed, drawn in the order perfbench/workloads.py draws them:
+    on T4 x8, T6 x4 and T8 x1, integer coefficients on every lattice point
+    (coarse) and near-concave lifts -(i^2 + j^2) + eps, |eps| <= 1/8, that
+    split every unit square (fine).  A list of (d, coarse, fine, the seed
+    of the pair's generic retry)."""
+    rng = random.Random(seed)
+    pairs = []
+    for d, k in ((4, 8), (6, 4), (8, 1)):
+        points = triangle(d).lattice_points()
+        coarse = [random_polynomial(rng, triangle(d), denom=1) for _ in range(k)]
+        fine = []
+        while len(fine) < k:
+            eps = {p: Fraction(rng.randint(-10**4, 10**4), 8 * 10**4) for p in points}
+            if all(eps[i, j] + eps[i + 1, j + 1] != eps[i + 1, j] + eps[i, j + 1]
+                   for i, j in points if i + j + 2 <= d):
+                fine.append(TropicalPolynomial.make({(i, j): -(i * i + j * j) + e for (i, j), e in eps.items()}))
+        pairs += [(d, c, f, rng.randrange(10**6)) for c, f in zip(coarse, fine)]
+    return pairs
+
+
+def test_integer_keyed_intersection_matches_the_reference_on_the_bench_corpus():
+    # the points, their multiplicities and order, the NonTransverse message
+    # and the generic retry's translation, as with Fraction keys, on every
+    # coarse/fine pair of seeds 0-2 and on each curve against itself
+    pairs = []
+    for seed in range(3):
+        for d, coarse, fine, _ in bench_pairs(seed):
+            c, f = corner_locus(coarse)[0], corner_locus(fine)[0]
+            pairs += [(d, c, f), (d, c, c), (d, f, f)]
+    raised, moved = check_box_filtered_intersection(pairs, 39)
+    assert len(pairs) == 117 and raised == moved >= 78
+
+
+def test_intersection_points_of_different_denominators_pinned():
+    # a line and a conic meet at x = -4 and at x = -38/15: sorted by their
+    # values, not by the numerators of a frame or of a reduced triple
+    line, _ = corner_locus(TropicalPolynomial.make({(0, 0): 0, (1, 0): 4, (0, 1): Fraction(-1, 3)}))
+    conic, _ = corner_locus(TropicalPolynomial.make({
+        (0, 0): Fraction(2, 3), (1, 0): Fraction(1, 3), (0, 1): 2,
+        (2, 0): Fraction(-1, 2), (1, 1): 3, (0, 2): Fraction(1, 5),
+    }))
+    want = [((Fraction(-4), Fraction(-4, 3)), 1), ((Fraction(-38, 15), Fraction(9, 5)), 1)]
+    for c1, c2 in ((line, conic), (conic, line)):
+        got = stable_intersection(c1, c2)
+        assert got == want == stable_intersection_reference(c1, c2)
+        assert all(type(x) is type(y) is Fraction for (x, y), _ in got)
+
+
+def test_generic_intersection_calls_the_module_attribute(monkeypatch):
+    # stable_intersection_generic looks stable_intersection up on the module
+    # at each try, so a wrapper set there (the benchmark tracer's, which
+    # counts the retries) sees every try
+    calls = []
+    original = tropical.stable_intersection
+    monkeypatch.setattr(tropical, "stable_intersection", lambda c1, c2: calls.append(c2) or original(c1, c2))
+    l1, _ = corner_locus(tropical_line())
+    l2, _ = corner_locus(tropical_line(Fraction(7, 3), Fraction(1, 2), 0))
+    assert stable_intersection_generic(l1, l2, seed=1) == (original(l1, l2), (0, 0))
+    assert calls == [l2]
+    del calls[:]
+    points, shift = stable_intersection_generic(l1, l1, seed=1)
+    assert shift != (0, 0) and len(calls) >= 2
+    assert calls[0] is l1 and calls[-1] == l1.translate(shift) and points == original(l1, calls[-1])
 
 
 def test_ray_census_matches_boundary():
