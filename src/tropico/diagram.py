@@ -639,15 +639,25 @@ def _alpha_labels(spec):
     return known["alpha_labels"]
 
 
-def _marked_elements(diagram, marking):
-    """(label_of, violations): the first label of each floor and edge that
-    the marking labels, and the violations of the marking rule that need no
-    spec: a label on an element the diagram does not have, an element
-    labelled twice, an edge with no label.  `marking_violations` and
-    `realize.verify_realization` both report these."""
-    _, edges, elements = diagram.elements
+def marking_violations(diagram, marking, spec):
+    """The one rule for a marking of a diagram of the spec, as its
+    violations (none for a marking): the labels are spec.label_range(), one
+    on each floor and edge (no label on an element the diagram does not
+    have, no element labelled twice, no edge unlabelled); floors carry
+    point labels 1..s; each edge's label lies between its floors'; and each
+    alpha block's labels go, in order, to tails on its side of the weights
+    `_alpha_labels` gives them.  Identical edges may take their labels in
+    any order.  `realize` raises InvalidMarking with these violations, and
+    `realize.verify_realization` reports them before any geometry.  The
+    element tables are the diagram's (FloorDiagram.elements), and the
+    alpha labels the spec's, each built once."""
+    labels, start, s = spec.label_range(), marking.label_start, spec.s
+    got = list(range(start, start + len(marking.labels)))
+    if got != labels:
+        return [f"labels {got} are not the label range {labels}"]
+    floors, edges, elements = diagram.elements
     label_of, violations = {}, []
-    for lab, el in enumerate(marking.labels, marking.label_start):
+    for lab, el in enumerate(marking.labels, start):
         if el in label_of:
             violations.append(f"labels {label_of[el]} and {lab} are both on {el!r}")
         elif el in elements:
@@ -655,32 +665,6 @@ def _marked_elements(diagram, marking):
         else:
             violations.append(f"label {lab} is on {el!r}, not a floor or edge of the diagram")
     violations += [f"edge {el[1]} is unmarked" for el, _, _ in edges if el not in label_of]
-    return label_of, violations
-
-
-def _label_range_violation(marking, labels):
-    """The violation of a marking whose labels are not the label range
-    labels, in the words of `marking_violations`, which
-    `realize.verify_realization` reports too."""
-    got = list(range(marking.label_start, marking.label_start + len(marking.labels)))
-    return f"labels {got} are not the label range {labels}"
-
-
-def marking_violations(diagram, marking, spec):
-    """The one rule for a marking of a diagram of the spec, as its
-    violations (none for a marking): the labels are spec.label_range(), one
-    on each floor and edge (`_marked_elements`); floors carry point labels
-    1..s; each edge's label lies between its floors'; and each alpha
-    block's labels go, in order, to tails on its side of the weights
-    `_alpha_labels` gives them.  Identical edges may take their labels in
-    any order.  `realize` raises InvalidMarking with these violations.
-    The element tables are the diagram's (FloorDiagram.elements), and the
-    alpha labels the spec's, each built once."""
-    labels, start, s = spec.label_range(), marking.label_start, spec.s
-    if list(range(start, start + len(marking.labels))) != labels:
-        return [_label_range_violation(marking, labels)]
-    floors, edges, elements = diagram.elements
-    label_of, violations = _marked_elements(diagram, marking)
     for el in floors:
         if not 1 <= label_of.get(el, 0) <= s:
             violations.append(f"floor {el[1]} must carry a point label")

@@ -12,7 +12,7 @@ union-find (component_roots) lives here too.
 from __future__ import annotations
 
 import math
-from functools import cache, cached_property
+from functools import cache, cached_property, cmp_to_key
 from operator import attrgetter
 
 
@@ -188,35 +188,20 @@ def integral_length(p, q):
     return math.gcd(abs(q[0] - p[0]), abs(q[1] - p[1]))
 
 
-def _angle_key(v):
-    # exact cyclic-order key helper: half-plane index, used with cross products
-    if v[1] > 0 or (v[1] == 0 and v[0] > 0):
-        return 0
-    return 1
-
-
-def angle_less(u, v):
-    """Strict counterclockwise order of directions, starting just above (1,0)."""
-    hu, hv = _angle_key(u), _angle_key(v)
-    if hu != hv:
-        return hu < hv
-    return det(u, v) > 0
-
-
 def sort_by_angle(vectors):
     """Sort nonzero vectors counterclockwise starting at direction (1, 0)."""
-    import functools
 
     def cmp(u, v):
-        if u == v:
-            return 0
-        if angle_less(u, v):
-            return -1
-        if angle_less(v, u):
-            return 1
-        return 0  # parallel, same direction
+        # the half-plane from (1, 0) up to (-1, 0) first; within one, the
+        # cross product decides, and parallel vectors tie
+        hu = not (u[1] > 0 or (u[1] == 0 and u[0] > 0))
+        hv = not (v[1] > 0 or (v[1] == 0 and v[0] > 0))
+        if hu != hv:
+            return hu - hv
+        c = det(u, v)
+        return (c < 0) - (c > 0)
 
-    return sorted(vectors, key=functools.cmp_to_key(cmp))
+    return sorted(vectors, key=cmp_to_key(cmp))
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +259,36 @@ def _strip_collinear(vertices):
     return pts
 
 
+def _ring_fault(ring):
+    """Why ring, of 3 or more points, is not a stored polygon's vertices, or
+    None if it is: it must turn strictly left at each vertex, wind once and
+    start from its least point.  One pass checks the three, for both
+    LatticePolygon constructors."""
+    first = ring[0]
+    (ax, ay), (bx, by) = ring[-2], ring[-1]
+    ux, uy = bx - ax, by - ay
+    winds = 0
+    for p in ring:
+        vx, vy = p[0] - bx, p[1] - by
+        if ux * vy - uy * vx <= 0:
+            return f"does not turn strictly left at {(bx, by)}"
+        # the direction passes (1, 0): from the lower half-plane to the upper
+        if (uy < 0 or (uy == 0 and ux < 0)) and (vy > 0 or (vy == 0 and vx > 0)):
+            winds += 1
+        if p < first:
+            return "does not start from its least point"
+        ux, uy, bx, by = vx, vy, p[0], p[1]
+    return f"winds {winds} times" if winds != 1 else None
+
+
 class LatticePolygon(Record):
     """Strictly convex polygon with integral vertices, stored counterclockwise.
 
     Clockwise input is silently reversed; consecutive collinear or repeated
-    vertices are merged.  Segments and points are rejected.  A ring that is
-    already in the stored form, such as a hull's (hull_ring), is checked and
-    taken as it is by from_ring.
+    vertices are merged.  Segments and points are rejected, and so is what
+    then fails the stored form's check (_ring_fault), such as a reflex
+    corner.  A ring that is already in the stored form, such as a hull's
+    (hull_ring), is checked alike and taken as it is by from_ring.
     """
 
     vertices: tuple
@@ -296,45 +304,25 @@ class LatticePolygon(Record):
             raise DegeneratePolygon("need at least 3 non-collinear vertices")
         if _shoelace2(pts) < 0:
             pts.reverse()
-        n = len(pts)
-        turns = 0
-        for i in range(n):
-            u = sub(pts[(i + 1) % n], pts[i])
-            v = sub(pts[(i + 2) % n], pts[(i + 1) % n])
-            if det(u, v) <= 0:
-                raise DegeneratePolygon("polygon is not strictly convex")
-            if not angle_less(u, v):
-                turns += 1
-        if turns != 1:
-            raise DegeneratePolygon("edge directions wind more than once")
-        start = min(range(n), key=lambda i: pts[i])
-        _set_field(self, "vertices", tuple(pts[start:] + pts[:start]))
+        start = min(range(len(pts)), key=pts.__getitem__)
+        ring = tuple(pts[start:] + pts[:start])
+        fault = _ring_fault(ring)
+        if fault:
+            raise DegeneratePolygon(f"polygon {fault}")
+        _set_field(self, "vertices", ring)
 
     @classmethod
     def from_ring(cls, ring):
         """The polygon whose stored vertices are ring: lattice points
         counterclockwise from the least one, turning strictly left at each
-        and winding once, as hull_ring returns them.  One pass checks the
-        three; a ring that fails one is a bug of its maker and raises
-        InvariantViolation.  Nothing is stripped, turned or rotated."""
+        and winding once, as hull_ring returns them (_ring_fault).  A ring
+        that fails is a bug of its maker and raises InvariantViolation.
+        Nothing is stripped, turned or rotated."""
         if len(ring) < 3:
             raise InvariantViolation(f"ring {ring} has fewer than 3 vertices")
-        first = ring[0]
-        (ax, ay), (bx, by) = ring[-2], ring[-1]
-        ux, uy = bx - ax, by - ay
-        winds = 0
-        for p in ring:
-            vx, vy = p[0] - bx, p[1] - by
-            if ux * vy - uy * vx <= 0:
-                raise InvariantViolation(f"ring {ring} does not turn strictly left at {(bx, by)}")
-            # the direction passes (1, 0): from the lower half-plane to the upper
-            if (uy < 0 or (uy == 0 and ux < 0)) and (vy > 0 or (vy == 0 and vx > 0)):
-                winds += 1
-            if p < first:
-                raise InvariantViolation(f"ring {ring} does not start from its least point")
-            ux, uy, bx, by = vx, vy, p[0], p[1]
-        if winds != 1:
-            raise InvariantViolation(f"ring {ring} winds {winds} times")
+        fault = _ring_fault(ring)
+        if fault:
+            raise InvariantViolation(f"ring {ring} {fault}")
         polygon = cls.__new__(cls)
         _set_field(polygon, "vertices", tuple(ring))
         return polygon

@@ -470,18 +470,15 @@ def points_on_curve(pc, framed, hints=()):
 def verify_realization(realization, diagram, marking, cfg, spec):
     """All bijection-side checks; returns the list of violations (empty = pass).
 
-    Balancing, trivalence and the multiplicity come from one cached walk
-    over the curve's star map (ParametrizedCurve.star_census), which a
-    later tropical_multiplicity reads too.  A curve on which a
-    check cannot be made (rays that span no polygon, a vertex that is not
-    trivalent, no floor decomposition) gets a violation for it, not an
-    exception.  An edge that joins a vertex the curve does not have, a
-    marking that the diagram cannot read (`diagram._marked_elements`: a
-    label on an element it does not have, an element labelled twice, an
-    unmarked edge), and labels that do not start at the start of the spec's
-    label range or run past its top (`diagram._label_range_violation`), are
-    the only violations reported, since no other check can read such a
-    curve or marking: the Omega test would read another label's line.
+    The violations of the marking rule (`diagram.marking_violations`, which
+    `realize` raises) and edges that join a vertex the curve does not have
+    are reported alone, before any geometry, since no other check can read
+    such a curve or marking: the Omega test would read another label's
+    line.  Balancing, trivalence and the multiplicity come from one cached
+    walk over the curve's star map (ParametrizedCurve.star_census), which a
+    later tropical_multiplicity reads too.  A curve on which a check cannot
+    be made (rays that span no polygon, a vertex that is not trivalent, no
+    floor decomposition) gets a violation for it, not an exception.
 
     A curve that passes costs time linear in its edges.  Each marked point
     is tested first on the edges its label names in the realization's own
@@ -501,8 +498,9 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     does not are the canonical keys compared, so the verdict is
     isomorphism, on every curve.  Both sides are read as `_floor_data`, the
     diagram's cached, and a FloorDiagram of the decomposition is built only
-    for that fallback.  The point test and the Omega test are integer ones;
-    the latter also compares each fixed tail's weight with its line's.
+    for that fallback.  The point test and the Omega test (each alpha
+    label's tail on its line; its weight is the marking rule's) are integer
+    ones.
     """
     pc = realization.curve
     n = len(pc.positions)
@@ -511,11 +509,7 @@ def verify_realization(realization, diagram, marking, cfg, spec):
         for i, e in enumerate(pc.edges)
         if not 0 <= e.a < n or e.b >= n
     ]
-    label_of, unread = diagram_mod._marked_elements(diagram, marking)
-    violations += unread
-    labels = spec.label_range()
-    if marking.label_start != labels[0] or marking.label_start + len(marking.labels) > labels[-1] + 1:
-        violations.append(diagram_mod._label_range_violation(marking, labels))
+    violations += diagram_mod.marking_violations(diagram, marking, spec)
     if violations:
         return violations
     balanced, mu, not_trivalent = pc.star_census
@@ -567,18 +561,14 @@ def verify_realization(realization, diagram, marking, cfg, spec):
         violations += diagram_mod.tail_type_violations(
             [w for u, w in rays if u == down], [w for u, w in rays if u == d], spec
         )
-    # alpha rays supported on their Omega lines, of their lines' weights:
-    # the realization's abscissa times cfg's scale against the line's times
-    # the realization's unit, since cfg may not be the one realized on
-    frame, unit, fixed = cfg.frame, realization.unit, diagram_mod._alpha_labels(spec)
-    for idx, (_, _, w) in enumerate(diagram.edges):
-        lab = label_of["e", idx]
-        if lab in fixed:
-            tail = f"fixed {'top' if lab > 0 else 'bottom'} tail {idx}"
-            if realization.elevators[idx] * frame.scale != frame.xs[lab - frame.start] * unit:
-                violations.append(f"{tail} off its Omega line")
-            if w != fixed[lab]:
-                violations.append(f"{tail} of weight {w} on an Omega line of weight {fixed[lab]}")
+    # alpha rays supported on their Omega lines, by edge index: the
+    # realization's abscissa times cfg's scale against the line's times the
+    # realization's unit, since cfg may not be the one realized on
+    frame, unit, start = cfg.frame, realization.unit, marking.label_start
+    fixed = sorted((marking.labels[lab - start][1], lab) for lab in diagram_mod._alpha_labels(spec))
+    for idx, lab in fixed:
+        if realization.elevators[idx] * frame.scale != frame.xs[lab - frame.start] * unit:
+            violations.append(f"fixed {'top' if lab > 0 else 'bottom'} tail {idx} off its Omega line")
     # multiplicity factorization
     if not_trivalent:
         violations.append(not_trivalent)

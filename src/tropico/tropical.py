@@ -755,7 +755,9 @@ class ParametrizedCurve(Record):
 
     def to_plane_curve(self, newton=None):
         """Image as a plane tropical curve; planar crossings become marked
-        4-valent vertices, splitting the straight pieces that pass through."""
+        4-valent vertices, splitting the straight pieces that pass through.
+        A newton polygon is taken as given, unchecked against the rays;
+        without one, the rays' circuit is built (_dual_polygon)."""
         return _parametrized_to_plane(self, newton)
 
 

@@ -1163,43 +1163,64 @@ def _swapped(marking, a, b):
     return Marking(marking.diagram, marking.label_start, tuple(labels))
 
 
-def test_each_tampered_marking_has_its_own_violation():
-    # the swapped alpha labels of T3 a-=(1,1): the weight-2 tail on the
-    # weight-1 label and back
+def tampered_markings():
+    """The tampered markings of test_each_tampered_marking_has_its_own_violation
+    by name, each as (spec, the listed marking it was made from, the
+    tampered marking): swapped alpha labels, an alpha label on the mobile
+    tail of weight 2 or on a floor, at the bottom and at the top, an edge
+    labelled below its source floor, a shifted range and a duplicated
+    element."""
+    out = {}
     diag = enumerate_diagrams(T3_A11)[0]
     marking = enumerate_markings(diag, T3_A11)[0]
+    out["alpha swap"] = T3_A11, marking, _swapped(marking, -1, 0)
+    for spec, fixed, side in ((T3_A1_B01, 0, "bottom"), (T3_TOP_A1_B01, 7, "top")):
+        diag = enumerate_diagrams(spec)[0]
+        marking = enumerate_markings(diag, spec)[0]
+        label = {el: lab for lab, el in marking.as_dict().items()}
+        heavy = next(("e", i) for i, (_, _, w) in enumerate(diag.edges) if w == 2)
+        out[f"{side} heavy"] = spec, marking, _swapped(marking, fixed, label[heavy])
+        out[f"{side} floor"] = spec, marking, _swapped(marking, fixed, label["f", 0])
+    diag = enumerate_diagrams(T3_B3_G1)[0]
+    marking = enumerate_markings(diag, T3_B3_G1)[0]
+    out["below"] = T3_B3_G1, marking, _swapped(marking, 4, 5)
+    out["shifted"] = T3_B3_G1, marking, Marking(diag, marking.label_start - 3, marking.labels)
+    out["twice"] = T3_B3_G1, marking, Marking(diag, 1, marking.labels[:8] + (("e", 5),))
+    return out
+
+
+def test_each_tampered_marking_has_its_own_violation():
+    tampered = tampered_markings()
+    # the swapped alpha labels of T3 a-=(1,1): the weight-2 tail on the
+    # weight-1 label and back
+    _, marking, swapped = tampered["alpha swap"]
+    diag = marking.diagram
     assert diag.edges[:2] == ((3, 0, 1), (4, 0, 2)) and marking.labels[:2] == (("e", 0), ("e", 1))
-    assert marking_violations(diag, _swapped(marking, -1, 0), T3_A11) == [
+    assert marking_violations(diag, swapped, T3_A11) == [
         "label -1 is not on a bottom tail of weight 1",
         "label 0 is not on a bottom tail of weight 2",
     ]
     # an alpha label on the mobile tail of weight 2, at the bottom and at the
     # top; an alpha label on a floor
     for spec, fixed, side in ((T3_A1_B01, 0, "bottom"), (T3_TOP_A1_B01, 7, "top")):
-        diag = enumerate_diagrams(spec)[0]
-        marking = enumerate_markings(diag, spec)[0]
-        label = {el: lab for lab, el in marking.as_dict().items()}
-        heavy = next(("e", i) for i, (_, _, w) in enumerate(diag.edges) if w == 2)
         alpha = f"label {fixed} is not on a {side} tail of weight 1"
-        assert marking_violations(diag, _swapped(marking, fixed, label[heavy]), spec) == [alpha]
-        floor = _swapped(marking, fixed, label["f", 0])
-        violations = marking_violations(diag, floor, spec)
+        _, marking, heavy = tampered[f"{side} heavy"]
+        assert marking_violations(marking.diagram, heavy, spec) == [alpha]
+        violations = marking_violations(marking.diagram, tampered[f"{side} floor"][2], spec)
         assert violations[0] == "floor 0 must carry a point label" and violations[-1] == alpha
     # an edge labelled below its source floor, a shifted range, and a
     # duplicated element
-    diag = enumerate_diagrams(T3_B3_G1)[0]
-    marking = enumerate_markings(diag, T3_B3_G1)[0]
+    _, marking, below = tampered["below"]
+    diag = marking.diagram
     assert marking.labels[3:5] == (("f", 0), ("e", 3)) and diag.edges[3] == (0, 1, 1)
-    assert marking_violations(diag, _swapped(marking, 4, 5), T3_B3_G1) == [
+    assert marking_violations(diag, below, T3_B3_G1) == [
         "label of edge 3 is not between the labels of its floors"
     ]
-    shifted = Marking(diag, marking.label_start - 3, marking.labels)
-    assert marking_violations(diag, shifted, T3_B3_G1) == [
+    assert marking_violations(diag, tampered["shifted"][2], T3_B3_G1) == [
         f"labels {list(range(-2, 7))} are not the label range {list(range(1, 10))}"
     ]
     assert marking.labels[7:] == (("e", 5), ("f", 2))
-    twice = Marking(diag, 1, marking.labels[:8] + (("e", 5),))
-    assert marking_violations(diag, twice, T3_B3_G1) == [
+    assert marking_violations(diag, tampered["twice"][2], T3_B3_G1) == [
         "labels 8 and 9 are both on ('e', 5)",
         "floor 2 must carry a point label",
     ]

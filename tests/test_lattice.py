@@ -507,3 +507,115 @@ def test_hull_ring_is_the_polygon_the_general_constructor_keeps():
         if (b[0] - a[0]) % 2 == 0 and (b[1] - a[1]) % 2 == 0:
             shuffled.insert(1, ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2))
         assert LatticePolygon(shuffled[::-1]) == hull == LatticePolygon.from_ring(ring)
+
+
+def _angle_key(v):
+    # the half-plane index of post_init_reference's winding count
+    if v[1] > 0 or (v[1] == 0 and v[0] > 0):
+        return 0
+    return 1
+
+
+def _angle_less(u, v):
+    hu, hv = _angle_key(u), _angle_key(v)
+    if hu != hv:
+        return hu < hv
+    return det(u, v) > 0
+
+
+def post_init_reference(vertices):
+    """The stored vertices of LatticePolygon(vertices), by the constructor's
+    own turn and winding loop, as it was before it shared from_ring's
+    check; raises DegeneratePolygon as the constructor does."""
+    pts = []
+    for x, y in vertices:
+        if x != int(x) or y != int(y):
+            raise DegeneratePolygon("vertices must be integral")
+        pts.append((int(x), int(y)))
+    pts = lattice._strip_collinear(pts)
+    if len(pts) < 3:
+        raise DegeneratePolygon("need at least 3 non-collinear vertices")
+    if lattice._shoelace2(pts) < 0:
+        pts.reverse()
+    n = len(pts)
+    turns = 0
+    for i in range(n):
+        u = lattice.sub(pts[(i + 1) % n], pts[i])
+        v = lattice.sub(pts[(i + 2) % n], pts[(i + 1) % n])
+        if det(u, v) <= 0:
+            raise DegeneratePolygon("polygon is not strictly convex")
+        if not _angle_less(u, v):
+            turns += 1
+    if turns != 1:
+        raise DegeneratePolygon("edge directions wind more than once")
+    start = min(range(n), key=lambda i: pts[i])
+    return tuple(pts[start:] + pts[:start])
+
+
+def vertex_lists(rng, n):
+    """n random vertex lists, by kind: convex rings as stored, rotated or
+    clockwise, and each with a repeated vertex, a collinear run along an
+    edge, a backtrack or an overshoot along an edge, a reflex corner, in
+    pentagram order, or with a non-integral or an integral-valued Fraction
+    or float point; and lists of a few random points."""
+    out = []
+    while len(out) < n:
+        ring = list(random_lattice_polygon(rng, max_coord=6, max_points=9).vertices)
+        k = len(ring)
+        i = rng.randrange(k)
+        p, q = ring[i], ring[(i + 1) % k]
+        g = integral_length(p, q)
+        step = ((q[0] - p[0]) // g, (q[1] - p[1]) // g)
+        on_edge = [(p[0] + j * step[0], p[1] + j * step[1]) for j in range(1, g)]
+        inside = (sum(x for x, _ in ring) // k, sum(y for _, y in ring) // k)
+        kinds = {
+            "stored": ring,
+            "rotated": ring[i:] + ring[:i],
+            "clockwise": ring[::-1],
+            "repeat": ring[:i + 1] + [p] + ring[i + 1:],
+            "collinear": ring[:i + 1] + on_edge + ring[i + 1:],
+            "backtrack": ring[:i + 1] + [q] + [p] + ring[i + 1:],
+            "overshoot": ring[:i + 1] + [lattice.add(q, step), q] + ring[i + 2:],
+            "reflex": ring[:i + 1] + [inside] + ring[i + 1:],
+            "pentagram": [ring[(j * 2) % k] for j in range(k)],
+            "fraction": ring[:i] + [(Fraction(2 * p[0] + 1, 2), p[1])] + ring[i + 1:],
+            "integral fraction": ring[:i] + [(Fraction(2 * p[0], 2), float(p[1]))] + ring[i + 1:],
+            "random": [(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(rng.randint(3, 7))],
+        }
+        out += kinds.items()
+    return out[:n]
+
+
+def _constructed(make, vertices):
+    try:
+        return make(vertices)
+    except DegeneratePolygon as exc:
+        return type(exc)
+
+
+def test_one_ring_rule_for_both_polygon_constructors():
+    # on 2,400 vertex lists the constructor accepts and rejects what its
+    # earlier turn and winding loop did, stores the same vertices and
+    # rejects with DegeneratePolygon alone; from_ring takes an integer list
+    # exactly when the constructor keeps it as it is, and raises
+    # InvariantViolation on any other
+    rng = random.Random(2024)
+    seen = {}
+    for kind, vertices in vertex_lists(rng, 2400):
+        want = _constructed(post_init_reference, vertices)
+        got = _constructed(lambda vs: LatticePolygon(vs).vertices, vertices)
+        assert got == want, (kind, vertices)
+        kept = want == tuple(vertices)
+        outcome = "refused" if want is DegeneratePolygon else "kept" if kept else "normalised"
+        seen.setdefault(kind, set()).add(outcome)
+        if all(type(c) is int for p in vertices for c in p):
+            if kept:
+                assert LatticePolygon.from_ring(vertices).vertices == want
+            else:
+                with pytest.raises(lattice.InvariantViolation):
+                    LatticePolygon.from_ring(vertices)
+    assert seen["stored"] == {"kept"}
+    for kind in ("rotated", "clockwise", "repeat", "collinear", "backtrack", "overshoot"):
+        assert "normalised" in seen[kind], kind
+    for kind in ("reflex", "pentagram", "fraction", "random"):
+        assert "refused" in seen[kind], kind

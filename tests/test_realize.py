@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -57,6 +58,8 @@ from tropico.realize import (
 from tropico.tropical import NotClosed, NotTrivalent, ParametrizedCurve, PEdge, _dual_polygon
 from tropico.tropical import _integral_frame
 from tropico.tropical import check_balancing, tropical_multiplicity
+
+from test_diagram import tampered_markings
 
 
 T1 = DiagramSpec(triangle(1), (0, 1), 0, (), (), (), (1,))
@@ -208,13 +211,18 @@ def test_verify_detects_missing_point():
 
 def test_verify_detects_a_wrong_diagram():
     # every T3 g=0 diagram has 3 floors, 2 finite edges and 3 tails, so a
-    # marking of one labels the elements of the other
+    # marking of one labels the elements of the other; checked with a
+    # marking of the other, the curve fails the round trip, and with its own
+    # marking, the marking rule of the other
     diag, other = enumerate_diagrams(T3_G0)[:2]
     marking = enumerate_markings(diag, T3_G0)[0]
     realization, cfg = realize_stretched(diag, marking, T3_G0, seed=0)
     assert not verify_realization(realization, diag, marking, cfg, T3_G0)
-    violations = verify_checked(realization, other, marking, cfg, T3_G0)
+    theirs = enumerate_markings(other, T3_G0)[0]
+    violations = verify_checked(realization, other, theirs, cfg, T3_G0)
     assert "floor decomposition does not recover the diagram" in violations
+    refused = diagram_module.marking_violations(other, marking, T3_G0)
+    assert refused and verify_checked(realization, other, marking, cfg, T3_G0) == refused
 
 
 def verify_tampered_cubic(
@@ -282,8 +290,10 @@ def test_verify_reports_rays_that_close_but_span_no_polygon(rays, last):
 
 
 def test_verify_detects_a_wrong_genus():
+    # a T3 g=0 marking has 8 labels, one fewer than the range of T3 g=1; a
+    # curve of the wrong genus is test_verify_detects_a_cycle_inside_a_floor
     _, violations = verify_tampered_cubic(spec=T3_G1)
-    assert violations == ["source genus 0 != 1"]
+    assert violations == [f"labels {list(range(1, 9))} are not the label range {list(range(1, 10))}"]
 
 
 def test_verify_reports_labels_shifted_off_the_label_range():
@@ -414,6 +424,42 @@ def test_verify_reports_a_marking_it_cannot_read():
         assert diagram_module.marking_violations(diag, moved, T3_G1) == expected
 
 
+def test_verify_refuses_every_marking_the_marking_rule_refuses():
+    # on T3 g=1, each swap of two labels of the first marking that the
+    # marking rule refuses (32 of the 36), and the marking with its last
+    # label (9, on floor 2) dropped: on the genuine curve the verifier
+    # reports the rule's violations and nothing else
+    diag = enumerate_diagrams(T3_G1)[0]
+    marking = enumerate_markings(diag, T3_G1)[0]
+    realization, cfg = realize_stretched(diag, marking, T3_G1, seed=0)
+    refused = 0
+    for i, j in itertools.combinations(range(len(marking.labels)), 2):
+        labels = list(marking.labels)
+        labels[i], labels[j] = labels[j], labels[i]
+        swapped = Marking(diag, marking.label_start, tuple(labels))
+        want = diagram_module.marking_violations(diag, swapped, T3_G1)
+        if want:
+            assert verify_checked(realization, diag, swapped, cfg, T3_G1) == want
+            refused += 1
+    assert refused == 32
+    assert marking.labels[-1] == ("f", 2)
+    short = Marking(diag, 1, marking.labels[:-1])
+    assert verify_checked(realization, diag, short, cfg, T3_G1) == [
+        f"labels {list(range(1, 9))} are not the label range {list(range(1, 10))}"
+    ]
+
+
+def test_verify_reports_each_tampered_marking_as_the_marking_rule_does():
+    # the tampered markings of test_diagram.py, each checked on the curve
+    # realized from the listed marking it was made from
+    for name, (spec, marking, tampered) in tampered_markings().items():
+        diag = marking.diagram
+        realization, cfg = realize_stretched(diag, marking, spec, seed=0)
+        assert not verify_realization(realization, diag, marking, cfg, spec)
+        want = diagram_module.marking_violations(diag, tampered, spec)
+        assert want and verify_checked(realization, diag, tampered, cfg, spec) == want, name
+
+
 def test_verify_detects_tails_off_their_omega_lines():
     bottom = DiagramSpec(triangle(3), (0, 1), 0, (), (0, 1), (), (1,))
     top = DiagramSpec(triangle(3), (0, -1), 0, (0, 1), (), (1,), ())
@@ -496,8 +542,8 @@ T3_A11 = DiagramSpec(triangle(3), (0, 1), 0, (), (1, 1), (), ())
 def test_realize_and_verify_read_the_alpha_weights():
     # on T3 a-=(1,1) the labels -1 and 0 name the Omega lines of weights 1
     # and 2; swapping them puts each fixed tail on the line of the other
-    # weight, which realize refuses and the verifier reports on the genuine
-    # curve
+    # weight, which realize refuses and the verifier reports in the same
+    # words on the genuine curve
     diag = enumerate_diagrams(T3_A11)[0]
     marking = enumerate_markings(diag, T3_A11)[0]
     assert diag.edges[:2] == ((3, 0, 1), (4, 0, 2)) and marking.labels[:2] == (("e", 0), ("e", 1))
@@ -510,10 +556,8 @@ def test_realize_and_verify_read_the_alpha_weights():
     realization, cfg = realize_stretched(diag, marking, T3_A11)
     assert verify_checked(realization, diag, marking, cfg, T3_A11) == []
     assert verify_checked(realization, diag, swapped, cfg, T3_A11) == [
-        "fixed bottom tail 0 off its Omega line",
-        "fixed bottom tail 0 of weight 1 on an Omega line of weight 2",
-        "fixed bottom tail 1 off its Omega line",
-        "fixed bottom tail 1 of weight 2 on an Omega line of weight 1",
+        "label -1 is not on a bottom tail of weight 1",
+        "label 0 is not on a bottom tail of weight 2",
     ]
 
 
@@ -1244,8 +1288,8 @@ def verify_realization_reference(realization, diagram, marking, cfg, spec):
     """`verify_realization` without its fast paths: it scans every edge for
     every point (points_on_curve_reference), builds the ray circuit's
     polygon and compares the canonical keys of the floor decomposition and
-    of the diagram on every curve; the source genus and components and the
-    boundary pattern it computes on its own."""
+    of the diagram on every curve; the marking rule, the source genus and
+    components and the boundary pattern it computes on its own."""
     pc = realization.curve
     n = len(pc.positions)
     violations = [
@@ -1253,9 +1297,15 @@ def verify_realization_reference(realization, diagram, marking, cfg, spec):
         for i, e in enumerate(pc.edges)
         if not 0 <= e.a < n or e.b >= n
     ]
+    # the marking rule, before any geometry: labels that are not the spec's
+    # range are reported alone
+    got, want = sorted(marking.as_dict()), spec.label_range()
+    if got != want:
+        return violations + [f"labels {got} are not the label range {want}"]
     # a marking that cannot be read: a label off the diagram's elements or
     # on one labelled already, and an edge with no label
-    elements = [("f", f) for f in diagram.floor_ids] + [("e", i) for i in range(len(diagram.edges))]
+    floors = list(diagram.floor_ids)
+    elements = [("f", f) for f in floors] + [("e", i) for i in range(len(diagram.edges))]
     first = {}
     for lab, el in sorted(marking.as_dict().items()):
         if el in first:
@@ -1265,10 +1315,24 @@ def verify_realization_reference(realization, diagram, marking, cfg, spec):
         else:
             violations.append(f"label {lab} is on {el!r}, not a floor or edge of the diagram")
     violations += [f"edge {i} is unmarked" for i in range(len(diagram.edges)) if ("e", i) not in first]
-    # labels that start off the spec's range or run past its top
-    got, want = sorted(marking.as_dict()), spec.label_range()
-    if got[0] != want[0] or got[-1] > want[-1]:
-        violations.append(f"labels {got} are not the label range {want}")
+    # floors on point labels, edges between their floors
+    s = spec.s
+    violations += [f"floor {f} must carry a point label" for f in floors if not 1 <= first.get(("f", f), 0) <= s]
+    for i, (a, b, _) in enumerate(diagram.edges):
+        lab = first.get(("e", i))
+        if lab is not None and not first.get(("f", a), -math.inf) < lab < first.get(("f", b), math.inf):
+            violations.append(f"label of edge {i} is not between the labels of its floors")
+    # the alpha labels, block by block upward from the least: alpha_k labels
+    # of weight k, each on a tail of its side of that weight
+    line_weights = [k + 1 for k, n in enumerate(spec.alpha_minus) for _ in range(n)]
+    top_weights = [k + 1 for k, n in enumerate(spec.alpha_plus) for _ in range(n)]
+    alpha = [(want[0] + j, w, "bottom") for j, w in enumerate(line_weights)]
+    alpha += [(s + 1 + j, w, "top") for j, w in enumerate(top_weights)]
+    for lab, w, side in alpha:
+        el = marking.as_dict()[lab]
+        a, b, weight = diagram.edges[el[1]] if el[0] == "e" and el in first else (None, None, 0)
+        if weight != w or (b if side == "top" else a) in floors:
+            violations.append(f"label {lab} is not on a {side} tail of weight {w}")
     if violations:
         return violations
     if not check_balancing(pc):
@@ -1291,31 +1355,16 @@ def verify_realization_reference(realization, diagram, marking, cfg, spec):
         violations.append(str(exc))
     except DegeneratePolygon:
         violations.append("ray circuit does not trace the Newton polygon")
-    lo = -sum(spec.alpha_minus) + 1
-    s = spec.s
+    # each fixed tail on its Omega line, its weight being the marking rule's
+    lo = want[0]
     elab = {el: lab for lab, el in marking.as_dict().items()}
     exi = dict(realization.elevator_lines)
-    # the weight of each Omega line: alpha_k lines of weight k per block
-    line_weights = [k + 1 for k, n in enumerate(spec.alpha_minus) for _ in range(n)]
-    top_weights = [k + 1 for k, n in enumerate(spec.alpha_plus) for _ in range(n)]
-    for idx, (_, _, w) in enumerate(diagram.edges):
+    for idx in range(len(diagram.edges)):
         lab = elab[("e", idx)]
-        if lab < 1:
-            if exi[idx] != cfg.omega_minus[lab - lo]:
-                violations.append(f"fixed bottom tail {idx} off its Omega line")
-            if w != line_weights[lab - lo]:
-                violations.append(
-                    f"fixed bottom tail {idx} of weight {w} on an Omega line of weight"
-                    f" {line_weights[lab - lo]}"
-                )
-        if lab > s:
-            if exi[idx] != cfg.omega_plus[lab - s - 1]:
-                violations.append(f"fixed top tail {idx} off its Omega line")
-            if w != top_weights[lab - s - 1]:
-                violations.append(
-                    f"fixed top tail {idx} of weight {w} on an Omega line of weight"
-                    f" {top_weights[lab - s - 1]}"
-                )
+        if lab < 1 and exi[idx] != cfg.omega_minus[lab - lo]:
+            violations.append(f"fixed bottom tail {idx} off its Omega line")
+        if lab > s and exi[idx] != cfg.omega_plus[lab - s - 1]:
+            violations.append(f"fixed top tail {idx} off its Omega line")
     try:
         mu = tropical_multiplicity(pc)
     except NotTrivalent as exc:
@@ -1377,14 +1426,14 @@ def test_verification_matches_the_reference():
             assert floor_decompose(pc, spec.direction) == floor_decompose_reference(pc, spec.direction)
             curves += 1
     assert curves == 340 + 9
-    # a realization checked against every T3 g=0 diagram: the swapped ones
-    # fail the round trip
+    # a realization checked against every T3 g=0 diagram, each with a
+    # marking of its own: the swapped ones fail the round trip
     diags = enumerate_diagrams(T3_G0)
-    for diag in diags:
-        marking = enumerate_markings(diag, T3_G0)[0]
+    firsts = [enumerate_markings(diag, T3_G0)[0] for diag in diags]
+    for diag, marking in zip(diags, firsts):
         realization, cfg = realize_stretched(diag, marking, T3_G0, seed=0)
-        for other in diags:
-            violations = verify_checked(realization, other, marking, cfg, T3_G0)
+        for other, theirs in zip(diags, firsts):
+            violations = verify_checked(realization, other, theirs, cfg, T3_G0)
             assert ("floor decomposition does not recover the diagram" in violations) == (
                 other is not diag
             )
