@@ -42,11 +42,10 @@ def _transverse_axis(d):
 
 class IntegerFrame(NamedTuple):
     """A configuration's abscissae and heights as integers (each value times
-    scale, the lcm of their denominators) by marking label from start: xs
+    scale, the lcm of their denominators) by slot, label - label_start: xs
     the Omega- lines, points, Omega+ lines; hs the points' heights, or None."""
 
     scale: int
-    start: int
     xs: tuple
     hs: tuple
 
@@ -84,7 +83,7 @@ class PointConfig(Record):
         m = math.lcm(*(v.denominator for v in (*xs, *hs)))
         xs, hs = ([v.numerator * (m // v.denominator) for v in g] for g in (xs, hs))
         lines = [None] * len(self.omega_minus), [None] * len(self.omega_plus)
-        return IntegerFrame(m, 1 - len(self.omega_minus), tuple(xs), (*lines[0], *hs, *lines[1]))
+        return IntegerFrame(m, tuple(xs), (*lines[0], *hs, *lines[1]))
 
     @property
     def omega_lines(self):
@@ -207,10 +206,9 @@ def realize(diagram, marking, cfg, spec):
     e = _transverse_axis(d)
     n2 = dot(d, d)
     frame = cfg.frame
-    got = (cfg.direction, len(cfg.omega_minus), len(cfg.points), len(cfg.omega_plus))
-    want = (d, sum(spec.alpha_minus), spec.s, sum(spec.alpha_plus))
-    if got != want:  # direction, Omega- lines, points, Omega+ lines
-        raise RealizeError(f"configuration {got} does not fit the spec {want}")
+    misfit = _misfit(cfg, spec)
+    if misfit:
+        raise RealizeError(misfit)
     # each element's slot in the frame: its label's position in the range
     slot = {el: i for i, el in enumerate(marking.labels)}
 
@@ -294,6 +292,14 @@ def realize(diagram, marking, cfg, spec):
     g = math.gcd(den, *(c for p in nums for c in p))
     object.__setattr__(curve, "frame", (den // g, [(x // g, y // g) for x, y in nums]))
     return Realization(curve, tuple(floors), tuple(edge_xi), unit, spec, diagram, marking)
+
+
+def _misfit(cfg, spec):
+    """Why cfg does not fit spec, or None: its direction and its numbers of
+    Omega- lines, points and Omega+ lines must be the spec's."""
+    got = (cfg.direction, len(cfg.omega_minus), len(cfg.points), len(cfg.omega_plus))
+    want = (spec.direction, sum(spec.alpha_minus), spec.s, sum(spec.alpha_plus))
+    return None if got == want else f"configuration {got} does not fit the spec {want}"
 
 
 MAX_DOUBLINGS = 10
@@ -474,11 +480,13 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     `realize` raises) and edges that join a vertex the curve does not have
     are reported alone, before any geometry, since no other check can read
     such a curve or marking: the Omega test would read another label's
-    line.  Balancing, trivalence and the multiplicity come from one cached
-    walk over the curve's star map (ParametrizedCurve.star_census), which a
-    later tropical_multiplicity reads too.  A curve on which a check cannot
-    be made (rays that span no polygon, a vertex that is not trivalent, no
-    floor decomposition) gets a violation for it, not an exception.
+    line.  So, next, is a configuration that does not fit the spec
+    (_misfit), as `realize` raises it.  Balancing, trivalence and the
+    multiplicity come from one cached walk over the curve's star map
+    (ParametrizedCurve.star_census), which a later tropical_multiplicity
+    reads too.  A curve on which a check cannot be made (rays that span no
+    polygon, a vertex that is not trivalent, no floor decomposition) gets a
+    violation for it, not an exception.
 
     A curve that passes costs time linear in its edges.  Each marked point
     is tested first on the edges its label names in the realization's own
@@ -512,6 +520,9 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     violations += diagram_mod.marking_violations(diagram, marking, spec)
     if violations:
         return violations
+    misfit = _misfit(cfg, spec)
+    if misfit:
+        return [misfit]
     balanced, mu, not_trivalent = pc.star_census
     if not balanced:
         violations.append("curve is not balanced")
@@ -567,7 +578,7 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     frame, unit, start = cfg.frame, realization.unit, marking.label_start
     fixed = sorted((marking.labels[lab - start][1], lab) for lab in diagram_mod._alpha_labels(spec))
     for idx, lab in fixed:
-        if realization.elevators[idx] * frame.scale != frame.xs[lab - frame.start] * unit:
+        if realization.elevators[idx] * frame.scale != frame.xs[lab - start] * unit:
             violations.append(f"fixed {'top' if lab > 0 else 'bottom'} tail {idx} off its Omega line")
     # multiplicity factorization
     if not_trivalent:

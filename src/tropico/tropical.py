@@ -19,18 +19,21 @@ Stable intersection tests a pair of pieces only when their boxes meet,
 by the same rule (_piece_box, which the scan writes inline), and keys
 each point by its reduced integer triple; Fractions are built at the end.
 
-The hull walk stays in the integers of its scaled lift: each cell comes
-with its integer plane (nx, ny, D) and its vertex ring, a triangle's read
-off the sign of one determinant, any other's hulled once by the monotone
-chain (lattice.hull_ring, as for convex_hull and the collinear Legendre
-domain).  The corner locus takes each ring as its cell's polygon after one
-check (LatticePolygon.from_ring), lists the ring edges once and reads the
-owners of each edge, the segments, the rays and the crossings off that
-list; it builds two Fractions per vertex and the segment directions from
-integer cross terms of the planes.  The Legendre transform, on the integer
-lift of -f, reads the vertices off the rings.  Only the ray circuit
-becomes a polygon through the general constructor (_dual_polygon); the
-delta invariant reads each vertex's dual cell off its star (_balanced).
+The hull walk stays in the integers of its scaled lift.  It hulls the
+support once (lattice.hull_ring) and reads off that ring whether the
+support is collinear and the edge to start from.  Each cell comes with its
+integer plane (nx, ny, D) and its vertex ring, a triangle's read off the
+sign of one determinant, any other's hulled by the monotone chain.  The
+corner locus takes the support's ring as its Newton polygon and each
+cell's as its polygon, after one check (LatticePolygon.from_ring), lists
+the ring edges once and reads the owners of each edge, the segments, the
+rays and the crossings off that list; it builds two Fractions per vertex
+and the segment directions from integer cross terms of the planes.  The
+Legendre transform, on the integer lift of -f, reads the vertices off the
+rings.  Only the ray circuit becomes a polygon through the general
+constructor (_dual_polygon); the delta invariant reads each vertex's dual
+cell off its star (_balanced).  Where a straight piece lies on its line is
+one rule (_line_span), for reducedness and for parallel pieces that meet.
 """
 
 from __future__ import annotations
@@ -117,16 +120,7 @@ class TropicalPolynomial(Record):
         return convex_hull(self.support)
 
     def spans_plane(self):
-        return not _collinear(sorted(set(self.support)))
-
-
-def _collinear(pts):
-    """Whether the sorted, distinct points pts lie on one line, in O(n):
-    every point is on the line through the first two."""
-    if len(pts) < 3:
-        return True
-    e = sub(pts[1], pts[0])
-    return all(det(e, sub(r, pts[0])) == 0 for r in pts[2:])
+        return len(lattice.hull_ring(sorted(set(self.support)))) >= 3
 
 
 # ---------------------------------------------------------------------------
@@ -360,34 +354,37 @@ class DualSubdivision(Record):
 def _upper_cells(poly_terms):
     """Maximal equality sets of upper supporting planes of the lifted points.
 
-    Returns {frozenset(points on the plane): (nx, ny, D, ring)} with the
+    Returns (hull, cells): hull the lattice.hull_ring of the support, and
+    cells {frozenset(points on the plane): (nx, ny, D, ring)} with the
     plane's gradient (nx / D, ny / D), D > 0, and ring the counterclockwise
     vertices of the cell's convex hull from its least point, one entry per
-    2-face of the upper hull of {(I, a_I)}; {} when the support is
-    collinear.  Everything is an integer: no Fraction and no polygon is
-    built here, and a caller that wants the cell as a LatticePolygon builds
-    it from the ring.
+    2-face of the upper hull of {(I, a_I)}; cells is {} when the support is
+    collinear, hull then of fewer than 3 points.  Everything is an integer:
+    no Fraction and no polygon is built here; a caller builds the Newton
+    polygon or a cell as a LatticePolygon from its ring.
 
     Gift wrapping over cell edges: start from an upper-hull edge on the
-    boundary of the Newton polygon, and from every directed edge (p, q)
-    with an unexplored side on its left, pivot the plane through the lifted
-    p and q down onto that side (_pivot).  The points on the pivoted plane
-    form the next cell; each edge of its ring is then queued with the cell
-    on the other side.  Lifts are scaled to integers first, so every test
-    is an integer comparison.  A pivot is O(n) and there is one per cell
-    and one per boundary edge, so the hull costs O(n * cells).
+    boundary of the Newton polygon, found on the first edge of hull, and
+    from every directed edge (p, q) with an unexplored side on its left,
+    pivot the plane through the lifted p and q down onto that side
+    (_pivot).  The points on the pivoted plane form the next cell; each
+    edge of its ring is then queued with the cell on the other side.  Lifts
+    are scaled to integers first, so every test is an integer comparison.
+    A pivot is O(n) and there is one per cell and one per boundary edge, so
+    the hull costs O(n * cells).
     """
     lift = dict(poly_terms)
     pts = sorted(lift)
-    if _collinear(pts):
-        return {}
+    hull = lattice.hull_ring(pts)
+    if len(hull) < 3:
+        return hull, {}
     scale_ = math.lcm(*(a.denominator for a in lift.values()))
     h = {p: a.numerator * (scale_ // a.denominator) for p, a in lift.items()}
     lifted = [(x, y, h[x, y]) for x, y in pts]
     # start edge: from the least point v0, a polygon vertex, along the
-    # polygon edge to the next vertex v1 of the lower chain, to the point of
+    # polygon edge to the next vertex v1 of the hull ring, to the point of
     # that edge with the largest lift slope, which lies on the upper hull
-    v0, v1 = lattice.monotone_chain(pts)[:2]
+    v0, v1 = hull[:2]
     e = sub(v1, v0)
     q, qt = v1, dot(e, e)
     for r in pts:
@@ -414,7 +411,7 @@ def _upper_cells(poly_terms):
             done.add((a, b))
             if (b, a) not in done:
                 stack.append((b, a))
-    return cells
+    return hull, cells
 
 
 def _pivot(lifted, h, p, q):
@@ -463,15 +460,16 @@ def corner_locus(poly):
     lengths of the dual edges.  A crossing is a cell of four vertices whose
     opposite edges are opposite vectors.
 
-    Each cell is taken as it comes from the hull walk, its ring checked
-    once (LatticePolygon.from_ring), and its ring edges are listed once:
-    the owners of each edge, the segments, the rays and the crossings are
-    all read off that one list.
+    The Newton polygon is the hull walk's ring of the support, and each
+    cell is taken as it comes from the walk, each ring checked once
+    (LatticePolygon.from_ring).  The ring edges are listed once: the owners
+    of each edge, the segments, the rays and the crossings are all read off
+    that one list.
     """
-    if not poly.spans_plane():
+    hull, cells = _upper_cells(poly.terms)
+    if not cells:
         raise SegmentSupport("support of the polynomial is collinear")
-    newton = poly.newton_polygon()
-    cells = _upper_cells(poly.terms)
+    newton = LatticePolygon.from_ring(hull)
     planes = [cells[eq] for eq in sorted(cells, key=sorted)]
     cell_polys = [LatticePolygon.from_ring(ring) for *_, ring in planes]
     vertices = [(Fraction(-nx, d), Fraction(-ny, d)) for nx, ny, d, _ in planes]
@@ -551,7 +549,7 @@ def legendre_transform(f):
     # the cells of the lower hull of the lifted graph of f are the upper
     # cells of -f, lifted here to integers; {} when dom f is collinear
     m = math.lcm(*(v.denominator for v in f.values()))
-    cells = _upper_cells(tuple((p, -v.numerator * (m // v.denominator)) for p, v in f.items()))
+    _, cells = _upper_cells(tuple((p, -v.numerator * (m // v.denominator)) for p, v in f.items()))
     return LegendreTransform(tuple(AffinePiece(x, -f[x]) for x in _lower_hull_vertices(f, cells)))
 
 
@@ -571,53 +569,37 @@ def _lower_hull_vertices(f, cells):
 # chains, delta invariant, genus
 
 
-def _piece_interval(p, q, u, canon):
-    """Parameter interval of a piece along the canonical line direction.
-    Endpoints are (lo, hi) with None for -/+ infinity."""
-    t0 = canon[0] * p[0] + canon[1] * p[1]
+def _line_span(p, q, u):
+    """(c, lo, hi): the canonical direction c of the line of the piece from
+    p to q, or of the ray from p along u when q is None, which is u or -u,
+    whichever has c[0] > 0 or c[0] == 0 < c[1]; and the span [lo, hi] of
+    <c, .> over the piece, a ray's open end -inf or inf."""
+    c = u if u[0] > 0 or (u[0] == 0 and u[1] > 0) else (-u[0], -u[1])
+    t = c[0] * p[0] + c[1] * p[1]
     if q is not None:
-        t1 = canon[0] * q[0] + canon[1] * q[1]
-        return (min(t0, t1), max(t0, t1))
-    if u == canon:
-        return (t0, None)
-    return (None, t0)
-
-
-def _intervals_overlap(i1, i2):
-    """Length of the intersection: 'pos', 'point' or 'empty'."""
-    lo = [x for x in (i1[0], i2[0]) if x is not None]
-    hi = [x for x in (i1[1], i2[1]) if x is not None]
-    lo = max(lo) if lo else None
-    hi = min(hi) if hi else None
-    if lo is None or hi is None or lo < hi:
-        return "pos"
-    return "point" if lo == hi else "empty"
-
-
-def _canonical_direction(u):
-    return u if u[0] > 0 or (u[0] == 0 and u[1] > 0) else scale(u, -1)
-
-
-def _line_key(p, u):
-    canon = _canonical_direction(u)
-    n = perp(canon)
-    return (n, n[0] * p[0] + n[1] * p[1])
+        s = c[0] * q[0] + c[1] * q[1]
+        return (c, t, s) if t < s else (c, s, t)
+    return (c, t, math.inf) if u == c else (c, -math.inf, t)
 
 
 def _check_reduced(curve):
     """Conservative reducedness test: no two pieces supported on one line
     with a positive-length common stretch, read in the curve's integer
-    frame."""
+    frame.  Each line, keyed by (c, det(c, p)) of _line_span, sorts its
+    spans once by their low ends: a span that starts below the highest end
+    reached so far overlaps the piece that reached it."""
     by_line = {}
-    for p, q, u, w, tag in curve.pieces(curve.frame[1]):
-        canon = _canonical_direction(u)
-        by_line.setdefault(_line_key(p, u), []).append(
-            (_piece_interval(p, q, u, canon), tag)
-        )
-    for pieces in by_line.values():
-        for (i1, tag1), (i2, tag2) in itertools.combinations(pieces, 2):
-            if _intervals_overlap(i1, i2) == "pos":
-                raise NonReduced(f"pieces {tag1} and {tag2} overlap on a common line")
+    for p, q, u, _, tag in curve.pieces(curve.frame[1]):
+        c, lo, hi = _line_span(p, q, u)
+        by_line.setdefault((c, det(c, p)), []).append((lo, hi, tag))
+    for spans in by_line.values():
+        spans.sort()
+        reach, last = -math.inf, None
+        for lo, hi, tag in spans:
+            if lo < reach:
+                raise NonReduced(f"pieces {last} and {tag} overlap on a common line")
+            if hi > reach:
+                reach, last = hi, tag
 
 
 def delta_invariant(curve):
@@ -808,18 +790,17 @@ def _intersect_pieces(p1, q1, u1, p2, q2, u2):
     if d == 0:
         if u1[0] * ry - u1[1] * rx != 0:
             return None
-        canon = _canonical_direction(u1)
-        i1 = _piece_interval(p1, q1, u1, canon)
-        i2 = _piece_interval(p2, q2, u2, canon)
-        kind = _intervals_overlap(i1, i2)
-        if kind == "empty":
+        # on one line: the common span of the two, touching at lo = hi
+        c, lo1, hi1 = _line_span(p1, q1, u1)
+        _, lo2, hi2 = _line_span(p2, q2, u2)
+        lo, hi = max(lo1, lo2), min(hi1, hi2)
+        if lo > hi:
             return None
-        if kind == "pos":
+        if lo < hi:
             raise NonTransverse("pieces overlap on a common supporting line")
-        t = max(x for x in (i1[0], i2[0]) if x is not None)
-        n2 = canon[0] ** 2 + canon[1] ** 2
-        t0 = canon[0] * p1[0] + canon[1] * p1[1]
-        return (p1[0] * n2 + (t - t0) * canon[0], p1[1] * n2 + (t - t0) * canon[1], n2), True
+        n2 = c[0] ** 2 + c[1] ** 2
+        t0 = c[0] * p1[0] + c[1] * p1[1]
+        return (p1[0] * n2 + (lo - t0) * c[0], p1[1] * n2 + (lo - t0) * c[1], n2), True
     # p1 + s u1 = p2 + t u2 with s = sn / d and t = tn / d, d > 0
     sn = rx * u2[1] - ry * u2[0]
     tn = rx * u1[1] - ry * u1[0]

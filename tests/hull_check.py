@@ -40,7 +40,7 @@ hulls = [(f"T{d} {kind}", poly) for d in (10, 12) for kind, poly in (
     ("fine", fine(d)),
 )]
 for name, poly in hulls:
-    if planes(_upper_cells(poly.terms), poly.terms) != upper_cells_brute_force(poly.terms):
+    if planes(_upper_cells(poly.terms)[1], poly.terms) != upper_cells_brute_force(poly.terms):
         raise SystemExit(f"{name}: _upper_cells differs from the brute force")
 loci = [(f"T{d} {kind} {k}", poly) for d in (10, 12) for k in range(3) for kind, poly in (
     ("coarse", random_polynomial(rng, triangle(d), denom=1)),

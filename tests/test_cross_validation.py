@@ -275,6 +275,12 @@ METAMORPHIC = [
     (octic_quadrilateral(), 1, 12),
     (triangle(4), 1, 225),
 ]
+# plane quintics and sextics at every genus, against the oracle, and the
+# Hirzebruch trapezium Tz^1_{3,3} at every genus, pinned
+METAMORPHIC += [(triangle(d), g, ch_oracle.irreducible(d, g, (), (d,)))
+                for d in (5, 6) for g in range(ch_oracle.gmax(d) + 1)]
+METAMORPHIC += [(trapezium(1, 3, 3), g, n)
+                for g, n in enumerate((401172, 509495, 281652, 82360, 13387, 1200, 55, 1))]
 # rows of unimodular matrices A: two shears, a quarter turn, a reflection
 UNIMODULAR = [((1, 1), (0, 1)), ((2, 1), (1, 1)), ((0, -1), (1, 0)), ((1, 0), (0, -1))]
 

@@ -1335,6 +1335,12 @@ def verify_realization_reference(realization, diagram, marking, cfg, spec):
             violations.append(f"label {lab} is not on a {side} tail of weight {w}")
     if violations:
         return violations
+    # then the configuration: the spec's direction, an Omega line per alpha
+    # label of each side and a point per point label, or that alone
+    shape = (cfg.direction, len(cfg.omega_minus), len(cfg.points), len(cfg.omega_plus))
+    fit = (spec.direction, len(line_weights), s, len(top_weights))
+    if shape != fit:
+        return [f"configuration {shape} does not fit the spec {fit}"]
     if not check_balancing(pc):
         violations.append("curve is not balanced")
     genus, components = source_genus_and_components_reference(pc)
@@ -1393,6 +1399,33 @@ def verify_checked(realization, diagram, marking, cfg, spec):
     violations = verify_realization(realization, diagram, marking, cfg, spec)
     assert violations == verify_realization_reference(realization, diagram, marking, cfg, spec)
     return violations
+
+
+T3_TOP_FIXED = DiagramSpec(triangle(3), (0, -1), 0, (1, 1), (), (), ())
+
+
+@pytest.mark.parametrize("spec, other, message", [
+    (T3_TOP_FIXED, DiagramSpec(triangle(2), (0, -1), 0, (), (), (2,), ()),
+     "configuration ((0, -1), 0, 5, 0) does not fit the spec ((0, -1), 0, 5, 2)"),
+    (T3_TOP_FIXED, T3_G0,
+     "configuration ((0, 1), 0, 8, 0) does not fit the spec ((0, -1), 0, 5, 2)"),
+    (DiagramSpec(triangle(3), (0, 1), 0, (), (1, 1), (), ()), T3_G0,
+     "configuration ((0, 1), 0, 8, 0) does not fit the spec ((0, 1), 2, 5, 0)"),
+], ids=["t2-top-lines", "t3-bottom-along-0-1", "t3-bottom-lines"])
+def test_verify_reports_a_configuration_that_does_not_fit_the_spec_alone(spec, other, message):
+    # each curve checked against another spec's configuration: the one
+    # line realize raises, not an Omega line read off another slot, points
+    # reported off the curve, or an IndexError
+    cfg = stretch_points(other, seed=0)
+    marked = _marked(spec)
+    assert len(marked) == 5
+    for diag, marking in marked:
+        realization, own = realize_stretched(diag, marking, spec, seed=0)
+        assert verify_checked(realization, diag, marking, own, spec) == []
+        assert verify_checked(realization, diag, marking, cfg, spec) == [message]
+        with pytest.raises(RealizeError) as caught:
+            realize(diag, marking, cfg, spec)
+        assert str(caught.value) == message
 
 
 def _renamed(diag, marking, perm):

@@ -210,9 +210,11 @@ def planes(cells, poly_terms):
 
 def assert_hull_matches(terms):
     terms = tuple((e, Fraction(a)) for e, a in terms.items())
-    assert planes(_upper_cells(terms), terms) == upper_cells_brute_force(terms)
     flipped = tuple((e, -a) for e, a in terms)  # the lower hull, as legendre uses it
-    assert planes(_upper_cells(flipped), flipped) == upper_cells_brute_force(flipped)
+    for lift in (terms, flipped):
+        hull, cells = _upper_cells(lift)
+        assert planes(cells, lift) == upper_cells_brute_force(lift)
+        assert hull == list(convex_hull(dict(lift)).vertices)
 
 
 def spans_plane_reference(poly):
@@ -263,10 +265,10 @@ def test_upper_cells_match_brute_force_random():
 def test_upper_cells_degenerate_lifts():
     zeros = {p: 0 for p in triangle(4).lattice_points()}
     assert_hull_matches(zeros)
-    assert list(_upper_cells(tuple(zeros.items()))) == [frozenset(zeros)]
+    assert list(_upper_cells(tuple(zeros.items()))[1]) == [frozenset(zeros)]
     square = {(0, 0): 0, (1, 0): 0, (0, 1): 0, (1, 1): 0}
     assert_hull_matches(square)
-    assert len(_upper_cells(tuple(square.items()))) == 1
+    assert len(_upper_cells(tuple(square.items()))[1]) == 1
     assert_hull_matches({**square, (1, 1): 1})
     assert_hull_matches({**square, (1, 1): -1})
     # supports that miss lattice points, with interior and edge points
@@ -278,8 +280,9 @@ def test_upper_cells_degenerate_lifts():
     # a grid under a concave paraboloid: every cell unimodular
     assert_hull_matches({(i, j): -(i * i + j * j) for i in range(4) for j in range(4)})
     # collinear supports
-    assert _upper_cells((((0, 0), 0), ((1, 1), 0), ((2, 2), 3))) == {}
-    assert _upper_cells((((0, 0), 0), ((3, 0), 1))) == {}
+    assert _upper_cells((((0, 0), 0), ((1, 1), 0), ((2, 2), 3))) == ([(0, 0), (2, 2)], {})
+    assert _upper_cells((((0, 0), 0), ((3, 0), 1))) == ([(0, 0), (3, 0)], {})
+    assert _upper_cells((((1, 2), 5),)) == ([], {})
 
 
 def test_corner_locus_rejects_a_broken_tiling(monkeypatch):
@@ -292,10 +295,10 @@ def test_corner_locus_rejects_an_edge_off_its_dual(monkeypatch):
     # tilt one cell's plane: its vertex moves off the normal line of the
     # shared edge
     poly = TropicalPolynomial.make({(0, 0): 0, (1, 0): 0, (0, 1): 0, (1, 1): 1})
-    cells = _upper_cells(poly.terms)
+    hull, cells = _upper_cells(poly.terms)
     eq = min(cells, key=sorted)
     nx, ny, d, ring = cells[eq]
-    monkeypatch.setattr(tropical, "_upper_cells", lambda terms: {**cells, eq: (nx + d, ny, d, ring)})
+    monkeypatch.setattr(tropical, "_upper_cells", lambda terms: (hull, {**cells, eq: (nx + d, ny, d, ring)}))
     with pytest.raises(InvariantViolation, match="is not orthogonal to its dual"):
         corner_locus(poly)
 
@@ -305,10 +308,10 @@ def test_corner_locus_rejects_two_cells_on_one_plane(monkeypatch):
     # coincide, and the zero vector between them is a broken invariant,
     # not a domain error
     poly = TropicalPolynomial.make({(0, 0): 0, (1, 0): 0, (0, 1): 0, (1, 1): 1})
-    cells = _upper_cells(poly.terms)
+    hull, cells = _upper_cells(poly.terms)
     first, second = sorted(cells, key=sorted)
     moved = {**cells, second: (*cells[first][:3], cells[second][3])}
-    monkeypatch.setattr(tropical, "_upper_cells", lambda terms: moved)
+    monkeypatch.setattr(tropical, "_upper_cells", lambda terms: (hull, moved))
     with pytest.raises(InvariantViolation, match="is not orthogonal to its dual"):
         corner_locus(poly)
 
@@ -318,7 +321,8 @@ def test_corner_locus_refuses_a_cell_ring_out_of_form(monkeypatch):
     # clockwise, not from its least point, with a collinear or a reflex
     # vertex, or winding twice (a pentagram): a broken invariant each time
     poly = TropicalPolynomial.make({p: 0 for p in triangle(3).lattice_points()})
-    ((eq, (nx, ny, d, ring)),) = _upper_cells(poly.terms).items()
+    hull, cells = _upper_cells(poly.terms)
+    ((eq, (nx, ny, d, ring)),) = cells.items()
     assert ring == [(0, 0), (3, 0), (0, 3)]
     bad = {
         "does not turn strictly left": [(0, 0), (0, 3), (3, 0)],
@@ -328,7 +332,7 @@ def test_corner_locus_refuses_a_cell_ring_out_of_form(monkeypatch):
         "winds 2 times": [(0, 1), (4, 1), (1, 3), (2, 0), (3, 3)],
     }
     for message, ring in bad.items():
-        monkeypatch.setattr(tropical, "_upper_cells", lambda terms, ring=ring: {eq: (nx, ny, d, ring)})
+        monkeypatch.setattr(tropical, "_upper_cells", lambda terms, ring=ring: (hull, {eq: (nx, ny, d, ring)}))
         with pytest.raises(InvariantViolation, match=message):
             corner_locus(poly)
 
@@ -345,7 +349,7 @@ def corner_locus_reference(poly):
     if not poly.spans_plane():
         raise SegmentSupport("support of the polynomial is collinear")
     newton = poly.newton_polygon()
-    cells = _upper_cells(poly.terms)
+    _, cells = _upper_cells(poly.terms)
     eqsets = sorted(cells, key=lambda s: sorted(s))
     cell_polys = [convex_hull(s) for s in eqsets]
     lift = dict(poly.terms)
@@ -608,7 +612,7 @@ def legendre_transform_reference(f):
     f = {lattice_point_reference(p): Fraction(v) for p, v in dict(f).items()}
     if not f:
         raise TropicalError("empty domain")
-    cells = _upper_cells(tuple((p, -v) for p, v in f.items()))
+    _, cells = _upper_cells(tuple((p, -v) for p, v in f.items()))
     return LegendreTransform(tuple(AffinePiece(x, -f[x]) for x in tropical._lower_hull_vertices(f, cells)))
 
 
@@ -670,13 +674,15 @@ def fraction_constructions(fn):
 def test_hull_walk_construction_counts(monkeypatch):
     # _upper_cells builds no Fraction and legendre_transform no
     # LatticePolygon; corner_locus builds no polygon through the general
-    # constructor: it calls convex_hull once, for the Newton polygon,
-    # checks one ring per cell and the hull's (LatticePolygon.from_ring),
-    # and builds two Fractions per vertex
+    # constructor: it hulls the support once (hull_ring), calls neither
+    # convex_hull, spans_plane nor newton_polygon, checks one ring per cell
+    # and the hull's (LatticePolygon.from_ring), and builds two Fractions
+    # per vertex
     assert fraction_constructions(lambda: Fraction(1, 3) * 3 + 1)[1] >= 3
-    hulls = rings = post_inits = 0
+    hulled, rings, post_inits = [], 0, 0
     post_init = lattice.LatticePolygon.__post_init__
     from_ring = lattice.LatticePolygon.from_ring.__func__
+    hull_ring = lattice.hull_ring
 
     def counting_post_init(self):
         nonlocal post_inits
@@ -688,23 +694,34 @@ def test_hull_walk_construction_counts(monkeypatch):
         rings += 1
         return from_ring(cls, ring)
 
-    def counting_hull(points):
-        nonlocal hulls
-        hulls += 1
-        return convex_hull(points)
+    def counting_hull_ring(points):
+        hulled.append(list(points))
+        return hull_ring(points)
+
+    def refused(*args):
+        raise AssertionError("corner_locus hulls the support a second time")
 
     monkeypatch.setattr(lattice.LatticePolygon, "__post_init__", counting_post_init)
     monkeypatch.setattr(lattice.LatticePolygon, "from_ring", classmethod(counting_from_ring))
-    monkeypatch.setattr(tropical, "convex_hull", counting_hull)
+    monkeypatch.setattr(lattice, "hull_ring", counting_hull_ring)
+    for name in ("spans_plane", "newton_polygon"):
+        monkeypatch.setattr(TropicalPolynomial, name, refused)
+    monkeypatch.setattr(tropical, "convex_hull", refused)
+    monkeypatch.setattr(lattice, "convex_hull", refused)
     rng = random.Random(33)
     for d in (2, 4, 6):
         for poly in (random_polynomial(rng, triangle(d)), random_polynomial(rng, triangle(d), denom=1)):
-            hulls = rings = post_inits = 0
+            hulled, rings, post_inits = [], 0, 0
             (curve, subdivision), made = fraction_constructions(lambda: corner_locus(poly))
-            assert (hulls, rings, post_inits) == (1, len(subdivision.cells) + 1, 0)
+            support = sorted(poly.support)
+            assert [pts for pts in hulled if pts == support] == [support]
+            assert (rings, post_inits) == (len(subdivision.cells) + 1, 0)
             assert made == 2 * len(curve.vertices)
-            cells, made = fraction_constructions(lambda: _upper_cells(poly.terms))
+            hulls = len(hulled)
+            (_, cells), made = fraction_constructions(lambda: _upper_cells(poly.terms))
             assert len(cells) == len(subdivision.cells) and made == 0
+            # the other hulls are those of the cells that are not triangles
+            assert hulls == 1 + sum(len(eq) > 3 for eq in cells)
             rings = post_inits = 0
             legendre_transform(dict(poly.terms))
             assert rings == post_inits == 0
@@ -1510,6 +1527,167 @@ def test_realized_curves_have_the_genus_of_their_spec():
     # separated curve, is the genus the diagram was counted at
     for spec, marking, curve in _genus_corpus():
         assert geometric_genus(curve) == spec.genus, (spec, marking)
+
+
+# where a piece lies on its line, as the pairwise reducedness test and the
+# parallel branch of _intersect_pieces read it before _line_span: an
+# interval with None for an infinite end, and the overlap of two intervals
+# named 'pos', 'point' or 'empty'
+
+
+def _canonical_direction_reference(u):
+    return u if u[0] > 0 or (u[0] == 0 and u[1] > 0) else scale(u, -1)
+
+
+def _piece_interval_reference(p, q, u, canon):
+    t0 = canon[0] * p[0] + canon[1] * p[1]
+    if q is not None:
+        t1 = canon[0] * q[0] + canon[1] * q[1]
+        return (min(t0, t1), max(t0, t1))
+    return (t0, None) if u == canon else (None, t0)
+
+
+def _intervals_overlap_reference(i1, i2):
+    lo = [x for x in (i1[0], i2[0]) if x is not None]
+    hi = [x for x in (i1[1], i2[1]) if x is not None]
+    lo = max(lo) if lo else None
+    hi = min(hi) if hi else None
+    if lo is None or hi is None or lo < hi:
+        return "pos"
+    return "point" if lo == hi else "empty"
+
+
+def _line_key_reference(p, u):
+    n = perp(_canonical_direction_reference(u))
+    return (n, n[0] * p[0] + n[1] * p[1])
+
+
+def _overlap_reference(piece1, piece2):
+    """The overlap kind of two pieces (p, q, u) on one line."""
+    (p1, q1, u1), (p2, q2, u2) = piece1, piece2
+    canon = _canonical_direction_reference(u1)
+    return _intervals_overlap_reference(
+        _piece_interval_reference(p1, q1, u1, canon), _piece_interval_reference(p2, q2, u2, canon)
+    )
+
+
+def overlapping_pairs_reference(curve):
+    """The pairs of tags of pieces on one line with a positive-length common
+    stretch, read in the curve's integer frame, line by line in the order
+    of their first pieces and pairwise in the order of the pieces."""
+    by_line = {}
+    for p, q, u, _, tag in curve.pieces(curve.frame[1]):
+        by_line.setdefault(_line_key_reference(p, u), []).append(((p, q, u), tag))
+    return [
+        (tag1, tag2)
+        for pieces in by_line.values()
+        for (piece1, tag1), (piece2, tag2) in itertools.combinations(pieces, 2)
+        if _overlap_reference(piece1, piece2) == "pos"
+    ]
+
+
+def check_reduced_reference(curve):
+    """_check_reduced by every pair of pieces on one line, naming the first
+    pair that overlaps."""
+    for tag1, tag2 in overlapping_pairs_reference(curve)[:1]:
+        raise NonReduced(f"pieces {tag1} and {tag2} overlap on a common line")
+
+
+def parallel_hit_reference(p1, q1, u1, p2, q2, u2):
+    """_intersect_pieces on two pieces of one line: None, NonTransverse, or
+    ((x, y, den), True) at the one point where they touch."""
+    kind = _overlap_reference((p1, q1, u1), (p2, q2, u2))
+    if kind == "empty":
+        return None
+    if kind == "pos":
+        raise NonTransverse("pieces overlap on a common supporting line")
+    canon = _canonical_direction_reference(u1)
+    i1 = _piece_interval_reference(p1, q1, u1, canon)
+    i2 = _piece_interval_reference(p2, q2, u2, canon)
+    t = max(x for x in (i1[0], i2[0]) if x is not None)
+    n2 = canon[0] ** 2 + canon[1] ** 2
+    t0 = canon[0] * p1[0] + canon[1] * p1[1]
+    return (p1[0] * n2 + (t - t0) * canon[0], p1[1] * n2 + (t - t0) * canon[1], n2), True
+
+
+def _unsplit_plane_curve(pc):
+    """The pieces of pc as a plane curve record, not split at crossings, so
+    that overlapping pieces stay."""
+    segments = tuple(Segment(e.a, e.b, e.weight, e.direction) for e in pc.edges if e.b >= 0)
+    rays = tuple(Ray(e.a, e.direction, e.weight) for e in pc.edges if e.b < 0)
+    return PlaneTropicalCurve(pc.positions, segments, rays, frozenset(), triangle(1))
+
+
+def _hand_made_lines():
+    """Curves of pieces on one line, as (name, parametrized curve)."""
+    x = [(Fraction(k), Fraction(0)) for k in range(4)]
+    right, left = (1, 0), (-1, 0)
+    return [
+        ("segment inside a ray", ParametrizedCurve.build(x[:3], [PEdge(0, -1, 1, right), PEdge(1, 2, 1, right)])),
+        ("segment beyond a ray's base", ParametrizedCurve.build(x[:3], [PEdge(2, -1, 1, right), PEdge(0, 1, 1, right)])),
+        ("two rays to -inf", ParametrizedCurve.build(x[:2], [PEdge(0, -1, 1, left), PEdge(1, -1, 2, left)])),
+        ("opposite rays at one point", ParametrizedCurve.build(x[:1], [PEdge(0, -1, 1, right), PEdge(0, -1, 1, left)])),
+        ("opposite rays apart", ParametrizedCurve.build(x[:2], [PEdge(1, -1, 1, right), PEdge(0, -1, 1, left)])),
+        ("opposite rays facing", ParametrizedCurve.build(x[:2], [PEdge(0, -1, 1, right), PEdge(1, -1, 1, left)])),
+        ("segments end to end", ParametrizedCurve.build(x, [PEdge(2, 1, 1, left), PEdge(2, 3, 1, right),
+                                                            PEdge(0, 1, 1, right)])),
+        ("segments apart", ParametrizedCurve.build(x, [PEdge(0, 1, 1, right), PEdge(3, 2, 1, left)])),
+        ("segments overlapping", ParametrizedCurve.build(x, [PEdge(0, 2, 1, right), PEdge(3, 1, 1, left)])),
+        # a vertical line through three horizontal ones: split, it is a
+        # chain of segments end to end through crossings
+        ("vertical chain through crossings", ParametrizedCurve.build(
+            [(0, -3), (0, 3), (-2, -1), (2, -1), (-2, 1), (2, 1), (-2, 2), (2, 2)],
+            [PEdge(0, 1, 1, (0, 1)), PEdge(2, 3, 1, right), PEdge(4, 5, 1, right), PEdge(7, 6, 1, left),
+             PEdge(1, -1, 1, (0, 1)), PEdge(0, -1, 1, (0, -1))],
+        )),
+    ]
+
+
+def test_span_rule_matches_the_pairwise_reference():
+    # _check_reduced raises exactly when the pairwise test does, naming two
+    # pieces that overlap, and the parallel branch of _intersect_pieces
+    # returns or raises as the interval reference, on every pair of pieces
+    # of one line: on the realized curves, on random curves split and
+    # unsplit, and on hand-made lines
+    curves = [curve for _, _, curve in _genus_corpus()]
+    rng = random.Random(47)
+    for trial in range(300):
+        pc = _random_parametrized_curve(rng, *((3, 1), (6, 2), (40, 9))[trial % 3])
+        if trial % 2:
+            pc = _with_parallel_pieces(rng, pc)
+        curves.append(_unsplit_plane_curve(pc))
+        split = _plane_outcome(pc.to_plane_curve, triangle(1))
+        if not isinstance(split, str):
+            curves.append(split)
+    for _ in range(40):
+        curves.append(_dense_parametrized_curve(rng).to_plane_curve(triangle(1)))
+    for name, pc in _hand_made_lines():
+        curves.append(_unsplit_plane_curve(pc))
+        if name == "vertical chain through crossings":
+            chain = pc.to_plane_curve(triangle(1))
+            assert len(chain.crossings) == 3 and check_reduced_reference(chain) is None
+            curves.append(chain)
+    seen = Counter()
+    for curve in curves:
+        kind, message = _outcome_of(tropical._check_reduced, curve)
+        assert kind is _outcome_of(check_reduced_reference, curve)[0], curve
+        seen["not reduced" if kind is NonReduced else "reduced"] += 1
+        if kind is NonReduced:
+            # the pair named may not be the first of the pairwise order
+            pairs = overlapping_pairs_reference(curve)
+            assert message in {f"pieces {a} and {b} overlap on a common line"
+                               for pair in pairs for a, b in (pair, pair[::-1])}, curve
+        pieces = [(p, q, u) for p, q, u, _, _ in curve.pieces(curve.frame[1])]
+        for (p1, q1, u1), (p2, q2, u2) in itertools.combinations(pieces, 2):
+            if det(u1, u2) != 0 or det(u1, sub(p2, p1)) != 0:
+                continue
+            for args in ((p1, q1, u1, p2, q2, u2), (p2, q2, u2, p1, q1, u1)):
+                got = _outcome_of(lambda a: _intersect_pieces(*a), args)
+                assert got == _outcome_of(lambda a: parallel_hit_reference(*a), args), args
+                seen["disjoint" if got[1] is None else "overlap" if got[0] is NonTransverse else "touch"] += 1
+    assert len(curves) >= 898 + 300 + 40 + 10
+    assert seen["not reduced"] >= 100 and seen["reduced"] >= 1000, seen
+    assert min(seen["disjoint"], seen["overlap"], seen["touch"]) >= 100, seen
 
 
 def delta_invariant_reference(curve):
