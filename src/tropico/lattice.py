@@ -386,7 +386,11 @@ class LatticePolygon(Record):
         ceiling of its lower edges' intercept to the floor of its upper
         edges'.  Counterclockwise, an edge that runs right is a lower edge
         and one that runs left an upper edge; a vertical edge adds nothing
-        that its neighbours' ends do not."""
+        that its neighbours' ends do not.  A triangle of double area 1, the
+        cell of a unimodular subdivision, is its sorted corners without a
+        scan: by Pick's theorem it holds no other lattice point."""
+        if len(self.vertices) == 3 and _shoelace2(self.vertices) == 1:
+            return sorted(self.vertices)
         xs = [p[0] for p in self.vertices]
         x0 = min(xs)
         lo = [0] * (max(xs) - x0 + 1)

@@ -21,9 +21,11 @@ each point by its reduced integer triple; Fractions are built at the end.
 
 The hull walk stays in the integers of its scaled lift.  It hulls the
 support once (lattice.hull_ring) and reads off that ring whether the
-support is collinear and the edge to start from.  Each cell comes with its
-integer plane (nx, ny, D) and its vertex ring, a triangle's read off the
-sign of one determinant, any other's hulled by the monotone chain.  The
+support is collinear, the edge to start from and the sides of the Newton
+polygon, across which it never pivots; each pivot collects its cell in
+its one scan of the points.  Each cell comes with its integer plane
+(nx, ny, D) and its vertex ring, a triangle's read off the sign of one
+determinant, any other's hulled by the monotone chain.  The
 corner locus takes the support's ring as its Newton polygon and each
 cell's as its polygon, after one check (LatticePolygon.from_ring), lists
 the ring edges once and reads the owners of each edge, the segments, the
@@ -365,13 +367,15 @@ def _upper_cells(poly_terms):
 
     Gift wrapping over cell edges: start from an upper-hull edge on the
     boundary of the Newton polygon, found on the first edge of hull, and
-    from every directed edge (p, q) with an unexplored side on its left,
-    pivot the plane through the lifted p and q down onto that side
-    (_pivot).  The points on the pivoted plane form the next cell; each
-    edge of its ring is then queued with the cell on the other side.  Lifts
-    are scaled to integers first, so every test is an integer comparison.
-    A pivot is O(n) and there is one per cell and one per boundary edge, so
-    the hull costs O(n * cells).
+    from every directed edge (p, q) with an unexplored cell on its left,
+    pivot the plane through the lifted p and q down onto that side; the
+    pivot's one scan returns the next cell (_pivot).  Each edge of its ring
+    is then queued with the cell on the other side, unless the edge lies on
+    a side of hull, which has nothing beyond it: the sides are keyed by
+    their primitive direction u and offset det(u, p) (_side).  So there is
+    one pivot per cell and none on the boundary.  Lifts are scaled to
+    integers first, so every test is an integer comparison.  A pivot is
+    O(n), so the hull costs O(n * cells).
     """
     lift = dict(poly_terms)
     pts = sorted(lift)
@@ -381,27 +385,28 @@ def _upper_cells(poly_terms):
     scale_ = math.lcm(*(a.denominator for a in lift.values()))
     h = {p: a.numerator * (scale_ // a.denominator) for p, a in lift.items()}
     lifted = [(x, y, h[x, y]) for x, y in pts]
+    sides = {_side(a, b) for a, b in zip(hull, hull[1:] + hull[:1])}
     # start edge: from the least point v0, a polygon vertex, along the
-    # polygon edge to the next vertex v1 of the hull ring, to the point of
+    # polygon edge e to the next vertex of the hull ring, to the point of
     # that edge with the largest lift slope, which lies on the upper hull
-    v0, v1 = hull[:2]
-    e = sub(v1, v0)
-    q, qt = v1, dot(e, e)
-    for r in pts:
-        t = dot(e, sub(r, v0))
-        if r != v0 and det(e, sub(r, v0)) == 0 and (h[r] - h[v0]) * qt > (h[q] - h[v0]) * t:
-            q, qt = r, t
+    (x0, y0), (x1, y1) = hull[:2]
+    ex, ey = x1 - x0, y1 - y0
+    h0 = h[x0, y0]
+    q, qh, qt = (x1, y1), h[x1, y1] - h0, ex * ex + ey * ey
+    for x, y, hr in lifted:
+        rx, ry = x - x0, y - y0
+        if ex * ry == ey * rx and (rx or ry):
+            t = ex * rx + ey * ry
+            if (hr - h0) * qt > qh * t:
+                q, qh, qt = (x, y), hr - h0, t
     cells = {}
     done = set()  # directed cell edges with their cell on the left
-    stack = [(v0, q)]
+    stack = [((x0, y0), q)]
     while stack:
         p, q = stack.pop()
         if (p, q) in done:
             continue
-        found = _pivot(lifted, h, p, q)
-        if found is None:
-            continue  # (p, q) lies on the boundary of the Newton polygon
-        eq, (nx, ny, den) = found  # eq is sorted, as pts is
+        eq, (nx, ny, den) = _pivot(lifted, h, p, q)  # eq is sorted, as pts is
         if len(eq) == 3:  # a triangle: its ring is eq, or eq turned
             ring = eq if det(sub(eq[1], eq[0]), sub(eq[2], eq[0])) > 0 else [eq[0], eq[2], eq[1]]
         else:
@@ -409,43 +414,68 @@ def _upper_cells(poly_terms):
         cells[frozenset(eq)] = (nx, ny, den * scale_, ring)
         for a, b in zip(ring, ring[1:] + ring[:1]):
             done.add((a, b))
-            if (b, a) not in done:
+            if (b, a) not in done and _side(a, b) not in sides:
                 stack.append((b, a))
     return hull, cells
 
 
+def _side(a, b):
+    """The key (ux, uy, det(u, a)) of the line through a and b, u the
+    primitive direction from a to b.  A cell edge on a side of the Newton
+    polygon runs the way the side does, both counterclockwise, so the two
+    share this key."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    g = math.gcd(dx, dy)
+    ux, uy = dx // g, dy // g
+    return ux, uy, ux * a[1] - uy * a[0]
+
+
 def _pivot(lifted, h, p, q):
-    """Upper supporting plane through the lifted p and q that is tilted
-    onto the left of p -> q, as (points on it, (nx, ny, den)) with gradient
-    (nx, ny) / den in lift units; None when no point lies on the left.
+    """The cell on the left of the directed edge p -> q, in one scan of the
+    points: (its points in sorted order, (nx, ny, den)), the points on the
+    upper supporting plane through the lifted p and q that is tilted onto
+    the left of p -> q, whose gradient is (nx, ny) / den in lift units.
     lifted lists the sorted points as triples (x, y, h(x, y)).
 
     The planes through the lifted p, q are A(x) + s * D(x), with A the
     lift interpolated along pq and D(x) = det(q - p, x - p); the plane must
     pass over every r with D(r) > 0, so s = max (h(r) - A(r)) / D(r).
     Scaled by |q - p|^2 the ratio is num(r) / D(r) with integer num(r).
-    The points on the plane are then those with h(r) * den = (nx, ny) . r
-    plus the plane's constant, read at p.
+    The scan keeps the points left of pq that tie the largest ratio so far,
+    and the points r on the line pq with num(r) = 0, whose lift lies on
+    the lifted line and so on the plane, between p and q or not.  No point
+    right of pq is on the plane.  At the start edge none lies there: that
+    side is outside the Newton polygon.  Otherwise that side is the cell
+    already found, whose plane A + s' * D passes over every lifted point.
+    So s' >= s, and s' > s since the two cells differ; right of pq, where
+    D < 0, the new plane lies strictly above the old one.
+
+    The walk pivots only on an edge with a cell on its left; an edge with
+    no point there is a broken invariant.
     """
     px, py = p
     ex, ey = q[0] - px, q[1] - py
     ee = ex * ex + ey * ey
     hp = h[p]
     dh = h[q] - hp
-    best_n, best_d = None, 1
+    best_n, best_d = -1, 0  # the ratio -1 / 0 stands for minus infinity
+    left, on = [], []
     for x, y, hr in lifted:
         rx, ry = x - px, y - py
         dd = ex * ry - ey * rx
         if dd > 0:
             num = (hr - hp) * ee - dh * (ex * rx + ey * ry)
-            if best_n is None or num * best_d > best_n * dd:
-                best_n, best_d = num, dd
-    if best_n is None:
-        return None
-    den = ee * best_d
+            cmp = num * best_d - best_n * dd
+            if cmp > 0:
+                best_n, best_d, left = num, dd, [(x, y)]
+            elif cmp == 0:
+                left.append((x, y))
+        elif dd == 0 and (hr - hp) * ee == dh * (ex * rx + ey * ry):
+            on.append((x, y))
+    if not left:
+        raise InvariantViolation(f"hull walk pivots on {p}-{q}, which has no point on its left")
     nx, ny = dh * best_d * ex - best_n * ey, dh * best_d * ey + best_n * ex
-    c = hp * den - nx * px - ny * py
-    return [(x, y) for x, y, hr in lifted if hr * den - nx * x - ny * y == c], (nx, ny, den)
+    return sorted(on + left), (nx, ny, ee * best_d)
 
 
 def corner_locus(poly):

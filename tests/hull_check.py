@@ -1,7 +1,7 @@
 """The hull walk, the corner locus and stable intersection on T10 and T12,
-past the T8 of tier 1, and stable intersection on the benchmark's
-tropicalize corpus at seeds 0 to 9, each equal to its reference in
-tests/test_tropical.py.
+past the T8 of tier 1, the hull walk on T14 and T16, and stable
+intersection on the benchmark's tropicalize corpus at seeds 0 to 9, each
+equal to its reference in tests/test_tropical.py.
 
     PYTHONPATH=src python tests/hull_check.py
 
@@ -18,7 +18,7 @@ from pathlib import Path
 
 from test_tropical import (
     _locus_outcome, bench_pairs, check_box_filtered_intersection, corner_locus_reference,
-    intersection_pairs, planes, upper_cells_brute_force,
+    intersection_pairs, planes, upper_cells_brute_force, upper_cells_reference,
 )
 from tropico.lattice import triangle
 from tropico.tropical import TropicalPolynomial, _upper_cells, corner_locus, random_polynomial
@@ -52,8 +52,18 @@ for name, poly in loci:
         raise SystemExit(f"{name}: corner_locus differs from the reference")
 pairs = list(intersection_pairs(rng, (10, 12)))
 raised, moved = check_box_filtered_intersection(pairs, 1012)
-print(f"{len(hulls)} hulls, {len(loci)} corner loci and {len(pairs)} intersections equal their"
-      f" references; {moved} pairs were moved off a contact")
+# past the reach of the brute force, the walk equals the earlier walk, on
+# each lift and its negation
+walks = [(f"T{d} {kind}", poly) for d in (14, 16) for kind, poly in (
+    ("coarse", random_polynomial(rng, triangle(d), denom=1)),
+    ("fine", fine(d)),
+)]
+for name, poly in walks:
+    for sign, lift in (("f", poly.terms), ("-f", tuple((p, -a) for p, a in poly.terms))):
+        if _upper_cells(lift) != upper_cells_reference(lift):
+            raise SystemExit(f"{name} {sign}: _upper_cells differs from the reference walk")
+print(f"{len(hulls)} hulls, {2 * len(walks)} walks, {len(loci)} corner loci and {len(pairs)}"
+      f" intersections equal their references; {moved} pairs were moved off a contact")
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402

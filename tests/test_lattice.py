@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from test_tropical import bench_pairs
 from tropico import lattice
 from tropico.lattice import (
     DegeneratePolygon,
@@ -34,6 +35,7 @@ from tropico.lattice import (
     triangle,
     vertex_singularity,
 )
+from tropico.tropical import corner_locus
 
 
 def test_integral_length_examples():
@@ -128,11 +130,30 @@ def test_lattice_points_equal_the_bounding_box_filtered_by_contains():
         v = (rng.randint(-30, 30), rng.randint(-30, 30))
         if 1 <= abs(det(u, v)) <= 3:
             polys.append(LatticePolygon([(0, 0), u, v]).translate((rng.randint(-9, 9), rng.randint(-9, 9))))
-    vertical = 0
+    # unimodular triangles, whose points are their corners: the cells of
+    # the fine subdivisions of the tropicalize benchmark at seeds 0-2, and
+    # images of the standard triangle under SL2(Z) moves and translations
+    polys += [cell for seed in range(3) for *_, fine, _ in bench_pairs(seed)
+              for cell in corner_locus(fine)[1].cells]
+    moves = [((1, 1), (0, 1)), ((1, -1), (0, 1)), ((1, 0), (1, 1)), ((1, 0), (-1, 1)), ((0, -1), (1, 0))]
+    for _ in range(500):
+        corners = [(0, 0), (1, 0), (0, 1)]
+        for _ in range(rng.randint(1, 8)):
+            (a, b), (c, d) = rng.choice(moves)
+            corners = [(a * x + b * y, c * x + d * y) for x, y in corners]
+        polys.append(LatticePolygon(corners).translate((rng.randint(-20, 9), rng.randint(-20, 9))))
+    vertical = unimodular = scanned = 0
     for poly in polys:
         assert poly.lattice_points() == lattice_points_reference(poly), poly
         vertical += any(p[0] == q[0] for p, q in poly.edges())
-    assert vertical > 50
+        if len(poly.vertices) == 3 and poly.double_area() == 1:
+            assert poly.lattice_points() == sorted(poly.vertices)
+            unimodular += 1
+        elif len(poly.vertices) == 3 and poly.double_area() <= 3:
+            # by Pick's theorem a point besides the corners: these take the scan
+            assert len(poly.lattice_points()) > 3
+            scanned += 1
+    assert vertical > 50 and unimodular > 1000 and scanned > 100
 
 
 def test_pick_identity():

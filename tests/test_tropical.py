@@ -217,6 +217,165 @@ def assert_hull_matches(terms):
         assert hull == list(convex_hull(dict(lift)).vertices)
 
 
+def upper_cells_reference(poly_terms):
+    """The hull walk as it was before each pivot collected its cell in its
+    one scan: (hull, cells) as _upper_cells returns them.  It starts where
+    _upper_cells does, pushes the reverse of every ring edge, boundary
+    edges too, whose pivot finds no point on the left, and reads each cell
+    off a second pass over every point, keeping those on the pivoted plane."""
+    lift = dict(poly_terms)
+    pts = sorted(lift)
+    hull = lattice.hull_ring(pts)
+    if len(hull) < 3:
+        return hull, {}
+    scale_ = math.lcm(*(a.denominator for a in lift.values()))
+    h = {p: a.numerator * (scale_ // a.denominator) for p, a in lift.items()}
+    lifted = [(x, y, h[x, y]) for x, y in pts]
+    v0, v1 = hull[:2]
+    e = sub(v1, v0)
+    q, qt = v1, dot(e, e)
+    for r in pts:
+        t = dot(e, sub(r, v0))
+        if r != v0 and det(e, sub(r, v0)) == 0 and (h[r] - h[v0]) * qt > (h[q] - h[v0]) * t:
+            q, qt = r, t
+    cells = {}
+    done = set()
+    stack = [(v0, q)]
+    while stack:
+        p, q = stack.pop()
+        if (p, q) in done:
+            continue
+        found = _pivot_reference(lifted, h, p, q)
+        if found is None:
+            continue
+        eq, (nx, ny, den) = found
+        if len(eq) == 3:
+            ring = eq if det(sub(eq[1], eq[0]), sub(eq[2], eq[0])) > 0 else [eq[0], eq[2], eq[1]]
+        else:
+            ring = lattice.hull_ring(eq)
+        cells[frozenset(eq)] = (nx, ny, den * scale_, ring)
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            done.add((a, b))
+            if (b, a) not in done:
+                stack.append((b, a))
+    return hull, cells
+
+
+def _pivot_reference(lifted, h, p, q):
+    """The steepest tilt s = max num(r) / D(r) over the points r left of
+    p -> q, then every point on the plane A + s * D; None when no point
+    lies on the left."""
+    px, py = p
+    ex, ey = q[0] - px, q[1] - py
+    ee = ex * ex + ey * ey
+    hp = h[p]
+    dh = h[q] - hp
+    best_n, best_d = None, 1
+    for x, y, hr in lifted:
+        rx, ry = x - px, y - py
+        dd = ex * ry - ey * rx
+        if dd > 0:
+            num = (hr - hp) * ee - dh * (ex * rx + ey * ry)
+            if best_n is None or num * best_d > best_n * dd:
+                best_n, best_d = num, dd
+    if best_n is None:
+        return None
+    den = ee * best_d
+    nx, ny = dh * best_d * ex - best_n * ey, dh * best_d * ey + best_n * ex
+    c = hp * den - nx * px - ny * py
+    return [(x, y) for x, y, hr in lifted if hr * den - nx * x - ny * y == c], (nx, ny, den)
+
+
+def fine_polynomial(rng, d):
+    """The near-concave lift -(i^2 + j^2) + eps on T_d, |eps| <= 1/8, drawn
+    until eps splits every unit square, as perfbench/workloads.py draws it:
+    its regular subdivision is a unimodular triangulation."""
+    points = triangle(d).lattice_points()
+    while True:
+        eps = {p: Fraction(rng.randint(-10**4, 10**4), 8 * 10**4) for p in points}
+        if all(eps[i, j] + eps[i + 1, j + 1] != eps[i + 1, j] + eps[i, j + 1]
+               for i, j in points if i + j + 2 <= d):
+            return TropicalPolynomial.make({(i, j): -(i * i + j * j) + e for (i, j), e in eps.items()})
+
+
+# two cells: the first has (2, 1) on the line of the start edge (0, 3) ->
+# (1, 2) beyond its end, and a walk that keeps only the points of that line
+# between the edge's ends splits the cell into two triangles
+COLLINEAR_PIN = {(0, 3): -2, (1, 2): -1, (2, 1): 0, (3, 0): -2, (3, 3): -2}
+
+
+def walk_corpus():
+    """The polynomials on which the walk is held to the reference: the
+    benchmark's coarse/fine pairs at seeds 0-9, 400 random polynomials on
+    T_d (d <= 7) and Tz^1_{a,b} (a, b <= 3) with denominators up to 1, 3
+    or 7 and spreads 1, 2, 5 or 40 (the small spreads give coplanar
+    cells), and the collinear pin."""
+    polys = [poly for seed in range(10) for _, coarse, fine, _ in bench_pairs(seed) for poly in (coarse, fine)]
+    rng = random.Random(42)
+    shapes = [triangle(d) for d in range(1, 8)]
+    shapes += [trapezium(1, a, b) for a in range(1, 4) for b in range(1, 4)]
+    for _ in range(400):
+        polys.append(random_polynomial(rng, rng.choice(shapes), denom=rng.choice((1, 3, 7)),
+                                       spread=rng.choice((1, 2, 5, 40))))
+    return polys + [TropicalPolynomial.make(COLLINEAR_PIN)]
+
+
+def test_upper_cells_equal_the_reference_walk():
+    # the same keys, planes (nx, ny, D) and rings for each lift and its
+    # negation, the hull legendre_transform takes
+    lifts = cells_seen = 0
+    coplanar = Counter()  # cells of more than 3 points, by their size
+    for poly in walk_corpus():
+        for lift in (poly.terms, tuple((p, -a) for p, a in poly.terms)):
+            got = _upper_cells(lift)
+            assert got == upper_cells_reference(lift), lift
+            lifts += 1
+            cells_seen += len(got[1])
+            coplanar.update(len(eq) for eq in got[1] if len(eq) > 3)
+    assert lifts == 1322 and cells_seen > 8000 and sum(coplanar.values()) > 300
+    _, cells = _upper_cells(TropicalPolynomial.make(COLLINEAR_PIN).terms)
+    assert {eq: ring for eq, (*_, ring) in cells.items()} == {
+        frozenset({(0, 3), (1, 2), (2, 1), (3, 3)}): [(0, 3), (2, 1), (3, 3)],
+        frozenset({(2, 1), (3, 0), (3, 3)}): [(2, 1), (3, 0), (3, 3)],
+    }
+
+
+def test_one_pivot_per_cell(monkeypatch):
+    # each pivot finds a cell and each cell takes one pivot, none on the
+    # boundary of the Newton polygon: d^2 pivots for the d^2 triangles of a
+    # fine lift on T_d, where pivoting its 3d boundary edges too took
+    # d^2 + 3d
+    pivots = []
+    pivot = tropical._pivot
+
+    def counting_pivot(*args):
+        found = pivot(*args)
+        pivots.append(found)
+        return found
+
+    monkeypatch.setattr(tropical, "_pivot", counting_pivot)
+    rng = random.Random(8)
+    polys = [fine_polynomial(rng, d) for d in range(2, 9)]
+    polys += [random_polynomial(rng, shape, denom=denom, spread=spread)
+              for shape in (triangle(3), triangle(6), trapezium(1, 2, 3))
+              for denom in (1, 7) for spread in (1, 2, 40)]
+    for poly in polys:
+        for lift in (poly.terms, tuple((p, -a) for p, a in poly.terms)):
+            pivots.clear()
+            _, cells = _upper_cells(lift)
+            assert len(pivots) == len(cells) and None not in pivots, lift
+    for d, poly in zip(range(2, 9), polys):
+        pivots.clear()
+        _upper_cells(poly.terms)
+        assert len(pivots) == d * d
+    # a walk that takes no cell edge for a side of the Newton polygon
+    # pivots on a boundary edge, with no point on its left: a broken
+    # invariant
+    monkeypatch.setattr(tropical, "_side", lambda a, b: (a, b))
+    with pytest.raises(InvariantViolation, match="has no point on its left"):
+        _upper_cells(polys[0].terms)
+
+
 def spans_plane_reference(poly):
     """The pairwise test: some two support points span the plane with the
     first."""
@@ -1036,14 +1195,8 @@ def bench_pairs(seed):
     rng = random.Random(seed)
     pairs = []
     for d, k in ((4, 8), (6, 4), (8, 1)):
-        points = triangle(d).lattice_points()
         coarse = [random_polynomial(rng, triangle(d), denom=1) for _ in range(k)]
-        fine = []
-        while len(fine) < k:
-            eps = {p: Fraction(rng.randint(-10**4, 10**4), 8 * 10**4) for p in points}
-            if all(eps[i, j] + eps[i + 1, j + 1] != eps[i + 1, j] + eps[i, j + 1]
-                   for i, j in points if i + j + 2 <= d):
-                fine.append(TropicalPolynomial.make({(i, j): -(i * i + j * j) + e for (i, j), e in eps.items()}))
+        fine = [fine_polynomial(rng, d) for _ in range(k)]
         pairs += [(d, c, f, rng.randrange(10**6)) for c, f in zip(coarse, fine)]
     return pairs
 
