@@ -192,15 +192,15 @@ def cmd_check(args):
         )
 
     def boundary_identity():
+        # direction_data raises InvariantViolation unless 2 d_height + d+ + d-
+        # is the number of boundary points
         for poly in (
             lattice.triangle(3),
             lattice.trapezium(2, 3, 2),
             lattice.diamond(),
             lattice.octic_quadrilateral(),
         ):
-            dd = lattice.direction_data(poly, (0, 1))
-            if 2 * dd.d_height + dd.d_plus + dd.d_minus != poly.boundary_points():
-                return False
+            lattice.direction_data(poly, (0, 1))
         return True
 
     def golden_counts():

@@ -472,9 +472,11 @@ def _tail_distributions(weights, n):
 
 def _boundary_choices(spec):
     """Every assignment of left and right thetas and of tails to the floors
-    0..n-1 that leaves a balanced net finite inflow c at the floors (c[i] =
+    0..n-1, with the net finite inflow c it leaves at the floors (c[i] =
     finite in minus finite out): tuples (lefts, rights, downs, ups, c), the
-    theta orderings in lexicographic order."""
+    theta orderings in lexicographic order.  Every c sums to 0: the tails
+    of a checked spec weigh d- and d+, and the polygon's two sides drift
+    apart by d- - d+ = sum(thetas right) - sum(thetas left)."""
     dd = spec.data
     n = dd.d_height
     downs = list(_tail_distributions(weight_multiset(spec.alpha_minus, spec.beta_minus), n))
@@ -488,8 +490,7 @@ def _boundary_choices(spec):
                         c[t] -= w
                     for t, w in up:
                         c[t] += w
-                    if sum(c) == 0:
-                        yield tl, tr, down, up, c
+                    yield tl, tr, down, up, c
 
 
 def _weighted_edges(c, m):
@@ -561,12 +562,11 @@ def enumerate_diagrams(spec):
     the one that a search over every labelling, iterating in this
     function's order, meets first: the one minimising (left thetas, right
     thetas, finite pairs, down-tail and up-tail targets per weight, finite
-    weights).
+    weights).  A checked spec has d_height >= 1 floors, as `peel.count`
+    says, so the search always has a floor to start from.
     """
     spec.check()
     n = spec.data.d_height
-    if n == 0:
-        raise DiagramError("polygon has no floors")
     m = spec.genus + n - 1
     found = {}
     for tl, tr, down, up, c in _boundary_choices(spec):
@@ -824,16 +824,16 @@ def multiplicity(diagram, spec):
 
 def explain(spec):
     """`count` with the diagrams behind it: (total, rows) with one row
-    (diagram, classes, multiplicity) per diagram of `enumerate_diagrams`
-    that has markings.  Raises InvariantViolation unless the rows sum to
-    the peeled total."""
+    (diagram, classes, multiplicity) per diagram of `enumerate_diagrams`.
+    Every row has a marking class: the labels of a valid diagram can
+    follow its order with the down tails, which are minimal, in the alpha-
+    block and the up tails, which are maximal, in the alpha+ block.
+    Raises InvariantViolation unless the rows sum to the peeled total."""
     total = count(spec)
     rows = []
     listed = 0
     for diag in enumerate_diagrams(spec):
         nclasses = count_markings(diag, spec)
-        if not nclasses:
-            continue
         mu = multiplicity(diag, spec)
         listed += mu * nclasses
         rows.append((diag, nclasses, mu))

@@ -39,16 +39,9 @@ def _reader(fn):
 
 
 def frac_str(x):
-    # an int or a Fraction is in lowest terms already; only anything else
-    # goes through Fraction(x), which is slow (it checks for
-    # numbers.Rational first)
-    try:
-        return f"{x.numerator}/{x.denominator}"
-    except AttributeError:
-        from fractions import Fraction
-
-        x = Fraction(x)
-        return f"{x.numerator}/{x.denominator}"
+    """x as "p/q": the encoders write only ints and Fractions (a curve's,
+    a polynomial's and a realization's values), in lowest terms already."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 def dumps(obj):
@@ -105,9 +98,18 @@ def polygon_to_json(poly):
     return {"vertices": [list(v) for v in poly.vertices]}
 
 
+def _refuse_booleans(values, what):
+    # JSON true and false are Python's True and False, which equal 1 and 0
+    for v in values:
+        if type(v) is bool:
+            raise InputError(f"{what} must not be booleans: {v!r}")
+
+
 @_reader
 def polygon_from_json(data):
-    return LatticePolygon(data["vertices"])
+    vertices = data["vertices"]
+    _refuse_booleans(itertools.chain(*vertices), "vertex coordinates")
+    return LatticePolygon(vertices)
 
 
 def polygon_report(poly):
@@ -194,6 +196,7 @@ def polynomial_from_json(data):
     terms = {}
     for t in data["terms"]:
         exponent = tuple(t["i"])
+        _refuse_booleans((*exponent, t["a"]), "exponents and coefficients")
         if exponent in terms:
             raise InputError(f"exponent {list(exponent)} appears in two terms")
         terms[exponent] = Fraction(t["a"])

@@ -358,39 +358,34 @@ class LatticePolygon(Record):
         return True
 
     def interior_points(self):
-        """Interior lattice points, counted row by row: a height strictly
-        between the lowest and highest vertex meets a falling edge at
-        x = a and a rising one at x = b, and the integers strictly between
-        a and b are inside.  The rows are scanned once per polygon.
-
-        Deliberately independent of Pick's formula so that pick_identity
-        stays an honest cross-check.
-        """
+        """Interior lattice points, computed once: the column lengths of
+        `_columns`, summed, minus the boundary points.  Linear in the width,
+        and independent of Pick's formula, so pick_identity stays an honest
+        cross-check."""
         return self._interior_points
 
     @cached_property
     def _interior_points(self):
-        ys = [p[1] for p in self.vertices]
-        slanted = [(p, q) for p, q in self.edges() if p[1] != q[1]]
-        count = 0
-        for y in range(min(ys) + 1, max(ys)):
-            for (px, py), (qx, qy) in slanted:
-                if min(py, qy) <= y < max(py, qy):  # one edge per side
-                    num, den = px * (qy - py) + (y - py) * (qx - px), qy - py  # x = num / den
-                    count += -(-num // den) - 1 if den > 0 else -(num // den)
-        return count
+        _, lo, hi = self._columns()
+        return sum(hi) - sum(lo) + len(lo) - self.boundary_points()
 
     def lattice_points(self):
         """The lattice points of the polygon, boundary included, in (x, y)
-        order, column by column: at each integer x the polygon runs from the
-        ceiling of its lower edges' intercept to the floor of its upper
-        edges'.  Counterclockwise, an edge that runs right is a lower edge
-        and one that runs left an upper edge; a vertical edge adds nothing
-        that its neighbours' ends do not.  A triangle of double area 1, the
-        cell of a unimodular subdivision, is its sorted corners without a
-        scan: by Pick's theorem it holds no other lattice point."""
+        order, column by column (`_columns`).  A triangle of double area 1,
+        the cell of a unimodular subdivision, is its sorted corners without
+        a scan: by Pick's theorem it holds no other lattice point."""
         if len(self.vertices) == 3 and _shoelace2(self.vertices) == 1:
             return sorted(self.vertices)
+        x0, lo, hi = self._columns()
+        return [(x0 + i, y) for i, (a, b) in enumerate(zip(lo, hi)) for y in range(a, b + 1)]
+
+    def _columns(self):
+        """(x0, lo, hi): at each integer x = x0 + i from the least abscissa
+        of the polygon to the greatest, its lattice points are the y with
+        lo[i] <= y <= hi[i], from the ceiling of its lower edges' intercept
+        to the floor of its upper edges'.  Counterclockwise, an edge that
+        runs right is a lower edge and one that runs left an upper edge; a
+        vertical edge adds nothing that its neighbours' ends do not."""
         xs = [p[0] for p in self.vertices]
         x0 = min(xs)
         lo = [0] * (max(xs) - x0 + 1)
@@ -404,7 +399,7 @@ class LatticePolygon(Record):
                 dx, dy = px - qx, py - qy
                 for x in range(qx, px + 1):
                     hi[x - x0] = (qy * dx + (x - qx) * dy) // dx
-        return [(x0 + i, y) for i, (a, b) in enumerate(zip(lo, hi)) for y in range(a, b + 1)]
+        return x0, lo, hi
 
     def pick_identity(self):
         """2A == 2*interior + boundary - 2; must hold for every instance."""

@@ -480,8 +480,8 @@ def _peel_count(spec):
 
 def count(spec):
     """Sum of multiplicities over equivalence classes of marked diagrams,
-    by floor peeling (`_peel_count`), which lists no diagram."""
+    by floor peeling (`_peel_count`), which lists no diagram.  A checked
+    spec has at least one floor: its polygon is transverse to the
+    direction, so some edge is not orthogonal to it and d_height >= 1."""
     spec.check()
-    if spec.data.d_height == 0:
-        raise DiagramError("polygon has no floors")
     return _peel_count(spec)

@@ -189,6 +189,9 @@ def realize(diagram, marking, cfg, spec):
     (floor, edge) -> (source vertex, height) table joins the elevators and
     tails to their bends.
 
+    A floor's elevators and marked point have distinct abscissae: each
+    element has its own label, and PointConfig refuses equal ones.
+
     Abscissae and heights are the integers of cfg.frame (the values times
     its scale L), read at each element's label: slopes are integers, so
     every breakpoint height and every comparison is an integer one.
@@ -231,11 +234,7 @@ def realize(diagram, marking, cfg, spec):
     for (f, theta), right in zip(diagram.floors, diagram.floor_data[1]):
         inc = sorted(bends[f])
         xs = [x for x, _, _ in inc]
-        if len(set(xs)) != len(xs):
-            raise SpacingTooSmall(f"two elevators of floor {f} share an abscissa")
         xi_a, h_a = frame.xs[slot["f", f]], frame.hs[slot["f", f]]
-        if xi_a in xs:
-            raise SpacingTooSmall(f"marked point of floor {f} sits on an elevator")
         slopes = list(itertools.accumulate((jump for _, _, jump in inc), initial=theta))
         if slopes[-1] != right:
             raise lattice.InvariantViolation(

@@ -135,6 +135,29 @@ def test_malformed_polygon_file_is_an_input_error(files, capsys):
         assert json.loads(captured.out)["error"] == "InputError", name
 
 
+def test_booleans_in_an_input_file_are_input_errors(files, capsys):
+    # json reads true as True, which equals 1: a boolean vertex coordinate,
+    # exponent or coefficient is refused, while 1.0 still reads as 1
+    (files / "bool_vertex.json").write_text('{"vertices": [[0, 0], [true, 0], [0, true]]}')
+    (files / "bool_exp.json").write_text(
+        '{"terms": [{"i": [0, 0], "a": "0"}, {"i": [true, 0], "a": "0"}, {"i": [0, 1], "a": "0"}]}'
+    )
+    (files / "bool_coeff.json").write_text(
+        '{"terms": [{"i": [0, 0], "a": true}, {"i": [1, 0], "a": "0"}, {"i": [0, 1], "a": "0"}]}'
+    )
+    (files / "float_vertex.json").write_text('{"vertices": [[0, 0], [1.0, 0], [0, 1.0]]}')
+    for argv in (
+        ["polygon", "report", str(files / "bool_vertex.json")],
+        ["tropicalize", "--poly", str(files / "bool_exp.json")],
+        ["tropicalize", "--poly", str(files / "bool_coeff.json")],
+    ):
+        assert cmd(argv) == 1, argv
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "InputError" and "True" in out["detail"], argv
+    assert cmd(["polygon", "report", str(files / "float_vertex.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["double_area"] == 1
+
+
 def test_infinity_in_an_input_file_is_an_input_error(files, capsys):
     # json.load reads Infinity as a float, and int() or Fraction() of it
     # raises OverflowError

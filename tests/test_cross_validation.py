@@ -178,8 +178,11 @@ def test_floor_peeling_matches_the_enumerator():
     for a, b, g in ((1, 1, 0), (2, 2, 0), (2, 2, 1), (2, 1, 0)):
         rect = LatticePolygon([(0, 0), (a, 0), (a, b), (0, b)])
         specs.append(DiagramSpec(rect, (0, 1), g, (), (), (a,), (a,)))
+    # every row has a marking class: the alpha blocks can always take the
+    # down tails, which are minimal, and the up tails, which are maximal
     for spec in dict.fromkeys(specs):
-        total, _ = explain(spec)
+        total, rows = explain(spec)
+        assert all(nclasses >= 1 for _, nclasses, _ in rows), spec
         for a in (((2, 1), (1, 1)), ((0, -1), (1, 0))):
             moved = _moved(spec, a)
             assert moved.direction != spec.direction
@@ -190,7 +193,8 @@ def test_floor_peeling_matches_the_enumerator():
     for g in range(tz.interior_points() + 1):
         for alpha_minus, beta_minus in _boundary_types(4):
             for alpha_plus, beta_plus in _boundary_types(2):
-                explain(DiagramSpec(tz, (0, 1), g, alpha_plus, alpha_minus, beta_plus, beta_minus))
+                spec = DiagramSpec(tz, (0, 1), g, alpha_plus, alpha_minus, beta_plus, beta_minus)
+                assert all(nclasses >= 1 for _, nclasses, _ in explain(spec)[1]), spec
 
 
 def test_floor_peeling_matches_the_enumerator_on_sextics():

@@ -162,6 +162,21 @@ def test_validate_verbose_messages(monkeypatch):
         assert len(calls) == 1
 
 
+def test_validate_verbose_sums_the_weight_at_each_end():
+    # one tail made heavier at each end of a Tz^1_{3,2} diagram, whose
+    # bottom edge has length 5 and top edge length 2
+    diag = enumerate_diagrams(TZ132_G1)[0]
+    for ends, message in ((diag.inf_minus, "sum div over -inf vertices -6 != -5"),
+                          (diag.inf_plus, "sum div over +inf vertices 3 != 2")):
+        idx = next(i for i, (a, b, _) in enumerate(diag.edges) if a in ends or b in ends)
+        edges = list(diag.edges)
+        a, b, w = edges[idx]
+        edges[idx] = (a, b, w + 1)
+        heavier = FloorDiagram(diag.floors, diag.inf_minus, diag.inf_plus, tuple(edges))
+        ok, violations = validate_verbose(heavier, TZ132_G1)
+        assert not ok and message in violations, violations
+
+
 def test_a_plane_floor_moved_off_its_thetas_fails_the_theta_lists():
     # on a plane spec every left theta is 0 and every right theta 1, so a
     # floor whose theta or divergence changes breaks a theta list
@@ -297,12 +312,11 @@ def test_count_errors():
         count(DiagramSpec(diamond(), (0, 1), 0, (), (1,), (), ()))
     with pytest.raises(SideBoundaryCondition):
         count(DiagramSpec(triangle(3), (0, 1), 0, (), (), (), (1,)))
+    with pytest.raises(SideBoundaryCondition, match="d_plus = 0"):
+        count(DiagramSpec(triangle(3), (0, 1), 0, (1,), (), (), (3,)))
     for genus in (-1, 2):
         with pytest.raises(DiagramError, match="out of range"):
             count(DiagramSpec(triangle(3), (0, 1), genus, (), (), (), (3,)))
-    floorless = SimpleNamespace(check=lambda: None, data=SimpleNamespace(d_height=0))
-    with pytest.raises(DiagramError, match="no floors"):
-        count(floorless)
 
 
 

@@ -88,15 +88,49 @@ def interior_points_reference(poly):
     return count
 
 
+def interior_points_row_scan(poly):
+    """Interior lattice points, counted row by row: a height strictly
+    between the lowest and highest vertex meets a falling edge at x = a
+    and a rising one at x = b, and the integers strictly between a and b
+    are inside (the scan that interior_points made before it shared the
+    column scan of lattice_points)."""
+    ys = [p[1] for p in poly.vertices]
+    slanted = [(p, q) for p, q in poly.edges() if p[1] != q[1]]
+    count = 0
+    for y in range(min(ys) + 1, max(ys)):
+        for (px, py), (qx, qy) in slanted:
+            if min(py, qy) <= y < max(py, qy):  # one edge per side
+                num, den = px * (qy - py) + (y - py) * (qx - px), qy - py  # x = num / den
+                count += -(-num // den) - 1 if den > 0 else -(num // den)
+    return count
+
+
 def test_interior_points_match_the_reference():
+    # random hulls, many moved into negative coordinates, and tall and
+    # wide polygons, whose columns or rows are long and many: the column
+    # count equals the bounding-box count and the row count
     rng = random.Random(11)
     polys = [triangle(d) for d in range(1, 8)] + [diamond(), octic_quadrilateral()]
     polys += [trapezium(r, a, b) for r in range(3) for a in range(1, 4) for b in range(1, 4)]
     while len(polys) < 1200:
         poly = random_lattice_polygon(rng, rng.choice((2, 5, 9, 20)), rng.randint(3, 12))
         polys.append(poly.translate((rng.randint(-30, 30), rng.randint(-30, 30))))
+    while len(polys) < 1400:
+        # tall, of at most 7 columns and 801 rows, and its transpose, wide
+        corners = [(rng.randint(-3, 3), rng.randint(-400, 400)) for _ in range(rng.randint(3, 5))]
+        try:
+            poly = convex_hull(corners)
+        except DegeneratePolygon:
+            continue
+        polys += [poly, LatticePolygon([(y, x) for x, y in poly.vertices])]
+    tall = wide = negative = 0
     for poly in polys:
-        assert poly.interior_points() == interior_points_reference(poly), poly
+        assert poly.interior_points() == interior_points_reference(poly) == interior_points_row_scan(poly), poly
+        xs, ys = [p[0] for p in poly.vertices], [p[1] for p in poly.vertices]
+        tall += max(ys) - min(ys) > 20 * (max(xs) - min(xs))
+        wide += max(xs) - min(xs) > 20 * (max(ys) - min(ys))
+        negative += min(xs) < 0 and min(ys) < 0
+    assert tall > 50 and wide > 50 and negative > 300
 
 
 def lattice_points_reference(poly):
@@ -317,6 +351,25 @@ def test_direction_data_boundary_partition():
             dd = direction_data(poly, dvec)
             assert 2 * dd.d_height + dd.d_plus + dd.d_minus == poly.boundary_points()
             found += 1
+
+
+def test_every_transverse_direction_has_floors_and_balanced_sides():
+    # what count, enumerate_diagrams and _boundary_choices take on trust:
+    # a polygon transverse to d has d_height >= 1, since some edge is not
+    # orthogonal to d, and its two sides drift apart by the difference of
+    # its bottom and top edges, sum(thetas right) - sum(thetas left) =
+    # d- - d+, so a checked spec's tails always balance the thetas
+    rng = random.Random(29)
+    pairs = 0
+    for _ in range(300):
+        poly = random_lattice_polygon(rng, rng.choice((3, 6, 9)), rng.randint(3, 10))
+        poly = poly.translate((rng.randint(-20, 20), rng.randint(-20, 20)))
+        for dvec in transverse_directions(poly, 3):
+            dd = direction_data(poly, dvec)
+            assert dd.d_height >= 1, (poly, dvec)
+            assert sum(dd.thetas_right()) - sum(dd.thetas_left()) == dd.d_minus - dd.d_plus, (poly, dvec)
+            pairs += 1
+    assert pairs > 400
 
 
 def test_direction_data_not_transverse():

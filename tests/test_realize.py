@@ -592,6 +592,79 @@ def test_spacing_too_small_escalates():
     assert not verify_realization(realization, diag, marking, cfg, T3_G1)
 
 
+@pytest.fixture
+def spacings_tried(monkeypatch):
+    """The spacings that realize_stretched asks stretch_points for, with
+    the stretch_points and default_spacing caches emptied before and after
+    the test, which changes the default spacing."""
+    tried = []
+
+    def stretch(spec, seed=0, spacing=None):
+        tried.append(spacing)
+        return stretch_points(spec, seed, spacing)
+
+    stretch_points.cache_clear()
+    default_spacing.cache_clear()
+    monkeypatch.setattr(importlib.import_module("tropico.realize"), "stretch_points", stretch)
+    yield tried
+    stretch_points.cache_clear()
+    default_spacing.cache_clear()
+
+
+def test_realize_stretched_doubles_a_spacing_that_is_too_small(monkeypatch, spacings_tried):
+    # the true default over 4096 is too small for this curve, and so are
+    # twice and four times that; realize_stretched doubles it three times
+    # and the curve on eight times it verifies
+    diag = enumerate_diagrams(T3_G1)[0]
+    marking = enumerate_markings(diag, T3_G1)[0]
+    small = default_spacing(T3_G1) / 4096
+    with pytest.raises(SpacingTooSmall):
+        realize(diag, marking, stretch_points(T3_G1, 1, small), T3_G1)
+    monkeypatch.setattr(importlib.import_module("tropico.realize"), "default_spacing", lambda spec: small)
+    realization, cfg = realize_stretched(diag, marking, T3_G1, seed=1)
+    assert spacings_tried == [None, 2 * small, 4 * small, 8 * small]
+    assert cfg == stretch_points(T3_G1, 1, 8 * small)
+    assert not verify_realization(realization, diag, marking, cfg, T3_G1)
+
+
+def test_realize_stretched_gives_up_after_the_last_doubling(monkeypatch, spacings_tried):
+    # from a spacing so small that 2**MAX_DOUBLINGS times it still collides,
+    # the error names the collision at the last spacing tried
+    realize_module = importlib.import_module("tropico.realize")
+    diag = enumerate_diagrams(T3_G1)[0]
+    marking = enumerate_markings(diag, T3_G1)[0]
+    tiny, doublings = Fraction(1, 10**9), realize_module.MAX_DOUBLINGS
+    with pytest.raises(SpacingTooSmall) as collision:
+        realize(diag, marking, stretch_points(T3_G1, 1, tiny * 2**doublings), T3_G1)
+    monkeypatch.setattr(realize_module, "default_spacing", lambda spec: tiny)
+    with pytest.raises(SpacingTooSmall) as info:
+        realize_stretched(diag, marking, T3_G1, seed=1)
+    assert spacings_tried == [None] + [tiny * 2**k for k in range(1, doublings + 1)]
+    assert str(info.value) == f"no spacing found after {doublings} doublings: {collision.value}"
+
+
+def test_a_configuration_gives_every_label_its_own_abscissa():
+    # realize takes on trust that a floor's elevators and its marked point
+    # never share an abscissa: the marking gives each element its own label,
+    # and PointConfig refuses two labels of one transverse coordinate
+    cfg = stretch_points(T3_A11, seed=4)
+    d, e = cfg.direction, _transverse_axis(cfg.direction)
+    taus = [dot(e, p) for p in cfg.points]
+    assert len(cfg.omega_minus) == 2 and len(set(taus)) == len(taus)
+    assert PointConfig(d, cfg.points, cfg.omega_minus, cfg.omega_plus) == cfg
+    # an Omega line on a point's abscissa, two Omega lines on one, and a
+    # point moved up its own line onto another point's abscissa
+    on_point = (taus[3], cfg.omega_minus[1])
+    twice = (cfg.omega_minus[0],) * 2
+    n2 = dot(d, d)
+    moved = list(cfg.points)
+    h = dot(d, moved[2])
+    moved[2] = tuple(h * a / n2 + taus[1] * b / n2 for a, b in zip(d, e))
+    for points, omegas in ((cfg.points, on_point), (cfg.points, twice), (tuple(moved), cfg.omega_minus)):
+        with pytest.raises(RealizeError, match="transverse coordinates must be pairwise distinct"):
+            PointConfig(d, points, omegas, cfg.omega_plus)
+
+
 def test_realize_fixed_tangency_on_omega_lines():
     spec = DiagramSpec(triangle(3), (0, 1), 0, (), (0, 1), (), (1,))
     total = 0
@@ -1044,6 +1117,20 @@ def _outcome(fn, *args):
 def _marked(spec):
     return [(diag, marking) for diag in enumerate_diagrams(spec)
             for marking in enumerate_markings(diag, spec)]
+
+
+def test_a_plane_curve_without_a_polygon_builds_the_rays_circuit():
+    # without a polygon, to_plane_curve takes the rays' circuit, which is
+    # the spec's polygon up to translation; every other field is the same
+    items = [(spec, diag, marking) for spec in REALIZE_CORPUS for diag, marking in _marked(spec)]
+    for spec, diag, marking in items:
+        pc = realize_stretched(diag, marking, spec)[0].curve
+        own, given = pc.to_plane_curve(), pc.to_plane_curve(spec.polygon)
+        assert given.newton == spec.polygon
+        shift = tuple(b - a for a, b in zip(own.newton.vertices[0], given.newton.vertices[0]))
+        assert own.newton.translate(shift) == given.newton
+        for field in ("vertices", "segments", "rays", "crossings", "frame"):
+            assert getattr(own, field) == getattr(given, field), (spec, field)
 
 
 def test_integer_frame_matches_fraction_reference_on_the_corpus():
