@@ -2,10 +2,12 @@
 realization, tropicalization, SVG rendering, and the self-check suite.
 
 All results go to stdout as JSON (a bare integer for `count`), diagnostics
-to stderr.  Exit codes: 0 success, 1 domain error (with the error name in
-JSON on stdout), 2 argument or parse error.  A domain error is a
-lattice.TropicoError, the base of the library's typed errors, io.InputError
-for files and option values that cannot be read or decoded among them; a
+to stderr.  A command writes its SVG files before it prints its result, so
+stdout holds one JSON document: the result or the error.  Exit codes: 0
+success, 1 domain error (with the error name in JSON on stdout), 2
+argument or parse error.  A domain error is a lattice.TropicoError, the
+base of the library's typed errors, io.InputError for files and option
+values that cannot be read, decoded or written among them; a
 lattice.InvariantViolation, or any other exception, is a bug and
 propagates.  A command imports only the modules it runs, on success and on
 error alike.
@@ -23,12 +25,12 @@ from . import lattice
 
 
 def _nseq(text):
-    from .peel import nseq
+    from .peel import DiagramError, nseq
     if not text:
         return ()
     try:
         return nseq(int(x) for x in text.split(","))
-    except ValueError as exc:
+    except (ValueError, DiagramError) as exc:
         raise io_mod.InputError(f"bad multiplicity sequence {text!r}: {exc}") from exc
 
 
@@ -143,12 +145,12 @@ def cmd_realize(args):
     if violations:
         raise RealizeError("; ".join(violations))
     curve = realization.curve.to_plane_curve(newton=spec.polygon)
-    print(io_mod.dumps(io_mod.realization_to_json(realization, curve)))
     if args.svg:
         style = render.RenderStyle(anticanonical_frame=args.frame)
         labels = {i: str(i + 1) for i in range(len(cfg.points))}
         svg = render.render_curve_svg(curve, style, cfg.points, cfg.omega_lines, labels)
         _write_text(args.svg, svg)
+    print(io_mod.dumps(io_mod.realization_to_json(realization, curve)))
     return 0
 
 
@@ -157,16 +159,16 @@ def cmd_tropicalize(args):
     from .tropical import corner_locus
     poly = io_mod.polynomial_from_json(_load_json(args.poly))
     curve, subdivision = corner_locus(poly)
-    out = io_mod.curve_to_json(curve)
-    if args.subdivision:
-        out["subdivision"] = io_mod.subdivision_to_json(subdivision)
-    print(io_mod.dumps(out))
     if args.svg:
         style = render.RenderStyle(anticanonical_frame=args.frame)
         _write_text(args.svg, render.render_curve_svg(curve, style))
     if args.svg and args.subdivision:
         root, ext = os.path.splitext(args.svg)
         _write_text(f"{root}-subdivision{ext}", render.render_subdivision_svg(subdivision))
+    out = io_mod.curve_to_json(curve)
+    if args.subdivision:
+        out["subdivision"] = io_mod.subdivision_to_json(subdivision)
+    print(io_mod.dumps(out))
     return 0
 
 

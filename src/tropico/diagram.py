@@ -626,31 +626,18 @@ class Marking(Record):
         return {self.label_start + i: el for i, el in enumerate(self.labels)}
 
 
-def _alpha_labels(spec):
-    """{label: weight} of the alpha labels of spec.label_range(), each
-    block in the order of weight_multiset(alpha, ()): alpha- up to 0,
-    alpha+ from s + 1.  Computed once per spec and kept in its __dict__,
-    as a DiagramSpec's cached properties are: the spec is not hashed, and
-    any object with the spec's attributes will do.  Callers only read it."""
-    known = vars(spec)
-    if "alpha_labels" not in known:
-        a, b = weight_multiset(spec.alpha_minus, ()), weight_multiset(spec.alpha_plus, ())
-        known["alpha_labels"] = {**dict(enumerate(a, 1 - len(a))), **dict(enumerate(b, spec.s + 1))}
-    return known["alpha_labels"]
-
-
 def marking_violations(diagram, marking, spec):
     """The one rule for a marking of a diagram of the spec, as its
     violations (none for a marking): the labels are spec.label_range(), one
     on each floor and edge (no label on an element the diagram does not
     have, no element labelled twice, no edge unlabelled); floors carry
     point labels 1..s; each edge's label lies between its floors'; and each
-    alpha block's labels go, in order, to tails on its side of the weights
-    `_alpha_labels` gives them.  Identical edges may take their labels in
+    alpha label goes to a tail on its side of the weight the spec gives it
+    (DiagramSpec.alpha_labels).  Identical edges may take their labels in
     any order.  `realize` raises InvalidMarking with these violations, and
     `realize.verify_realization` reports them before any geometry.  The
     element tables are the diagram's (FloorDiagram.elements), and the
-    alpha labels the spec's, each built once."""
+    label range and alpha labels the spec's, each built once."""
     labels, start, s = spec.label_range(), marking.label_start, spec.s
     got = list(range(start, start + len(marking.labels)))
     if got != labels:
@@ -672,7 +659,7 @@ def marking_violations(diagram, marking, spec):
         lab = label_of.get(el)
         if lab is not None and not label_of.get(source, -math.inf) < lab < label_of.get(target, math.inf):
             violations.append(f"label of edge {el[1]} is not between the labels of its floors")
-    for lab, w in _alpha_labels(spec).items():
+    for lab, w in spec.alpha_labels.items():
         el = marking.labels[lab - start]
         a, b, weight = diagram.edges[el[1]] if el[0] == "e" and el in label_of else (None, None, 0)
         side, end = ("top", b) if lab > 0 else ("bottom", a)
@@ -691,8 +678,8 @@ def _label_moves(diagram, spec):
     edge's source floor and the edge before it with the same endpoints and
     weight, so that identical edges take their labels in index order.  part
     is the element's token: a floor's position, an edge's (source position
-    or -1, target position or -2, weight).  An alpha label (`_alpha_labels`)
-    may place only the tails of its weight on its side.
+    or -1, target position or -2, weight).  An alpha label may place only
+    the tails on its side of the weight DiagramSpec.alpha_labels gives it.
     """
     pos = {f: i for i, (f, _) in enumerate(diagram.floors)}
     n = len(pos)
@@ -718,7 +705,7 @@ def _label_moves(diagram, spec):
     moves = [(("f", f), 1 << i, floor_need[i], i) for f, i in pos.items()] + edge_moves
     labels = spec.label_range()
     out = [moves] * len(labels)
-    for lab, w in _alpha_labels(spec).items():
+    for lab, w in spec.alpha_labels.items():
         out[lab - labels[0]] = tails[lab > 0].get(w, [])
     return out
 

@@ -224,14 +224,19 @@ def curve_from_json(data):
     from fractions import Fraction
 
     from .tropical import PlaneTropicalCurve, Ray, Segment
+    vertices = data["vertices"]
+    segments = [Segment(s["from"], s["to"], s["w"], tuple(s["dir"])) for s in data["segments"]]
+    rays = [Ray(r["base"], tuple(r["dir"]), r["w"]) for r in data["rays"]]
+    crossings = data.get("crossings", ())
+    numbers = [(s.a, s.b, s.weight, *s.direction) for s in segments]
+    numbers += [(r.base, r.weight, *r.direction) for r in rays]
+    _refuse_booleans(itertools.chain(*vertices, *numbers, crossings),
+                     "curve coordinates, indices, weights and directions")
     return PlaneTropicalCurve.build(
-        [(Fraction(x), Fraction(y)) for x, y in data["vertices"]],
-        [
-            Segment(s["from"], s["to"], s["w"], tuple(s["dir"]))
-            for s in data["segments"]
-        ],
-        [Ray(r["base"], tuple(r["dir"]), r["w"]) for r in data["rays"]],
-        data.get("crossings", ()),
+        [(Fraction(x), Fraction(y)) for x, y in vertices],
+        segments,
+        rays,
+        crossings,
         polygon_from_json(data["newton"]) if data.get("newton") else None,
     )
 

@@ -453,19 +453,13 @@ def hull_ring(points):
 
 
 def convex_hull(points):
-    """Convex hull of integer points, as a LatticePolygon from its
-    hull_ring, refusing a hull vertex that is not a lattice point."""
+    """Convex hull of integer points, as the LatticePolygon of its
+    hull_ring, which refuses a hull vertex that is not a lattice point and
+    a hull of collinear points."""
     pts = sorted({(x, y) for x, y in points})
     if len(pts) < 3:
         raise DegeneratePolygon("hull of fewer than 3 distinct points")
-    ring = []
-    for x, y in hull_ring(pts):
-        if x != int(x) or y != int(y):
-            raise DegeneratePolygon("vertices must be integral")
-        ring.append((int(x), int(y)))
-    if len(ring) < 3:
-        raise DegeneratePolygon("need at least 3 non-collinear vertices")
-    return LatticePolygon.from_ring(ring)
+    return LatticePolygon(hull_ring(pts))
 
 
 def triangle(d):

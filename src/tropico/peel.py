@@ -50,13 +50,12 @@ class SideBoundaryCondition(DiagramError):
 
 
 def nseq(seq=()):
-    """Normalize a finite multiplicity sequence: drop trailing zeros."""
-    out = list(seq)
-    while out and out[-1] == 0:
-        out.pop()
+    """Normalize a finite multiplicity sequence: drop trailing zeros.  A
+    negative entry raises DiagramError."""
+    out = _trim(tuple(seq))
     if any(a < 0 for a in out):
-        raise ValueError("N-sequence entries must be nonnegative")
-    return tuple(out)
+        raise DiagramError("N-sequence entries must be nonnegative")
+    return out
 
 
 def nseq_I(a):
@@ -106,7 +105,11 @@ def _nseq_binom(a, b):
 
 
 class DiagramSpec(Record):
-    """Polygon, stretching direction, genus, and boundary type (a+, a-, b+, b-)."""
+    """Polygon, stretching direction, genus, and boundary type (a+, a-, b+, b-).
+
+    The spec owns the layout of a marking's labels: `s` point labels,
+    `label_range()` and the weights of the alpha labels (`alpha_labels`),
+    which the marking rule, the marking enumerator and the verifier read."""
 
     polygon: lattice.LatticePolygon
     direction: tuple = (0, 1)
@@ -165,6 +168,15 @@ class DiagramSpec(Record):
         lo = -sum(self.alpha_minus) + 1
         hi = self.s + sum(self.alpha_plus)
         return list(range(lo, hi + 1))
+
+    @cached_property
+    def alpha_labels(self):
+        """{label: weight} of the alpha labels of label_range(), each block
+        by increasing weight: alpha- from -|a-| + 1 up to 0, alpha+ from
+        s + 1.  Computed once; callers only read it."""
+        minus = [k for k, n in enumerate(self.alpha_minus, 1) for _ in range(n)]
+        plus = [k for k, n in enumerate(self.alpha_plus, 1) for _ in range(n)]
+        return {**dict(enumerate(minus, 1 - len(minus))), **dict(enumerate(plus, self.s + 1))}
 
     def multiplicity_Ibeta(self):
         return nseq_Ipow(self.beta_plus) * nseq_Ipow(self.beta_minus)

@@ -575,7 +575,7 @@ def verify_realization(realization, diagram, marking, cfg, spec):
     # realization's abscissa times cfg's scale against the line's times the
     # realization's unit, since cfg may not be the one realized on
     frame, unit, start = cfg.frame, realization.unit, marking.label_start
-    fixed = sorted((marking.labels[lab - start][1], lab) for lab in diagram_mod._alpha_labels(spec))
+    fixed = sorted((marking.labels[lab - start][1], lab) for lab in spec.alpha_labels)
     for idx, lab in fixed:
         if realization.elevators[idx] * frame.scale != frame.xs[lab - start] * unit:
             violations.append(f"fixed {'top' if lab > 0 else 'bottom'} tail {idx} off its Omega line")

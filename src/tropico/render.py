@@ -1,9 +1,11 @@
 """Deterministic SVG rendering of plane tropical curves and subdivisions.
 
-The anticanonical frame option draws the Newton polygon, scaled around the
-curve, as the boundary of the ambient toric surface: every infinite branch
-is clipped where it hits the side dual to its direction, finite parts stay
-inside.  Without it, rays are clipped at a plain rectangle.
+Every drawing is on one canvas of WIDTH by HEIGHT pixels, MARGIN of them
+kept clear on each side.  The anticanonical frame option draws the Newton
+polygon, scaled around the curve, as the boundary of the ambient toric
+surface: every infinite branch is clipped where it hits the side dual to
+its direction, finite parts stay inside.  Without it, rays are clipped at a
+plain rectangle.
 """
 
 from __future__ import annotations
@@ -14,18 +16,20 @@ from .lattice import Record
 from .tropical import _integral_frame, _joint_frame
 
 
+WIDTH = HEIGHT = 480
+MARGIN = 24
+# the opening of every SVG document drawn
+_PREAMBLE = (
+    f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}"'
+    f' height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+    '<rect width="100%" height="100%" fill="white"/>',
+)
+
+
 class RenderStyle(Record):
-    """Canvas width and height and margin in pixels, and whether the
-    anticanonical frame is drawn."""
+    """Whether a curve is drawn in its anticanonical frame."""
 
-    width: int = 480
-    height: int = 480
-    margin: int = 24
     anticanonical_frame: bool = False
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0 or self.margin < 0:
-            raise ValueError("render dimensions must be positive")
 
 
 def _bounds(points):
@@ -103,23 +107,23 @@ def _box_exit(base, direction, box):
     return ty
 
 
-def _pixel_map(style, x0, y0, width, height):
+def _pixel_map(x0, y0, width, height):
     """Map from exact coordinates to pixels that fits the box of the given
-    width and height at (x0, y0) into the drawing area.
+    width and height at (x0, y0) into the canvas, inside its margin.
 
     The returned function takes the point (x / den, y / den) as integers.
     Its pixel coordinates are int/int true divisions, that is, the
     correctly rounded floats of the exact rational values.
     """
-    sw = style.width - 2 * style.margin
-    sh = style.height - 2 * style.margin
+    sw = WIDTH - 2 * MARGIN
+    sh = HEIGHT - 2 * MARGIN
     # scale sn / sd = min(sw / width, sh / height)
     sn, sd = (sw, width) if sw * height <= sh * width else (sh, height)
-    top = style.height - style.margin
+    top = HEIGHT - MARGIN
 
     def to_px(x, y, den=1):
         return (
-            style.margin + (x - x0 * den) * sn / (sd * den),
+            MARGIN + (x - x0 * den) * sn / (sd * den),
             top - (y - y0 * den) * sn / (sd * den),
         )
 
@@ -185,7 +189,7 @@ def render_curve_svg(curve, style=None, points=(), omega_lines=(), labels=None):
         frame = [(fx0, fy0), (fx1, fy0), (fx1, fy1), (fx0, fy1)]
     sides = _sides(frame)
     ray_exit, ray_frame = (_exit_parameter, sides) if style.anticanonical_frame else (_box_exit, box)
-    to_px = _pixel_map(style, fx0, fy0, fx1 - fx0, fy1 - fy0)
+    to_px = _pixel_map(fx0, fy0, fx1 - fx0, fy1 - fy0)
 
     def tip(base, direction, first_exit, shape):
         # a ray that leaves through no side ends one unit along its direction
@@ -193,11 +197,7 @@ def render_curve_svg(curve, style=None, points=(), omega_lines=(), labels=None):
         return to_px(base[0] * den + t * direction[0], base[1] * den + t * direction[1], den)
 
     vertex_px = [to_px(x, y) for x, y in ints[:nv]]
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{style.width}"'
-        f' height="{style.height}" viewBox="0 0 {style.width} {style.height}">',
-        '<rect width="100%" height="100%" fill="white"/>',
-    ]
+    lines = list(_PREAMBLE)
     frame_path = " ".join(f"{x:.3f},{y:.3f}" for x, y in (to_px(*p) for p in frame))
     stroke = "#444" if style.anticanonical_frame else "#ccc"
     lines.append(f'<polygon points="{frame_path}" fill="none" stroke="{stroke}"/>')
@@ -241,13 +241,12 @@ def render_curve_svg(curve, style=None, points=(), omega_lines=(), labels=None):
     return "\n".join(lines) + "\n"
 
 
-def render_subdivision_svg(subdivision, style=None):
+def render_subdivision_svg(subdivision):
     """SVG of a dual subdivision: its cells and a circle per lattice point
     of each cell, each point's pixel pair formatted once per drawing."""
-    style = style or RenderStyle()
     pts = [v for c in subdivision.cells for v in c.vertices]
     x0, y0, x1, y1 = _bounds(pts)
-    to_px = _pixel_map(style, x0, y0, max(x1 - x0, 1), max(y1 - y0, 1))
+    to_px = _pixel_map(x0, y0, max(x1 - x0, 1), max(y1 - y0, 1))
     cell_points = [cell.lattice_points() for cell in subdivision.cells]
     corner, circle = {}, {}  # lattice point -> its polygon corner, its circle
     for points in cell_points:
@@ -257,11 +256,7 @@ def render_subdivision_svg(subdivision, style=None):
                 corner[v] = f"{x},{y}"
                 circle[v] = f'<circle cx="{x}" cy="{y}" r="2" fill="#666"/>'
 
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{style.width}"'
-        f' height="{style.height}" viewBox="0 0 {style.width} {style.height}">',
-        '<rect width="100%" height="100%" fill="white"/>',
-    ]
+    lines = list(_PREAMBLE)
     for cell in subdivision.cells:
         path = " ".join([corner[v] for v in cell.vertices])
         lines.append(f'<polygon points="{path}" fill="none" stroke="black"/>')

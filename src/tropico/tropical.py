@@ -218,10 +218,9 @@ class PlaneTropicalCurve(Record):
             endpoints += [v for v in ends[tag] if v not in self.crossings]
         return list(chains.values())
 
-    def pieces(self, points=None):
+    def pieces(self, points):
         """All straight pieces as (p, q_or_None, direction, weight, tag), with
-        p and q read in points, by default the vertices."""
-        points = self.vertices if points is None else points
+        p and q read in points, listed as the vertices are."""
         out = []
         for i, s in enumerate(self.segments):
             out.append((points[s.a], points[s.b], s.direction, s.weight, ("s", i)))

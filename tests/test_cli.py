@@ -455,7 +455,7 @@ def test_svg_deterministic():
     curve, _ = corner_locus(
         TropicalPolynomial.make({(0, 0): 0, (1, 0): 0, (0, 1): 0})
     )
-    style = RenderStyle(width=300, height=300, anticanonical_frame=True)
+    style = RenderStyle(anticanonical_frame=True)
     a = render_curve_svg(curve, style)
     b = render_curve_svg(curve, style)
     assert a == b
@@ -562,3 +562,61 @@ def test_python_m_tropico_reports_a_domain_error_of_each_layer(files):
         assert proc.returncode == 1, (argv, proc.stderr)
         assert proc.stdout.count("\n") == 1, proc.stdout
         assert json.loads(proc.stdout)["error"] == error.__name__
+
+
+def test_an_unwritable_svg_path_prints_the_error_alone(files, tmp_path, capsys):
+    # the SVG files are written before the result is printed, so a file that
+    # cannot be written leaves stdout holding the error document alone
+    spec = DiagramSpec(triangle(3), (0, 1), 1, (), (), (), (3,))
+    diag = enumerate_diagrams(spec)[0]
+    dpath, mpath = tmp_path / "diag.json", tmp_path / "mark.json"
+    dpath.write_text(json.dumps(io_mod.diagram_to_json(diag)))
+    mpath.write_text(json.dumps(io_mod.marking_to_json(enumerate_markings(diag, spec)[0])))
+    svg = str(tmp_path / "missing_dir" / "x.svg")
+    for argv in (
+        ["tropicalize", "--poly", str(files / "line.json"), "--svg", svg],
+        ["tropicalize", "--poly", str(files / "line.json"), "--svg", svg, "--subdivision"],
+        ["realize", "--polygon", str(files / "t3.json"), "--genus", "1", "--beta-minus", "3",
+         "--diagram", str(dpath), "--marking", str(mpath), "--svg", svg],
+    ):
+        assert cmd(argv) == 1, argv
+        captured = capsys.readouterr()
+        error = json.loads(captured.out)
+        assert captured.out == json.dumps(error) + "\n", argv
+        assert error["error"] == "InputError" and error["detail"].startswith(f"cannot write {svg}: ")
+        assert "wrote" not in captured.err
+
+
+def test_a_negative_multiplicity_option_keeps_its_input_error_bytes(files, capsys):
+    argv = ["count", "--polygon", str(files / "t3.json"), "--genus", "0", "--beta-minus", "-1"]
+    assert cmd(argv) == 1
+    assert capsys.readouterr().out == (
+        '{"error": "InputError", "detail": "bad multiplicity sequence \'-1\':'
+        ' N-sequence entries must be nonnegative"}\n'
+    )
+
+
+def test_a_polynomial_without_terms_is_a_domain_error(files, capsys):
+    (files / "empty.json").write_text('{"terms": []}')
+    assert cmd(["tropicalize", "--poly", str(files / "empty.json")]) == 1
+    assert capsys.readouterr().out == '{"error": "TropicalError", "detail": "empty support"}\n'
+
+
+@pytest.mark.parametrize("target, broken, suite", [
+    ("tropico.lattice.LatticePolygon.pick_identity", lambda poly: False, "pick_identity_100_random"),
+    ("tropico.peel.count", lambda spec: 0, "golden_counts"),
+    ("tropico.diagram.lemma_1_5_check", lambda diag: False, "counting_lemmas"),
+    ("tropico.diagram.weighted_count_check", lambda diag, spec: False, "counting_lemmas"),
+    ("tropico.tropical.check_balancing", lambda curve: False, "corner_locus_balancing_newton"),
+    ("tropico.tropical.newton_polygon_of", lambda curve: None, "corner_locus_balancing_newton"),
+    ("tropico.tropical.stable_intersection_generic", lambda c1, c2, seed: ([], (0, 0)), "tropical_bezout"),
+    ("tropico.realize.verify_realization", lambda *args: ["broken"], "realization_roundtrip_cubic"),
+])
+def test_check_reports_a_failing_suite(monkeypatch, capsys, target, broken, suite):
+    # each suite answers "fail" when the identity it checks breaks, and the
+    # others stay "ok"
+    monkeypatch.setattr(target, broken)
+    assert cmd(["check"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out.pop(suite) == "fail"
+    assert set(out.values()) == {"ok"}

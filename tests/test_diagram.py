@@ -121,6 +121,21 @@ def test_structural_rejections():
         FloorDiagram(((0, 0),), (1,), (), ((1, 0, 0),))  # zero weight
 
 
+def test_every_structural_refusal_names_its_fault():
+    cases = [
+        ((((0, 0),), (0,), (), ((0, 0, 1),)), "vertex ids must be distinct"),
+        ((((0, 0),), (1,), (), ((1, 0, 0),)), "edge weights must be positive"),
+        ((((0, 0),), (1,), (2,), ((1, 2, 1),)), "no edge may join two vertices at infinity"),
+        ((((0, 0),), (), (), ((0, 5, 1),)), "edge endpoint is not a vertex"),
+        ((((0, 0),), (), (1,), ((1, 0, 1),)), r"vertex 1 at \+infinity has an outgoing edge"),
+        ((((0, 0),), (1,), (), ((0, 1, 1),)), "vertex 1 at -infinity has an incoming edge"),
+        ((((0, 0),), (1,), (2,), ((1, 0, 1),)), "every vertex at infinity must be 1-valent"),
+    ]
+    for args, message in cases:
+        with pytest.raises(DiagramError, match=message):
+            FloorDiagram(*args)
+
+
 def test_validate_examples():
     assert validate(genus1_cubic_diagram(), T3_B3_G1)
     bad = FloorDiagram(
@@ -334,8 +349,8 @@ def test_spec_rejects_entries_that_are_not_ints():
     for fields, name in cases:
         with pytest.raises(DiagramError, match=name):
             DiagramSpec(t3, (0, 1), **{"genus": 0, **fields})
-    # negative entries keep their ValueError
-    with pytest.raises(ValueError, match="nonnegative"):
+    # a negative entry is a DiagramError as well
+    with pytest.raises(DiagramError, match="nonnegative"):
         DiagramSpec(t3, (0, 1), 0, (), (), (), (-1, 2))
     assert count(DiagramSpec(t3, (0, 1), 1, (), (), (), [3])) == 1
     # the direction is two ints; a list counts like the tuple
@@ -1066,6 +1081,10 @@ def _random_type(rng, diag):
         beta_plus=beta_plus,
         s=s,
         label_range=lambda: list(range(lo, lo + size)),
+        alpha_labels={
+            **dict(enumerate(diagram_mod.weight_multiset(alpha_minus, ()), lo)),
+            **dict(enumerate(diagram_mod.weight_multiset(alpha_plus, ()), s + 1)),
+        },
     )
 
 

@@ -159,3 +159,46 @@ def test_curve_reader_refuses_a_polygon_the_rays_do_not_trace():
     with pytest.raises(TropicalError, match="ray circuit does not trace the Newton polygon") as err:
         io.curve_from_json(data)
     assert isinstance(err.value, TropicoError) and not isinstance(err.value, io.InputError)
+
+
+def test_curve_reader_refuses_booleans():
+    # json reads true as True, which equals 1: a vertex coordinate, a segment
+    # end, a ray base, a weight, a direction entry or a crossing given as a
+    # boolean is refused, not read as the number it equals
+    from tropico.tropical import TropicalPolynomial, corner_locus
+
+    conic = {(0, 0): 0, (1, 0): 1, (0, 1): 1, (2, 0): 0, (1, 1): 3, (0, 2): 0}
+    curve, _ = corner_locus(TropicalPolynomial.make(conic))
+    data = json.loads(json.dumps(io.curve_to_json(curve)))
+    assert io.curve_from_json(data) == curve
+    def at(obj, path):
+        for key in path:
+            obj = obj[key]
+        return obj
+
+    # each of these is 0 or 1, so the boolean equals the number it replaces
+    paths = [
+        ("segments", 0, "from"), ("segments", 0, "to"), ("segments", 0, "w"),
+        ("segments", 0, "dir", 0), ("rays", 1, "base"), ("rays", 0, "w"), ("rays", 1, "dir", 0),
+    ]
+    cases = [(("vertices", 0, 0), True), (("crossings",), [True])]
+    cases += [(path, bool(at(data, path))) for path in paths if at(data, path) in (0, 1)]
+    assert len(cases) == 9
+    for path, value in cases:
+        mutated = json.loads(json.dumps(data))
+        at(mutated, path[:-1])[path[-1]] = value
+        with pytest.raises(io.InputError, match="must not be booleans"):
+            io.curve_from_json(mutated)
+
+
+def test_realization_to_json_builds_the_curve_it_is_not_given():
+    from tropico.diagram import enumerate_diagrams, enumerate_markings
+    from tropico.lattice import triangle
+    from tropico.peel import DiagramSpec
+    from tropico.realize import realize_stretched
+
+    spec = DiagramSpec(triangle(3), (0, 1), 1, (), (), (), (3,))
+    diag = enumerate_diagrams(spec)[0]
+    realization, _ = realize_stretched(diag, enumerate_markings(diag, spec)[0], spec)
+    curve = realization.curve.to_plane_curve(newton=spec.polygon)
+    assert io.realization_to_json(realization) == io.realization_to_json(realization, curve)

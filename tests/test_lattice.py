@@ -563,9 +563,9 @@ def test_convex_hull():
 
 
 def test_hull_ring_is_the_polygon_the_general_constructor_keeps():
-    # convex_hull takes the ring as it is (from_ring); the general
-    # constructor, handed the same points shuffled into a clockwise or
-    # rotated order with a collinear point, normalises them to it
+    # convex_hull keeps the hull ring as it is; the general constructor,
+    # handed the same points shuffled into a clockwise or rotated order
+    # with a collinear point, normalises them to it
     rng = random.Random(41)
     for _ in range(300):
         pts = {(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(rng.randint(3, 14))}
@@ -693,3 +693,16 @@ def test_one_ring_rule_for_both_polygon_constructors():
         assert "normalised" in seen[kind], kind
     for kind in ("reflex", "pentagram", "fraction", "random"):
         assert "refused" in seen[kind], kind
+
+
+def test_constructors_refuse_what_they_cannot_build():
+    with pytest.raises(NotPrimitive, match="zero vector has no primitive direction"):
+        lattice.primitive((0, 0))
+    with pytest.raises(lattice.InvariantViolation, match="fewer than 3 vertices"):
+        LatticePolygon.from_ring([(0, 0), (1, 0)])
+    with pytest.raises(DegeneratePolygon, match="degree must be positive"):
+        triangle(0)
+    # a < 1, b < 0, r < 0, and b = r = 0
+    for r, a, b in ((0, 0, 1), (0, 1, -1), (-1, 1, 1), (0, 1, 0)):
+        with pytest.raises(DegeneratePolygon, match="invalid trapezium parameters"):
+            trapezium(r, a, b)

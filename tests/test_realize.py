@@ -592,6 +592,20 @@ def test_spacing_too_small_escalates():
     assert not verify_realization(realization, diag, marking, cfg, T3_G1)
 
 
+def test_an_up_tail_below_its_floor_misses_its_marked_point():
+    # the line along (0, -1), whose up tail is free: at a spacing of 1/1000
+    # the floor passes above the tail's marked point, and the default
+    # spacing realizes it
+    spec = DiagramSpec(triangle(1), (0, -1), 0, (), (), (1,), ())
+    diag = enumerate_diagrams(spec)[0]
+    marking = enumerate_markings(diag, spec)[0]
+    assert diag.edges == ((0, 1, 1),) and diag.inf_plus == (1,)
+    with pytest.raises(SpacingTooSmall, match="up tail 0 misses its marked point"):
+        realize(diag, marking, stretch_points(spec, 0, Fraction(1, 1000)), spec)
+    realization, cfg = realize_stretched(diag, marking, spec)
+    assert not verify_realization(realization, diag, marking, cfg, spec)
+
+
 @pytest.fixture
 def spacings_tried(monkeypatch):
     """The spacings that realize_stretched asks stretch_points for, with

@@ -83,10 +83,10 @@ RECORDS = {
         " marking=None)",
     ),
     RenderStyle: (
-        lambda: RenderStyle(margin=8),
-        ("width", "height", "margin", "anticanonical_frame"),
+        lambda: RenderStyle(anticanonical_frame=True),
+        ("anticanonical_frame",),
         (),
-        "RenderStyle(width=480, height=480, margin=8, anticanonical_frame=False)",
+        "RenderStyle(anticanonical_frame=True)",
     ),
     TropicalPolynomial: (
         lambda: TropicalPolynomial.make(LINE),
@@ -204,8 +204,7 @@ def test_defaults_fill_the_fields_not_given():
     assert DiagramSpec(triangle(2), beta_minus=(2,)) == DiagramSpec(
         triangle(2), (0, 1), 0, (), (), (), (2,)
     )
-    assert RenderStyle() == RenderStyle(480, 480, 24, False)
-    assert RenderStyle(200, anticanonical_frame=True) == RenderStyle(200, 480, 24, True)
+    assert RenderStyle() == RenderStyle(False)
 
 
 @pytest.mark.parametrize(
@@ -231,5 +230,3 @@ def test_post_init_checks_and_normalises_the_fields():
         FloorDiagram(((0, 0),), (1,), (), ((1, 0, 0),))
     with pytest.raises(RealizeError):
         PointConfig((0, 1), ((Fraction(0), Fraction(2)), (Fraction(1), Fraction(1))), (), ())
-    with pytest.raises(ValueError):
-        RenderStyle(width=0)

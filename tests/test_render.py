@@ -255,18 +255,17 @@ def test_tropicalize_outputs_pinned():
     assert digest.hexdigest() == "1130ede45e35235acdf7b494e810d28da0c13ebb7ae35e2e77cd568179bcf1ab"
 
 
-def render_subdivision_svg_reference(subdivision, style=None):
+def render_subdivision_svg_reference(subdivision):
     """render_subdivision_svg as it drew before it formatted each point's
     pixel pair once per drawing: every polygon corner and every circle maps
     and formats its point anew."""
-    style = style or RenderStyle()
     pts = [v for c in subdivision.cells for v in c.vertices]
     x0, y0, x1, y1 = _bounds(pts)
-    to_px = _pixel_map(style, x0, y0, max(x1 - x0, 1), max(y1 - y0, 1))
+    to_px = _pixel_map(x0, y0, max(x1 - x0, 1), max(y1 - y0, 1))
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{style.width}"'
-        f' height="{style.height}" viewBox="0 0 {style.width} {style.height}">',
+        '<svg xmlns="http://www.w3.org/2000/svg" width="480"'
+        ' height="480" viewBox="0 0 480 480">',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
     for cell in subdivision.cells:
@@ -283,7 +282,7 @@ def render_subdivision_svg_reference(subdivision, style=None):
 def test_subdivision_svg_matches_the_reference():
     # every subdivision of the benchmark's tropicalize corpus at seeds 0-9,
     # coarse and fine on T4, T6 and T8; hand-built subdivisions around
-    # negative coordinates; and one-cell polygons, in three styles
+    # negative coordinates; and one-cell polygons
     subdivisions = [
         corner_locus(poly)[1]
         for seed in range(10)
@@ -302,7 +301,5 @@ def test_subdivision_svg_matches_the_reference():
         DualSubdivision(triangle(1), (triangle(1),), (), ()),
         DualSubdivision(triangle(5), (triangle(5),), (), ()),
     ]
-    styles = (RenderStyle(), RenderStyle(width=640, height=200, margin=0), RenderStyle(width=90, height=333))
     for k, subdivision in enumerate(subdivisions):
-        for style in styles:
-            assert render_subdivision_svg(subdivision, style) == render_subdivision_svg_reference(subdivision, style), k
+        assert render_subdivision_svg(subdivision) == render_subdivision_svg_reference(subdivision), k

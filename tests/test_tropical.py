@@ -2081,3 +2081,28 @@ def test_genus_builds_no_polygon_and_partitions_the_chains_once(monkeypatch):
         assert built == {"polygons": 0, "partitions": 1}
         crossings += len(curve.crossings)
     assert crossings > 0
+
+
+def test_a_polynomial_needs_a_term_and_evaluates_as_a_maximum():
+    with pytest.raises(TropicalError, match="empty support"):
+        TropicalPolynomial.make({})
+    poly = TropicalPolynomial.make({(0, 0): 1, (1, 0): 0, (0, 1): Fraction(-1, 2)})
+    # max(1, 0 + 2, -1/2 + 3)
+    assert poly((2, 3)) == Fraction(5, 2)
+    assert poly((0, 0)) == 1
+
+
+def test_stable_intersection_generic_gives_up_after_its_tries(monkeypatch):
+    tries = []
+
+    def never_transverse(c1, c2):
+        tries.append(c2)
+        raise NonTransverse("intersection at a vertex")
+
+    monkeypatch.setattr(tropical, "stable_intersection", never_transverse)
+    line, _ = corner_locus(TropicalPolynomial.make({(0, 0): 0, (1, 0): 0, (0, 1): 0}))
+    with pytest.raises(NonTransverse, match="no generic translation found"):
+        stable_intersection_generic(line, line)
+    # c2 itself, then a new translate on each later try
+    assert len(tries) == tropical.INTERSECTION_TRIES
+    assert tries[0] is line and len({c.vertices for c in tries}) == len(tries)
